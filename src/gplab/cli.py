@@ -312,6 +312,7 @@ def cmd_ipsearch(args) -> int:
         else:
             shifts = [int(s) for s in args.shifts.split(",")] if args.shifts else [0]
             rep = translated_ip_probe(cert, args.r, args.bound, shifts, args.maxprec)
+    print(f"runtime_ms: {rep.runtime_ms}", file=sys.stderr)
     _write_atomic(args.out, rep.to_text())
     return EXIT_OK
 
@@ -339,7 +340,8 @@ def cmd_suite(args) -> int:
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        lines.append(f"[{status}] {r.name} ({r.seconds:.2f}s): {r.detail}")
+        lines.append(f"[{status}] {r.name}: {r.detail}")
+        print(f"{r.name}: {r.seconds:.2f}s", file=sys.stderr)
         failed += 0 if r.passed else 1
     lines.append(f"{len(results) - failed}/{len(results)} checks passed")
     _write_atomic(args.out, "\n".join(lines) + "\n")

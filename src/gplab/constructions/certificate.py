@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from ..errors import ParseError
-from ..gpexpr import Expr, eval_indicator, parse, to_text
-from ..gpexpr.evaluate import _ConstCache
+from ..gpexpr import Expr, eval_indicator, members, parse, to_text
 from ..realnum import DEFAULT_MAX_BITS
 
 
@@ -43,12 +42,7 @@ class Certificate:
             return self.fast_scan(lo, hi)
         if self.predicate is not None:
             return [n for n in range(lo, hi + 1) if self.predicate(n)]
-        cache = _ConstCache()
-        return [
-            n
-            for n in range(lo, hi + 1)
-            if eval_indicator(self.indicator, n, max_bits, cache) == 1
-        ]
+        return members(self.indicator, lo, hi, max_bits)
 
     # -- serialization ------------------------------------------------------
     def to_file_text(self) -> str:

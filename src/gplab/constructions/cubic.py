@@ -86,14 +86,36 @@ class CubicConstruction:
     def n0_sq(self, q: int) -> FieldElement:
         """Exact squared distance from q*theta to the nearest lattice point.
 
-        A float pass locates the minimizer inside a +-2 candidate box; the
-        minimum (and every near-tie) is then recomputed and compared in the
-        field, and sufficiency of the box is certified by exact rational
-        window bounds.  Falls back to the fully general search if the
-        certification fails.
+        A float pass locates the minimizer inside a +-2 candidate box; every
+        candidate whose float value could, within a derived bound on its
+        float error, tie or beat the float minimum is recomputed and
+        compared in the field, and sufficiency of the box is certified by
+        exact rational window bounds.  Falls back to the fully general
+        search if the certification fails.
         """
-        fa = self._float_approx()
-        th1f, th2f, re_uf, im_sqf, vf = fa
+        th1f, th2f, re_uf, im_sqf, vf = self._float_approx()
+        th1, th2 = self.theta
+        y1, y2 = th1 * q, th2 * q
+        # |x_i (float) - (q theta_i - p_i)|: the error of th_i (to_float is
+        # within 2^-60 + u|theta| of theta), of the product and of the
+        # difference, u = 2^-53 the unit roundoff
+        u = 2.0**-53
+        e1 = q * (4 * u * th1f + 2.0**-60) + 4 * u
+        e2 = q * (4 * u * th2f + 2.0**-60) + 4 * u
+        if e1 >= 0.5 or e2 >= 0.5:
+            # the rounding centres may be off by one: the box proves nothing
+            return _nearest_lattice_sq(self.norm, y1, y2)[0]
+        re_abs = abs(re_uf)
+
+        def err(x1f: float, x2f: float) -> float:
+            """Bound on |float - exact| for N(x)^2 at one candidate."""
+            x1, x2 = abs(x1f) + e1, abs(x2f) + e2
+            a = re_abs * x1 + vf * x2  # |re_u x1 + v x2|
+            da = re_abs * e1 + vf * e2 + 8 * u * a  # its error; the constants are within 2u
+            tail = 12 * u * (a * a + im_sqf * x1 * x1)  # rounding of the squares and sums
+            # the factor absorbs the rounding of this bound's own evaluation
+            return (2 * a * da + da * da + im_sqf * (2 * x1 * e1 + e1 * e1) + tail) * 1.0001
+
         p1c = round(q * th1f)
         p2c = round(q * th2f)
         cands = []
@@ -102,22 +124,25 @@ class CubicConstruction:
             for p2 in range(p2c - 2, p2c + 3):
                 x2f = q * th2f - p2
                 ref = re_uf * x1f + vf * x2f
-                cands.append((ref * ref + im_sqf * x1f * x1f, p1, p2))
+                cands.append((ref * ref + im_sqf * x1f * x1f, x1f, x2f, p1, p2))
         cands.sort()
-        vmin, b1, b2 = cands[0]
-        th1, th2 = self.theta
-        y1, y2 = th1 * q, th2 * q
+        vmin, x1f, x2f, b1, b2 = cands[0]
+        top = vmin + err(x1f, x2f)  # the exact minimum is at most this
+        reach = top + err(3.0, 3.0)  # err grows with |x|, and |x_i| <= 2.5 in the box
         best = self.norm.norm_sq(y1 - b1, y2 - b2)
-        for v, p1, p2 in cands[1:]:
-            if v > vmin + 1e-9 + 1e-6 * vmin:
+        for v, x1f, x2f, p1, p2 in cands[1:]:
+            if v > reach:
                 break
+            if v - err(x1f, x2f) > top:
+                continue
             cand = self.norm.norm_sq(y1 - p1, y2 - p2)
             if cand.compare(best) < 0:
                 best = cand
         # certify that the +-2 box contains the true minimizer: the norm
         # inequalities bound |x1| by sqrt(best)/im <= 1.5 and then |x2| by
-        # (sqrt(best) + 1.5 |re_u|)/v <= 2, and an integer within 2.5 of the
-        # rounding center lies inside the box
+        # (sqrt(best) + 1.5 |re_u|)/v <= 2, and an integer within 2 + e1 of
+        # the first rounding centre, or within 2.5 + e2 of the second, lies
+        # inside the box
         im_lo = self.norm.im_lo
         v_lo = self.norm.v_lo
         re_hi = self.norm.re_abs_hi

@@ -1,18 +1,29 @@
-"""Evaluation of expressions: exact values and adaptive fixed-point scans.
+"""Evaluation of expressions through one compiled program.
 
-Two walkers cooperate:
+``Program`` turns an expression tree into a topologically ordered op list,
+hash-consed bottom up: structurally equal subterms (which the indicator
+builders repeat heavily) become one op, and compiling and evaluating are
+loops, never recursion, so deeply nested expressions are fine.  The same op
+list is run in two modes:
 
-* ``eval_exact`` produces an exact :data:`~gplab.realnum.value.Real`
-  (rational / field element / interval stream).  Floors on exact values are
-  decided exactly; floors on streams refine up to the precision budget.
+* exact mode (``eval_exact``) produces an exact :data:`~gplab.realnum.value.Real`
+  (rational / field element / interval stream), computing each shared
+  subterm once.  Floors on exact values are decided exactly; floors on
+  streams refine up to the precision budget.
 
-* ``_eval_dyadic`` evaluates over dyadic fixed-point intervals
-  ``[lo, hi] * 2^-bits`` with plain integer arithmetic.  It is the fast
-  path for range scans; whenever a floor cannot be decided at the current
-  precision it signals and the driver escalates, falling back to the exact
-  walker last.
+* dyadic mode evaluates over fixed-point intervals ``[lo, hi] * 2^-bits``
+  with plain integer arithmetic.  It is the fast path for range scans: ops
+  are computed on demand from an explicit stack with a per-point,
+  per-precision memo, so a product whose left factor is exactly zero never
+  evaluates its right factor.  Whenever a floor cannot be decided at the
+  current precision the driver escalates along the 96 -> 4096-bit ladder,
+  falling back to exact mode last.
 
-Exact integer intermediate results stay exact in the dyadic walker (their
+Constant enclosures are computed once per program and precision; irrational
+field elements use :func:`~gplab.realnum.dyadic_enclosure`, which works on
+a short dyadic rounding of the field's root interval.
+
+Exact integer intermediate results stay exact in dyadic mode (their
 endpoints coincide and carry no rounding), so indicator expressions always
 evaluate to exact 0/1 once every floor is decided.
 """
@@ -24,8 +35,10 @@ from fractions import Fraction
 from ..errors import NonBooleanValue, PrecisionExhausted
 from ..realnum import (
     DEFAULT_MAX_BITS,
+    FieldElement,
     Real,
     dist_of,
+    dyadic_enclosure,
     floor_frac,
     frac_of,
     interval_of,
@@ -50,76 +63,210 @@ from .ast import (
     Var,
 )
 
+# opcodes; an op is (opcode, a, b): child indices, or for _POW the base
+# index and the exponent, for _CONST an index into Program.consts
+_CONST, _VAR, _ADD, _SUB, _MUL, _POW, _FLOOR, _FRAC, _NINT, _DIST = range(10)
 
-# ---------------------------------------------------------------------------
-# exact walker
-# ---------------------------------------------------------------------------
+_BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL}
+_UNARY = {Floor: _FLOOR, Frac: _FRAC, Nint: _NINT, Dist: _DIST}
 
-def eval_exact(e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS) -> Real:
-    if isinstance(e, RationalConst):
-        return e.value
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return Fraction(n)
-    if isinstance(e, Add):
-        return radd(eval_exact(e.left, n, max_bits), eval_exact(e.right, n, max_bits))
-    if isinstance(e, Sub):
-        return rsub(eval_exact(e.left, n, max_bits), eval_exact(e.right, n, max_bits))
-    if isinstance(e, Mul):
-        return rmul(eval_exact(e.left, n, max_bits), eval_exact(e.right, n, max_bits))
-    if isinstance(e, Pow):
-        return rpow(eval_exact(e.base, n, max_bits), e.exponent)
-    if isinstance(e, Floor):
-        return Fraction(floor_frac(eval_exact(e.arg, n, max_bits), max_bits)[0])
-    if isinstance(e, Frac):
-        return frac_of(eval_exact(e.arg, n, max_bits), max_bits)
-    if isinstance(e, Nint):
-        return Fraction(nint_of(eval_exact(e.arg, n, max_bits), max_bits))
-    if isinstance(e, Dist):
-        return dist_of(eval_exact(e.arg, n, max_bits), max_bits)
-    raise TypeError(f"unknown node {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# dyadic fixed-point walker
-# ---------------------------------------------------------------------------
 
 class _NeedBits(Exception):
     """A floor/nint decision is ambiguous at the current precision."""
 
 
-class _ConstCache:
-    """Dyadic enclosures of variable-free constants, keyed per precision."""
+class Program:
+    """An expression compiled to a hash-consed, topologically ordered op list.
 
-    def __init__(self):
-        self._store: dict[tuple[int, int], tuple[int, int]] = {}
+    Ops are keyed on ``(opcode, child indices)`` plus the exponent or the
+    constant (compared by value; interval streams by identity), never on the
+    tree's own recursive hash.  The last op is the root.  The program also
+    caches the dyadic enclosures of its constants, per precision.
+    """
 
-    def get(self, node: Const | RationalConst, bits: int) -> tuple[int, int]:
-        key = (id(node), bits)
-        hit = self._store.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(node, RationalConst):
-            value = node.value
-            lo = (value.numerator << bits) // value.denominator
-            hi = -((-value.numerator << bits) // value.denominator)
-            out = (lo, hi)
-        else:
-            flo, fhi = interval_of(node.value, bits + 2)
-            lo = (flo.numerator << bits) // flo.denominator
-            hi = -((-fhi.numerator << bits) // fhi.denominator)
-            out = (lo, hi)
-        self._store[key] = out
-        return out
+    __slots__ = ("ops", "consts", "_var", "_templates")
+
+    def __init__(self, e: Expr):
+        self._var = -1  # index of the variable's op, if any
+        ops: list[tuple[int, int, int]] = []
+        consts: list[Real] = []
+        keys: dict[tuple, int] = {}
+        index: dict[int, int] = {}  # id(node) -> op; nodes live as long as e
+        stack = [e]
+        while stack:
+            node = stack[-1]
+            if id(node) in index:
+                stack.pop()
+                continue
+            t = type(node)
+            if t in _BINARY:
+                left, right = node.left, node.right
+                a, b = index.get(id(left)), index.get(id(right))
+                if a is None or b is None:
+                    if b is None:
+                        stack.append(right)
+                    if a is None:
+                        stack.append(left)  # left operands first
+                    continue
+                key = (_BINARY[t], a, b)
+            elif t in _UNARY:
+                a = index.get(id(node.arg))
+                if a is None:
+                    stack.append(node.arg)
+                    continue
+                key = (_UNARY[t], a, 0)
+            elif t is Pow:
+                a = index.get(id(node.base))
+                if a is None:
+                    stack.append(node.base)
+                    continue
+                key = (_POW, a, node.exponent)
+            elif t is RationalConst or t is Const:
+                key = (_CONST, type(node.value), node.value)
+            elif t is Var:
+                key = (_VAR, 0, 0)
+            else:
+                raise TypeError(f"unknown node {node!r}")
+            stack.pop()
+            i = keys.get(key)
+            if i is None:
+                i = keys[key] = len(ops)
+                if key[0] == _CONST:
+                    ops.append((_CONST, len(consts), 0))
+                    consts.append(key[2])
+                else:
+                    ops.append(key)
+                    if key[0] == _VAR:
+                        self._var = i
+            index[id(node)] = i
+        self.ops = ops
+        self.consts = consts
+        self._templates: dict[int, list] = {}
+
+    # -- dyadic mode ----------------------------------------------------------
+    def _template(self, bits: int) -> list:
+        """Per-op memo for one point at ``bits``, constants filled in."""
+        tpl = self._templates.get(bits)
+        if tpl is None:
+            tpl = [None] * len(self.ops)
+            for i, (code, a, _) in enumerate(self.ops):
+                if code == _CONST:
+                    tpl[i] = _const_enclosure(self.consts[a], bits)
+            self._templates[bits] = tpl
+        return tpl
+
+    def eval_dyadic(self, n: int, bits: int) -> tuple[int, int]:
+        """Interval ``[lo, hi] * 2^-bits`` holding the value at n.
+
+        Raises ``_NeedBits`` when a floor it needs is undecided at ``bits``.
+        """
+        ops = self.ops
+        val = self._template(bits).copy()
+        root = len(ops) - 1
+        if self._var >= 0:
+            v = n << bits
+            val[self._var] = (v, v)
+        if val[root] is not None:
+            return val[root]
+        stack = [root]
+        while stack:
+            i = stack[-1]
+            code, a, b = ops[i]
+            if code == _POW and b == 0:
+                one = 1 << bits
+                val[i] = (one, one)
+                stack.pop()
+                continue
+            x = val[a]
+            if x is None:
+                stack.append(a)
+                continue
+            if code == _MUL:
+                if x[0] == 0 and x[1] == 0:
+                    out = x
+                else:
+                    y = val[b]
+                    if y is None:
+                        stack.append(b)
+                        continue
+                    out = _mul_iv(x, y, bits)
+            elif code == _ADD or code == _SUB:
+                y = val[b]
+                if y is None:
+                    stack.append(b)
+                    continue
+                if code == _ADD:
+                    out = (x[0] + y[0], x[1] + y[1])
+                else:
+                    out = (x[0] - y[1], x[1] - y[0])
+            elif code == _FLOOR:
+                v = _floor_iv(x, bits) << bits
+                out = (v, v)
+            elif code == _NINT:
+                half = 1 << (bits - 1)
+                v = _floor_iv((x[0] + half, x[1] + half), bits) << bits
+                out = (v, v)
+            elif code == _FRAC:
+                f = _floor_iv(x, bits) << bits
+                out = (x[0] - f, x[1] - f)
+            elif code == _DIST:
+                out = _dist_iv(x, bits)
+            else:  # _POW
+                out = x
+                for _ in range(b - 1):
+                    out = _mul_iv(out, x, bits)
+            val[i] = out
+            stack.pop()
+        return val[root]
+
+    # -- exact mode -------------------------------------------------------------
+    def eval_exact(self, n: int, max_bits: int) -> Real:
+        val: list[Real] = []
+        consts = self.consts
+        for code, a, b in self.ops:
+            if code == _CONST:
+                out = consts[a]
+            elif code == _VAR:
+                out = Fraction(n)
+            elif code == _ADD:
+                out = radd(val[a], val[b])
+            elif code == _SUB:
+                out = rsub(val[a], val[b])
+            elif code == _MUL:
+                out = rmul(val[a], val[b])
+            elif code == _POW:
+                out = rpow(val[a], b)
+            elif code == _FLOOR:
+                out = Fraction(floor_frac(val[a], max_bits)[0])
+            elif code == _FRAC:
+                out = frac_of(val[a], max_bits)
+            elif code == _NINT:
+                out = Fraction(nint_of(val[a], max_bits))
+            else:  # _DIST
+                out = dist_of(val[a], max_bits)
+            val.append(out)
+        return val[-1]
+
+
+def _const_enclosure(value: Real, bits: int) -> tuple[int, int]:
+    if isinstance(value, FieldElement):
+        lo, hi = dyadic_enclosure(value, bits + 2)
+        return lo >> 2, -((-hi) >> 2)
+    flo, fhi = interval_of(value, bits + 2)
+    lo = (flo.numerator << bits) // flo.denominator
+    hi = -((-fhi.numerator << bits) // fhi.denominator)
+    return lo, hi
 
 
 def _mul_iv(a: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
     al, ah = a
     bl, bh = b
-    p1, p2, p3, p4 = al * bl, al * bh, ah * bl, ah * bh
-    lo = min(p1, p2, p3, p4)
-    hi = max(p1, p2, p3, p4)
+    if al >= 0 and bl >= 0:
+        lo, hi = al * bl, ah * bh
+    else:
+        p1, p2, p3, p4 = al * bl, al * bh, ah * bl, ah * bh
+        lo = min(p1, p2, p3, p4)
+        hi = max(p1, p2, p3, p4)
     return lo >> bits, -((-hi) >> bits)
 
 
@@ -131,63 +278,16 @@ def _floor_iv(v: tuple[int, int], bits: int) -> int:
     return flo
 
 
-def _eval_dyadic(e: Expr, n: int, bits: int, cache: _ConstCache) -> tuple[int, int]:
-    if isinstance(e, (RationalConst, Const)):
-        return cache.get(e, bits)
-    if isinstance(e, Var):
-        v = n << bits
-        return v, v
-    if isinstance(e, Add):
-        a = _eval_dyadic(e.left, n, bits, cache)
-        b = _eval_dyadic(e.right, n, bits, cache)
-        return a[0] + b[0], a[1] + b[1]
-    if isinstance(e, Sub):
-        a = _eval_dyadic(e.left, n, bits, cache)
-        b = _eval_dyadic(e.right, n, bits, cache)
-        return a[0] - b[1], a[1] - b[0]
-    if isinstance(e, Mul):
-        a = _eval_dyadic(e.left, n, bits, cache)
-        if a == (0, 0):
-            return 0, 0
-        b = _eval_dyadic(e.right, n, bits, cache)
-        if b == (0, 0):
-            return 0, 0
-        return _mul_iv(a, b, bits)
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            one = 1 << bits
-            return one, one
-        base = _eval_dyadic(e.base, n, bits, cache)
-        out = base
-        for _ in range(e.exponent - 1):
-            out = _mul_iv(out, base, bits)
-        return out
-    if isinstance(e, Floor):
-        f = _floor_iv(_eval_dyadic(e.arg, n, bits, cache), bits)
-        v = f << bits
-        return v, v
-    if isinstance(e, Frac):
-        a = _eval_dyadic(e.arg, n, bits, cache)
-        f = _floor_iv(a, bits) << bits
-        return a[0] - f, a[1] - f
-    if isinstance(e, Nint):
-        a = _eval_dyadic(e.arg, n, bits, cache)
-        half = 1 << (bits - 1)
-        f = _floor_iv((a[0] + half, a[1] + half), bits)
-        v = f << bits
-        return v, v
-    if isinstance(e, Dist):
-        a = _eval_dyadic(e.arg, n, bits, cache)
-        f = _floor_iv(a, bits) << bits
-        flo, fhi = a[0] - f, a[1] - f
-        one = 1 << bits
-        half = 1 << (bits - 1)
-        if fhi <= half:
-            return flo, fhi
-        if flo >= half:
-            return one - fhi, one - flo
-        return min(flo, one - fhi), half
-    raise TypeError(f"unknown node {e!r}")
+def _dist_iv(a: tuple[int, int], bits: int) -> tuple[int, int]:
+    f = _floor_iv(a, bits) << bits
+    flo, fhi = a[0] - f, a[1] - f
+    one = 1 << bits
+    half = 1 << (bits - 1)
+    if fhi <= half:
+        return flo, fhi
+    if flo >= half:
+        return one - fhi, one - flo
+    return min(flo, one - fhi), half
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +305,17 @@ def _dyadic_ladder(max_bits: int):
         b *= 2
 
 
+def eval_exact(
+    e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS, program: Program | None = None
+) -> Real:
+    """Exact value of the expression at integer n (spec semantics).
+
+    ``program`` is ``Program(e)`` when the caller already compiled it.
+    """
+    program = program if program is not None else Program(e)
+    return program.eval_exact(n, max_bits)
+
+
 def eval_value(e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS) -> Real:
     """Exact value of the expression at integer n (spec semantics)."""
     return eval_exact(e, n, max_bits)
@@ -214,13 +325,17 @@ def eval_indicator(
     e: Expr,
     n: int,
     max_bits: int = DEFAULT_MAX_BITS,
-    cache: _ConstCache | None = None,
+    program: Program | None = None,
 ) -> int:
-    """Value of an indicator expression; raises NonBooleanValue outside {0,1}."""
-    cache = cache if cache is not None else _ConstCache()
+    """Value of an indicator expression; raises NonBooleanValue outside {0,1}.
+
+    ``program`` is ``Program(e)`` when the caller already compiled it, so
+    the op list and its constant enclosures are shared across points.
+    """
+    program = program if program is not None else Program(e)
     for bits in _dyadic_ladder(max_bits):
         try:
-            lo, hi = _eval_dyadic(e, n, bits, cache)
+            lo, hi = program.eval_dyadic(n, bits)
         except _NeedBits:
             continue
         if lo == hi and lo % (1 << bits) == 0:
@@ -234,7 +349,7 @@ def eval_indicator(
             raise NonBooleanValue(f"indicator value {val} at n={n}", n=n, value=val)
         return val
     try:
-        value = eval_exact(e, n, max_bits)
+        value = eval_exact(e, n, max_bits, program)
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"indicator undecided at n={n}", n=n, bits=max_bits) from exc
     if isinstance(value, Fraction):
@@ -253,12 +368,8 @@ def members(
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> list[int]:
     """All n in [lo, hi] where the indicator evaluates to 1, in order."""
-    out = []
-    cache = _ConstCache()
-    for n in range(lo, hi + 1):
-        if eval_indicator(e, n, max_bits, cache) == 1:
-            out.append(n)
-    return out
+    program = Program(e)
+    return [n for n in range(lo, hi + 1) if eval_indicator(e, n, max_bits, program) == 1]
 
 
 def discrete_difference(q: Expr, shifts: list[int], max_bits: int = DEFAULT_MAX_BITS) -> Real:
@@ -270,6 +381,7 @@ def discrete_difference(q: Expr, shifts: list[int], max_bits: int = DEFAULT_MAX_
     d = len(shifts)
     if d < 1:
         raise ValueError("need at least one shift")
+    program = Program(q)
     total: Real = Fraction(0)
     for mask in range(1 << d):
         s = 0
@@ -278,6 +390,6 @@ def discrete_difference(q: Expr, shifts: list[int], max_bits: int = DEFAULT_MAX_
             if mask >> i & 1:
                 s += shifts[i]
                 parity ^= 1
-        term = eval_exact(q, s, max_bits)
+        term = eval_exact(q, s, max_bits, program)
         total = rsub(total, term) if parity else radd(total, term)
     return total

@@ -48,6 +48,11 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"let", "root", "floor", "frac", "nint", "dist", "n", "x"}
 
+# Deepest nesting of parentheses and integer-part calls.  Each level costs
+# four frames of recursive descent, so this stays well inside Python's
+# recursion limit; printed builder certificates nest about 15 deep.
+MAX_NESTING = 100
+
 
 class _Token:
     __slots__ = ("kind", "text", "line", "col")
@@ -90,6 +95,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.bindings: dict[str, Const] = {}
 
     # -- token plumbing ----------------------------------------------------
@@ -107,6 +113,16 @@ class _Parser:
             what = "end of input" if t.kind == "eof" else repr(t.text)
             raise ParseError(f"expected {text!r}, found {what}", t.line, t.col)
         return t
+
+    def nested(self, parse_inner, opener: _Token):
+        """Parse a parenthesised sub-expression, bounding the nesting depth."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"expression nested deeper than {MAX_NESTING} levels", opener)
+        inner = parse_inner()
+        self.depth -= 1
+        self.expect(")")
+        return inner
 
     def error(self, msg: str, t: _Token | None = None):
         t = t or self.peek()
@@ -224,9 +240,7 @@ class _Parser:
         if t.text == "x":
             return [Fraction(0), Fraction(1)]
         if t.text == "(":
-            inner = self._poly_expr()
-            self.expect(")")
-            return inner
+            return self.nested(self._poly_expr, t)
         self.error("expected an integer, 'x', or '(' in root() polynomial", t)
 
     @staticmethod
@@ -313,14 +327,10 @@ class _Parser:
         if t.text == "n":
             return N
         if t.text in ("floor", "frac", "nint", "dist"):
-            self.expect("(")
-            inner = self.parse_expr()
-            self.expect(")")
+            inner = self.nested(self.parse_expr, self.expect("("))
             return {"floor": Floor, "frac": Frac, "nint": Nint, "dist": Dist}[t.text](inner)
         if t.text == "(":
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
+            return self.nested(self.parse_expr, t)
         if t.kind == "ident":
             if t.text == "theta":
                 return Const("theta", THETA)

@@ -67,7 +67,6 @@ class SearchReport:
         rows += [
             f"exhaustive: {str(self.exhaustive).lower()}",
             f"nodes_explored: {self.nodes_explored}",
-            f"runtime_ms: {self.runtime_ms}",
         ]
         return "\n".join(rows) + "\n"
 

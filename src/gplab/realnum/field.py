@@ -9,6 +9,7 @@ root, by Sturm counting) and refined on demand by bisection.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -46,6 +47,7 @@ class NumberField:
         self.isolating_interval = (lo, hi)
         self._frpoly = tuple(fr)
         self._lo, self._hi = lo, hi
+        self._dyadic_roots: dict[int, tuple[int, int]] = {}  # see dyadic_enclosure
         # ensure strict sign change so bisection is well-defined
         while poly_eval(fr, self._lo) == 0 or poly_eval(fr, self._hi) == 0:
             # rational endpoints are never roots of an irreducible polynomial
@@ -354,3 +356,52 @@ class FieldElement:
             else:
                 terms.append(f"{c}*{name}^{i}")
         return " + ".join(terms) if terms else "0"
+
+
+_GUARD_BITS = 4
+
+
+def dyadic_enclosure(x: FieldElement, bits: int) -> tuple[int, int]:
+    """Integers ``lo <= x * 2^bits <= hi`` with ``hi - lo <= 2``.
+
+    The designated root's interval is rounded outward to the dyadic grid
+    ``2^-g``, ``g = bits`` + the bits of a bound on ``x``'s slope + guard
+    bits, and ``x`` is evaluated on that short interval by interval Horner
+    in integer arithmetic.  This stays cheap when the field keeps a far
+    narrower root interval (whose endpoints have huge denominators) from an
+    earlier exact query.  If the result is wider than ``2^-bits`` (the
+    postcondition) the grid is refined and the evaluation repeated.
+    """
+    coords = x.coords
+    if x.is_rational():
+        q = coords[0]
+        return (q.numerator << bits) // q.denominator, -((-q.numerator << bits) // q.denominator)
+    # x = sum(p_i beta^i) / den with integer p_i
+    den = math.lcm(*(c.denominator for c in coords))
+    nums = [c.numerator * (den // c.denominator) for c in coords]
+    # |x'| <= sum(i |p_i| r^(i-1)) / den for beta within r of 0, and the
+    # rounded root interval is at most 3 * 2^-g wide
+    r = math.ceil(max(abs(c) for c in x.field.isolating_interval))
+    slope = sum(i * abs(p) * r ** (i - 1) for i, p in enumerate(nums) if i)
+    g = bits + max(0, (3 * slope).bit_length() - den.bit_length() + 1) + _GUARD_BITS
+    while True:
+        blo, bhi = _dyadic_root(x.field, g)
+        lo = hi = nums[-1] << g
+        for p in reversed(nums[:-1]):
+            cands = (lo * blo, lo * bhi, hi * blo, hi * bhi)
+            lo = (min(cands) >> g) + (p << g)
+            hi = -((-max(cands)) >> g) + (p << g)
+        # den * x * 2^g lies in [lo, hi]
+        if (hi - lo) << bits <= den << g:
+            return (lo << bits) // (den << g), -((-hi << bits) // (den << g))
+        g += _GUARD_BITS
+
+
+def _dyadic_root(field: NumberField, g: int) -> tuple[int, int]:
+    """Integers with the designated root in ``[lo, hi] * 2^-g``, width <= 3."""
+    hit = field._dyadic_roots.get(g)
+    if hit is None:
+        rlo, rhi = field.root_enclosure(Fraction(1, 1 << g))
+        hit = ((rlo.numerator << g) // rlo.denominator, -((-rhi.numerator << g) // rhi.denominator))
+        field._dyadic_roots[g] = hit
+    return hit

@@ -130,3 +130,27 @@ def test_heis_equidist_csv(tmp_path):
     assert lines[-1].startswith("# max_discrepancy:")
     counts = [int(l.split(",")[1]) for l in lines[1:9]]
     assert sum(counts) == 2000
+
+
+def test_exit_code_deeply_nested_expression(capsys):
+    text = "floor(" * 300 + "n" + ")" * 300
+    assert run(["members", "--expr", text, "--from", "1", "--to", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested deeper" in err
+
+
+def test_artifacts_are_byte_identical(tmp_path):
+    commands = {
+        "ipsearch": ["ipsearch", "--mode", "ipr", "--r", "3"],
+        "suite": ["suite", "quick"],
+        "members": ["members", "--expr", "floor(1 - frac(theta*n/7))", "--from", "1",
+                    "--to", "60"],
+        "verify": ["verify", "--construction", "fibonacci", "--to", "2000"],
+    }
+    for name, argv in commands.items():
+        outs = []
+        for i in range(2):
+            out = tmp_path / f"{name}{i}.txt"
+            assert run(argv + ["--jobs", "1", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], name

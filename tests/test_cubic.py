@@ -103,3 +103,13 @@ def test_certificate_file_roundtrip(trib):
     assert members(back.indicator, 1, 700) == trib.certificate.members(1, 700)
     assert back.meta["plateau_pow"] == "2"
     assert back.to_file_text() == text
+
+
+def test_n0_sq_matches_general_search_at_large_q(trib):
+    from gplab.cf import _nearest_lattice_sq
+
+    # 660850589515334 once lost its minimiser to a fixed float tie window
+    for q in (660850589515334, 123456789012345, 4 * 10**14 + 7, 2 * 10**15 + 3,
+              7 * 10**15 + 1, 10**16 - 1):
+        want = _nearest_lattice_sq(trib.norm, trib.theta[0] * q, trib.theta[1] * q)[0]
+        assert (trib.n0_sq(q) - want).is_zero(), q

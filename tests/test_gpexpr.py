@@ -222,3 +222,82 @@ def test_eval_negative_arguments(phi):
     e = Floor(Mul(Const("phi", phi), N))
     assert eval_value(e, -5) == -9  # floor(-8.09...)
     assert eval_value(e, 0) == 0
+
+
+# -- the compiled program -------------------------------------------------------
+
+def test_program_shares_repeated_subterms():
+    from gplab.constructions import cubic_pisot_set, fibonacci_like_set, quadratic_pisot_unit_set
+    from gplab.gpexpr.evaluate import Program
+
+    assert len(Program(fibonacci_like_set(1).indicator).ops) == 32
+    assert len(Program(cubic_pisot_set(1, 1).certificate.indicator).ops) == 45
+    assert len(Program(quadratic_pisot_unit_set(3, 1).indicator).ops) == 207
+
+
+def test_program_keys_constants_by_value(phi):
+    from gplab.gpexpr.evaluate import Program
+
+    # two separately built copies of floor(phi*n) + 1/2 collapse to one
+    def copy():
+        return Add(Floor(Mul(Const("phi", phi), N)), RationalConst(Fraction(1, 2)))
+
+    assert len(Program(Sub(copy(), copy())).ops) == 7  # phi, n, *, floor, 1/2, +, -
+    # equal values of different types stay apart: the rational 1/2 and the
+    # field element 1/2 evaluate to different kinds of exact value
+    half = phi.field.from_rational(Fraction(1, 2))
+    assert len(Program(Add(RationalConst(Fraction(1, 2)), Const("phi", half))).ops) == 3
+
+
+def test_deep_expression_evaluates_without_recursion():
+    # 1200 levels of floor(.) + 1/3 over n/2 leave floor(n/2) + 1/3, so
+    # 2 floor(value) - n + 1 is the indicator of the even numbers
+    e = Mul(N, RationalConst(Fraction(1, 2)))
+    for _ in range(1200):
+        e = Add(Floor(e), RationalConst(Fraction(1, 3)))
+    ind = Add(Sub(Mul(RationalConst(Fraction(2)), Floor(e)), N), RationalConst(Fraction(1)))
+    assert members(ind, -3, 10) == [-2, 0, 2, 4, 6, 8, 10]
+    assert eval_value(e, 7) == Fraction(10, 3)
+
+
+def test_product_skips_right_factor_when_left_is_zero():
+    # floor(theta + 1 - theta) stays undecided at every precision, but it is
+    # never needed where the left factor is exactly zero
+    undecided = parse("floor(theta + 1 - theta)")
+    ind = Mul(indicator_of_range(N, 0, 1), undecided)
+    assert eval_indicator(ind, 5, max_bits=256) == 0
+
+
+def test_fibonacci_windows_near_1e15():
+    from gplab.constructions import fibonacci_like_set
+
+    from oracles import fibonacci_upto
+
+    ind = fibonacci_like_set(1).indicator
+    fib = [f for f in fibonacci_upto(10**16) if f >= 10**15]
+    for f in fib:
+        lo, hi = f - 7, f + 8
+        assert members(ind, lo, hi) == [f]
+
+
+def test_tribonacci_windows_near_1e12_reach_exact_fallback(monkeypatch):
+    from gplab.constructions import cubic_pisot_set
+    from gplab.gpexpr import evaluate
+
+    from oracles import tribonacci_R
+
+    calls = []
+    exact = evaluate.eval_exact
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "eval_exact", counting)
+    ind = cubic_pisot_set(1, 1).certificate.indicator
+    trib = [t for t in tribonacci_R(10**13) if t >= 10**12]
+    assert len(trib) == 3
+    for t in trib:
+        lo, hi = t - 8, t + 7
+        assert members(ind, lo, hi) == [t]
+    assert set(calls) >= set(trib)  # members sit on the plateau: only exact mode decides them
