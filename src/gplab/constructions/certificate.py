@@ -21,6 +21,8 @@ from ..errors import ParseError
 from ..gpexpr import Expr, eval_indicator, members, parse, to_text
 from ..realnum import DEFAULT_MAX_BITS
 
+SCAN_CHUNK = 1 << 19  # points per numpy block of a float prefilter scan
+
 
 @dataclass
 class Certificate:

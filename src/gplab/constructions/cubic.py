@@ -39,7 +39,7 @@ from ..gpexpr import (
 )
 from ..realnum import FieldElement, NumberField
 from ..realnum.polys import count_real_roots
-from .certificate import Certificate, verify_certificate
+from .certificate import SCAN_CHUNK, Certificate, verify_certificate
 from .recurrence import LinearRecurrence, recurrence_terms
 
 _DEFAULT_VERIFY_TO = 4000
@@ -341,9 +341,8 @@ def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
     w1 = beta_f * re_u
     plateau = beta_f**cons.plateau_pow
     out = []
-    chunk = 1 << 19
-    for start in range(lo, hi + 1, chunk):
-        end = min(start + chunk - 1, hi)
+    for start in range(lo, hi + 1, SCAN_CHUNK):
+        end = min(start + SCAN_CHUNK - 1, hi)
         q = np.arange(start, end + 1, dtype=np.float64)
         qb = q * inv_b
         p1 = np.round(qb)

@@ -38,7 +38,7 @@ from ..gpexpr import (
     substitute_var,
 )
 from ..realnum import FieldElement, NumberField
-from .certificate import Certificate, verify_certificate
+from .certificate import SCAN_CHUNK, Certificate, verify_certificate
 from .recurrence import LinearRecurrence, recurrence_terms, residue_coefficient
 
 _DEFAULT_VERIFY_TO = 4000
@@ -64,17 +64,19 @@ def _half_over_n_scan(x: FieldElement, lo: int, hi: int) -> list[int]:
     if lo0 > hi:
         return out
     xf = x.to_float()
-    ns = np.arange(lo0, hi + 1, dtype=np.float64)
-    v = ns * xf
-    f = v - np.floor(v)
-    dist = np.minimum(f, 1.0 - f)
-    # |computed - true| <= value * 2^-50; widen the threshold by that much
-    margin = abs(v[-1] if v[-1] >= v[0] else v[0]) * 2.0**-50 + 1e-12
-    cand = np.nonzero(dist < 0.5 / ns + margin)[0]
-    for idx in cand:
-        n = lo0 + int(idx)
-        if _dist_lt_half_over_n_member(x, n):
-            out.append(n)
+    for start in range(lo0, hi + 1, SCAN_CHUNK):
+        end = min(start + SCAN_CHUNK - 1, hi)
+        ns = np.arange(start, end + 1, dtype=np.float64)
+        v = ns * xf
+        f = v - np.floor(v)
+        dist = np.minimum(f, 1.0 - f)
+        # |computed - true| <= |value| * 2^-50 on this chunk (v is monotone);
+        # widen the threshold by that much
+        margin = max(abs(v[0]), abs(v[-1])) * 2.0**-50 + 1e-12
+        for idx in np.nonzero(dist < 0.5 / ns + margin)[0]:
+            n = start + int(idx)
+            if _dist_lt_half_over_n_member(x, n):
+                out.append(n)
     return out
 
 

@@ -144,9 +144,12 @@ def children(e: Expr) -> tuple[Expr, ...]:
 
 
 def walk(e: Expr):
-    yield e
-    for c in children(e):
-        yield from walk(c)
+    """Every node, in preorder (shared subtrees once per occurrence), without recursion."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 def depends_on_var(e: Expr) -> bool:

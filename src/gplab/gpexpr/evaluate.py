@@ -21,7 +21,7 @@ list is run in two modes:
 
 Constant enclosures are computed once per program and precision; irrational
 field elements use :func:`~gplab.realnum.dyadic_enclosure`, which works on
-a short dyadic rounding of the field's root interval.
+the field's certified dyadic root bracket.
 
 Exact integer intermediate results stay exact in dyadic mode (their
 endpoints coincide and carry no rounding), so indicator expressions always

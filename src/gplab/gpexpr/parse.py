@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from ..errors import DivisionByZero, ParseError, PreconditionError
 from ..realnum import THETA, FieldElement, NumberField, is_exact_zero, rinv
+from ..realnum.polys import Poly, poly_add, poly_mul, poly_scale
 from .ast import (
     Add,
     Const,
@@ -199,66 +200,49 @@ class _Parser:
             self.error("root() requires a monic polynomial")
         return tuple(out)
 
-    def _poly_expr(self) -> list[Fraction]:
+    def _poly_expr(self) -> Poly:
         sign = 1
         if self.peek().text == "-":
             self.next()
             sign = -1
-        acc = self._poly_scale(self._poly_term(), sign)
+        acc = poly_scale(self._poly_term(), sign)
         while self.peek().text in ("+", "-"):
             op = self.next().text
             term = self._poly_term()
             if op == "-":
-                term = self._poly_scale(term, -1)
-            acc = self._poly_add(acc, term)
+                term = poly_scale(term, -1)
+            acc = poly_add(acc, term)
         return acc
 
-    def _poly_term(self) -> list[Fraction]:
+    def _poly_term(self) -> Poly:
         acc = self._poly_factor()
         while self.peek().text == "*":
             self.next()
-            acc = self._poly_mul(acc, self._poly_factor())
+            acc = poly_mul(acc, self._poly_factor())
         return acc
 
-    def _poly_factor(self) -> list[Fraction]:
+    def _poly_factor(self) -> Poly:
         base = self._poly_base()
         if self.peek().text == "^":
             self.next()
             t = self.next()
             if t.kind != "int":
                 self.error("expected an exponent", t)
-            out = [Fraction(1)]
+            out: Poly = (Fraction(1),)
             for _ in range(int(t.text)):
-                out = self._poly_mul(out, base)
+                out = poly_mul(out, base)
             return out
         return base
 
-    def _poly_base(self) -> list[Fraction]:
+    def _poly_base(self) -> Poly:
         t = self.next()
         if t.kind == "int":
-            return [Fraction(int(t.text))]
+            return (Fraction(int(t.text)),)
         if t.text == "x":
-            return [Fraction(0), Fraction(1)]
+            return (Fraction(0), Fraction(1))
         if t.text == "(":
             return self.nested(self._poly_expr, t)
         self.error("expected an integer, 'x', or '(' in root() polynomial", t)
-
-    @staticmethod
-    def _poly_add(a, b):
-        n = max(len(a), len(b))
-        return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-
-    @staticmethod
-    def _poly_scale(a, s):
-        return [c * s for c in a]
-
-    @staticmethod
-    def _poly_mul(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return out
 
     # -- expressions -----------------------------------------------------------
     def parse_expr(self) -> Expr:

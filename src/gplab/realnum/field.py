@@ -1,10 +1,21 @@
 """Real algebraic number fields of degree 2 or 3 with exact arithmetic.
 
-Elements are coordinate vectors modulo the minimal polynomial, so zero
-tests, integrality tests and comparisons inside one field are exact.  A
-field designates one real root of its minimal polynomial by an isolating
+An element is a vector of integer coordinates in the powers of the
+generator over one positive common denominator, kept in lowest terms, so
+equality and hashing are structural and every ring operation runs on
+Python ints (Cohen, *A Course in Computational Algebraic Number Theory*,
+GTM 138, 4.2).  Products are reduced with an integer table built from the
+monic minimal polynomial.
+
+A field designates one real root of its minimal polynomial by an isolating
 interval supplied at construction; the interval is validated (exactly one
-root, by Sturm counting) and refined on demand by bisection.
+root, by Sturm counting).  The root is kept as a unit bracket
+``(a, a + 1) * 2^-g`` on a dyadic grid inside that interval, certified by
+opposite signs of the integer-scaled minimal polynomial at its two ends,
+and refined on demand by integer Newton steps (Moore, *Interval Analysis*,
+1966) with integer bisection as the fallback.  Signs, floors and rational
+enclosures of elements come from integer interval Horner evaluations on
+that grid (:func:`dyadic_enclosure`), never from floats.
 """
 
 from __future__ import annotations
@@ -14,16 +25,32 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ..errors import DivisionByZero, PreconditionError
-from .polys import (
-    count_real_roots,
-    is_irreducible_low_degree,
-    poly_eval,
-    poly_eval_interval,
-    poly_ext_gcd,
-    poly_trim,
-)
+from .polys import count_real_roots, is_irreducible_low_degree, poly_eval
 
 Rat = Union[int, Fraction]
+
+_BASE_GRID = 32  # grid bits of the first certified root bracket
+_NEWTON_SLACK = 8  # one Newton step from grid g aims at grid 2g - slack
+_GUARD_BITS = 4
+_FIRST_BITS = 64  # first rung of the sign/floor ladder; each next rung doubles
+
+
+def _scaled_eval(coeffs: Sequence[int], x: int, g: int) -> int:
+    """``2^(g*deg) * p(x / 2^g)``: an integer with the sign of ``p`` at ``x * 2^-g``."""
+    deg = len(coeffs) - 1
+    acc = 0
+    for i in range(deg, -1, -1):
+        acc = acc * x + (coeffs[i] << (g * (deg - i)))
+    return acc
+
+
+def _grid_bits(width: Rat, factor: int) -> int:
+    """Smallest ``g >= 0`` with ``factor * 2^-g <= width``."""
+    w = Fraction(width)
+    if w <= 0:
+        raise PreconditionError("enclosure width must be positive")
+    need = -((-factor * w.denominator) // w.numerator)  # ceil(factor / w)
+    return (need - 1).bit_length()
 
 
 class NumberField:
@@ -41,26 +68,26 @@ class NumberField:
         fr = [Fraction(c) for c in coeffs]
         if count_real_roots(fr, lo, hi) != 1:
             raise PreconditionError(f"[{lo}, {hi}] does not isolate exactly one root of {coeffs}")
+        if poly_eval(fr, lo) == 0 or poly_eval(fr, hi) == 0:
+            # rational endpoints are never roots of an irreducible polynomial
+            raise PreconditionError("isolating endpoints must not be roots")
         self.minpoly = coeffs
         self.degree = len(coeffs) - 1
         self.name = name
         self.isolating_interval = (lo, hi)
-        self._frpoly = tuple(fr)
-        self._lo, self._hi = lo, hi
-        self._dyadic_roots: dict[int, tuple[int, int]] = {}  # see dyadic_enclosure
-        # ensure strict sign change so bisection is well-defined
-        while poly_eval(fr, self._lo) == 0 or poly_eval(fr, self._hi) == 0:
-            # rational endpoints are never roots of an irreducible polynomial
-            raise PreconditionError("isolating endpoints must not be roots")
-        self._sign_lo = 1 if poly_eval(fr, self._lo) > 0 else -1
-        # reduction table: beta^k for k = degree .. 2*degree-2, as coordinates
-        self._red: list[tuple[Fraction, ...]] = []
-        base = [-Fraction(c) for c in coeffs[:-1]]
-        self._red.append(tuple(base))
+        self._hash = hash((coeffs, self.isolating_interval))
+        self._sign_lo = 1 if poly_eval(fr, lo) > 0 else -1
+        self._dpoly = tuple(i * c for i, c in enumerate(coeffs) if i)
+        # bounds |beta| on every root bracket, which stays within 1 of [lo, hi]
+        self._root_bound = math.ceil(max(abs(lo), abs(hi))) + 1
+        # reduction table: beta^k for k = degree .. 2*degree-2, as integer coordinates
+        base = tuple(-c for c in coeffs[:-1])
+        red = [base]
         for _ in range(self.degree - 2):
-            shifted = [Fraction(0)] + list(self._red[-1][:-1])
-            top = self._red[-1][-1]
-            self._red.append(tuple(s + top * b for s, b in zip(shifted, base)))
+            prev = red[-1]
+            red.append(tuple(s + prev[-1] * b for s, b in zip((0,) + prev[:-1], base)))
+        self._red = tuple(red)
+        self._root_grid = self._base_bracket()  # (g, a): root in (a, a + 1) * 2^-g
 
     # -- equality: structural, so reparsed fields compare equal ------------
     def __eq__(self, other):
@@ -71,50 +98,124 @@ class NumberField:
         )
 
     def __hash__(self):
-        return hash((self.minpoly, self.isolating_interval))
+        return self._hash
 
     def __repr__(self):
         return f"NumberField({self.minpoly}, {self.isolating_interval[0]}, {self.isolating_interval[1]})"
 
-    def root_enclosure(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Refine the designated root's interval to at most ``width`` wide."""
-        while self._hi - self._lo > width:
-            mid = (self._lo + self._hi) / 2
-            if (poly_eval(self._frpoly, mid) > 0) == (self._sign_lo > 0):
-                self._lo = mid
+    # -- the designated root on the dyadic grid ------------------------------
+    def _left_of_root(self, x: int, g: int) -> bool:
+        """Whether ``x * 2^-g`` (a point of the isolating interval) lies below the root."""
+        return (_scaled_eval(self.minpoly, x, g) > 0) == (self._sign_lo > 0)
+
+    def _bisect(self, a: int, b: int, g: int) -> int:
+        """Shrink a certified bracket ``a < root * 2^g < b`` to width 1; returns its left end."""
+        while b - a > 1:
+            m = (a + b) >> 1
+            if self._left_of_root(m, g):
+                a = m
             else:
-                self._hi = mid
-        return self._lo, self._hi
+                b = m
+        return a
+
+    def _base_bracket(self) -> tuple[int, int]:
+        """First unit bracket: grid points inside the isolating interval, bisected."""
+        lo, hi = self.isolating_interval
+        g = _BASE_GRID
+        while True:
+            a = -((-lo.numerator << g) // lo.denominator)  # ceil(lo * 2^g)
+            b = (hi.numerator << g) // hi.denominator  # floor(hi * 2^g)
+            if a < b and self._left_of_root(a, g) and not self._left_of_root(b, g):
+                return g, self._bisect(a, b, g)
+            g += _BASE_GRID
+
+    def root_enclosure(self, width: Rat) -> tuple[Fraction, Fraction]:
+        """Dyadic interval ``(a, a + 1) * 2^-g`` of at most ``width`` around the root.
+
+        Each refinement is an integer Newton step on the ``2^-t`` grid,
+        ``t <= 2g - slack``, from the midpoint of the current bracket.  The
+        new bracket is a unit cell next to the Newton iterate across which
+        the integer-scaled minimal polynomial changes sign; when the step
+        misses, integer bisection inside the current bracket finds it.  So
+        every bracket is certified and nested in the isolating interval.
+        """
+        g = _grid_bits(width, 1)
+        cur, a = self._root_grid
+        while cur < g:
+            t = min(g, 2 * cur - _NEWTON_SLACK)
+            k = t - cur
+            lo, hi = a << k, (a + 1) << k
+            x = (lo + hi) >> 1
+            slope = _scaled_eval(self._dpoly, x, t)
+            if slope:
+                x = min(max(x - _scaled_eval(self.minpoly, x, t) // slope, lo + 1), hi - 1)
+            # the root is within one cell of a good Newton iterate x
+            if self._left_of_root(x, t):
+                a = x if not self._left_of_root(x + 1, t) else self._bisect(x + 1, hi, t)
+            else:
+                a = x - 1 if self._left_of_root(x - 1, t) else self._bisect(lo, x - 1, t)
+            cur = t
+        self._root_grid = (cur, a)
+        return Fraction(a, 1 << cur), Fraction(a + 1, 1 << cur)
+
+    # -- integer coordinate arithmetic -------------------------------------------
+    def _mul_num(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """Numerators of a product: schoolbook product, then the reduction table."""
+        if self.degree == 2:
+            a0, a1 = a
+            b0, b1 = b
+            top = a1 * b1
+            r0, r1 = self._red[0]
+            return (a0 * b0 + top * r0, a0 * b1 + a1 * b0 + top * r1)
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        p3 = a1 * b2 + a2 * b1
+        p4 = a2 * b2
+        (s0, s1, s2), (t0, t1, t2) = self._red
+        return (
+            a0 * b0 + p3 * s0 + p4 * t0,
+            a0 * b1 + a1 * b0 + p3 * s1 + p4 * t1,
+            a0 * b2 + a1 * b1 + a2 * b0 + p3 * s2 + p4 * t2,
+        )
+
+    def _mul_gen(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        """Numerators of ``v * beta``."""
+        top = v[-1]
+        return tuple(s + top * b for s, b in zip((0,) + v[:-1], self._red[0]))
 
     # -- element constructors ----------------------------------------------
     def element(self, *coords: Rat) -> "FieldElement":
-        cs = [Fraction(c) for c in coords]
-        if len(cs) > self.degree:
+        if len(coords) > self.degree:
             raise PreconditionError("too many coordinates")
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs))
+        cs = [Fraction(c) for c in coords] + [Fraction(0)] * (self.degree - len(coords))
+        # over the lcm of reduced denominators the numerators are coprime to it
+        den = math.lcm(*(c.denominator for c in cs))
+        return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def zero(self) -> "FieldElement":
-        return self.element()
+        return FieldElement(self, (0,) * self.degree, 1)
 
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return self.from_rational(1)
 
     def generator(self) -> "FieldElement":
-        return self.element(0, 1)
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def from_rational(self, q: Rat) -> "FieldElement":
-        return self.element(Fraction(q))
+        if isinstance(q, int):
+            return FieldElement(self, (q,) + (0,) * (self.degree - 1), 1)
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     # -- conjugate data ------------------------------------------------------
     def quadratic_conjugate(self, x: "FieldElement") -> "FieldElement":
         """Image of x under the nontrivial automorphism (degree 2 only)."""
         if self.degree != 2:
             raise PreconditionError("conjugate automorphism only for degree 2")
-        a, b = x.coords
-        # beta' = -c1 - beta
-        c1 = Fraction(self.minpoly[1])
-        return self.element(a - b * c1, -b)
+        a, b = x.num
+        # beta' = -c1 - beta; the numerators stay coprime to the denominator
+        return FieldElement(self, (a - b * self.minpoly[1], -b), x.den)
 
     def complex_pair_real_part(self) -> "FieldElement":
         """Re of the complex conjugate pair, for cubics with one real root."""
@@ -132,82 +233,100 @@ class NumberField:
         return self.element(-c0) * self.generator().inverse()
 
 
+def _reduced(field: NumberField, num: tuple[int, ...], den: int) -> "FieldElement":
+    """The element ``num / den`` (``den != 0``) in lowest terms with ``den > 0``."""
+    if den < 0:
+        num = tuple(-n for n in num)
+        den = -den
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(n // g for n in num)
+            den //= g
+    return FieldElement(field, num, den)
+
+
 class FieldElement:
-    """Element of a :class:`NumberField`, exact coordinates in the generator."""
+    """Element ``sum(num[i] * beta^i) / den`` of a :class:`NumberField`.
 
-    __slots__ = ("field", "coords")
+    ``den > 0`` and ``gcd(den, *num) == 1``; the constructor trusts its
+    arguments, so build elements through the field or the operators.
+    """
 
-    def __init__(self, field: NumberField, coords: tuple[Fraction, ...]):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """Rational coordinates in the powers of the generator."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     # -- predicates ----------------------------------------------------------
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise PreconditionError("element is irrational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     # -- ring operations -----------------------------------------------------
-    def _coerce(self, other) -> "FieldElement | None":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                return None
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return None
+    def _same_field(self, other: "FieldElement") -> bool:
+        return other.field is self.field or other.field == self.field
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        if isinstance(other, FieldElement):
+            if not self._same_field(other):
+                return NotImplemented
+            d1, d2 = self.den, other.den
+            if d1 == d2:
+                return _reduced(self.field, tuple(a + b for a, b in zip(self.num, other.num)), d1)
+            num = tuple(a * d2 + b * d1 for a, b in zip(self.num, other.num))
+            return _reduced(self.field, num, d1 * d2)
+        if isinstance(other, int):
+            n = self.num
+            return FieldElement(self.field, (n[0] + other * self.den,) + n[1:], self.den)
+        if isinstance(other, Fraction):
+            return self + self.field.from_rational(other)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, FieldElement) and not self._same_field(other):
             return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        if isinstance(other, (FieldElement, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return FieldElement(self.field, tuple(a * q for a in self.coords))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    if b:
-                        prod[i + j] += a * b
-        out = list(prod[:d])
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if c:
-                red = self.field._red[k - d]
-                for i in range(d):
-                    out[i] += c * red[i]
-        return FieldElement(self.field, tuple(out))
+        if isinstance(other, FieldElement):
+            if not self._same_field(other):
+                return NotImplemented
+            return _reduced(
+                self.field, self.field._mul_num(self.num, other.num), self.den * other.den
+            )
+        if isinstance(other, int):
+            return _reduced(self.field, tuple(a * other for a in self.num), self.den)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _reduced(self.field, tuple(a * p for a in self.num), self.den * q)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -220,73 +339,81 @@ class FieldElement:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def inverse(self) -> "FieldElement":
+        """Exact inverse: ``den`` times the first adjugate column over the determinant.
+
+        The columns of the multiplication-by-``num`` matrix are
+        ``num * beta^j``; its inverse applied to the coordinates of 1 gives
+        the coordinates of ``1 / num``, all in integers.
+        """
+        num, den, field = self.num, self.den, self.field
         if self.is_zero():
             raise DivisionByZero("inverse of zero field element")
         if self.is_rational():
-            return self.field.from_rational(1 / self.coords[0])
-        g, s, _ = poly_ext_gcd(poly_trim(self.coords), self.field._frpoly)
-        # gcd is a nonzero constant since the minimal polynomial is irreducible
-        c = g[0]
-        inv = [a / c for a in s]
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        return FieldElement(self.field, tuple(inv[: self.field.degree]))
+            return _reduced(field, (den,) + (0,) * (field.degree - 1), num[0])
+        if field.degree == 2:
+            (m00, m10), (m01, m11) = num, field._mul_gen(num)
+            adj = (m11, -m10)
+            det = m00 * m11 - m01 * m10
+        else:
+            c1 = field._mul_gen(num)
+            (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = num, c1, field._mul_gen(c1)
+            adj = (m11 * m22 - m12 * m21, m12 * m20 - m10 * m22, m10 * m21 - m11 * m20)
+            det = m00 * adj[0] + m01 * adj[1] + m02 * adj[2]
+        return _reduced(field, tuple(den * c for c in adj), det)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
+            if other == 0:
                 raise DivisionByZero("division by zero")
-            return self * (1 / q)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+            return self * (1 / Fraction(other))
+        if isinstance(other, FieldElement):
+            if not self._same_field(other):
+                return NotImplemented
+            return self * other.inverse()
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     # -- embedding -----------------------------------------------------------
-    def enclosure(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Rational interval of at most ``width`` containing the element."""
+    def enclosure(self, width: Rat) -> tuple[Fraction, Fraction]:
+        """Dyadic rational interval of at most ``width`` containing the element."""
         if self.is_rational():
-            q = self.coords[0]
+            q = self.as_rational()
             return q, q
-        w = self.field._hi - self.field._lo
-        while True:
-            lo, hi = self.field.root_enclosure(w)
-            vlo, vhi = poly_eval_interval(self.coords, lo, hi)
-            if vhi - vlo <= width:
-                return vlo, vhi
-            w = w / 4
+        bits = _grid_bits(width, 2)
+        lo, hi = dyadic_enclosure(self, bits)
+        return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
     def sign(self) -> int:
         """Exact sign; 0 precisely when the element is zero."""
         if self.is_rational():
-            q = self.coords[0]
+            q = self.num[0]
             return (q > 0) - (q < 0)
-        width = Fraction(1, 4)
+        bits = _FIRST_BITS
         while True:
-            lo, hi = self.enclosure(width)
+            lo, hi = dyadic_enclosure(self, bits)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            # an irrational element is nonzero: keep refining
-            width = width / 16
+            # an irrational element is nonzero: the ladder always ends
+            bits *= 2
 
     def compare(self, other) -> int:
-        o = self._coerce(other)
-        if o is None:
-            raise PreconditionError("cannot compare across fields exactly")
-        return (self - o).sign()
+        if isinstance(other, (int, Fraction)) or (
+            isinstance(other, FieldElement) and self._same_field(other)
+        ):
+            return (self - other).sign()
+        raise PreconditionError("cannot compare across fields exactly")
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -302,13 +429,13 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.coords == other.coords
+            return self._same_field(other) and self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
+            return self.is_rational() and self.as_rational() == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash((self.field, self.num, self.den))
 
     def abs(self) -> "FieldElement":
         return self if self.sign() >= 0 else -self
@@ -316,16 +443,13 @@ class FieldElement:
     # -- integer part family ---------------------------------------------------
     def floor(self) -> int:
         if self.is_rational():
-            q = self.coords[0]
-            return q.numerator // q.denominator
-        width = Fraction(1, 4)
+            return self.num[0] // self.den
+        bits = _FIRST_BITS
         while True:
-            lo, hi = self.enclosure(width)
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
-            if flo == fhi:
-                return flo
-            width = width / 16
+            lo, hi = dyadic_enclosure(self, bits)
+            if lo >> bits == hi >> bits:
+                return lo >> bits
+            bits *= 2
 
     def frac(self) -> "FieldElement":
         return self - self.floor()
@@ -358,50 +482,48 @@ class FieldElement:
         return " + ".join(terms) if terms else "0"
 
 
-_GUARD_BITS = 4
-
-
 def dyadic_enclosure(x: FieldElement, bits: int) -> tuple[int, int]:
     """Integers ``lo <= x * 2^bits <= hi`` with ``hi - lo <= 2``.
 
-    The designated root's interval is rounded outward to the dyadic grid
-    ``2^-g``, ``g = bits`` + the bits of a bound on ``x``'s slope + guard
-    bits, and ``x`` is evaluated on that short interval by interval Horner
-    in integer arithmetic.  This stays cheap when the field keeps a far
-    narrower root interval (whose endpoints have huge denominators) from an
-    earlier exact query.  If the result is wider than ``2^-bits`` (the
-    postcondition) the grid is refined and the evaluation repeated.
+    The designated root's bracket ``[blo, bhi] * 2^-g`` is taken on the
+    dyadic grid with ``g = bits`` + the bits of a bound on ``x``'s slope +
+    guard bits.  ``x`` is evaluated exactly in integers at ``blo * 2^-g``
+    and widened by the slope bound times the bracket width (the mean-value
+    form).  If the result is wider than ``2^-bits`` (the postcondition) the
+    grid is refined and the evaluation repeated.
     """
-    coords = x.coords
+    nums, den = x.num, x.den
     if x.is_rational():
-        q = coords[0]
-        return (q.numerator << bits) // q.denominator, -((-q.numerator << bits) // q.denominator)
-    # x = sum(p_i beta^i) / den with integer p_i
-    den = math.lcm(*(c.denominator for c in coords))
-    nums = [c.numerator * (den // c.denominator) for c in coords]
-    # |x'| <= sum(i |p_i| r^(i-1)) / den for beta within r of 0, and the
-    # rounded root interval is at most 3 * 2^-g wide
-    r = math.ceil(max(abs(c) for c in x.field.isolating_interval))
+        q = nums[0]
+        return (q << bits) // den, -((-q << bits) // den)
+    field = x.field
+    # |d(den * x)/d beta| <= sum(i |p_i| r^(i-1)) for beta within r of 0
+    r = field._root_bound
     slope = sum(i * abs(p) * r ** (i - 1) for i, p in enumerate(nums) if i)
     g = bits + max(0, (3 * slope).bit_length() - den.bit_length() + 1) + _GUARD_BITS
     while True:
-        blo, bhi = _dyadic_root(x.field, g)
-        lo = hi = nums[-1] << g
-        for p in reversed(nums[:-1]):
-            cands = (lo * blo, lo * bhi, hi * blo, hi * bhi)
-            lo = (min(cands) >> g) + (p << g)
-            hi = -((-max(cands)) >> g) + (p << g)
-        # den * x * 2^g lies in [lo, hi]
+        blo, bhi = _dyadic_root(field, g)
+        acc = nums[-1]
+        for k, p in enumerate(reversed(nums[:-1]), 1):
+            acc = acc * blo + (p << (g * k))
+        # acc = den * x(blo * 2^-g) * 2^(g * degree), so den * x * 2^g lies in [lo, hi]
+        shift = g * (len(nums) - 2)
+        spread = slope * (bhi - blo)
+        lo = (acc >> shift) - spread
+        hi = -((-acc) >> shift) + spread
         if (hi - lo) << bits <= den << g:
             return (lo << bits) // (den << g), -((-hi << bits) // (den << g))
         g += _GUARD_BITS
 
 
 def _dyadic_root(field: NumberField, g: int) -> tuple[int, int]:
-    """Integers with the designated root in ``[lo, hi] * 2^-g``, width <= 3."""
-    hit = field._dyadic_roots.get(g)
-    if hit is None:
-        rlo, rhi = field.root_enclosure(Fraction(1, 1 << g))
-        hit = ((rlo.numerator << g) // rlo.denominator, -((-rhi.numerator << g) // rhi.denominator))
-        field._dyadic_roots[g] = hit
-    return hit
+    """Integers with the designated root in ``[lo, hi] * 2^-g``, width <= 2.
+
+    The finest certified bracket is rounded outward to the ``2^-g`` grid;
+    it is refined first when it is coarser than that grid.
+    """
+    if field._root_grid[0] < g:
+        field.root_enclosure(Fraction(1, 1 << g))
+    cur, a = field._root_grid
+    k = cur - g
+    return a >> k, -(-(a + 1) >> k)

@@ -2,7 +2,8 @@
 
 Coefficients are stored low degree first, e.g. ``x^2 - x - 1`` is
 ``(-1, -1, 1)``.  Everything here is exact; these routines back the root
-isolation and the modular arithmetic of the number fields.
+isolation of the number fields and the polynomials of the expression
+parser.
 """
 
 from __future__ import annotations
@@ -29,19 +30,6 @@ def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_eval_interval(
-    p: Sequence[Fraction], lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Enclosure of ``{p(x) : x in [lo, hi]}`` by interval Horner."""
-    alo = Fraction(0)
-    ahi = Fraction(0)
-    for c in reversed(p):
-        # interval multiply [alo, ahi] * [lo, hi]
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
 
 
 def poly_derivative(p: Sequence[Fraction]) -> Poly:
@@ -89,19 +77,6 @@ def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Poly, Pol
         while a and a[-1] == 0:
             a.pop()
     return poly_trim(q), poly_trim(a)
-
-
-def poly_ext_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = poly_trim(a), poly_trim(b)
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_add(s0, poly_scale(poly_mul(q, s1), Fraction(-1)))
-        t0, t1 = t1, poly_add(t0, poly_scale(poly_mul(q, t1), Fraction(-1)))
-    return r0, s0, t0
 
 
 def _sign(x: Fraction) -> int:

@@ -102,3 +102,56 @@ def best_denominators_bruteforce(
 
 def coprime(a: int, b: int) -> bool:
     return gcd(a, b) == 1
+
+
+class FractionFieldRef:
+    """Q[x]/(minpoly) on Fraction coordinates: the textbook reference arithmetic."""
+
+    def __init__(self, minpoly: tuple[int, ...]):
+        self.minpoly = tuple(Fraction(c) for c in minpoly)
+        self.degree = len(minpoly) - 1
+
+    def reduce(self, prod: list[Fraction]) -> tuple[Fraction, ...]:
+        prod = list(prod) + [Fraction(0)] * max(0, self.degree - len(prod))
+        for k in range(len(prod) - 1, self.degree - 1, -1):
+            c = prod[k]
+            for i in range(self.degree):
+                prod[k - self.degree + i] -= c * self.minpoly[i]
+        return tuple(prod[: self.degree])
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        prod = [Fraction(0)] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        return self.reduce(prod)
+
+    def inverse(self, a):
+        """Solve a * v = 1 by Gaussian elimination on the multiplication matrix."""
+        d = self.degree
+        cols = [tuple(a)]
+        for _ in range(d - 1):
+            cols.append(self.reduce([Fraction(0)] + list(cols[-1])))
+        rows = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))] for i in range(d)]
+        for c in range(d):
+            p = next(r for r in range(c, d) if rows[r][c] != 0)
+            rows[c], rows[p] = rows[p], rows[c]
+            for r in range(d):
+                if r != c and rows[r][c] != 0:
+                    f = rows[r][c] / rows[c][c]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+        return tuple(rows[i][d] / rows[i][i] for i in range(d))
+
+    def pow(self, a, e: int):
+        if e < 0:
+            a, e = self.inverse(a), -e
+        out = (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
+        for _ in range(e):
+            out = self.mul(out, a)
+        return out

@@ -20,7 +20,7 @@ from gplab.errors import PreconditionError, ZeroSolution
 from gplab.gpexpr import eval_indicator, members
 from gplab.realnum import NumberField
 
-from oracles import dist_quadratic_lt
+from oracles import dist_quadratic_lt, fibonacci_upto
 
 
 def test_recurrence_terms_examples():
@@ -260,3 +260,27 @@ def test_small_fp_family_examples():
         small_fp_family(N, N, F(1, 2))  # exponent must be negative
     with pytest.raises(PE):
         small_fp_family(N, RationalConst(F(-3)), F(-1, 2), probe_to=50)  # p not positive
+
+
+def test_half_over_n_scan_across_chunk_boundaries(monkeypatch):
+    from gplab.constructions import quadratic
+
+    field = NumberField((-1, -1, 1), 1, 2, "phi")
+    phi = field.generator()
+
+    def exact(x, lo, hi):
+        return [n for n in range(lo, hi + 1) if quadratic._dist_lt_half_over_n_member(x, n)]
+
+    # small blocks put block boundaries all over short ranges; 1 - phi < 0
+    # checks that each block's float margin uses its largest |n x|
+    with monkeypatch.context() as m:
+        m.setattr(quadratic, "SCAN_CHUNK", 100)
+        for x in (phi, 1 - phi):
+            for lo, hi in [(-5, 250), (1, 300), (140, 1000)]:
+                assert quadratic._half_over_n_scan(x, lo, hi) == exact(x, lo, hi)
+    # real block size: F(30) = 832040 lies just inside the second block
+    lo, hi = 832040 - quadratic.SCAN_CHUNK - 3, 832040 + 50
+    got = quadratic._half_over_n_scan(phi, lo, hi)
+    assert got == [n for n in fibonacci_upto(hi) if n >= lo] == [317811, 514229, 832040]
+    window = (832040 - 20, 832040 + 20)
+    assert [n for n in got if window[0] <= n <= window[1]] == exact(phi, *window)

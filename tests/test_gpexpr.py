@@ -20,6 +20,7 @@ from gplab.gpexpr import (
     RationalConst,
     Sub,
     canonicalize,
+    depends_on_var,
     discrete_difference,
     dist_lt_const,
     eval_indicator,
@@ -31,6 +32,7 @@ from gplab.gpexpr import (
     parse,
     substitute_var,
     to_text,
+    walk,
 )
 from gplab.realnum import NumberField, compare, to_float
 
@@ -258,6 +260,22 @@ def test_deep_expression_evaluates_without_recursion():
     ind = Add(Sub(Mul(RationalConst(Fraction(2)), Floor(e)), N), RationalConst(Fraction(1)))
     assert members(ind, -3, 10) == [-2, 0, 2, 4, 6, 8, 10]
     assert eval_value(e, 7) == Fraction(10, 3)
+
+
+def test_walk_and_depends_on_var_handle_deep_trees():
+    e = Mul(N, RationalConst(Fraction(1, 2)))
+    c = RationalConst(Fraction(1, 2))
+    for _ in range(1200):
+        e = Add(Floor(e), RationalConst(Fraction(1, 3)))
+        c = Add(Floor(c), RationalConst(Fraction(1, 3)))
+    nodes = list(walk(e))
+    # preorder: Add, Floor down the 1200 levels, Mul, n, 1/2, then the 1/3s
+    assert len(nodes) == 3 + 3 * 1200
+    assert nodes[:3] == [e, e.left, e.left.arg]
+    assert nodes[2400:2403] == [Mul(N, RationalConst(Fraction(1, 2))), N, RationalConst(Fraction(1, 2))]
+    assert nodes[2403:] == [RationalConst(Fraction(1, 3))] * 1200
+    assert depends_on_var(e)
+    assert not depends_on_var(c)
 
 
 def test_product_skips_right_factor_when_left_is_zero():
