@@ -15,19 +15,10 @@ import tempfile
 from fractions import Fraction
 
 from .cf import best_approx_1d, best_approx_2d, cf_expand, convergents
-from .constructions import (
-    cubic_pisot_set,
-    fibonacci_like_set,
-    norm_plus_filtered_set,
-    quadratic_pisot_unit_set,
-    recurrence_terms,
-    verify_certificate,
-    very_sparse_alpha,
-    very_sparse_set,
-)
-from .constructions.recurrence import LinearRecurrence
+from .constructions import cubic_pisot_set, verify_certificate
+from .constructions.registry import CONSTRUCTIONS, construction
 from .errors import ParseError, PrecisionExhausted, PreconditionError, GPLabError
-from .gpexpr import eval_value, members, parse
+from .gpexpr import eval_exact, members, parse
 from .ipsearch import (
     ap_witness_in_small_dist_set,
     density_estimate,
@@ -59,11 +50,12 @@ def _write_atomic(path: str | None, text: str) -> None:
         raise
 
 
-def _load_expr(spec: str):
+def _expr_text(spec: str) -> str:
+    """The expression text: the file ``spec`` names, or ``spec`` itself."""
     if os.path.exists(spec):
         with open(spec) as fh:
-            return parse(fh.read())
-    return parse(spec)
+            return fh.read()
+    return spec
 
 
 def _format_rows(rows: list[dict], fmt: str, columns: list[str]) -> str:
@@ -87,54 +79,13 @@ def _interval_strings(value, bits: int = 96) -> tuple[str, str]:
     return f"{lo.numerator}/{lo.denominator}", f"{hi.numerator}/{hi.denominator}"
 
 
-_CONSTRUCTIONS = {
-    "fibonacci": lambda args: fibonacci_like_set(args.a),
-    "quadratic": lambda args: quadratic_pisot_unit_set(args.a, args.norm),
-    "quadratic-filter": lambda args: norm_plus_filtered_set(args.a),
-    "cubic": lambda args: cubic_pisot_set(args.a, args.b).certificate,
-    "verysparse": lambda args: very_sparse_set(
-        very_sparse_alpha([int(x) for x in args.sequence.split(",")], args.C, args.D)
-    ),
-}
-
-
-def _construction_oracle(name: str, args, bound: int) -> list[int]:
-    if name == "fibonacci":
-        return recurrence_terms(LinearRecurrence((args.a, 1), (0, 1)), bound)
-    if name == "cubic":
-        return recurrence_terms(
-            LinearRecurrence((args.a, args.b, 1), (1, args.a, args.a**2 + args.b)), bound
-        )
-    if name == "quadratic-filter":
-        odd = [1, args.a]
-        while odd[-1] <= bound:
-            odd.append(args.a * odd[-1] - odd[-2])
-        return [t for t in odd if t <= bound]
-    if name == "quadratic":
-        from .constructions import nint_powers
-        from .realnum import NumberField
-
-        if args.norm == -1:
-            fld = NumberField((-1, -args.a, 1), args.a, args.a + 1)
-        else:
-            fld = NumberField((1, -args.a, 1), args.a - 1, args.a)
-        return nint_powers(fld.generator(), bound)
-    if name == "verysparse":
-        return [int(x) for x in args.sequence.split(",") if int(x) <= bound]
-    raise PreconditionError(f"no oracle for construction {name!r}")
-
-
 def _members_worker(payload):
     text, lo, hi, maxprec = payload
     return members(parse(text), lo, hi, maxprec)
 
 
 def cmd_members(args) -> int:
-    if os.path.exists(args.expr):
-        with open(args.expr) as fh:
-            text = fh.read()
-    else:
-        text = args.expr
+    text = _expr_text(args.expr)
     expr = parse(text)  # fail fast on syntax errors in the parent process
     lo, hi = args.range_from, args.range_to
     jobs = max(1, args.jobs)
@@ -157,10 +108,10 @@ def cmd_members(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    expr = _load_expr(args.expr)
+    expr = parse(_expr_text(args.expr))
     rows = []
     for n in range(args.range_from, args.range_to + 1):
-        v = eval_value(expr, n, args.maxprec)
+        v = eval_exact(expr, n, args.maxprec)
         lo, hi = _interval_strings(v)
         rows.append({"n": n, "value": to_float(v), "value_lo": lo, "value_hi": hi})
     _write_atomic(args.out, _format_rows(rows, args.format, ["n", "value", "value_lo", "value_hi"]))
@@ -168,70 +119,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.construction not in _CONSTRUCTIONS:
-        raise PreconditionError(f"unknown construction {args.construction!r}")
-    cert = _CONSTRUCTIONS[args.construction](args)
-    oracle = _construction_oracle(args.construction, args, args.range_to)
+    spec = construction(args.construction)
+    cert = spec.build(args)
+    oracle = spec.oracle(args, args.range_to)
     report = verify_certificate(cert, oracle, args.range_from, args.range_to, args.maxprec)
     _write_atomic(args.out, report.to_text())
     return EXIT_OK
 
 
 def cmd_cert(args) -> int:
-    if args.construction not in _CONSTRUCTIONS:
-        raise PreconditionError(f"unknown construction {args.construction!r}")
-    cert = _CONSTRUCTIONS[args.construction](args)
-    if args.construction == "verysparse":
-        # snapshot alpha to an exact rational from the deepest interval
-        params = very_sparse_alpha([int(x) for x in args.sequence.split(",")], args.C, args.D)
-        lo, hi = params.intervals[-1]
-        mid = (lo + hi) / 2
-        from .gpexpr import Const, walk
-
-        cert.meta["alpha_snapshot"] = f"{mid.numerator}/{mid.denominator}"
-        snap = None
-        for node in walk(cert.indicator):
-            if isinstance(node, Const) and node.name == "alpha":
-                snap = node
-                break
-        if snap is not None:
-            replacement = Const("alpha", mid)
-            cert.indicator = _replace_const(cert.indicator, snap, replacement)
-        cert.meta["valid_to"] = str(params.n_seq[-1])
+    cert = construction(args.construction).build(args)
     _write_atomic(args.out, cert.to_file_text())
     return EXIT_OK
 
 
-def _replace_const(expr, target, replacement):
-    from .gpexpr import Add, Dist, Floor, Frac, Mul, Nint, Pow, Sub
-
-    def rec(e):
-        if e is target or e == target:
-            return replacement
-        if isinstance(e, Add):
-            return Add(rec(e.left), rec(e.right))
-        if isinstance(e, Sub):
-            return Sub(rec(e.left), rec(e.right))
-        if isinstance(e, Mul):
-            return Mul(rec(e.left), rec(e.right))
-        if isinstance(e, Pow):
-            return Pow(rec(e.base), e.exponent)
-        if isinstance(e, Floor):
-            return Floor(rec(e.arg))
-        if isinstance(e, Frac):
-            return Frac(rec(e.arg))
-        if isinstance(e, Nint):
-            return Nint(rec(e.arg))
-        if isinstance(e, Dist):
-            return Dist(rec(e.arg))
-        return e
-
-    return rec(expr)
-
-
 def cmd_cf(args) -> int:
-    expr = _load_expr(args.expr)
-    value = eval_value(expr, 0, args.maxprec)
+    value = eval_exact(parse(_expr_text(args.expr)), 0, args.maxprec)
     from .realnum import FieldElement
 
     if not isinstance(value, FieldElement):
@@ -254,8 +157,7 @@ def cmd_bestapprox(args) -> int:
             rows.append({"q": b.q, "p1": b.p[0], "p2": b.p[1], "value_lo": lo, "value_hi": hi})
         cols = ["q", "p1", "p2", "value_lo", "value_hi"]
     else:
-        expr = _load_expr(args.expr)
-        value = eval_value(expr, 0, args.maxprec)
+        value = eval_exact(parse(_expr_text(args.expr)), 0, args.maxprec)
         ba = best_approx_1d(value, args.Q, args.maxprec)
         rows = []
         for b in ba:
@@ -304,9 +206,7 @@ def cmd_ipsearch(args) -> int:
     if args.mode == "ap":
         rep = ap_witness_in_small_dist_set(args.r, args.maxprec)
     else:
-        if args.construction not in _CONSTRUCTIONS:
-            raise PreconditionError(f"unknown construction {args.construction!r}")
-        cert = _CONSTRUCTIONS[args.construction](args)
+        cert = construction(args.construction).build(args)
         if args.mode == "ipr":
             rep = find_ipr_in_set(cert, args.r, args.bound, args.maxprec)
         else:
@@ -318,9 +218,7 @@ def cmd_ipsearch(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if args.construction not in _CONSTRUCTIONS:
-        raise PreconditionError(f"unknown construction {args.construction!r}")
-    cert = _CONSTRUCTIONS[args.construction](args)
+    cert = construction(args.construction).build(args)
     est = density_estimate(cert, args.N, args.maxprec)
     rows = [
         {
@@ -356,14 +254,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="parallelism degree (scans are deterministic regardless)")
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
 def _add_construction_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--construction", default="fibonacci", choices=sorted(_CONSTRUCTIONS))
+    p.add_argument("--construction", default="fibonacci", choices=sorted(CONSTRUCTIONS))
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--norm", type=int, default=-1, choices=(-1, 1))
     p.add_argument("--C", type=int, default=5)
     p.add_argument("--D", type=int, default=6)
-    p.add_argument("--sequence", default="2,128,562949953421312")
+    p.add_argument("--sequence", type=_int_list, default="2,128,562949953421312")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -256,6 +256,11 @@ def _build_exprs(cons: CubicConstruction) -> tuple[Expr, Expr]:
     return g, h_sq
 
 
+def cubic_recurrence(a: int, b: int) -> LinearRecurrence:
+    """x(i+3) = a x(i+2) + b x(i+1) + x(i) from 1, a, a^2 + b: the target values."""
+    return LinearRecurrence((a, b, 1), (1, a, a * a + b), f"cubic({a},{b})")
+
+
 def cubic_pisot_set(a: int, b: int, verify_to: int = _DEFAULT_VERIFY_TO) -> CubicConstruction:
     """Build the full cubic construction and its certificate."""
     fld = _cubic_field(a, b)
@@ -263,7 +268,7 @@ def cubic_pisot_set(a: int, b: int, verify_to: int = _DEFAULT_VERIFY_TO) -> Cubi
     norm = RauzyNorm.for_cubic_field(fld, b)
     inv_b = beta.inverse()
     theta = (inv_b, inv_b * inv_b)
-    rec = LinearRecurrence((a, b, 1), (1, a, a * a + b), f"cubic({a},{b})")
+    rec = cubic_recurrence(a, b)
     cons = CubicConstruction(
         a=a,
         b=b,
@@ -322,44 +327,60 @@ def cubic_pisot_set(a: int, b: int, verify_to: int = _DEFAULT_VERIFY_TO) -> Cubi
 def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
     """Find members on [lo, hi]: float prefilter, exact confirmation.
 
-    The float pass computes (h^2 g)^2 / beta^k with relative error well
-    below 1e-5 on the supported ranges; every q within relative 1e-4 of
-    the plateau, and every q whose nearest-integer decisions come within
-    1e-7 of a half-integer, is re-checked exactly.  Members always satisfy
-    the plateau equation exactly, so they are never missed.
+    Members are the q with h(q)^2 g(q) <= beta^(k/2).  The float pass bounds
+    the left side from below, using derived first-order bounds (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3) on the float
+    error of t, re and the rounding arguments, and a per-point lower bound
+    on g.  A point is re-checked exactly when that lower bound reaches the
+    plateau or when a rounding argument lies within its error bound of a
+    half-integer, so no member is dropped.
     """
     lo = max(lo, 1)
     if lo > hi:
         return []
-    inv_b = cons.theta[0].to_float()
-    inv_b2 = cons.theta[1].to_float()
-    re_u = cons.norm.re_u.to_float()
-    im_sq = cons.norm.im_u_sq.to_float()
+    inv_b, inv_b2, re_u, im_sq, _ = cons._float_approx()
     beta_f = cons.beta.to_float()
     m1inv2 = 1.0 / cons.m1_sq.to_float()
     c1 = (beta_f * cons.b + 1.0) * inv_b2
     w1 = beta_f * re_u
-    plateau = beta_f**cons.plateau_pow
+    # g >= m1^-2 (q K - L): nint(x) lies within 1/2 of x
+    k_g = m1inv2 * (1.0 + c1 * inv_b + inv_b * inv_b2)
+    l_g = m1inv2 * (abs(c1) + inv_b) / 2
+    # the slack covers the float evaluation of the bound and of beta^(k/2),
+    # each within a few dozen units in the last place
+    cap = beta_f ** (cons.plateau_pow / 2) * (1.0 + 2.0**-40)
+    # Error bounds, u = 2^-53.  to_float is within 2^-60 + u theta_i of
+    # theta_i (as in n0_sq) and q * theta_i adds one rounding; every other
+    # float constant is within 8u of its exact value, and eps = 16u covers
+    # that, the roundings of each step and the second-order terms.  The
+    # bounds hold while the rounding decisions are right, which the
+    # half-integer test checks.
+    u = 2.0**-53
+    eps = 16 * u
+    w1_abs, re_abs = abs(w1), abs(re_u)
+    m2 = w1_abs / 2 + 1  # |q/beta^2 - p2| with p2 = nint(rew)
     out = []
     for start in range(lo, hi + 1, SCAN_CHUNK):
         end = min(start + SCAN_CHUNK - 1, hi)
-        q = np.arange(start, end + 1, dtype=np.float64)
+        q_max = float(end)
+        d_q = 2 * u * q_max if q_max > 2.0**53 else 0.0  # q itself is rounded above 2^53
+        d_qb = inv_b * d_q + q_max * (4 * u * inv_b + 2.0**-60)
+        d_qb2 = inv_b2 * d_q + q_max * (4 * u * inv_b2 + 2.0**-60)
+        d_t = d_qb + eps
+        d_rew = w1_abs * (d_t + eps) + d_qb2 + 2 * u * inv_b2 * q_max  # last: the sum's rounding
+        d_re = re_abs * d_t + inv_b * d_qb2 + eps * (re_abs + inv_b * m2)
+        q = float(start) + np.arange(end - start + 1, dtype=np.float64)
         qb = q * inv_b
-        p1 = np.round(qb)
-        t = qb - p1
+        t = qb - np.round(qb)
         qb2 = q * inv_b2
-        p2g = np.round(qb2)
         rew = w1 * t + qb2
-        p2 = np.round(rew)
-        re = re_u * t + (qb2 - p2) * inv_b
-        h2 = re * re + im_sq * t * t
-        g = m1inv2 * (q + c1 * p1 + inv_b * p2g)
-        val = h2 * g
-        val = val * val
-        suspects = val <= plateau * (1.0 + 1e-4)
-        for arr in (qb, qb2, rew):
-            f = arr - np.floor(arr)
-            suspects |= np.abs(f - 0.5) < 1e-7
+        re = re_u * t + (qb2 - np.round(rew)) * inv_b
+        re_lo = np.maximum(np.abs(re) - d_re, 0.0)
+        t_lo = np.maximum(np.abs(t) - d_t, 0.0)
+        g_lo = q * k_g - (l_g + d_q * k_g)
+        suspects = (re_lo * re_lo + im_sq * (t_lo * t_lo)) * g_lo <= cap
+        for arr, d in ((qb, d_qb), (rew, d_rew)):
+            suspects |= np.abs(arr - np.floor(arr) - 0.5) <= d + u
         for idx in np.nonzero(suspects)[0]:
             n = start + int(idx)
             if cons.member(n):

@@ -91,6 +91,15 @@ def _half_over_n_certificate(x: FieldElement, description: str) -> Certificate:
     )
 
 
+def _fibonacci_like(a: int) -> LinearRecurrence:
+    return LinearRecurrence((a, 1), (0, 1), f"fibonacci_like({a})")
+
+
+def fibonacci_like_terms(a: int, bound: int) -> list[int]:
+    """Values of x(i+2) = a x(i+1) + x(i) from 0, 1 that are at most ``bound``."""
+    return recurrence_terms(_fibonacci_like(a), bound)
+
+
 def fibonacci_like_set(a: int, verify_to: int = _DEFAULT_VERIFY_TO) -> Certificate:
     """Certificate for the value set of x_{i+2} = a x_{i+1} + x_i, x_0=0, x_1=1.
 
@@ -106,9 +115,7 @@ def fibonacci_like_set(a: int, verify_to: int = _DEFAULT_VERIFY_TO) -> Certifica
         alpha, f"value set of x(i+2) = {a} x(i+1) + x(i) from 0, 1"
     )
     cert.meta["construction"] = f"fibonacci_like a={a}"
-    rec = LinearRecurrence((a, 1), (0, 1), f"fibonacci_like({a})")
-    cert.meta["oracle"] = rec
-    verify_certificate(cert, recurrence_terms(rec, verify_to), 0, verify_to)
+    verify_certificate(cert, fibonacci_like_terms(a, verify_to), 0, verify_to)
     return cert
 
 
@@ -147,17 +154,9 @@ def scaled_set_transfer(
         r_hi = int(uhi * max(abs(lo), abs(hi)) + uhi / 2) + 2
         src = cert_r.members(0, r_hi)
         inv_u = u.inverse()
-        out = []
-        for r in src:
-            m = (inv_u * r).nint()
-            if lo <= m <= hi and predicate(m):
-                out.append(m)
         # u < 0 or sign quirks could place candidates off by one; widen by hand
-        extra = [m for r in src for m in ((inv_u * r).nint() - 1, (inv_u * r).nint() + 1)]
-        for m in extra:
-            if lo <= m <= hi and m not in out and predicate(m):
-                out.append(m)
-        return sorted(out)
+        near = {(inv_u * r).nint() + d for r in src for d in (-1, 0, 1)}
+        return sorted(m for m in near if lo <= m <= hi and predicate(m))
 
     cert = Certificate(
         indicator=indicator,
@@ -189,6 +188,28 @@ def nint_powers(x: FieldElement, bound: int) -> list[int]:
         p = p * x
 
 
+def quadratic_unit(a: int, norm: int) -> FieldElement:
+    """The root beta > 1 of x^2 - a x - 1 (``norm=-1``) or x^2 - a x + 1 (``norm=+1``)."""
+    if norm == -1:
+        if a < 1:
+            raise PreconditionError("norm -1 needs a >= 1")
+        return NumberField((-1, -a, 1), a, a + 1, "beta").generator()
+    if norm != 1:
+        raise PreconditionError("norm must be +1 or -1")
+    if a < 3:
+        raise PreconditionError("norm +1 needs a >= 3")
+    return NumberField((1, -a, 1), a - 1, a, "beta").generator()
+
+
+def odd_index_denominators(a: int, bound: int) -> list[int]:
+    """q_1, q_3, q_5, ... <= ``bound`` for the root of x^2 - a x + 1: 1, a, then
+    the two-step recurrence q_{2i+3} = a q_{2i+1} - q_{2i-1}."""
+    odd = [1, a]
+    while odd[-1] <= bound:
+        odd.append(a * odd[-1] - odd[-2])
+    return [t for t in odd if t <= bound]
+
+
 def _norm_plus_odd_certificate(
     gamma: FieldElement, a: int, verify_to: int
 ) -> tuple[Certificate, FieldElement]:
@@ -197,18 +218,13 @@ def _norm_plus_odd_certificate(
     Returns the filtered certificate and the exact constant v1 with
     q_{2i+1} = v1 * gamma^i + o(1).
     """
-    if a < 4:
-        raise PreconditionError("the denominator filter needs a >= 4")
     if not (gamma * gamma - a * gamma + 1).is_zero():
         raise PreconditionError("gamma must satisfy gamma^2 = a*gamma - 1")
-    # convergent denominators: q0 = q1 = 1, alternating (a-2)-step and sum
-    q = [1, 1]
-    while len(q) < 8:
-        q.append((a - 2) * q[-1] + q[-2] if len(q) % 2 == 0 else q[-1] + q[-2])
+    # from the convergent denominators q0 = q1 = 1, q2 = a - 1, q3 = a
     inv_g = gamma.inverse()
     denom = gamma - inv_g
-    u1 = (q[2] - inv_g * q[0]) / denom
-    v1 = (q[3] - inv_g * q[1]) / denom
+    u1 = (a - 1 - inv_g) / denom
+    v1 = (a - inv_g) / denom
     w = v1 / u1
     base = _half_over_n_certificate(
         gamma, f"denominators with small ||n*gamma||, gamma^2 = {a} gamma - 1"
@@ -232,11 +248,7 @@ def _norm_plus_odd_certificate(
         fast_scan=fast_scan,
         meta={"kind": "odd-denominator-filter", "a": a, "w": repr(w)},
     )
-    # oracle: odd-index denominators by their two-step recurrences
-    odd = [q[1], q[3]]
-    while odd[-1] <= verify_to:
-        odd.append(a * odd[-1] - odd[-2])
-    verify_certificate(cert, [t for t in odd if t <= verify_to], 1, verify_to)
+    verify_certificate(cert, odd_index_denominators(a, verify_to), 1, verify_to)
     return cert, v1
 
 
@@ -246,8 +258,9 @@ def norm_plus_filtered_set(a: int, verify_to: int = _DEFAULT_VERIFY_TO) -> Certi
     Equal, up to a finite exceptional set, to the odd-index convergent
     denominators of beta; requires a >= 4.
     """
-    field = NumberField((1, -a, 1), a - 1, a, "beta")
-    cert, _ = _norm_plus_odd_certificate(field.generator(), a, verify_to)
+    if a < 4:
+        raise PreconditionError("the denominator filter needs a >= 4")
+    cert, _ = _norm_plus_odd_certificate(quadratic_unit(a, 1), a, verify_to)
     return cert
 
 
@@ -259,38 +272,19 @@ def quadratic_pisot_unit_set(a: int, norm: int, verify_to: int = _DEFAULT_VERIFY
     (a >= 3), built from the odd-denominator filter (via beta^2 when a = 3)
     and transfers.
     """
+    beta = quadratic_unit(a, norm)
+    oracle = nint_powers(beta, verify_to)
+    sign = "-" if norm == -1 else "+"
+    description = f"nearest integers to powers of the root of x^2 - {a}x {sign} 1"
     if norm == -1:
-        if a < 1:
-            raise PreconditionError("norm -1 needs a >= 1")
         base = fibonacci_like_set(a, verify_to)
-        field = NumberField((-1, -a, 1), a, a + 1, "beta")
-        beta = field.generator()
-        rec = LinearRecurrence((a, 1), (0, 1))
-        u = residue_coefficient(rec, field)
-        cert = scaled_set_transfer(
-            base,
-            u,
-            f"nearest integers to powers of the root of x^2 - {a}x - 1",
-            oracle_members=nint_powers(beta, verify_to),
-            verify_to=verify_to,
-        )
+        u = residue_coefficient(_fibonacci_like(a), beta.field)
+        cert = scaled_set_transfer(base, u, description, oracle, verify_to)
         cert.meta["construction"] = f"quadratic a={a} norm=-1"
         return cert
-    if norm != 1:
-        raise PreconditionError("norm must be +1 or -1")
-    if a < 3:
-        raise PreconditionError("norm +1 needs a >= 3")
-    field = NumberField((1, -a, 1), a - 1, a, "beta")
-    beta = field.generator()
     if a >= 4:
         odd_cert, v1 = _norm_plus_odd_certificate(beta, a, verify_to)
-        cert = scaled_set_transfer(
-            odd_cert,
-            v1,
-            f"nearest integers to powers of the root of x^2 - {a}x + 1",
-            oracle_members=nint_powers(beta, verify_to),
-            verify_to=verify_to,
-        )
+        cert = scaled_set_transfer(odd_cert, v1, description, oracle, verify_to)
         cert.meta["construction"] = f"quadratic a={a} norm=+1"
         return cert
     # a = 3: pass to beta^2, which satisfies x^2 = 7x - 1, then rejoin halves
@@ -307,7 +301,7 @@ def quadratic_pisot_unit_set(a: int, norm: int, verify_to: int = _DEFAULT_VERIFY
         even,
         beta.inverse(),
         "nearest integers to odd powers of the root of x^2 - 3x + 1",
-        oracle_members=[v for i, v in enumerate(nint_powers(beta, verify_to)) if i % 2 == 1],
+        oracle_members=oracle[1::2],
         verify_to=verify_to,
     )
     indicator = ind_or(even.indicator, odd_powers.indicator)
@@ -320,10 +314,10 @@ def quadratic_pisot_unit_set(a: int, norm: int, verify_to: int = _DEFAULT_VERIFY
 
     cert = Certificate(
         indicator=indicator,
-        target_description="nearest integers to powers of the root of x^2 - 3x + 1",
+        target_description=description,
         predicate=predicate,
         fast_scan=fast_scan,
         meta={"construction": "quadratic a=3 norm=+1"},
     )
-    verify_certificate(cert, nint_powers(beta, verify_to), 1, verify_to)
+    verify_certificate(cert, oracle, 1, verify_to)
     return cert

@@ -40,6 +40,8 @@ from ..gpexpr import (
     ind_or,
     indicator_of_range,
     indicator_of_zero_set,
+    map_tree,
+    with_children,
 )
 from ..realnum import RefinableReal
 from ..cf import coprime_in_interval
@@ -188,6 +190,28 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
             "alpha_hi": str(params.intervals[-1][1]),
         },
     )
+
+
+def very_sparse_snapshot(params: VerySparseParams) -> Certificate:
+    """``very_sparse_set`` with alpha in the indicator replaced by the midpoint
+    of the deepest chain interval, an exact rational, so it can be printed.
+
+    Scans and membership tests still decide by the interval chain.
+    """
+    cert = very_sparse_set(params)
+    lo, hi = params.intervals[-1]
+    mid = (lo + hi) / 2
+    snap = Const("alpha", mid)
+
+    def replace(node, kids):
+        if isinstance(node, Const) and node.value is params.alpha:
+            return snap
+        return with_children(node, kids)
+
+    cert.indicator = map_tree(cert.indicator, replace)
+    cert.meta["alpha_snapshot"] = f"{mid.numerator}/{mid.denominator}"
+    cert.meta["valid_to"] = str(params.n_seq[-1])
+    return cert
 
 
 def _very_sparse_scan(params: VerySparseParams, lo: int, hi: int) -> list[int]:

@@ -156,27 +156,43 @@ def depends_on_var(e: Expr) -> bool:
     return any(isinstance(node, Var) for node in walk(e))
 
 
+def with_children(e: Expr, kids: tuple) -> Expr:
+    """``e`` with its children replaced by ``kids`` (``e`` itself if none changed)."""
+    if all(k is c for k, c in zip(kids, children(e))):
+        return e
+    if isinstance(e, Pow):
+        return Pow(kids[0], e.exponent)
+    return type(e)(*kids)
+
+
+def map_tree(e: Expr, fn):
+    """Fold the tree bottom up: ``fn(node, results of its children)``, children first.
+
+    Runs on an explicit stack, so depth is not limited by recursion, and is
+    memoised on node identity (never on the recursive ``==``/``hash``): a
+    shared subtree is folded once and, when ``fn`` rebuilds nodes, stays
+    shared in the result.
+    """
+    done: dict[int, object] = {}
+    stack = [(e, None)]  # (node, its children once expanded)
+    while stack:
+        node, kids = stack.pop()
+        if kids is not None:
+            done[id(node)] = fn(node, tuple([done[id(k)] for k in kids]))
+        elif id(node) not in done:
+            kids = children(node)
+            stack.append((node, kids))
+            for k in reversed(kids):
+                if id(k) not in done:
+                    stack.append((k, None))
+    return done[id(e)]
+
+
 def substitute_var(e: Expr, replacement: Expr) -> Expr:
     """Replace every occurrence of the variable by ``replacement``."""
-    if isinstance(e, Var):
-        return replacement
-    if isinstance(e, Add):
-        return Add(substitute_var(e.left, replacement), substitute_var(e.right, replacement))
-    if isinstance(e, Sub):
-        return Sub(substitute_var(e.left, replacement), substitute_var(e.right, replacement))
-    if isinstance(e, Mul):
-        return Mul(substitute_var(e.left, replacement), substitute_var(e.right, replacement))
-    if isinstance(e, Pow):
-        return Pow(substitute_var(e.base, replacement), e.exponent)
-    if isinstance(e, Floor):
-        return Floor(substitute_var(e.arg, replacement))
-    if isinstance(e, Frac):
-        return Frac(substitute_var(e.arg, replacement))
-    if isinstance(e, Nint):
-        return Nint(substitute_var(e.arg, replacement))
-    if isinstance(e, Dist):
-        return Dist(substitute_var(e.arg, replacement))
-    return e
+    return map_tree(
+        e, lambda node, kids: replacement if isinstance(node, Var) else with_children(node, kids)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +302,7 @@ def to_text(e: Expr) -> str:
             return terms[0], term_precs[0]
         return " + ".join(terms), _PREC_ADD
 
-    def render(node: Expr) -> tuple[str, int]:
+    def render(node: Expr, kids: tuple) -> tuple[str, int]:
         if isinstance(node, RationalConst):
             return _rat_text(node.value), _PREC_ATOM
         if isinstance(node, Const):
@@ -294,33 +310,23 @@ def to_text(e: Expr) -> str:
         if isinstance(node, Var):
             return "n", _PREC_ATOM
         if isinstance(node, Add):
-            lt, _ = _at_least(render(node.left), _PREC_ADD)
-            rt, _ = _at_least(render(node.right), _PREC_ADD)
-            return f"{lt} + {rt}", _PREC_ADD
+            return f"{_at_least(kids[0], _PREC_ADD)} + {_at_least(kids[1], _PREC_ADD)}", _PREC_ADD
         if isinstance(node, Sub):
-            lt, _ = _at_least(render(node.left), _PREC_ADD)
-            rt, _ = _at_least(render(node.right), _PREC_MUL)
-            return f"{lt} - {rt}", _PREC_ADD
+            return f"{_at_least(kids[0], _PREC_ADD)} - {_at_least(kids[1], _PREC_MUL)}", _PREC_ADD
         if isinstance(node, Mul):
-            lt, _ = _at_least(render(node.left), _PREC_MUL)
-            rt, _ = _at_least(render(node.right), _PREC_MUL)
-            return f"{lt} * {rt}", _PREC_MUL
+            return f"{_at_least(kids[0], _PREC_MUL)} * {_at_least(kids[1], _PREC_MUL)}", _PREC_MUL
         if isinstance(node, Pow):
-            bt, _ = _at_least(render(node.base), _PREC_ATOM)
-            return f"{bt}^{node.exponent}", _PREC_POW
-        for cls, kw in _UNARY.items():
-            if isinstance(node, cls):
-                inner, _ = render(node.arg)
-                return f"{kw}({inner})", _PREC_ATOM
-        raise PreconditionError(f"unknown node {node!r}")
+            return f"{_at_least(kids[0], _PREC_ATOM)}^{node.exponent}", _PREC_POW
+        kw = _UNARY.get(type(node))
+        if kw is None:
+            raise PreconditionError(f"unknown node {node!r}")
+        return f"{kw}({kids[0][0]})", _PREC_ATOM
 
-    def _at_least(rendered: tuple[str, int], prec: int) -> tuple[str, int]:
+    def _at_least(rendered: tuple[str, int], prec: int) -> str:
         text, p = rendered
-        if p < prec:
-            return f"({text})", _PREC_ATOM
-        return text, p
+        return f"({text})" if p < prec else text
 
-    body = render(e)[0]
+    body = map_tree(e, render)[0]
     decls = []
     for name, bound in lets.items():
         if isinstance(bound, Fraction):

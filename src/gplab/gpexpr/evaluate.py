@@ -316,11 +316,6 @@ def eval_exact(
     return program.eval_exact(n, max_bits)
 
 
-def eval_value(e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS) -> Real:
-    """Exact value of the expression at integer n (spec semantics)."""
-    return eval_exact(e, n, max_bits)
-
-
 def eval_indicator(
     e: Expr,
     n: int,

@@ -34,8 +34,9 @@ from .ast import (
     Pow,
     RationalConst,
     Sub,
-    Var,
+    map_tree,
     walk,
+    with_children,
     wrap,
 )
 
@@ -47,31 +48,18 @@ def canonicalize(e: Expr) -> Expr:
     the nearest integer is not itself in the closure, only its thresholds
     and even powers are.
     """
-    if isinstance(e, (RationalConst, Const, Var)):
-        return e
-    if isinstance(e, Add):
-        return Add(canonicalize(e.left), canonicalize(e.right))
-    if isinstance(e, Sub):
-        return Sub(canonicalize(e.left), canonicalize(e.right))
-    if isinstance(e, Mul):
-        return Mul(canonicalize(e.left), canonicalize(e.right))
-    if isinstance(e, Pow):
-        if isinstance(e.base, Dist) and e.exponent % 2 == 0:
-            inner = canonicalize(e.base.arg)
-            offset = Sub(inner, Floor(Add(inner, RationalConst(Fraction(1, 2)))))
-            return Pow(offset, e.exponent)
-        return Pow(canonicalize(e.base), e.exponent)
-    if isinstance(e, Floor):
-        return Floor(canonicalize(e.arg))
-    if isinstance(e, Frac):
-        inner = canonicalize(e.arg)
-        return Sub(inner, Floor(inner))
-    if isinstance(e, Nint):
-        inner = canonicalize(e.arg)
-        return Floor(Add(inner, RationalConst(Fraction(1, 2))))
-    if isinstance(e, Dist):
-        return Dist(canonicalize(e.arg))
-    raise TypeError(f"unknown node {e!r}")
+
+    def rewrite(node: Expr, kids: tuple) -> Expr:
+        if isinstance(node, Frac):
+            return frac_expr(kids[0])
+        if isinstance(node, Nint):
+            return nint_expr(kids[0])
+        if isinstance(node, Pow) and isinstance(kids[0], Dist) and node.exponent % 2 == 0:
+            inner = kids[0].arg
+            return Pow(Sub(inner, nint_expr(inner)), node.exponent)
+        return with_children(node, kids)
+
+    return map_tree(e, rewrite)
 
 
 def is_floor_only(e: Expr) -> bool:

@@ -23,7 +23,7 @@ from .constructions import (
     very_sparse_set,
     verify_certificate,
 )
-from .constructions.recurrence import LinearRecurrence
+from .constructions.quadratic import fibonacci_like_terms, odd_index_denominators
 from .errors import GPLabError
 from .gpexpr import (
     N,
@@ -63,17 +63,13 @@ class CheckResult:
     seconds: float
 
 
-def _fib_oracle(bound: int) -> list[int]:
-    return recurrence_terms(LinearRecurrence((1, 1), (0, 1)), bound)
-
-
 # ---------------------------------------------------------------------------
 # acceptance criteria
 # ---------------------------------------------------------------------------
 
 def check_fibonacci_certificate(to: int = 10**6) -> str:
     cert = fibonacci_like_set(1)
-    report = verify_certificate(cert, _fib_oracle(to), 2, to)
+    report = verify_certificate(cert, fibonacci_like_terms(1, to), 2, to)
     assert report.symmetric_difference == (), (
         f"unexpected mismatches: {report.symmetric_difference}"
     )
@@ -86,7 +82,7 @@ def check_fibonacci_certificate(to: int = 10**6) -> str:
 def check_fibonacci_constant() -> str:
     fld = NumberField((-1, -1, 1), 1, 2, "phi")
     phi = fld.generator()
-    fib = _fib_oracle(10**12)
+    fib = fibonacci_like_terms(1, 10**12)
     n = fib[-1]
     d = (phi * n).dist_to_int() * n
     # |n ||n phi|| - 1/sqrt(5)| < 1e-6, exactly: sqrt5 = 2 phi - 1
@@ -100,13 +96,11 @@ def check_fibonacci_constant() -> str:
 
 def check_quadratic_norm_plus(to: int = 10**6) -> str:
     cert = norm_plus_filtered_set(4)
-    a = 4
-    odd = [1, a]
-    while odd[-1] <= to:
-        odd.append(a * odd[-1] - odd[-2])
-    report = verify_certificate(cert, [t for t in odd if t <= to], 1, to)
+    report = verify_certificate(cert, odd_index_denominators(4, to), 1, to)
     assert report.clean_beyond_bound, f"mismatch beyond bound: {report.symmetric_difference}"
     assert report.exceptional_bound <= 2, f"exceptional bound {report.exceptional_bound}"
+    # q_1 = 1 is the lone exception
+    assert report.symmetric_difference == (1,), f"exceptional {report.symmetric_difference}"
     return (
         f"filtered set on [1, {to}] = odd-index denominators; "
         f"exceptional: {report.symmetric_difference}"
@@ -132,18 +126,12 @@ def check_cubic(to: int = 10**6, h_to: int = 10**4, i_max: int = 20) -> str:
     terms = recurrence_terms(cons.recurrence, 10**7)
     k = cons.plateau_pow
     m1_4 = cons.m1_sq * cons.m1_sq
-    exact_from = None
-    for i in range(2, min(i_max, len(terms) - 1) + 1):
+    for i in range(2, i_max + 1):
         n0 = cons.n0_sq(terms[i])
-        if (n0 * n0 * cons.beta ** (2 * i - k) - m1_4).is_zero():
-            if exact_from is None:
-                exact_from = i
-        else:
-            exact_from = None
-    assert exact_from is not None and exact_from <= 4, "record law failed"
+        assert (n0 * n0 * cons.beta ** (2 * i - k) - m1_4).is_zero(), f"record law at i={i}"
     return (
         f"set = recurrence values exactly on [1, {to}]; h == N0 at {checked} points "
-        f"of [1, {h_to}]; records m(R_i) = m1 * beta^(({k} - 2i)/4)... exact from i={exact_from}"
+        f"of [1, {h_to}]; records m(R_i) = m1 * beta^(({k} - 2i)/4) exact for 2 <= i <= {i_max}"
     )
 
 
@@ -156,23 +144,40 @@ def check_very_sparse() -> str:
     return "members on [2, 1e5] = {2, 128}; spot check at 128^7 passed"
 
 
-def check_heisenberg_growth() -> str:
-    spec = default_orbit_spec(Fraction(1, 20))
-    rows = growth_count(spec, (10**3, 10**4, 10**5, 10**6))
+def _growth_rows(c: Fraction, ladder: tuple[int, ...]) -> tuple[list, str]:
+    """Growth rows at exponent c, checked: positive ratios, spread < 4, no skips."""
+    rows = growth_count(default_orbit_spec(c), ladder)
     ratios = [r.ratio for r in rows]
-    assert all(r > 0 for r in ratios), "ratio not positive"
+    assert all(r > 0 for r in ratios), f"c={c}: ratio not positive"
     spread = max(ratios) / min(ratios)
-    assert spread < 4, f"ratio spread {spread:.2f} >= 4"
-    assert all(r.skipped == 0 for r in rows), "precision skips occurred"
+    assert spread < 4, f"c={c}: ratio spread {spread:.2f} >= 4"
+    assert all(r.skipped == 0 for r in rows), f"c={c}: precision skips occurred"
+    counts = ", ".join(f"S({r.N})={r.count}" for r in rows)
+    return rows, f"{counts}; ratio spread {spread:.2f} < 4"
+
+
+def check_heisenberg_growth() -> str:
+    _, detail = _growth_rows(Fraction(1, 20), (10**3, 10**4, 10**5, 10**6))
+    spec = default_orbit_spec(Fraction(1, 20))
     for n in range(1, 1001):
         orbit_point(spec, n)  # raises if the third-coordinate identity fails
-    detail = ", ".join(f"S({r.N})={r.count}" for r in rows)
-    return f"{detail}; ratio spread {spread:.2f} < 4; z-identity exact for n <= 1000"
+    return f"{detail}; z-identity exact for n <= 1000"
+
+
+def check_heisenberg_growth_non_vacuous() -> str:
+    """Growth where n^(-c) < 1/2 for most n, so orbit points are evaluated."""
+    parts = []
+    for c in (Fraction(9, 20), Fraction(1, 3)):
+        rows, detail = _growth_rows(c, (10**3, 10**4))
+        for r in rows:
+            assert r.count < r.N - 1, f"c={c}: S({r.N}) = N - 1, settled by the threshold alone"
+        parts.append(f"c={c}: {detail}")
+    return "; ".join(parts)
 
 
 def check_ip_witness() -> str:
     rep = ap_witness_in_small_dist_set(5)
-    assert rep.witness is not None and rep.witness[0] == 169, f"witness {rep.witness}"
+    assert rep.witness == (169, 338, 507, 676, 845), f"witness {rep.witness}"
     return f"m=169: progression {rep.witness} verified exactly"
 
 
@@ -400,6 +405,7 @@ PAPER_CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("cubic-tribonacci", check_cubic),
     ("very-sparse-compiler", check_very_sparse),
     ("heisenberg-growth", check_heisenberg_growth),
+    ("heisenberg-growth-non-vacuous", check_heisenberg_growth_non_vacuous),
     ("ip-r-witness", check_ip_witness),
     ("finite-sums-probe", check_finite_sums_probe),
     ("property-battery", lambda: "; ".join(fn() for _, fn in QUICK_CHECKS)),

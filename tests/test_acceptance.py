@@ -1,194 +1,60 @@
 """Acceptance criteria, one test per criterion.
 
-Each test enforces the stated tolerance and runtime budget and prints a
-single summary line (run pytest with -s to see them inline).
+Each test runs the criterion's check from ``gplab.suites.PAPER_CHECKS``
+(the same code as ``gp suite paper-checks``), enforces its runtime budget
+and prints a single summary line (run pytest with -s to see them inline).
 """
 
 import time
-from fractions import Fraction
 
-from gplab.constructions import (
-    cubic_pisot_set,
-    fibonacci_like_set,
-    norm_plus_filtered_set,
-    recurrence_terms,
-    verify_certificate,
-    very_sparse_alpha,
-    very_sparse_set,
-)
-from gplab.constructions.recurrence import LinearRecurrence
-from gplab.ipsearch import ap_witness_in_small_dist_set, find_ipr_in_set, translated_ip_probe
-from gplab.nilorbit import default_orbit_spec, growth_count, orbit_point
-from gplab.realnum import NumberField
-from gplab.suites import QUICK_CHECKS
+from gplab.suites import PAPER_CHECKS
+
+CHECKS = dict(PAPER_CHECKS)
 
 
-def _report(name: str, budget: float, elapsed: float, detail: str):
-    print(f"[PASS] {name} ({elapsed:.1f}s / budget {budget:.0f}s): {detail}")
+def _run(check: str, title: str, budget: float) -> None:
+    t0 = time.perf_counter()
+    detail = CHECKS[check]()
+    elapsed = time.perf_counter() - t0
+    assert elapsed < budget, f"{title}: {elapsed:.1f}s over the {budget:.0f}s budget"
+    print(f"[PASS] {title} ({elapsed:.1f}s / budget {budget:.0f}s): {detail}")
 
 
 def test_criterion_1_fibonacci_certificate_to_one_million():
-    t0 = time.perf_counter()
-    cert = fibonacci_like_set(1)
-    oracle = recurrence_terms(LinearRecurrence((1, 1), (0, 1)), 10**6)
-    report = verify_certificate(cert, oracle, 2, 10**6)
-    elapsed = time.perf_counter() - t0
-    assert report.symmetric_difference == (), report.symmetric_difference
-    assert elapsed < 120
-    _report(
-        "criterion 1: Fibonacci certificate on [2, 1e6]",
-        120,
-        elapsed,
-        f"{len(report.members_found)} members equal the oracle; symmetric difference empty",
-    )
+    _run("fibonacci-certificate", "criterion 1: Fibonacci certificate on [2, 1e6]", 120)
 
 
 def test_criterion_2_convergence_constant():
-    t0 = time.perf_counter()
-    fld = NumberField((-1, -1, 1), 1, 2, "phi")
-    phi = fld.generator()
-    fib = recurrence_terms(LinearRecurrence((1, 1), (0, 1)), 10**12)
-    n = fib[-1]
-    value = (phi * n).dist_to_int() * n
-    inv_sqrt5 = (phi * 2 - 1).inverse()
-    err = value - inv_sqrt5
-    tol = Fraction(1, 10**6)
-    assert (err - tol).sign() < 0 and (err + tol).sign() > 0
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 1
-    lo, hi = err.enclosure(Fraction(1, 2**90))
-    _report(
-        "criterion 2: n*||n*phi|| -> 1/sqrt(5)",
-        1,
-        elapsed,
-        f"n={n}, deviation {abs(float((lo+hi)/2)):.2e} < 1e-6 exactly",
-    )
+    _run("fibonacci-constant", "criterion 2: n*||n*phi|| -> 1/sqrt(5)", 1)
 
 
 def test_criterion_3_quadratic_norm_plus_a4():
-    t0 = time.perf_counter()
-    cert = norm_plus_filtered_set(4)
-    odd = [1, 4]
-    while odd[-1] <= 10**6:
-        odd.append(4 * odd[-1] - odd[-2])
-    report = verify_certificate(cert, [t for t in odd if t <= 10**6], 1, 10**6)
-    elapsed = time.perf_counter() - t0
-    assert report.clean_beyond_bound
-    assert report.symmetric_difference == (1,)  # q_1 = 1 is the lone exception
-    assert elapsed < 120
-    _report(
-        "criterion 3: norm +1 filter (a=4) on [1, 1e6]",
-        120,
-        elapsed,
-        f"members {report.members_found[:4]}... equal odd-index denominators; exceptional {{1}}",
-    )
+    _run("quadratic-norm-plus", "criterion 3: norm +1 filter (a=4) on [1, 1e6]", 120)
 
 
 def test_criterion_4_cubic_tribonacci():
-    t0 = time.perf_counter()
-    cons = cubic_pisot_set(1, 1)
-    cert = cons.certificate
-    report = verify_certificate(cert, recurrence_terms(cons.recurrence, 10**6), 1, 10**6)
-    assert report.symmetric_difference == ()
-    # h(q) matches the brute-force distance whenever that is below Im(alpha)/2
-    im_sq = cons.norm.im_u_sq
-    matched = 0
-    for q in range(1, 10**4 + 1):
-        n0 = cons.n0_sq(q)
-        if (n0 * 4 - im_sq).sign() < 0:
-            assert (cons.h_sq(q) - n0).is_zero(), f"h mismatch at q={q}"
-            matched += 1
-    # record law at the measured alignment, exact for 2 <= i <= 20
-    terms = recurrence_terms(cons.recurrence, 10**7)
-    k = cons.plateau_pow
-    m1_4 = cons.m1_sq * cons.m1_sq
-    for i in range(2, 21):
-        n0 = cons.n0_sq(terms[i])
-        assert (n0 * n0 * cons.beta ** (2 * i - k) - m1_4).is_zero(), f"record law at i={i}"
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 300
-    _report(
-        "criterion 4: cubic a=b=1 on [1, 1e6]",
-        300,
-        elapsed,
-        f"set = recurrence values exactly; h = N0 at {matched} small-distance points; "
-        f"records exact for i <= 20 (relative error 0 < 1e-6)",
-    )
+    _run("cubic-tribonacci", "criterion 4: cubic a=b=1 on [1, 1e6]", 300)
 
 
 def test_criterion_5_very_sparse_compiler():
-    t0 = time.perf_counter()
-    params = very_sparse_alpha([2, 128, 128**7], 5, 6)
-    cert = very_sparse_set(params)
-    members = cert.members(2, 10**5)
-    assert members == [2, 128]
-    assert cert.member(128**7)
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60
-    _report(
-        "criterion 5: very-sparse compiler (C=5, D=6)",
-        60,
-        elapsed,
-        "members on [2, 1e5] = {2, 128}; spot membership of 128^7 verified",
-    )
+    _run("very-sparse-compiler", "criterion 5: very-sparse compiler (C=5, D=6)", 60)
 
 
 def test_criterion_6_heisenberg_growth():
-    t0 = time.perf_counter()
-    spec = default_orbit_spec(Fraction(1, 20))
-    rows = growth_count(spec, (10**3, 10**4, 10**5, 10**6))
-    ratios = [r.ratio for r in rows]
-    spread = max(ratios) / min(ratios)
-    assert all(r > 0 for r in ratios) and spread < 4
-    assert all(r.skipped == 0 for r in rows)
-    for n in range(1, 1001):
-        orbit_point(spec, n)  # exact third-coordinate identity check inside
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 300
-    _report(
-        "criterion 6: Heisenberg growth (c=0.05)",
-        300,
-        elapsed,
-        f"S(N) = {[r.count for r in rows]}, ratio spread {spread:.2f} < 4; "
-        "z-coordinate formula exact for n <= 1e3",
-    )
+    _run("heisenberg-growth", "criterion 6: Heisenberg growth (c=0.05)", 300)
+
+
+def test_heisenberg_growth_non_vacuous():
+    _run("heisenberg-growth-non-vacuous", "Heisenberg growth at c = 9/20 and 1/3", 60)
 
 
 def test_criterion_7_ip_r_witness():
-    t0 = time.perf_counter()
-    rep = ap_witness_in_small_dist_set(5)
-    assert rep.witness == (169, 338, 507, 676, 845)
-    elapsed = time.perf_counter() - t0
-    _report(
-        "criterion 7: IP_r witness",
-        60,
-        elapsed,
-        "m=169 gives {169k : k <= 5} inside {n : ||n sqrt2|| < 1/sqrt(n)}, exact",
-    )
+    _run("ip-r-witness", "criterion 7: IP_r witness", 60)
 
 
 def test_criterion_8_finite_sums_consistency_probe():
-    t0 = time.perf_counter()
-    fib = fibonacci_like_set(1)
-    rep = find_ipr_in_set(fib, 4, 10**4)
-    assert rep.exhaustive and rep.witness is None
-    rep_t = translated_ip_probe(fib, 3, 10**4, range(0, 11))
-    assert rep_t.exhaustive and rep_t.witness is None
-    elapsed = time.perf_counter() - t0
-    _report(
-        "criterion 8: finite-sums probes",
-        120,
-        elapsed,
-        f"no FS(n1..n4) with sums <= 1e4 ({rep.nodes_explored} nodes); no translated "
-        f"FS(n1..n3), shifts 0..10 ({rep_t.nodes_explored} nodes); one-sided probes only",
-    )
+    _run("finite-sums-probe", "criterion 8: finite-sums probes", 120)
 
 
 def test_criterion_9_property_suites():
-    t0 = time.perf_counter()
-    details = []
-    for name, fn in QUICK_CHECKS:
-        details.append(f"{name}: {fn()}")
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60
-    _report("criterion 9: property battery", 60, elapsed, f"{len(details)} check groups pass")
+    _run("property-battery", "criterion 9: property battery", 60)

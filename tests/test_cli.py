@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, determinism, artifact round trips."""
 
+import hashlib
 import json
 
 from gplab.cli import main
@@ -59,6 +60,7 @@ def test_exit_code_parse_error(capsys):
 def test_exit_code_bad_construction_params():
     assert run(["cert", "--construction", "quadratic", "--a", "1", "--norm", "1"]) == 2
     assert run(["verify", "--construction", "cubic", "--a", "1", "--b", "3", "--to", "100"]) == 2
+    assert run(["verify", "--construction", "verysparse", "--sequence", "2,x", "--to", "9"]) == 2
 
 
 def test_exit_code_unknown_suite():
@@ -139,6 +141,17 @@ def test_exit_code_deeply_nested_expression(capsys):
     assert err.startswith("error:") and "nested deeper" in err
 
 
+# sha256 of the certificate files, unchanged since the constructions moved
+# into one registry
+CERT_SHA256 = {
+    "fibonacci": "277de3cdffe8e1d3ecd54e5d6837724d7f423a396260d1bd404d84251d85ad74",
+    "quadratic": "c703ba45459b8e08b51ccdc863aabb3fcaa394f8bb14eea8f5abbe7fd6f3c3da",
+    "quadratic-filter": "1372126b22daaad75a7631baccfac20a21a37907ff081165abed2d9d15d0f908",
+    "cubic": "50080299979bd151fab65e61efc10c733d45c1109abb6b52d6003a9a5b26137e",
+    "verysparse": "1091a1f1a4f0fa2a9516c147e6deea6c69356b6c68a8ce2abb9d97079e877c41",
+}
+
+
 def test_artifacts_are_byte_identical(tmp_path):
     commands = {
         "ipsearch": ["ipsearch", "--mode", "ipr", "--r", "3"],
@@ -146,6 +159,12 @@ def test_artifacts_are_byte_identical(tmp_path):
         "members": ["members", "--expr", "floor(1 - frac(theta*n/7))", "--from", "1",
                     "--to", "60"],
         "verify": ["verify", "--construction", "fibonacci", "--to", "2000"],
+        "density": ["density", "--construction", "cubic", "--N", "100000"],
+        "cert-fibonacci": ["cert", "--construction", "fibonacci"],
+        "cert-quadratic": ["cert", "--construction", "quadratic", "--a", "3", "--norm", "1"],
+        "cert-quadratic-filter": ["cert", "--construction", "quadratic-filter", "--a", "4"],
+        "cert-cubic": ["cert", "--construction", "cubic"],
+        "cert-verysparse": ["cert", "--construction", "verysparse"],
     }
     for name, argv in commands.items():
         outs = []
@@ -154,3 +173,5 @@ def test_artifacts_are_byte_identical(tmp_path):
             assert run(argv + ["--jobs", "1", "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1], name
+        if name.startswith("cert-"):
+            assert hashlib.sha256(outs[0]).hexdigest() == CERT_SHA256[name[5:]], name

@@ -4,7 +4,7 @@ import pytest
 
 from gplab.constructions import cubic_pisot_set, recurrence_terms
 from gplab.errors import PreconditionError
-from gplab.gpexpr import eval_value, members
+from gplab.gpexpr import eval_exact, members
 from gplab.realnum import compare, to_float
 
 
@@ -70,8 +70,8 @@ def test_indicator_agrees_with_fast_scan(trib):
 
 def test_g_h_expressions_evaluate_exactly(trib):
     for q in (7, 100, 1705):
-        g_tree = eval_value(trib.g_expr, q)
-        h_tree = eval_value(trib.h_sq_expr, q)
+        g_tree = eval_exact(trib.g_expr, q)
+        h_tree = eval_exact(trib.h_sq_expr, q)
         assert compare(g_tree, trib.g_value(q)) == 0
         assert compare(h_tree, trib.h_sq(q)) == 0
 
@@ -113,3 +113,25 @@ def test_n0_sq_matches_general_search_at_large_q(trib):
               7 * 10**15 + 1, 10**16 - 1):
         want = _nearest_lattice_sq(trib.norm, trib.theta[0] * q, trib.theta[1] * q)[0]
         assert (trib.n0_sq(q) - want).is_zero(), q
+
+
+@pytest.mark.parametrize(
+    "a, b, once_missed",
+    [
+        (1, 1, (334745777, 615693474, 2082876103, 3831006429, 12960201916, 23837527729,
+                80641778674)),
+        (2, 1, (263247781, 670444260, 4348691431, 11075326817)),
+        (2, -1, (109870576, 1042002567, 17342153393, 888855064897, 758216295635152)),
+    ],
+)
+def test_fast_scan_finds_members_near_every_term(a, b, once_missed):
+    # +-20 windows around every term in [1e6, 1e17], compared with the
+    # recurrence; the float prefilter once dropped the listed terms when its
+    # tuned margins were smaller than its float error
+    cons = cubic_pisot_set(a, b)
+    terms = recurrence_terms(cons.recurrence, 10**17 + 20)
+    centres = [t for t in terms if 10**6 <= t <= 10**17]
+    assert set(once_missed) <= set(centres)
+    for t in centres:
+        lo, hi = t - 20, t + 20
+        assert cons.certificate.members(lo, hi) == [x for x in terms if lo <= x <= hi], t

@@ -23,11 +23,12 @@ from gplab.gpexpr import (
     depends_on_var,
     discrete_difference,
     dist_lt_const,
+    eval_exact,
     eval_indicator,
-    eval_value,
     indicator_of_range,
     indicator_of_zero_set,
     is_floor_only,
+    map_tree,
     members,
     parse,
     substitute_var,
@@ -48,14 +49,14 @@ def phi():
 
 def test_parse_floor_expression():
     e = parse("floor(2*n/3)")
-    assert eval_value(e, 4) == 2
-    assert eval_value(e, 0) == 0
-    assert eval_value(e, -1) == -1
+    assert eval_exact(e, 4) == 2
+    assert eval_exact(e, 0) == 0
+    assert eval_exact(e, -1) == -1
 
 
 def test_parse_let_and_dist(phi):
     e = parse("let phi = root(x^2-x-1, 1, 2); dist(n*phi)")
-    v = eval_value(e, 5)
+    v = eval_exact(e, 5)
     assert abs(to_float(v) - 0.09016994374947424) < 1e-15
     assert compare(v, (phi * 5).dist_to_int()) == 0
 
@@ -77,15 +78,15 @@ def test_parse_error_reports_position():
 
 def test_halves_example():
     e = parse("n/2 - floor(n/2)")
-    assert eval_value(e, 7) == Fraction(1, 2)
-    assert eval_value(e, 8) == 0
+    assert eval_exact(e, 7) == Fraction(1, 2)
+    assert eval_exact(e, 8) == 0
 
 
 def test_division_by_field_constant():
     e = parse("let b = root(x^3-x^2-x-1, 1, 2); nint(n/b)")
     # 1/beta ~ 0.5437
-    assert eval_value(e, 2) == 1
-    assert eval_value(e, 13) == 7
+    assert eval_exact(e, 2) == 1
+    assert eval_exact(e, 13) == 7
 
 
 def test_roundtrip_idempotent_on_lets(phi):
@@ -103,7 +104,7 @@ def test_print_expands_non_generator_constants(phi):
     text = to_text(e)
     reparsed = parse(text)
     for n in (1, 5, 11):
-        assert compare(eval_value(e, n), eval_value(reparsed, n)) == 0
+        assert compare(eval_exact(e, n), eval_exact(reparsed, n)) == 0
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -111,7 +112,7 @@ def test_print_expands_non_generator_constants(phi):
 def test_eval_matches_quadratic_oracle(phi):
     e = parse("let phi = root(x^2-x-1, 1, 2); floor(n*phi)")
     for n in range(-30, 60):
-        assert eval_value(e, n) == floor_quadratic(Fraction(n, 2), Fraction(n, 2), 5)
+        assert eval_exact(e, n) == floor_quadratic(Fraction(n, 2), Fraction(n, 2), 5)
 
 
 def test_canonicalize_preserves_value(phi):
@@ -125,7 +126,7 @@ def test_canonicalize_preserves_value(phi):
         c = canonicalize(e)
         assert is_floor_only(c) or isinstance(e, Frac) is False
         for n in (-7, 0, 1, 12, 55):
-            assert compare(eval_value(e, n), eval_value(c, n)) == 0
+            assert compare(eval_exact(e, n), eval_exact(c, n)) == 0
 
 
 def test_canonical_dist_squared_is_floor_only(phi):
@@ -185,7 +186,7 @@ def test_substitute_var(phi):
     e = Floor(Mul(Const("phi", phi), N))
     sub = substitute_var(e, Nint(Mul(RationalConst(Fraction(1, 2)), N)))
     # floor(phi * nint(n/2)) at n = 10 -> floor(5 phi) = 8
-    assert eval_value(sub, 10) == 8
+    assert eval_exact(sub, 10) == 8
 
 
 # -- discrete differences -----------------------------------------------------
@@ -222,8 +223,8 @@ def test_members_over_negative_range(phi):
 
 def test_eval_negative_arguments(phi):
     e = Floor(Mul(Const("phi", phi), N))
-    assert eval_value(e, -5) == -9  # floor(-8.09...)
-    assert eval_value(e, 0) == 0
+    assert eval_exact(e, -5) == -9  # floor(-8.09...)
+    assert eval_exact(e, 0) == 0
 
 
 # -- the compiled program -------------------------------------------------------
@@ -259,7 +260,7 @@ def test_deep_expression_evaluates_without_recursion():
         e = Add(Floor(e), RationalConst(Fraction(1, 3)))
     ind = Add(Sub(Mul(RationalConst(Fraction(2)), Floor(e)), N), RationalConst(Fraction(1)))
     assert members(ind, -3, 10) == [-2, 0, 2, 4, 6, 8, 10]
-    assert eval_value(e, 7) == Fraction(10, 3)
+    assert eval_exact(e, 7) == Fraction(10, 3)
 
 
 def test_walk_and_depends_on_var_handle_deep_trees():
@@ -276,6 +277,34 @@ def test_walk_and_depends_on_var_handle_deep_trees():
     assert nodes[2403:] == [RationalConst(Fraction(1, 3))] * 1200
     assert depends_on_var(e)
     assert not depends_on_var(c)
+    # the rewriters and the printer are folds over the same tree
+    assert map_tree(e, lambda node, kids: 1 + sum(kids)) == len(nodes)
+    assert map_tree(e, lambda node, kids: 1 + max(kids, default=0)) == 2 * 1200 + 2
+    assert to_text(e) == "floor(" * 1200 + "n * (1/2)" + ") + (1/3)" * 1200
+    assert canonicalize(e) is e  # floor-only already: nothing is rebuilt
+    frac_e = canonicalize(Frac(e))
+    assert isinstance(frac_e, Sub) and frac_e.left is e and frac_e.right.arg is e
+    doubled = substitute_var(e, Mul(RationalConst(Fraction(2)), N))
+    assert to_text(doubled) == "floor(" * 1200 + "2 * n * (1/2)" + ") + (1/3)" * 1200
+    assert eval_exact(doubled, 7) == Fraction(22, 3)  # floor(7) + 1/3 at every level
+    assert not depends_on_var(substitute_var(e, RationalConst(Fraction(5))))
+
+
+def test_map_tree_folds_shared_subtrees_once():
+    d = N
+    for _ in range(1200):
+        d = Add(d, d)
+    # 2^1201 - 1 tree nodes, 1201 distinct ones
+    assert map_tree(d, lambda node, kids: 1 + sum(kids)) == 2**1201 - 1
+    calls = []
+    map_tree(d, lambda node, kids: calls.append(node))
+    assert len(calls) == 1201
+    s = substitute_var(d, Mul(N, N))
+    assert s.left is s.right and s.left.left is s.left.right  # sharing survives
+    node = s
+    for _ in range(1200):
+        node = node.left
+    assert isinstance(node, Mul)
 
 
 def test_product_skips_right_factor_when_left_is_zero():
