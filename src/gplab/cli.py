@@ -171,7 +171,7 @@ def cmd_bestapprox(args) -> int:
 def cmd_heis(args) -> int:
     spec = default_orbit_spec(Fraction(args.c), args.range_to)
     if args.mode == "growth":
-        rows = growth_count(spec, tuple(int(x) for x in args.ladder.split(",")), args.maxprec)
+        rows = growth_count(spec, args.ladder, args.maxprec)
         data = [
             {"N": r.N, "S_N": r.count, "ratio": f"{r.ratio:.6f}", "skipped_count": r.skipped}
             for r in rows
@@ -210,8 +210,7 @@ def cmd_ipsearch(args) -> int:
         if args.mode == "ipr":
             rep = find_ipr_in_set(cert, args.r, args.bound, args.maxprec)
         else:
-            shifts = [int(s) for s in args.shifts.split(",")] if args.shifts else [0]
-            rep = translated_ip_probe(cert, args.r, args.bound, shifts, args.maxprec)
+            rep = translated_ip_probe(cert, args.r, args.bound, args.shifts or [0], args.maxprec)
     print(f"runtime_ms: {rep.runtime_ms}", file=sys.stderr)
     _write_atomic(args.out, rep.to_text())
     return EXIT_OK
@@ -317,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", default="1/20", help="threshold exponent (rational)")
     p.add_argument("--from", dest="range_from", type=int, default=0)
     p.add_argument("--to", dest="range_to", type=int, default=1000)
-    p.add_argument("--ladder", default="1000,10000,100000,1000000")
+    p.add_argument("--ladder", type=_int_list, default="1000,10000,100000,1000000")
     p.add_argument("--grid", type=int, default=4)
     _add_common(p)
     p.set_defaults(fn=cmd_heis)
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("ipr", "translated", "ap"), default="ipr")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--bound", type=int, default=10**4)
-    p.add_argument("--shifts", default="")
+    p.add_argument("--shifts", type=_int_list, default=None)
     _add_construction_args(p)
     _add_common(p)
     p.set_defaults(fn=cmd_ipsearch)

@@ -5,10 +5,16 @@ scanned ``n >= exceptional_bound``; mismatches below the bound are listed
 explicitly.  The exceptional data is always determined by scanning against
 an oracle, never assumed.
 
-Builders may attach a ``predicate`` (a faster or more robust semantic
-membership test) and a ``fast_scan`` strategy; both must agree with the
-indicator wherever the indicator is decidable, which the test suite
-checks on sampled ranges.
+The indicator decides membership.  ``members`` runs it through the
+certificate's compiled ``Program``; a builder may attach a ``fast_scan``
+whose candidate generator (a float prefilter, a pull-back, a filter of
+another certificate's members) only proposes points, each then confirmed
+by ``confirm``, the compiled indicator.  Two scans keep a bespoke exact
+confirmer, each with its measured reason stated next to it:
+``CubicConstruction.member`` (cubic members sit exactly on the plateau, so
+the indicator climbs the whole bit ladder before deciding) and the
+very-sparse interval containment (the indicator is undecidable past the
+depth of the supplied sequence).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from ..errors import ParseError
-from ..gpexpr import Expr, eval_indicator, members, parse, to_text
+from ..gpexpr import Expr, Program, eval_indicator, members, parse, to_text
 from ..realnum import DEFAULT_MAX_BITS
 
 SCAN_CHUNK = 1 << 19  # points per numpy block of a float prefilter scan
@@ -30,21 +36,30 @@ class Certificate:
     target_description: str
     exceptional_bound: int = 0
     exceptional: tuple[int, ...] = ()
-    predicate: Callable[[int], bool] | None = None
     fast_scan: Callable[[int, int], list[int]] | None = None
     meta: dict = field(default_factory=dict)
+    _compiled: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    def program(self) -> Program:
+        """The compiled indicator, compiled once per indicator object
+        (``very_sparse_snapshot`` swaps the indicator after the build)."""
+        expr, program = self._compiled
+        if expr is not self.indicator:
+            program = Program(self.indicator)
+            self._compiled = (self.indicator, program)
+        return program
+
+    def confirm(self, n: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:
+        """The indicator's verdict at n: how scans confirm their candidates."""
+        return eval_indicator(self.indicator, n, max_bits, self.program()) == 1
 
     def member(self, n: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:
-        if self.predicate is not None:
-            return self.predicate(n)
-        return eval_indicator(self.indicator, n, max_bits) == 1
+        return n in self.members(n, n, max_bits)
 
     def members(self, lo: int, hi: int, max_bits: int = DEFAULT_MAX_BITS) -> list[int]:
         if self.fast_scan is not None:
             return self.fast_scan(lo, hi)
-        if self.predicate is not None:
-            return [n for n in range(lo, hi + 1) if self.predicate(n)]
-        return members(self.indicator, lo, hi, max_bits)
+        return members(self.indicator, lo, hi, max_bits, self.program())
 
     # -- serialization ------------------------------------------------------
     def to_file_text(self) -> str:

@@ -12,14 +12,16 @@ Three layers:
   ||u*m|| < |u|/2), which converts a certificate for one linear-recurrence
   value set into one for another with the same characteristic polynomial.
 
-Scans use a float prefilter with an explicit error margin; every candidate
-(and only candidates) is confirmed by exact field arithmetic, so scan
-output is exact.
+Scans propose candidates (a float prefilter with an explicit error margin,
+the pull-back of source members, the members of the unfiltered set) and
+confirm each one with the certificate's compiled indicator, so scan output
+is exactly the indicator's member set.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -44,23 +46,16 @@ from .recurrence import LinearRecurrence, recurrence_terms, residue_coefficient
 _DEFAULT_VERIFY_TO = 4000
 
 
-def _dist_lt_half_over_n_member(x: FieldElement, n: int) -> bool:
-    """Exact test of ||n*x|| < 1/(2n) for n >= 1 (true at n = 0 by scaling)."""
-    if n == 0:
-        return True
-    if n < 0:
-        return False
-    d = (x * n).dist_to_int()
-    return (d * (2 * n) - 1).sign() < 0
+def _half_over_n_scan(
+    x: FieldElement, confirm: Callable[[int], bool], lo: int, hi: int
+) -> list[int]:
+    """Members of {n : ||n x|| < 1/(2n)} on [lo, hi]: prefilter, then ``confirm``.
 
-
-def _half_over_n_scan(x: FieldElement, lo: int, hi: int) -> list[int]:
-    """Members of {n : ||n x|| < 1/(2n)} on [lo, hi]: prefilter + exact confirm."""
-    out = []
-    lo0 = lo
-    if lo <= 0:
-        out.extend(n for n in range(lo, min(0, hi) + 1) if _dist_lt_half_over_n_member(x, n))
-        lo0 = 1
+    Points n <= 0 are all confirmed; for n >= 1 the float prefilter keeps
+    every n whose computed distance is within its error margin of 1/(2n).
+    """
+    out = [n for n in range(lo, min(0, hi) + 1) if confirm(n)]
+    lo0 = max(lo, 1)
     if lo0 > hi:
         return out
     xf = x.to_float()
@@ -75,20 +70,20 @@ def _half_over_n_scan(x: FieldElement, lo: int, hi: int) -> list[int]:
         margin = max(abs(v[0]), abs(v[-1])) * 2.0**-50 + 1e-12
         for idx in np.nonzero(dist < 0.5 / ns + margin)[0]:
             n = start + int(idx)
-            if _dist_lt_half_over_n_member(x, n):
+            if confirm(n):
                 out.append(n)
     return out
 
 
 def _half_over_n_certificate(x: FieldElement, description: str) -> Certificate:
     ind = dist_lt_scaled(Mul(N, Const(x.field.name, x)), Mul(RationalConst(Fraction(2)), N))
-    return Certificate(
+    cert = Certificate(
         indicator=ind,
         target_description=description,
-        predicate=lambda n: _dist_lt_half_over_n_member(x, n),
-        fast_scan=lambda lo, hi: _half_over_n_scan(x, lo, hi),
+        fast_scan=lambda lo, hi: _half_over_n_scan(x, cert.confirm, lo, hi),
         meta={"kind": "half-over-n", "root": repr(x)},
     )
+    return cert
 
 
 def _fibonacci_like(a: int) -> LinearRecurrence:
@@ -141,27 +136,21 @@ def scaled_set_transfer(
         near_src = _dist_lt_field_const(un, u_abs * Fraction(1, 2))
     indicator = ind_and(substitute_var(cert_r.indicator, Nint(un)), near_src)
 
-    def predicate(m: int) -> bool:
-        um = u * m
-        r = um.nint()
-        if not cert_r.member(r):
-            return False
-        return (um.dist_to_int() * 2 - u_abs).sign() < 0
-
     def fast_scan(lo: int, hi: int) -> list[int]:
         # invert: each source member r pulls back to at most one candidate m
-        ulo, uhi = u_abs.enclosure(Fraction(1, 2**20))
+        ulo, uhi = u_abs.enclosure(Fraction(1, 2**20 * (abs(lo) + abs(hi) + 1)))
         r_hi = int(uhi * max(abs(lo), abs(hi)) + uhi / 2) + 2
-        src = cert_r.members(0, r_hi)
+        # when u > 0, every m >= lo > 0 has r = nint(u m) >= u lo - 1/2
+        r_lo = max(0, int(ulo * lo) - 2) if lo > 0 and u.sign() > 0 else 0
+        src = cert_r.members(r_lo, r_hi)
         inv_u = u.inverse()
         # u < 0 or sign quirks could place candidates off by one; widen by hand
         near = {(inv_u * r).nint() + d for r in src for d in (-1, 0, 1)}
-        return sorted(m for m in near if lo <= m <= hi and predicate(m))
+        return sorted(m for m in near if lo <= m <= hi and cert.confirm(m))
 
     cert = Certificate(
         indicator=indicator,
         target_description=target_description or f"transfer of ({cert_r.target_description})",
-        predicate=predicate,
         fast_scan=fast_scan,
         meta={"kind": "scaled-transfer", "u": repr(u)},
     )
@@ -232,20 +221,10 @@ def _norm_plus_odd_certificate(
     wn = Mul(Const(w.field.name, w), N)
     indicator = ind_and(base.indicator, ind_not(substitute_var(base.indicator, Nint(wn))))
 
-    def predicate(n: int) -> bool:
-        if not base.member(n):
-            return False
-        m = (w * n).nint()
-        return not base.member(m)
-
-    def fast_scan(lo: int, hi: int) -> list[int]:
-        return [n for n in base.members(lo, hi) if predicate(n)]
-
     cert = Certificate(
         indicator=indicator,
         target_description=f"odd-index convergent denominators of gamma, gamma^2 = {a} gamma - 1",
-        predicate=predicate,
-        fast_scan=fast_scan,
+        fast_scan=lambda lo, hi: [n for n in base.members(lo, hi) if cert.confirm(n)],
         meta={"kind": "odd-denominator-filter", "a": a, "w": repr(w)},
     )
     verify_certificate(cert, odd_index_denominators(a, verify_to), 1, verify_to)
@@ -306,16 +285,13 @@ def quadratic_pisot_unit_set(a: int, norm: int, verify_to: int = _DEFAULT_VERIFY
     )
     indicator = ind_or(even.indicator, odd_powers.indicator)
 
-    def predicate(n: int) -> bool:
-        return even.member(n) or odd_powers.member(n)
-
     def fast_scan(lo: int, hi: int) -> list[int]:
-        return sorted(set(even.members(lo, hi)) | set(odd_powers.members(lo, hi)))
+        union = set(even.members(lo, hi)) | set(odd_powers.members(lo, hi))
+        return sorted(n for n in union if cert.confirm(n))
 
     cert = Certificate(
         indicator=indicator,
         target_description=description,
-        predicate=predicate,
         fast_scan=fast_scan,
         meta={"construction": "quadratic a=3 norm=+1"},
     )

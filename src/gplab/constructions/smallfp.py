@@ -69,23 +69,11 @@ def _probe_growth(p: Expr, probe_to: int) -> None:
 def sqrt2_small_dist_certificate() -> Certificate:
     """Certificate for E = {n >= 1 : ||n sqrt(2)|| < 1/sqrt(n)}.
 
-    The membership test is exact: ||n sqrt2||^2 * n < 1 in Q(sqrt2).
+    The indicator tests ||n sqrt2||^2 * n < 1; it decides membership.
     """
-    fld = NumberField((-2, 0, 1), 1, 2, "s")
-    sq2 = fld.generator()
-    indicator = small_fp_family(Dist(Mul(N, Const("s", sq2))), N, Fraction(-1, 2))
-
-    def predicate(n: int) -> bool:
-        if n < 1:
-            return False
-        d = (sq2 * n).dist_to_int()
-        if d.is_zero():
-            return False
-        return (d * d * n - 1).sign() < 0
-
+    sq2 = NumberField((-2, 0, 1), 1, 2, "s").generator()
     return Certificate(
-        indicator=indicator,
+        indicator=small_fp_family(Dist(Mul(N, Const("s", sq2))), N, Fraction(-1, 2)),
         target_description="integers with ||n sqrt(2)|| below 1/sqrt(n)",
-        predicate=predicate,
         meta={"construction": "small_fp sqrt2 b=-1/2"},
     )

@@ -172,17 +172,10 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
         indicator_of_zero_set(Sub(y, RationalConst(Fraction(2)))),
     )
 
-    def predicate(n: int) -> bool:
-        return _member_by_containment(params, n)
-
-    def fast_scan(lo: int, hi: int) -> list[int]:
-        return _very_sparse_scan(params, lo, hi)
-
     return Certificate(
         indicator=indicator,
         target_description=f"terms of the supplied sequence {params.n_seq[:3]}...",
-        predicate=predicate,
-        fast_scan=fast_scan,
+        fast_scan=lambda lo, hi: _very_sparse_scan(params, lo, hi),
         meta={
             "construction": f"very_sparse C={params.C} D={params.D}",
             "coprime_from": params.coprime_from,
@@ -218,8 +211,11 @@ def _very_sparse_scan(params: VerySparseParams, lo: int, hi: int) -> list[int]:
     """Scan by fixed-point arithmetic on the deepest interval; exact logic.
 
     Off-boundary decisions follow from the interval containment test; the
-    rare undecidable points are reported via PrecisionExhausted by the
-    exact predicate.
+    rare undecidable points raise PrecisionExhausted from
+    ``_member_by_containment``.  That test, not the compiled indicator,
+    confirms here: the indicator over the alpha stream raises
+    PrecisionExhausted already at n = 2^49, a term of the default sequence,
+    where containment decides.
     """
     out = []
     lo = max(lo, 1)

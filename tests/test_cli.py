@@ -63,6 +63,15 @@ def test_exit_code_bad_construction_params():
     assert run(["verify", "--construction", "verysparse", "--sequence", "2,x", "--to", "9"]) == 2
 
 
+def test_exit_code_bad_int_lists(capsys):
+    for argv in (["heis", "--ladder", "10,x"], ["ipsearch", "--mode", "translated", "--r", "2",
+                                                "--shifts", "0,y"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"gp {argv[0]}: error:"), err
+        assert "Traceback" not in err
+
+
 def test_exit_code_unknown_suite():
     assert run(["suite", "nope"]) == 2
 
@@ -151,10 +160,23 @@ CERT_SHA256 = {
     "verysparse": "1091a1f1a4f0fa2a9516c147e6deea6c69356b6c68a8ce2abb9d97079e877c41",
 }
 
+# sha256 of artifacts whose membership decisions go through certificate
+# scans, unchanged since scans confirm with the compiled indicator
+SCAN_SHA256 = {
+    "verify": "682e5745828913e2b80bf83e0b27c4dda5f3be4b6125c95a36262e9214a17975",
+    "density": "9d9b6937c07ac01903b1ede295a4772b2b393392c4810963360472994f525115",
+    "ipsearch": "0e3f43973b177a0f95e223cd6d5e5348e241af86a8d35af652f393de1685834e",
+    "ipsearch-ap": "680e09d5e006aee40e3752cf366295fadd603582f1576959c0fc16abdc1fbbc5",
+    "ipsearch-translated": "3a9910c7b6a1c5ee26f45626e4499f981219ea8208bb96f37424b82a87e47788",
+}
+
 
 def test_artifacts_are_byte_identical(tmp_path):
     commands = {
         "ipsearch": ["ipsearch", "--mode", "ipr", "--r", "3"],
+        "ipsearch-ap": ["ipsearch", "--mode", "ap", "--r", "5"],
+        "ipsearch-translated": ["ipsearch", "--mode", "translated", "--r", "2",
+                                "--shifts", "0,1,2"],
         "suite": ["suite", "quick"],
         "members": ["members", "--expr", "floor(1 - frac(theta*n/7))", "--from", "1",
                     "--to", "60"],
@@ -173,5 +195,8 @@ def test_artifacts_are_byte_identical(tmp_path):
             assert run(argv + ["--jobs", "1", "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1], name
+        digest = hashlib.sha256(outs[0]).hexdigest()
         if name.startswith("cert-"):
-            assert hashlib.sha256(outs[0]).hexdigest() == CERT_SHA256[name[5:]], name
+            assert digest == CERT_SHA256[name[5:]], name
+        elif name in SCAN_SHA256:
+            assert digest == SCAN_SHA256[name], name

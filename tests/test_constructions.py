@@ -1,6 +1,7 @@
 """Tests for recurrences, quadratic certificates and set transfer."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,11 +17,20 @@ from gplab.constructions import (
     scaled_set_transfer,
     verify_certificate,
 )
+from gplab.constructions.registry import construction
 from gplab.errors import PreconditionError, ZeroSolution
-from gplab.gpexpr import eval_indicator, members
+from gplab.gpexpr import members
 from gplab.realnum import NumberField
 
 from oracles import dist_quadratic_lt, fibonacci_upto
+
+# nint(phi^i) for i >= 0, phi the golden ratio: 1, 2, then the Lucas numbers
+PHI_POWERS = (1, 2, 3, 4, 7, 11, 18, 29, 47, 76, 123, 199, 322, 521, 843)
+
+
+def _in_fibonacci_set(n: int) -> bool:
+    """||n phi|| < 1/(2n), n >= 1, decided by the surd oracle."""
+    return dist_quadratic_lt(Fraction(n, 2), Fraction(n, 2), 5, Fraction(1, 2 * n))
 
 
 def test_recurrence_terms_examples():
@@ -86,18 +96,39 @@ def test_fibonacci_certificate_members():
     assert not cert.member(4)
     # exact agreement with the independent surd oracle on an interval
     for n in range(1, 400):
-        expected = dist_quadratic_lt(
-            Fraction(n, 2), Fraction(n, 2), 5, Fraction(1, 2 * n)
-        )
-        assert cert.member(n) == expected
+        assert cert.member(n) == _in_fibonacci_set(n)
 
 
 def test_fibonacci_indicator_matches_fast_scan():
     cert = fibonacci_like_set(1)
-    generic = members(cert.indicator, 2, 1500)
-    assert generic == cert.members(2, 1500)
+    fib = [n for n in fibonacci_upto(1500) if n >= 2]
+    assert members(cert.indicator, 2, 1500) == cert.members(2, 1500) == fib
     for n in (1, 2, 3, 4, 88, 89, 90):
-        assert eval_indicator(cert.indicator, n) == (1 if cert.member(n) else 0)
+        assert cert.member(n) == _in_fibonacci_set(n)
+
+
+_DEFAULTS = dict(a=1, b=1, norm=-1, C=5, D=6, sequence=(2, 128, 562949953421312))
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("fibonacci", {"a": 1}),
+        ("fibonacci", {"a": 2}),
+        ("quadratic", {"a": 3, "norm": 1}),
+        ("quadratic", {"a": 3, "norm": -1}),
+        ("quadratic", {"a": 4, "norm": 1}),
+        ("quadratic-filter", {"a": 4}),
+        ("cubic", {"a": 1, "b": 1}),
+        ("cubic", {"a": 2, "b": 1}),
+        ("verysparse", {}),
+    ],
+)
+def test_scan_matches_compiled_indicator(name, params):
+    # the scan's candidate generator drops no member of the indicator, and
+    # the bespoke cubic and very-sparse confirmers agree with it
+    cert = construction(name).build(SimpleNamespace(**{**_DEFAULTS, **params}))
+    assert cert.members(1, 4000) == members(cert.indicator, 1, 4000, program=cert.program())
 
 
 def test_pell_certificate():
@@ -184,7 +215,7 @@ def test_transfer_identity():
     fld = NumberField((-1, -1, 1), 1, 2, "phi")
     ident = scaled_set_transfer(cert, fld.one(), "identity transfer")
     for n in (1, 2, 3, 4, 5, 8, 13, 20, 21, 33, 34):
-        assert ident.member(n) == cert.member(n)
+        assert ident.member(n) == _in_fibonacci_set(n)
 
 
 def test_transfer_fibonacci_by_inverse_sqrt5():
@@ -193,10 +224,9 @@ def test_transfer_fibonacci_by_inverse_sqrt5():
     u = residue_coefficient(LinearRecurrence((1, 1), (0, 1)), fld)
     out = scaled_set_transfer(cert, u, "nearest integers to powers of phi")
     got = out.members(5, 1000)
-    assert got == [7, 11, 18, 29, 47, 76, 123, 199, 322, 521, 843]
-    # indicator agrees with the predicate pointwise
+    assert got == [n for n in PHI_POWERS if n >= 5]
     for n in (4, 5, 7, 10, 11, 12, 29, 30):
-        assert eval_indicator(out.indicator, n) == (1 if out.member(n) else 0)
+        assert out.member(n) == (n in PHI_POWERS)
 
 
 def test_transfer_large_u_reported_empty():
@@ -269,7 +299,16 @@ def test_half_over_n_scan_across_chunk_boundaries(monkeypatch):
     phi = field.generator()
 
     def exact(x, lo, hi):
-        return [n for n in range(lo, hi + 1) if quadratic._dist_lt_half_over_n_member(x, n)]
+        # x = (1 +- sqrt5)/2; the indicator also holds at n = 0 (by scaling)
+        q = Fraction(1, 2) if x == phi else Fraction(-1, 2)
+        return [0] * (lo <= 0 <= hi) + [
+            n for n in range(max(lo, 1), hi + 1)
+            if dist_quadratic_lt(Fraction(n, 2), q * n, 5, Fraction(1, 2 * n))
+        ]
+
+    def scan(x, lo, hi):
+        cert = quadratic._half_over_n_certificate(x, "")
+        return quadratic._half_over_n_scan(x, cert.confirm, lo, hi)
 
     # small blocks put block boundaries all over short ranges; 1 - phi < 0
     # checks that each block's float margin uses its largest |n x|
@@ -277,10 +316,10 @@ def test_half_over_n_scan_across_chunk_boundaries(monkeypatch):
         m.setattr(quadratic, "SCAN_CHUNK", 100)
         for x in (phi, 1 - phi):
             for lo, hi in [(-5, 250), (1, 300), (140, 1000)]:
-                assert quadratic._half_over_n_scan(x, lo, hi) == exact(x, lo, hi)
+                assert scan(x, lo, hi) == exact(x, lo, hi)
     # real block size: F(30) = 832040 lies just inside the second block
     lo, hi = 832040 - quadratic.SCAN_CHUNK - 3, 832040 + 50
-    got = quadratic._half_over_n_scan(phi, lo, hi)
+    got = scan(phi, lo, hi)
     assert got == [n for n in fibonacci_upto(hi) if n >= lo] == [317811, 514229, 832040]
     window = (832040 - 20, 832040 + 20)
     assert [n for n in got if window[0] <= n <= window[1]] == exact(phi, *window)

@@ -4,7 +4,7 @@ import pytest
 
 from gplab.constructions import cubic_pisot_set, recurrence_terms
 from gplab.errors import PreconditionError
-from gplab.gpexpr import eval_exact, members
+from gplab.gpexpr import eval_exact, eval_indicator, members
 from gplab.realnum import compare, to_float
 
 
@@ -66,6 +66,15 @@ def test_record_scaling_exact(trib):
 def test_indicator_agrees_with_fast_scan(trib):
     generic = members(trib.certificate.indicator, 1, 600)
     assert generic == trib.certificate.members(1, 600)
+    # the scan confirms suspects with the closed forms in ``member``, not
+    # with the indicator: both must agree on and around every term
+    for cons in (trib, cubic_pisot_set(2, 1), cubic_pisot_set(2, -1)):
+        program = cons.certificate.program()
+        ind = cons.certificate.indicator
+        terms = recurrence_terms(cons.recurrence, 10**13)
+        for t in (t for t in terms if t >= 10**6):
+            for n in range(t - 20, t + 21):
+                assert cons.member(n) == (eval_indicator(ind, n, program=program) == 1), n
 
 
 def test_g_h_expressions_evaluate_exactly(trib):

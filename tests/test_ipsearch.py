@@ -19,7 +19,11 @@ from gplab.ipsearch import (
 
 
 def _set_cert(pred, desc="test set"):
-    return Certificate(indicator=None, target_description=desc, predicate=pred)
+    return Certificate(
+        indicator=None,
+        target_description=desc,
+        fast_scan=lambda lo, hi: [n for n in range(lo, hi + 1) if pred(n)],
+    )
 
 
 def test_finite_sums_examples():

@@ -82,7 +82,8 @@ def test_formal_indicator_agrees_on_decidable_points(cert):
 
 def test_formal_indicator_boundary_raises(cert):
     # membership of the deepest term sits on the closed boundary of the
-    # available data: the semantic predicate decides it, the theta form cannot
+    # available data: the scan's interval containment decides it, the theta
+    # form cannot
     assert cert.member(N2)
     with pytest.raises(PrecisionExhausted):
         eval_indicator(cert.indicator, N2, 4096)
