@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from ..errors import ParseError
-from ..gpexpr import Expr, Program, eval_indicator, members, parse, to_text
+from ..gpexpr import Expr, eval_indicator, parse, to_text
+from ..gpexpr.evaluate import Program
 from ..realnum import DEFAULT_MAX_BITS
 
 SCAN_CHUNK = 1 << 19  # points per numpy block of a float prefilter scan
@@ -59,7 +60,7 @@ class Certificate:
     def members(self, lo: int, hi: int, max_bits: int = DEFAULT_MAX_BITS) -> list[int]:
         if self.fast_scan is not None:
             return self.fast_scan(lo, hi)
-        return members(self.indicator, lo, hi, max_bits, self.program())
+        return [n for n in range(lo, hi + 1) if self.confirm(n, max_bits)]
 
     # -- serialization ------------------------------------------------------
     def to_file_text(self) -> str:

@@ -286,8 +286,9 @@ def quadratic_pisot_unit_set(a: int, norm: int, verify_to: int = _DEFAULT_VERIFY
     indicator = ind_or(even.indicator, odd_powers.indicator)
 
     def fast_scan(lo: int, hi: int) -> list[int]:
-        union = set(even.members(lo, hi)) | set(odd_powers.members(lo, hi))
-        return sorted(n for n in union if cert.confirm(n))
+        # each branch's members are exactly where its indicator is 1, so their
+        # union is exactly where the OR is 1: nothing left to confirm
+        return sorted(set(even.members(lo, hi)) | set(odd_powers.members(lo, hi)))
 
     cert = Certificate(
         indicator=indicator,

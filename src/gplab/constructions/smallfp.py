@@ -69,11 +69,15 @@ def _probe_growth(p: Expr, probe_to: int) -> None:
 def sqrt2_small_dist_certificate() -> Certificate:
     """Certificate for E = {n >= 1 : ||n sqrt(2)|| < 1/sqrt(n)}.
 
-    The indicator tests ||n sqrt2||^2 * n < 1; it decides membership.
+    The indicator tests 0 < ||n sqrt2|| and ||n sqrt2||^4 * n^2 < 1.  Both
+    are even in n, so the indicator also holds at -m for every member m; the
+    scan proposes n >= 1 only and the indicator decides each of them.
     """
     sq2 = NumberField((-2, 0, 1), 1, 2, "s").generator()
-    return Certificate(
+    cert = Certificate(
         indicator=small_fp_family(Dist(Mul(N, Const("s", sq2))), N, Fraction(-1, 2)),
         target_description="integers with ||n sqrt(2)|| below 1/sqrt(n)",
+        fast_scan=lambda lo, hi: [n for n in range(max(lo, 1), hi + 1) if cert.confirm(n)],
         meta={"construction": "small_fp sqrt2 b=-1/2"},
     )
+    return cert

@@ -361,13 +361,9 @@ def members(
     lo: int,
     hi: int,
     max_bits: int = DEFAULT_MAX_BITS,
-    program: Program | None = None,
 ) -> list[int]:
-    """All n in [lo, hi] where the indicator evaluates to 1, in order.
-
-    ``program`` is ``Program(e)`` when the caller already compiled it.
-    """
-    program = program if program is not None else Program(e)
+    """All n in [lo, hi] where the indicator evaluates to 1, in order."""
+    program = Program(e)
     return [n for n in range(lo, hi + 1) if eval_indicator(e, n, max_bits, program) == 1]
 
 

@@ -100,9 +100,10 @@ def test_fibonacci_certificate_members():
 
 
 def test_fibonacci_indicator_matches_fast_scan():
+    # the scan against the integer recurrence; scan against the compiled
+    # indicator is test_scan_matches_compiled_indicator
     cert = fibonacci_like_set(1)
-    fib = [n for n in fibonacci_upto(1500) if n >= 2]
-    assert members(cert.indicator, 2, 1500) == cert.members(2, 1500) == fib
+    assert cert.members(2, 1500) == [n for n in fibonacci_upto(1500) if n >= 2]
     for n in (1, 2, 3, 4, 88, 89, 90):
         assert cert.member(n) == _in_fibonacci_set(n)
 
@@ -128,7 +129,7 @@ def test_scan_matches_compiled_indicator(name, params):
     # the scan's candidate generator drops no member of the indicator, and
     # the bespoke cubic and very-sparse confirmers agree with it
     cert = construction(name).build(SimpleNamespace(**{**_DEFAULTS, **params}))
-    assert cert.members(1, 4000) == members(cert.indicator, 1, 4000, program=cert.program())
+    assert cert.members(1, 4000) == members(cert.indicator, 1, 4000)
 
 
 def test_pell_certificate():
@@ -290,6 +291,22 @@ def test_small_fp_family_examples():
         small_fp_family(N, N, F(1, 2))  # exponent must be negative
     with pytest.raises(PE):
         small_fp_family(N, RationalConst(F(-3)), F(-1, 2), probe_to=50)  # p not positive
+
+
+def test_sqrt2_certificate_starts_at_one():
+    from gplab.constructions import sqrt2_small_dist_certificate
+
+    cert = sqrt2_small_dist_certificate()
+    sq2 = NumberField((-2, 0, 1), 1, 2, "s").generator()
+
+    def in_target(n):  # ||n sqrt2||^2 * n < 1 in Q(sqrt2)
+        d = (sq2 * n).dist_to_int()
+        return not d.is_zero() and (d * d * n - 1).sign() < 0
+
+    # the indicator is even in n; the target and the scan start at n = 1
+    assert cert.members(-6, 0) == []
+    assert not cert.member(-3)
+    assert cert.members(-6, 300) == [n for n in range(1, 301) if in_target(n)]
 
 
 def test_half_over_n_scan_across_chunk_boundaries(monkeypatch):
