@@ -325,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("ipr", "translated", "ap"), default="ipr")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--bound", type=int, default=10**4)
-    p.add_argument("--shifts", type=_int_list, default=None)
+    p.add_argument("--shifts", type=_int_list, default=None,
+                   help="comma-separated shifts, tried in order (default 0); sums + shift "
+                   "are searched among n >= 1; write negatives as --shifts=-3,-1")
     _add_construction_args(p)
     _add_common(p)
     p.set_defaults(fn=cmd_ipsearch)

@@ -9,6 +9,7 @@ report means the search space below the bound was exhausted, nothing more.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .constructions.certificate import Certificate
@@ -84,13 +85,19 @@ def _search(
     max_bits: int,
     distinct: bool,
 ) -> SearchReport:
+    """First FS(n_1..n_r) + shift inside the set, by depth-first search.
+
+    Generators come from the member list on [1, top], since {g} is itself a
+    sum; ``nodes_explored`` still counts every integer generator position
+    considered, so it does not depend on how candidates are enumerated.
+    Shifted sums are searched among n >= 1, and shifts may be negative.
+    """
     if r < 1 or bound < 1:
         raise PreconditionError("need r >= 1 and bound >= 1")
     t0 = time.perf_counter()
     top = bound + (max(shifts) if shifts else 0)
-    member = bytearray(top + 1)
-    for n in cert.members(1, top, max_bits):
-        member[n] = 1
+    members = sorted(cert.members(1, top, max_bits))
+    member = set(members)
     nodes = 0
 
     def dfs(start: int, chosen: list[int], sums: list[int], shift: int):
@@ -98,15 +105,18 @@ def _search(
         if len(chosen) == r:
             return tuple(chosen)
         total = sums[-1] if sums else 0
-        g = start
-        while g + total <= bound:
-            nodes += 1
-            new_sums = [g] + [s + g for s in sums]
-            if all(member[s + shift] for s in new_sums):
-                found = dfs(g + 1 if distinct else g, chosen + [g], sorted(sums + new_sums), shift)
+        last = bound - total
+        pos = start  # first generator position not yet counted in nodes
+        for m in members[bisect_left(members, start + shift) : bisect_right(members, last + shift)]:
+            g = m - shift
+            nodes += g - pos + 1
+            pos = g + 1
+            if all(s + g + shift in member for s in sums):
+                new_sums = sorted(sums + [g] + [s + g for s in sums])
+                found = dfs(g + 1 if distinct else g, chosen + [g], new_sums, shift)
                 if found:
                     return found
-            g += 1
+        nodes += max(0, last - pos + 1)
         return None
 
     witness = None
@@ -160,7 +170,12 @@ def translated_ip_probe(
     max_bits: int = DEFAULT_MAX_BITS,
     distinct: bool = True,
 ) -> SearchReport:
-    """Search for FS(n_1..n_r) + shift inside the set, over the given shifts."""
+    """Search for FS(n_1..n_r) + shift inside the set, over the given shifts.
+
+    Shifts are tried in order and may be negative; shifted sums are searched
+    among n >= 1.  Generators come from the member list, and
+    ``nodes_explored`` counts every integer generator position considered.
+    """
     return _search(
         cert, r, bound, tuple(int(s) for s in shifts), "translated_ipr", max_bits, distinct
     )

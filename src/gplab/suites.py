@@ -181,14 +181,14 @@ def check_ip_witness() -> str:
     return f"m=169: progression {rep.witness} verified exactly"
 
 
-def check_finite_sums_probe() -> str:
-    fib = fibonacci_like_set(1)
-    rep = find_ipr_in_set(fib, 4, 10**4)
+def check_finite_sums_probe(exponent: int = 4) -> str:
+    fib, bound = fibonacci_like_set(1), 10**exponent
+    rep = find_ipr_in_set(fib, 4, bound)
     assert rep.exhaustive and rep.witness is None, f"unexpected witness {rep.witness}"
-    rep_t = translated_ip_probe(fib, 3, 10**4, range(0, 11))
+    rep_t = translated_ip_probe(fib, 3, bound, range(0, 11))
     assert rep_t.exhaustive and rep_t.witness is None, f"unexpected witness {rep_t.witness}"
     return (
-        f"no FS(n1..n4) <= 1e4 ({rep.nodes_explored} nodes); no translated FS(n1..n3) "
+        f"no FS(n1..n4) <= 1e{exponent} ({rep.nodes_explored} nodes); no translated FS(n1..n3) "
         f"with shifts 0..10 ({rep_t.nodes_explored} nodes); one-sided probes"
     )
 
@@ -408,6 +408,7 @@ PAPER_CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("heisenberg-growth-non-vacuous", check_heisenberg_growth_non_vacuous),
     ("ip-r-witness", check_ip_witness),
     ("finite-sums-probe", check_finite_sums_probe),
+    ("finite-sums-probe-1e7", lambda: check_finite_sums_probe(7)),
     ("property-battery", lambda: "; ".join(fn() for _, fn in QUICK_CHECKS)),
 ]
 

@@ -8,6 +8,7 @@ machinery, so expected values are computed along a second, independent path.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import gcd, isqrt
 
 
@@ -57,6 +58,25 @@ def fibonacci_upto(bound: int, a: int = 1) -> list[int]:
         if nxt > bound:
             return out
         out.append(nxt)
+
+
+def first_finite_sums(target, r: int, bound: int, shifts=(0,), distinct: bool = True):
+    """First (generators, shift) with every nonempty subset sum + shift in target.
+
+    Plain enumeration in a depth-first search's order: shifts as given, then
+    generator tuples lexicographically (distinct, or with repeats), total sum
+    <= bound.  Only integers g >= 1 with g + shift in target are tried as
+    generators, since each generator is itself one of the sums.
+    """
+    pick = combinations if distinct else combinations_with_replacement
+    for shift in shifts:
+        candidates = [g for g in range(1, bound + 1) if g + shift in target]
+        for gens in pick(candidates, r):
+            if sum(gens) <= bound and all(
+                sum(sub) + shift in target for k in range(2, r + 1) for sub in combinations(gens, k)
+            ):
+                return gens, shift
+    return None, None
 
 
 def tribonacci_R(bound: int, a: int = 1, b: int = 1) -> list[int]:

@@ -56,5 +56,9 @@ def test_criterion_8_finite_sums_consistency_probe():
     _run("finite-sums-probe", "criterion 8: finite-sums probes", 120)
 
 
+def test_finite_sums_probe_to_ten_million():
+    _run("finite-sums-probe-1e7", "finite-sums probes to 1e7", 10)
+
+
 def test_criterion_9_property_suites():
     _run("property-battery", "criterion 9: property battery", 60)

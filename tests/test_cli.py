@@ -3,7 +3,10 @@
 import hashlib
 import json
 
+import pytest
+
 from gplab.cli import main
+from oracles import fibonacci_upto, first_finite_sums
 
 
 def run(args):
@@ -70,6 +73,23 @@ def test_exit_code_bad_int_lists(capsys):
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith(f"gp {argv[0]}: error:"), err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "r,bound,shifts", [(2, 58, [-3]), (1, 58, [-3]), (2, 57, [-2]), (2, 5, [-7, -9])]
+)
+def test_ipsearch_negative_shifts(tmp_path, capsys, r, bound, shifts):
+    out = tmp_path / "ip.txt"
+    argv = ["ipsearch", "--mode", "translated", "--r", str(r), "--bound", str(bound),
+            "--construction", "fibonacci", "--shifts=" + ",".join(map(str, shifts))]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = dict(line.split(": ", 1) for line in out.read_text().splitlines())
+    fib = set(fibonacci_upto(bound + max(shifts))) - {0}
+    gens, shift = first_finite_sums(fib, r, bound, shifts)
+    assert rows["witness"] == (" ".join(map(str, gens)) if gens else "none")
+    assert rows.get("shift") == (str(shift) if gens else None)
+    assert rows["exhaustive"] == str(gens is None).lower()
 
 
 def test_exit_code_unknown_suite():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from gplab.ipsearch import (
     finite_sums,
     translated_ip_probe,
 )
+from oracles import first_finite_sums
 
 
 def _set_cert(pred, desc="test set"):
@@ -99,6 +101,53 @@ def test_translated_probe_empty_set():
     empty = _set_cert(lambda n: False)
     rep = translated_ip_probe(empty, 2, 30, range(3))
     assert rep.exhaustive and rep.witness is None
+
+
+def test_search_matches_plain_enumeration():
+    # the member-indexed search against itertools on seeded random sets
+    rng = random.Random(2024)
+    for _ in range(150):
+        density = rng.choice((0.15, 0.4, 0.7, 0.95))
+        members = {n for n in range(1, 81) if rng.random() < density}
+        cert = _set_cert(members.__contains__)
+        r, bound, distinct = rng.randint(1, 4), rng.randint(1, 70), rng.random() < 0.5
+        if rng.random() < 0.3:
+            rep = find_ipr_in_set(cert, r, bound, distinct=distinct)
+            gens, _ = first_finite_sums(members, r, bound, (0,), distinct)
+            shift = None
+        else:
+            shifts = [rng.randint(-8, 8) for _ in range(rng.randint(1, 3))]
+            rep = translated_ip_probe(cert, r, bound, shifts, distinct=distinct)
+            gens, shift = first_finite_sums(members, r, bound, shifts, distinct)
+        case = (sorted(members), r, bound, rep.shifts, distinct)
+        assert (rep.witness, rep.witness_shift, rep.exhaustive) == (gens, shift, gens is None), case
+
+
+@pytest.mark.parametrize("r,bound,shift", [(2, 58, -3), (1, 58, -3), (2, 57, -2)])
+def test_negative_shift_matches_bruteforce(r, bound, shift):
+    # shifted sums must be searched among n >= 1, not wrapped round the member table
+    fib = fibonacci_like_set(1)
+    rep = translated_ip_probe(fib, r, bound, [shift])
+    gens, want_shift = first_finite_sums(set(fib.members(1, bound + shift)), r, bound, (shift,))
+    assert gens is not None
+    assert (rep.witness, rep.witness_shift, rep.exhaustive) == (gens, want_shift, False)
+
+
+def test_all_negative_shifts_below_one_are_exhaustive():
+    rep = translated_ip_probe(fibonacci_like_set(1), 2, 5, [-7, -9])
+    assert rep.exhaustive and rep.witness is None and rep.witness_shift is None
+
+
+def test_work_counts_and_time_of_the_finite_sums_probes():
+    # nodes_explored counts every integer generator position, as an
+    # integer-by-integer walk does; the member-indexed search takes a few ms
+    fib = fibonacci_like_set(1)
+    t0 = time.perf_counter()
+    rep = find_ipr_in_set(fib, 4, 10**4)
+    rep_t = translated_ip_probe(fib, 3, 10**4, range(11))
+    elapsed = time.perf_counter() - t0
+    assert rep.nodes_explored == 310409 and rep_t.nodes_explored == 1633255
+    assert elapsed < 0.5, f"finite-sums probes took {elapsed:.2f}s"
 
 
 def test_report_serialization_format():
