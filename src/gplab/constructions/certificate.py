@@ -28,7 +28,12 @@ from ..gpexpr import Expr, eval_indicator, parse, to_text
 from ..gpexpr.evaluate import Program
 from ..realnum import DEFAULT_MAX_BITS
 
-SCAN_CHUNK = 1 << 19  # points per numpy block of a float prefilter scan
+# Points per numpy block of a float prefilter scan.  Each block makes about
+# a dozen float64 temporaries, and at 2^15 points (256 KiB each) they stay in
+# cache: scanning [1, 1e7] took 2.9 ns/pt (Fibonacci) and 5.6 ns/pt (cubic
+# (1,1)) at 2^15, 3.1 and 5.9 at 2^14, 4.1 and 6.7 at 2^16, and 10.6 and
+# 16.0 at 2^19, where every pass goes to memory (2-core host, best of 5).
+SCAN_CHUNK = 1 << 15
 
 
 @dataclass

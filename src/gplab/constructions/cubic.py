@@ -19,6 +19,7 @@ build time and verified exactly at two independent indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -334,10 +335,29 @@ def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
     on g.  A point is re-checked exactly when that lower bound reaches the
     plateau or when a rounding argument lies within its error bound of a
     half-integer, so no member is dropped.
+
+    Stage 1 runs that bound on the survivors of a cheaper test on q/beta
+    alone.  With t = q/beta - nint(q/beta), h^2 = re^2 + Im^2 t^2 >= Im^2 t^2,
+    and g(q) >= m1^-2 (q K - L) >= G, its value at the block's first q
+    (K > 0).  So if G > 0, a member has Im^2 t^2 G <= h^2 g <= beta^(k/2),
+    that is |t| <= sqrt(beta^(k/2) / (Im^2 G)), and the float t is within
+    d_t of the exact one while qb = q/beta rounds to the right integer.  A
+    point with |t| above d_t + sqrt(cap / (im_sq G)), whose qb is not within
+    d_qb + u of a half-integer, is therefore not a member, whatever the
+    second rounding nint(rew) does.  The threshold is evaluated outward:
+    G is lowered by the error of k_g and l_g (each within 8u) and of its
+    own product and differences, and the rest (im_sq within 2u, which the
+    sqrt halves; a product and a quotient under the sqrt, which it also
+    halves; the sqrt, the sum and the final product, each rounding by at
+    most u) loses at most 5u relative to first order, which the factor
+    1 + 8u restores.
+    Stage 1 is off in a block where k_g <= 0 or G <= 0.  Points n <= 0 are
+    confirmed by the certificate's compiled indicator.
     """
+    out = [n for n in range(lo, min(0, hi) + 1) if cons.certificate.confirm(n)]
     lo = max(lo, 1)
     if lo > hi:
-        return []
+        return out
     inv_b, inv_b2, re_u, im_sq, _ = cons._float_approx()
     beta_f = cons.beta.to_float()
     m1inv2 = 1.0 / cons.m1_sq.to_float()
@@ -359,7 +379,7 @@ def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
     eps = 16 * u
     w1_abs, re_abs = abs(w1), abs(re_u)
     m2 = w1_abs / 2 + 1  # |q/beta^2 - p2| with p2 = nint(rew)
-    out = []
+    steps = np.arange(SCAN_CHUNK, dtype=np.float64)
     for start in range(lo, hi + 1, SCAN_CHUNK):
         end = min(start + SCAN_CHUNK - 1, hi)
         q_max = float(end)
@@ -369,9 +389,18 @@ def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
         d_t = d_qb + eps
         d_rew = w1_abs * (d_t + eps) + d_qb2 + 2 * u * inv_b2 * q_max  # last: the sum's rounding
         d_re = re_abs * d_t + inv_b * d_qb2 + eps * (re_abs + inv_b * m2)
-        q = float(start) + np.arange(end - start + 1, dtype=np.float64)
+        q = float(start) + steps[: end - start + 1]
         qb = q * inv_b
-        t = qb - np.round(qb)
+        t = qb - np.round(qb)  # exact
+        g_start = float(start) * k_g - (l_g + d_q * k_g)
+        g_start -= 16 * u * (float(start) * k_g + l_g)
+        if k_g > 0 and g_start > 0:
+            thr = (d_t + math.sqrt(cap / (im_sq * g_start))) * (1 + 8 * u)
+        else:
+            thr = math.inf  # stage 1 off: every point goes on
+        t_abs = np.abs(t)
+        keep = np.nonzero((t_abs <= thr) | (0.5 - t_abs <= d_qb + u))[0]
+        q, qb, t = q[keep], qb[keep], t[keep]
         qb2 = q * inv_b2
         rew = w1 * t + qb2
         re = re_u * t + (qb2 - np.round(rew)) * inv_b
@@ -387,8 +416,6 @@ def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
         # 1.3 ms per Tribonacci member in [1e4, 1e13] against 0.2 ms here
         # (2-core host); confirming with the indicator moved the verify-cli
         # benchmark's op_p50_ms from 10.4-10.7 to 22.9-23.9 (seeds 21, 22).
-        for idx in np.nonzero(suspects)[0]:
-            n = start + int(idx)
-            if cons.member(n):
-                out.append(n)
+        idx = keep[np.nonzero(suspects)[0]]
+        out.extend(n for n in (start + int(i) for i in idx) if cons.member(n))
     return out

@@ -53,25 +53,34 @@ def _half_over_n_scan(
 
     Points n <= 0 are all confirmed; for n >= 1 the float prefilter keeps
     every n whose computed distance is within its error margin of 1/(2n).
+    The margin is derived, u = 2^-53: to_float is within 2^-60 + u|x| of x,
+    n itself is rounded above 2^53, the product n x adds one rounding of at
+    most u|n x|, and round and the subtraction are exact, so the computed
+    distance is within the sum of those errors of ||n x||.  While the
+    margin is below 1/2, 4u more covers the rounding of 0.5/n, of the
+    threshold's sum and of the margin itself, and the second-order terms.
+    Stage 1 compares every distance with the block's largest threshold,
+    0.5/start + margin, and only its survivors meet the per-point one.
     """
     out = [n for n in range(lo, min(0, hi) + 1) if confirm(n)]
     lo0 = max(lo, 1)
     if lo0 > hi:
         return out
     xf = x.to_float()
+    x_abs = abs(xf)
+    u = 2.0**-53
+    steps = np.arange(SCAN_CHUNK, dtype=np.float64)
     for start in range(lo0, hi + 1, SCAN_CHUNK):
         end = min(start + SCAN_CHUNK - 1, hi)
-        ns = np.arange(start, end + 1, dtype=np.float64)
+        q_max = float(end)
+        d_q = 2 * u * q_max if q_max > 2.0**53 else 0.0  # start + i rounds twice
+        margin = q_max * (2.0**-60 + 2 * u * x_abs) + x_abs * d_q + 4 * u
+        ns = float(start) + steps[: end - start + 1]
         v = ns * xf
-        f = v - np.floor(v)
-        dist = np.minimum(f, 1.0 - f)
-        # |computed - true| <= |value| * 2^-50 on this chunk (v is monotone);
-        # widen the threshold by that much
-        margin = max(abs(v[0]), abs(v[-1])) * 2.0**-50 + 1e-12
-        for idx in np.nonzero(dist < 0.5 / ns + margin)[0]:
-            n = start + int(idx)
-            if confirm(n):
-                out.append(n)
+        dist = np.abs(v - np.round(v))
+        idx = np.nonzero(dist < 0.5 / start + margin)[0]
+        idx = idx[dist[idx] < 0.5 / ns[idx] + margin]
+        out.extend(n for n in (start + int(i) for i in idx) if confirm(n))
     return out
 
 

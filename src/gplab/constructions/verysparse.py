@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import Callable
 
 import mpmath
 
@@ -172,10 +173,10 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
         indicator_of_zero_set(Sub(y, RationalConst(Fraction(2)))),
     )
 
-    return Certificate(
+    cert = Certificate(
         indicator=indicator,
         target_description=f"terms of the supplied sequence {params.n_seq[:3]}...",
-        fast_scan=lambda lo, hi: _very_sparse_scan(params, lo, hi),
+        fast_scan=lambda lo, hi: _very_sparse_scan(params, cert.confirm, lo, hi),
         meta={
             "construction": f"very_sparse C={params.C} D={params.D}",
             "coprime_from": params.coprime_from,
@@ -183,6 +184,7 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
             "alpha_hi": str(params.intervals[-1][1]),
         },
     )
+    return cert
 
 
 def very_sparse_snapshot(params: VerySparseParams) -> Certificate:
@@ -207,17 +209,19 @@ def very_sparse_snapshot(params: VerySparseParams) -> Certificate:
     return cert
 
 
-def _very_sparse_scan(params: VerySparseParams, lo: int, hi: int) -> list[int]:
+def _very_sparse_scan(
+    params: VerySparseParams, confirm: Callable[[int], bool], lo: int, hi: int
+) -> list[int]:
     """Scan by fixed-point arithmetic on the deepest interval; exact logic.
 
     Off-boundary decisions follow from the interval containment test; the
     rare undecidable points raise PrecisionExhausted from
     ``_member_by_containment``.  That test, not the compiled indicator,
-    confirms here: the indicator over the alpha stream raises
+    confirms n >= 1 here: the indicator over the alpha stream raises
     PrecisionExhausted already at n = 2^49, a term of the default sequence,
-    where containment decides.
+    where containment decides.  Points n <= 0 are left to ``confirm``.
     """
-    out = []
+    out = [n for n in range(lo, min(0, hi) + 1) if confirm(n)]
     lo = max(lo, 1)
     alo, ahi = params.intervals[-1]
     bits = max(64, (hi * (ahi - alo)).numerator.bit_length() + 64)

@@ -226,16 +226,20 @@ class DensityEstimate:
 
 
 def density_estimate(cert: Certificate, N: int, max_bits: int = DEFAULT_MAX_BITS) -> DensityEstimate:
-    """|E ∩ [0, N)| and its ratio to N; undecided points are reported."""
+    """|E ∩ [1, N]| and its ratio to N; undecided points are reported.
+
+    Only positive n count: the indicators of value sets also hold at some
+    n <= 0 (the cubic ones at 0), which are not in the target set.
+    """
     if N < 1:
         raise PreconditionError("N must be at least 1")
     undecided = []
     try:
-        count = len(cert.members(0, N - 1, max_bits))
+        count = len(cert.members(1, N, max_bits))
     except PrecisionExhausted as exc:
         # fall back to pointwise so the offending points can be reported
         count = 0
-        for n in range(N):
+        for n in range(1, N + 1):
             try:
                 count += 1 if cert.member(n, max_bits) else 0
             except PrecisionExhausted:

@@ -127,9 +127,10 @@ _DEFAULTS = dict(a=1, b=1, norm=-1, C=5, D=6, sequence=(2, 128, 562949953421312)
 )
 def test_scan_matches_compiled_indicator(name, params):
     # the scan's candidate generator drops no member of the indicator, and
-    # the bespoke cubic and very-sparse confirmers agree with it
+    # the bespoke cubic and very-sparse confirmers agree with it; at n <= 0
+    # the cubic and very-sparse indicators hold at points outside the target
     cert = construction(name).build(SimpleNamespace(**{**_DEFAULTS, **params}))
-    assert cert.members(1, 4000) == members(cert.indicator, 1, 4000)
+    assert cert.members(-50, 4000) == members(cert.indicator, -50, 4000)
 
 
 def test_pell_certificate():
@@ -334,9 +335,41 @@ def test_half_over_n_scan_across_chunk_boundaries(monkeypatch):
         for x in (phi, 1 - phi):
             for lo, hi in [(-5, 250), (1, 300), (140, 1000)]:
                 assert scan(x, lo, hi) == exact(x, lo, hi)
-    # real block size: F(30) = 832040 lies just inside the second block
-    lo, hi = 832040 - quadratic.SCAN_CHUNK - 3, 832040 + 50
+    # real block size: the first Fibonacci term that fits lies just inside
+    # the second block
+    term = next(f for f in fibonacci_upto(10**18) if f > quadratic.SCAN_CHUNK + 3)
+    lo, hi = term - quadratic.SCAN_CHUNK - 3, term + 50
     got = scan(phi, lo, hi)
-    assert got == [n for n in fibonacci_upto(hi) if n >= lo] == [317811, 514229, 832040]
-    window = (832040 - 20, 832040 + 20)
+    assert term in got
+    assert got == [n for n in fibonacci_upto(hi) if n >= lo]
+    window = (term - 20, term + 20)
     assert [n for n in got if window[0] <= n <= window[1]] == exact(phi, *window)
+
+
+def _count_confirmations(monkeypatch):
+    calls = [0]
+    confirm = Certificate.confirm
+
+    def counted(self, n, *args):
+        calls[0] += 1
+        return confirm(self, n, *args)
+
+    monkeypatch.setattr(Certificate, "confirm", counted)
+    return calls
+
+
+def test_half_over_n_prefilter_work(monkeypatch):
+    # deterministic guards against a prefilter that silently stops
+    # filtering: confirmations are counted, not timed
+    fib, pell = fibonacci_like_set(1), fibonacci_like_set(2)
+    calls = _count_confirmations(monkeypatch)
+    assert fib.members(1, 10**7) == fibonacci_upto(10**7)[2:]
+    assert calls[0] == 34  # one per member: nothing else passes below 1e7
+    calls[0] = 0
+    assert fib.members(3 * 10**11, 3 * 10**11 + 10**6) == []
+    assert calls[0] < 916  # the tuned margin's count; the derived one is smaller
+    for cert, a in ((fib, 1), (pell, 2)):
+        terms = fibonacci_upto(10**15 + 20, a)
+        for t in (t for t in terms if 10**6 <= t <= 10**15):
+            lo, hi = t - 20, t + 20
+            assert cert.members(lo, hi) == [x for x in terms if lo <= x <= hi], t

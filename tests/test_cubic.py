@@ -143,3 +143,50 @@ def test_fast_scan_finds_members_near_every_term(a, b, once_missed):
     for t in centres:
         lo, hi = t - 20, t + 20
         assert cons.certificate.members(lo, hi) == [x for x in terms if lo <= x <= hi], t
+
+
+@pytest.fixture(scope="module")
+def cubic_pairs(trib):
+    return {(1, 1): trib, (2, 1): cubic_pisot_set(2, 1), (2, -1): cubic_pisot_set(2, -1)}
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (2, 1), (2, -1)])
+def test_cubic_scan_across_chunk_boundaries(cubic_pairs, pair, monkeypatch):
+    from gplab.constructions import cubic
+
+    cons = cubic_pairs[pair]
+    # small blocks: stage 1 takes a new lower bound on g every 100 points
+    with monkeypatch.context() as m:
+        m.setattr(cubic, "SCAN_CHUNK", 100)
+        assert cons.certificate.members(1, 3000) == [n for n in range(1, 3001) if cons.member(n)]
+    # real block size: the first term that fits lies just inside the second
+    # block, whose last point is far enough out to lift g well above its
+    # value at the term
+    terms = recurrence_terms(cons.recurrence, 10**18)
+    term = next(t for t in terms if t > cubic.SCAN_CHUNK + 3)
+    lo, hi = term - cubic.SCAN_CHUNK - 3, term + 50
+    got = cons.certificate.members(lo, hi)
+    assert term in got
+    assert set(got) >= {t for t in terms if lo <= t <= hi}
+    window = range(term - 20, term + 21)
+    assert [n for n in got if n in window] == [n for n in window if cons.member(n)]
+
+
+def test_cubic_prefilter_work(trib, monkeypatch):
+    # deterministic guards against a prefilter that silently stops
+    # filtering: exact confirmations are counted, not timed
+    from gplab.constructions.cubic import CubicConstruction
+
+    calls = [0]
+    member = CubicConstruction.member
+
+    def counted(self, q):
+        calls[0] += 1
+        return member(self, q)
+
+    monkeypatch.setattr(CubicConstruction, "member", counted)
+    assert trib.certificate.members(1, 10**7) == recurrence_terms(trib.recurrence, 10**7)[1:]
+    assert calls[0] == 27  # one per member
+    calls[0] = 0
+    assert trib.certificate.members(10**13, 10**13 + 10**6 - 1) == []
+    assert calls[0] <= 10264  # the one-stage prefilter's count on this window

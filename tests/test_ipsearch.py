@@ -173,8 +173,8 @@ def test_density_examples():
     assert density_estimate(empty, 50).count == 0
     fib = fibonacci_like_set(1)
     est = density_estimate(fib, 10**6)
-    # 29 Fibonacci values below 1e6 plus the n=0 membership of the indicator
-    assert abs(est.count - 29) <= 1
+    # the 29 Fibonacci values in [1, 1e6]; n = 0 is not counted
+    assert est.count == 29
     assert not est.partial
 
 
