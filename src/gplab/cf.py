@@ -2,9 +2,10 @@
 
 The expansion uses the classical integer surd state ``(P + sqrt(D))/Q``,
 so partial quotients and the (always eventually periodic) period are exact.
-Best approximations in one and two dimensions are found by exhaustive
-record scans with exact comparisons; the planar norm is ``|u*x1 + v*x2|``
-for a complex constant ``u`` and real ``v``, evaluated through its exact
+Best approximations in one and two dimensions are found by record scans
+whose decisions are exact; a certified fixed-point screen skips the q that
+cannot beat the current record.  The planar norm is ``|u*x1 + v*x2|`` for
+a complex constant ``u`` and real ``v``, evaluated through its exact
 squared value in the ground field.
 """
 
@@ -18,14 +19,23 @@ from .errors import NondegenerateNormRequired, NotFound, PreconditionError
 from .realnum import (
     DEFAULT_MAX_BITS,
     FieldElement,
+    NeedBits,
     NumberField,
     Real,
+    as_stream,
     compare,
+    dist_iv,
     dist_of,
+    fixed_enclosure,
+    floor_iv,
+    mul_iv,
     nint_of,
+    prefilter_bits,
+    rmul,
+    rpow,
     rr_sqrt,
     rsub,
-    as_stream,
+    scale_iv,
     sqrt_interval,
 )
 
@@ -152,22 +162,35 @@ def legendre_check(x: Real, m: int, n: int, max_bits: int = DEFAULT_MAX_BITS) ->
 
 
 def best_approx_1d(x: Real, Q: int, max_bits: int = DEFAULT_MAX_BITS) -> list[BestApprox]:
-    """All best approximations with q <= Q by exhaustive record minimization."""
+    """All best approximations with q <= Q: a record scan with exact decisions.
+
+    Each q is first screened on a fixed-point enclosure of x: when the
+    certified lower bound of ||q x|| is at least the current record's upper
+    bound, ||q x|| >= record and q is skipped.  Every other q is decided
+    exactly (``dist_of``/``compare``), so the records are those of the
+    exhaustive exact scan.  ``max_bits`` also caps the screen's precision.
+    """
     if Q < 1:
         raise PreconditionError("Q must be at least 1")
+    bits = prefilter_bits(Q.bit_length(), max_bits)
+    x_iv = fixed_enclosure(x, bits)
     out: list[BestApprox] = []
     best: Real | None = None
+    best_hi = 0  # the record's upper bound, at scale 2^bits
     for q in range(1, Q + 1):
-        from .realnum import rmul
-
+        if best is not None:
+            try:
+                if dist_iv(scale_iv(q, x_iv), bits)[0] >= best_hi:
+                    continue
+            except NeedBits:
+                pass
         qx = rmul(Fraction(q), x)
         d = dist_of(qx, max_bits)
         if best is None or compare(d, best, max_bits) < 0:
             p = nint_of(qx, max_bits)
-            from .realnum import rpow
-
             out.append(BestApprox(q, (p,), rpow(d, 2), d))
             best = d
+            best_hi = fixed_enclosure(d, bits)[1]
     return out
 
 
@@ -250,19 +273,50 @@ def best_approx_2d(
 ) -> list[BestApprox]:
     """Best approximations of a planar point under the given norm, q <= Q.
 
-    Exhaustive minimization of N(q*theta - p) over a window guaranteed to
-    contain the minimizer; records strictly decrease along the output.
+    Exact minimization of N(q*theta - p) over a window guaranteed to contain
+    the minimizer; records strictly decrease along the output.  A q is
+    skipped without the window search when a fixed-point lower bound of
+    N0(q)^2 is at least the current record's upper bound r:
+
+    * every lattice point has N(x)^2 >= Im(u)^2 x1^2 >= Im(u)^2 ||q theta1||^2;
+    * when Im(u)^2 / 4 >= r, only p1 = nint(q theta1) can beat r, and with
+      w = (Re(u)/v) x1 + q theta2, N(x)^2 = v^2 (w - p2)^2 + Im(u)^2 x1^2
+      >= v^2 ||w||^2 + Im(u)^2 x1^2.
     """
     if Q < 1:
         raise PreconditionError("Q must be at least 1")
     th1, th2 = theta
+    bits = prefilter_bits(Q.bit_length(), DEFAULT_MAX_BITS)
+    half = 1 << (bits - 1)
+    t1_iv = fixed_enclosure(th1, bits)
+    t2_iv = fixed_enclosure(th2, bits)
+    g_iv = fixed_enclosure(norm.re_u * norm.v.inverse(), bits)
+    im_lo = max(0, fixed_enclosure(norm.im_u_sq, bits)[0])
+    v_sq_lo = max(0, fixed_enclosure(norm.v * norm.v, bits)[0])
     out: list[BestApprox] = []
     best_sq: FieldElement | None = None
+    bound = 0  # the record's upper bound, at scale 2^(3 bits)
     for q in range(1, Q + 1):
+        if best_sq is not None:
+            try:
+                x1 = scale_iv(q, t1_iv)
+                d1 = dist_iv(x1, bits)[0]
+                lower = im_lo * d1 * d1
+                if lower < bound and im_lo << (2 * bits - 2) >= bound:
+                    p1 = floor_iv((x1[0] + half, x1[1] + half), bits) << bits
+                    w = mul_iv(g_iv, (x1[0] - p1, x1[1] - p1), bits)
+                    w = (w[0] + q * t2_iv[0], w[1] + q * t2_iv[1])
+                    dw = dist_iv(w, bits)[0]
+                    lower += v_sq_lo * dw * dw
+                if lower >= bound:
+                    continue
+            except NeedBits:
+                pass
         n0_sq, p = _nearest_lattice_sq(norm, th1 * q, th2 * q)
         if best_sq is None or n0_sq.compare(best_sq) < 0:
             out.append(BestApprox(q, p, n0_sq, rr_sqrt(as_stream(n0_sq))))
             best_sq = n0_sq
+            bound = fixed_enclosure(n0_sq, bits)[1] << (2 * bits)
     return out
 
 

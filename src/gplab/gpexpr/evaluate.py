@@ -19,9 +19,10 @@ list is run in two modes:
   current precision the driver escalates along the 96 -> 4096-bit ladder,
   falling back to exact mode last.
 
-Constant enclosures are computed once per program and precision; irrational
-field elements use :func:`~gplab.realnum.dyadic_enclosure`, which works on
-the field's certified dyadic root bracket.
+Constant enclosures are computed once per program and precision with
+:func:`~gplab.realnum.fixed_enclosure`; irrational field elements use the
+field's certified dyadic root bracket.  The interval kernels are the shared
+ones of :mod:`gplab.realnum.fixed`.
 
 Exact integer intermediate results stay exact in dyadic mode (their
 endpoints coincide and carry no rounding), so indicator expressions always
@@ -35,13 +36,16 @@ from fractions import Fraction
 from ..errors import NonBooleanValue, PrecisionExhausted
 from ..realnum import (
     DEFAULT_MAX_BITS,
-    FieldElement,
+    NeedBits,
     Real,
+    dist_iv,
     dist_of,
-    dyadic_enclosure,
+    fixed_enclosure,
     floor_frac,
+    floor_iv,
     frac_of,
-    interval_of,
+    interval_of,  # noqa: F401  (bound here for perfbench's constant-enclosure probe)
+    mul_iv,
     nint_of,
     radd,
     rmul,
@@ -69,10 +73,6 @@ _CONST, _VAR, _ADD, _SUB, _MUL, _POW, _FLOOR, _FRAC, _NINT, _DIST = range(10)
 
 _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL}
 _UNARY = {Floor: _FLOOR, Frac: _FRAC, Nint: _NINT, Dist: _DIST}
-
-
-class _NeedBits(Exception):
-    """A floor/nint decision is ambiguous at the current precision."""
 
 
 class Program:
@@ -151,14 +151,14 @@ class Program:
             tpl = [None] * len(self.ops)
             for i, (code, a, _) in enumerate(self.ops):
                 if code == _CONST:
-                    tpl[i] = _const_enclosure(self.consts[a], bits)
+                    tpl[i] = fixed_enclosure(self.consts[a], bits)
             self._templates[bits] = tpl
         return tpl
 
     def eval_dyadic(self, n: int, bits: int) -> tuple[int, int]:
         """Interval ``[lo, hi] * 2^-bits`` holding the value at n.
 
-        Raises ``_NeedBits`` when a floor it needs is undecided at ``bits``.
+        Raises ``NeedBits`` when a floor it needs is undecided at ``bits``.
         """
         ops = self.ops
         val = self._template(bits).copy()
@@ -189,7 +189,7 @@ class Program:
                     if y is None:
                         stack.append(b)
                         continue
-                    out = _mul_iv(x, y, bits)
+                    out = mul_iv(x, y, bits)
             elif code == _ADD or code == _SUB:
                 y = val[b]
                 if y is None:
@@ -200,21 +200,21 @@ class Program:
                 else:
                     out = (x[0] - y[1], x[1] - y[0])
             elif code == _FLOOR:
-                v = _floor_iv(x, bits) << bits
+                v = floor_iv(x, bits) << bits
                 out = (v, v)
             elif code == _NINT:
                 half = 1 << (bits - 1)
-                v = _floor_iv((x[0] + half, x[1] + half), bits) << bits
+                v = floor_iv((x[0] + half, x[1] + half), bits) << bits
                 out = (v, v)
             elif code == _FRAC:
-                f = _floor_iv(x, bits) << bits
+                f = floor_iv(x, bits) << bits
                 out = (x[0] - f, x[1] - f)
             elif code == _DIST:
-                out = _dist_iv(x, bits)
+                out = dist_iv(x, bits)
             else:  # _POW
                 out = x
                 for _ in range(b - 1):
-                    out = _mul_iv(out, x, bits)
+                    out = mul_iv(out, x, bits)
             val[i] = out
             stack.pop()
         return val[root]
@@ -246,48 +246,6 @@ class Program:
                 out = dist_of(val[a], max_bits)
             val.append(out)
         return val[-1]
-
-
-def _const_enclosure(value: Real, bits: int) -> tuple[int, int]:
-    if isinstance(value, FieldElement):
-        lo, hi = dyadic_enclosure(value, bits + 2)
-        return lo >> 2, -((-hi) >> 2)
-    flo, fhi = interval_of(value, bits + 2)
-    lo = (flo.numerator << bits) // flo.denominator
-    hi = -((-fhi.numerator << bits) // fhi.denominator)
-    return lo, hi
-
-
-def _mul_iv(a: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
-    al, ah = a
-    bl, bh = b
-    if al >= 0 and bl >= 0:
-        lo, hi = al * bl, ah * bh
-    else:
-        p1, p2, p3, p4 = al * bl, al * bh, ah * bl, ah * bh
-        lo = min(p1, p2, p3, p4)
-        hi = max(p1, p2, p3, p4)
-    return lo >> bits, -((-hi) >> bits)
-
-
-def _floor_iv(v: tuple[int, int], bits: int) -> int:
-    flo = v[0] >> bits
-    fhi = v[1] >> bits
-    if flo != fhi:
-        raise _NeedBits
-    return flo
-
-
-def _dist_iv(a: tuple[int, int], bits: int) -> tuple[int, int]:
-    f = _floor_iv(a, bits) << bits
-    flo, fhi = a[0] - f, a[1] - f
-    one = 1 << bits
-    half = 1 << (bits - 1)
-    if fhi <= half:
-        return flo, fhi
-    if flo >= half:
-        return one - fhi, one - flo
-    return min(flo, one - fhi), half
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +289,7 @@ def eval_indicator(
     for bits in _dyadic_ladder(max_bits):
         try:
             lo, hi = program.eval_dyadic(n, bits)
-        except _NeedBits:
+        except NeedBits:
             continue
         if lo == hi and lo % (1 << bits) == 0:
             val = lo >> bits
@@ -356,14 +314,26 @@ def eval_indicator(
     raise NonBooleanValue(f"indicator did not reduce to an integer at n={n}", n=n, value=value)
 
 
+# the last expression members() ran on and its Program, updated in place
+_last_compiled: list = [None, None]
+
+
 def members(
     e: Expr,
     lo: int,
     hi: int,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> list[int]:
-    """All n in [lo, hi] where the indicator evaluates to 1, in order."""
-    program = Program(e)
+    """All n in [lo, hi] where the indicator evaluates to 1, in order.
+
+    The last expression's ``Program`` is kept (with a strong reference, so
+    the identity test cannot match a recycled id): repeated windows of one
+    indicator compile it and fill its constant templates once.
+    """
+    expr, program = _last_compiled
+    if expr is not e:
+        program = Program(e)
+        _last_compiled[:] = e, program
     return [n for n in range(lo, hi + 1) if eval_indicator(e, n, max_bits, program) == 1]
 
 

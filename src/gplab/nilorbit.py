@@ -20,16 +20,21 @@ from fractions import Fraction
 from .errors import PrecisionExhausted, PreconditionError
 from .realnum import (
     DEFAULT_MAX_BITS,
+    NeedBits,
     NumberField,
     Real,
     compare,
+    dist_iv,
+    fixed_enclosure,
     floor_frac,
-    interval_of,
+    floor_iv,
+    prefilter_bits,
     radd,
     rmul,
     rneg,
     rpow,
     rsub,
+    scale_iv,
 )
 
 _Zero = Fraction(0)
@@ -152,6 +157,39 @@ def small_value_indicator(spec: OrbitSpec, n: int, max_bits: int = DEFAULT_MAX_B
     return 1 if compare(lhs, Fraction(1), max_bits) < 0 else 0
 
 
+def _fixed_bits(spec: OrbitSpec, N: int, max_bits: int) -> int:
+    """Prefilter precision for n < N: n*floor(n*beta) has this many integer bits."""
+    beta_abs = max(map(abs, fixed_enclosure(spec.beta, 0)))
+    return prefilter_bits((N * N * beta_abs).bit_length(), max_bits)
+
+
+def _fixed_indicator(
+    n: int, c: Fraction, alpha: tuple[int, int], beta: tuple[int, int], bits: int
+) -> int | None:
+    """f(n) from enclosures ``alpha, beta * 2^-bits``, or None if they cannot decide.
+
+    m = floor(n*beta) must be decided; then d = ||n*m*alpha|| lies in
+    ``[d_lo, d_hi] * 2^-bits`` and ``d^den * n^num < 1`` is settled when
+    ``d_lo^den * n^num >= 2^(bits*den)`` (f = 0, the common case) or
+    ``d_hi^den * n^num < 2^(bits*den)`` (f = 1).
+    """
+    if _threshold_at_least_half(n, c):
+        return 1
+    try:
+        m = floor_iv(scale_iv(n, beta), bits)
+        d_lo, d_hi = dist_iv(scale_iv(n * m, alpha), bits)
+    except NeedBits:
+        return None
+    num, den = c.numerator, c.denominator
+    t = n**num
+    one = 1 << (bits * den)
+    if d_lo**den * t >= one:
+        return 0
+    if d_hi**den * t < one:
+        return 1
+    return None
+
+
 @dataclass
 class GrowthRow:
     N: int
@@ -167,20 +205,29 @@ def growth_count(
 ) -> list[GrowthRow]:
     """S(N) = #{0 <= n < N : f(n) = 1} along a geometric ladder of N.
 
-    Precision failures are skipped and reported per row, never counted.
+    Each n is decided on fixed-point enclosures of alpha and beta when they
+    settle it, and by ``small_value_indicator`` otherwise.  Precision
+    failures of the exact decision are skipped and reported per row, never
+    counted.
     """
     ladder = tuple(sorted(ladder))
+    bits = _fixed_bits(spec, ladder[-1] if ladder else 0, max_bits)
+    alpha = fixed_enclosure(spec.alpha, bits)
+    beta = fixed_enclosure(spec.beta, bits)
     rows = []
     count = 0
     skipped = 0
-    n = 0
+    n = 1
     for N in ladder:
         while n < N:
-            if n >= 1:
+            f = _fixed_indicator(n, spec.c, alpha, beta, bits)
+            if f is None:
                 try:
-                    count += small_value_indicator(spec, n, max_bits)
+                    f = small_value_indicator(spec, n, max_bits)
                 except PrecisionExhausted:
+                    f = 0
                     skipped += 1
+            count += f
             n += 1
         exponent = 1 - float(spec.c)
         rows.append(GrowthRow(N=N, count=count, ratio=count / N**exponent, skipped=skipped))
@@ -223,33 +270,22 @@ def equidist_stats(
         _, zf = floor_frac(rmul(rmul(Fraction(n), spec.alpha), Fraction(yi)), max_bits)
         return box_of(xf), box_of(yf), box_of(zf)
 
-    # fixed-point fast path; boundary-ambiguous points fall back to exact
-    bits = 96
-    scale = 1 << bits
-    mask = scale - 1
-    alo, ahi = interval_of(spec.alpha, bits)
-    blo, bhi = interval_of(spec.beta, bits)
-    a_fix = (alo.numerator << bits) // alo.denominator
-    b_fix = (blo.numerator << bits) // blo.denominator
-    err = lambda n: n + 2  # fixed-point width after scaling by n, plus slack
+    # fixed-point enclosures decide the boxes; undecided points go exact
+    bits = _fixed_bits(spec, N, max_bits)
+    alpha = fixed_enclosure(spec.alpha, bits)
+    beta = fixed_enclosure(spec.beta, bits)
 
-    def fast_box(value_fix: int, slack: int) -> int | None:
-        f = value_fix & mask
-        scaled = f * k
-        if (scaled & mask) < k * slack or mask - (scaled & mask) < k * slack:
-            return None
-        return scaled >> bits
+    def fixed_box(v: tuple[int, int]) -> int:
+        # floor(k * {x}) for x in v * 2^-bits
+        f = floor_iv(v, bits) << bits
+        return floor_iv((k * (v[0] - f), k * (v[1] - f)), bits)
 
     for n in range(N):
-        e = err(n)
-        bx = fast_box(-n * a_fix, e)
-        by = fast_box(n * b_fix, e)
-        bz = None
-        if by is not None:
-            yi = (n * b_fix) >> bits
-            if ((n * b_fix) & mask) >= e and scale - ((n * b_fix) & mask) >= e:
-                bz = fast_box(n * a_fix * yi, e * max(yi, 1) + e)
-        if bx is None or by is None or bz is None:
+        try:
+            y = scale_iv(n, beta)
+            z = scale_iv(n * floor_iv(y, bits), alpha)
+            bx, by, bz = fixed_box(scale_iv(-n, alpha)), fixed_box(y), fixed_box(z)
+        except NeedBits:
             bx, by, bz = exact_boxes(n)
         counts[bx][by][bz] += 1
 

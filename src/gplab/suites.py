@@ -164,6 +164,28 @@ def check_heisenberg_growth() -> str:
     return f"{detail}; z-identity exact for n <= 1000"
 
 
+def check_heisenberg_growth_1e5() -> str:
+    """Growth to N = 1e5 at c = 1/3 and 9/20: ratios S(N)/N^(1-c) within 1.5x."""
+    parts = []
+    for c in (Fraction(1, 3), Fraction(9, 20)):
+        rows, _ = _growth_rows(c, (10**3, 10**4, 10**5))
+        ratios = [r.ratio for r in rows]
+        spread = max(ratios) / min(ratios)
+        assert spread < 1.5, f"c={c}: ratio spread {spread:.3f} >= 1.5"
+        counts = ", ".join(f"S({r.N})={r.count}" for r in rows)
+        parts.append(f"c={c}: {counts}; ratio spread {spread:.3f} < 1.5")
+    return "; ".join(parts)
+
+
+def check_best_approx_2d_tribonacci(Q: int = 10**5) -> str:
+    """Rauzy-norm records of theta for (a, b) = (1, 1) are the Tribonacci terms."""
+    cons = cubic_pisot_set(1, 1)
+    records = [b.q for b in best_approx_2d(cons.theta, cons.norm, Q)]
+    terms = sorted(set(recurrence_terms(cons.recurrence, Q)))
+    assert records == terms, f"records {records} vs Tribonacci terms {terms}"
+    return f"{len(records)} records on [1, {Q}] = Tribonacci terms 1, 2, 4, ..., {records[-1]}"
+
+
 def check_heisenberg_growth_non_vacuous() -> str:
     """Growth where n^(-c) < 1/2 for most n, so orbit points are evaluated."""
     parts = []
@@ -406,6 +428,8 @@ PAPER_CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("very-sparse-compiler", check_very_sparse),
     ("heisenberg-growth", check_heisenberg_growth),
     ("heisenberg-growth-non-vacuous", check_heisenberg_growth_non_vacuous),
+    ("heisenberg-growth-1e5", check_heisenberg_growth_1e5),
+    ("best-approx-2d-tribonacci-1e5", check_best_approx_2d_tribonacci),
     ("ip-r-witness", check_ip_witness),
     ("finite-sums-probe", check_finite_sums_probe),
     ("finite-sums-probe-1e7", lambda: check_finite_sums_probe(7)),

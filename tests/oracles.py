@@ -3,6 +3,10 @@
 Everything here is built from plain integer arithmetic (``math.isqrt``) and
 ``fractions.Fraction``, deliberately avoiding the package's own number-field
 machinery, so expected values are computed along a second, independent path.
+The exception is the exhaustive record and growth scans at the end: they
+are the package's exact decisions run at every q or n, with no prefilter,
+the reference for the prefiltered scans in ``gplab.cf`` and
+``gplab.nilorbit``.
 """
 
 from __future__ import annotations
@@ -175,3 +179,45 @@ class FractionFieldRef:
         for _ in range(e):
             out = self.mul(out, a)
         return out
+
+
+# ---------------------------------------------------------------------------
+# exhaustive exact scans: every q or n decided by exact arithmetic
+# ---------------------------------------------------------------------------
+
+
+def best_approx_1d_exhaustive(x, Q: int, max_bits: int = 4096) -> list[tuple[int, int]]:
+    """(q, p) of every best approximation with q <= Q: exact record scan."""
+    from gplab.realnum import compare, dist_of, nint_of, rmul
+
+    out = []
+    best = None
+    for q in range(1, Q + 1):
+        qx = rmul(Fraction(q), x)
+        d = dist_of(qx, max_bits)
+        if best is None or compare(d, best, max_bits) < 0:
+            out.append((q, nint_of(qx, max_bits)))
+            best = d
+    return out
+
+
+def best_approx_2d_exhaustive(theta, norm, Q: int) -> list[tuple[int, tuple[int, int], object]]:
+    """(q, p, N0^2) of every planar record with q <= Q: the exact window search at every q."""
+    from gplab.cf import _nearest_lattice_sq
+
+    th1, th2 = theta
+    out = []
+    best_sq = None
+    for q in range(1, Q + 1):
+        n0_sq, p = _nearest_lattice_sq(norm, th1 * q, th2 * q)
+        if best_sq is None or n0_sq.compare(best_sq) < 0:
+            out.append((q, p, n0_sq))
+            best_sq = n0_sq
+    return out
+
+
+def growth_count_exhaustive(spec, N: int, max_bits: int = 4096) -> int:
+    """S(N): the plain sum of the exact small-value indicator over 1 <= n < N."""
+    from gplab.nilorbit import small_value_indicator
+
+    return sum(small_value_indicator(spec, n, max_bits) for n in range(1, N))

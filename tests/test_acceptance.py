@@ -48,6 +48,14 @@ def test_heisenberg_growth_non_vacuous():
     _run("heisenberg-growth-non-vacuous", "Heisenberg growth at c = 9/20 and 1/3", 60)
 
 
+def test_heisenberg_growth_to_1e5():
+    _run("heisenberg-growth-1e5", "Heisenberg growth to 1e5 at c = 1/3 and 9/20", 20)
+
+
+def test_best_approx_2d_tribonacci_to_1e5():
+    _run("best-approx-2d-tribonacci-1e5", "Rauzy-norm records = Tribonacci terms to 1e5", 20)
+
+
 def test_criterion_7_ip_r_witness():
     _run("ip-r-witness", "criterion 7: IP_r witness", 60)
 

@@ -180,14 +180,20 @@ CERT_SHA256 = {
     "verysparse": "1091a1f1a4f0fa2a9516c147e6deea6c69356b6c68a8ce2abb9d97079e877c41",
 }
 
-# sha256 of artifacts whose membership decisions go through certificate
-# scans, unchanged since scans confirm with the compiled indicator
+# sha256 of artifacts whose decisions go through certificate scans
+# (unchanged since scans confirm with the compiled indicator) or through the
+# fixed-point screens of the record and growth scans (unchanged since every
+# point was decided exactly)
 SCAN_SHA256 = {
     "verify": "682e5745828913e2b80bf83e0b27c4dda5f3be4b6125c95a36262e9214a17975",
     "density": "9d9b6937c07ac01903b1ede295a4772b2b393392c4810963360472994f525115",
     "ipsearch": "0e3f43973b177a0f95e223cd6d5e5348e241af86a8d35af652f393de1685834e",
     "ipsearch-ap": "680e09d5e006aee40e3752cf366295fadd603582f1576959c0fc16abdc1fbbc5",
     "ipsearch-translated": "3a9910c7b6a1c5ee26f45626e4499f981219ea8208bb96f37424b82a87e47788",
+    "heis-growth": "32a1f6019ad3e22acbf50fde7527357df1880674bbaba6bac5ad4f190e01c0f8",
+    "heis-equidist": "91825aaa7a5bb3c1a04addcc6823ee184649d3d0a4712870ff3a1725d9493979",
+    "bestapprox-2d": "eca189754094ebea23054c70a886eb65a0c05671304620dc79c63d0c6ea09023",
+    "bestapprox-1d": "9382282b155fd92779a79e4aec09adbc9809b20b1a707e7002e7ab70b03da4ae",
 }
 
 
@@ -207,6 +213,10 @@ def test_artifacts_are_byte_identical(tmp_path):
         "cert-quadratic-filter": ["cert", "--construction", "quadratic-filter", "--a", "4"],
         "cert-cubic": ["cert", "--construction", "cubic"],
         "cert-verysparse": ["cert", "--construction", "verysparse"],
+        "heis-growth": ["heis", "--mode", "growth", "--c", "9/20", "--ladder", "1000,10000"],
+        "heis-equidist": ["heis", "--mode", "equidist", "--to", "20000", "--grid", "4"],
+        "bestapprox-2d": ["bestapprox", "--cubic-a", "1", "--cubic-b", "1", "--Q", "2000"],
+        "bestapprox-1d": ["bestapprox", "--expr", "let s = root(x^2-2, 1, 2); s", "--Q", "5000"],
     }
     for name, argv in commands.items():
         outs = []

@@ -348,3 +348,26 @@ def test_tribonacci_windows_near_1e12_reach_exact_fallback(monkeypatch):
         lo, hi = t - 8, t + 7
         assert members(ind, lo, hi) == [t]
     assert set(calls) >= set(trib)  # members sit on the plateau: only exact mode decides them
+
+
+def test_members_compiles_each_expression_once(monkeypatch):
+    from gplab.gpexpr import evaluate
+
+    compiled = []
+    real = evaluate.Program
+
+    def counting(e):
+        compiled.append(e)
+        return real(e)
+
+    monkeypatch.setattr(evaluate, "Program", counting)
+    monkeypatch.setattr(evaluate, "_last_compiled", [None, None])
+    first = parse("let s = root(x^2-2, 1, 2); floor(1 - frac(theta*floor(2*n*dist(n*s))))")
+    windows = [members(first, lo, lo + 40) for lo in (1, 41, 81)]
+    assert len(compiled) == 1
+    # an equal but distinct tree is a new expression: it compiles again
+    second = parse("let s = root(x^2-2, 1, 2); floor(1 - frac(theta*floor(2*n*dist(n*s))))")
+    assert second is not first and members(second, 1, 120) == sum(windows, [])
+    assert compiled == [first, second]
+    monkeypatch.setattr(evaluate, "Program", real)
+    assert [n for n in range(1, 121) if eval_indicator(first, n) == 1] == sum(windows, [])
