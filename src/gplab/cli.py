@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=10**4)
     p.add_argument("--shifts", type=_int_list, default=None,
                    help="comma-separated shifts, tried in order (default 0); sums + shift "
-                   "are searched among n >= 1; write negatives as --shifts=-3,-1")
+                   "are searched among n >= 1")
     _add_construction_args(p)
     _add_common(p)
     p.set_defaults(fn=cmd_ipsearch)
@@ -346,10 +346,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_shifts(argv: list[str]) -> list[str]:
+    """Read ``--shifts -3,-1`` as ``--shifts=-3,-1``: argparse takes a token
+    that starts with "-" and is not a plain number for an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--shifts" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"--shifts={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_negative_shifts(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -7,8 +7,9 @@ an oracle, never assumed.
 
 The indicator decides membership.  ``members`` runs it through the
 certificate's compiled ``Program``; a builder may attach a ``fast_scan``
-whose candidate generator (a float prefilter, a pull-back, a filter of
-another certificate's members) only proposes points, each then confirmed
+whose candidate generator (continued-fraction denominators, a float
+prefilter, a pull-back, a filter of another certificate's members) only
+proposes points, each then confirmed
 by ``confirm``, the compiled indicator.  Two scans keep a bespoke exact
 confirmer, each with its measured reason stated next to it:
 ``CubicConstruction.member`` (cubic members sit exactly on the plateau, so
@@ -28,11 +29,11 @@ from ..gpexpr import Expr, eval_indicator, parse, to_text
 from ..gpexpr.evaluate import Program
 from ..realnum import DEFAULT_MAX_BITS
 
-# Points per numpy block of a float prefilter scan.  Each block makes about
-# a dozen float64 temporaries, and at 2^15 points (256 KiB each) they stay in
-# cache: scanning [1, 1e7] took 2.9 ns/pt (Fibonacci) and 5.6 ns/pt (cubic
-# (1,1)) at 2^15, 3.1 and 5.9 at 2^14, 4.1 and 6.7 at 2^16, and 10.6 and
-# 16.0 at 2^19, where every pass goes to memory (2-core host, best of 5).
+# Points per numpy block of the cubic float prefilter scan.  Each block makes
+# about a dozen float64 temporaries, and at 2^15 points (256 KiB each) they
+# stay in cache: scanning cubic (1,1) on [1, 1e7] took 5.6 ns/pt at 2^15,
+# 5.9 at 2^14, 6.7 at 2^16 and 16.0 at 2^19, where every pass goes to memory
+# (2-core host, best of 5).
 SCAN_CHUNK = 1 << 15
 
 

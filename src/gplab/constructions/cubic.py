@@ -38,7 +38,17 @@ from ..gpexpr import (
     Sub,
     indicator_of_range,
 )
-from ..realnum import FieldElement, NumberField
+from ..realnum import (
+    DEFAULT_MAX_BITS,
+    FieldElement,
+    NeedBits,
+    NumberField,
+    fixed_enclosure,
+    floor_iv,
+    mul_iv,
+    prefilter_bits,
+    scale_iv,
+)
 from ..realnum.polys import count_real_roots
 from .certificate import SCAN_CHUNK, Certificate, verify_certificate
 from .recurrence import LinearRecurrence, recurrence_terms
@@ -187,6 +197,57 @@ class CubicConstruction:
             + c1 * (inv_b * q).nint()
             + inv_b * (inv_b2 * q).nint()
         )
+
+    def _fixed_consts(self, bits: int) -> tuple:
+        """Enclosures at ``bits`` of 1/beta, 1/beta^2, beta Re(u), Re(u),
+        Im(u)^2, m1^-2, c1 and beta^k, computed once per precision."""
+        cache = getattr(self, "_fixed_cache", None)
+        if cache is None:
+            cache = self._fixed_cache = {}
+        if bits not in cache:
+            inv_b, inv_b2 = self.theta
+            consts = (
+                inv_b,
+                inv_b2,
+                self.beta * self.norm.re_u,
+                self.norm.re_u,
+                self.norm.im_u_sq,
+                self.m1_sq.inverse(),
+                (self.beta * self.b + 1) * inv_b2,
+                self.beta**self.plateau_pow,
+            )
+            cache[bits] = tuple(fixed_enclosure(c, bits) for c in consts)
+        return cache[bits]
+
+    def may_be_member(self, q: int, bits: int) -> bool:
+        """False only when enclosures at ``bits`` prove (h(q)^2 g(q))^2 > beta^k.
+
+        The closed forms of ``h_sq`` and ``g_value`` are evaluated on
+        integer fixed-point enclosures, rounded outward; a rounding
+        (p1, p2 or nint(q/beta^2)) that the enclosures cannot decide
+        leaves q to ``member``.
+        """
+        ib, ib2, w1, re_u, im_sq, m1inv2, c1, beta_k = self._fixed_consts(bits)
+        half = 1 << (bits - 1)
+        qb = scale_iv(q, ib)
+        qb2 = scale_iv(q, ib2)
+        try:
+            p1 = floor_iv((qb[0] + half, qb[1] + half), bits)
+            p2g = floor_iv((qb2[0] + half, qb2[1] + half), bits)
+            t = (qb[0] - (p1 << bits), qb[1] - (p1 << bits))
+            rew = mul_iv(w1, t, bits)
+            p2 = floor_iv((rew[0] + qb2[0] + half, rew[1] + qb2[1] + half), bits)
+        except NeedBits:
+            return True
+        x2 = mul_iv((qb2[0] - (p2 << bits), qb2[1] - (p2 << bits)), ib, bits)
+        re = mul_iv(re_u, t, bits)
+        re = (re[0] + x2[0], re[1] + x2[1])
+        a, b = mul_iv(re, re, bits), mul_iv(im_sq, mul_iv(t, t, bits), bits)
+        h_sq = (a[0] + b[0], a[1] + b[1])
+        a, b = scale_iv(p1, c1), scale_iv(p2g, ib)
+        g = mul_iv(m1inv2, ((q << bits) + a[0] + b[0], (q << bits) + a[1] + b[1]), bits)
+        v = mul_iv(h_sq, g, bits)
+        return mul_iv(v, v, bits)[0] <= beta_k[1]
 
     def member(self, q: int) -> bool:
         """Exact h(q)^2 g(q) <= beta^(k/2): the cubic scan's confirmer."""
@@ -351,8 +412,12 @@ def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
     halves; the sqrt, the sum and the final product, each rounding by at
     most u) loses at most 5u relative to first order, which the factor
     1 + 8u restores.
-    Stage 1 is off in a block where k_g <= 0 or G <= 0.  Points n <= 0 are
-    confirmed by the certificate's compiled indicator.
+    Stage 1 is off in a block where k_g <= 0 or G <= 0.  Each suspect is
+    then re-screened by ``may_be_member`` on integer enclosures at
+    64 + hi.bit_length() bits before ``member`` runs: from about 1e15 the
+    float bound on q/beta reaches 1/2 and every point is a suspect, and the
+    screen (about 15 us) leaves ``member`` (about 160 us) only the terms.
+    Points n <= 0 are confirmed by the certificate's compiled indicator.
     """
     out = [n for n in range(lo, min(0, hi) + 1) if cons.certificate.confirm(n)]
     lo = max(lo, 1)
@@ -379,6 +444,7 @@ def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
     eps = 16 * u
     w1_abs, re_abs = abs(w1), abs(re_u)
     m2 = w1_abs / 2 + 1  # |q/beta^2 - p2| with p2 = nint(rew)
+    bits = prefilter_bits(hi.bit_length(), DEFAULT_MAX_BITS)
     steps = np.arange(SCAN_CHUNK, dtype=np.float64)
     for start in range(lo, hi + 1, SCAN_CHUNK):
         end = min(start + SCAN_CHUNK - 1, hi)
@@ -417,5 +483,9 @@ def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
         # (2-core host); confirming with the indicator moved the verify-cli
         # benchmark's op_p50_ms from 10.4-10.7 to 22.9-23.9 (seeds 21, 22).
         idx = keep[np.nonzero(suspects)[0]]
-        out.extend(n for n in (start + int(i) for i in idx) if cons.member(n))
+        out.extend(
+            n
+            for n in (start + int(i) for i in idx)
+            if cons.may_be_member(n, bits) and cons.member(n)
+        )
     return out

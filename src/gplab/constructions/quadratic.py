@@ -12,7 +12,7 @@ Three layers:
   ||u*m|| < |u|/2), which converts a certificate for one linear-recurrence
   value set into one for another with the same characteristic polynomial.
 
-Scans propose candidates (a float prefilter with an explicit error margin,
+Scans propose candidates (multiples of continued-fraction denominators,
 the pull-back of source members, the members of the unfiltered set) and
 confirm each one with the certificate's compiled indicator, so scan output
 is exactly the indicator's member set.
@@ -20,11 +20,11 @@ is exactly the indicator's member set.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
+from ..cf import ContinuedFraction, cf_expand
 from ..errors import PreconditionError
 from ..gpexpr import (
     Const,
@@ -40,59 +40,77 @@ from ..gpexpr import (
     substitute_var,
 )
 from ..realnum import FieldElement, NumberField
-from .certificate import SCAN_CHUNK, Certificate, verify_certificate
+from .certificate import Certificate, verify_certificate
 from .recurrence import LinearRecurrence, recurrence_terms, residue_coefficient
 
 _DEFAULT_VERIFY_TO = 4000
 
 
 def _half_over_n_scan(
-    x: FieldElement, confirm: Callable[[int], bool], lo: int, hi: int
+    cf: ContinuedFraction, confirm: Callable[[int], bool], lo: int, hi: int
 ) -> list[int]:
-    """Members of {n : ||n x|| < 1/(2n)} on [lo, hi]: prefilter, then ``confirm``.
+    """Members of {n : ||n x|| < 1/(2n)} on [lo, hi], x = ``cf.source``:
+    candidates from the continued fraction of x, each confirmed by ``confirm``.
 
-    Points n <= 0 are all confirmed; for n >= 1 the float prefilter keeps
-    every n whose computed distance is within its error margin of 1/(2n).
-    The margin is derived, u = 2^-53: to_float is within 2^-60 + u|x| of x,
-    n itself is rounded above 2^53, the product n x adds one rounding of at
-    most u|n x|, and round and the subtraction are exact, so the computed
-    distance is within the sum of those errors of ||n x||.  While the
-    margin is below 1/2, 4u more covers the rounding of 0.5/n, of the
-    threshold's sum and of the margin itself, and the second-order terms.
-    Stage 1 compares every distance with the block's largest threshold,
-    0.5/start + margin, and only its survivors meet the per-point one.
+    Points n <= 0 are all confirmed.  For n >= 1 the candidates are complete
+    by Legendre's theorem (Khinchin, *Continued Fractions*, Thm 19): every
+    p/n with |x - p/n| < 1/(2n^2) is a convergent of x.  Take n >= 1 with
+    ||n x|| < 1/(2n), p = nint(n x) and g = gcd(p, n).  Then
+    |x - p/n| < 1/(2n^2), so p/n reduces to a convergent p_k/q_k and
+    n = g q_k.  With d_k = |q_k x - p_k|, ||n x|| = g d_k, and the condition
+    g d_k < 1/(2 g q_k) reads 2 g^2 < 1/(q_k d_k).  Since
+    d_k = 1/(q_k x_{k+1} + q_{k-1}) with x_{k+1} < a_{k+1} + 1 the complete
+    quotient and q_{k-1} <= q_k, 1/(q_k d_k) = x_{k+1} + q_{k-1}/q_k <
+    a_{k+1} + 2.  So every member is one of the O(log hi) points
+    {g q_k : 2 g^2 < a_{k+1} + 2, q_k <= hi}, k >= 0 (q_0 = 1, and
+    q_1 = 1 too when a_1 = 1).
     """
     out = [n for n in range(lo, min(0, hi) + 1) if confirm(n)]
-    lo0 = max(lo, 1)
-    if lo0 > hi:
-        return out
-    xf = x.to_float()
-    x_abs = abs(xf)
-    u = 2.0**-53
-    steps = np.arange(SCAN_CHUNK, dtype=np.float64)
-    for start in range(lo0, hi + 1, SCAN_CHUNK):
-        end = min(start + SCAN_CHUNK - 1, hi)
-        q_max = float(end)
-        d_q = 2 * u * q_max if q_max > 2.0**53 else 0.0  # start + i rounds twice
-        margin = q_max * (2.0**-60 + 2 * u * x_abs) + x_abs * d_q + 4 * u
-        ns = float(start) + steps[: end - start + 1]
-        v = ns * xf
-        dist = np.abs(v - np.round(v))
-        idx = np.nonzero(dist < 0.5 / start + margin)[0]
-        idx = idx[dist[idx] < 0.5 / ns[idx] + margin]
-        out.extend(n for n in (start + int(i) for i in idx) if confirm(n))
+    cands = set()
+    quotients = itertools.chain(cf.preperiod, itertools.cycle(cf.period))
+    next(quotients)  # a_0
+    q_prev, q = 0, 1
+    while q <= hi:
+        a_next = next(quotients)
+        g = 1
+        while 2 * g * g < a_next + 2 and g * q <= hi:
+            if g * q >= lo:
+                cands.add(g * q)
+            g += 1
+        q_prev, q = q, a_next * q + q_prev
+    out.extend(n for n in sorted(cands) if confirm(n))
     return out
 
 
 def _half_over_n_certificate(x: FieldElement, description: str) -> Certificate:
+    cf = cf_expand(x)
     ind = dist_lt_scaled(Mul(N, Const(x.field.name, x)), Mul(RationalConst(Fraction(2)), N))
     cert = Certificate(
         indicator=ind,
         target_description=description,
-        fast_scan=lambda lo, hi: _half_over_n_scan(x, cert.confirm, lo, hi),
+        fast_scan=lambda lo, hi: _half_over_n_scan(cf, cert.confirm, lo, hi),
         meta={"kind": "half-over-n", "root": repr(x)},
     )
     return cert
+
+
+def _require_finitely_many_doubles(limit_sq: int, what: str) -> None:
+    """Refuse a root whose {n : ||n x|| < 1/(2n)} holds 2 q_k for infinitely many k.
+
+    By the bound in ``_half_over_n_scan``, 2 q_k is a member iff
+    x_{k+1} + q_{k-1}/q_k > 8.  Conjugating x = (p_k x_{k+1} + p_{k-1}) /
+    (q_k x_{k+1} + q_{k-1}) shows that q_{k-1}/q_k tends to minus the
+    conjugate of x_{k+1}, so along the period the sum tends to x_{k+1} minus
+    its conjugate: sqrt(a^2 + 4) for the root of x^2 - a x - 1, and for that
+    of x^2 - a x + 1 sqrt(a^2 - 4) at the larger of its two period positions.
+    ``limit_sq`` is the square of the largest limit.
+    """
+    if limit_sq > 64:
+        raise PreconditionError(
+            f"{what}: ||2 q_k x|| < 1/(4 q_k) for infinitely many convergent "
+            f"denominators q_k (along them x_(k+1) + q_(k-1)/q_k tends to "
+            f"sqrt({limit_sq}) > 8), so the exceptional set is infinite"
+        )
 
 
 def _fibonacci_like(a: int) -> LinearRecurrence:
@@ -115,6 +133,7 @@ def fibonacci_like_set(a: int, verify_to: int = _DEFAULT_VERIFY_TO) -> Certifica
         raise PreconditionError("a must be a positive integer")
     field = NumberField((-1, -a, 1), a, a + 1, "alpha")
     alpha = field.generator()
+    _require_finitely_many_doubles(a * a + 4, f"fibonacci_like a={a}")
     cert = _half_over_n_certificate(
         alpha, f"value set of x(i+2) = {a} x(i+1) + x(i) from 0, 1"
     )
@@ -218,6 +237,7 @@ def _norm_plus_odd_certificate(
     """
     if not (gamma * gamma - a * gamma + 1).is_zero():
         raise PreconditionError("gamma must satisfy gamma^2 = a*gamma - 1")
+    _require_finitely_many_doubles(a * a - 4, f"root of x^2 - {a}x + 1")
     # from the convergent denominators q0 = q1 = 1, q2 = a - 1, q3 = a
     inv_g = gamma.inverse()
     denom = gamma - inv_g

@@ -15,9 +15,11 @@ from typing import Callable
 
 from .cf import best_approx_1d, best_approx_2d, cf_expand, convergents, legendre_check
 from .constructions import (
+    LinearRecurrence,
     cubic_pisot_set,
     fibonacci_like_set,
     norm_plus_filtered_set,
+    quadratic_pisot_unit_set,
     recurrence_terms,
     very_sparse_alpha,
     very_sparse_set,
@@ -105,6 +107,35 @@ def check_quadratic_norm_plus(to: int = 10**6) -> str:
         f"filtered set on [1, {to}] = odd-index denominators; "
         f"exceptional: {report.symmetric_difference}"
     )
+
+
+def check_half_over_n_to_1e17(to: int = 10**17) -> str:
+    """The five half-over-n certificates from their agreement points to 1e17.
+
+    The scans take their candidates from continued-fraction denominators, so
+    the range costs O(log to) confirmations.  The oracles are the integer
+    recurrences: nint(beta^i) for the root of x^2 - 3x -+ 1 is 1 at i = 0 and
+    the trace L_i = beta^i + beta'^i, L_0 = 2, L_1 = 3, after it.
+    """
+    cases = [
+        ("fibonacci a=1", fibonacci_like_set(1), fibonacci_like_terms(1, to)),
+        ("fibonacci a=2", fibonacci_like_set(2), fibonacci_like_terms(2, to)),
+        ("quadratic-filter a=4", norm_plus_filtered_set(4), odd_index_denominators(4, to)),
+    ]
+    for norm in (1, -1):
+        traces = recurrence_terms(LinearRecurrence((3, -norm), (2, 3)), to)
+        cases.append(
+            (f"quadratic a=3 norm={norm:+d}", quadratic_pisot_unit_set(3, norm), [1] + traces[1:])
+        )
+    parts = []
+    for name, cert, oracle in cases:
+        lo = cert.exceptional_bound
+        report = verify_certificate(cert, oracle, lo, to, update=False)
+        assert report.symmetric_difference == (), (
+            f"{name}: mismatches {report.symmetric_difference} on [{lo}, {to}]"
+        )
+        parts.append(f"{name}: {len(report.members_found)} on [{lo}, {to}]")
+    return "members = recurrence values, symmetric difference empty; " + "; ".join(parts)
 
 
 def check_cubic(to: int = 10**6, h_to: int = 10**4, i_max: int = 20) -> str:
@@ -424,6 +455,7 @@ PAPER_CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("fibonacci-certificate", check_fibonacci_certificate),
     ("fibonacci-constant", check_fibonacci_constant),
     ("quadratic-norm-plus", check_quadratic_norm_plus),
+    ("half-over-n-verify-1e17", check_half_over_n_to_1e17),
     ("cubic-tribonacci", check_cubic),
     ("very-sparse-compiler", check_very_sparse),
     ("heisenberg-growth", check_heisenberg_growth),

@@ -32,6 +32,10 @@ def test_criterion_3_quadratic_norm_plus_a4():
     _run("quadratic-norm-plus", "criterion 3: norm +1 filter (a=4) on [1, 1e6]", 120)
 
 
+def test_half_over_n_verify_to_1e17():
+    _run("half-over-n-verify-1e17", "half-over-n certificates = recurrence values to 1e17", 1)
+
+
 def test_criterion_4_cubic_tribonacci():
     _run("cubic-tribonacci", "criterion 4: cubic a=b=1 on [1, 1e6]", 300)
 

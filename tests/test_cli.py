@@ -92,6 +92,18 @@ def test_ipsearch_negative_shifts(tmp_path, capsys, r, bound, shifts):
     assert rows["exhaustive"] == str(gens is None).lower()
 
 
+def test_ipsearch_negative_shifts_space_separated(tmp_path):
+    argv = ["ipsearch", "--mode", "translated", "--r", "2", "--bound", "58",
+            "--construction", "fibonacci", "--jobs", "1"]
+    outs = []
+    for form in (["--shifts=-3,-1"], ["--shifts", "-3,-1"]):
+        out = tmp_path / f"ip{len(outs)}.txt"
+        assert run(argv + form + ["--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert b"shift: -3" in outs[0]
+
+
 def test_exit_code_unknown_suite():
     assert run(["suite", "nope"]) == 2
 
@@ -194,6 +206,10 @@ SCAN_SHA256 = {
     "heis-equidist": "91825aaa7a5bb3c1a04addcc6823ee184649d3d0a4712870ff3a1725d9493979",
     "bestapprox-2d": "eca189754094ebea23054c70a886eb65a0c05671304620dc79c63d0c6ea09023",
     "bestapprox-1d": "9382282b155fd92779a79e4aec09adbc9809b20b1a707e7002e7ab70b03da4ae",
+    # computed with the float half-over-n scan, before the continued-fraction one
+    "verify-quadratic-1e7": "7a71dfd90abee80bfa8fdb8d72abb0aeff9de92c066680f850ea26780ab4cdd4",
+    "verify-quadratic-filter-1e7": "5bcf38db6efcd9c5ae145b0a328762d4c3e5aaaa89a70c39181fffed982f6b86",
+    "density-pell-1e7": "e1bf77303f8140a22011c2e6267d9e3ba499a76aa39a0cac0cbbbccf7e1dd4ce",
 }
 
 
@@ -208,6 +224,12 @@ def test_artifacts_are_byte_identical(tmp_path):
                     "--to", "60"],
         "verify": ["verify", "--construction", "fibonacci", "--to", "2000"],
         "density": ["density", "--construction", "cubic", "--N", "100000"],
+        "verify-quadratic-1e7": ["verify", "--construction", "quadratic", "--a", "3",
+                                 "--norm", "1", "--to", "10000000"],
+        "verify-quadratic-filter-1e7": ["verify", "--construction", "quadratic-filter",
+                                        "--a", "4", "--to", "10000000"],
+        "density-pell-1e7": ["density", "--construction", "fibonacci", "--a", "2",
+                             "--N", "10000000"],
         "cert-fibonacci": ["cert", "--construction", "fibonacci"],
         "cert-quadratic": ["cert", "--construction", "quadratic", "--a", "3", "--norm", "1"],
         "cert-quadratic-filter": ["cert", "--construction", "quadratic-filter", "--a", "4"],

@@ -17,6 +17,8 @@ from gplab.constructions import (
     scaled_set_transfer,
     verify_certificate,
 )
+from gplab.cf import cf_expand
+from gplab.constructions.certificate import SCAN_CHUNK
 from gplab.constructions.registry import construction
 from gplab.errors import PreconditionError, ZeroSolution
 from gplab.gpexpr import members
@@ -310,7 +312,7 @@ def test_sqrt2_certificate_starts_at_one():
     assert cert.members(-6, 300) == [n for n in range(1, 301) if in_target(n)]
 
 
-def test_half_over_n_scan_across_chunk_boundaries(monkeypatch):
+def test_half_over_n_scan_across_chunk_boundaries():
     from gplab.constructions import quadratic
 
     field = NumberField((-1, -1, 1), 1, 2, "phi")
@@ -326,19 +328,15 @@ def test_half_over_n_scan_across_chunk_boundaries(monkeypatch):
 
     def scan(x, lo, hi):
         cert = quadratic._half_over_n_certificate(x, "")
-        return quadratic._half_over_n_scan(x, cert.confirm, lo, hi)
+        return quadratic._half_over_n_scan(cf_expand(x), cert.confirm, lo, hi)
 
-    # small blocks put block boundaries all over short ranges; 1 - phi < 0
-    # checks that each block's float margin uses its largest |n x|
-    with monkeypatch.context() as m:
-        m.setattr(quadratic, "SCAN_CHUNK", 100)
-        for x in (phi, 1 - phi):
-            for lo, hi in [(-5, 250), (1, 300), (140, 1000)]:
-                assert scan(x, lo, hi) == exact(x, lo, hi)
-    # real block size: the first Fibonacci term that fits lies just inside
-    # the second block
-    term = next(f for f in fibonacci_upto(10**18) if f > quadratic.SCAN_CHUNK + 3)
-    lo, hi = term - quadratic.SCAN_CHUNK - 3, term + 50
+    # short ranges, one reaching n <= 0; 1 - phi < 0
+    for x in (phi, 1 - phi):
+        for lo, hi in [(-5, 250), (1, 300), (140, 1000)]:
+            assert scan(x, lo, hi) == exact(x, lo, hi)
+    # a range one block of the float scans long, ending past a Fibonacci term
+    term = next(f for f in fibonacci_upto(10**18) if f > SCAN_CHUNK + 3)
+    lo, hi = term - SCAN_CHUNK - 3, term + 50
     got = scan(phi, lo, hi)
     assert term in got
     assert got == [n for n in fibonacci_upto(hi) if n >= lo]
@@ -367,9 +365,83 @@ def test_half_over_n_prefilter_work(monkeypatch):
     assert calls[0] == 34  # one per member: nothing else passes below 1e7
     calls[0] = 0
     assert fib.members(3 * 10**11, 3 * 10**11 + 10**6) == []
-    assert calls[0] < 916  # the tuned margin's count; the derived one is smaller
+    assert calls[0] == 0  # no convergent denominator or multiple in the window
     for cert, a in ((fib, 1), (pell, 2)):
         terms = fibonacci_upto(10**15 + 20, a)
         for t in (t for t in terms if 10**6 <= t <= 10**15):
             lo, hi = t - 20, t + 20
             assert cert.members(lo, hi) == [x for x in terms if lo <= x <= hi], t
+
+
+def _half_over_n_root(name: str):
+    """phi and 1 - phi, the Pell root, gamma for a = 4 and 7 and the root of
+    x^2 - 8x - 1, whose members 2, 16, 130, ... are doubles of q_k."""
+    if name in ("phi", "1-phi"):
+        phi = NumberField((-1, -1, 1), 1, 2, "phi").generator()
+        return phi if name == "phi" else 1 - phi
+    if name == "pell":
+        return NumberField((-1, -2, 1), 2, 3, "s").generator()
+    if name == "root8":
+        return NumberField((-1, -8, 1), 8, 9, "r").generator()
+    a = int(name[len("gamma"):])
+    return NumberField((1, -a, 1), a - 1, a, "g").generator()
+
+
+@pytest.mark.parametrize("name", ["phi", "1-phi", "pell", "gamma4", "gamma7", "root8"])
+def test_half_over_n_scan_matches_indicator(name):
+    from gplab.constructions import quadratic
+
+    x = _half_over_n_root(name)
+    cert = quadratic._half_over_n_certificate(x, "")
+    cf = cf_expand(x)
+    got = quadratic._half_over_n_scan(cf, cert.confirm, -50, 30000)
+    assert got == members(cert.indicator, -50, 30000)
+    if name == "root8":
+        assert {2, 16, 130, 1056, 8578} <= set(got)  # the g = 2 candidates
+    # +-20 windows around every convergent denominator q_k and 2 q_k to 1e17
+    q_prev, q = 0, 1
+    quotients = list(cf.quotients(100))
+    centres = set()
+    for a_next in quotients[1:]:
+        if q > 10**17:
+            break
+        centres |= {q, 2 * q}
+        q_prev, q = q, a_next * q + q_prev
+    for c in sorted(centres):
+        lo, hi = c - 20, c + 20
+        got = quadratic._half_over_n_scan(cf, cert.confirm, lo, hi)
+        assert got == [n for n in range(lo, hi + 1) if cert.confirm(n)], (name, c)
+
+
+@pytest.mark.parametrize(
+    "params,clean",
+    [
+        ("fibonacci --a 7", True),
+        ("fibonacci --a 8", False),
+        ("quadratic --a 7 --norm -1", True),
+        ("quadratic --a 8 --norm -1", False),
+        ("quadratic-filter --a 8", True),
+        ("quadratic-filter --a 9", False),
+        ("quadratic --a 8 --norm 1", True),
+        ("quadratic --a 9 --norm 1", False),
+    ],
+)
+def test_builders_refuse_infinitely_many_doubles(tmp_path, capsys, params, clean):
+    # 2 q_k is a member iff x_(k+1) + q_(k-1)/q_k > 8; that sum tends to
+    # sqrt(a^2 + 4) for x^2 - a x - 1 and to sqrt(a^2 - 4) for x^2 - a x + 1
+    from gplab.cli import main
+
+    out = tmp_path / "v.txt"
+    argv = ["verify", "--construction", *params.split(), "--to", str(10**15),
+            "--jobs", "1", "--out", str(out)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    if not clean:
+        assert code == 2
+        assert "exceptional set is infinite" in err
+        return
+    assert code == 0
+    rows = dict(line.split(": ", 1) for line in out.read_text().splitlines() if ": " in line)
+    sym = [int(x) for x in rows.get("symmetric_difference", "").split()]
+    # nothing beyond the build-time exceptional set, found below 4000
+    assert all(x < 4000 for x in sym)

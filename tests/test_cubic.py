@@ -190,3 +190,28 @@ def test_cubic_prefilter_work(trib, monkeypatch):
     calls[0] = 0
     assert trib.certificate.members(10**13, 10**13 + 10**6 - 1) == []
     assert calls[0] <= 10264  # the one-stage prefilter's count on this window
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (2, 1)])
+def test_fixed_point_rescreen_of_float_suspects(cubic_pairs, pair, monkeypatch):
+    # from about 1e15 every point is a float suspect; the fixed-point screen
+    # must leave member only the term, and never change the scan's output
+    from gplab.constructions.cubic import CubicConstruction
+
+    cons = cubic_pairs[pair]
+    member = CubicConstruction.member
+    calls = [0]
+
+    def counted(self, q):
+        calls[0] += 1
+        return member(self, q)
+
+    monkeypatch.setattr(CubicConstruction, "member", counted)
+    terms = recurrence_terms(cons.recurrence, 10**17)
+    for t in (t for t in terms if 10**13 <= t <= 10**17):
+        calls[0] = 0
+        lo, hi = t - 20, t + 20
+        got = cons.certificate.members(lo, hi)
+        if t >= 10**15:
+            assert calls[0] == 1, t
+        assert got == [n for n in range(lo, hi + 1) if member(cons, n)], t
