@@ -6,7 +6,10 @@ Best approximations in one and two dimensions are found by record scans
 whose decisions are exact; a certified fixed-point screen skips the q that
 cannot beat the current record.  The planar norm is ``|u*x1 + v*x2|`` for
 a complex constant ``u`` and real ``v``, evaluated through its exact
-squared value in the ground field.
+squared value in the ground field.  ``nearest_lattice_sq`` is the one
+computation of the planar distance N0(q theta): a window derived on
+integer enclosures, with exact field comparisons only among the points
+those enclosures cannot order.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .realnum import (
     compare,
     dist_iv,
     dist_of,
+    dyadic_enclosure,
     fixed_enclosure,
     floor_iv,
     mul_iv,
@@ -36,7 +40,6 @@ from .realnum import (
     rr_sqrt,
     rsub,
     scale_iv,
-    sqrt_interval,
 )
 
 
@@ -195,7 +198,7 @@ def best_approx_1d(x: Real, Q: int, max_bits: int = DEFAULT_MAX_BITS) -> list[Be
 
 
 class RauzyNorm:
-    """Planar norm N(x) = |u x1 + v x2| with Im(u) != 0 and v real.
+    """Planar norm N(x) = |u x1 + v x2| with Im(u) != 0 and real v != 0.
 
     ``u`` is given by its exact real part and exact squared imaginary part
     in a real number field; ``v`` lies in the same field.  ``norm_sq`` is
@@ -205,17 +208,12 @@ class RauzyNorm:
     def __init__(self, re_u: FieldElement, im_u_sq: FieldElement, v: FieldElement):
         if im_u_sq.sign() <= 0:
             raise NondegenerateNormRequired("norm needs a nonzero imaginary part")
+        if v.is_zero():
+            raise NondegenerateNormRequired("norm needs a nonzero coefficient v")
         self.field = re_u.field
         self.re_u = re_u
         self.im_u_sq = im_u_sq
         self.v = v
-        # rational bounds used for search windows
-        lo, hi = im_u_sq.enclosure(Fraction(1, 2**24))
-        self.im_lo = sqrt_interval(lo, hi, 24)[0]
-        vlo, vhi = v.enclosure(Fraction(1, 2**24))
-        self.v_lo, self.v_hi = vlo, vhi
-        rlo, rhi = re_u.enclosure(Fraction(1, 2**24))
-        self.re_abs_hi = max(abs(rlo), abs(rhi))
 
     @classmethod
     def for_cubic_field(cls, field: NumberField, b: int) -> "RauzyNorm":
@@ -233,36 +231,64 @@ class RauzyNorm:
         return re * re + self.im_u_sq * x1 * x1
 
 
-def _nearest_lattice_sq(
-    norm: RauzyNorm, y1: FieldElement, y2: FieldElement
+def nearest_lattice_sq(
+    norm: RauzyNorm, theta: tuple[FieldElement, FieldElement], q: int
 ) -> tuple[FieldElement, tuple[int, int]]:
-    """Exact min over p in Z^2 of N(y - p)^2, with a provably wide window."""
-    c1 = y1.nint()
-    c2 = y2.nint()
-    bound_sq = norm.norm_sq(y1 - c1, y2 - c2)
-    blo, bhi = bound_sq.enclosure(Fraction(1, 2**24))
-    bound_hi = sqrt_interval(Fraction(0) if blo < 0 else blo, bhi, 24)[1]
-    r1 = bound_hi / norm.im_lo
-    lo1 = math.floor((y1 - r1).enclosure(Fraction(1, 4))[0])
-    hi1 = math.ceil((y1 + r1).enclosure(Fraction(1, 4))[1])
-    best = bound_sq
-    best_p = (c1, c2)
-    for p1 in range(lo1, hi1 + 1):
-        x1 = y1 - p1
-        # |v*x2 + re_u*x1| <= bound  =>  x2 in an explicit rational window
-        mid = norm.re_u * x1
-        mlo, mhi = mid.enclosure(Fraction(1, 2**24))
-        m_abs = max(abs(mlo), abs(mhi))
-        y2lo, y2hi = y2.enclosure(Fraction(1, 2**24))
-        lo2 = math.floor(y2lo - (bound_hi + m_abs) / norm.v_lo)
-        hi2 = math.ceil(y2hi + (bound_hi + m_abs) / norm.v_lo)
-        for p2 in range(lo2, hi2 + 1):
-            cand = norm.norm_sq(x1, y2 - p2)
-            if cand.compare(best) < 0:
-                best = cand
-                best_p = (p1, p2)
-                blo, bhi = best.enclosure(Fraction(1, 2**24))
-                bound_hi = sqrt_interval(Fraction(0) if blo < 0 else blo, bhi, 24)[1]
+    """Exact min over p in Z^2 of N(q theta - p)^2, and the p attaining it.
+
+    q theta, Re(u), v and Im(u)^2 are enclosed in integers at scale 2^bits,
+    bits = 64 + q.bit_length(), from the field's dyadic brackets.  The point
+    p nearest to q theta gives an upper bound U of the minimum, and with
+    x = q theta - p every p with N(x)^2 <= U satisfies
+    |x1| <= sqrt(U / Im(u)^2) and |v x2 + Re(u) x1| <= sqrt(U).  N(x)^2 is
+    enclosed at every p of that window; only the p whose lower bound is at
+    most the least upper bound are compared exactly in the field, and a tie
+    goes to the least (p1, p2).
+    """
+    th1, th2 = theta
+    bits = 64 + q.bit_length()
+    while True:
+        re, v, im = (dyadic_enclosure(c, bits) for c in (norm.re_u, norm.v, norm.im_u_sq))
+        if im[0] > 0 and (v[0] > 0 or v[1] < 0):
+            break
+        bits += 64  # the enclosure of Im(u)^2 or of v still reaches 0
+    if v[1] < 0:  # N is unchanged when Re(u) and v both change sign
+        re, v = (-re[1], -re[0]), (-v[1], -v[0])
+    t1 = scale_iv(q, dyadic_enclosure(th1, bits))
+    t2 = scale_iv(q, dyadic_enclosure(th2, bits))
+    half = 1 << (bits - 1)
+
+    def row(p1: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Enclosures of Re(u) x1 and Im(u)^2 x1^2."""
+        x1 = (t1[0] - (p1 << bits), t1[1] - (p1 << bits))
+        return mul_iv(re, x1, bits), mul_iv(im, mul_iv(x1, x1, bits), bits)
+
+    def enclose(w: tuple[int, int], i: tuple[int, int], p2: int) -> tuple[int, int]:
+        b = mul_iv(v, (t2[0] - (p2 << bits), t2[1] - (p2 << bits)), bits)
+        r = (w[0] + b[0], w[1] + b[1])
+        r = mul_iv(r, r, bits)
+        return r[0] + i[0], r[1] + i[1]
+
+    u_hi = enclose(*row((t1[0] + half) >> bits), (t2[0] + half) >> bits)[1]
+    s = math.isqrt(u_hi << bits) + 1  # sqrt(U), scaled
+    r1 = math.isqrt((u_hi << (2 * bits)) // im[0]) + 1  # sqrt(U / Im(u)^2), scaled
+    cands = []
+    for p1 in range(-((r1 - t1[0]) >> bits), ((t1[1] + r1) >> bits) + 1):
+        w, i = row(p1)
+        # v x2 in [lo, hi], so x2 in [lo, hi] / v, rounded outward
+        lo, hi = -s - w[1], s - w[0]
+        x2_lo = (lo << bits) // (v[1] if lo >= 0 else v[0])
+        x2_hi = -((-hi << bits) // (v[0] if hi >= 0 else v[1]))
+        for p2 in range(-((x2_hi - t2[0]) >> bits), ((t2[1] - x2_lo) >> bits) + 1):
+            cands.append((enclose(w, i, p2), (p1, p2)))
+    least = min(iv[1] for iv, _ in cands)
+    y1, y2 = th1 * q, th2 * q
+    best = best_p = None
+    for iv, p in cands:
+        if iv[0] <= least:
+            val = norm.norm_sq(y1 - p[0], y2 - p[1])
+            if best is None or val.compare(best) < 0:
+                best, best_p = val, p
     return best, best_p
 
 
@@ -273,10 +299,10 @@ def best_approx_2d(
 ) -> list[BestApprox]:
     """Best approximations of a planar point under the given norm, q <= Q.
 
-    Exact minimization of N(q*theta - p) over a window guaranteed to contain
-    the minimizer; records strictly decrease along the output.  A q is
-    skipped without the window search when a fixed-point lower bound of
-    N0(q)^2 is at least the current record's upper bound r:
+    N0(q)^2 comes from ``nearest_lattice_sq``; records strictly decrease
+    along the output.  A q is skipped without that search when a
+    fixed-point lower bound of N0(q)^2 is at least the current record's
+    upper bound r:
 
     * every lattice point has N(x)^2 >= Im(u)^2 x1^2 >= Im(u)^2 ||q theta1||^2;
     * when Im(u)^2 / 4 >= r, only p1 = nint(q theta1) can beat r, and with
@@ -312,7 +338,7 @@ def best_approx_2d(
                     continue
             except NeedBits:
                 pass
-        n0_sq, p = _nearest_lattice_sq(norm, th1 * q, th2 * q)
+        n0_sq, p = nearest_lattice_sq(norm, theta, q)
         if best_sq is None or n0_sq.compare(best_sq) < 0:
             out.append(BestApprox(q, p, n0_sq, rr_sqrt(as_stream(n0_sq))))
             best_sq = n0_sq

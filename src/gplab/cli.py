@@ -245,10 +245,13 @@ def cmd_suite(args) -> int:
     return EXIT_OK if failed == 0 else 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--maxprec", type=int, default=DEFAULT_MAX_BITS, help="precision budget in bits")
+def _add_common(p: argparse.ArgumentParser, maxprec: bool = True, fmt: bool = True) -> None:
+    """--out and --jobs on every command; --maxprec and --format where the command reads them."""
+    if maxprec:
+        p.add_argument("--maxprec", type=int, default=DEFAULT_MAX_BITS, help="precision budget in bits")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
+    if fmt:
+        p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="parallelism degree (scans are deterministic regardless)")
 
@@ -289,12 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_construction_args(p)
     p.add_argument("--from", dest="range_from", type=int, default=1)
     p.add_argument("--to", dest="range_to", type=int, required=True)
-    _add_common(p)
+    _add_common(p, fmt=False)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("cert", help="emit a certificate file for a construction")
     _add_construction_args(p)
-    _add_common(p)
+    _add_common(p, maxprec=False, fmt=False)
     p.set_defaults(fn=cmd_cert)
 
     p = sub.add_parser("cf", help="continued fraction of a quadratic constant")
@@ -329,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated shifts, tried in order (default 0); sums + shift "
                    "are searched among n >= 1")
     _add_construction_args(p)
-    _add_common(p)
+    _add_common(p, fmt=False)
     p.set_defaults(fn=cmd_ipsearch)
 
     p = sub.add_parser("density", help="density estimate of a construction set")
@@ -340,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a named check suite")
     p.add_argument("name", choices=("quick", "paper-checks"))
-    _add_common(p)
+    _add_common(p, maxprec=False, fmt=False)
     p.set_defaults(fn=cmd_suite)
 
     return ap

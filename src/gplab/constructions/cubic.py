@@ -9,6 +9,9 @@ reconstruct the record data:
 * g(q) grows linearly and takes the value m1^{-2} beta^i at q = R_i;
 * h(q)^2 equals N0(q theta)^2 whenever that distance is below Im(alpha)/2.
 
+N0(q theta)^2 itself (``n0_sq``, and m1^2 = N0(theta)^2) comes from
+``cf.nearest_lattice_sq``, the one planar-distance routine.
+
 The product h(q)^2 g(q) is then *exactly* constant along the R_i (the
 records scale by |alpha| = beta^{-1/2} per step while g scales by beta),
 and strictly larger elsewhere.  The certificate tests the squared product
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..cf import RauzyNorm, _nearest_lattice_sq
+from ..cf import RauzyNorm, nearest_lattice_sq
 from ..errors import PreconditionError
 from ..gpexpr import (
     Add,
@@ -95,74 +98,8 @@ class CubicConstruction:
     certificate: Certificate = dc_field(repr=False, default=None)
 
     def n0_sq(self, q: int) -> FieldElement:
-        """Exact squared distance from q*theta to the nearest lattice point.
-
-        A float pass locates the minimizer inside a +-2 candidate box; every
-        candidate whose float value could, within a derived bound on its
-        float error, tie or beat the float minimum is recomputed and
-        compared in the field, and sufficiency of the box is certified by
-        exact rational window bounds.  Falls back to the fully general
-        search if the certification fails.
-        """
-        th1f, th2f, re_uf, im_sqf, vf = self._float_approx()
-        th1, th2 = self.theta
-        y1, y2 = th1 * q, th2 * q
-        # |x_i (float) - (q theta_i - p_i)|: the error of th_i (to_float is
-        # within 2^-60 + u|theta| of theta), of the product and of the
-        # difference, u = 2^-53 the unit roundoff
-        u = 2.0**-53
-        e1 = q * (4 * u * th1f + 2.0**-60) + 4 * u
-        e2 = q * (4 * u * th2f + 2.0**-60) + 4 * u
-        if e1 >= 0.5 or e2 >= 0.5:
-            # the rounding centres may be off by one: the box proves nothing
-            return _nearest_lattice_sq(self.norm, y1, y2)[0]
-        re_abs = abs(re_uf)
-
-        def err(x1f: float, x2f: float) -> float:
-            """Bound on |float - exact| for N(x)^2 at one candidate."""
-            x1, x2 = abs(x1f) + e1, abs(x2f) + e2
-            a = re_abs * x1 + vf * x2  # |re_u x1 + v x2|
-            da = re_abs * e1 + vf * e2 + 8 * u * a  # its error; the constants are within 2u
-            tail = 12 * u * (a * a + im_sqf * x1 * x1)  # rounding of the squares and sums
-            # the factor absorbs the rounding of this bound's own evaluation
-            return (2 * a * da + da * da + im_sqf * (2 * x1 * e1 + e1 * e1) + tail) * 1.0001
-
-        p1c = round(q * th1f)
-        p2c = round(q * th2f)
-        cands = []
-        for p1 in range(p1c - 2, p1c + 3):
-            x1f = q * th1f - p1
-            for p2 in range(p2c - 2, p2c + 3):
-                x2f = q * th2f - p2
-                ref = re_uf * x1f + vf * x2f
-                cands.append((ref * ref + im_sqf * x1f * x1f, x1f, x2f, p1, p2))
-        cands.sort()
-        vmin, x1f, x2f, b1, b2 = cands[0]
-        top = vmin + err(x1f, x2f)  # the exact minimum is at most this
-        reach = top + err(3.0, 3.0)  # err grows with |x|, and |x_i| <= 2.5 in the box
-        best = self.norm.norm_sq(y1 - b1, y2 - b2)
-        for v, x1f, x2f, p1, p2 in cands[1:]:
-            if v > reach:
-                break
-            if v - err(x1f, x2f) > top:
-                continue
-            cand = self.norm.norm_sq(y1 - p1, y2 - p2)
-            if cand.compare(best) < 0:
-                best = cand
-        # certify that the +-2 box contains the true minimizer: the norm
-        # inequalities bound |x1| by sqrt(best)/im <= 1.5 and then |x2| by
-        # (sqrt(best) + 1.5 |re_u|)/v <= 2, and an integer within 2 + e1 of
-        # the first rounding centre, or within 2.5 + e2 of the second, lies
-        # inside the box
-        im_lo = self.norm.im_lo
-        v_lo = self.norm.v_lo
-        re_hi = self.norm.re_abs_hi
-        r2base = v_lo * 2 - re_hi * Fraction(3, 2)
-        ok1 = (best - (im_lo * Fraction(3, 2)) ** 2).sign() <= 0
-        ok2 = r2base > 0 and (best - r2base**2).sign() <= 0
-        if ok1 and ok2:
-            return best
-        return _nearest_lattice_sq(self.norm, y1, y2)[0]
+        """Exact squared distance N0(q theta)^2 from q theta to the nearest lattice point."""
+        return nearest_lattice_sq(self.norm, self.theta, q)[0]
 
     def _float_approx(self):
         fa = getattr(self, "_float_cache", None)
@@ -172,7 +109,6 @@ class CubicConstruction:
                 self.theta[1].to_float(),
                 self.norm.re_u.to_float(),
                 self.norm.im_u_sq.to_float(),
-                self.norm.v.to_float(),
             )
             self._float_cache = fa
         return fa
@@ -345,7 +281,7 @@ def cubic_pisot_set(a: int, b: int, verify_to: int = _DEFAULT_VERIFY_TO) -> Cubi
         plateau_pow=0,
         record_offset=0,
     )
-    m1_sq, m1_at = _nearest_lattice_sq(norm, theta[0], theta[1])
+    m1_sq, m1_at = nearest_lattice_sq(norm, theta, 1)
     cons.m1_sq = m1_sq
     cons.m1_at = m1_at
     probe_terms = recurrence_terms(rec, 5000)
@@ -423,7 +359,7 @@ def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
     lo = max(lo, 1)
     if lo > hi:
         return out
-    inv_b, inv_b2, re_u, im_sq, _ = cons._float_approx()
+    inv_b, inv_b2, re_u, im_sq = cons._float_approx()
     beta_f = cons.beta.to_float()
     m1inv2 = 1.0 / cons.m1_sq.to_float()
     c1 = (beta_f * cons.b + 1.0) * inv_b2
@@ -435,7 +371,7 @@ def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
     # each within a few dozen units in the last place
     cap = beta_f ** (cons.plateau_pow / 2) * (1.0 + 2.0**-40)
     # Error bounds, u = 2^-53.  to_float is within 2^-60 + u theta_i of
-    # theta_i (as in n0_sq) and q * theta_i adds one rounding; every other
+    # theta_i and q * theta_i adds one rounding; every other
     # float constant is within 8u of its exact value, and eps = 16u covers
     # that, the roundings of each step and the second-order terms.  The
     # bounds hold while the rounding decisions are right, which the

@@ -137,15 +137,16 @@ def _member_by_containment(params: VerySparseParams, n: int) -> bool:
     True if n*I maps inside the closed distance window for every point of
     the deepest interval; False if it misses it entirely; PrecisionExhausted
     if the data cannot decide (only possible past the available depth).
+    The chain is nested, so a shallower interval decides nothing the
+    deepest one leaves open.
     """
     if n < 1:
         return False
     lo_t = Fraction(1, 4 * n ** (params.C - 1))
     hi_t = Fraction(1, 2 * n ** (params.C - 1))
-    for lo_a, hi_a in reversed(params.intervals):
-        xlo, xhi = n * lo_a, n * hi_a
-        if xhi - xlo > Fraction(1, 2):
-            continue  # this depth is too coarse for the distance to be defined
+    lo_a, hi_a = params.intervals[-1]
+    xlo, xhi = n * lo_a, n * hi_a
+    if xhi - xlo <= Fraction(1, 2):  # else the distance is not defined at this depth
         m = (xlo + xhi) / 2
         r = m.numerator // m.denominator
         if m - r > Fraction(1, 2):

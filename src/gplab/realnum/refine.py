@@ -59,10 +59,6 @@ class RefinableReal:
         return f"RefinableReal({tag} in [{float(lo):.6g}, {float(hi):.6g}])"
 
 
-def from_interval_fn(fn: Callable[[int], Interval], name: str = "") -> RefinableReal:
-    return RefinableReal(fn, name)
-
-
 def constant(q: Fraction, name: str = "") -> RefinableReal:
     q = Fraction(q)
     return RefinableReal(lambda k: (q, q), name or str(q))
@@ -89,10 +85,6 @@ def rr_add(x: RefinableReal, y: RefinableReal) -> RefinableReal:
         return xlo + ylo, xhi + yhi
 
     return RefinableReal(fn)
-
-
-def rr_sub(x: RefinableReal, y: RefinableReal) -> RefinableReal:
-    return rr_add(x, rr_neg(y))
 
 
 def rr_mul(x: RefinableReal, y: RefinableReal) -> RefinableReal:

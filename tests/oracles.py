@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import gcd, isqrt
+from math import ceil, floor, gcd, isqrt
 
 
 def floor_quadratic(p: Fraction, q: Fraction, d: int) -> int:
@@ -201,15 +201,54 @@ def best_approx_1d_exhaustive(x, Q: int, max_bits: int = 4096) -> list[tuple[int
     return out
 
 
-def best_approx_2d_exhaustive(theta, norm, Q: int) -> list[tuple[int, tuple[int, int], object]]:
-    """(q, p, N0^2) of every planar record with q <= Q: the exact window search at every q."""
-    from gplab.cf import _nearest_lattice_sq
+def nearest_lattice_sq_exhaustive(norm, theta, q: int):
+    """(N0^2, p): min over p in Z^2 of N(q theta - p)^2, every point of a provable window exact.
+
+    The window comes from the exact distance of the nearest point, through
+    rational enclosures at 2^-24 of sqrt(Im(u)^2), |v| and Re(u) x1; every
+    point in it is compared in the field, the point nearest q theta first.
+    """
+    from gplab.realnum import sqrt_interval
 
     th1, th2 = theta
+    y1, y2 = th1 * q, th2 * q
+    w = Fraction(1, 2**24)
+
+    def sqrt_hi(x):
+        lo, hi = x.enclosure(w)
+        return sqrt_interval(max(lo, Fraction(0)), hi, 24)[1]
+
+    im_lo = sqrt_interval(*norm.im_u_sq.enclosure(w), 24)[0]
+    vlo, vhi = norm.v.enclosure(w)
+    v_abs_lo = vlo if vlo > 0 else -vhi
+    assert v_abs_lo > 0
+    c1, c2 = y1.nint(), y2.nint()
+    best = norm.norm_sq(y1 - c1, y2 - c2)
+    best_p = (c1, c2)
+    bound_hi = sqrt_hi(best)
+    r1 = bound_hi / im_lo
+    lo1 = floor((y1 - r1).enclosure(Fraction(1, 4))[0])
+    hi1 = ceil((y1 + r1).enclosure(Fraction(1, 4))[1])
+    for p1 in range(lo1, hi1 + 1):
+        x1 = y1 - p1
+        # |v x2 + Re(u) x1| <= sqrt(N0^2) bounds x2 by an explicit rational window
+        mlo, mhi = (norm.re_u * x1).enclosure(w)
+        y2lo, y2hi = y2.enclosure(w)
+        reach = (bound_hi + max(abs(mlo), abs(mhi))) / v_abs_lo
+        for p2 in range(floor(y2lo - reach), ceil(y2hi + reach) + 1):
+            cand = norm.norm_sq(x1, y2 - p2)
+            if cand.compare(best) < 0:
+                best, best_p = cand, (p1, p2)
+                bound_hi = sqrt_hi(best)
+    return best, best_p
+
+
+def best_approx_2d_exhaustive(theta, norm, Q: int) -> list[tuple[int, tuple[int, int], object]]:
+    """(q, p, N0^2) of every planar record with q <= Q: the exact window search at every q."""
     out = []
     best_sq = None
     for q in range(1, Q + 1):
-        n0_sq, p = _nearest_lattice_sq(norm, th1 * q, th2 * q)
+        n0_sq, p = nearest_lattice_sq_exhaustive(norm, theta, q)
         if best_sq is None or n0_sq.compare(best_sq) < 0:
             out.append((q, p, n0_sq))
             best_sq = n0_sq

@@ -12,6 +12,7 @@ from gplab.cf import (
     convergents,
     coprime_in_interval,
     legendre_check,
+    nearest_lattice_sq,
 )
 from gplab.errors import (
     NondegenerateNormRequired,
@@ -142,6 +143,36 @@ def test_degenerate_norm_rejected():
     one = fld.one()
     with pytest.raises(NondegenerateNormRequired):
         RauzyNorm(one, fld.zero(), one)
+    with pytest.raises(NondegenerateNormRequired):
+        RauzyNorm(one, one, fld.zero())
+
+
+def test_negative_v_matches_brute_force():
+    # N(x) = |u x1 - v x2| with the Tribonacci u and v.  At the lattice point
+    # nearest q theta, N^2 < 0.21, so a minimiser has |x1| < 0.75 and
+    # |x2| < 1.0: it lies within 2 of nint(q theta), inside the +-3 box
+    fld = NumberField((-1, -1, -1, 1), 1, 2, "b")
+    trib = RauzyNorm.for_cubic_field(fld, 1)
+    norm = RauzyNorm(trib.re_u, trib.im_u_sq, -trib.v)
+    beta = fld.generator()
+    theta = (beta.inverse(), (beta * beta).inverse())
+    records, best = [], None
+    for q in range(1, 200):
+        y1, y2 = theta[0] * q, theta[1] * q
+        c1, c2 = y1.nint(), y2.nint()
+        box = [
+            (norm.norm_sq(y1 - p1, y2 - p2), (p1, p2))
+            for p1 in range(c1 - 3, c1 + 4)
+            for p2 in range(c2 - 3, c2 + 4)
+        ]
+        want, want_p = min(box, key=lambda t: t[0])
+        got, p = nearest_lattice_sq(norm, theta, q)
+        assert p == want_p and (got - want).is_zero(), q
+        if best is None or want < best:
+            records.append((q, want_p))
+            best = want
+    assert records[0] == (1, (0, 0))
+    assert [(b.q, b.p) for b in best_approx_2d(theta, norm, 199)] == records
 
 
 def test_coprime_in_interval_examples():

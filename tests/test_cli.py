@@ -108,6 +108,12 @@ def test_exit_code_unknown_suite():
     assert run(["suite", "nope"]) == 2
 
 
+def test_flags_a_command_ignores_are_rejected():
+    assert run(["cert", "--construction", "fibonacci", "--format", "json"]) == 2
+    assert run(["cert", "--construction", "fibonacci", "--maxprec", "64"]) == 2
+    assert run(["suite", "quick", "--format", "json"]) == 2
+
+
 def test_exit_code_precision_exhausted():
     # (theta + 1) - theta is exactly 1, but interval streams cannot certify
     # the cancellation, so the floor stays undecided up to any budget

@@ -2,10 +2,13 @@
 
 import pytest
 
+from gplab.cf import nearest_lattice_sq
 from gplab.constructions import cubic_pisot_set, recurrence_terms
 from gplab.errors import PreconditionError
 from gplab.gpexpr import eval_exact, eval_indicator, members
 from gplab.realnum import compare, to_float
+
+from oracles import nearest_lattice_sq_exhaustive
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +117,10 @@ def test_certificate_file_roundtrip(trib):
 
 
 def test_n0_sq_matches_general_search_at_large_q(trib):
-    from gplab.cf import _nearest_lattice_sq
-
     # 660850589515334 once lost its minimiser to a fixed float tie window
     for q in (660850589515334, 123456789012345, 4 * 10**14 + 7, 2 * 10**15 + 3,
               7 * 10**15 + 1, 10**16 - 1):
-        want = _nearest_lattice_sq(trib.norm, trib.theta[0] * q, trib.theta[1] * q)[0]
+        want = nearest_lattice_sq_exhaustive(trib.norm, trib.theta, q)[0]
         assert (trib.n0_sq(q) - want).is_zero(), q
 
 
@@ -148,6 +149,41 @@ def test_fast_scan_finds_members_near_every_term(a, b, once_missed):
 @pytest.fixture(scope="module")
 def cubic_pairs(trib):
     return {(1, 1): trib, (2, 1): cubic_pisot_set(2, 1), (2, -1): cubic_pisot_set(2, -1)}
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (2, 1), (2, -1)])
+def test_nearest_lattice_sq_matches_window_search(cubic_pairs, pair):
+    # q <= 300, and +-20 windows from 1e14 to 1e17, where a float search
+    # box loses the precision to round q theta
+    cons = cubic_pairs[pair]
+    qs = list(range(1, 301))
+    qs += [c + d for c in (10**14, 10**15, 10**16, 10**17) for d in range(-20, 21)]
+    for q in qs:
+        got, p = nearest_lattice_sq(cons.norm, cons.theta, q)
+        want, want_p = nearest_lattice_sq_exhaustive(cons.norm, cons.theta, q)
+        assert p == want_p and (got - want).is_zero(), q
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (2, 1), (2, -1)])
+def test_nearest_lattice_sq_only_assumes_valid_enclosures(cubic_pairs, pair, monkeypatch):
+    # theta widened by 2^62 units at 2^(64 + q.bit_length()) bits: q theta is
+    # known to about 1/4, so several window points overlap the least upper
+    # bound and the exact comparison among them must find the minimiser
+    import gplab.cf
+
+    cons = cubic_pairs[pair]
+    real = gplab.cf.dyadic_enclosure
+
+    def loose(x, bits):
+        lo, hi = real(x, bits)
+        w = 1 << 62 if any(x is t for t in cons.theta) else 0
+        return lo - w, hi + w
+
+    monkeypatch.setattr(gplab.cf, "dyadic_enclosure", loose)
+    for q in list(range(1, 120)) + [10**15 + d for d in range(10)]:
+        got, p = nearest_lattice_sq(cons.norm, cons.theta, q)
+        want, want_p = nearest_lattice_sq_exhaustive(cons.norm, cons.theta, q)
+        assert p == want_p and (got - want).is_zero(), q
 
 
 @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (2, -1)])
