@@ -214,6 +214,7 @@ class RauzyNorm:
         self.re_u = re_u
         self.im_u_sq = im_u_sq
         self.v = v
+        self._enclosures: dict[int, tuple] = {}
 
     @classmethod
     def for_cubic_field(cls, field: NumberField, b: int) -> "RauzyNorm":
@@ -226,6 +227,23 @@ class RauzyNorm:
         im_sq = field.complex_pair_modulus_sq() - re_alpha * re_alpha
         return cls(re_alpha + b * inv_beta, im_sq, inv_beta)
 
+    def enclosures(self, bits: int) -> tuple[int, tuple, tuple, tuple]:
+        """``(b, Re(u), v, Im(u)^2)`` in integers at scale 2^b, b the first of
+        bits, bits + 64, ... that excludes Im(u)^2 = 0 and v = 0; v > 0 (N is
+        unchanged when Re(u) and v both change sign).  Cached per ``bits``."""
+        got = self._enclosures.get(bits)
+        if got is None:
+            b = bits
+            while True:
+                re, v, im = (dyadic_enclosure(c, b) for c in (self.re_u, self.v, self.im_u_sq))
+                if im[0] > 0 and (v[0] > 0 or v[1] < 0):
+                    break
+                b += 64
+            if v[1] < 0:
+                re, v = (-re[1], -re[0]), (-v[1], -v[0])
+            got = self._enclosures[bits] = (b, re, v, im)
+        return got
+
     def norm_sq(self, x1: FieldElement, x2: FieldElement) -> FieldElement:
         re = self.re_u * x1 + self.v * x2
         return re * re + self.im_u_sq * x1 * x1
@@ -237,7 +255,8 @@ def nearest_lattice_sq(
     """Exact min over p in Z^2 of N(q theta - p)^2, and the p attaining it.
 
     q theta, Re(u), v and Im(u)^2 are enclosed in integers at scale 2^bits,
-    bits = 64 + q.bit_length(), from the field's dyadic brackets.  The point
+    bits >= 64 + q.bit_length(), from the field's dyadic brackets (the
+    norm's three through ``RauzyNorm.enclosures``, v > 0).  The point
     p nearest to q theta gives an upper bound U of the minimum, and with
     x = q theta - p every p with N(x)^2 <= U satisfies
     |x1| <= sqrt(U / Im(u)^2) and |v x2 + Re(u) x1| <= sqrt(U).  N(x)^2 is
@@ -246,14 +265,7 @@ def nearest_lattice_sq(
     goes to the least (p1, p2).
     """
     th1, th2 = theta
-    bits = 64 + q.bit_length()
-    while True:
-        re, v, im = (dyadic_enclosure(c, bits) for c in (norm.re_u, norm.v, norm.im_u_sq))
-        if im[0] > 0 and (v[0] > 0 or v[1] < 0):
-            break
-        bits += 64  # the enclosure of Im(u)^2 or of v still reaches 0
-    if v[1] < 0:  # N is unchanged when Re(u) and v both change sign
-        re, v = (-re[1], -re[0]), (-v[1], -v[0])
+    bits, re, v, im = norm.enclosures(64 + q.bit_length())
     t1 = scale_iv(q, dyadic_enclosure(th1, bits))
     t2 = scale_iv(q, dyadic_enclosure(th2, bits))
     half = 1 << (bits - 1)

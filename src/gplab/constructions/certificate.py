@@ -7,10 +7,10 @@ an oracle, never assumed.
 
 The indicator decides membership.  ``members`` runs it through the
 certificate's compiled ``Program``; a builder may attach a ``fast_scan``
-whose candidate generator (continued-fraction denominators, a float
-prefilter, a pull-back, a filter of another certificate's members) only
-proposes points, each then confirmed
-by ``confirm``, the compiled indicator.  Two scans keep a bespoke exact
+whose candidate generator (continued-fraction denominators, the lattice
+points of a recurrence basis, a pull-back, a filter of another
+certificate's members) only proposes points, each then confirmed by
+``confirm``, the compiled indicator.  Two scans keep a bespoke exact
 confirmer, each with its measured reason stated next to it:
 ``CubicConstruction.member`` (cubic members sit exactly on the plateau, so
 the indicator climbs the whole bit ladder before deciding) and the
@@ -28,13 +28,6 @@ from ..errors import ParseError
 from ..gpexpr import Expr, eval_indicator, parse, to_text
 from ..gpexpr.evaluate import Program
 from ..realnum import DEFAULT_MAX_BITS
-
-# Points per numpy block of the cubic float prefilter scan.  Each block makes
-# about a dozen float64 temporaries, and at 2^15 points (256 KiB each) they
-# stay in cache: scanning cubic (1,1) on [1, 1e7] took 5.6 ns/pt at 2^15,
-# 5.9 at 2^14, 6.7 at 2^16 and 16.0 at 2^19, where every pass goes to memory
-# (2-core host, best of 5).
-SCAN_CHUNK = 1 << 15
 
 
 @dataclass

@@ -22,11 +22,10 @@ build time and verified exactly at two independent indices.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-
-import numpy as np
 
 from ..cf import RauzyNorm, nearest_lattice_sq
 from ..errors import PreconditionError
@@ -53,7 +52,7 @@ from ..realnum import (
     scale_iv,
 )
 from ..realnum.polys import count_real_roots
-from .certificate import SCAN_CHUNK, Certificate, verify_certificate
+from .certificate import Certificate, verify_certificate
 from .recurrence import LinearRecurrence, recurrence_terms
 
 _DEFAULT_VERIFY_TO = 4000
@@ -101,18 +100,6 @@ class CubicConstruction:
         """Exact squared distance N0(q theta)^2 from q theta to the nearest lattice point."""
         return nearest_lattice_sq(self.norm, self.theta, q)[0]
 
-    def _float_approx(self):
-        fa = getattr(self, "_float_cache", None)
-        if fa is None:
-            fa = (
-                self.theta[0].to_float(),
-                self.theta[1].to_float(),
-                self.norm.re_u.to_float(),
-                self.norm.im_u_sq.to_float(),
-            )
-            self._float_cache = fa
-        return fa
-
     def h_sq(self, q: int) -> FieldElement:
         """Exact value of the closed-form h(q)^2."""
         inv_b = self.theta[0]
@@ -136,12 +123,14 @@ class CubicConstruction:
 
     def _fixed_consts(self, bits: int) -> tuple:
         """Enclosures at ``bits`` of 1/beta, 1/beta^2, beta Re(u), Re(u),
-        Im(u)^2, m1^-2, c1 and beta^k, computed once per precision."""
+        Im(u)^2, m1^-2, c1, beta^k, K, L, Im(u)^-2 and beta^2, computed
+        once per precision (K and L bound g; see ``_cubic_fast_scan``)."""
         cache = getattr(self, "_fixed_cache", None)
         if cache is None:
             cache = self._fixed_cache = {}
         if bits not in cache:
             inv_b, inv_b2 = self.theta
+            c1 = (self.beta * self.b + 1) * inv_b2
             consts = (
                 inv_b,
                 inv_b2,
@@ -149,8 +138,12 @@ class CubicConstruction:
                 self.norm.re_u,
                 self.norm.im_u_sq,
                 self.m1_sq.inverse(),
-                (self.beta * self.b + 1) * inv_b2,
+                c1,
                 self.beta**self.plateau_pow,
+                1 + c1 * inv_b + inv_b * inv_b2,
+                ((c1 if c1.sign() >= 0 else -c1) + inv_b) / 2,
+                self.norm.im_u_sq.inverse(),
+                self.beta * self.beta,
             )
             cache[bits] = tuple(fixed_enclosure(c, bits) for c in consts)
         return cache[bits]
@@ -163,7 +156,7 @@ class CubicConstruction:
         (p1, p2 or nint(q/beta^2)) that the enclosures cannot decide
         leaves q to ``member``.
         """
-        ib, ib2, w1, re_u, im_sq, m1inv2, c1, beta_k = self._fixed_consts(bits)
+        ib, ib2, w1, re_u, im_sq, m1inv2, c1, beta_k = self._fixed_consts(bits)[:8]
         half = 1 << (bits - 1)
         qb = scale_iv(q, ib)
         qb2 = scale_iv(q, ib2)
@@ -322,106 +315,100 @@ def cubic_pisot_set(a: int, b: int, verify_to: int = _DEFAULT_VERIFY_TO) -> Cubi
     return cons
 
 
+def _inverse_rows(m: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
+    """Rows of m^-1 for an integer 3x3 matrix m of determinant +-1 (the adjugate)."""
+    (a, b, c), (d, e, f), (g, h, k) = m
+    adj = (
+        (e * k - f * h, c * h - b * k, b * f - c * e),
+        (f * g - d * k, a * k - c * g, c * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
+    )
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    if abs(det) != 1:
+        raise PreconditionError(f"shift basis has determinant {det}, not +-1")
+    return [tuple(det * x for x in row) for row in adj]
+
+
+def _cubic_candidates(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
+    """Every q in [lo, hi], 1 <= lo, that can be a member; see ``_cubic_fast_scan``."""
+    bits = 64 + 2 * hi.bit_length()
+    # beta Re(u) = Re(u)/v and beta^2 = 1/v^2, as v = 1/beta
+    ib, ib2, re_v, _, _, m1inv2, _, beta_k, k_g, l_g, inv_im, beta_sq = cons._fixed_consts(bits)
+
+    def up(x: int) -> int:
+        return -((-x) >> bits)
+
+    R = [0, 0, 1]  # R[j + 2] = R_j
+    while R[-3] <= hi:
+        R.append(cons.a * R[-1] + cons.b * R[-2] + R[-3])
+    start = l_g[1] // k_g[0] + 1  # least q with q K > L on the enclosures
+    first = max(start, R[4])
+    out = set(range(lo, min(hi, first - 1) + 1))
+    r_num = (math.isqrt(beta_k[1] << bits) + 1) << (2 * bits)  # beta^(k/2) at 2^(3 bits)
+    for i in range(2, len(R) - 4):
+        qa, qb = max(R[i + 2], lo, first), min(R[i + 3], hi)
+        if qa > qb:
+            continue
+        # A_i has the columns v_j = (R_j, R_(j-1), R_(j-2)), j = i, i+1, i+2
+        a_rows = (R[i + 2 : i + 5], R[i + 1 : i + 4], R[i : i + 3])
+        r_hi = -(-r_num // (m1inv2[0] * (qa * k_g[0] - l_g[1])))
+        ranges = []
+        for e0, e1, e2 in _inverse_rows(a_rows):
+            s1, s2 = scale_iv(e1, ib), scale_iv(e2, ib2)
+            s = ((e0 << bits) + s1[0] + s2[0], (e0 << bits) + s1[1] + s2[1])
+            d = scale_iv(e2, re_v)
+            d = max(abs((e1 << bits) - d[0]), abs((e1 << bits) - d[1]))
+            quad = up(up(d * d) * inv_im[1]) + e2 * e2 * beta_sq[1]
+            rho = math.isqrt(up(r_hi * quad) << bits) + 1
+            c_lo = -((rho - min(qa * s[0], qb * s[0])) >> bits)
+            ranges.append(range(c_lo, ((max(qa * s[1], qb * s[1]) + rho) >> bits) + 1))
+        qs = (sum(r * c for r, c in zip(a_rows[0], cs)) for cs in itertools.product(*ranges))
+        out.update(q for q in qs if qa <= q <= qb)
+    return sorted(out)
+
+
 def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
-    """Find members on [lo, hi]: float prefilter, exact confirmation.
+    """Find members on [lo, hi]: lattice candidates, exact confirmation.
 
-    Members are the q with h(q)^2 g(q) <= beta^(k/2).  The float pass bounds
-    the left side from below, using derived first-order bounds (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 3) on the float
-    error of t, re and the rounding arguments, and a per-point lower bound
-    on g.  A point is re-checked exactly when that lower bound reaches the
-    plateau or when a rounding argument lies within its error bound of a
-    half-integer, so no member is dropped.
+    Members are the q with |h(q)^2 g(q)| <= beta^(k/2).  As nint(x) lies
+    within 1/2 of x, g(q) >= m1^-2 (q K - L) with K = 1 + c1/beta + 1/beta^3
+    = 1 + (b beta + 2)/beta^3 > 0 and L = (|c1| + 1/beta)/2.  So a member
+    q >= start, the least q with q K > L, has h(q)^2 <= r(q) :=
+    beta^(k/2) m1^2 / (q K - L), which falls with q.  With (p1, p2) the
+    closed form's roundings, x = (q, p1, p2) is in Z^3, and
+    y = q theta - (p1, p2) has y^T M y = N(y)^2 = h(q)^2, M being the
+    Gram matrix of the norm.
 
-    Stage 1 runs that bound on the survivors of a cheaper test on q/beta
-    alone.  With t = q/beta - nint(q/beta), h^2 = re^2 + Im^2 t^2 >= Im^2 t^2,
-    and g(q) >= m1^-2 (q K - L) >= G, its value at the block's first q
-    (K > 0).  So if G > 0, a member has Im^2 t^2 G <= h^2 g <= beta^(k/2),
-    that is |t| <= sqrt(beta^(k/2) / (Im^2 G)), and the float t is within
-    d_t of the exact one while qb = q/beta rounds to the right integer.  A
-    point with |t| above d_t + sqrt(cap / (im_sq G)), whose qb is not within
-    d_qb + u of a half-integer, is therefore not a member, whatever the
-    second rounding nint(rew) does.  The threshold is evaluated outward:
-    G is lowered by the error of k_g and l_g (each within 8u) and of its
-    own product and differences, and the rest (im_sq within 2u, which the
-    sqrt halves; a product and a quotient under the sqrt, which it also
-    halves; the sqrt, the sum and the final product, each rounding by at
-    most u) loses at most 5u relative to first order, which the factor
-    1 + 8u restores.
-    Stage 1 is off in a block where k_g <= 0 or G <= 0.  Each suspect is
-    then re-screened by ``may_be_member`` on integer enclosures at
-    64 + hi.bit_length() bits before ``member`` runs: from about 1e15 the
-    float bound on q/beta reaches 1/2 and every point is a suspect, and the
-    screen (about 15 us) leaves ``member`` (about 160 us) only the terms.
-    Points n <= 0 are confirmed by the certificate's compiled indicator.
+    Scale i >= 2 covers the slab [R_i, R_(i+1)] (the R_i do not decrease
+    from i = 2 for any admitted (a, b)).  Its shift vectors
+    v_j = (R_j, R_(j-1), R_(j-2)), j = i..i+2, with R_-2 = R_-1 = 0, are
+    the columns of A_i = C^i A_0, C the companion matrix (determinant 1)
+    and A_0 unipotent, so x = A_i c for an integer c (|det A_i| = 1 is
+    checked exactly).  Row w_j of A_i^-1 gives
+    c_j = q w_j . (1, theta) - w'_j . y, w'_j its last two entries, and
+    Cauchy-Schwarz gives |w'_j . y|^2 <= r(q_a) w'_j^T M^-1 w'_j, with
+    w^T M^-1 w = (w_1 - (Re(u)/v) w_2)^2 / Im(u)^2 + w_2^2 / v^2, on a
+    slab part [q_a, q_b] with q_a >= start.  So every member there is
+    (A_i c)_0 for an integer c in the box these intervals span.  Each bound
+    is taken on integer enclosures at 64 + 2 hi.bit_length() bits, rounded
+    outward: |w_j| grows like q^(1/2), so q w_j . (1, theta) stays well
+    within one unit.  The box holds at most 18 points per scale for (1,1),
+    6 for (2,1) and 12 for (2,-1), so a scan to B proposes O(log B) points;
+    a box that ever grows would be cut by Fincke-Pohst enumeration
+    (Math. Comp. 44, 1985).  The q < max(start, R_2) are proposed as is.
+
+    Each proposed q is screened by ``may_be_member`` and confirmed by
+    ``member``; n <= 0 is confirmed by the compiled indicator.
     """
     out = [n for n in range(lo, min(0, hi) + 1) if cons.certificate.confirm(n)]
     lo = max(lo, 1)
     if lo > hi:
         return out
-    inv_b, inv_b2, re_u, im_sq = cons._float_approx()
-    beta_f = cons.beta.to_float()
-    m1inv2 = 1.0 / cons.m1_sq.to_float()
-    c1 = (beta_f * cons.b + 1.0) * inv_b2
-    w1 = beta_f * re_u
-    # g >= m1^-2 (q K - L): nint(x) lies within 1/2 of x
-    k_g = m1inv2 * (1.0 + c1 * inv_b + inv_b * inv_b2)
-    l_g = m1inv2 * (abs(c1) + inv_b) / 2
-    # the slack covers the float evaluation of the bound and of beta^(k/2),
-    # each within a few dozen units in the last place
-    cap = beta_f ** (cons.plateau_pow / 2) * (1.0 + 2.0**-40)
-    # Error bounds, u = 2^-53.  to_float is within 2^-60 + u theta_i of
-    # theta_i and q * theta_i adds one rounding; every other
-    # float constant is within 8u of its exact value, and eps = 16u covers
-    # that, the roundings of each step and the second-order terms.  The
-    # bounds hold while the rounding decisions are right, which the
-    # half-integer test checks.
-    u = 2.0**-53
-    eps = 16 * u
-    w1_abs, re_abs = abs(w1), abs(re_u)
-    m2 = w1_abs / 2 + 1  # |q/beta^2 - p2| with p2 = nint(rew)
     bits = prefilter_bits(hi.bit_length(), DEFAULT_MAX_BITS)
-    steps = np.arange(SCAN_CHUNK, dtype=np.float64)
-    for start in range(lo, hi + 1, SCAN_CHUNK):
-        end = min(start + SCAN_CHUNK - 1, hi)
-        q_max = float(end)
-        d_q = 2 * u * q_max if q_max > 2.0**53 else 0.0  # q itself is rounded above 2^53
-        d_qb = inv_b * d_q + q_max * (4 * u * inv_b + 2.0**-60)
-        d_qb2 = inv_b2 * d_q + q_max * (4 * u * inv_b2 + 2.0**-60)
-        d_t = d_qb + eps
-        d_rew = w1_abs * (d_t + eps) + d_qb2 + 2 * u * inv_b2 * q_max  # last: the sum's rounding
-        d_re = re_abs * d_t + inv_b * d_qb2 + eps * (re_abs + inv_b * m2)
-        q = float(start) + steps[: end - start + 1]
-        qb = q * inv_b
-        t = qb - np.round(qb)  # exact
-        g_start = float(start) * k_g - (l_g + d_q * k_g)
-        g_start -= 16 * u * (float(start) * k_g + l_g)
-        if k_g > 0 and g_start > 0:
-            thr = (d_t + math.sqrt(cap / (im_sq * g_start))) * (1 + 8 * u)
-        else:
-            thr = math.inf  # stage 1 off: every point goes on
-        t_abs = np.abs(t)
-        keep = np.nonzero((t_abs <= thr) | (0.5 - t_abs <= d_qb + u))[0]
-        q, qb, t = q[keep], qb[keep], t[keep]
-        qb2 = q * inv_b2
-        rew = w1 * t + qb2
-        re = re_u * t + (qb2 - np.round(rew)) * inv_b
-        re_lo = np.maximum(np.abs(re) - d_re, 0.0)
-        t_lo = np.maximum(np.abs(t) - d_t, 0.0)
-        g_lo = q * k_g - (l_g + d_q * k_g)
-        suspects = (re_lo * re_lo + im_sq * (t_lo * t_lo)) * g_lo <= cap
-        for arr, d in ((qb, d_qb), (rew, d_rew)):
-            suspects |= np.abs(arr - np.floor(arr) - 0.5) <= d + u
-        # Suspects are confirmed by the closed forms, not by the compiled
-        # indicator: members sit exactly on the plateau, so the indicator
-        # climbs the whole 96 -> 3072-bit ladder before going exact, about
-        # 1.3 ms per Tribonacci member in [1e4, 1e13] against 0.2 ms here
-        # (2-core host); confirming with the indicator moved the verify-cli
-        # benchmark's op_p50_ms from 10.4-10.7 to 22.9-23.9 (seeds 21, 22).
-        idx = keep[np.nonzero(suspects)[0]]
-        out.extend(
-            n
-            for n in (start + int(i) for i in idx)
-            if cons.may_be_member(n, bits) and cons.member(n)
-        )
+    # the closed forms confirm, not the compiled indicator: members sit
+    # exactly on the plateau, where the indicator climbs its whole bit
+    # ladder (about 1.3 ms per Tribonacci member against 0.2 ms, 2-core host)
+    out.extend(
+        q for q in _cubic_candidates(cons, lo, hi) if cons.may_be_member(q, bits) and cons.member(q)
+    )
     return out

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -112,6 +115,18 @@ def test_flags_a_command_ignores_are_rejected():
     assert run(["cert", "--construction", "fibonacci", "--format", "json"]) == 2
     assert run(["cert", "--construction", "fibonacci", "--maxprec", "64"]) == 2
     assert run(["suite", "quick", "--format", "json"]) == 2
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is only the benchmark's optional extra: gp must start without it
+    import gplab
+
+    src = os.path.dirname(os.path.dirname(gplab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, gplab.cli; print([m for m in sys.modules if m.startswith('numpy')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_exit_code_precision_exhausted():

@@ -18,7 +18,6 @@ from gplab.constructions import (
     verify_certificate,
 )
 from gplab.cf import cf_expand
-from gplab.constructions.certificate import SCAN_CHUNK
 from gplab.constructions.registry import construction
 from gplab.errors import PreconditionError, ZeroSolution
 from gplab.gpexpr import members
@@ -334,9 +333,11 @@ def test_half_over_n_scan_across_chunk_boundaries():
     for x in (phi, 1 - phi):
         for lo, hi in [(-5, 250), (1, 300), (140, 1000)]:
             assert scan(x, lo, hi) == exact(x, lo, hi)
-    # a range one block of the float scans long, ending past a Fibonacci term
-    term = next(f for f in fibonacci_upto(10**18) if f > SCAN_CHUNK + 3)
-    lo, hi = term - SCAN_CHUNK - 3, term + 50
+    # a range one block (2^15 points) of the former float scans long,
+    # ending past a Fibonacci term
+    chunk = 1 << 15
+    term = next(f for f in fibonacci_upto(10**18) if f > chunk + 3)
+    lo, hi = term - chunk - 3, term + 50
     got = scan(phi, lo, hi)
     assert term in got
     assert got == [n for n in fibonacci_upto(hi) if n >= lo]

@@ -1,8 +1,10 @@
 """Tests for the cubic Pisot construction."""
 
+import hashlib
+
 import pytest
 
-from gplab.cf import nearest_lattice_sq
+from gplab.cf import RauzyNorm, nearest_lattice_sq
 from gplab.constructions import cubic_pisot_set, recurrence_terms
 from gplab.errors import PreconditionError
 from gplab.gpexpr import eval_exact, eval_indicator, members
@@ -164,6 +166,30 @@ def test_nearest_lattice_sq_matches_window_search(cubic_pairs, pair):
         assert p == want_p and (got - want).is_zero(), q
 
 
+def test_norm_enclosures_are_cached_per_precision(cubic_pairs, monkeypatch):
+    # Re(u), v and Im(u)^2 are enclosed once per bit length of q; only
+    # q theta is enclosed on every call
+    import gplab.cf
+
+    cons = cubic_pairs[(1, 1)]
+    norm = RauzyNorm(cons.norm.re_u, cons.norm.im_u_sq, cons.norm.v)
+    real = gplab.cf.dyadic_enclosure
+    calls = [0]
+
+    def counted(x, bits):
+        calls[0] += 1
+        return real(x, bits)
+
+    monkeypatch.setattr(gplab.cf, "dyadic_enclosure", counted)
+    q = 10**13 + 7
+    nearest_lattice_sq(norm, cons.theta, q)
+    assert calls[0] == 5
+    calls[0] = 0
+    nearest_lattice_sq(norm, cons.theta, q + 1)
+    assert calls[0] == 2
+    assert norm.enclosures(64 + q.bit_length()) is norm.enclosures(64 + q.bit_length())
+
+
 @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (2, -1)])
 def test_nearest_lattice_sq_only_assumes_valid_enclosures(cubic_pairs, pair, monkeypatch):
     # theta widened by 2^62 units at 2^(64 + q.bit_length()) bits: q theta is
@@ -172,6 +198,8 @@ def test_nearest_lattice_sq_only_assumes_valid_enclosures(cubic_pairs, pair, mon
     import gplab.cf
 
     cons = cubic_pairs[pair]
+    # a fresh norm: the shared one may hold enclosures cached before the patch
+    norm = RauzyNorm(cons.norm.re_u, cons.norm.im_u_sq, cons.norm.v)
     real = gplab.cf.dyadic_enclosure
 
     def loose(x, bits):
@@ -181,36 +209,63 @@ def test_nearest_lattice_sq_only_assumes_valid_enclosures(cubic_pairs, pair, mon
 
     monkeypatch.setattr(gplab.cf, "dyadic_enclosure", loose)
     for q in list(range(1, 120)) + [10**15 + d for d in range(10)]:
-        got, p = nearest_lattice_sq(cons.norm, cons.theta, q)
+        got, p = nearest_lattice_sq(norm, cons.theta, q)
         want, want_p = nearest_lattice_sq_exhaustive(cons.norm, cons.theta, q)
         assert p == want_p and (got - want).is_zero(), q
 
 
+# sha256 of ",".join(map(str, members)) from the float-prefilter scan this
+# lattice scan replaced, recorded before it was removed
+SCAN_PINS = {
+    (1, 1, 10**7): "d7a2ee9725d436b1cc199e9c9ec0ef596f32b5ca20b8fcaf502a03bdee88fe07",
+    (2, 1, 10**7): "f09f9d0fd17f4a3373ff975c484a94186245475c268c3d3417f2999b4b21502b",
+    (2, -1, 10**7): "82e5d60ecaaf1bac5175b36cd73805b2ba1ac727643bcb644793c4c634a10c62",
+    (1, 0, 3000): "35851c374d4b0ae8d4f02408abc6034d77eda8793f8c7f890003f8dbb398c16b",
+    (0, 1, 3000): "bfcdb2501f0db591be84f85ba0871b136ff76ca529ca94523d4bca0e183c1820",
+    (3, -1, 3000): "55b2ead937ac451f556dd6577bd09f344253c0f06e9ea338ec89b351788eccb1",
+}
+
+
+@pytest.mark.parametrize("a, b, top", list(SCAN_PINS))
+def test_cubic_scan_matches_pinned_output(a, b, top):
+    got = cubic_pisot_set(a, b).certificate.members(1, top)
+    assert hashlib.sha256(",".join(map(str, got)).encode()).hexdigest() == SCAN_PINS[a, b, top]
+
+
 @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (2, -1)])
-def test_cubic_scan_across_chunk_boundaries(cubic_pairs, pair, monkeypatch):
-    from gplab.constructions import cubic
-
+def test_cubic_scan_matches_every_point(cubic_pairs, pair):
+    # every q in [1, 3e5], the (2,-1) extra-orbit members 12, 21 and 37
+    # included; may_be_member rejects only a q whose enclosures prove it is
+    # no member, so this is point-by-point ``member`` at a tenth of the cost
     cons = cubic_pairs[pair]
-    # small blocks: stage 1 takes a new lower bound on g every 100 points
-    with monkeypatch.context() as m:
-        m.setattr(cubic, "SCAN_CHUNK", 100)
-        assert cons.certificate.members(1, 3000) == [n for n in range(1, 3001) if cons.member(n)]
-    # real block size: the first term that fits lies just inside the second
-    # block, whose last point is far enough out to lift g well above its
-    # value at the term
-    terms = recurrence_terms(cons.recurrence, 10**18)
-    term = next(t for t in terms if t > cubic.SCAN_CHUNK + 3)
-    lo, hi = term - cubic.SCAN_CHUNK - 3, term + 50
-    got = cons.certificate.members(lo, hi)
-    assert term in got
-    assert set(got) >= {t for t in terms if lo <= t <= hi}
-    window = range(term - 20, term + 21)
-    assert [n for n in got if n in window] == [n for n in window if cons.member(n)]
+    top = 3 * 10**5
+    want = [q for q in range(1, top + 1) if cons.may_be_member(q, 83) and cons.member(q)]
+    assert cons.certificate.members(1, top) == want
+    assert pair != (2, -1) or {12, 21, 37} <= set(want)
 
 
-def test_cubic_prefilter_work(trib, monkeypatch):
-    # deterministic guards against a prefilter that silently stops
-    # filtering: exact confirmations are counted, not timed
+@pytest.mark.parametrize("pair", [(1, 1), (2, 1), (2, -1)])
+def test_cubic_scan_across_scale_boundaries(cubic_pairs, pair):
+    # scale i proposes the points of [R_i, R_(i+1)] from its own lattice
+    # basis; a window from inside scale i-1 to inside scale i+1 must find
+    # what the unclipped scan finds, and what member finds at both seams
+    cons = cubic_pairs[pair]
+    assert cons.certificate.members(1, 3000) == [n for n in range(1, 3001) if cons.member(n)]
+    full = cons.certificate.members(1, 10**17 + 20)
+    terms = recurrence_terms(cons.recurrence, 10**17)
+    assert set(terms[1:]) <= set(full)
+    for r_i, r_next in zip(terms, terms[1:]):
+        if r_i < 100:
+            continue
+        lo, hi = r_i - 20, r_next + 20
+        got = cons.certificate.members(lo, hi)
+        assert got == [n for n in full if lo <= n <= hi], r_i
+        for seam in (r_i, r_next):
+            window = range(seam - 20, seam + 21)
+            assert [n for n in got if n in window] == [n for n in window if cons.member(n)]
+
+
+def _count_member_calls(monkeypatch):
     from gplab.constructions.cubic import CubicConstruction
 
     calls = [0]
@@ -221,28 +276,44 @@ def test_cubic_prefilter_work(trib, monkeypatch):
         return member(self, q)
 
     monkeypatch.setattr(CubicConstruction, "member", counted)
+    return calls
+
+
+def test_cubic_prefilter_work(trib, monkeypatch):
+    # deterministic guards against a candidate scan that silently stops
+    # filtering: exact confirmations are counted, not timed
+    calls = _count_member_calls(monkeypatch)
     assert trib.certificate.members(1, 10**7) == recurrence_terms(trib.recurrence, 10**7)[1:]
     assert calls[0] == 27  # one per member
     calls[0] = 0
     assert trib.certificate.members(10**13, 10**13 + 10**6 - 1) == []
-    assert calls[0] <= 10264  # the one-stage prefilter's count on this window
+    assert calls[0] == 0  # the lattice box proposes no point here
+
+
+def test_dense_window_confirms_only_terms(trib, monkeypatch):
+    # every point of the first window was a float suspect of the old scan
+    # (2.6 s, 2-core host); the second holds a term.  At most one member
+    # call per term
+    calls = _count_member_calls(monkeypatch)
+    terms = recurrence_terms(trib.recurrence, 10**16)
+    t = next(t for t in terms if t > 10**15)
+    for lo, hi in ((10**15, 10**15 + 2 * 10**5), (t - 10**5, t + 10**5)):
+        calls[0] = 0
+        want = [x for x in terms if lo <= x <= hi]
+        assert trib.certificate.members(lo, hi) == want
+        assert calls[0] <= len(want)
 
 
 @pytest.mark.parametrize("pair", [(1, 1), (2, 1)])
 def test_fixed_point_rescreen_of_float_suspects(cubic_pairs, pair, monkeypatch):
-    # from about 1e15 every point is a float suspect; the fixed-point screen
-    # must leave member only the term, and never change the scan's output
+    # from about 1e15 every point was a suspect of the float scan this
+    # lattice scan replaced; member must see only the term, and the scan
+    # must agree with member at every point
     from gplab.constructions.cubic import CubicConstruction
 
     cons = cubic_pairs[pair]
     member = CubicConstruction.member
-    calls = [0]
-
-    def counted(self, q):
-        calls[0] += 1
-        return member(self, q)
-
-    monkeypatch.setattr(CubicConstruction, "member", counted)
+    calls = _count_member_calls(monkeypatch)
     terms = recurrence_terms(cons.recurrence, 10**17)
     for t in (t for t in terms if 10**13 <= t <= 10**17):
         calls[0] = 0
