@@ -9,13 +9,12 @@ The indicator decides membership.  ``members`` runs it through the
 certificate's compiled ``Program``; a builder may attach a ``fast_scan``
 whose candidate generator (continued-fraction denominators, the lattice
 points of a recurrence basis, a pull-back, a filter of another
-certificate's members) only proposes points, each then confirmed by
-``confirm``, the compiled indicator.  Two scans keep a bespoke exact
-confirmer, each with its measured reason stated next to it:
-``CubicConstruction.member`` (cubic members sit exactly on the plateau, so
-the indicator climbs the whole bit ladder before deciding) and the
-very-sparse interval containment (the indicator is undecidable past the
-depth of the supplied sequence).
+certificate's members) only proposes points, each then confirmed by the
+compiled indicator: ``confirm``, or for the cubic scan its exact mode
+(``CubicConstruction.member``), since cubic members sit exactly on the
+plateau, where no rung of the dyadic ladder decides.  One scan keeps a
+bespoke exact confirmer, the very-sparse interval containment: the
+indicator is undecidable past the depth of the supplied sequence.
 """
 
 from __future__ import annotations

@@ -18,6 +18,11 @@ and strictly larger elsewhere.  The certificate tests the squared product
 against the exact plateau constant beta^k, a comparison that lives
 entirely in the ground field.  The plateau exponent k is measured at
 build time and verified exactly at two independent indices.
+
+The certificate's compiled indicator is the one encoding of this test:
+``h_sq`` and ``g_value`` evaluate the compiled ``h_sq_expr`` and
+``g_expr``, ``member`` is the indicator's exact verdict, and the scan
+screens its lattice candidates with the indicator's dyadic mode.
 """
 
 from __future__ import annotations
@@ -40,14 +45,13 @@ from ..gpexpr import (
     Sub,
     indicator_of_range,
 )
+from ..gpexpr.evaluate import Program
 from ..realnum import (
     DEFAULT_MAX_BITS,
     FieldElement,
     NeedBits,
     NumberField,
     fixed_enclosure,
-    floor_iv,
-    mul_iv,
     prefilter_bits,
     scale_iv,
 )
@@ -95,36 +99,25 @@ class CubicConstruction:
     g_expr: Expr = dc_field(repr=False, default=None)
     h_sq_expr: Expr = dc_field(repr=False, default=None)
     certificate: Certificate = dc_field(repr=False, default=None)
+    # the compiled g_expr and h_sq_expr
+    _programs: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
 
     def n0_sq(self, q: int) -> FieldElement:
         """Exact squared distance N0(q theta)^2 from q theta to the nearest lattice point."""
         return nearest_lattice_sq(self.norm, self.theta, q)[0]
 
     def h_sq(self, q: int) -> FieldElement:
-        """Exact value of the closed-form h(q)^2."""
-        inv_b = self.theta[0]
-        inv_b2 = self.theta[1]
-        p1 = (inv_b * q).nint()
-        t = inv_b * q - p1
-        rew = (self.beta * self.norm.re_u) * t + inv_b2 * q
-        p2 = rew.nint()
-        re = self.norm.re_u * t + (inv_b2 * q - p2) * inv_b
-        return re * re + self.norm.im_u_sq * t * t
+        """Exact h(q)^2: the compiled ``h_sq_expr`` at q."""
+        return self._programs[1].eval_exact(q, DEFAULT_MAX_BITS)
 
     def g_value(self, q: int) -> FieldElement:
-        inv_b = self.theta[0]
-        inv_b2 = self.theta[1]
-        c1 = (self.beta * self.b + 1) * inv_b2
-        return self.m1_sq.inverse() * (
-            self.field.from_rational(q)
-            + c1 * (inv_b * q).nint()
-            + inv_b * (inv_b2 * q).nint()
-        )
+        """Exact g(q): the compiled ``g_expr`` at q."""
+        return self._programs[0].eval_exact(q, DEFAULT_MAX_BITS)
 
     def _fixed_consts(self, bits: int) -> tuple:
-        """Enclosures at ``bits`` of 1/beta, 1/beta^2, beta Re(u), Re(u),
-        Im(u)^2, m1^-2, c1, beta^k, K, L, Im(u)^-2 and beta^2, computed
-        once per precision (K and L bound g; see ``_cubic_fast_scan``)."""
+        """Enclosures at ``bits`` of 1/beta, 1/beta^2, beta Re(u), m1^-2,
+        beta^k, K, L, Im(u)^-2 and beta^2, computed once per precision (K
+        and L bound g; see ``_cubic_fast_scan``)."""
         cache = getattr(self, "_fixed_cache", None)
         if cache is None:
             cache = self._fixed_cache = {}
@@ -135,10 +128,7 @@ class CubicConstruction:
                 inv_b,
                 inv_b2,
                 self.beta * self.norm.re_u,
-                self.norm.re_u,
-                self.norm.im_u_sq,
                 self.m1_sq.inverse(),
-                c1,
                 self.beta**self.plateau_pow,
                 1 + c1 * inv_b + inv_b * inv_b2,
                 ((c1 if c1.sign() >= 0 else -c1) + inv_b) / 2,
@@ -148,42 +138,9 @@ class CubicConstruction:
             cache[bits] = tuple(fixed_enclosure(c, bits) for c in consts)
         return cache[bits]
 
-    def may_be_member(self, q: int, bits: int) -> bool:
-        """False only when enclosures at ``bits`` prove (h(q)^2 g(q))^2 > beta^k.
-
-        The closed forms of ``h_sq`` and ``g_value`` are evaluated on
-        integer fixed-point enclosures, rounded outward; a rounding
-        (p1, p2 or nint(q/beta^2)) that the enclosures cannot decide
-        leaves q to ``member``.
-        """
-        ib, ib2, w1, re_u, im_sq, m1inv2, c1, beta_k = self._fixed_consts(bits)[:8]
-        half = 1 << (bits - 1)
-        qb = scale_iv(q, ib)
-        qb2 = scale_iv(q, ib2)
-        try:
-            p1 = floor_iv((qb[0] + half, qb[1] + half), bits)
-            p2g = floor_iv((qb2[0] + half, qb2[1] + half), bits)
-            t = (qb[0] - (p1 << bits), qb[1] - (p1 << bits))
-            rew = mul_iv(w1, t, bits)
-            p2 = floor_iv((rew[0] + qb2[0] + half, rew[1] + qb2[1] + half), bits)
-        except NeedBits:
-            return True
-        x2 = mul_iv((qb2[0] - (p2 << bits), qb2[1] - (p2 << bits)), ib, bits)
-        re = mul_iv(re_u, t, bits)
-        re = (re[0] + x2[0], re[1] + x2[1])
-        a, b = mul_iv(re, re, bits), mul_iv(im_sq, mul_iv(t, t, bits), bits)
-        h_sq = (a[0] + b[0], a[1] + b[1])
-        a, b = scale_iv(p1, c1), scale_iv(p2g, ib)
-        g = mul_iv(m1inv2, ((q << bits) + a[0] + b[0], (q << bits) + a[1] + b[1]), bits)
-        v = mul_iv(h_sq, g, bits)
-        return mul_iv(v, v, bits)[0] <= beta_k[1]
-
     def member(self, q: int) -> bool:
-        """Exact h(q)^2 g(q) <= beta^(k/2): the cubic scan's confirmer."""
-        if q < 1:
-            return False
-        v = self.h_sq(q) * self.g_value(q)
-        return (v * v - self.beta**self.plateau_pow).sign() <= 0
+        """The compiled indicator's exact verdict at q >= 1: (h^2 g)^2 <= beta^k."""
+        return q >= 1 and self.certificate.program().eval_exact(q, DEFAULT_MAX_BITS) == 1
 
 
 def _measure_plateau(cons: CubicConstruction, terms: list[int]) -> int:
@@ -277,11 +234,12 @@ def cubic_pisot_set(a: int, b: int, verify_to: int = _DEFAULT_VERIFY_TO) -> Cubi
     m1_sq, m1_at = nearest_lattice_sq(norm, theta, 1)
     cons.m1_sq = m1_sq
     cons.m1_at = m1_at
+    cons.g_expr, cons.h_sq_expr = _build_exprs(cons)
+    cons._programs = (Program(cons.g_expr), Program(cons.h_sq_expr))
     probe_terms = recurrence_terms(rec, 5000)
     cons.plateau_pow = _measure_plateau(cons, probe_terms)
     cons.record_offset = Fraction(cons.plateau_pow, 2)
     _verify_record_plateau_link(cons, probe_terms)
-    cons.g_expr, cons.h_sq_expr = _build_exprs(cons)
 
     # indicator: 0 <= beta^k - (h^2 g)^2 < B, i.e. the product sits on or
     # below its exact plateau value
@@ -333,7 +291,7 @@ def _cubic_candidates(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
     """Every q in [lo, hi], 1 <= lo, that can be a member; see ``_cubic_fast_scan``."""
     bits = 64 + 2 * hi.bit_length()
     # beta Re(u) = Re(u)/v and beta^2 = 1/v^2, as v = 1/beta
-    ib, ib2, re_v, _, _, m1inv2, _, beta_k, k_g, l_g, inv_im, beta_sq = cons._fixed_consts(bits)
+    ib, ib2, re_v, m1inv2, beta_k, k_g, l_g, inv_im, beta_sq = cons._fixed_consts(bits)
 
     def up(x: int) -> int:
         return -((-x) >> bits)
@@ -375,7 +333,7 @@ def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
     = 1 + (b beta + 2)/beta^3 > 0 and L = (|c1| + 1/beta)/2.  So a member
     q >= start, the least q with q K > L, has h(q)^2 <= r(q) :=
     beta^(k/2) m1^2 / (q K - L), which falls with q.  With (p1, p2) the
-    closed form's roundings, x = (q, p1, p2) is in Z^3, and
+    roundings in ``h_sq_expr``, x = (q, p1, p2) is in Z^3, and
     y = q theta - (p1, p2) has y^T M y = N(y)^2 = h(q)^2, M being the
     Gram matrix of the norm.
 
@@ -397,18 +355,25 @@ def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
     a box that ever grows would be cut by Fincke-Pohst enumeration
     (Math. Comp. 44, 1985).  The q < max(start, R_2) are proposed as is.
 
-    Each proposed q is screened by ``may_be_member`` and confirmed by
-    ``member``; n <= 0 is confirmed by the compiled indicator.
+    The compiled indicator decides every proposed q.  Its dyadic mode at
+    the prefilter precision drops the q where it reads 0; the rest (it
+    reads 1, or a floor is undecided there) are confirmed by ``member``,
+    its exact mode.  Exact mode goes straight to field arithmetic: members
+    sit exactly on the plateau, where no dyadic rung can decide the
+    indicator's last floor.  n <= 0 is confirmed by the compiled indicator.
     """
     out = [n for n in range(lo, min(0, hi) + 1) if cons.certificate.confirm(n)]
     lo = max(lo, 1)
     if lo > hi:
         return out
+    program = cons.certificate.program()
     bits = prefilter_bits(hi.bit_length(), DEFAULT_MAX_BITS)
-    # the closed forms confirm, not the compiled indicator: members sit
-    # exactly on the plateau, where the indicator climbs its whole bit
-    # ladder (about 1.3 ms per Tribonacci member against 0.2 ms, 2-core host)
-    out.extend(
-        q for q in _cubic_candidates(cons, lo, hi) if cons.may_be_member(q, bits) and cons.member(q)
-    )
+
+    def may_hold(q: int) -> bool:
+        try:
+            return program.eval_dyadic(q, bits)[0] != 0
+        except NeedBits:
+            return True
+
+    out.extend(q for q in _cubic_candidates(cons, lo, hi) if may_hold(q) and cons.member(q))
     return out

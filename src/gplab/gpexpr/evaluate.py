@@ -36,6 +36,7 @@ from fractions import Fraction
 from ..errors import NonBooleanValue, PrecisionExhausted
 from ..realnum import (
     DEFAULT_MAX_BITS,
+    FieldElement,
     NeedBits,
     Real,
     dist_iv,
@@ -305,6 +306,8 @@ def eval_indicator(
         value = eval_exact(e, n, max_bits, program)
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"indicator undecided at n={n}", n=n, bits=max_bits) from exc
+    if isinstance(value, FieldElement) and value.is_rational():
+        value = value.as_rational()
     if isinstance(value, Fraction):
         if value == 0:
             return 0

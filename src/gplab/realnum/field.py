@@ -290,23 +290,27 @@ class FieldElement:
                 return _reduced(self.field, tuple(a + b for a, b in zip(self.num, other.num)), d1)
             num = tuple(a * d2 + b * d1 for a, b in zip(self.num, other.num))
             return _reduced(self.field, num, d1 * d2)
-        if isinstance(other, int):
-            n = self.num
-            return FieldElement(self.field, (n[0] + other * self.den,) + n[1:], self.den)
-        if isinstance(other, Fraction):
-            return self + self.field.from_rational(other)
+        if isinstance(other, (int, Fraction)):
+            return self._add_rational(other.numerator, other.denominator)
         return NotImplemented
 
     __radd__ = __add__
+
+    def _add_rational(self, p: int, q: int) -> "FieldElement":
+        """``self + p/q`` for integers p and q > 0."""
+        n, d = self.num, self.den
+        if q == 1:
+            return FieldElement(self.field, (n[0] + p * d,) + n[1:], d)
+        return _reduced(self.field, (n[0] * q + p * d,) + tuple(x * q for x in n[1:]), d * q)
 
     def __neg__(self):
         return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, FieldElement) and not self._same_field(other):
-            return NotImplemented
-        if isinstance(other, (FieldElement, int, Fraction)):
-            return self + (-other)
+        if isinstance(other, FieldElement):
+            return self + (-other) if self._same_field(other) else NotImplemented
+        if isinstance(other, (int, Fraction)):
+            return self._add_rational(-other.numerator, other.denominator)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -333,16 +337,18 @@ class FieldElement:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.field.one()
+        if exponent == 0:
+            return self.field.one()
+        result = None
         base = self
         e = exponent
-        while e:
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def inverse(self) -> "FieldElement":
         """Exact inverse: ``den`` times the first adjugate column over the determinant.

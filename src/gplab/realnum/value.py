@@ -2,9 +2,10 @@
 
 A real value is one of: an exact rational (``Fraction``), an exact element
 of a degree-2/3 real number field (``FieldElement``), or a computable real
-given by a nested-interval stream (``RefinableReal``).  Arithmetic stays
-exact whenever both operands live in the same field (rationals embed in
-every field); mixed operands degrade to interval streams.  Comparisons and
+given by a nested-interval stream (``RefinableReal``).  Two rationals, or
+elements of one field (a rational embeds in every field), combine with the
+values' own operators and stay exact; a stream operand or elements of two
+fields degrade to interval streams.  Comparisons and
 integer-part operations on exact values are decided exactly; on streams
 they refine until decided or the precision budget ``max_bits`` runs out,
 in which case :class:`~gplab.errors.PrecisionExhausted` is raised.
@@ -49,35 +50,33 @@ def interval_of(x: Real, k: int) -> tuple[Fraction, Fraction]:
 
 
 def is_exact_zero(x: Real) -> bool:
-    if isinstance(x, Fraction):
-        return x == 0
-    if isinstance(x, FieldElement):
+    t = type(x)
+    if t is Fraction:
+        return not x
+    if t is FieldElement:
         return x.is_zero()
     return False
 
 
-def _pair(a: Real, b: Real):
-    """Promote to a common exact representation, or to streams."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a, b, "exact"
-    if isinstance(a, FieldElement) and isinstance(b, Fraction):
-        return a, a.field.from_rational(b), "exact"
-    if isinstance(a, Fraction) and isinstance(b, FieldElement):
-        return b.field.from_rational(a), b, "exact"
-    if isinstance(a, FieldElement) and isinstance(b, FieldElement) and a.field == b.field:
-        return a, b, "exact"
-    return as_stream(a), as_stream(b), "stream"
+def _exact_pair(a: Real, b: Real) -> bool:
+    """Whether the values' own operators apply: both rational, or elements of
+    one field (a rational operand embeds in the other's field)."""
+    ta, tb = type(a), type(b)
+    if ta is Fraction:
+        return tb is Fraction or tb is FieldElement
+    if ta is FieldElement:
+        return tb is Fraction or (tb is FieldElement and a._same_field(b))
+    return False
 
 
 def radd(a: Real, b: Real) -> Real:
-    x, y, kind = _pair(a, b)
-    if kind == "exact":
-        return x + y
+    if _exact_pair(a, b):
+        return a + b
     if isinstance(a, Fraction):
-        return rr_add_rational(y, a)
+        return rr_add_rational(as_stream(b), a)
     if isinstance(b, Fraction):
-        return rr_add_rational(x, b)
-    return rr_add(x, y)
+        return rr_add_rational(as_stream(a), b)
+    return rr_add(as_stream(a), as_stream(b))
 
 
 def rneg(a: Real) -> Real:
@@ -87,20 +86,21 @@ def rneg(a: Real) -> Real:
 
 
 def rsub(a: Real, b: Real) -> Real:
+    if _exact_pair(a, b):
+        return a - b
     return radd(a, rneg(b))
 
 
 def rmul(a: Real, b: Real) -> Real:
+    if _exact_pair(a, b):
+        return a * b
     if is_exact_zero(a) or is_exact_zero(b):
         return Fraction(0)
-    x, y, kind = _pair(a, b)
-    if kind == "exact":
-        return x * y
     if isinstance(a, Fraction):
-        return rr_scale(y, a)
+        return rr_scale(as_stream(b), a)
     if isinstance(b, Fraction):
-        return rr_scale(x, b)
-    return rr_mul(x, y)
+        return rr_scale(as_stream(a), b)
+    return rr_mul(as_stream(a), as_stream(b))
 
 
 def rinv(a: Real, max_bits: int = DEFAULT_MAX_BITS) -> Real:
@@ -114,6 +114,8 @@ def rinv(a: Real, max_bits: int = DEFAULT_MAX_BITS) -> Real:
 
 
 def rpow(a: Real, e: int) -> Real:
+    if (type(a) is Fraction or type(a) is FieldElement) and not is_exact_zero(a):
+        return a**e
     if e < 0:
         return rpow(rinv(a), -e)
     out: Real = Fraction(1)
@@ -145,11 +147,6 @@ def sign_of(x: Real, max_bits: int = DEFAULT_MAX_BITS) -> int:
 
 
 def compare(a: Real, b: Real, max_bits: int = DEFAULT_MAX_BITS) -> int:
-    x, y, kind = _pair(a, b)
-    if kind == "exact":
-        if isinstance(x, Fraction):
-            return (x > y) - (x < y)
-        return x.compare(y)
     return sign_of(rsub(a, b), max_bits)
 
 

@@ -3,10 +3,12 @@
 Everything here is built from plain integer arithmetic (``math.isqrt``) and
 ``fractions.Fraction``, deliberately avoiding the package's own number-field
 machinery, so expected values are computed along a second, independent path.
-The exception is the exhaustive record and growth scans at the end: they
-are the package's exact decisions run at every q or n, with no prefilter,
-the reference for the prefiltered scans in ``gplab.cf`` and
-``gplab.nilorbit``.
+The exceptions are the exhaustive record and growth scans and the cubic
+closed forms at the end: the scans are the package's exact decisions run at
+every q or n, with no prefilter, the reference for the prefiltered scans in
+``gplab.cf`` and ``gplab.nilorbit``; the closed forms are h(q)^2, g(q) and
+the plateau test written out in field arithmetic, the reference for the
+compiled cubic indicator.
 """
 
 from __future__ import annotations
@@ -260,3 +262,86 @@ def growth_count_exhaustive(spec, N: int, max_bits: int = 4096) -> int:
     from gplab.nilorbit import small_value_indicator
 
     return sum(small_value_indicator(spec, n, max_bits) for n in range(1, N))
+
+
+# ---------------------------------------------------------------------------
+# cubic closed forms: h(q)^2, g(q) and the plateau test, written out
+# ---------------------------------------------------------------------------
+
+
+class CubicClosedForms:
+    """The closed forms of a ``CubicConstruction``, in field arithmetic and on
+    fixed-point enclosures, independent of its compiled expressions."""
+
+    def __init__(self, cons):
+        self.cons = cons
+        self._fixed = {}
+
+    def h_sq(self, q: int):
+        cons = self.cons
+        inv_b, inv_b2 = cons.theta
+        p1 = (inv_b * q).nint()
+        t = inv_b * q - p1
+        p2 = ((cons.beta * cons.norm.re_u) * t + inv_b2 * q).nint()
+        re = cons.norm.re_u * t + (inv_b2 * q - p2) * inv_b
+        return re * re + cons.norm.im_u_sq * t * t
+
+    def g_value(self, q: int):
+        cons = self.cons
+        inv_b, inv_b2 = cons.theta
+        c1 = (cons.beta * cons.b + 1) * inv_b2
+        return cons.m1_sq.inverse() * (
+            cons.field.from_rational(q) + c1 * (inv_b * q).nint() + inv_b * (inv_b2 * q).nint()
+        )
+
+    def member(self, q: int) -> bool:
+        """Exact h(q)^2 g(q) <= beta^(k/2), for q >= 1."""
+        if q < 1:
+            return False
+        v = self.h_sq(q) * self.g_value(q)
+        return (v * v - self.cons.beta**self.cons.plateau_pow).sign() <= 0
+
+    def may_be_member(self, q: int, bits: int) -> bool:
+        """False only when enclosures at ``bits`` prove (h(q)^2 g(q))^2 > beta^k.
+
+        The closed forms on integer fixed-point enclosures, rounded outward;
+        a rounding (p1, p2 or nint(q/beta^2)) the enclosures cannot decide
+        keeps q.
+        """
+        from gplab.realnum import NeedBits, fixed_enclosure, floor_iv, mul_iv, scale_iv
+
+        if bits not in self._fixed:
+            cons = self.cons
+            inv_b, inv_b2 = cons.theta
+            consts = (
+                inv_b,
+                inv_b2,
+                cons.beta * cons.norm.re_u,
+                cons.norm.re_u,
+                cons.norm.im_u_sq,
+                cons.m1_sq.inverse(),
+                (cons.beta * cons.b + 1) * inv_b2,
+                cons.beta**cons.plateau_pow,
+            )
+            self._fixed[bits] = tuple(fixed_enclosure(c, bits) for c in consts)
+        ib, ib2, w1, re_u, im_sq, m1inv2, c1, beta_k = self._fixed[bits]
+        half = 1 << (bits - 1)
+        qb = scale_iv(q, ib)
+        qb2 = scale_iv(q, ib2)
+        try:
+            p1 = floor_iv((qb[0] + half, qb[1] + half), bits)
+            p2g = floor_iv((qb2[0] + half, qb2[1] + half), bits)
+            t = (qb[0] - (p1 << bits), qb[1] - (p1 << bits))
+            rew = mul_iv(w1, t, bits)
+            p2 = floor_iv((rew[0] + qb2[0] + half, rew[1] + qb2[1] + half), bits)
+        except NeedBits:
+            return True
+        x2 = mul_iv((qb2[0] - (p2 << bits), qb2[1] - (p2 << bits)), ib, bits)
+        re = mul_iv(re_u, t, bits)
+        re = (re[0] + x2[0], re[1] + x2[1])
+        a, b = mul_iv(re, re, bits), mul_iv(im_sq, mul_iv(t, t, bits), bits)
+        h_sq = (a[0] + b[0], a[1] + b[1])
+        a, b = scale_iv(p1, c1), scale_iv(p2g, ib)
+        g = mul_iv(m1inv2, ((q << bits) + a[0] + b[0], (q << bits) + a[1] + b[1]), bits)
+        v = mul_iv(h_sq, g, bits)
+        return mul_iv(v, v, bits)[0] <= beta_k[1]

@@ -273,3 +273,37 @@ def test_artifacts_are_byte_identical(tmp_path):
             assert digest == CERT_SHA256[name[5:]], name
         elif name in SCAN_SHA256:
             assert digest == SCAN_SHA256[name], name
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
+    # main builds the parser once per process; a call after one with other
+    # options writes what it writes after a fresh parser
+    import gplab.cli as cli
+
+    built = [0]
+    real = cli.build_parser
+
+    def counted():
+        built[0] += 1
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    ip = ["ipsearch", "--mode", "translated", "--r", "2", "--bound", "200", "--jobs", "1"]
+    mem = ["members", "--expr", "floor(1 - frac(theta*n))", "--from", "-3", "--to", "5"]
+    calls = [ip + ["--shifts", "3,1"], ip, mem + ["--format", "json"], mem]
+
+    def artifact(argv):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    separate = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        separate.append(artifact(argv))
+    assert built[0] == len(calls)
+    cli._parser.cache_clear()
+    built[0] = 0
+    assert [artifact(argv) for argv in calls] == separate
+    assert built[0] == 1
+    assert separate[0] != separate[1] and separate[2] != separate[3]

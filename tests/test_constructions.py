@@ -20,8 +20,8 @@ from gplab.constructions import (
 from gplab.cf import cf_expand
 from gplab.constructions.registry import construction
 from gplab.errors import PreconditionError, ZeroSolution
-from gplab.gpexpr import members
-from gplab.realnum import NumberField
+from gplab.gpexpr import eval_indicator, members
+from gplab.realnum import DEFAULT_MAX_BITS, NumberField
 
 from oracles import dist_quadratic_lt, fibonacci_upto
 
@@ -112,26 +112,39 @@ def test_fibonacci_indicator_matches_fast_scan():
 _DEFAULTS = dict(a=1, b=1, norm=-1, C=5, D=6, sequence=(2, 128, 562949953421312))
 
 
-@pytest.mark.parametrize(
-    "name, params",
-    [
-        ("fibonacci", {"a": 1}),
-        ("fibonacci", {"a": 2}),
-        ("quadratic", {"a": 3, "norm": 1}),
-        ("quadratic", {"a": 3, "norm": -1}),
-        ("quadratic", {"a": 4, "norm": 1}),
-        ("quadratic-filter", {"a": 4}),
-        ("cubic", {"a": 1, "b": 1}),
-        ("cubic", {"a": 2, "b": 1}),
-        ("verysparse", {}),
-    ],
-)
+_REGISTRY_CASES = [
+    ("fibonacci", {"a": 1}),
+    ("fibonacci", {"a": 2}),
+    ("quadratic", {"a": 3, "norm": 1}),
+    ("quadratic", {"a": 3, "norm": -1}),
+    ("quadratic", {"a": 4, "norm": 1}),
+    ("quadratic-filter", {"a": 4}),
+    ("cubic", {"a": 1, "b": 1}),
+    ("cubic", {"a": 2, "b": 1}),
+    ("verysparse", {}),
+]
+
+
+@pytest.mark.parametrize("name, params", _REGISTRY_CASES)
 def test_scan_matches_compiled_indicator(name, params):
     # the scan's candidate generator drops no member of the indicator, and
-    # the bespoke cubic and very-sparse confirmers agree with it; at n <= 0
-    # the cubic and very-sparse indicators hold at points outside the target
+    # the bespoke very-sparse confirmer agrees with it; at n <= 0 the cubic
+    # and very-sparse indicators hold at points outside the target
     cert = construction(name).build(SimpleNamespace(**{**_DEFAULTS, **params}))
     assert cert.members(-50, 4000) == members(cert.indicator, -50, 4000)
+
+
+@pytest.mark.parametrize("name, params", _REGISTRY_CASES)
+def test_exact_mode_of_every_registry_indicator_is_a_rational_bit(name, params):
+    # exact mode combines rationals and one field's elements with their own
+    # operators; every indicator still ends in a Fraction 0 or 1, the
+    # verdict of the dyadic ladder
+    cert = construction(name).build(SimpleNamespace(**{**_DEFAULTS, **params}))
+    program = cert.program()
+    for n in range(-5, 201):
+        value = program.eval_exact(n, DEFAULT_MAX_BITS)
+        assert type(value) is Fraction and value in (0, 1), n
+        assert value == eval_indicator(cert.indicator, n, program=program), n
 
 
 def test_pell_certificate():

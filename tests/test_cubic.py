@@ -10,7 +10,7 @@ from gplab.errors import PreconditionError
 from gplab.gpexpr import eval_exact, eval_indicator, members
 from gplab.realnum import compare, to_float
 
-from oracles import nearest_lattice_sq_exhaustive
+from oracles import CubicClosedForms, nearest_lattice_sq_exhaustive
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +82,36 @@ def test_indicator_agrees_with_fast_scan(trib):
 
 
 def test_g_h_expressions_evaluate_exactly(trib):
-    for q in (7, 100, 1705):
+    # h_sq and g_value run the compiled expressions; the closed forms
+    # written out in field arithmetic are the reference
+    ref = CubicClosedForms(trib)
+    for q in [7, 100, 1705] + [10**k for k in range(17)]:
         g_tree = eval_exact(trib.g_expr, q)
         h_tree = eval_exact(trib.h_sq_expr, q)
-        assert compare(g_tree, trib.g_value(q)) == 0
-        assert compare(h_tree, trib.h_sq(q)) == 0
+        assert compare(g_tree, ref.g_value(q)) == 0, q
+        assert compare(h_tree, ref.h_sq(q)) == 0, q
+        assert (trib.g_value(q) - ref.g_value(q)).is_zero(), q
+        assert (trib.h_sq(q) - ref.h_sq(q)).is_zero(), q
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (2, -1)])
+def test_member_equals_closed_form_near_every_term(a, b):
+    # member is the compiled indicator's exact verdict; the closed-form
+    # plateau test is the reference on +-20 windows around every term
+    cons = cubic_pisot_set(a, b)
+    ref = CubicClosedForms(cons)
+    for t in recurrence_terms(cons.recurrence, 10**17):
+        for q in range(max(1, t - 20), t + 21):
+            assert cons.member(q) == ref.member(q), q
+
+
+@pytest.mark.parametrize("a, b", [(1, 0), (0, 1), (3, -1)])
+def test_member_equals_closed_form_on_every_point(a, b):
+    cons = cubic_pisot_set(a, b)
+    ref = CubicClosedForms(cons)
+    assert [q for q in range(1, 3001) if cons.member(q)] == [
+        q for q in range(1, 3001) if ref.member(q)
+    ]
 
 
 def test_other_parameters_single_orbit():
@@ -235,11 +260,13 @@ def test_cubic_scan_matches_pinned_output(a, b, top):
 @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (2, -1)])
 def test_cubic_scan_matches_every_point(cubic_pairs, pair):
     # every q in [1, 3e5], the (2,-1) extra-orbit members 12, 21 and 37
-    # included; may_be_member rejects only a q whose enclosures prove it is
-    # no member, so this is point-by-point ``member`` at a tenth of the cost
+    # included; the closed forms' fixed-point screen rejects only a q whose
+    # enclosures prove it is no member, so this is the point-by-point
+    # closed-form test at a tenth of the cost
     cons = cubic_pairs[pair]
+    ref = CubicClosedForms(cons)
     top = 3 * 10**5
-    want = [q for q in range(1, top + 1) if cons.may_be_member(q, 83) and cons.member(q)]
+    want = [q for q in range(1, top + 1) if ref.may_be_member(q, 83) and ref.member(q)]
     assert cons.certificate.members(1, top) == want
     assert pair != (2, -1) or {12, 21, 37} <= set(want)
 

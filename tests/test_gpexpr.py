@@ -315,6 +315,19 @@ def test_product_skips_right_factor_when_left_is_zero():
     assert eval_indicator(ind, 5, max_bits=256) == 0
 
 
+def test_exact_fallback_accepts_rational_field_elements():
+    # the Sub straddles 0 at every rung, so each n goes exact; there the
+    # floor is Fraction(0) and phi * 0 is the field's zero, not a Fraction
+    e = parse(
+        "let s = root(x^2-5, 2, 3); let phi = root(x^2-x-1, 1, 2); "
+        "phi*floor(frac(s*n)-frac(s*n))"
+    )
+    assert [eval_indicator(e, n, max_bits=256) for n in range(1, 6)] == [0] * 5
+    assert members(e, 1, 5, max_bits=256) == []
+    one = parse("let phi = root(x^2-x-1, 1, 2); phi - phi + 1")
+    assert eval_indicator(one, 3, max_bits=128) == 1
+
+
 def test_fibonacci_windows_near_1e15():
     from gplab.constructions import fibonacci_like_set
 

@@ -26,7 +26,7 @@ from gplab.realnum import (
     to_float,
 )
 
-from oracles import floor_quadratic
+from oracles import FractionFieldRef, floor_quadratic
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +191,54 @@ def test_rpow_negative_exponent(phi_field):
     phi = phi_field.generator()
     v = rpow(phi, -2)
     assert abs(to_float(v) - 1 / (1.618033988749895**2)) < 1e-12
+
+
+_TRIB = NumberField((-1, -1, -1, 1), 1, 2, "b")
+_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+
+
+@st.composite
+def _exact_values(draw):
+    """A Fraction or an element of the Tribonacci field."""
+    if draw(st.booleans()):
+        return draw(_rationals)
+    return _TRIB.element(*(draw(_rationals) for _ in range(3)))
+
+
+def _coords(x):
+    return x.coords if isinstance(x, FieldElement) else (x, Fraction(0), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exact_values(), _exact_values(), st.integers(-4, 4))
+def test_exact_operands_use_their_own_operators(x, y, e):
+    # rationals and elements of one field combine with their own operators;
+    # the value is the one the promotion of both into the field gives,
+    # computed on the Fraction-coordinate reference
+    ref = FractionFieldRef(_TRIB.minpoly)
+    a, b = _coords(x), _coords(y)
+    both_rational = type(x) is Fraction and type(y) is Fraction
+    for got, want in (
+        (radd(x, y), ref.add(a, b)),
+        (rsub(x, y), ref.sub(a, b)),
+        (rmul(x, y), ref.mul(a, b)),
+    ):
+        assert type(got) is (Fraction if both_rational else FieldElement)
+        assert _coords(got) == want
+    if not any(a) and e < 0:
+        with pytest.raises(DivisionByZero):
+            rpow(x, e)
+    else:
+        assert _coords(rpow(x, e)) == ref.pow(a, e)
+
+
+def test_elements_of_two_fields_combine_as_streams(phi_field):
+    sq2 = NumberField((-2, 0, 1), 1, 2).generator()
+    phi = phi_field.generator()
+    for got, want in (
+        (radd(sq2, phi), 2**0.5 + 1.618033988749895),
+        (rsub(sq2, phi), 2**0.5 - 1.618033988749895),
+        (rmul(sq2, phi), 2**0.5 * 1.618033988749895),
+    ):
+        assert isinstance(got, RefinableReal)
+        assert abs(to_float(got) - want) < 1e-12
