@@ -51,6 +51,7 @@ from ..realnum import (
     FieldElement,
     NeedBits,
     NumberField,
+    dyadic_enclosure,
     fixed_enclosure,
     prefilter_bits,
     scale_iv,
@@ -245,8 +246,7 @@ def cubic_pisot_set(a: int, b: int, verify_to: int = _DEFAULT_VERIFY_TO) -> Cubi
     # below its exact plateau value
     k = cons.plateau_pow
     beta_k = beta**k
-    bk_hi = beta_k.enclosure(Fraction(1, 4))[1]
-    bound = Fraction(int(bk_hi) + 2)
+    bound = Fraction((dyadic_enclosure(beta_k, 3)[1] >> 3) + 2)
     y = Sub(Const(fld.name, beta_k), Pow(Mul(cons.h_sq_expr, cons.g_expr), 2))
     indicator = indicator_of_range(y, 0, bound)
 

@@ -39,7 +39,7 @@ from ..gpexpr import (
     ind_or,
     substitute_var,
 )
-from ..realnum import FieldElement, NumberField
+from ..realnum import FieldElement, NumberField, fixed_enclosure
 from .certificate import Certificate, verify_certificate
 from .recurrence import LinearRecurrence, recurrence_terms, residue_coefficient
 
@@ -166,10 +166,11 @@ def scaled_set_transfer(
 
     def fast_scan(lo: int, hi: int) -> list[int]:
         # invert: each source member r pulls back to at most one candidate m
-        ulo, uhi = u_abs.enclosure(Fraction(1, 2**20 * (abs(lo) + abs(hi) + 1)))
-        r_hi = int(uhi * max(abs(lo), abs(hi)) + uhi / 2) + 2
+        bits = 20 + (abs(lo) + abs(hi) + 1).bit_length()
+        ulo, uhi = fixed_enclosure(u_abs, bits)
+        r_hi = ((uhi * (2 * max(abs(lo), abs(hi)) + 1)) >> (bits + 1)) + 2
         # when u > 0, every m >= lo > 0 has r = nint(u m) >= u lo - 1/2
-        r_lo = max(0, int(ulo * lo) - 2) if lo > 0 and u.sign() > 0 else 0
+        r_lo = max(0, ((ulo * lo) >> bits) - 2) if lo > 0 and u.sign() > 0 else 0
         src = cert_r.members(r_lo, r_hi)
         inv_u = u.inverse()
         # u < 0 or sign quirks could place candidates off by one; widen by hand

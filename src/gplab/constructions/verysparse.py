@@ -109,14 +109,17 @@ def very_sparse_alpha(n_seq, C: int, D: int) -> VerySparseParams:
     chain = tuple(intervals)
     deepest = len(chain) - 1
 
-    def approximant(k: int) -> tuple[Fraction, Fraction]:
-        target = Fraction(1, 2**k)
+    def approximant(bits: int) -> tuple[int, int]:
+        # the first chain interval at most 2^-bits wide, rounded outward
         for lo, hi in chain:
-            if hi - lo <= target:
-                return lo, hi
+            if (hi - lo) * (1 << bits) <= 1:
+                return (
+                    (lo.numerator << bits) // lo.denominator,
+                    -((-hi.numerator << bits) // hi.denominator),
+                )
         raise PrecisionExhausted(
             f"alpha known only to the depth of n_{deepest}; extend the sequence",
-            bits=k,
+            bits=bits,
         )
 
     params = VerySparseParams(

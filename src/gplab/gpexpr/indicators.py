@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import PreconditionError
-from ..realnum import THETA, Real
+from ..realnum import THETA
 from .ast import (
     Add,
     Const,
@@ -37,7 +37,6 @@ from .ast import (
     map_tree,
     walk,
     with_children,
-    wrap,
 )
 
 
@@ -79,19 +78,18 @@ def dist_sq_expr(e: Expr) -> Expr:
     return Pow(Sub(e, nint_expr(e)), 2)
 
 
-def indicator_of_zero_set(h: Expr, theta: Real | None = None) -> Expr:
+def indicator_of_zero_set(h: Expr) -> Expr:
     """Indicator of {n : h(n) = 0}, assuming theta*h(n) irrational off zeros."""
-    th = Const("theta", THETA) if theta is None else wrap(theta)
-    return Floor(Sub(RationalConst(Fraction(1)), frac_expr(Mul(th, h))))
+    return Floor(Sub(RationalConst(Fraction(1)), frac_expr(Mul(Const("theta", THETA), h))))
 
 
-def indicator_of_range(h: Expr, a, b, theta: Real | None = None) -> Expr:
+def indicator_of_range(h: Expr, a, b) -> Expr:
     """Indicator of {n : a <= h(n) < b} for rationals a < b."""
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise PreconditionError(f"empty range [{a}, {b})")
     scaled = Mul(Sub(h, RationalConst(a)), RationalConst(1 / (b - a)))
-    return indicator_of_zero_set(Floor(scaled), theta)
+    return indicator_of_zero_set(Floor(scaled))
 
 
 def indicator_neg(h: Expr, lower_bound) -> Expr:

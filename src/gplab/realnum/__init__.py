@@ -1,5 +1,10 @@
-"""Exact real arithmetic: number fields, interval streams, unified values,
-and the integer fixed-point enclosures that prefilters and dyadic evaluation share."""
+"""Exact real arithmetic: number fields, enclosure streams, unified values,
+and the integer fixed-point kernels that prefilters and dyadic evaluation share.
+
+Every non-rational value is enclosed by one protocol: integers
+``lo <= x * 2^bits <= hi`` with ``hi - lo <= 2`` (``dyadic_enclosure`` for
+field elements, ``RefinableReal.interval`` for streams, ``fixed_enclosure``
+for any value)."""
 
 from .field import FieldElement, NumberField, dyadic_enclosure
 from .fixed import (

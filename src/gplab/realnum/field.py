@@ -13,8 +13,8 @@ root, by Sturm counting).  The root is kept as a unit bracket
 ``(a, a + 1) * 2^-g`` on a dyadic grid inside that interval, certified by
 opposite signs of the integer-scaled minimal polynomial at its two ends,
 and refined on demand by integer Newton steps (Moore, *Interval Analysis*,
-1966) with integer bisection as the fallback.  Signs, floors and rational
-enclosures of elements come from integer interval Horner evaluations on
+1966) with integer bisection as the fallback.  Signs, floors and enclosures
+of elements come from integer interval Horner evaluations on
 that grid (:func:`dyadic_enclosure`), never from floats.
 """
 
@@ -42,15 +42,6 @@ def _scaled_eval(coeffs: Sequence[int], x: int, g: int) -> int:
     for i in range(deg, -1, -1):
         acc = acc * x + (coeffs[i] << (g * (deg - i)))
     return acc
-
-
-def _grid_bits(width: Rat, factor: int) -> int:
-    """Smallest ``g >= 0`` with ``factor * 2^-g <= width``."""
-    w = Fraction(width)
-    if w <= 0:
-        raise PreconditionError("enclosure width must be positive")
-    need = -((-factor * w.denominator) // w.numerator)  # ceil(factor / w)
-    return (need - 1).bit_length()
 
 
 class NumberField:
@@ -129,9 +120,11 @@ class NumberField:
                 return g, self._bisect(a, b, g)
             g += _BASE_GRID
 
-    def root_enclosure(self, width: Rat) -> tuple[Fraction, Fraction]:
-        """Dyadic interval ``(a, a + 1) * 2^-g`` of at most ``width`` around the root.
+    def root_enclosure(self, bits: int) -> tuple[int, int]:
+        """Integers ``lo <= root * 2^bits <= hi`` with ``hi - lo <= 2``.
 
+        The finest certified unit bracket ``(a, a + 1) * 2^-g`` is rounded
+        outward to the ``2^-bits`` grid; it is refined first when ``g < bits``.
         Each refinement is an integer Newton step on the ``2^-t`` grid,
         ``t <= 2g - slack``, from the midpoint of the current bracket.  The
         new bracket is a unit cell next to the Newton iterate across which
@@ -139,10 +132,9 @@ class NumberField:
         misses, integer bisection inside the current bracket finds it.  So
         every bracket is certified and nested in the isolating interval.
         """
-        g = _grid_bits(width, 1)
         cur, a = self._root_grid
-        while cur < g:
-            t = min(g, 2 * cur - _NEWTON_SLACK)
+        while cur < bits:
+            t = min(bits, 2 * cur - _NEWTON_SLACK)
             k = t - cur
             lo, hi = a << k, (a + 1) << k
             x = (lo + hi) >> 1
@@ -156,7 +148,8 @@ class NumberField:
                 a = x - 1 if self._left_of_root(x - 1, t) else self._bisect(lo, x - 1, t)
             cur = t
         self._root_grid = (cur, a)
-        return Fraction(a, 1 << cur), Fraction(a + 1, 1 << cur)
+        k = cur - bits
+        return a >> k, -(-(a + 1) >> k)
 
     # -- integer coordinate arithmetic -------------------------------------------
     def _mul_num(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -389,16 +382,7 @@ class FieldElement:
             return self.inverse() * other
         return NotImplemented
 
-    # -- embedding -----------------------------------------------------------
-    def enclosure(self, width: Rat) -> tuple[Fraction, Fraction]:
-        """Dyadic rational interval of at most ``width`` containing the element."""
-        if self.is_rational():
-            q = self.as_rational()
-            return q, q
-        bits = _grid_bits(width, 2)
-        lo, hi = dyadic_enclosure(self, bits)
-        return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
-
+    # -- order -----------------------------------------------------------------
     def sign(self) -> int:
         """Exact sign; 0 precisely when the element is zero."""
         if self.is_rational():
@@ -469,10 +453,6 @@ class FieldElement:
         one_minus = 1 - f
         return f if f.compare(one_minus) <= 0 else one_minus
 
-    def to_float(self) -> float:
-        lo, hi = self.enclosure(Fraction(1, 2**60))
-        return float((lo + hi) / 2)
-
     def __repr__(self):
         name = self.field.name
         terms = []
@@ -508,7 +488,7 @@ def dyadic_enclosure(x: FieldElement, bits: int) -> tuple[int, int]:
     slope = sum(i * abs(p) * r ** (i - 1) for i, p in enumerate(nums) if i)
     g = bits + max(0, (3 * slope).bit_length() - den.bit_length() + 1) + _GUARD_BITS
     while True:
-        blo, bhi = _dyadic_root(field, g)
+        blo, bhi = field.root_enclosure(g)
         acc = nums[-1]
         for k, p in enumerate(reversed(nums[:-1]), 1):
             acc = acc * blo + (p << (g * k))
@@ -520,16 +500,3 @@ def dyadic_enclosure(x: FieldElement, bits: int) -> tuple[int, int]:
         if (hi - lo) << bits <= den << g:
             return (lo << bits) // (den << g), -((-hi << bits) // (den << g))
         g += _GUARD_BITS
-
-
-def _dyadic_root(field: NumberField, g: int) -> tuple[int, int]:
-    """Integers with the designated root in ``[lo, hi] * 2^-g``, width <= 2.
-
-    The finest certified bracket is rounded outward to the ``2^-g`` grid;
-    it is refined first when it is coarser than that grid.
-    """
-    if field._root_grid[0] < g:
-        field.root_enclosure(Fraction(1, 1 << g))
-    cur, a = field._root_grid
-    k = cur - g
-    return a >> k, -(-(a + 1) >> k)

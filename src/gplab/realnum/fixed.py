@@ -11,8 +11,13 @@ fall back to exact arithmetic (the record and growth scans).
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import TYPE_CHECKING
+
 from .field import FieldElement, dyadic_enclosure
-from .value import Real, interval_of
+
+if TYPE_CHECKING:
+    from .value import Real
 
 #: guard bits a prefilter keeps beyond the integer bits of its range
 PREFILTER_BITS = 64
@@ -35,16 +40,18 @@ def prefilter_bits(range_bits: int, max_bits: int) -> int:
 def fixed_enclosure(value: Real, bits: int) -> tuple[int, int]:
     """Integers ``lo <= value * 2^bits <= hi`` with ``hi - lo <= 2``.
 
-    Field elements use the field's certified dyadic root bracket; rationals
-    and interval streams round a ``2^-(bits+2)`` rational enclosure outward.
+    Rationals are rounded outward, field elements are read at ``bits + 2``
+    through the field's certified root bracket and rounded outward, and
+    streams answer at ``bits`` directly, under this same contract.
     """
-    if isinstance(value, FieldElement):
+    t = type(value)
+    if t is Fraction:
+        p, q = value.numerator, value.denominator
+        return (p << bits) // q, -((-p << bits) // q)
+    if t is FieldElement:
         lo, hi = dyadic_enclosure(value, bits + 2)
         return lo >> 2, -((-hi) >> 2)
-    flo, fhi = interval_of(value, bits + 2)
-    lo = (flo.numerator << bits) // flo.denominator
-    hi = -((-fhi.numerator << bits) // fhi.denominator)
-    return lo, hi
+    return value.interval(bits)
 
 
 def scale_iv(k: int, v: tuple[int, int]) -> tuple[int, int]:

@@ -1,9 +1,14 @@
-"""Computable reals as deterministic nested-interval streams.
+"""Computable reals as deterministic nested enclosure streams.
 
-A :class:`RefinableReal` wraps a procedure mapping a precision index ``k``
-to a rational interval of width at most ``2^-k``.  Queries are cached and
-successive answers are intersected, so the stream is deterministic and
-nested regardless of the supplied procedure's internal slack.
+A :class:`RefinableReal` wraps a procedure mapping a precision ``bits`` to
+integers ``lo <= x * 2^bits <= hi`` with ``hi - lo <= 2``: the contract of
+field elements' :func:`~gplab.realnum.field.dyadic_enclosure` and of
+:func:`~gplab.realnum.fixed_enclosure`, so streams, field elements and the
+prefilters share one integer enclosure protocol (Moore, *Interval
+Analysis*, 1966).  Queries are cached and each new answer is intersected
+with the finest earlier one, so the stream is deterministic and nested
+regardless of the supplied procedure's internal slack.  Stream arithmetic
+is integer arithmetic; a rational enters it as :func:`constant`.
 """
 
 from __future__ import annotations
@@ -12,9 +17,10 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from ..errors import DivisionByZero, PrecisionExhausted
+from ..errors import DivisionByZero, PrecisionExhausted, PreconditionError
+from .fixed import mul_iv
 
-Interval = tuple[Fraction, Fraction]
+Interval = tuple[int, int]
 
 DEFAULT_MAX_BITS = 4096
 
@@ -23,83 +29,89 @@ class RefinableReal:
     def __init__(self, approximant: Callable[[int], Interval], name: str = ""):
         self._approximant = approximant
         self.name = name
-        self._best: Interval | None = None
-        self._best_k = -1
+        self._best: tuple[int, int, int] | None = None  # (bits, lo, hi): the finest answer
         self._cache: dict[int, Interval] = {}
 
-    def interval(self, k: int) -> Interval:
-        """Nested rational interval of width <= 2^-k."""
-        if k in self._cache:
-            return self._cache[k]
-        if self._best is not None and self._best[1] - self._best[0] <= Fraction(1, 2**k):
-            self._cache[k] = self._best
-            return self._best
-        lo, hi = self._approximant(k)
-        if self._best is not None:
-            blo, bhi = self._best
-            lo, hi = max(lo, blo), min(hi, bhi)
-            if lo > hi:
+    def interval(self, bits: int) -> Interval:
+        """Integers ``lo <= x * 2^bits <= hi`` with ``hi - lo <= 2``, nested across ``bits``."""
+        iv = self._cache.get(bits)
+        if iv is not None:
+            return iv
+        best = self._best
+        if best is not None and best[0] > bits:
+            # a finer answer, at most 1 wide on this grid, rounded outward
+            d = best[0] - bits
+            iv = best[1] >> d, -(-best[2] >> d)
+        else:
+            lo, hi = self._approximant(bits)
+            if best is not None:
+                d = bits - best[0]
+                lo, hi = max(lo, best[1] << d), min(hi, best[2] << d)
+                if lo > hi:
+                    raise PrecisionExhausted(
+                        f"inconsistent refinement of {self.name or 'stream'}", bits=bits
+                    )
+            if hi - lo > 2:
                 raise PrecisionExhausted(
-                    f"inconsistent refinement of {self.name or 'stream'}", bits=k
+                    f"approximant for {self.name or 'stream'} too wide at bits={bits}", bits=bits
                 )
-        if hi - lo > Fraction(1, 2**k):
-            raise PrecisionExhausted(
-                f"approximant for {self.name or 'stream'} too wide at k={k}", bits=k
-            )
-        self._best = (lo, hi)
-        self._best_k = k
-        self._cache[k] = self._best
-        return self._best
+            self._best = (bits, lo, hi)
+            iv = (lo, hi)
+        self._cache[bits] = iv
+        return iv
 
     def __repr__(self):
         tag = self.name or "stream"
         if self._best is None:
             return f"RefinableReal({tag})"
-        lo, hi = self._best
-        return f"RefinableReal({tag} in [{float(lo):.6g}, {float(hi):.6g}])"
+        bits, lo, hi = self._best
+        return f"RefinableReal({tag} in [{lo / (1 << bits):.6g}, {hi / (1 << bits):.6g}])"
 
 
 def constant(q: Fraction, name: str = "") -> RefinableReal:
     q = Fraction(q)
-    return RefinableReal(lambda k: (q, q), name or str(q))
+    p, d = q.numerator, q.denominator
+    return RefinableReal(lambda bits: ((p << bits) // d, -((-p << bits) // d)), name or str(q))
 
 
 def _mag_bits(x: RefinableReal) -> int:
-    lo, hi = x.interval(2)
-    m = max(abs(lo), abs(hi))
-    return max(1, (m.numerator // m.denominator).bit_length() + 1)
+    """``m`` with ``2^m`` above every endpoint of ``x``: all answers nest in the 0-bit one."""
+    lo, hi = x.interval(0)
+    return max(abs(lo), abs(hi)).bit_length()
 
 
 def rr_neg(x: RefinableReal) -> RefinableReal:
-    def fn(k: int) -> Interval:
-        lo, hi = x.interval(k)
+    def fn(bits: int) -> Interval:
+        lo, hi = x.interval(bits)
         return -hi, -lo
 
     return RefinableReal(fn, f"-({x.name})" if x.name else "")
 
 
 def rr_add(x: RefinableReal, y: RefinableReal) -> RefinableReal:
-    def fn(k: int) -> Interval:
-        xlo, xhi = x.interval(k + 1)
-        ylo, yhi = y.interval(k + 1)
-        return xlo + ylo, xhi + yhi
+    def fn(bits: int) -> Interval:
+        # two answers at most 2 wide at bits + 2 sum to at most 1 at bits
+        xlo, xhi = x.interval(bits + 2)
+        ylo, yhi = y.interval(bits + 2)
+        return (xlo + ylo) >> 2, -((-xhi - yhi) >> 2)
 
     return RefinableReal(fn)
 
 
 def rr_mul(x: RefinableReal, y: RefinableReal) -> RefinableReal:
-    def fn(k: int) -> Interval:
-        extra = _mag_bits(x) + _mag_bits(y) + 2
-        xlo, xhi = x.interval(k + extra)
-        ylo, yhi = y.interval(k + extra)
-        cands = (xlo * ylo, xlo * yhi, xhi * ylo, xhi * yhi)
-        return min(cands), max(cands)
+    def fn(bits: int) -> Interval:
+        # at p = bits + e both endpoints bound below 2^(m+p) and both answers
+        # are at most 2 wide, so the product is at most 2^(m+p+2) wide on the
+        # 2^-2p grid: at most 2^(m+2-e) = 1 on the 2^-bits grid
+        e = max(_mag_bits(x), _mag_bits(y)) + 2
+        p = bits + e
+        return mul_iv(x.interval(p), y.interval(p), p + e)
 
     return RefinableReal(fn)
 
 
 def rr_inv(x: RefinableReal, max_bits: int = DEFAULT_MAX_BITS) -> RefinableReal:
-    # find a separation from zero first
+    # find a separation from zero first: then |x| >= 2^-k
     k = 4
     while True:
         lo, hi = x.interval(k)
@@ -108,72 +120,62 @@ def rr_inv(x: RefinableReal, max_bits: int = DEFAULT_MAX_BITS) -> RefinableReal:
         if k > max_bits:
             raise DivisionByZero("cannot separate divisor from zero")
         k *= 2
-    sep_bits = k + _mag_bits(x)
+    negative = hi < 0
 
-    def fn(kk: int) -> Interval:
-        lo, hi = x.interval(kk + 2 * sep_bits + 2)
-        a, b = 1 / hi, 1 / lo
-        return (a, b) if a <= b else (b, a)
-
-    return RefinableReal(fn)
-
-
-def rr_scale(x: RefinableReal, q: Fraction) -> RefinableReal:
-    q = Fraction(q)
-    if q == 0:
-        return constant(Fraction(0))
-    shift = max(1, abs(q.numerator).bit_length() - q.denominator.bit_length() + 2)
-
-    def fn(k: int) -> Interval:
-        lo, hi = x.interval(k + shift)
-        a, b = lo * q, hi * q
-        return (a, b) if a <= b else (b, a)
+    def fn(bits: int) -> Interval:
+        # 2^bits / x lies in [2^(bits+c) / hi, 2^(bits+c) / lo] for the answer
+        # at c; with lo >= 2^(c-k) that is at most 2^(bits-c+2k+1) = 1 wide
+        c = bits + 2 * k + 1
+        lo, hi = x.interval(c)
+        if negative:
+            lo, hi = -hi, -lo
+        one = 1 << (bits + c)
+        a, b = one // hi, -(-one // lo)
+        return (-b, -a) if negative else (a, b)
 
     return RefinableReal(fn)
 
 
-def rr_add_rational(x: RefinableReal, q: Fraction) -> RefinableReal:
-    q = Fraction(q)
-
-    def fn(k: int) -> Interval:
-        lo, hi = x.interval(k)
-        return lo + q, hi + q
-
-    return RefinableReal(fn)
+def _isqrt_iv(lo: int, hi: int) -> Interval:
+    """``(floor(sqrt(lo)), ceil(sqrt(hi)))`` for integers ``0 <= lo <= hi``."""
+    r = math.isqrt(hi)
+    return math.isqrt(lo), r + (r * r < hi)
 
 
-def sqrt_interval(lo: Fraction, hi: Fraction, k: int) -> Interval:
-    """Enclosure of sqrt over a nonnegative rational interval, width ~2^-k."""
+def sqrt_interval(lo: Fraction, hi: Fraction, k: int) -> tuple[Fraction, Fraction]:
+    """Rational enclosure of sqrt over a nonnegative rational interval, on the 2^-(k+1) grid."""
     if lo < 0:
         raise PrecisionExhausted("sqrt of an interval reaching below zero", bits=k)
-    scale = 2 ** (2 * k + 2)
-    slo = math.isqrt(lo.numerator * scale // lo.denominator)
-    nhi = hi.numerator * scale // hi.denominator
-    shi = math.isqrt(nhi)
-    if shi * shi < nhi:
-        shi += 1
-    r = 2 ** (k + 1)
+    shift = 2 * k + 2
+    slo, shi = _isqrt_iv(
+        (lo.numerator << shift) // lo.denominator, -((-hi.numerator << shift) // hi.denominator)
+    )
+    r = 1 << (k + 1)
     return Fraction(slo, r), Fraction(shi, r)
 
 
 def rr_sqrt(x: RefinableReal) -> RefinableReal:
-    def fn(k: int) -> Interval:
-        lo, hi = x.interval(2 * k + 4)
-        lo = max(lo, Fraction(0))
-        return sqrt_interval(lo, hi, k + 1)
+    def fn(bits: int) -> Interval:
+        # sqrt(x) * 2^bits = sqrt(x * 4^bits); a 2-wide radicand gives a root
+        # interval under sqrt(2) wide, so its floor and ceiling are at most 2 apart
+        lo, hi = x.interval(2 * bits)
+        if hi < 0:
+            raise PreconditionError(f"sqrt of a negative value {x!r}")
+        return _isqrt_iv(max(lo, 0), hi)
 
     return RefinableReal(fn, f"sqrt({x.name})" if x.name else "")
 
 
-def _theta_interval(k: int) -> Interval:
-    """Partial sums of sum_{j>=1} 2^-(2^j); tail below the last kept term."""
-    total = Fraction(0)
+def _theta_interval(bits: int) -> Interval:
+    """Partial sums of sum_{j>=1} 2^-(2^j), scaled by 2^bits, over the terms with
+    2^j <= bits: exact integers.  The omitted tail is positive and below twice
+    its first term 2^(bits - 2^j) <= 1/2."""
+    total = 0
     j = 1
-    while 2**j <= k + 2:
-        total += Fraction(1, 2 ** (2**j))
+    while 2**j <= bits:
+        total += 1 << (bits - 2**j)
         j += 1
-    # tail bound: first omitted term is 2^-(2^j) <= 2^-(k+3), tail < twice that
-    return total, total + Fraction(1, 2 ** (k + 2))
+    return total, total + 1
 
 
 #: Transcendental surrogate used by the zero-set indicator construction.

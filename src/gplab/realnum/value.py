@@ -2,13 +2,16 @@
 
 A real value is one of: an exact rational (``Fraction``), an exact element
 of a degree-2/3 real number field (``FieldElement``), or a computable real
-given by a nested-interval stream (``RefinableReal``).  Two rationals, or
-elements of one field (a rational embeds in every field), combine with the
-values' own operators and stay exact; a stream operand or elements of two
-fields degrade to interval streams.  Comparisons and
-integer-part operations on exact values are decided exactly; on streams
-they refine until decided or the precision budget ``max_bits`` runs out,
-in which case :class:`~gplab.errors.PrecisionExhausted` is raised.
+given by a nested integer enclosure stream (``RefinableReal``).  Two
+rationals, or elements of one field (a rational embeds in every field),
+combine with the values' own operators and stay exact; a stream operand or
+elements of two fields degrade to streams, which read a field element
+through its dyadic enclosure and a rational as a constant stream.
+Comparisons and integer-part operations on exact values are decided
+exactly; on streams they refine until decided or the precision budget
+``max_bits`` runs out, in which case
+:class:`~gplab.errors.PrecisionExhausted` is raised.  Rational intervals
+(``interval_of``, ``to_float``) are only for printing.
 """
 
 from __future__ import annotations
@@ -17,36 +20,48 @@ from fractions import Fraction
 from typing import Union
 
 from ..errors import DivisionByZero, PrecisionExhausted
-from .field import FieldElement
+from .field import FieldElement, dyadic_enclosure
 from .refine import (
     DEFAULT_MAX_BITS,
     RefinableReal,
     constant,
     rr_add,
-    rr_add_rational,
     rr_inv,
     rr_mul,
     rr_neg,
-    rr_scale,
 )
 
 Real = Union[Fraction, FieldElement, RefinableReal]
 
 
 def as_stream(x: Real) -> RefinableReal:
-    if isinstance(x, RefinableReal):
-        return x
-    if isinstance(x, Fraction):
+    t = type(x)
+    if t is Fraction:
         return constant(x)
-    return RefinableReal(lambda k: x.enclosure(Fraction(1, 2**k)), repr(x))
+    if t is FieldElement:
+        return RefinableReal(lambda bits: dyadic_enclosure(x, bits), repr(x))
+    return x
 
 
 def interval_of(x: Real, k: int) -> tuple[Fraction, Fraction]:
-    if isinstance(x, Fraction):
+    """A rational interval of width at most ``2^-k`` around ``x``, for printing.
+
+    An irrational field element is read at ``k + 1`` bits and a stream at
+    ``k + 2``; each enclosure is at most two grid units wide.
+    """
+    t = type(x)
+    if t is Fraction:
         return x, x
-    if isinstance(x, FieldElement):
-        return x.enclosure(Fraction(1, 2**k))
-    return x.interval(k)
+    if t is FieldElement:
+        if x.is_rational():
+            q = x.as_rational()
+            return q, q
+        bits = k + 1
+        lo, hi = dyadic_enclosure(x, bits)
+    else:
+        bits = k + 2
+        lo, hi = x.interval(bits)
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
 
 def is_exact_zero(x: Real) -> bool:
@@ -72,15 +87,11 @@ def _exact_pair(a: Real, b: Real) -> bool:
 def radd(a: Real, b: Real) -> Real:
     if _exact_pair(a, b):
         return a + b
-    if isinstance(a, Fraction):
-        return rr_add_rational(as_stream(b), a)
-    if isinstance(b, Fraction):
-        return rr_add_rational(as_stream(a), b)
     return rr_add(as_stream(a), as_stream(b))
 
 
 def rneg(a: Real) -> Real:
-    if isinstance(a, RefinableReal):
+    if type(a) is RefinableReal:
         return rr_neg(a)
     return -a
 
@@ -96,19 +107,16 @@ def rmul(a: Real, b: Real) -> Real:
         return a * b
     if is_exact_zero(a) or is_exact_zero(b):
         return Fraction(0)
-    if isinstance(a, Fraction):
-        return rr_scale(as_stream(b), a)
-    if isinstance(b, Fraction):
-        return rr_scale(as_stream(a), b)
     return rr_mul(as_stream(a), as_stream(b))
 
 
 def rinv(a: Real, max_bits: int = DEFAULT_MAX_BITS) -> Real:
     if is_exact_zero(a):
         raise DivisionByZero("division by exact zero")
-    if isinstance(a, Fraction):
+    t = type(a)
+    if t is Fraction:
         return 1 / a
-    if isinstance(a, FieldElement):
+    if t is FieldElement:
         return a.inverse()
     return rr_inv(a, max_bits)
 
@@ -129,9 +137,10 @@ def rpow(a: Real, e: int) -> Real:
 
 
 def sign_of(x: Real, max_bits: int = DEFAULT_MAX_BITS) -> int:
-    if isinstance(x, Fraction):
+    t = type(x)
+    if t is Fraction:
         return (x > 0) - (x < 0)
-    if isinstance(x, FieldElement):
+    if t is FieldElement:
         return x.sign()
     k = 4
     while k <= max_bits:
@@ -141,7 +150,7 @@ def sign_of(x: Real, max_bits: int = DEFAULT_MAX_BITS) -> int:
         if hi < 0:
             return -1
         if lo == hi:
-            return 0  # the stream collapsed to an exact point
+            return 0  # 0 <= x * 2^k <= 0
         k *= 2
     raise PrecisionExhausted("sign undecided within budget", bits=max_bits)
 
@@ -157,19 +166,19 @@ def floor_frac(x: Real, max_bits: int = DEFAULT_MAX_BITS) -> tuple[int, Real]:
     decided by refinement; an interval that keeps straddling an integer up
     to the budget raises ``PrecisionExhausted`` (possible exact boundary).
     """
-    if isinstance(x, Fraction):
+    t = type(x)
+    if t is Fraction:
         m = x.numerator // x.denominator
         return m, x - m
-    if isinstance(x, FieldElement):
+    if t is FieldElement:
         m = x.floor()
         return m, x - m
     k = 4
     while k <= max_bits:
         lo, hi = x.interval(k)
-        flo = lo.numerator // lo.denominator
-        fhi = hi.numerator // hi.denominator
-        if flo == fhi:
-            return flo, rr_add_rational(x, Fraction(-flo))
+        flo = lo >> k
+        if flo == hi >> k:
+            return flo, radd(x, Fraction(-flo))
         k *= 2
     raise PrecisionExhausted("floor straddles an integer within budget", bits=max_bits)
 

@@ -54,6 +54,7 @@ from .realnum import (
     radd,
     rsub,
     sign_of,
+    to_float,
 )
 
 
@@ -92,8 +93,7 @@ def check_fibonacci_constant() -> str:
     err = d - inv_sqrt5
     tol = Fraction(1, 10**6)
     assert (err - tol).sign() < 0 and (err + tol).sign() > 0, "constant mismatch"
-    lo, hi = err.enclosure(Fraction(1, 2**80))
-    return f"n={n}: |n*dist - 1/sqrt5| = {abs(float((lo + hi) / 2)):.3e} < 1e-6 (exact)"
+    return f"n={n}: |n*dist - 1/sqrt5| = {abs(to_float(err)):.3e} < 1e-6 (exact)"
 
 
 def check_quadratic_norm_plus(to: int = 10**6) -> str:

@@ -210,18 +210,17 @@ def nearest_lattice_sq_exhaustive(norm, theta, q: int):
     rational enclosures at 2^-24 of sqrt(Im(u)^2), |v| and Re(u) x1; every
     point in it is compared in the field, the point nearest q theta first.
     """
-    from gplab.realnum import sqrt_interval
+    from gplab.realnum import interval_of, sqrt_interval
 
     th1, th2 = theta
     y1, y2 = th1 * q, th2 * q
-    w = Fraction(1, 2**24)
 
     def sqrt_hi(x):
-        lo, hi = x.enclosure(w)
+        lo, hi = interval_of(x, 24)
         return sqrt_interval(max(lo, Fraction(0)), hi, 24)[1]
 
-    im_lo = sqrt_interval(*norm.im_u_sq.enclosure(w), 24)[0]
-    vlo, vhi = norm.v.enclosure(w)
+    im_lo = sqrt_interval(*interval_of(norm.im_u_sq, 24), 24)[0]
+    vlo, vhi = interval_of(norm.v, 24)
     v_abs_lo = vlo if vlo > 0 else -vhi
     assert v_abs_lo > 0
     c1, c2 = y1.nint(), y2.nint()
@@ -229,13 +228,13 @@ def nearest_lattice_sq_exhaustive(norm, theta, q: int):
     best_p = (c1, c2)
     bound_hi = sqrt_hi(best)
     r1 = bound_hi / im_lo
-    lo1 = floor((y1 - r1).enclosure(Fraction(1, 4))[0])
-    hi1 = ceil((y1 + r1).enclosure(Fraction(1, 4))[1])
+    lo1 = floor(interval_of(y1 - r1, 2)[0])
+    hi1 = ceil(interval_of(y1 + r1, 2)[1])
     for p1 in range(lo1, hi1 + 1):
         x1 = y1 - p1
         # |v x2 + Re(u) x1| <= sqrt(N0^2) bounds x2 by an explicit rational window
-        mlo, mhi = (norm.re_u * x1).enclosure(w)
-        y2lo, y2hi = y2.enclosure(w)
+        mlo, mhi = interval_of(norm.re_u * x1, 24)
+        y2lo, y2hi = interval_of(y2, 24)
         reach = (bound_hi + max(abs(mlo), abs(mhi))) / v_abs_lo
         for p2 in range(floor(y2lo - reach), ceil(y2hi + reach) + 1):
             cand = norm.norm_sq(x1, y2 - p2)

@@ -20,7 +20,7 @@ from gplab.errors import (
     PrecisionExhausted,
     PreconditionError,
 )
-from gplab.realnum import NumberField, RefinableReal
+from gplab.realnum import NumberField, RefinableReal, interval_of
 
 from oracles import best_denominators_bruteforce, cf_convergents
 
@@ -93,11 +93,9 @@ def test_legendre_examples(phi):
 
 def test_legendre_boundary_stream_raises():
     # a stream equal to 1/2 + 1/8 exactly: |x - 1/2| = 1/(2*2^2) on the nose
-    x = RefinableReal(lambda k: (Fraction(5, 8), Fraction(5, 8)), "x")
-    assert legendre_check(x, 1, 2) is True  # exact rational interval decides
-    fuzzy = RefinableReal(
-        lambda k: (Fraction(5, 8) - Fraction(1, 2 ** (k + 1)), Fraction(5, 8)), "y"
-    )
+    x = RefinableReal(lambda k: ((5 << k) >> 3, -((-5 << k) >> 3)), "x")
+    assert legendre_check(x, 1, 2) is True  # exact from 3 bits on: the answers decide
+    fuzzy = RefinableReal(lambda k: (((5 << k) >> 3) - 1, -((-5 << k) >> 3)), "y")
     with pytest.raises(PrecisionExhausted):
         legendre_check(fuzzy, 1, 2, max_bits=128)
 
@@ -216,5 +214,5 @@ def test_cf_expand_composite_element():
     assert cf.period  # eventually periodic, exactly detected
     conv = convergents(cf, 12)
     p, q = conv[-1]
-    lo, hi = x.enclosure(Fraction(1, 2**40))
+    lo, hi = interval_of(x, 40)
     assert abs(p / q - float((lo + hi) / 2)) < 1e-8

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -148,6 +149,24 @@ def test_eval_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     rows = json.loads(out1.read_text())
     assert rows[7]["value"] == 0.5
+
+
+def test_eval_prints_stream_intervals_around_the_value(tmp_path):
+    # theta*n is computed by stream arithmetic: each printed interval must hold
+    # n*theta, which lies between n*S and n*(S + 2^-511) for the exact partial
+    # sum S of theta's series through 2^-256, and be at most 2^-96 wide
+    out = tmp_path / "theta.json"
+    args = ["eval", "--expr", "theta*n", "--from", "-5", "--to", "40", "--format", "json"]
+    assert run(args + ["--out", str(out)]) == 0
+    s = sum(Fraction(1, 2 ** (2**j)) for j in range(1, 9))
+    rows = json.loads(out.read_text())
+    assert [row["n"] for row in rows] == list(range(-5, 41))
+    for row in rows:
+        n = row["n"]
+        lo, hi = Fraction(row["value_lo"]), Fraction(row["value_hi"])
+        assert 0 <= hi - lo <= Fraction(1, 2**96)
+        ends = (n * s, n * (s + Fraction(1, 2**511)))
+        assert lo <= min(ends) and max(ends) <= hi
 
 
 def test_members_jobs_stability(tmp_path):

@@ -21,7 +21,7 @@ from gplab.cf import cf_expand
 from gplab.constructions.registry import construction
 from gplab.errors import PreconditionError, ZeroSolution
 from gplab.gpexpr import eval_indicator, members
-from gplab.realnum import DEFAULT_MAX_BITS, NumberField
+from gplab.realnum import DEFAULT_MAX_BITS, NumberField, to_float
 
 from oracles import dist_quadratic_lt, fibonacci_upto
 
@@ -57,7 +57,7 @@ def test_residue_fibonacci_is_inverse_sqrt5():
     # 1/sqrt5 = (2 phi - 1)^{-1}
     sqrt5 = fld.generator() * 2 - 1
     assert (u * sqrt5 - 1).is_zero()
-    assert abs(u.to_float() - 0.4472135955) < 1e-9
+    assert abs(to_float(u) - 0.4472135955) < 1e-9
 
 
 def test_residue_tribonacci_validated_limit():
@@ -69,7 +69,7 @@ def test_residue_tribonacci_validated_limit():
     # |R_20 - u beta^20| < 1e-3
     err = fld.from_rational(r20) - u * beta**20
     assert (err * err - Fraction(1, 10**6)).sign() < 0
-    assert abs(u.to_float() - 0.6184199223) < 1e-8
+    assert abs(to_float(u) - 0.6184199223) < 1e-8
 
 
 def test_residue_zero_solution():

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from gplab.constructions import cubic_pisot_set
 from gplab.realnum import NumberField, dyadic_enclosure
-from gplab.realnum.field import _dyadic_root
 from gplab.realnum.polys import poly_eval
 
 from oracles import FractionFieldRef, tribonacci_R
@@ -162,14 +161,16 @@ def test_dyadic_root_brackets_mpmath_root(spec, start, newton):
     root = _mp_root(field.minpoly, start, 8192 + 128)
     fr = [Fraction(c) for c in field.minpoly]
     for g in (96, 4096, 8192, 96):  # the last one is read off the finer grid
-        lo, hi = _dyadic_root(field, g)
-        assert hi - lo <= 3
+        lo, hi = field.root_enclosure(g)
+        assert hi - lo <= 2
         with mpmath.workprec(8192 + 128):
             scaled = root * mpmath.mpf(2) ** g
             assert lo <= scaled <= hi
-        # certified: a sign change of the minimal polynomial across the bracket
-        rlo, rhi = field.root_enclosure(Fraction(1, 1 << g))
-        assert rhi - rlo <= Fraction(1, 1 << g)
+        # certified: a sign change of the minimal polynomial across the
+        # stored unit bracket, which is at least as fine as the grid asked for
+        cur, a = field._root_grid
+        assert cur >= g
+        rlo, rhi = Fraction(a, 1 << cur), Fraction(a + 1, 1 << cur)
         assert poly_eval(fr, rlo) * poly_eval(fr, rhi) < 0
         ilo, ihi = field.isolating_interval
         assert ilo < rlo < rhi < ihi

@@ -1,7 +1,9 @@
 """Tests for exact field arithmetic, interval streams and value operations."""
 
+import operator
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,17 +14,21 @@ from gplab.realnum import (
     FieldElement,
     NumberField,
     RefinableReal,
+    as_stream,
     compare,
     dist_of,
     floor_frac,
     frac_of,
     interval_of,
+    is_exact_zero,
     nint_of,
     radd,
+    rinv,
     rmul,
     rpow,
     rsub,
     sign_of,
+    sqrt_interval,
     to_float,
 )
 
@@ -135,16 +141,16 @@ def test_field_arith_consistency_with_intervals(a, b):
 
 def test_stream_nesting():
     sq2 = NumberField((-2, 0, 1), 1, 2, "s").generator()
-    from gplab.realnum import as_stream
-
     s = as_stream(sq2)
     prev = None
     for k in (4, 8, 16, 32, 64):
         lo, hi = s.interval(k)
-        assert hi - lo <= Fraction(1, 2**k)
+        assert type(lo) is int and type(hi) is int and 0 <= hi - lo <= 2
+        assert lo**2 <= 2 << (2 * k) <= hi**2
         if prev is not None:
-            assert prev[0] <= lo and hi <= prev[1]
-        prev = (lo, hi)
+            pk, plo, phi = prev
+            assert plo << (k - pk) <= lo and hi <= phi << (k - pk)
+        prev = (k, lo, hi)
 
 
 def test_stream_determinism():
@@ -175,7 +181,8 @@ def test_theta_products_decidable():
 
 
 def test_floor_frac_stream_boundary_raises():
-    exact_int = RefinableReal(lambda k: (Fraction(2) - Fraction(1, 2 ** (k + 1)), Fraction(2)), "two")
+    # 2 * 2^k - 1 <= x * 2^k <= 2 * 2^k: x may be exactly 2, so no floor is certain
+    exact_int = RefinableReal(lambda k: ((2 << k) - 1, 2 << k), "two")
     with pytest.raises(PrecisionExhausted):
         floor_frac(exact_int, max_bits=256)
 
@@ -242,3 +249,99 @@ def test_elements_of_two_fields_combine_as_streams(phi_field):
     ):
         assert isinstance(got, RefinableReal)
         assert abs(to_float(got) - want) < 1e-12
+
+
+_SQ2 = NumberField((-2, 0, 1), 1, 2, "s")
+_MP_PREC = 2400
+_mp_roots: dict = {}
+
+
+@st.composite
+def _stream_operands(draw):
+    """A Fraction, an element of Q(sqrt 2) or of the Tribonacci field, or THETA."""
+    kind = draw(st.sampled_from(("rational", "sqrt2", "trib", "theta")))
+    if kind == "rational":
+        return draw(_rationals)
+    if kind == "theta":
+        return THETA
+    fld = _SQ2 if kind == "sqrt2" else _TRIB
+    return fld.element(*(draw(_rationals) for _ in range(fld.degree)))
+
+
+def _exact(x):
+    """x as a Fraction or an irrational field element; None for THETA."""
+    if x is THETA:
+        return None
+    if type(x) is FieldElement and x.is_rational():
+        return x.as_rational()
+    return x
+
+
+def _mp(x):
+    """x in mpmath at the working precision: a field's root bracketed in its
+    isolating interval, THETA summed to an omitted tail below 2^-4000."""
+    if x is THETA:
+        return mpmath.fsum(mpmath.ldexp(1, -(2**j)) for j in range(1, 13))
+    if type(x) is Fraction:
+        return mpmath.mpf(x.numerator) / x.denominator
+    fld = x.field
+    root = _mp_roots.get(fld)
+    if root is None:
+        lo, hi = (mpmath.mpf(c.numerator) / c.denominator for c in fld.isolating_interval)
+        poly = lambda t: sum(c * t**i for i, c in enumerate(fld.minpoly))  # noqa: E731
+        root = _mp_roots[fld] = mpmath.findroot(poly, (lo, hi), solver="illinois")
+    return sum(mpmath.mpf(c.numerator) / c.denominator * root**i for i, c in enumerate(x.coords))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _stream_operands(),
+    _stream_operands(),
+    st.sampled_from((-3, -2, -1, 1, 2, 3)),
+    st.permutations((1, 8, 64, 200)),
+)
+def test_stream_arithmetic_keeps_the_integer_enclosure_contract(x, y, e, order):
+    # the left operand enters as a stream, so each result comes from stream
+    # arithmetic; it is checked against exact arithmetic where both operands
+    # live in one field (a rational lives in every field), else against mpmath
+    cases = [
+        (radd(as_stream(x), y), operator.add, (x, y)),
+        (rsub(as_stream(x), y), operator.sub, (x, y)),
+        (rmul(as_stream(x), y), operator.mul, (x, y)),
+    ]
+    if not is_exact_zero(x):
+        cases.append((rinv(as_stream(x)), lambda a: 1 / a, (x,)))
+        cases.append((rpow(as_stream(x), e), lambda a: a**e, (x,)))
+    for got, fn, args in cases:
+        if is_exact_zero(got):
+            assert is_exact_zero(y)  # a product with an exact zero is exact
+            continue
+        assert type(got) is RefinableReal
+        exact = [_exact(a) for a in args]
+        one_field = None not in exact and (
+            len({a.field for a in exact if type(a) is FieldElement}) <= 1
+        )
+        with mpmath.workprec(_MP_PREC):
+            value = fn(*exact) if one_field else fn(*(_mp(a) for a in args))
+            answers = {}
+            for bits in order:
+                lo, hi = answers[bits] = got.interval(bits)
+                assert type(lo) is int and type(hi) is int and 0 <= hi - lo <= 2
+                if one_field:
+                    scaled = rmul(value, Fraction(1 << bits))
+                    assert sign_of(rsub(scaled, Fraction(lo))) >= 0
+                    assert sign_of(rsub(Fraction(hi), scaled)) >= 0
+                else:
+                    assert lo <= mpmath.ldexp(value, bits) <= hi
+        bits = sorted(answers)
+        for b1, b2 in zip(bits, bits[1:]):
+            (lo1, hi1), (lo2, hi2) = answers[b1], answers[b2]
+            assert lo1 << (b2 - b1) <= lo2 and hi2 <= hi1 << (b2 - b1)
+
+
+def test_sqrt_interval_rounds_its_upper_end_up():
+    # sqrt(9/32) = 0.530..., above the 1/2 that flooring 9/32 * 2^4 gives
+    lo, hi = sqrt_interval(Fraction(1, 4), Fraction(9, 32), 1)
+    assert lo <= Fraction(1, 2) and lo**2 <= Fraction(1, 4)
+    assert hi**2 >= Fraction(9, 32)
+    assert hi - lo <= Fraction(1, 4)

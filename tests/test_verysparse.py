@@ -42,12 +42,16 @@ def test_chain_construction(params):
 
 def test_alpha_stream_nesting(params):
     prev = None
+    deepest_lo, deepest_hi = params.intervals[-1]
     for k in (4, 10, 30):
         lo, hi = params.alpha.interval(k)
-        assert hi - lo <= Fraction(1, 2**k)
+        assert type(lo) is int and type(hi) is int and 0 <= hi - lo <= 2
+        # the enclosure contains the deepest chain interval, hence alpha
+        assert Fraction(lo, 1 << k) <= deepest_lo and deepest_hi <= Fraction(hi, 1 << k)
         if prev:
-            assert prev[0] <= lo and hi <= prev[1]
-        prev = (lo, hi)
+            pk, plo, phi = prev
+            assert plo << (k - pk) <= lo and hi <= phi << (k - pk)
+        prev = (k, lo, hi)
     with pytest.raises(PrecisionExhausted):
         params.alpha.interval(100000)
 
