@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .cf import best_approx_1d, best_approx_2d, cf_expand, convergents
 from .constructions import cubic_pisot_set, verify_certificate
-from .constructions.registry import CONSTRUCTIONS, construction
+from .constructions.registry import CONSTRUCTIONS, SCAN_TO, construction
 from .errors import ParseError, PrecisionExhausted, PreconditionError, GPLabError
 from .gpexpr import eval_exact, members, parse
 from .ipsearch import (
@@ -129,7 +129,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cert(args) -> int:
-    cert = construction(args.construction).build(args)
+    spec = construction(args.construction)
+    cert = spec.build(args)
+    if spec.scan_from is not None:
+        verify_certificate(cert, spec.oracle(args, SCAN_TO), spec.scan_from, SCAN_TO)
     _write_atomic(args.out, cert.to_file_text())
     return EXIT_OK
 

@@ -2,8 +2,10 @@
 
 A certificate claims that its indicator agrees with a target set for all
 scanned ``n >= exceptional_bound``; mismatches below the bound are listed
-explicitly.  The exceptional data is always determined by scanning against
-an oracle, never assumed.
+explicitly.  The exceptional data is always determined by one scan against
+an oracle, never assumed.  Builders return a certificate with no scan
+behind it; ``verify_certificate`` (which ``gp cert`` runs from the
+registry's scan start to 4000) writes the data its scan finds.
 
 The indicator decides membership.  ``members`` runs it through the
 certificate's compiled ``Program``; a builder may attach a ``fast_scan``
@@ -110,7 +112,6 @@ class VerificationReport:
     oracle_members: tuple[int, ...]
     symmetric_difference: tuple[int, ...]
     exceptional_bound: int
-    undecided: tuple[int, ...] = ()
 
     @property
     def clean_beyond_bound(self) -> bool:
@@ -124,8 +125,6 @@ class VerificationReport:
             "symmetric_difference: " + " ".join(map(str, self.symmetric_difference)),
             f"exceptional_bound: {self.exceptional_bound}",
         ]
-        if self.undecided:
-            rows.append("undecided: " + " ".join(map(str, self.undecided)))
         return "\n".join(rows) + "\n"
 
 
@@ -135,13 +134,12 @@ def verify_certificate(
     lo: int,
     hi: int,
     max_bits: int = DEFAULT_MAX_BITS,
-    update: bool = True,
 ) -> VerificationReport:
     """Scan the certificate on [lo, hi] and compare with oracle membership.
 
-    The exceptional bound is (re)computed as one past the largest mismatch
-    on the scanned range; with ``update=True`` the certificate's stored
-    exceptional data is replaced by the scan results.
+    The exceptional bound is one past the largest mismatch on the scanned
+    range (``lo`` if there is none).  The certificate's exceptional data and
+    ``scanned_to`` are replaced by this scan's results.
     """
     found = cert.members(lo, hi, max_bits)
     oracle = sorted(x for x in set(oracle_members) if lo <= x <= hi)
@@ -155,9 +153,7 @@ def verify_certificate(
         symmetric_difference=tuple(sym),
         exceptional_bound=bound,
     )
-    if update:
-        cert.exceptional_bound = bound
-        cert.exceptional = tuple(sym)
-        cert.meta.setdefault("scanned_to", hi)
-        cert.meta["scanned_to"] = max(int(cert.meta["scanned_to"]), hi)
+    cert.exceptional_bound = bound
+    cert.exceptional = tuple(sym)
+    cert.meta["scanned_to"] = hi
     return report

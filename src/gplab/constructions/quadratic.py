@@ -15,7 +15,9 @@ Three layers:
 Scans propose candidates (multiples of continued-fraction denominators,
 the pull-back of source members, the members of the unfiltered set) and
 confirm each one with the certificate's compiled indicator, so scan output
-is exactly the indicator's member set.
+is exactly the indicator's member set.  The builders do not scan against
+their targets: the registry pairs each one with its oracle, and ``gp cert``
+computes the exceptional set.
 """
 
 from __future__ import annotations
@@ -40,10 +42,8 @@ from ..gpexpr import (
     substitute_var,
 )
 from ..realnum import FieldElement, NumberField, fixed_enclosure
-from .certificate import Certificate, verify_certificate
+from .certificate import Certificate
 from .recurrence import LinearRecurrence, recurrence_terms, residue_coefficient
-
-_DEFAULT_VERIFY_TO = 4000
 
 
 def _half_over_n_scan(
@@ -122,12 +122,11 @@ def fibonacci_like_terms(a: int, bound: int) -> list[int]:
     return recurrence_terms(_fibonacci_like(a), bound)
 
 
-def fibonacci_like_set(a: int, verify_to: int = _DEFAULT_VERIFY_TO) -> Certificate:
+def fibonacci_like_set(a: int) -> Certificate:
     """Certificate for the value set of x_{i+2} = a x_{i+1} + x_i, x_0=0, x_1=1.
 
     The indicator is the strict small-distance predicate ||n*alpha|| < 1/(2n)
-    with alpha = (a + sqrt(a^2+4))/2; the exceptional set is determined by
-    scanning against the recurrence oracle.
+    with alpha = (a + sqrt(a^2+4))/2; its oracle is ``fibonacci_like_terms``.
     """
     if a < 1:
         raise PreconditionError("a must be a positive integer")
@@ -138,7 +137,6 @@ def fibonacci_like_set(a: int, verify_to: int = _DEFAULT_VERIFY_TO) -> Certifica
         alpha, f"value set of x(i+2) = {a} x(i+1) + x(i) from 0, 1"
     )
     cert.meta["construction"] = f"fibonacci_like a={a}"
-    verify_certificate(cert, fibonacci_like_terms(a, verify_to), 0, verify_to)
     return cert
 
 
@@ -146,8 +144,6 @@ def scaled_set_transfer(
     cert_r: Certificate,
     u: FieldElement,
     target_description: str = "",
-    oracle_members=None,
-    verify_to: int = _DEFAULT_VERIFY_TO,
 ) -> Certificate:
     """Certificate for {m : nint(u*m) in E_R and ||u*m|| < |u|/2}.
 
@@ -183,8 +179,6 @@ def scaled_set_transfer(
         fast_scan=fast_scan,
         meta={"kind": "scaled-transfer", "u": repr(u)},
     )
-    if oracle_members is not None:
-        verify_certificate(cert, oracle_members, 0, verify_to)
     return cert
 
 
@@ -228,9 +222,7 @@ def odd_index_denominators(a: int, bound: int) -> list[int]:
     return [t for t in odd if t <= bound]
 
 
-def _norm_plus_odd_certificate(
-    gamma: FieldElement, a: int, verify_to: int
-) -> tuple[Certificate, FieldElement]:
+def _norm_plus_odd_certificate(gamma: FieldElement, a: int) -> tuple[Certificate, FieldElement]:
     """Odd-index convergent denominators of gamma with gamma^2 = a*gamma - 1.
 
     Returns the filtered certificate and the exact constant v1 with
@@ -257,61 +249,51 @@ def _norm_plus_odd_certificate(
         fast_scan=lambda lo, hi: [n for n in base.members(lo, hi) if cert.confirm(n)],
         meta={"kind": "odd-denominator-filter", "a": a, "w": repr(w)},
     )
-    verify_certificate(cert, odd_index_denominators(a, verify_to), 1, verify_to)
     return cert, v1
 
 
-def norm_plus_filtered_set(a: int, verify_to: int = _DEFAULT_VERIFY_TO) -> Certificate:
+def norm_plus_filtered_set(a: int) -> Certificate:
     """The filtered set {n in E' : nint(w*n) not in E'} for beta^2 = a*beta - 1.
 
     Equal, up to a finite exceptional set, to the odd-index convergent
-    denominators of beta; requires a >= 4.
+    denominators of beta (``odd_index_denominators``); requires a >= 4.
     """
     if a < 4:
         raise PreconditionError("the denominator filter needs a >= 4")
-    cert, _ = _norm_plus_odd_certificate(quadratic_unit(a, 1), a, verify_to)
+    cert, _ = _norm_plus_odd_certificate(quadratic_unit(a, 1), a)
     return cert
 
 
-def quadratic_pisot_unit_set(a: int, norm: int, verify_to: int = _DEFAULT_VERIFY_TO) -> Certificate:
+def quadratic_pisot_unit_set(a: int, norm: int) -> Certificate:
     """Certificate for {nint(beta^i)} for the quadratic Pisot unit beta.
 
     ``norm=-1``: beta^2 = a*beta + 1 (a >= 1), built from the basic
     small-distance set and one transfer.  ``norm=+1``: beta^2 = a*beta - 1
     (a >= 3), built from the odd-denominator filter (via beta^2 when a = 3)
-    and transfers.
+    and transfers.  Its oracle is ``nint_powers`` of beta.
     """
     beta = quadratic_unit(a, norm)
-    oracle = nint_powers(beta, verify_to)
     sign = "-" if norm == -1 else "+"
     description = f"nearest integers to powers of the root of x^2 - {a}x {sign} 1"
     if norm == -1:
-        base = fibonacci_like_set(a, verify_to)
+        base = fibonacci_like_set(a)
         u = residue_coefficient(_fibonacci_like(a), beta.field)
-        cert = scaled_set_transfer(base, u, description, oracle, verify_to)
+        cert = scaled_set_transfer(base, u, description)
         cert.meta["construction"] = f"quadratic a={a} norm=-1"
         return cert
     if a >= 4:
-        odd_cert, v1 = _norm_plus_odd_certificate(beta, a, verify_to)
-        cert = scaled_set_transfer(odd_cert, v1, description, oracle, verify_to)
+        odd_cert, v1 = _norm_plus_odd_certificate(beta, a)
+        cert = scaled_set_transfer(odd_cert, v1, description)
         cert.meta["construction"] = f"quadratic a={a} norm=+1"
         return cert
     # a = 3: pass to beta^2, which satisfies x^2 = 7x - 1, then rejoin halves
     gamma = beta * beta
-    odd_cert, v1g = _norm_plus_odd_certificate(gamma, 7, verify_to)
+    odd_cert, v1g = _norm_plus_odd_certificate(gamma, 7)
     even = scaled_set_transfer(
-        odd_cert,
-        v1g,
-        "nearest integers to even powers of the root of x^2 - 3x + 1",
-        oracle_members=nint_powers(gamma, verify_to),
-        verify_to=verify_to,
+        odd_cert, v1g, "nearest integers to even powers of the root of x^2 - 3x + 1"
     )
     odd_powers = scaled_set_transfer(
-        even,
-        beta.inverse(),
-        "nearest integers to odd powers of the root of x^2 - 3x + 1",
-        oracle_members=oracle[1::2],
-        verify_to=verify_to,
+        even, beta.inverse(), "nearest integers to odd powers of the root of x^2 - 3x + 1"
     )
     indicator = ind_or(even.indicator, odd_powers.indicator)
 
@@ -320,11 +302,9 @@ def quadratic_pisot_unit_set(a: int, norm: int, verify_to: int = _DEFAULT_VERIFY
         # union is exactly where the OR is 1: nothing left to confirm
         return sorted(set(even.members(lo, hi)) | set(odd_powers.members(lo, hi)))
 
-    cert = Certificate(
+    return Certificate(
         indicator=indicator,
         target_description=description,
         fast_scan=fast_scan,
         meta={"construction": "quadratic a=3 norm=+1"},
     )
-    verify_certificate(cert, oracle, 1, verify_to)
-    return cert

@@ -44,7 +44,7 @@ from ..gpexpr import (
     map_tree,
     with_children,
 )
-from ..realnum import RefinableReal
+from ..realnum import NeedBits, RefinableReal, dist_iv, fixed_enclosure, scale_iv
 from ..cf import coprime_in_interval
 from .certificate import Certificate
 
@@ -218,53 +218,32 @@ def _very_sparse_scan(
 ) -> list[int]:
     """Scan by fixed-point arithmetic on the deepest interval; exact logic.
 
-    Off-boundary decisions follow from the interval containment test; the
-    rare undecidable points raise PrecisionExhausted from
-    ``_member_by_containment``.  That test, not the compiled indicator,
+    ``dist_iv`` encloses ||n alpha|| from an enclosure of the deepest chain
+    interval, and the enclosure is compared exactly with the closed window
+    [n^{-C+1}/4, n^{-C+1}/2].  Points it leaves open (an enclosure of
+    n alpha across an integer, NeedBits, or of the distance across a window
+    end) go to ``_member_by_containment``, which raises PrecisionExhausted
+    at the rare undecidable ones.  That test, not the compiled indicator,
     confirms n >= 1 here: the indicator over the alpha stream raises
     PrecisionExhausted already at n = 2^49, a term of the default sequence,
     where containment decides.  Points n <= 0 are left to ``confirm``.
     """
     out = [n for n in range(lo, min(0, hi) + 1) if confirm(n)]
-    lo = max(lo, 1)
     alo, ahi = params.intervals[-1]
     bits = max(64, (hi * (ahi - alo)).numerator.bit_length() + 64)
+    alpha = fixed_enclosure(alo, bits)[0], fixed_enclosure(ahi, bits)[1]
     scale = 1 << bits
-    a_lo_fix = alo.numerator * scale // alo.denominator
-    a_hi_fix = -((-ahi.numerator * scale) // ahi.denominator)
-    C = params.C
-    mask = scale - 1
-    half = scale >> 1
-    def tent(t: int) -> int:
-        # distance of a point in [0, 2*scale) to the nearest multiple of scale
-        t = t if t < scale else t - scale
-        return t if t <= half else scale - t
-
-    for n in range(lo, hi + 1):
-        xlo = n * a_lo_fix
-        xhi = n * a_hi_fix
-        # distance range of [xlo, xhi] to the nearest multiple of `scale`
-        flo = xlo & mask
-        width = xhi - xlo
-        fhi = flo + width
-        if width >= half:
-            dist_lo_fix, dist_hi_fix = 0, half
-        else:
-            d_ends = (tent(flo), tent(fhi))
-            dist_lo_fix = 0 if flo <= scale <= fhi else min(d_ends)
-            covers_half = flo <= half <= fhi or flo <= scale + half <= fhi
-            dist_hi_fix = half if covers_half else max(d_ends)
-        # thresholds n^{-C+1}/4, n^{-C+1}/2 in fixed point (outward)
-        denom4 = 4 * n ** (C - 1)
-        t_lo = -((-scale) // denom4)  # ceil(scale / (4 n^{C-1}))
-        t_hi = (2 * scale) // denom4  # floor
-        if t_lo <= dist_lo_fix and dist_hi_fix <= t_hi:
-            out.append(n)
-            continue
-        t_lo_f = scale // denom4
-        t_hi_f = -((-2 * scale) // denom4)
-        if dist_hi_fix < t_lo_f or dist_lo_fix > t_hi_f:
-            continue
+    for n in range(max(lo, 1), hi + 1):
+        t = 4 * n ** (params.C - 1)  # the window is [scale / t, 2 scale / t]
+        try:
+            d_lo, d_hi = dist_iv(scale_iv(n, alpha), bits)
+            if scale <= d_lo * t and d_hi * t <= 2 * scale:
+                out.append(n)
+                continue
+            if d_hi * t < scale or d_lo * t > 2 * scale:
+                continue
+        except NeedBits:
+            pass
         if _member_by_containment(params, n):
             out.append(n)
     return out

@@ -5,8 +5,10 @@ integers ``lo <= x * 2^bits <= hi`` with ``hi - lo <= 2``: the contract of
 field elements' :func:`~gplab.realnum.field.dyadic_enclosure` and of
 :func:`~gplab.realnum.fixed_enclosure`, so streams, field elements and the
 prefilters share one integer enclosure protocol (Moore, *Interval
-Analysis*, 1966).  Queries are cached and each new answer is intersected
-with the finest earlier one, so the stream is deterministic and nested
+Analysis*, 1966).  Queries are cached: a query finer than every cached
+answer calls the procedure and intersects with the finest answer, and any
+other query rounds the cached answer at the fewest bits above it, which
+contains every finer answer.  So the stream is deterministic and nested
 regardless of the supplied procedure's internal slack.  Stream arithmetic
 is integer arithmetic; a rational enters it as :func:`constant`.
 """
@@ -39,9 +41,12 @@ class RefinableReal:
             return iv
         best = self._best
         if best is not None and best[0] > bits:
-            # a finer answer, at most 1 wide on this grid, rounded outward
-            d = best[0] - bits
-            iv = best[1] >> d, -(-best[2] >> d)
+            # the next finer answer rounded outward, at most 2 wide: it holds
+            # every finer answer and lies in every coarser one, whose ends
+            # are on this grid
+            c = min(b for b in self._cache if b > bits)
+            lo, hi = self._cache[c]
+            iv = lo >> (c - bits), -(-hi >> (c - bits))
         else:
             lo, hi = self._approximant(bits)
             if best is not None:

@@ -26,6 +26,7 @@ from .constructions import (
     verify_certificate,
 )
 from .constructions.quadratic import fibonacci_like_terms, odd_index_denominators
+from .constructions.registry import CONSTRUCTIONS, SCAN_TO
 from .errors import GPLabError
 from .gpexpr import (
     N,
@@ -110,32 +111,37 @@ def check_quadratic_norm_plus(to: int = 10**6) -> str:
 
 
 def check_half_over_n_to_1e17(to: int = 10**17) -> str:
-    """The five half-over-n certificates from their agreement points to 1e17.
+    """The five half-over-n certificates from their scan starts to 1e17.
 
-    The scans take their candidates from continued-fraction denominators, so
-    the range costs O(log to) confirmations.  The oracles are the integer
-    recurrences: nint(beta^i) for the root of x^2 - 3x -+ 1 is 1 at i = 0 and
-    the trace L_i = beta^i + beta'^i, L_0 = 2, L_1 = 3, after it.
+    One scan per certificate, from where ``gp cert`` starts its scan: every
+    mismatch must lie below ``SCAN_TO``, where that scan lists it as
+    exceptional.  The scans take their candidates from continued-fraction
+    denominators, so the range costs O(log to) confirmations.  The oracles
+    are the integer recurrences: nint(beta^i) for the root of x^2 - 3x -+ 1
+    is 1 at i = 0 and the trace L_i = beta^i + beta'^i, L_0 = 2, L_1 = 3,
+    after it.
     """
     cases = [
-        ("fibonacci a=1", fibonacci_like_set(1), fibonacci_like_terms(1, to)),
-        ("fibonacci a=2", fibonacci_like_set(2), fibonacci_like_terms(2, to)),
-        ("quadratic-filter a=4", norm_plus_filtered_set(4), odd_index_denominators(4, to)),
+        ("fibonacci", "a=1", fibonacci_like_set(1), fibonacci_like_terms(1, to)),
+        ("fibonacci", "a=2", fibonacci_like_set(2), fibonacci_like_terms(2, to)),
+        ("quadratic-filter", "a=4", norm_plus_filtered_set(4), odd_index_denominators(4, to)),
     ]
     for norm in (1, -1):
         traces = recurrence_terms(LinearRecurrence((3, -norm), (2, 3)), to)
-        cases.append(
-            (f"quadratic a=3 norm={norm:+d}", quadratic_pisot_unit_set(3, norm), [1] + traces[1:])
-        )
+        cert = quadratic_pisot_unit_set(3, norm)
+        cases.append(("quadratic", f"a=3 norm={norm:+d}", cert, [1] + traces[1:]))
     parts = []
-    for name, cert, oracle in cases:
-        lo = cert.exceptional_bound
-        report = verify_certificate(cert, oracle, lo, to, update=False)
-        assert report.symmetric_difference == (), (
-            f"{name}: mismatches {report.symmetric_difference} on [{lo}, {to}]"
+    for name, params, cert, oracle in cases:
+        lo = CONSTRUCTIONS[name].scan_from
+        report = verify_certificate(cert, oracle, lo, to)
+        assert report.exceptional_bound <= SCAN_TO, (
+            f"{name} {params}: mismatches {report.symmetric_difference} on [{lo}, {to}]"
         )
-        parts.append(f"{name}: {len(report.members_found)} on [{lo}, {to}]")
-    return "members = recurrence values, symmetric difference empty; " + "; ".join(parts)
+        parts.append(
+            f"{name} {params}: {len(report.members_found)} on [{lo}, {to}], "
+            f"exceptional {list(report.symmetric_difference)}"
+        )
+    return f"every mismatch below {SCAN_TO}; " + "; ".join(parts)
 
 
 def check_cubic(to: int = 10**6, h_to: int = 10**4, i_max: int = 20) -> str:

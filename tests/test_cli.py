@@ -188,6 +188,35 @@ def test_verify_command(tmp_path):
     assert "symmetric_difference: \n" in text or "symmetric_difference:\n" in text
 
 
+@pytest.mark.parametrize(
+    "argv, scans",
+    [
+        (["verify", "--construction", "quadratic", "--a", "3", "--norm", "1", "--to", "1000"], 1),
+        (["cert", "--construction", "quadratic", "--a", "3", "--norm", "1"], 1),
+        (["cert", "--construction", "cubic", "--a", "2", "--b", "-1"], 1),
+        (["density", "--construction", "cubic", "--N", "1000"], 0),
+        (["ipsearch", "--mode", "ipr", "--r", "3", "--bound", "1000"], 0),
+    ],
+)
+def test_each_command_scans_against_the_oracle_at_most_once(tmp_path, monkeypatch, argv, scans):
+    # builders do not scan: gp verify scans the range it is given, gp cert
+    # the registry's, and density and ipsearch read no exceptional data
+    from gplab.constructions import certificate
+
+    real = certificate.verify_certificate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:4])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gplab") and getattr(module, "verify_certificate", None) is real:
+            monkeypatch.setattr(module, "verify_certificate", counted)
+    assert run(argv + ["--jobs", "1", "--out", str(tmp_path / "out.txt")]) == 0
+    assert len(calls) == scans, calls
+
+
 def test_cf_command_output(tmp_path):
     out = tmp_path / "cf.csv"
     assert run(["cf", "--expr", "let t = root(x^2-4*x+1, 3, 4); t", "--count", "6",

@@ -18,7 +18,7 @@ from gplab.constructions import (
     verify_certificate,
 )
 from gplab.cf import cf_expand
-from gplab.constructions.registry import construction
+from gplab.constructions.registry import SCAN_TO, construction
 from gplab.errors import PreconditionError, ZeroSolution
 from gplab.gpexpr import eval_indicator, members
 from gplab.realnum import DEFAULT_MAX_BITS, NumberField, to_float
@@ -162,11 +162,22 @@ def test_fibonacci_like_rejects_bad_a():
 
 # -- quadratic norm +1 --------------------------------------------------------
 
-def test_norm_plus_filtered_a4():
+def _gp_cert(tmp_path, *argv) -> Certificate:
+    """The certificate ``gp cert`` prints, read back: its exceptional data
+    comes from the one scan ``gp cert`` runs."""
+    from gplab.cli import main
+
+    out = tmp_path / "cert.txt"
+    assert main(["cert", *argv, "--jobs", "1", "--out", str(out)]) == 0
+    return Certificate.from_file_text(out.read_text())
+
+
+def test_norm_plus_filtered_a4(tmp_path):
     cert = norm_plus_filtered_set(4)
     assert cert.members(1, 3000) == [4, 15, 56, 209, 780, 2911]
-    # 1 = q_1 is the lone exceptional point on the default build scan
-    assert cert.exceptional == (1,)
+    # 1 = q_1 is the lone exceptional point on gp cert's scan
+    scanned = _gp_cert(tmp_path, "--construction", "quadratic-filter", "--a", "4")
+    assert scanned.exceptional == (1,)
     # w = v1/u1 equals (1 + sqrt3)/2 exactly for a = 4
     fld = NumberField((1, -4, 1), 3, 4, "beta")
     beta = fld.generator()
@@ -259,14 +270,20 @@ def test_transfer_large_u_reported_empty():
 
 # -- certificate file format --------------------------------------------------
 
-def test_certificate_file_roundtrip(tmp_path):
-    cert = fibonacci_like_set(1)
+def test_certificate_file_roundtrip():
+    # a certificate scanned as gp cert scans it, with exceptional data
+    spec = construction("quadratic")
+    params = SimpleNamespace(**{**_DEFAULTS, "a": 3, "norm": 1})
+    cert = spec.build(params)
+    verify_certificate(cert, spec.oracle(params, SCAN_TO), spec.scan_from, SCAN_TO)
+    assert cert.exceptional == (1, 3) and cert.exceptional_bound == 4
     text = cert.to_file_text()
     back = Certificate.from_file_text(text)
     assert back.target_description == cert.target_description
     assert back.exceptional_bound == cert.exceptional_bound
     assert back.exceptional == cert.exceptional
-    assert members(back.indicator, 2, 150) == cert.members(2, 150)
+    assert back.meta["scanned_to"] == str(SCAN_TO)
+    assert members(back.indicator, 0, 150) == cert.members(0, 150)
     # serialization is stable
     assert back.to_file_text() == text
 
@@ -457,5 +474,5 @@ def test_builders_refuse_infinitely_many_doubles(tmp_path, capsys, params, clean
     assert code == 0
     rows = dict(line.split(": ", 1) for line in out.read_text().splitlines() if ": " in line)
     sym = [int(x) for x in rows.get("symmetric_difference", "").split()]
-    # nothing beyond the build-time exceptional set, found below 4000
+    # nothing beyond the exceptional set, which gp cert's scan finds below 4000
     assert all(x < 4000 for x in sym)

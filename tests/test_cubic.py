@@ -35,10 +35,16 @@ def test_m1_value_and_location(trib):
     assert (trib.m1_sq - (2 * b * b - 2 * b - 3)).is_zero()
 
 
-def test_member_set_matches_recurrence(trib):
+def test_member_set_matches_recurrence(trib, tmp_path):
     mem = trib.certificate.members(1, 10**4)
     assert mem == [1, 2, 4, 7, 13, 24, 44, 81, 149, 274, 504, 927, 1705, 3136, 5768]
-    assert trib.certificate.exceptional == ()
+    # no exceptional point on gp cert's scan
+    from gplab.cli import main
+    from gplab.constructions.certificate import Certificate
+
+    out = tmp_path / "cert.txt"
+    assert main(["cert", "--construction", "cubic", "--a", "1", "--b", "1", "--out", str(out)]) == 0
+    assert Certificate.from_file_text(out.read_text()).exceptional == ()
 
 
 def test_plateau_value_at_index_ten(trib):

@@ -130,7 +130,7 @@ def test_dyadic_enclosure_contains_mpmath_value(deg, start):
 
 @pytest.fixture(scope="module")
 def tribonacci_cons():
-    return cubic_pisot_set(1, 1, verify_to=500)
+    return cubic_pisot_set(1, 1)
 
 
 def test_plateau_gap_is_exactly_zero_at_members(tribonacci_cons):

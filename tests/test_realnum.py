@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gplab.errors import DivisionByZero, PrecisionExhausted, PreconditionError
@@ -300,6 +300,8 @@ def _mp(x):
     st.sampled_from((-3, -2, -1, 1, 2, 3)),
     st.permutations((1, 8, 64, 200)),
 )
+# the 1-bit answer must hold the 8-bit one, though a 64-bit answer is cached
+@example(THETA, _SQ2.element(Fraction(12, 5), Fraction(-377, 14)), 1, (8, 64, 1, 200))
 def test_stream_arithmetic_keeps_the_integer_enclosure_contract(x, y, e, order):
     # the left operand enters as a stream, so each result comes from stream
     # arithmetic; it is checked against exact arithmetic where both operands

@@ -146,3 +146,17 @@ def test_scan_agrees_with_exact_containment(params, cert):
     scanned = set(cert.members(2, 4000))
     for n in range(2, 4001):
         assert (n in scanned) == _member_by_containment(params, n)
+
+
+@pytest.mark.parametrize(
+    "end, side, member",
+    [(4, -1, False), (4, 0, True), (4, 1, True), (2, -1, True), (2, 0, True), (2, 1, False)],
+)
+def test_scan_at_a_window_end_decides_exactly(end, side, member):
+    # ||3 alpha|| within 2^-300 of a closed window end 1/(end * 3^4): the
+    # scan's fixed-point enclosure straddles the end, so containment decides
+    from gplab.constructions.verysparse import VerySparseParams, _very_sparse_scan
+
+    alpha = (1 + Fraction(1, end * 3**4) + side * Fraction(1, 2**300)) / 3
+    params = VerySparseParams(5, 6, (3,), (1,), ((alpha, alpha),), 0)
+    assert _very_sparse_scan(params, lambda n: False, 3, 3) == ([3] if member else [])
