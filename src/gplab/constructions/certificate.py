@@ -12,11 +12,11 @@ certificate's compiled ``Program``; a builder may attach a ``fast_scan``
 whose candidate generator (continued-fraction denominators, the lattice
 points of a recurrence basis, a pull-back, a filter of another
 certificate's members) only proposes points, each then confirmed by the
-compiled indicator: ``confirm``, or for the cubic scan its exact mode
-(``CubicConstruction.member``), since cubic members sit exactly on the
-plateau, where no rung of the dyadic ladder decides.  One scan keeps a
-bespoke exact confirmer, the very-sparse interval containment: the
-indicator is undecidable past the depth of the supplied sequence.
+compiled indicator through ``confirm``.  ``members`` hands its precision
+budget to the scan, which passes it on to every ``confirm`` and nested
+``members`` call.  One scan keeps a bespoke exact confirmer, the
+very-sparse interval containment: the indicator is undecidable past the
+depth of the supplied sequence.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class Certificate:
     target_description: str
     exceptional_bound: int = 0
     exceptional: tuple[int, ...] = ()
-    fast_scan: Callable[[int, int], list[int]] | None = None
+    fast_scan: Callable[[int, int, int], list[int]] | None = None  # (lo, hi, max_bits)
     meta: dict = field(default_factory=dict)
     _compiled: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
@@ -59,7 +59,7 @@ class Certificate:
 
     def members(self, lo: int, hi: int, max_bits: int = DEFAULT_MAX_BITS) -> list[int]:
         if self.fast_scan is not None:
-            return self.fast_scan(lo, hi)
+            return self.fast_scan(lo, hi, max_bits)
         return [n for n in range(lo, hi + 1) if self.confirm(n, max_bits)]
 
     # -- serialization ------------------------------------------------------

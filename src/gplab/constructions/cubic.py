@@ -22,7 +22,8 @@ build time and verified exactly at two independent indices.
 The certificate's compiled indicator is the one encoding of this test:
 ``h_sq`` and ``g_value`` evaluate the compiled ``h_sq_expr`` and
 ``g_expr``, ``member`` is the indicator's exact verdict, and the scan
-screens its lattice candidates with the indicator's dyadic mode.
+confirms its lattice candidates with ``Certificate.confirm``, as every
+other scan does.
 """
 
 from __future__ import annotations
@@ -49,11 +50,9 @@ from ..gpexpr.evaluate import Program
 from ..realnum import (
     DEFAULT_MAX_BITS,
     FieldElement,
-    NeedBits,
     NumberField,
     dyadic_enclosure,
     fixed_enclosure,
-    prefilter_bits,
     scale_iv,
 )
 from ..realnum.polys import count_real_roots
@@ -257,7 +256,7 @@ def cubic_pisot_set(a: int, b: int) -> CubicConstruction:
         target_description=(
             f"value set of x(i+3) = {a} x(i+2) + {b} x(i+1) + x(i) from 1, {a}, {a*a+b}"
         ),
-        fast_scan=lambda lo, hi: _cubic_fast_scan(cons, lo, hi),
+        fast_scan=lambda lo, hi, max_bits: _cubic_fast_scan(cons, lo, hi, max_bits),
         meta={
             "construction": f"cubic a={a} b={b}",
             "plateau_pow": k,
@@ -289,7 +288,9 @@ def _inverse_rows(m: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
 
 
 def _cubic_candidates(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
-    """Every q in [lo, hi], 1 <= lo, that can be a member; see ``_cubic_fast_scan``."""
+    """Every q in [lo, hi], 1 <= lo, that can be a member; see ``_cubic_fast_scan``.
+
+    Empty when lo > hi."""
     bits = 64 + 2 * hi.bit_length()
     # beta Re(u) = Re(u)/v and beta^2 = 1/v^2, as v = 1/beta
     ib, ib2, re_v, m1inv2, beta_k, k_g, l_g, inv_im, beta_sq = cons._fixed_consts(bits)
@@ -326,7 +327,7 @@ def _cubic_candidates(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
     return sorted(out)
 
 
-def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
+def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int, max_bits: int) -> list[int]:
     """Find members on [lo, hi]: lattice candidates, exact confirmation.
 
     Members are the q with |h(q)^2 g(q)| <= beta^(k/2).  As nint(x) lies
@@ -356,25 +357,11 @@ def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
     a box that ever grows would be cut by Fincke-Pohst enumeration
     (Math. Comp. 44, 1985).  The q < max(start, R_2) are proposed as is.
 
-    The compiled indicator decides every proposed q.  Its dyadic mode at
-    the prefilter precision drops the q where it reads 0; the rest (it
-    reads 1, or a floor is undecided there) are confirmed by ``member``,
-    its exact mode.  Exact mode goes straight to field arithmetic: members
-    sit exactly on the plateau, where no dyadic rung can decide the
-    indicator's last floor.  n <= 0 is confirmed by the compiled indicator.
+    ``Certificate.confirm`` decides every proposed q, and every n <= 0: one
+    dyadic evaluation drops the q where the indicator reads 0, and exact
+    mode decides the rest.  Members go to exact mode, as they sit exactly
+    on the plateau, where no dyadic precision decides the indicator's last
+    floor.
     """
-    out = [n for n in range(lo, min(0, hi) + 1) if cons.certificate.confirm(n)]
-    lo = max(lo, 1)
-    if lo > hi:
-        return out
-    program = cons.certificate.program()
-    bits = prefilter_bits(hi.bit_length(), DEFAULT_MAX_BITS)
-
-    def may_hold(q: int) -> bool:
-        try:
-            return program.eval_dyadic(q, bits)[0] != 0
-        except NeedBits:
-            return True
-
-    out.extend(q for q in _cubic_candidates(cons, lo, hi) if may_hold(q) and cons.member(q))
-    return out
+    cands = itertools.chain(range(lo, min(0, hi) + 1), _cubic_candidates(cons, max(lo, 1), hi))
+    return [q for q in cands if cons.certificate.confirm(q, max_bits)]

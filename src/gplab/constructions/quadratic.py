@@ -88,7 +88,9 @@ def _half_over_n_certificate(x: FieldElement, description: str) -> Certificate:
     cert = Certificate(
         indicator=ind,
         target_description=description,
-        fast_scan=lambda lo, hi: _half_over_n_scan(cf, cert.confirm, lo, hi),
+        fast_scan=lambda lo, hi, max_bits: _half_over_n_scan(
+            cf, lambda n: cert.confirm(n, max_bits), lo, hi
+        ),
         meta={"kind": "half-over-n", "root": repr(x)},
     )
     return cert
@@ -160,18 +162,18 @@ def scaled_set_transfer(
         near_src = _dist_lt_field_const(un, u_abs * Fraction(1, 2))
     indicator = ind_and(substitute_var(cert_r.indicator, Nint(un)), near_src)
 
-    def fast_scan(lo: int, hi: int) -> list[int]:
+    def fast_scan(lo: int, hi: int, max_bits: int) -> list[int]:
         # invert: each source member r pulls back to at most one candidate m
         bits = 20 + (abs(lo) + abs(hi) + 1).bit_length()
         ulo, uhi = fixed_enclosure(u_abs, bits)
         r_hi = ((uhi * (2 * max(abs(lo), abs(hi)) + 1)) >> (bits + 1)) + 2
         # when u > 0, every m >= lo > 0 has r = nint(u m) >= u lo - 1/2
         r_lo = max(0, ((ulo * lo) >> bits) - 2) if lo > 0 and u.sign() > 0 else 0
-        src = cert_r.members(r_lo, r_hi)
+        src = cert_r.members(r_lo, r_hi, max_bits)
         inv_u = u.inverse()
         # u < 0 or sign quirks could place candidates off by one; widen by hand
         near = {(inv_u * r).nint() + d for r in src for d in (-1, 0, 1)}
-        return sorted(m for m in near if lo <= m <= hi and cert.confirm(m))
+        return sorted(m for m in near if lo <= m <= hi and cert.confirm(m, max_bits))
 
     cert = Certificate(
         indicator=indicator,
@@ -246,7 +248,9 @@ def _norm_plus_odd_certificate(gamma: FieldElement, a: int) -> tuple[Certificate
     cert = Certificate(
         indicator=indicator,
         target_description=f"odd-index convergent denominators of gamma, gamma^2 = {a} gamma - 1",
-        fast_scan=lambda lo, hi: [n for n in base.members(lo, hi) if cert.confirm(n)],
+        fast_scan=lambda lo, hi, max_bits: [
+            n for n in base.members(lo, hi, max_bits) if cert.confirm(n, max_bits)
+        ],
         meta={"kind": "odd-denominator-filter", "a": a, "w": repr(w)},
     )
     return cert, v1
@@ -297,10 +301,11 @@ def quadratic_pisot_unit_set(a: int, norm: int) -> Certificate:
     )
     indicator = ind_or(even.indicator, odd_powers.indicator)
 
-    def fast_scan(lo: int, hi: int) -> list[int]:
+    def fast_scan(lo: int, hi: int, max_bits: int) -> list[int]:
         # each branch's members are exactly where its indicator is 1, so their
         # union is exactly where the OR is 1: nothing left to confirm
-        return sorted(set(even.members(lo, hi)) | set(odd_powers.members(lo, hi)))
+        both = even.members(lo, hi, max_bits) + odd_powers.members(lo, hi, max_bits)
+        return sorted(set(both))
 
     return Certificate(
         indicator=indicator,

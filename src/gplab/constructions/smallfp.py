@@ -77,7 +77,9 @@ def sqrt2_small_dist_certificate() -> Certificate:
     cert = Certificate(
         indicator=small_fp_family(Dist(Mul(N, Const("s", sq2))), N, Fraction(-1, 2)),
         target_description="integers with ||n sqrt(2)|| below 1/sqrt(n)",
-        fast_scan=lambda lo, hi: [n for n in range(max(lo, 1), hi + 1) if cert.confirm(n)],
+        fast_scan=lambda lo, hi, max_bits: [
+            n for n in range(max(lo, 1), hi + 1) if cert.confirm(n, max_bits)
+        ],
         meta={"construction": "small_fp sqrt2 b=-1/2"},
     )
     return cert

@@ -180,7 +180,9 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
     cert = Certificate(
         indicator=indicator,
         target_description=f"terms of the supplied sequence {params.n_seq[:3]}...",
-        fast_scan=lambda lo, hi: _very_sparse_scan(params, cert.confirm, lo, hi),
+        fast_scan=lambda lo, hi, max_bits: _very_sparse_scan(
+            params, lambda n: cert.confirm(n, max_bits), lo, hi
+        ),
         meta={
             "construction": f"very_sparse C={params.C} D={params.D}",
             "coprime_from": params.coprime_from,
@@ -262,30 +264,40 @@ class DensifyPlan:
     ratio_window_from: int  # first index from which 6 < log-ratio < 12 holds
 
 
+def _cmp_power(x: int, base: int, e: int) -> int:
+    """Sign of x - base^e for x >= 1 and base >= 2, exact.
+
+    2^(e (b-1)) <= base^e < 2^(e b) for b = base.bit_length(), so the bit
+    length of x settles most comparisons before any power is formed.
+    """
+    b = base.bit_length()
+    if x.bit_length() <= e * (b - 1):
+        return -1
+    if x.bit_length() > e * b:
+        return 1
+    p = base**e
+    return (x > p) - (x < p)
+
+
 def _select_depth(n_lo: int, n_hi: int, step: int) -> int:
-    """Integer l strictly inside (log A / log 11, log A / log 7), validated."""
-    for prec in (128, 256, 1024, 4096):
-        with _IvPrec(prec) as iv:
-            log_a = iv.log(iv.mpf(n_hi)) / iv.log(iv.mpf(n_lo))
-            lo_l = iv.log(log_a) / iv.log(iv.mpf(11))
-            hi_l = iv.log(log_a) / iv.log(iv.mpf(7))
-            lmin = max(1, int(mpmath.floor(lo_l.a)))
-            lmax = int(mpmath.ceil(hi_l.b))
-            uncertain = False
-            for cand in range(lmin, lmax + 1):
-                if lo_l.b < cand < hi_l.a:
-                    return cand
-                certainly_out = cand <= lo_l.a or cand >= hi_l.b
-                if not certainly_out:
-                    uncertain = True
-            if not uncertain:
-                raise NoValidL(
-                    f"no admissible interpolation depth at step {step}",
-                    step=step,
-                    ratio_lo=float(mpmath.mpf(lo_l.a)),
-                    ratio_hi=float(mpmath.mpf(hi_l.b)),
-                )
-    raise PrecisionExhausted(f"depth selection undecided at step {step}")
+    """The least l >= 1 with n_lo^(7^l) < n_hi < n_lo^(11^l), decided in integers.
+
+    That is 7^l < A < 11^l for A = log n_hi / log n_lo.  Once n_hi is at
+    most n_lo^(7^l), no larger l works, and NoValidL reports the open
+    interval (log A / log 11, log A / log 7) in floats, for reading only.
+    """
+    l = 1
+    while _cmp_power(n_hi, n_lo, 7**l) > 0:
+        if _cmp_power(n_hi, n_lo, 11**l) < 0:
+            return l
+        l += 1
+    log_a = math.log(math.log(n_hi) / math.log(n_lo))
+    raise NoValidL(
+        f"no admissible interpolation depth at step {step}",
+        step=step,
+        ratio_lo=log_a / math.log(11),
+        ratio_hi=log_a / math.log(7),
+    )
 
 
 class _IvPrec:
@@ -354,9 +366,9 @@ def densify_sequence(n_seq, c: int | None = None) -> DensifyPlan:
     """Interpolate the sequence so consecutive log-ratios land in (6, 12).
 
     Each gap A = log n_{i+1} / log n_i is split into l equal geometric steps
-    with l an integer in (log A / log 11, log A / log 7); that interval is
-    nonempty for every A >= DENSIFY_C_MIN, and may be verified empty for
-    smaller growth, in which case NoValidL is raised with diagnostics.
+    with l the least integer with 7^l < A < 11^l (``_select_depth``, in
+    integers).  Such an l exists for every A >= DENSIFY_C_MIN; where none
+    does, NoValidL is raised with diagnostics.
     """
     n_seq = [int(n) for n in n_seq]
     if not n_seq or n_seq[0] < 2:
@@ -376,18 +388,13 @@ def densify_sequence(n_seq, c: int | None = None) -> DensifyPlan:
         positions.append(len(interp) - 1)
     pos_set = set(positions)
     shifted = tuple((v if j in pos_set else v + 1) for j, v in enumerate(interp))
-    # report from which index the (6, 12) window holds
+    # the first index from which every step has t^6 < u < t^12
     window_from = len(interp) - 1
-    for j in range(len(interp) - 1):
-        ok = True
-        for jj in range(j, len(interp) - 1):
-            r = math.log(interp[jj + 1]) / math.log(interp[jj])
-            if not (6.0 < r < 12.0):
-                ok = False
-                break
-        if ok:
-            window_from = j
+    while window_from > 0:
+        t, u = interp[window_from - 1], interp[window_from]
+        if _cmp_power(u, t, 6) <= 0 or _cmp_power(u, t, 12) >= 0:
             break
+        window_from -= 1
     return DensifyPlan(
         interpolated=tuple(interp),
         original_positions=tuple(positions),

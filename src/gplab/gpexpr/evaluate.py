@@ -15,9 +15,12 @@ list is run in two modes:
   with plain integer arithmetic.  It is the fast path for range scans: ops
   are computed on demand from an explicit stack with a per-point,
   per-precision memo, so a product whose left factor is exactly zero never
-  evaluates its right factor.  Whenever a floor cannot be decided at the
-  current precision the driver escalates along the 96 -> 4096-bit ladder,
-  falling back to exact mode last.
+  evaluates its right factor.  ``eval_indicator`` runs it once per point,
+  at the least of 96, 192, 384, ... bits that holds 64 + 2 bits(n) (room
+  for a product of two n-sized factors, such as 2n {n x}), and sends a
+  point it leaves open straight to exact mode.  A second rung would not
+  help where it matters: on a closed threshold that a value meets exactly
+  (a cubic member on its plateau) every enclosure straddles the floor.
 
 Constant enclosures are computed once per program and precision with
 :func:`~gplab.realnum.fixed_enclosure`; irrational field elements use the
@@ -253,15 +256,15 @@ class Program:
 # drivers
 # ---------------------------------------------------------------------------
 
-_START_BITS = 96
-
-
-def _dyadic_ladder(max_bits: int):
-    b = _START_BITS
-    top = max(max_bits, _START_BITS)
-    while b <= top:
-        yield b
-        b *= 2
+def _dyadic_bits(n: int, max_bits: int) -> int:
+    """The one dyadic precision for n: on the 96 * 2^k grid, so points share
+    the program's constant templates, and at most max(max_bits, 96)."""
+    need = 64 + 2 * abs(n).bit_length()
+    top = max(max_bits, 96)
+    bits = 96
+    while bits < need and 2 * bits <= top:
+        bits *= 2
+    return bits
 
 
 def eval_exact(
@@ -287,21 +290,20 @@ def eval_indicator(
     the op list and its constant enclosures are shared across points.
     """
     program = program if program is not None else Program(e)
-    for bits in _dyadic_ladder(max_bits):
-        try:
-            lo, hi = program.eval_dyadic(n, bits)
-        except NeedBits:
-            continue
+    bits = _dyadic_bits(n, max_bits)
+    try:
+        lo, hi = program.eval_dyadic(n, bits)
+    except NeedBits:
+        pass  # a floor its enclosure straddles: exact mode decides
+    else:
         if lo == hi and lo % (1 << bits) == 0:
             val = lo >> bits
-        else:
-            # non-point result: the expression did not collapse to an integer
-            if hi < 0 or lo > (1 << bits):
-                raise NonBooleanValue("indicator outside {0,1}", n=n, value=(lo, hi))
-            continue
-        if val not in (0, 1):
-            raise NonBooleanValue(f"indicator value {val} at n={n}", n=n, value=val)
-        return val
+            if val not in (0, 1):
+                raise NonBooleanValue(f"indicator value {val} at n={n}", n=n, value=val)
+            return val
+        # non-point result: the expression did not collapse to an integer
+        if hi < 0 or lo > (1 << bits):
+            raise NonBooleanValue("indicator outside {0,1}", n=n, value=(lo, hi))
     try:
         value = eval_exact(e, n, max_bits, program)
     except PrecisionExhausted as exc:

@@ -73,11 +73,6 @@ def nint_expr(e: Expr) -> Expr:
     return Floor(Add(e, RationalConst(Fraction(1, 2))))
 
 
-def dist_sq_expr(e: Expr) -> Expr:
-    """||e||^2 inside the closure: (e - nint(e))^2."""
-    return Pow(Sub(e, nint_expr(e)), 2)
-
-
 def indicator_of_zero_set(h: Expr) -> Expr:
     """Indicator of {n : h(n) = 0}, assuming theta*h(n) irrational off zeros."""
     return Floor(Sub(RationalConst(Fraction(1)), frac_expr(Mul(Const("theta", THETA), h))))
@@ -90,14 +85,6 @@ def indicator_of_range(h: Expr, a, b) -> Expr:
         raise PreconditionError(f"empty range [{a}, {b})")
     scaled = Mul(Sub(h, RationalConst(a)), RationalConst(1 / (b - a)))
     return indicator_of_zero_set(Floor(scaled))
-
-
-def indicator_neg(h: Expr, lower_bound) -> Expr:
-    """Indicator of {n : h(n) < 0}, given h(n) >= -lower_bound on the domain."""
-    m = Fraction(lower_bound)
-    if m <= 0:
-        raise PreconditionError("lower_bound must be positive")
-    return indicator_of_range(h, -m, 0)
 
 
 def ind_not(p: Expr) -> Expr:

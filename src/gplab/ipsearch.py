@@ -24,10 +24,6 @@ class FiniteSumsFamily:
     sums: tuple[int, ...]  # all 2^r - 1 nonempty subset sums, sorted, multiset
     distinct: tuple[int, ...]
 
-    @property
-    def complete(self) -> bool:
-        return len(self.sums) == 2 ** len(self.generators) - 1
-
 
 def finite_sums(generators) -> FiniteSumsFamily:
     gens = tuple(int(g) for g in generators)

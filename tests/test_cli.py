@@ -217,6 +217,54 @@ def test_each_command_scans_against_the_oracle_at_most_once(tmp_path, monkeypatc
     assert len(calls) == scans, calls
 
 
+@pytest.mark.parametrize("command", [["verify", "--to", "3000"], ["density", "--N", "3000"]])
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["--construction", "fibonacci"],
+        ["--construction", "quadratic", "--a", "3", "--norm", "1"],
+        ["--construction", "quadratic-filter", "--a", "4"],
+        ["--construction", "cubic", "--a", "1", "--b", "1"],
+    ],
+)
+def test_maxprec_reaches_every_confirmation(tmp_path, monkeypatch, command, params):
+    # every point a scan confirms, nested scans included, is decided within
+    # the command's budget; the cubic build's own flag scan on (2000, 4000]
+    # is not the command's and is left out
+    import dataclasses
+
+    from gplab import cli
+    from gplab.constructions import Certificate
+
+    seen, quiet = [], [False]
+    confirm = Certificate.confirm
+
+    def spy(self, n, max_bits=None):
+        if not quiet[0]:
+            seen.append(max_bits)
+        return confirm(self, n) if max_bits is None else confirm(self, n, max_bits)
+
+    construction = cli.construction
+
+    def spec_for(name):
+        spec = construction(name)
+
+        def build(args):
+            quiet[0] = True
+            try:
+                return spec.build(args)
+            finally:
+                quiet[0] = False
+
+        return dataclasses.replace(spec, build=build)
+
+    monkeypatch.setattr(Certificate, "confirm", spy)
+    monkeypatch.setattr(cli, "construction", spec_for)
+    argv = command[:1] + params + command[1:] + ["--maxprec", "512"]
+    assert run(argv + ["--out", str(tmp_path / "out.txt")]) == 0
+    assert seen and set(seen) == {512}
+
+
 def test_cf_command_output(tmp_path):
     out = tmp_path / "cf.csv"
     assert run(["cf", "--expr", "let t = root(x^2-4*x+1, 3, 4); t", "--count", "6",

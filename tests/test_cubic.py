@@ -298,24 +298,24 @@ def test_cubic_scan_across_scale_boundaries(cubic_pairs, pair):
             assert [n for n in got if n in window] == [n for n in window if cons.member(n)]
 
 
-def _count_member_calls(monkeypatch):
-    from gplab.constructions.cubic import CubicConstruction
+def _count_exact_evals(monkeypatch):
+    from gplab.gpexpr.evaluate import Program
 
     calls = [0]
-    member = CubicConstruction.member
+    eval_exact = Program.eval_exact
 
-    def counted(self, q):
+    def counted(self, n, max_bits):
         calls[0] += 1
-        return member(self, q)
+        return eval_exact(self, n, max_bits)
 
-    monkeypatch.setattr(CubicConstruction, "member", counted)
+    monkeypatch.setattr(Program, "eval_exact", counted)
     return calls
 
 
 def test_cubic_prefilter_work(trib, monkeypatch):
     # deterministic guards against a candidate scan that silently stops
-    # filtering: exact confirmations are counted, not timed
-    calls = _count_member_calls(monkeypatch)
+    # filtering: exact-mode evaluations are counted, not timed
+    calls = _count_exact_evals(monkeypatch)
     assert trib.certificate.members(1, 10**7) == recurrence_terms(trib.recurrence, 10**7)[1:]
     assert calls[0] == 27  # one per member
     calls[0] = 0
@@ -325,9 +325,9 @@ def test_cubic_prefilter_work(trib, monkeypatch):
 
 def test_dense_window_confirms_only_terms(trib, monkeypatch):
     # every point of the first window was a float suspect of the old scan
-    # (2.6 s, 2-core host); the second holds a term.  At most one member
-    # call per term
-    calls = _count_member_calls(monkeypatch)
+    # (2.6 s, 2-core host); the second holds a term.  At most one exact-mode
+    # evaluation per term
+    calls = _count_exact_evals(monkeypatch)
     terms = recurrence_terms(trib.recurrence, 10**16)
     t = next(t for t in terms if t > 10**15)
     for lo, hi in ((10**15, 10**15 + 2 * 10**5), (t - 10**5, t + 10**5)):
@@ -340,13 +340,13 @@ def test_dense_window_confirms_only_terms(trib, monkeypatch):
 @pytest.mark.parametrize("pair", [(1, 1), (2, 1)])
 def test_fixed_point_rescreen_of_float_suspects(cubic_pairs, pair, monkeypatch):
     # from about 1e15 every point was a suspect of the float scan this
-    # lattice scan replaced; member must see only the term, and the scan
+    # lattice scan replaced; exact mode must see only the term, and the scan
     # must agree with member at every point
     from gplab.constructions.cubic import CubicConstruction
 
     cons = cubic_pairs[pair]
     member = CubicConstruction.member
-    calls = _count_member_calls(monkeypatch)
+    calls = _count_exact_evals(monkeypatch)
     terms = recurrence_terms(cons.recurrence, 10**17)
     for t in (t for t in terms if 10**13 <= t <= 10**17):
         calls[0] = 0

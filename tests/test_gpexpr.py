@@ -363,6 +363,37 @@ def test_tribonacci_windows_near_1e12_reach_exact_fallback(monkeypatch):
     assert set(calls) >= set(trib)  # members sit on the plateau: only exact mode decides them
 
 
+@pytest.mark.parametrize("pair", [(1, 1), (2, 1)])
+def test_members_runs_one_dyadic_evaluation_per_point(pair, monkeypatch):
+    # on the plateau no dyadic precision decides the last floor (for (2, 1)
+    # on [1000, 1200), h^2 g is an integer at 83 of the q), so a point the
+    # one dyadic evaluation leaves open goes straight to exact mode
+    from gplab.constructions import cubic_pisot_set
+    from gplab.gpexpr import evaluate
+
+    from oracles import tribonacci_R
+
+    cons = cubic_pisot_set(*pair)
+    ind = cons.certificate.indicator
+    if pair == (1, 1):
+        terms = [t for t in tribonacci_R(10**13) if t >= 10**12]
+        windows = [(t - 8, t + 7) for t in terms]
+    else:
+        windows = [(1000, 1199)]
+    want = [[q for q in range(lo, hi + 1) if cons.member(q)] for lo, hi in windows]
+    calls = []
+    eval_dyadic = evaluate.Program.eval_dyadic
+
+    def counted(self, n, bits):
+        calls.append(n)
+        return eval_dyadic(self, n, bits)
+
+    monkeypatch.setattr(evaluate.Program, "eval_dyadic", counted)
+    monkeypatch.setattr(evaluate, "_last_compiled", [None, None])
+    assert [members(ind, lo, hi) for lo, hi in windows] == want
+    assert calls == [q for lo, hi in windows for q in range(lo, hi + 1)]
+
+
 def test_members_compiles_each_expression_once(monkeypatch):
     from gplab.gpexpr import evaluate
 

@@ -24,7 +24,7 @@ def _set_cert(pred, desc="test set"):
     return Certificate(
         indicator=None,
         target_description=desc,
-        fast_scan=lambda lo, hi: [n for n in range(lo, hi + 1) if pred(n)],
+        fast_scan=lambda lo, hi, max_bits: [n for n in range(lo, hi + 1) if pred(n)],
     )
 
 

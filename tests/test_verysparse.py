@@ -116,6 +116,19 @@ def test_densify_gap_raises_no_valid_l():
     assert 3.8 < exc.value.ratio_hi < 4.0
 
 
+@pytest.mark.parametrize("a_exp", [7**5, 11**4])
+def test_densify_decides_a_gap_on_an_interval_end(a_exp):
+    # A = 7^l or 11^l exactly: 7^l < A < 11^l fails on an equality, which
+    # the integer comparison n_lo^(7^l) < n_hi < n_lo^(11^l) decides
+    with pytest.raises(NoValidL) as exc:
+        densify_sequence([2, 2**a_exp])
+    assert exc.value.step == 0
+
+
+def test_densify_depth_just_inside_the_window():
+    assert densify_sequence([2, 2 ** (11**5)]).depth_per_step == (6,)
+
+
 def test_densify_c_min_coverage():
     # every integer exponent A >= C_MIN sits strictly inside some (7^l, 11^l)
     import math
