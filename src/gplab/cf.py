@@ -1,7 +1,10 @@
-"""Continued fractions of quadratic irrationals and best approximations.
+"""Continued fractions of quadratic irrationals and rationals, and best
+approximations.
 
 The expansion uses the classical integer surd state ``(P + sqrt(D))/Q``,
-so partial quotients and the (always eventually periodic) period are exact.
+so partial quotients and the (always eventually periodic) period are exact;
+a rational has a finite expansion.  ``convergent_walk`` is the one walk
+over the convergents of either kind.
 Best approximations in one and two dimensions are found by record scans
 whose decisions are exact; a certified fixed-point screen skips the q that
 cannot beat the current record.  The planar norm is ``|u*x1 + v*x2|`` for
@@ -14,9 +17,11 @@ those enclosures cannot order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import NondegenerateNormRequired, NotFound, PreconditionError
 from .realnum import (
@@ -138,18 +143,38 @@ def cf_expand(x: FieldElement, max_terms: int = 10_000) -> ContinuedFraction:
     raise PreconditionError(f"period not detected within {max_terms} terms")
 
 
+def cf_of_rational(x: Fraction) -> ContinuedFraction:
+    """The finite continued fraction of a rational, by Euclid's algorithm."""
+    terms = []
+    num, den = x.numerator, x.denominator
+    while den:
+        a, r = divmod(num, den)
+        terms.append(a)
+        num, den = den, r
+    return ContinuedFraction(tuple(terms), (), x)
+
+
+def convergent_walk(cf: ContinuedFraction) -> Iterator[tuple[int, int, int | None]]:
+    """(p_k, q_k, a_(k+1)) for k = 0, 1, ...: without end for a periodic
+    expansion, and for a finite one up to its last convergent, the value
+    itself, where a_(k+1) is None."""
+    quotients = itertools.chain(cf.preperiod, itertools.cycle(cf.period))
+    p_prev, q_prev = 1, 0
+    p, q = next(quotients), 1
+    for a in quotients:
+        yield p, q, a
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    yield p, q, None
+
+
 def convergents(cf: ContinuedFraction, count: int) -> list[tuple[int, int]]:
     """First ``count`` convergents (p_j, q_j); determinant identity holds."""
     if count < 1:
         raise PreconditionError("count must be at least 1")
-    qs = cf.quotients(count)
-    p0, q0 = 1, 0
-    p1, q1 = qs[0], 1
-    out = [(p1, q1)]
-    for a in qs[1:]:
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-        out.append((p1, q1))
+    out = [(p, q) for p, q, _ in itertools.islice(convergent_walk(cf), count)]
+    if len(out) < count:
+        raise PreconditionError("finite expansion exhausted")
     return out
 
 

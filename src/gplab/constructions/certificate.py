@@ -14,9 +14,7 @@ points of a recurrence basis, a pull-back, a filter of another
 certificate's members) only proposes points, each then confirmed by the
 compiled indicator through ``confirm``.  ``members`` hands its precision
 budget to the scan, which passes it on to every ``confirm`` and nested
-``members`` call.  One scan keeps a bespoke exact confirmer, the
-very-sparse interval containment: the indicator is undecidable past the
-depth of the supplied sequence.
+``members`` call.
 """
 
 from __future__ import annotations
@@ -39,16 +37,13 @@ class Certificate:
     exceptional: tuple[int, ...] = ()
     fast_scan: Callable[[int, int, int], list[int]] | None = None  # (lo, hi, max_bits)
     meta: dict = field(default_factory=dict)
-    _compiled: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _program: Program | None = field(default=None, init=False, repr=False, compare=False)
 
     def program(self) -> Program:
-        """The compiled indicator, compiled once per indicator object
-        (``very_sparse_snapshot`` swaps the indicator after the build)."""
-        expr, program = self._compiled
-        if expr is not self.indicator:
-            program = Program(self.indicator)
-            self._compiled = (self.indicator, program)
-        return program
+        """The compiled indicator, compiled on first use."""
+        if self._program is None:
+            self._program = Program(self.indicator)
+        return self._program
 
     def confirm(self, n: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:
         """The indicator's verdict at n: how scans confirm their candidates."""

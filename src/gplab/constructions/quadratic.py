@@ -22,11 +22,10 @@ computes the exceptional set.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Callable
 
-from ..cf import ContinuedFraction, cf_expand
+from ..cf import ContinuedFraction, cf_expand, convergent_walk
 from ..errors import PreconditionError
 from ..gpexpr import (
     Const,
@@ -67,17 +66,14 @@ def _half_over_n_scan(
     """
     out = [n for n in range(lo, min(0, hi) + 1) if confirm(n)]
     cands = set()
-    quotients = itertools.chain(cf.preperiod, itertools.cycle(cf.period))
-    next(quotients)  # a_0
-    q_prev, q = 0, 1
-    while q <= hi:
-        a_next = next(quotients)
+    for _, q, a_next in convergent_walk(cf):
+        if q > hi:
+            break
         g = 1
         while 2 * g * g < a_next + 2 and g * q <= hi:
             if g * q >= lo:
                 cands.add(g * q)
             g += 1
-        q_prev, q = q, a_next * q + q_prev
     out.extend(n for n in sorted(cands) if confirm(n))
     return out
 

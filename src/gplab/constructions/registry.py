@@ -54,9 +54,7 @@ CONSTRUCTIONS = {
         scan_from=1,
     ),
     "verysparse": Construction(
-        lambda p: verysparse.very_sparse_snapshot(
-            verysparse.very_sparse_alpha(p.sequence, p.C, p.D)
-        ),
+        lambda p: verysparse.very_sparse_set(verysparse.very_sparse_alpha(p.sequence, p.C, p.D)),
         lambda p, bound: [n for n in p.sequence if n <= bound],
         scan_from=None,
     ),

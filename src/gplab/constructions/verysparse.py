@@ -1,17 +1,18 @@
 """Compiling very sparse integer sequences into small-distance certificates.
 
 Given a fast-growing sequence (n_i) with n_i^D < n_{i+1} < n_i^{2D} and
-5 <= C < D <= (C-1)^2/2, a real alpha is built as the intersection of the
-nested intervals I_i = [m_i/n_i + n_i^{-C}/4, m_i/n_i + n_i^{-C}/2], with
+5 <= C < D <= (C-1)^2/2, the nested intervals
+I_i = [m_i/n_i + n_i^{-C}/4, m_i/n_i + n_i^{-C}/2] are built, with
 numerators m_i chosen coprime to n_i from the first index where that is
-possible.  The set
+possible.  For every alpha in all of them the set
 
     E' = {n : n^{-C+1}/4 <= ||n * alpha|| <= n^{-C+1}/2}
 
-then differs from {n_i} by a finite set.  Membership is decided by
-closed-interval containment against the deepest available chain interval,
-which is decidable for *every* real compatible with the data; queries that
-would need depth beyond the supplied sequence raise PrecisionExhausted.
+differs from {n_i} by a finite set.  The certificate takes alpha to be the
+midpoint of the deepest interval, an exact rational, so its compiled
+indicator decides every point exactly and the printed certificate is the
+scanned one.  The scan proposes only multiples of the convergent
+denominators of alpha (Legendre's theorem).
 
 ``densify_sequence`` implements the interpolation that upgrades any
 sequence with growth exponent at least ``DENSIFY_C_MIN`` into one
@@ -23,7 +24,7 @@ intersect to the original set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -41,17 +42,17 @@ from ..gpexpr import (
     ind_or,
     indicator_of_range,
     indicator_of_zero_set,
-    map_tree,
-    with_children,
 )
-from ..realnum import NeedBits, RefinableReal, dist_iv, fixed_enclosure, scale_iv
-from ..cf import coprime_in_interval
+from ..cf import cf_of_rational, convergent_walk, coprime_in_interval
 from .certificate import Certificate
 
 #: Smallest growth exponent for which the plain interpolation always finds
 #: an admissible depth l: every A >= this lies strictly inside some open
 #: interval (7^l, 11^l), since 7^(l+1) < 11^l from l = 5 on.
 DENSIFY_C_MIN = 7**5 + 1
+
+#: precisions ``_interp_term`` tries, each twice the last, before it gives up
+_INTERP_DOUBLINGS = 4
 
 
 @dataclass
@@ -62,11 +63,16 @@ class VerySparseParams:
     m_seq: tuple[int, ...]
     intervals: tuple[tuple[Fraction, Fraction], ...]
     coprime_from: int
-    alpha: RefinableReal = dc_field(repr=False, default=None)
+
+    @property
+    def alpha(self) -> Fraction:
+        """The midpoint of the deepest chain interval, hence in every one."""
+        lo, hi = self.intervals[-1]
+        return (lo + hi) / 2
 
 
 def very_sparse_alpha(n_seq, C: int, D: int) -> VerySparseParams:
-    """Construct the interval chain and alpha for the given sequence."""
+    """Construct the interval chain for the given sequence."""
     n_seq = tuple(int(n) for n in n_seq)
     if not (5 <= C < D <= (C - 1) ** 2 / 2):
         raise PreconditionError("need 5 <= C < D <= (C-1)^2/2")
@@ -106,148 +112,73 @@ def very_sparse_alpha(n_seq, C: int, D: int) -> VerySparseParams:
         m_seq.append(m)
         intervals.append(interval_for(m, n))
 
-    chain = tuple(intervals)
-    deepest = len(chain) - 1
-
-    def approximant(bits: int) -> tuple[int, int]:
-        # the first chain interval at most 2^-bits wide, rounded outward
-        for lo, hi in chain:
-            if (hi - lo) * (1 << bits) <= 1:
-                return (
-                    (lo.numerator << bits) // lo.denominator,
-                    -((-hi.numerator << bits) // hi.denominator),
-                )
-        raise PrecisionExhausted(
-            f"alpha known only to the depth of n_{deepest}; extend the sequence",
-            bits=bits,
-        )
-
-    params = VerySparseParams(
+    return VerySparseParams(
         C=C,
         D=D,
         n_seq=n_seq,
         m_seq=tuple(m_seq),
-        intervals=chain,
+        intervals=tuple(intervals),
         coprime_from=coprime_from,
-        alpha=RefinableReal(approximant, "alpha"),
-    )
-    return params
-
-
-def _member_by_containment(params: VerySparseParams, n: int) -> bool:
-    """Decide n in E' by closed containment against the deepest interval.
-
-    True if n*I maps inside the closed distance window for every point of
-    the deepest interval; False if it misses it entirely; PrecisionExhausted
-    if the data cannot decide (only possible past the available depth).
-    The chain is nested, so a shallower interval decides nothing the
-    deepest one leaves open.
-    """
-    if n < 1:
-        return False
-    lo_t = Fraction(1, 4 * n ** (params.C - 1))
-    hi_t = Fraction(1, 2 * n ** (params.C - 1))
-    lo_a, hi_a = params.intervals[-1]
-    xlo, xhi = n * lo_a, n * hi_a
-    if xhi - xlo <= Fraction(1, 2):  # else the distance is not defined at this depth
-        m = (xlo + xhi) / 2
-        r = m.numerator // m.denominator
-        if m - r > Fraction(1, 2):
-            r += 1
-        dlo_l, dlo_h = abs(xlo - r), abs(xhi - r)
-        dist_lo = Fraction(0) if (xlo <= r <= xhi) else min(dlo_l, dlo_h)
-        dist_hi = max(dlo_l, dlo_h)
-        if lo_t <= dist_lo and dist_hi <= hi_t:
-            return True
-        if dist_hi < lo_t or dist_lo > hi_t:
-            return False
-    raise PrecisionExhausted(
-        f"membership of {n} undecidable at available chain depth", n=n
     )
 
 
 def very_sparse_set(params: VerySparseParams) -> Certificate:
-    """Certificate for E' with thresholds at exponent -C+1."""
-    C = params.C
+    """Certificate for E' with thresholds at exponent -C+1, at alpha =
+    ``params.alpha``."""
+    C, alpha = params.C, params.alpha
     # scaled form: 1 <= 4 n^(C-1) ||n alpha|| <= 2, i.e. the closed window
-    alpha_const = Const("alpha", params.alpha)
-    y = Mul(Mul(RationalConst(Fraction(4)), Pow(N, C - 1)), Dist(Mul(N, alpha_const)))
+    y = Mul(Mul(RationalConst(Fraction(4)), Pow(N, C - 1)), Dist(Mul(N, Const("alpha", alpha))))
     indicator = ind_or(
         indicator_of_range(y, 1, 2),
         indicator_of_zero_set(Sub(y, RationalConst(Fraction(2)))),
     )
-
+    alpha_lo, alpha_hi = params.intervals[-1]
     cert = Certificate(
         indicator=indicator,
         target_description=f"terms of the supplied sequence {params.n_seq[:3]}...",
         fast_scan=lambda lo, hi, max_bits: _very_sparse_scan(
-            params, lambda n: cert.confirm(n, max_bits), lo, hi
+            alpha, C, lambda n: cert.confirm(n, max_bits), lo, hi
         ),
         meta={
             "construction": f"very_sparse C={params.C} D={params.D}",
             "coprime_from": params.coprime_from,
-            "alpha_lo": str(params.intervals[-1][0]),
-            "alpha_hi": str(params.intervals[-1][1]),
+            "alpha_lo": str(alpha_lo),
+            "alpha_hi": str(alpha_hi),
+            "alpha_snapshot": f"{alpha.numerator}/{alpha.denominator}",
+            "valid_to": str(params.n_seq[-1]),
         },
     )
     return cert
 
 
-def very_sparse_snapshot(params: VerySparseParams) -> Certificate:
-    """``very_sparse_set`` with alpha in the indicator replaced by the midpoint
-    of the deepest chain interval, an exact rational, so it can be printed.
-
-    Scans and membership tests still decide by the interval chain.
-    """
-    cert = very_sparse_set(params)
-    lo, hi = params.intervals[-1]
-    mid = (lo + hi) / 2
-    snap = Const("alpha", mid)
-
-    def replace(node, kids):
-        if isinstance(node, Const) and node.value is params.alpha:
-            return snap
-        return with_children(node, kids)
-
-    cert.indicator = map_tree(cert.indicator, replace)
-    cert.meta["alpha_snapshot"] = f"{mid.numerator}/{mid.denominator}"
-    cert.meta["valid_to"] = str(params.n_seq[-1])
-    return cert
-
-
 def _very_sparse_scan(
-    params: VerySparseParams, confirm: Callable[[int], bool], lo: int, hi: int
+    alpha: Fraction, C: int, confirm: Callable[[int], bool], lo: int, hi: int
 ) -> list[int]:
-    """Scan by fixed-point arithmetic on the deepest interval; exact logic.
+    """Members of E' on [lo, hi]: candidates from the continued fraction of
+    alpha, each confirmed by ``confirm``.
 
-    ``dist_iv`` encloses ||n alpha|| from an enclosure of the deepest chain
-    interval, and the enclosure is compared exactly with the closed window
-    [n^{-C+1}/4, n^{-C+1}/2].  Points it leaves open (an enclosure of
-    n alpha across an integer, NeedBits, or of the distance across a window
-    end) go to ``_member_by_containment``, which raises PrecisionExhausted
-    at the rare undecidable ones.  That test, not the compiled indicator,
-    confirms n >= 1 here: the indicator over the alpha stream raises
-    PrecisionExhausted already at n = 2^49, a term of the default sequence,
-    where containment decides.  Points n <= 0 are left to ``confirm``.
+    Points n <= 1 are all confirmed.  For n >= 2 the candidates are complete
+    by Legendre's theorem (Khinchin, *Continued Fractions*, Thm 19), as in
+    ``quadratic._half_over_n_scan``.  Take a member n >= 2, p = nint(n alpha)
+    and g = gcd(p, n).  Then |alpha - p/n| <= n^{-C}/2 < 1/(2n^2), so p/n
+    reduces to a convergent p_k/q_k and n = g q_k.  With
+    d_k = |q_k alpha - p_k| (exact), ||n alpha|| = g d_k, and
+    g d_k <= (g q_k)^{1-C}/2 reads 2 g^C q_k^{C-1} d_k <= 1, a condition
+    that fails for every g past the first that fails it.  At the last
+    convergent d_k = 0 and ||n alpha|| = 0 is outside the window, so the
+    walk stops there; it also stops at the first q_k > hi.
     """
-    out = [n for n in range(lo, min(0, hi) + 1) if confirm(n)]
-    alo, ahi = params.intervals[-1]
-    bits = max(64, (hi * (ahi - alo)).numerator.bit_length() + 64)
-    alpha = fixed_enclosure(alo, bits)[0], fixed_enclosure(ahi, bits)[1]
-    scale = 1 << bits
-    for n in range(max(lo, 1), hi + 1):
-        t = 4 * n ** (params.C - 1)  # the window is [scale / t, 2 scale / t]
-        try:
-            d_lo, d_hi = dist_iv(scale_iv(n, alpha), bits)
-            if scale <= d_lo * t and d_hi * t <= 2 * scale:
-                out.append(n)
-                continue
-            if d_hi * t < scale or d_lo * t > 2 * scale:
-                continue
-        except NeedBits:
-            pass
-        if _member_by_containment(params, n):
-            out.append(n)
+    out = [n for n in range(lo, min(1, hi) + 1) if confirm(n)]
+    cands = set()
+    for p, q, _ in convergent_walk(cf_of_rational(alpha)):
+        d = abs(q * alpha - p)
+        if q > hi or d == 0:
+            break
+        g = max(1, -(-max(lo, 2) // q))
+        while g * q <= hi and 2 * g**C * q ** (C - 1) * d <= 1:
+            cands.add(g * q)
+            g += 1
+    out.extend(n for n in sorted(cands) if confirm(n))
     return out
 
 
@@ -336,12 +267,16 @@ def _exact_root(m: int, r: int) -> int | None:
 
 
 def _interp_term(n_lo: int, n_hi: int, k: int, l: int) -> int:
-    """floor(exp((log n_hi)^(k/l) * (log n_lo)^(1-k/l))), validated.
+    """floor(exp(a)) for a = (log n_hi)^(k/l) * (log n_lo)^(1-k/l).
 
     When n_hi = n_lo^M and M^(k/l) is an exact integer the value is an
     exact power and the floor is taken symbolically; otherwise the
-    interpolation exponent is algebraic irrational, the value is
-    transcendental, and interval refinement terminates.
+    interpolation exponent is algebraic irrational and the value
+    transcendental, so no integer, and an interval evaluation decides its
+    floor once both endpoints floor alike (floored exactly, in integers).
+    The value has about a / ln 2 bits: the first precision is that, from an
+    enclosure of a at 64 bits, plus 64 guard bits, and it doubles until the
+    floor is decided.
     """
     m_exp = _exact_log(n_hi, n_lo)
     if m_exp is not None:
@@ -349,16 +284,20 @@ def _interp_term(n_lo: int, n_hi: int, k: int, l: int) -> int:
         t = _exact_root(m_exp, l // g)
         if t is not None:
             return n_lo ** (t ** (k // g))
-    for prec in (192, 384, 768, 1536, 6144):
+
+    def value(prec: int):
         with _IvPrec(prec) as iv:
             lhi = iv.log(iv.mpf(n_hi))
             llo = iv.log(iv.mpf(n_lo))
             a = iv.exp(iv.log(lhi) * k / l + iv.log(llo) * (l - k) / l)
-            v = iv.exp(a)
-            flo = mpmath.floor(v.a)
-            fhi = mpmath.floor(v.b)
-            if flo == fhi:
-                return int(flo)
+            return a, iv.exp(a)
+
+    prec = int(float(value(64)[0].b) / math.log(2)) + 64
+    for _ in range(_INTERP_DOUBLINGS):
+        lo, hi = (mpmath.libmp.to_int(end, "f") for end in value(prec)[1]._mpi_)
+        if lo == hi:
+            return lo
+        prec *= 2
     raise PrecisionExhausted("floor(exp(...)) undecided; value too close to an integer")
 
 

@@ -12,6 +12,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
+from .cf import cf_expand, convergent_walk
 from .constructions.certificate import Certificate
 from .constructions.smallfp import sqrt2_small_dist_certificate
 from .errors import NotFound, PrecisionExhausted, PreconditionError
@@ -189,10 +190,10 @@ def ap_witness_in_small_dist_set(r: int, max_bits: int = DEFAULT_MAX_BITS) -> Se
     cert = sqrt2_small_dist_certificate()
     sq2 = NumberField((-2, 0, 1), 1, 2, "s").generator()
     nodes = 0
-    q_prev, q_cur = 0, 1  # denominators of the convergents of sqrt2
-    while q_cur < 10**18:
+    for _, m, _ in convergent_walk(cf_expand(sq2)):
+        if m >= 10**18:
+            break
         nodes += 1
-        m = q_cur
         if m >= r**3:
             d = (sq2 * m).dist_to_int()
             if (d * m - 1).sign() < 0 and all(cert.member(k * m) for k in range(1, r + 1)):
@@ -208,7 +209,6 @@ def ap_witness_in_small_dist_set(r: int, max_bits: int = DEFAULT_MAX_BITS) -> Se
                     nodes_explored=nodes,
                     runtime_ms=int((time.perf_counter() - t0) * 1000),
                 )
-        q_prev, q_cur = q_cur, 2 * q_cur + q_prev
     raise NotFound(f"no verified progression witness for r={r}")
 
 

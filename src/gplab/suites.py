@@ -181,6 +181,25 @@ def check_very_sparse() -> str:
     return "members on [2, 1e5] = {2, 128}; spot check at 128^7 passed"
 
 
+def check_very_sparse_support() -> str:
+    """The default certificate's support on [1, oo) is exactly its sequence.
+
+    A member n >= 1 has 0 < ||n alpha|| <= n^(1-C)/2, and a nonzero
+    ||n alpha|| is at least 1/Q for Q the denominator of alpha, so
+    n^(C-1) <= Q/2; the scan runs to a power of two past that bound.
+    """
+    seq = (2, 128, 128**7)
+    params = very_sparse_alpha(seq, 5, 6)
+    q = params.alpha.denominator
+    e = -(-q.bit_length() // (params.C - 1))  # (2^e)^(C-1) > Q
+    mem = very_sparse_set(params).members(1, 1 << e)
+    assert tuple(mem) == seq, f"members on [1, 2^{e}]: {mem}"
+    return (
+        f"members on [1, 2^{e}] = {{2, 128, 128^7}}, and n^{params.C - 1} <= Q/2 "
+        f"for every member, Q = alpha's {q.bit_length()}-bit denominator"
+    )
+
+
 def _growth_rows(c: Fraction, ladder: tuple[int, ...]) -> tuple[list, str]:
     """Growth rows at exponent c, checked: positive ratios, spread < 4, no skips."""
     rows = growth_count(default_orbit_spec(c), ladder)
@@ -464,6 +483,7 @@ PAPER_CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("half-over-n-verify-1e17", check_half_over_n_to_1e17),
     ("cubic-tribonacci", check_cubic),
     ("very-sparse-compiler", check_very_sparse),
+    ("very-sparse-support", check_very_sparse_support),
     ("heisenberg-growth", check_heisenberg_growth),
     ("heisenberg-growth-non-vacuous", check_heisenberg_growth_non_vacuous),
     ("heisenberg-growth-1e5", check_heisenberg_growth_1e5),

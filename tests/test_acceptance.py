@@ -44,6 +44,10 @@ def test_criterion_5_very_sparse_compiler():
     _run("very-sparse-compiler", "criterion 5: very-sparse compiler (C=5, D=6)", 60)
 
 
+def test_very_sparse_support():
+    _run("very-sparse-support", "very-sparse support = {2, 128, 128^7} on [1, oo)", 1)
+
+
 def test_criterion_6_heisenberg_growth():
     _run("heisenberg-growth", "criterion 6: Heisenberg growth (c=0.05)", 300)
 

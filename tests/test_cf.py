@@ -9,6 +9,8 @@ from gplab.cf import (
     best_approx_1d,
     best_approx_2d,
     cf_expand,
+    cf_of_rational,
+    convergent_walk,
     convergents,
     coprime_in_interval,
     legendre_check,
@@ -75,6 +77,22 @@ def test_convergents_match_oracle(phi, sqrt2):
     assert [q for _, q in conv_phi] == [1, 1, 2, 3, 5, 8]
     single = convergents(cf_expand(phi), 1)
     assert single == [(1, 1)]
+
+
+@pytest.mark.parametrize(
+    "x, terms",
+    [(Fraction(355, 113), [3, 7, 16]), (Fraction(-3, 2), [-2, 2]), (Fraction(5), [5])],
+)
+def test_rational_walk_ends_at_the_value(x, terms):
+    cf = cf_of_rational(x)
+    assert cf.preperiod == tuple(terms) and cf.period == ()
+    walk = list(convergent_walk(cf))
+    assert [(p, q) for p, q, _ in walk] == cf_convergents(terms)
+    assert [a for _, _, a in walk] == terms[1:] + [None]
+    assert Fraction(*walk[-1][:2]) == x
+    assert convergents(cf, len(terms)) == cf_convergents(terms)
+    with pytest.raises(PreconditionError):
+        convergents(cf, len(terms) + 1)
 
 
 def test_convergents_determinant_identity(two_plus_sqrt3):

@@ -188,6 +188,32 @@ def test_verify_command(tmp_path):
     assert "symmetric_difference: \n" in text or "symmetric_difference:\n" in text
 
 
+def test_verysparse_verify_to_its_last_term(tmp_path, monkeypatch):
+    # the default sequence's last term is 2^49: the scan confirms n = 1 and
+    # its Legendre candidates, no more points than alpha has convergents;
+    # the bound on g leaves no candidate that is not a member
+    from gplab.cf import cf_of_rational, convergent_walk
+    from gplab.constructions import Certificate, very_sparse_alpha
+
+    confirm = Certificate.confirm
+    seen = []
+
+    def counted(self, n, *args):
+        seen.append(n)
+        return confirm(self, n, *args)
+
+    monkeypatch.setattr(Certificate, "confirm", counted)
+    out = tmp_path / "verify.txt"
+    assert run(["verify", "--construction", "verysparse", "--to", "562949953421312",
+                "--out", str(out)]) == 0
+    rows = dict(line.split(":", 1) for line in out.read_text().splitlines())
+    assert rows["members_found"].split() == ["2", "128", "562949953421312"]
+    assert rows["symmetric_difference"].strip() == ""
+    alpha = very_sparse_alpha((2, 128, 562949953421312), 5, 6).alpha
+    assert 0 < len(seen) <= sum(1 for _ in convergent_walk(cf_of_rational(alpha)))
+    assert seen == [1, 2, 128, 562949953421312]
+
+
 @pytest.mark.parametrize(
     "argv, scans",
     [

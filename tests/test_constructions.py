@@ -127,9 +127,9 @@ _REGISTRY_CASES = [
 
 @pytest.mark.parametrize("name, params", _REGISTRY_CASES)
 def test_scan_matches_compiled_indicator(name, params):
-    # the scan's candidate generator drops no member of the indicator, and
-    # the bespoke very-sparse confirmer agrees with it; at n <= 0 the cubic
-    # and very-sparse indicators hold at points outside the target
+    # the scan's candidate generator drops no member of the indicator; at
+    # n <= 0 the cubic and very-sparse indicators hold at points outside
+    # the target
     cert = construction(name).build(SimpleNamespace(**{**_DEFAULTS, **params}))
     assert cert.members(-50, 4000) == members(cert.indicator, -50, 4000)
 

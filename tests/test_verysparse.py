@@ -10,8 +10,9 @@ from gplab.constructions import (
     very_sparse_alpha,
     very_sparse_set,
 )
-from gplab.errors import NoValidL, PrecisionExhausted, PreconditionError
-from gplab.gpexpr import eval_indicator
+from gplab.constructions.verysparse import VerySparseParams
+from gplab.errors import NoValidL, PreconditionError
+from gplab.gpexpr import eval_indicator, members
 
 from oracles import coprime
 
@@ -40,20 +41,12 @@ def test_chain_construction(params):
         assert (lo, hi) in params.intervals
 
 
-def test_alpha_stream_nesting(params):
-    prev = None
-    deepest_lo, deepest_hi = params.intervals[-1]
-    for k in (4, 10, 30):
-        lo, hi = params.alpha.interval(k)
-        assert type(lo) is int and type(hi) is int and 0 <= hi - lo <= 2
-        # the enclosure contains the deepest chain interval, hence alpha
-        assert Fraction(lo, 1 << k) <= deepest_lo and deepest_hi <= Fraction(hi, 1 << k)
-        if prev:
-            pk, plo, phi = prev
-            assert plo << (k - pk) <= lo and hi <= phi << (k - pk)
-        prev = (k, lo, hi)
-    with pytest.raises(PrecisionExhausted):
-        params.alpha.interval(100000)
+def test_alpha_lies_in_every_chain_interval(params, cert):
+    # the midpoint of the deepest interval, so the construction holds for it
+    alpha = params.alpha
+    assert type(alpha) is Fraction
+    assert all(lo < alpha < hi for lo, hi in params.intervals)
+    assert cert.meta["alpha_snapshot"] == f"{alpha.numerator}/{alpha.denominator}"
 
 
 def test_growth_violation_rejected():
@@ -84,13 +77,11 @@ def test_formal_indicator_agrees_on_decidable_points(cert):
         assert eval_indicator(cert.indicator, n) == (1 if cert.member(n) else 0)
 
 
-def test_formal_indicator_boundary_raises(cert):
-    # membership of the deepest term sits on the closed boundary of the
-    # available data: the scan's interval containment decides it, the theta
-    # form cannot
+def test_formal_indicator_decides_the_deepest_term(cert):
+    # at the exact alpha, 4 N2^4 ||N2 alpha|| = 3/2: the compiled indicator
+    # decides the deepest term with no PrecisionExhausted
+    assert eval_indicator(cert.indicator, N2, 4096) == 1
     assert cert.member(N2)
-    with pytest.raises(PrecisionExhausted):
-        eval_indicator(cert.indicator, N2, 4096)
 
 
 def test_densify_single_ratio_1000():
@@ -151,25 +142,39 @@ def test_densify_output_ratios_in_window():
         assert 6 < r < 12
 
 
-def test_scan_agrees_with_exact_containment(params, cert):
-    # the fixed-point scan's verdicts match the exact rational containment
-    # test point by point (the latter is the arbitrary-precision confirmation)
-    from gplab.constructions.verysparse import _member_by_containment
-
-    scanned = set(cert.members(2, 4000))
-    for n in range(2, 4001):
-        assert (n in scanned) == _member_by_containment(params, n)
-
-
 @pytest.mark.parametrize(
     "end, side, member",
     [(4, -1, False), (4, 0, True), (4, 1, True), (2, -1, True), (2, 0, True), (2, 1, False)],
 )
 def test_scan_at_a_window_end_decides_exactly(end, side, member):
     # ||3 alpha|| within 2^-300 of a closed window end 1/(end * 3^4): the
-    # scan's fixed-point enclosure straddles the end, so containment decides
-    from gplab.constructions.verysparse import VerySparseParams, _very_sparse_scan
-
+    # Legendre bound on g decides the upper end, the indicator the lower
     alpha = (1 + Fraction(1, end * 3**4) + side * Fraction(1, 2**300)) / 3
-    params = VerySparseParams(5, 6, (3,), (1,), ((alpha, alpha),), 0)
-    assert _very_sparse_scan(params, lambda n: False, 3, 3) == ([3] if member else [])
+    cert = very_sparse_set(VerySparseParams(5, 6, (3,), (1,), ((alpha, alpha),), 0))
+    assert cert.members(3, 3) == ([3] if member else [])
+    assert eval_indicator(cert.indicator, 3) == member
+
+
+@pytest.mark.parametrize("seq", [(2, 128), (3, 3**7), (2, 65)])
+def test_legendre_candidates_hold_every_member(seq):
+    # the scan against the compiled indicator at every point
+    cert = very_sparse_set(very_sparse_alpha(seq, 5, 6))
+    assert cert.members(-50, 6000) == members(cert.indicator, -50, 6000)
+
+
+def test_densified_terms_equal_a_high_precision_floor():
+    # every interpolated term equals floor(exp(...)) at 2 bits + 200
+    # bits of mpmath precision, far past the term's own bit length
+    import mpmath
+
+    n_lo, n_hi, l = 2, 2 ** (11**5), 6
+    plan = densify_sequence([n_lo, n_hi])
+    assert plan.depth_per_step == (l,)
+    terms = plan.interpolated[1:-1]
+    assert [t.bit_length() for t in terms] == [8, 55, 402, 2961, 21835]
+    for k, term in enumerate(terms, 1):
+        with mpmath.workprec(2 * term.bit_length() + 200):
+            a = mpmath.exp(
+                mpmath.log(mpmath.log(n_hi)) * k / l + mpmath.log(mpmath.log(n_lo)) * (l - k) / l
+            )
+            assert int(mpmath.floor(mpmath.exp(a))) == term, k
