@@ -7,13 +7,14 @@ an oracle, never assumed.  Builders return a certificate with no scan
 behind it; ``verify_certificate`` (which ``gp cert`` runs from the
 registry's scan start to 4000) writes the data its scan finds.
 
-The indicator decides membership.  ``members`` runs it through the
-certificate's compiled ``Program``; a builder may attach a ``fast_scan``
-whose candidate generator (continued-fraction denominators, the lattice
-points of a recurrence basis, a pull-back, a filter of another
-certificate's members) only proposes points, each then confirmed by the
-compiled indicator through ``confirm``.  ``members`` hands its precision
-budget to the scan, which passes it on to every ``confirm`` and nested
+The indicator decides membership, and ``members`` is the one place that
+asks it.  A builder may attach ``candidates(lo, hi, max_bits)``, a
+generator that only proposes points (continued-fraction denominators, the
+lattice points of a recurrence basis, a pull-back, another certificate's
+members); ``members`` keeps the proposals in [lo, hi], takes each once in
+increasing order and confirms it with the compiled indicator through
+``confirm``.  Without a generator it confirms every point.  The precision
+budget reaches every ``confirm`` and, through ``candidates``, every nested
 ``members`` call.
 """
 
@@ -35,7 +36,7 @@ class Certificate:
     target_description: str
     exceptional_bound: int = 0
     exceptional: tuple[int, ...] = ()
-    fast_scan: Callable[[int, int, int], list[int]] | None = None  # (lo, hi, max_bits)
+    candidates: Callable[[int, int, int], Iterable[int]] | None = None  # (lo, hi, max_bits)
     meta: dict = field(default_factory=dict)
     _program: Program | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -46,16 +47,19 @@ class Certificate:
         return self._program
 
     def confirm(self, n: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:
-        """The indicator's verdict at n: how scans confirm their candidates."""
+        """The indicator's verdict at n: how ``members`` confirms each point."""
         return eval_indicator(self.indicator, n, max_bits, self.program()) == 1
 
     def member(self, n: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:
         return n in self.members(n, n, max_bits)
 
     def members(self, lo: int, hi: int, max_bits: int = DEFAULT_MAX_BITS) -> list[int]:
-        if self.fast_scan is not None:
-            return self.fast_scan(lo, hi, max_bits)
-        return [n for n in range(lo, hi + 1) if self.confirm(n, max_bits)]
+        """The points of [lo, hi] where the indicator holds, in increasing order:
+        every proposed point, or every point without a generator, confirmed."""
+        points = range(lo, hi + 1)
+        if self.candidates is not None:
+            points = sorted({n for n in self.candidates(lo, hi, max_bits) if lo <= n <= hi})
+        return [n for n in points if self.confirm(n, max_bits)]
 
     # -- serialization ------------------------------------------------------
     def to_file_text(self) -> str:

@@ -21,9 +21,9 @@ build time and verified exactly at two independent indices.
 
 The certificate's compiled indicator is the one encoding of this test:
 ``h_sq`` and ``g_value`` evaluate the compiled ``h_sq_expr`` and
-``g_expr``, ``member`` is the indicator's exact verdict, and the scan
-confirms its lattice candidates with ``Certificate.confirm``, as every
-other scan does.
+``g_expr``, ``member`` is the indicator's exact verdict, and
+``Certificate.members`` confirms the lattice points ``_cubic_candidates``
+proposes, as in every other scan.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import Iterator
 
 from ..cf import RauzyNorm, nearest_lattice_sq
 from ..errors import PreconditionError
@@ -115,7 +116,7 @@ class CubicConstruction:
     def _fixed_consts(self, bits: int) -> tuple:
         """Enclosures at ``bits`` of 1/beta, 1/beta^2, beta Re(u), m1^-2,
         beta^k, K, L, Im(u)^-2 and beta^2, computed once per precision (K
-        and L bound g; see ``_cubic_fast_scan``)."""
+        and L bound g; see ``_cubic_candidates``)."""
         cache = getattr(self, "_fixed_cache", None)
         if cache is None:
             cache = self._fixed_cache = {}
@@ -256,7 +257,7 @@ def cubic_pisot_set(a: int, b: int) -> CubicConstruction:
         target_description=(
             f"value set of x(i+3) = {a} x(i+2) + {b} x(i+1) + x(i) from 1, {a}, {a*a+b}"
         ),
-        fast_scan=lambda lo, hi, max_bits: _cubic_fast_scan(cons, lo, hi, max_bits),
+        candidates=lambda lo, hi, _: _cubic_candidates(cons, lo, hi),
         meta={
             "construction": f"cubic a={a} b={b}",
             "plateau_pow": k,
@@ -287,48 +288,8 @@ def _inverse_rows(m: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
     return [tuple(det * x for x in row) for row in adj]
 
 
-def _cubic_candidates(cons: CubicConstruction, lo: int, hi: int) -> list[int]:
-    """Every q in [lo, hi], 1 <= lo, that can be a member; see ``_cubic_fast_scan``.
-
-    Empty when lo > hi."""
-    bits = 64 + 2 * hi.bit_length()
-    # beta Re(u) = Re(u)/v and beta^2 = 1/v^2, as v = 1/beta
-    ib, ib2, re_v, m1inv2, beta_k, k_g, l_g, inv_im, beta_sq = cons._fixed_consts(bits)
-
-    def up(x: int) -> int:
-        return -((-x) >> bits)
-
-    R = [0, 0, 1]  # R[j + 2] = R_j
-    while R[-3] <= hi:
-        R.append(cons.a * R[-1] + cons.b * R[-2] + R[-3])
-    start = l_g[1] // k_g[0] + 1  # least q with q K > L on the enclosures
-    first = max(start, R[4])
-    out = set(range(lo, min(hi, first - 1) + 1))
-    r_num = (math.isqrt(beta_k[1] << bits) + 1) << (2 * bits)  # beta^(k/2) at 2^(3 bits)
-    for i in range(2, len(R) - 4):
-        qa, qb = max(R[i + 2], lo, first), min(R[i + 3], hi)
-        if qa > qb:
-            continue
-        # A_i has the columns v_j = (R_j, R_(j-1), R_(j-2)), j = i, i+1, i+2
-        a_rows = (R[i + 2 : i + 5], R[i + 1 : i + 4], R[i : i + 3])
-        r_hi = -(-r_num // (m1inv2[0] * (qa * k_g[0] - l_g[1])))
-        ranges = []
-        for e0, e1, e2 in _inverse_rows(a_rows):
-            s1, s2 = scale_iv(e1, ib), scale_iv(e2, ib2)
-            s = ((e0 << bits) + s1[0] + s2[0], (e0 << bits) + s1[1] + s2[1])
-            d = scale_iv(e2, re_v)
-            d = max(abs((e1 << bits) - d[0]), abs((e1 << bits) - d[1]))
-            quad = up(up(d * d) * inv_im[1]) + e2 * e2 * beta_sq[1]
-            rho = math.isqrt(up(r_hi * quad) << bits) + 1
-            c_lo = -((rho - min(qa * s[0], qb * s[0])) >> bits)
-            ranges.append(range(c_lo, ((max(qa * s[1], qb * s[1]) + rho) >> bits) + 1))
-        qs = (sum(r * c for r, c in zip(a_rows[0], cs)) for cs in itertools.product(*ranges))
-        out.update(q for q in qs if qa <= q <= qb)
-    return sorted(out)
-
-
-def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int, max_bits: int) -> list[int]:
-    """Find members on [lo, hi]: lattice candidates, exact confirmation.
+def _cubic_candidates(cons: CubicConstruction, lo: int, hi: int) -> Iterator[int]:
+    """Candidates for the members on [lo, hi]: lattice points of slabs.
 
     Members are the q with |h(q)^2 g(q)| <= beta^(k/2).  As nint(x) lies
     within 1/2 of x, g(q) >= m1^-2 (q K - L) with K = 1 + c1/beta + 1/beta^3
@@ -355,13 +316,43 @@ def _cubic_fast_scan(cons: CubicConstruction, lo: int, hi: int, max_bits: int) -
     within one unit.  The box holds at most 18 points per scale for (1,1),
     6 for (2,1) and 12 for (2,-1), so a scan to B proposes O(log B) points;
     a box that ever grows would be cut by Fincke-Pohst enumeration
-    (Math. Comp. 44, 1985).  The q < max(start, R_2) are proposed as is.
+    (Math. Comp. 44, 1985).  The q < max(start, R_2), every n <= 0
+    included, are proposed as is.
 
-    ``Certificate.confirm`` decides every proposed q, and every n <= 0: one
-    dyadic evaluation drops the q where the indicator reads 0, and exact
-    mode decides the rest.  Members go to exact mode, as they sit exactly
-    on the plateau, where no dyadic precision decides the indicator's last
-    floor.
+    Members reach exact mode when ``Certificate.members`` confirms them:
+    they sit exactly on the plateau, where no dyadic precision decides the
+    indicator's last floor.
     """
-    cands = itertools.chain(range(lo, min(0, hi) + 1), _cubic_candidates(cons, max(lo, 1), hi))
-    return [q for q in cands if cons.certificate.confirm(q, max_bits)]
+    bits = 64 + 2 * hi.bit_length()
+    # beta Re(u) = Re(u)/v and beta^2 = 1/v^2, as v = 1/beta
+    ib, ib2, re_v, m1inv2, beta_k, k_g, l_g, inv_im, beta_sq = cons._fixed_consts(bits)
+
+    def up(x: int) -> int:
+        return -((-x) >> bits)
+
+    R = [0, 0, 1, cons.a, cons.a * cons.a + cons.b]  # R[j + 2] = R_j
+    while R[-3] <= hi:
+        R.append(cons.a * R[-1] + cons.b * R[-2] + R[-3])
+    start = l_g[1] // k_g[0] + 1  # least q with q K > L on the enclosures
+    first = max(start, R[4])
+    yield from range(lo, min(hi, first - 1) + 1)
+    r_num = (math.isqrt(beta_k[1] << bits) + 1) << (2 * bits)  # beta^(k/2) at 2^(3 bits)
+    for i in range(2, len(R) - 4):
+        qa, qb = max(R[i + 2], lo, first), min(R[i + 3], hi)
+        if qa > qb:
+            continue
+        # A_i has the columns v_j = (R_j, R_(j-1), R_(j-2)), j = i, i+1, i+2
+        a_rows = (R[i + 2 : i + 5], R[i + 1 : i + 4], R[i : i + 3])
+        r_hi = -(-r_num // (m1inv2[0] * (qa * k_g[0] - l_g[1])))
+        ranges = []
+        for e0, e1, e2 in _inverse_rows(a_rows):
+            s1, s2 = scale_iv(e1, ib), scale_iv(e2, ib2)
+            s = ((e0 << bits) + s1[0] + s2[0], (e0 << bits) + s1[1] + s2[1])
+            d = scale_iv(e2, re_v)
+            d = max(abs((e1 << bits) - d[0]), abs((e1 << bits) - d[1]))
+            quad = up(up(d * d) * inv_im[1]) + e2 * e2 * beta_sq[1]
+            rho = math.isqrt(up(r_hi * quad) << bits) + 1
+            c_lo = -((rho - min(qa * s[0], qb * s[0])) >> bits)
+            ranges.append(range(c_lo, ((max(qa * s[1], qb * s[1]) + rho) >> bits) + 1))
+        qs = (sum(r * c for r, c in zip(a_rows[0], cs)) for cs in itertools.product(*ranges))
+        yield from (q for q in qs if qa <= q <= qb)

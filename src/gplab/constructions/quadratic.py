@@ -12,18 +12,19 @@ Three layers:
   ||u*m|| < |u|/2), which converts a certificate for one linear-recurrence
   value set into one for another with the same characteristic polynomial.
 
-Scans propose candidates (multiples of continued-fraction denominators,
-the pull-back of source members, the members of the unfiltered set) and
-confirm each one with the certificate's compiled indicator, so scan output
-is exactly the indicator's member set.  The builders do not scan against
-their targets: the registry pairs each one with its oracle, and ``gp cert``
-computes the exceptional set.
+Each certificate's candidate generator proposes points (multiples of
+continued-fraction denominators, the pull-back of source members, the
+members of the unfiltered set, the members of both a = 3 branches), and
+``Certificate.members`` confirms each with the compiled indicator, so a
+scan's output is exactly the indicator's member set.  The builders do not
+scan against their targets: the registry pairs each one with its oracle,
+and ``gp cert`` computes the exceptional set.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Iterator
 
 from ..cf import ContinuedFraction, cf_expand, convergent_walk
 from ..errors import PreconditionError
@@ -40,18 +41,16 @@ from ..gpexpr import (
     ind_or,
     substitute_var,
 )
-from ..realnum import FieldElement, NumberField, fixed_enclosure
+from ..realnum import FieldElement, NumberField
 from .certificate import Certificate
 from .recurrence import LinearRecurrence, recurrence_terms, residue_coefficient
 
 
-def _half_over_n_scan(
-    cf: ContinuedFraction, confirm: Callable[[int], bool], lo: int, hi: int
-) -> list[int]:
-    """Members of {n : ||n x|| < 1/(2n)} on [lo, hi], x = ``cf.source``:
-    candidates from the continued fraction of x, each confirmed by ``confirm``.
+def _half_over_n_scan(cf: ContinuedFraction, lo: int, hi: int) -> Iterator[int]:
+    """Candidates for {n : ||n x|| < 1/(2n)} on [lo, hi], x = ``cf.source``,
+    from the continued fraction of x.
 
-    Points n <= 0 are all confirmed.  For n >= 1 the candidates are complete
+    Every point n <= 0 is proposed.  For n >= 1 the candidates are complete
     by Legendre's theorem (Khinchin, *Continued Fractions*, Thm 19): every
     p/n with |x - p/n| < 1/(2n^2) is a convergent of x.  Take n >= 1 with
     ||n x|| < 1/(2n), p = nint(n x) and g = gcd(p, n).  Then
@@ -64,32 +63,25 @@ def _half_over_n_scan(
     {g q_k : 2 g^2 < a_{k+1} + 2, q_k <= hi}, k >= 0 (q_0 = 1, and
     q_1 = 1 too when a_1 = 1).
     """
-    out = [n for n in range(lo, min(0, hi) + 1) if confirm(n)]
-    cands = set()
+    yield from range(lo, min(0, hi) + 1)
     for _, q, a_next in convergent_walk(cf):
         if q > hi:
-            break
+            return
         g = 1
         while 2 * g * g < a_next + 2 and g * q <= hi:
-            if g * q >= lo:
-                cands.add(g * q)
+            yield g * q
             g += 1
-    out.extend(n for n in sorted(cands) if confirm(n))
-    return out
 
 
 def _half_over_n_certificate(x: FieldElement, description: str) -> Certificate:
     cf = cf_expand(x)
     ind = dist_lt_scaled(Mul(N, Const(x.field.name, x)), Mul(RationalConst(Fraction(2)), N))
-    cert = Certificate(
+    return Certificate(
         indicator=ind,
         target_description=description,
-        fast_scan=lambda lo, hi, max_bits: _half_over_n_scan(
-            cf, lambda n: cert.confirm(n, max_bits), lo, hi
-        ),
+        candidates=lambda lo, hi, _: _half_over_n_scan(cf, lo, hi),
         meta={"kind": "half-over-n", "root": repr(x)},
     )
-    return cert
 
 
 def _require_finitely_many_doubles(limit_sq: int, what: str) -> None:
@@ -147,6 +139,13 @@ def scaled_set_transfer(
 
     When the source terms satisfy R_i = u*S_i + o(1) this is, up to a finite
     exceptional set, a certificate for the value set {S_i}.
+
+    The scan pulls source members back.  A member m has r = nint(u*m) in
+    E_R and |u*m - r| = ||u*m|| < |u|/2, so |m - r/u| < 1/2 and
+    m = nint(r/u): each source member r proposes that one point.  As nint
+    is monotone, m in [lo, hi] has r between nint(u*lo) and nint(u*hi)
+    (in that order when u > 0, swapped when u < 0), so the source is
+    scanned there, at every sign of u and of its members.
     """
     if u.is_zero():
         raise PreconditionError("transfer constant must be nonzero")
@@ -158,26 +157,18 @@ def scaled_set_transfer(
         near_src = _dist_lt_field_const(un, u_abs * Fraction(1, 2))
     indicator = ind_and(substitute_var(cert_r.indicator, Nint(un)), near_src)
 
-    def fast_scan(lo: int, hi: int, max_bits: int) -> list[int]:
-        # invert: each source member r pulls back to at most one candidate m
-        bits = 20 + (abs(lo) + abs(hi) + 1).bit_length()
-        ulo, uhi = fixed_enclosure(u_abs, bits)
-        r_hi = ((uhi * (2 * max(abs(lo), abs(hi)) + 1)) >> (bits + 1)) + 2
-        # when u > 0, every m >= lo > 0 has r = nint(u m) >= u lo - 1/2
-        r_lo = max(0, ((ulo * lo) >> bits) - 2) if lo > 0 and u.sign() > 0 else 0
-        src = cert_r.members(r_lo, r_hi, max_bits)
-        inv_u = u.inverse()
-        # u < 0 or sign quirks could place candidates off by one; widen by hand
-        near = {(inv_u * r).nint() + d for r in src for d in (-1, 0, 1)}
-        return sorted(m for m in near if lo <= m <= hi and cert.confirm(m, max_bits))
+    inv_u = u.inverse()
 
-    cert = Certificate(
+    def pull_back(lo: int, hi: int, max_bits: int) -> Iterator[int]:
+        ends = sorted(((u * lo).nint(), (u * hi).nint()))
+        return ((inv_u * r).nint() for r in cert_r.members(*ends, max_bits))
+
+    return Certificate(
         indicator=indicator,
         target_description=target_description or f"transfer of ({cert_r.target_description})",
-        fast_scan=fast_scan,
+        candidates=pull_back,
         meta={"kind": "scaled-transfer", "u": repr(u)},
     )
-    return cert
 
 
 def _dist_lt_field_const(e, t: FieldElement):
@@ -239,14 +230,10 @@ def _norm_plus_odd_certificate(gamma: FieldElement, a: int) -> tuple[Certificate
         gamma, f"denominators with small ||n*gamma||, gamma^2 = {a} gamma - 1"
     )
     wn = Mul(Const(w.field.name, w), N)
-    indicator = ind_and(base.indicator, ind_not(substitute_var(base.indicator, Nint(wn))))
-
     cert = Certificate(
-        indicator=indicator,
+        indicator=ind_and(base.indicator, ind_not(substitute_var(base.indicator, Nint(wn)))),
         target_description=f"odd-index convergent denominators of gamma, gamma^2 = {a} gamma - 1",
-        fast_scan=lambda lo, hi, max_bits: [
-            n for n in base.members(lo, hi, max_bits) if cert.confirm(n, max_bits)
-        ],
+        candidates=base.members,
         meta={"kind": "odd-denominator-filter", "a": a, "w": repr(w)},
     )
     return cert, v1
@@ -295,17 +282,10 @@ def quadratic_pisot_unit_set(a: int, norm: int) -> Certificate:
     odd_powers = scaled_set_transfer(
         even, beta.inverse(), "nearest integers to odd powers of the root of x^2 - 3x + 1"
     )
-    indicator = ind_or(even.indicator, odd_powers.indicator)
-
-    def fast_scan(lo: int, hi: int, max_bits: int) -> list[int]:
-        # each branch's members are exactly where its indicator is 1, so their
-        # union is exactly where the OR is 1: nothing left to confirm
-        both = even.members(lo, hi, max_bits) + odd_powers.members(lo, hi, max_bits)
-        return sorted(set(both))
-
     return Certificate(
-        indicator=indicator,
+        indicator=ind_or(even.indicator, odd_powers.indicator),
         target_description=description,
-        fast_scan=fast_scan,
+        candidates=lambda lo, hi, max_bits: even.members(lo, hi, max_bits)
+        + odd_powers.members(lo, hi, max_bits),
         meta={"construction": "quadratic a=3 norm=+1"},
     )

@@ -3,11 +3,13 @@ and the start of its scan.
 
 ``params`` has the attributes a construction reads (the ``gp`` parser's
 namespace): ``a``, ``b``, ``norm``, ``C``, ``D``, ``sequence`` (integers).
-Builders compute no exceptional data.  ``gp cert`` computes a
-certificate's exceptional set with one ``verify_certificate`` call on
-[``scan_from``, ``SCAN_TO``] against the oracle; ``gp verify`` scans the
-range it is given.  A construction without ``scan_from`` (``verysparse``,
-whose oracle is the supplied sequence itself) is printed unscanned.
+Builders compute no exceptional data; each returns its certificate, whose
+``members`` confirms every point its candidate generator proposes.
+``gp cert`` computes a certificate's exceptional set with one
+``verify_certificate`` call on [``scan_from``, ``SCAN_TO``] against the
+oracle; ``gp verify`` scans the range it is given.  A construction without
+``scan_from`` (``verysparse``, whose oracle is the supplied sequence
+itself) is printed unscanned.
 """
 
 from __future__ import annotations

@@ -74,12 +74,9 @@ def sqrt2_small_dist_certificate() -> Certificate:
     scan proposes n >= 1 only and the indicator decides each of them.
     """
     sq2 = NumberField((-2, 0, 1), 1, 2, "s").generator()
-    cert = Certificate(
+    return Certificate(
         indicator=small_fp_family(Dist(Mul(N, Const("s", sq2))), N, Fraction(-1, 2)),
         target_description="integers with ||n sqrt(2)|| below 1/sqrt(n)",
-        fast_scan=lambda lo, hi, max_bits: [
-            n for n in range(max(lo, 1), hi + 1) if cert.confirm(n, max_bits)
-        ],
+        candidates=lambda lo, hi, _: range(max(lo, 1), hi + 1),
         meta={"construction": "small_fp sqrt2 b=-1/2"},
     )
-    return cert

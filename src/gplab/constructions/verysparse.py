@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Iterator
 
 import mpmath
 
@@ -133,12 +133,10 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
         indicator_of_zero_set(Sub(y, RationalConst(Fraction(2)))),
     )
     alpha_lo, alpha_hi = params.intervals[-1]
-    cert = Certificate(
+    return Certificate(
         indicator=indicator,
         target_description=f"terms of the supplied sequence {params.n_seq[:3]}...",
-        fast_scan=lambda lo, hi, max_bits: _very_sparse_scan(
-            alpha, C, lambda n: cert.confirm(n, max_bits), lo, hi
-        ),
+        candidates=lambda lo, hi, _: _very_sparse_scan(alpha, C, lo, hi),
         meta={
             "construction": f"very_sparse C={params.C} D={params.D}",
             "coprime_from": params.coprime_from,
@@ -148,16 +146,12 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
             "valid_to": str(params.n_seq[-1]),
         },
     )
-    return cert
 
 
-def _very_sparse_scan(
-    alpha: Fraction, C: int, confirm: Callable[[int], bool], lo: int, hi: int
-) -> list[int]:
-    """Members of E' on [lo, hi]: candidates from the continued fraction of
-    alpha, each confirmed by ``confirm``.
+def _very_sparse_scan(alpha: Fraction, C: int, lo: int, hi: int) -> Iterator[int]:
+    """Candidates for E' on [lo, hi], from the continued fraction of alpha.
 
-    Points n <= 1 are all confirmed.  For n >= 2 the candidates are complete
+    Every point n <= 1 is proposed.  For n >= 2 the candidates are complete
     by Legendre's theorem (Khinchin, *Continued Fractions*, Thm 19), as in
     ``quadratic._half_over_n_scan``.  Take a member n >= 2, p = nint(n alpha)
     and g = gcd(p, n).  Then |alpha - p/n| <= n^{-C}/2 < 1/(2n^2), so p/n
@@ -168,18 +162,15 @@ def _very_sparse_scan(
     convergent d_k = 0 and ||n alpha|| = 0 is outside the window, so the
     walk stops there; it also stops at the first q_k > hi.
     """
-    out = [n for n in range(lo, min(1, hi) + 1) if confirm(n)]
-    cands = set()
+    yield from range(lo, min(1, hi) + 1)
     for p, q, _ in convergent_walk(cf_of_rational(alpha)):
         d = abs(q * alpha - p)
         if q > hi or d == 0:
-            break
+            return
         g = max(1, -(-max(lo, 2) // q))
         while g * q <= hi and 2 * g**C * q ** (C - 1) * d <= 1:
-            cands.add(g * q)
+            yield g * q
             g += 1
-    out.extend(n for n in sorted(cands) if confirm(n))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -142,17 +142,19 @@ def _threshold_at_least_half(n: int, c: Fraction) -> bool:
 
 
 def small_value_indicator(spec: OrbitSpec, n: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
-    """f(n) = 1 iff ||n*alpha*floor(n*beta)|| < n^(-c); f(0) = 0."""
+    """f(n) = 1 iff ||n*alpha*floor(n*beta)|| < n^(-c); f(0) = 0.
+
+    The distance is read from the reduced orbit point, whose third
+    coordinate is {n*alpha*floor(n*beta)}.
+    """
     if n < 1:
         return 0
     if _threshold_at_least_half(n, spec.c):
         # the distance is strictly below 1/2 for irrational arguments
         return 1
-    m = floor_frac(rmul(Fraction(n), spec.beta), max_bits)[0]
-    x = rmul(rmul(Fraction(n), spec.alpha), Fraction(m))
-    _, f = floor_frac(x, max_bits)
+    f = orbit_point(spec, n, max_bits).z
     d = f if compare(f, Fraction(1, 2), max_bits) <= 0 else rsub(Fraction(1), f)
-    # ||x|| < n^(-c)  <=>  ||x||^den * n^num < 1
+    # d < n^(-c)  <=>  d^den * n^num < 1
     lhs = rmul(rpow(d, spec.c.denominator), Fraction(n**spec.c.numerator))
     return 1 if compare(lhs, Fraction(1), max_bits) < 0 else 0
 
@@ -263,12 +265,7 @@ def equidist_stats(
         return min(max(m, 0), k - 1)
 
     def exact_boxes(n: int) -> tuple[int, int, int]:
-        alpha_n = rmul(Fraction(-n), spec.alpha)
-        beta_n = rmul(Fraction(n), spec.beta)
-        _, xf = floor_frac(alpha_n, max_bits)
-        yi, yf = floor_frac(beta_n, max_bits)
-        _, zf = floor_frac(rmul(rmul(Fraction(n), spec.alpha), Fraction(yi)), max_bits)
-        return box_of(xf), box_of(yf), box_of(zf)
+        return tuple(box_of(v) for v in orbit_point(spec, n, max_bits))
 
     # fixed-point enclosures decide the boxes; undecided points go exact
     bits = _fixed_bits(spec, N, max_bits)

@@ -172,6 +172,39 @@ def check_cubic(to: int = 10**6, h_to: int = 10**4, i_max: int = 20) -> str:
     )
 
 
+def check_cubic_to_1e17(to: int = 10**17) -> str:
+    """Three cubic certificates on [1, 1e17], and the record law there.
+
+    The members of (1, 1) and (2, 1) are their recurrence values.  For
+    (2, -1) the indicator also holds on the orbit R_(i-2) + R_i, i >= 2
+    (``plateau_shared_by_extra_orbit``), and on nothing else.  Each scan
+    proposes O(log to) lattice points.  N0(R_i theta)^2 = m1^2
+    beta^((k - 2i)/2) holds exactly for every Tribonacci term below ``to``.
+    """
+    tribonacci = cubic_pisot_set(1, 1)
+    parts = []
+    for cons in (tribonacci, cubic_pisot_set(2, 1), cubic_pisot_set(2, -1)):
+        found = cons.certificate.members(1, to)
+        terms = recurrence_terms(cons.recurrence, to)
+        orbit = {terms[i - 2] + terms[i] for i in range(2, len(terms))} if cons.b == -1 else ()
+        extra = set(found) ^ set(terms)
+        assert extra == {v for v in orbit if v <= to}, (
+            f"cubic ({cons.a}, {cons.b}): off the recurrence {sorted(extra)[:8]}"
+        )
+        parts.append(f"({cons.a}, {cons.b}): {len(found)} members, {len(extra)} off it")
+    terms = recurrence_terms(tribonacci.recurrence, to)
+    k = tribonacci.plateau_pow
+    m1_4 = tribonacci.m1_sq * tribonacci.m1_sq
+    for i in range(2, len(terms)):
+        n0 = tribonacci.n0_sq(terms[i])
+        assert (n0 * n0 * tribonacci.beta ** (2 * i - k) - m1_4).is_zero(), f"record law at i={i}"
+    return (
+        f"members on [1, {to}] against the recurrence: " + "; ".join(parts)
+        + " (the orbit R_(i-2) + R_i); "
+        f"records m(R_i) = m1 * beta^(({k} - 2i)/4) exact for 2 <= i <= {len(terms) - 1}"
+    )
+
+
 def check_very_sparse() -> str:
     params = very_sparse_alpha([2, 128, 128**7], 5, 6)
     cert = very_sparse_set(params)
@@ -482,6 +515,7 @@ PAPER_CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("quadratic-norm-plus", check_quadratic_norm_plus),
     ("half-over-n-verify-1e17", check_half_over_n_to_1e17),
     ("cubic-tribonacci", check_cubic),
+    ("cubic-verify-1e17", check_cubic_to_1e17),
     ("very-sparse-compiler", check_very_sparse),
     ("very-sparse-support", check_very_sparse_support),
     ("heisenberg-growth", check_heisenberg_growth),

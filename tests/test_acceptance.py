@@ -40,6 +40,10 @@ def test_criterion_4_cubic_tribonacci():
     _run("cubic-tribonacci", "criterion 4: cubic a=b=1 on [1, 1e6]", 300)
 
 
+def test_cubic_verify_to_1e17():
+    _run("cubic-verify-1e17", "cubic certificates against their recurrences to 1e17", 2)
+
+
 def test_criterion_5_very_sparse_compiler():
     _run("very-sparse-compiler", "criterion 5: very-sparse compiler (C=5, D=6)", 60)
 

@@ -8,6 +8,7 @@ import pytest
 from gplab.constructions import (
     Certificate,
     LinearRecurrence,
+    cubic_pisot_set,
     fibonacci_like_set,
     nint_powers,
     norm_plus_filtered_set,
@@ -268,6 +269,17 @@ def test_transfer_large_u_reported_empty():
         assert cert.member((u * m).nint())
 
 
+@pytest.mark.parametrize("u_name", ["-1/beta", "1/beta", "-beta"])
+def test_transfer_scan_at_every_sign(u_name):
+    # the Tribonacci indicator also holds at -7, -4, -2, -1 and 0, so a
+    # negative u pulls members back from source members of either sign
+    cons = cubic_pisot_set(1, 1)
+    beta = cons.beta
+    u = {"-1/beta": -beta.inverse(), "1/beta": beta.inverse(), "-beta": -beta}[u_name]
+    out = scaled_set_transfer(cons.certificate, u, "transfer")
+    assert out.members(-40, 200) == members(out.indicator, -40, 200)
+
+
 # -- certificate file format --------------------------------------------------
 
 def test_certificate_file_roundtrip():
@@ -357,7 +369,7 @@ def test_half_over_n_scan_across_chunk_boundaries():
 
     def scan(x, lo, hi):
         cert = quadratic._half_over_n_certificate(x, "")
-        return quadratic._half_over_n_scan(cf_expand(x), cert.confirm, lo, hi)
+        return cert.members(lo, hi)
 
     # short ranges, one reaching n <= 0; 1 - phi < 0
     for x in (phi, 1 - phi):
@@ -425,7 +437,7 @@ def test_half_over_n_scan_matches_indicator(name):
     x = _half_over_n_root(name)
     cert = quadratic._half_over_n_certificate(x, "")
     cf = cf_expand(x)
-    got = quadratic._half_over_n_scan(cf, cert.confirm, -50, 30000)
+    got = cert.members(-50, 30000)
     assert got == members(cert.indicator, -50, 30000)
     if name == "root8":
         assert {2, 16, 130, 1056, 8578} <= set(got)  # the g = 2 candidates
@@ -440,7 +452,7 @@ def test_half_over_n_scan_matches_indicator(name):
         q_prev, q = q, a_next * q + q_prev
     for c in sorted(centres):
         lo, hi = c - 20, c + 20
-        got = quadratic._half_over_n_scan(cf, cert.confirm, lo, hi)
+        got = cert.members(lo, hi)
         assert got == [n for n in range(lo, hi + 1) if cert.confirm(n)], (name, c)
 
 

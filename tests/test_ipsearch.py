@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from gplab.constructions import Certificate, fibonacci_like_set
-from gplab.errors import PreconditionError
+from gplab.errors import PrecisionExhausted, PreconditionError
 from gplab.gpexpr import RationalConst
+from gplab.realnum import DEFAULT_MAX_BITS
 from gplab.ipsearch import (
     ap_witness_in_small_dist_set,
     density_estimate,
@@ -21,11 +22,11 @@ from oracles import first_finite_sums
 
 
 def _set_cert(pred, desc="test set"):
-    return Certificate(
-        indicator=None,
-        target_description=desc,
-        fast_scan=lambda lo, hi, max_bits: [n for n in range(lo, hi + 1) if pred(n)],
-    )
+    # no indicator: ``confirm`` answers from the predicate, and ``members``
+    # confirms every point, as for any certificate without a generator
+    cert = Certificate(indicator=None, target_description=desc)
+    cert.confirm = lambda n, max_bits=DEFAULT_MAX_BITS: pred(n)
+    return cert
 
 
 def test_finite_sums_examples():
@@ -176,6 +177,19 @@ def test_density_examples():
     # the 29 Fibonacci values in [1, 1e6]; n = 0 is not counted
     assert est.count == 29
     assert not est.partial
+
+
+def test_density_reports_an_undecided_point():
+    # one point the indicator cannot decide at the budget: the estimate
+    # falls back to deciding point by point, counts the others and lists it
+    def pred(n):
+        if n == 37:
+            raise PrecisionExhausted("undecided at the budget")
+        return n % 3 == 0
+
+    est = density_estimate(_set_cert(pred), 100)
+    assert est.partial and est.undecided == (37,)
+    assert est.count == 33 and est.density == 0.33
 
 
 def test_density_monotone():

@@ -161,6 +161,15 @@ def test_equidist_discrepancy_small():
     assert disc < 0.02
 
 
+def test_exact_fallbacks_agree_with_the_fixed_point_screens():
+    # at an 8-bit budget the fixed-point screens leave nearly every point
+    # open, so the counts come from the exact fallbacks, which read
+    # orbit_point; at the default budget the screens decide them
+    spec = default_orbit_spec(Fraction(1, 3))
+    assert growth_count(spec, (2000,), max_bits=8) == growth_count(spec, (2000,))
+    assert equidist_stats(spec, 1500, 3, max_bits=8) == equidist_stats(spec, 1500, 3)
+
+
 def test_orbit_spec_validation(sq2, sq3):
     with pytest.raises(PreconditionError):
         OrbitSpec(sq2, sq3, Fraction(3, 2))
