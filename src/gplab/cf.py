@@ -4,7 +4,8 @@ approximations.
 The expansion uses the classical integer surd state ``(P + sqrt(D))/Q``,
 so partial quotients and the (always eventually periodic) period are exact;
 a rational has a finite expansion.  ``convergent_walk`` is the one walk
-over the convergents of either kind.
+over the convergents of either kind, and ``legendre_candidates`` the one
+candidate walk of the small-distance sets over it.
 Best approximations in one and two dimensions are found by record scans
 whose decisions are exact; a certified fixed-point screen skips the q that
 cannot beat the current record.  The planar norm is ``|u*x1 + v*x2|`` for
@@ -21,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import NondegenerateNormRequired, NotFound, PreconditionError
 from .realnum import (
@@ -166,6 +167,32 @@ def convergent_walk(cf: ContinuedFraction) -> Iterator[tuple[int, int, int | Non
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
     yield p, q, None
+
+
+def legendre_candidates(
+    cf: ContinuedFraction, lo: int, hi: int, holds: Callable[[int, int, int, int], bool]
+) -> Iterator[int]:
+    """The points n = g q_k in [lo, hi], g >= 1, with
+    ``holds(g, p_k, q_k, a_(k+1))``, over the convergents p_k/q_k of
+    x = ``cf.source``: the candidates of a small-distance set.
+
+    Take n >= 1 with |x - p/n| < 1/(2 n^2) for p = nint(n x), and
+    g = gcd(p, n).  By Legendre's theorem (Khinchin, *Continued Fractions*,
+    Thm 19) p/n reduces to a convergent p_k/q_k, so n = g q_k and
+    ||n x|| = g d_k with d_k = |q_k x - p_k|.  The caller writes its set's
+    condition on ||n x|| as ``holds``, a bound on g that fails for every g
+    past the first that fails it, so the g-loop stops there.  At a
+    rational's last convergent, x itself, d_k = 0: its multiples have
+    ||n x|| = 0, which the caller's set must exclude, and the walk stops
+    there, as it does at the first q_k > hi.
+    """
+    for p, q, a_next in convergent_walk(cf):
+        if q > hi or a_next is None:
+            return
+        g = max(1, -(-lo // q))
+        while g * q <= hi and holds(g, p, q, a_next):
+            yield g * q
+            g += 1
 
 
 def convergents(cf: ContinuedFraction, count: int) -> list[tuple[int, int]]:

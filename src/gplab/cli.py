@@ -161,6 +161,8 @@ def cmd_bestapprox(args) -> int:
             rows.append({"q": b.q, "p1": b.p[0], "p2": b.p[1], "value_lo": lo, "value_hi": hi})
         cols = ["q", "p1", "p2", "value_lo", "value_hi"]
     else:
+        if args.expr is None:
+            raise PreconditionError("bestapprox needs --expr (1-D) or --cubic-a (2-D)")
         value = eval_exact(parse(_expr_text(args.expr)), 0, args.maxprec)
         ba = best_approx_1d(value, args.Q, args.maxprec)
         rows = []
@@ -173,7 +175,11 @@ def cmd_bestapprox(args) -> int:
 
 
 def cmd_heis(args) -> int:
-    spec = default_orbit_spec(Fraction(args.c), args.range_to)
+    try:
+        c = Fraction(args.c)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(f"--c must be a rational such as 1/20, not {args.c!r}") from None
+    spec = default_orbit_spec(c, args.range_to)
     if args.mode == "growth":
         rows = growth_count(spec, args.ladder, args.maxprec)
         data = [

@@ -12,9 +12,9 @@ asks it.  A builder may attach ``candidates(lo, hi, max_bits)``, a
 generator that only proposes points (continued-fraction denominators, the
 lattice points of a recurrence basis, a pull-back, another certificate's
 members); ``members`` keeps the proposals in [lo, hi], takes each once in
-increasing order and confirms it with the compiled indicator through
-``confirm``.  Without a generator it confirms every point.  The precision
-budget reaches every ``confirm`` and, through ``candidates``, every nested
+increasing order and confirms it with the indicator through ``confirm``.
+Without a generator it confirms every point.  The precision budget
+reaches every ``confirm`` and, through ``candidates``, every nested
 ``members`` call.
 """
 
@@ -26,7 +26,6 @@ from typing import Callable, Iterable
 
 from ..errors import ParseError
 from ..gpexpr import Expr, eval_indicator, parse, to_text
-from ..gpexpr.evaluate import Program
 from ..realnum import DEFAULT_MAX_BITS
 
 
@@ -38,17 +37,10 @@ class Certificate:
     exceptional: tuple[int, ...] = ()
     candidates: Callable[[int, int, int], Iterable[int]] | None = None  # (lo, hi, max_bits)
     meta: dict = field(default_factory=dict)
-    _program: Program | None = field(default=None, init=False, repr=False, compare=False)
-
-    def program(self) -> Program:
-        """The compiled indicator, compiled on first use."""
-        if self._program is None:
-            self._program = Program(self.indicator)
-        return self._program
 
     def confirm(self, n: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:
         """The indicator's verdict at n: how ``members`` confirms each point."""
-        return eval_indicator(self.indicator, n, max_bits, self.program()) == 1
+        return eval_indicator(self.indicator, n, max_bits) == 1
 
     def member(self, n: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:
         return n in self.members(n, n, max_bits)

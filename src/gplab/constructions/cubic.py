@@ -19,11 +19,10 @@ against the exact plateau constant beta^k, a comparison that lives
 entirely in the ground field.  The plateau exponent k is measured at
 build time and verified exactly at two independent indices.
 
-The certificate's compiled indicator is the one encoding of this test:
-``h_sq`` and ``g_value`` evaluate the compiled ``h_sq_expr`` and
-``g_expr``, ``member`` is the indicator's exact verdict, and
-``Certificate.members`` confirms the lattice points ``_cubic_candidates``
-proposes, as in every other scan.
+The certificate's indicator is the one encoding of this test: ``h_sq``
+and ``g_value`` evaluate ``h_sq_expr`` and ``g_expr``, ``member`` is the
+indicator's exact verdict, and ``Certificate.members`` confirms the
+lattice points ``_cubic_candidates`` proposes, as in every other scan.
 """
 
 from __future__ import annotations
@@ -45,11 +44,10 @@ from ..gpexpr import (
     Nint,
     Pow,
     Sub,
+    eval_exact,
     indicator_of_range,
 )
-from ..gpexpr.evaluate import Program
 from ..realnum import (
-    DEFAULT_MAX_BITS,
     FieldElement,
     NumberField,
     dyadic_enclosure,
@@ -98,20 +96,26 @@ class CubicConstruction:
     g_expr: Expr = dc_field(repr=False, default=None)
     h_sq_expr: Expr = dc_field(repr=False, default=None)
     certificate: Certificate = dc_field(repr=False, default=None)
-    # the compiled g_expr and h_sq_expr
-    _programs: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
 
     def n0_sq(self, q: int) -> FieldElement:
         """Exact squared distance N0(q theta)^2 from q theta to the nearest lattice point."""
         return nearest_lattice_sq(self.norm, self.theta, q)[0]
 
     def h_sq(self, q: int) -> FieldElement:
-        """Exact h(q)^2: the compiled ``h_sq_expr`` at q."""
-        return self._programs[1].eval_exact(q, DEFAULT_MAX_BITS)
+        """Exact h(q)^2: ``h_sq_expr`` at q."""
+        return eval_exact(self.h_sq_expr, q)
 
     def g_value(self, q: int) -> FieldElement:
-        """Exact g(q): the compiled ``g_expr`` at q."""
-        return self._programs[0].eval_exact(q, DEFAULT_MAX_BITS)
+        """Exact g(q): ``g_expr`` at q."""
+        return eval_exact(self.g_expr, q)
+
+    def record_law(self, i: int, r_i: int) -> bool:
+        """Whether N0(R_i theta)^2 = m1^2 beta^(k/2 - i) holds exactly for the
+        term r_i = R_i, k = ``plateau_pow``.  Squared once more to keep the
+        exponent integral (k may be odd): n0^2 * beta^(2i - k) = m1^4."""
+        n0 = self.n0_sq(r_i)
+        m1_4 = self.m1_sq * self.m1_sq
+        return (n0 * n0 * self.beta ** (2 * i - self.plateau_pow) - m1_4).is_zero()
 
     def _fixed_consts(self, bits: int) -> tuple:
         """Enclosures at ``bits`` of 1/beta, 1/beta^2, beta Re(u), m1^-2,
@@ -138,8 +142,8 @@ class CubicConstruction:
         return cache[bits]
 
     def member(self, q: int) -> bool:
-        """The compiled indicator's exact verdict at q >= 1: (h^2 g)^2 <= beta^k."""
-        return q >= 1 and self.certificate.program().eval_exact(q, DEFAULT_MAX_BITS) == 1
+        """The indicator's exact verdict at q >= 1: (h^2 g)^2 <= beta^k."""
+        return q >= 1 and eval_exact(self.certificate.indicator, q) == 1
 
 
 def _measure_plateau(cons: CubicConstruction, terms: list[int]) -> int:
@@ -165,17 +169,9 @@ def _measure_plateau(cons: CubicConstruction, terms: list[int]) -> int:
 
 
 def _verify_record_plateau_link(cons: CubicConstruction, terms: list[int]) -> None:
-    """Exact check that N0(R_i theta)^2 = m1^2 beta^(k/2 - i) at large indices.
-
-    Squared once more to keep the exponent integral (k may be odd): the
-    verified identity is n0^2 * beta^(2i - k) = m1^4.
-    """
-    beta = cons.beta
-    k = cons.plateau_pow
-    m1_4 = cons.m1_sq * cons.m1_sq
+    """Exact check of ``CubicConstruction.record_law`` at the two largest indices."""
     for i in (len(terms) - 1, len(terms) - 2):
-        n0 = cons.n0_sq(terms[i])
-        if not (n0 * n0 * beta ** (2 * i - k) - m1_4).is_zero():
+        if not cons.record_law(i, terms[i]):
             raise PreconditionError(
                 f"record value at index {i} does not match the plateau scaling"
             )
@@ -238,7 +234,6 @@ def cubic_pisot_set(a: int, b: int) -> CubicConstruction:
     cons.m1_sq = m1_sq
     cons.m1_at = m1_at
     cons.g_expr, cons.h_sq_expr = _build_exprs(cons)
-    cons._programs = (Program(cons.g_expr), Program(cons.h_sq_expr))
     probe_terms = recurrence_terms(rec, 5000)
     cons.plateau_pow = _measure_plateau(cons, probe_terms)
     cons.record_offset = Fraction(cons.plateau_pow, 2)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from ..cf import ContinuedFraction, cf_expand, convergent_walk
+from ..cf import ContinuedFraction, cf_expand, legendre_candidates
 from ..errors import PreconditionError
 from ..gpexpr import (
     Const,
@@ -47,16 +47,11 @@ from .recurrence import LinearRecurrence, recurrence_terms, residue_coefficient
 
 
 def _half_over_n_scan(cf: ContinuedFraction, lo: int, hi: int) -> Iterator[int]:
-    """Candidates for {n : ||n x|| < 1/(2n)} on [lo, hi], x = ``cf.source``,
-    from the continued fraction of x.
+    """Candidates for {n : ||n x|| < 1/(2n)} on [lo, hi], x = ``cf.source``.
 
-    Every point n <= 0 is proposed.  For n >= 1 the candidates are complete
-    by Legendre's theorem (Khinchin, *Continued Fractions*, Thm 19): every
-    p/n with |x - p/n| < 1/(2n^2) is a convergent of x.  Take n >= 1 with
-    ||n x|| < 1/(2n), p = nint(n x) and g = gcd(p, n).  Then
-    |x - p/n| < 1/(2n^2), so p/n reduces to a convergent p_k/q_k and
-    n = g q_k.  With d_k = |q_k x - p_k|, ||n x|| = g d_k, and the condition
-    g d_k < 1/(2 g q_k) reads 2 g^2 < 1/(q_k d_k).  Since
+    Every point n <= 0 is proposed.  A member n >= 1 has
+    |x - nint(n x)/n| < 1/(2n^2), so it is g q_k (``cf.legendre_candidates``) with
+    g d_k < 1/(2 g q_k), that is 2 g^2 < 1/(q_k d_k).  Since
     d_k = 1/(q_k x_{k+1} + q_{k-1}) with x_{k+1} < a_{k+1} + 1 the complete
     quotient and q_{k-1} <= q_k, 1/(q_k d_k) = x_{k+1} + q_{k-1}/q_k <
     a_{k+1} + 2.  So every member is one of the O(log hi) points
@@ -64,13 +59,7 @@ def _half_over_n_scan(cf: ContinuedFraction, lo: int, hi: int) -> Iterator[int]:
     q_1 = 1 too when a_1 = 1).
     """
     yield from range(lo, min(0, hi) + 1)
-    for _, q, a_next in convergent_walk(cf):
-        if q > hi:
-            return
-        g = 1
-        while 2 * g * g < a_next + 2 and g * q <= hi:
-            yield g * q
-            g += 1
+    yield from legendre_candidates(cf, lo, hi, lambda g, p, q, a_next: 2 * g * g < a_next + 2)
 
 
 def _half_over_n_certificate(x: FieldElement, description: str) -> Certificate:

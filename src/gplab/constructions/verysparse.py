@@ -43,7 +43,7 @@ from ..gpexpr import (
     indicator_of_range,
     indicator_of_zero_set,
 )
-from ..cf import cf_of_rational, convergent_walk, coprime_in_interval
+from ..cf import cf_of_rational, coprime_in_interval, legendre_candidates
 from .certificate import Certificate
 
 #: Smallest growth exponent for which the plain interpolation always finds
@@ -151,26 +151,19 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
 def _very_sparse_scan(alpha: Fraction, C: int, lo: int, hi: int) -> Iterator[int]:
     """Candidates for E' on [lo, hi], from the continued fraction of alpha.
 
-    Every point n <= 1 is proposed.  For n >= 2 the candidates are complete
-    by Legendre's theorem (Khinchin, *Continued Fractions*, Thm 19), as in
-    ``quadratic._half_over_n_scan``.  Take a member n >= 2, p = nint(n alpha)
-    and g = gcd(p, n).  Then |alpha - p/n| <= n^{-C}/2 < 1/(2n^2), so p/n
-    reduces to a convergent p_k/q_k and n = g q_k.  With
-    d_k = |q_k alpha - p_k| (exact), ||n alpha|| = g d_k, and
-    g d_k <= (g q_k)^{1-C}/2 reads 2 g^C q_k^{C-1} d_k <= 1, a condition
-    that fails for every g past the first that fails it.  At the last
-    convergent d_k = 0 and ||n alpha|| = 0 is outside the window, so the
-    walk stops there; it also stops at the first q_k > hi.
+    Every point n <= 1 is proposed.  A member n >= 2 has
+    |alpha - nint(n alpha)/n| <= n^{-C}/2 < 1/(2n^2), so it is g q_k
+    (``cf.legendre_candidates``) with g d_k <= (g q_k)^{1-C}/2, that is
+    2 g^C q_k^{C-1} d_k <= 1 (d_k = |q_k alpha - p_k|, exact).  At alpha's
+    last convergent d_k = 0, and ||n alpha|| = 0 is outside the window.
     """
     yield from range(lo, min(1, hi) + 1)
-    for p, q, _ in convergent_walk(cf_of_rational(alpha)):
-        d = abs(q * alpha - p)
-        if q > hi or d == 0:
-            return
-        g = max(1, -(-max(lo, 2) // q))
-        while g * q <= hi and 2 * g**C * q ** (C - 1) * d <= 1:
-            yield g * q
-            g += 1
+    yield from legendre_candidates(
+        cf_of_rational(alpha),
+        lo,
+        hi,
+        lambda g, p, q, _: 2 * g**C * q ** (C - 1) * abs(q * alpha - p) <= 1,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from ..realnum import FieldElement, RefinableReal
 
 
 class Expr:
-    __slots__ = ()
+    # the compiled program, set by the evaluator on the first evaluation
+    __slots__ = ("_program",)
 
     def __add__(self, other):
         return Add(self, wrap(other))

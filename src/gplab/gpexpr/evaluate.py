@@ -3,8 +3,12 @@
 ``Program`` turns an expression tree into a topologically ordered op list,
 hash-consed bottom up: structurally equal subterms (which the indicator
 builders repeat heavily) become one op, and compiling and evaluating are
-loops, never recursion, so deeply nested expressions are fine.  The same op
-list is run in two modes:
+loops, never recursion, so deeply nested expressions are fine.  An
+expression compiles on its first evaluation (``eval_exact``,
+``eval_indicator`` or ``members``) and keeps its program for as long as it
+lives: the memo is a slot on the expression object, keyed on its identity,
+never on the recursive ``==``, so an equal but distinct tree compiles on
+its own.  The same op list is run in two modes:
 
 * exact mode (``eval_exact``) produces an exact :data:`~gplab.realnum.value.Real`
   (rational / field element / interval stream), computing each shared
@@ -267,32 +271,27 @@ def _dyadic_bits(n: int, max_bits: int) -> int:
     return bits
 
 
-def eval_exact(
-    e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS, program: Program | None = None
-) -> Real:
-    """Exact value of the expression at integer n (spec semantics).
+def _compiled(e: Expr) -> Program:
+    """The program of ``e``: compiled on its first evaluation, then kept in
+    the expression's own slot, so it lives exactly as long as ``e``."""
+    try:
+        return e._program
+    except AttributeError:
+        program = Program(e)
+        object.__setattr__(e, "_program", program)  # Expr nodes are frozen
+        return program
 
-    ``program`` is ``Program(e)`` when the caller already compiled it.
-    """
-    program = program if program is not None else Program(e)
-    return program.eval_exact(n, max_bits)
+
+def eval_exact(e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS) -> Real:
+    """Exact value of the expression at integer n (spec semantics)."""
+    return _compiled(e).eval_exact(n, max_bits)
 
 
-def eval_indicator(
-    e: Expr,
-    n: int,
-    max_bits: int = DEFAULT_MAX_BITS,
-    program: Program | None = None,
-) -> int:
-    """Value of an indicator expression; raises NonBooleanValue outside {0,1}.
-
-    ``program`` is ``Program(e)`` when the caller already compiled it, so
-    the op list and its constant enclosures are shared across points.
-    """
-    program = program if program is not None else Program(e)
+def eval_indicator(e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
+    """Value of an indicator expression; raises NonBooleanValue outside {0,1}."""
     bits = _dyadic_bits(n, max_bits)
     try:
-        lo, hi = program.eval_dyadic(n, bits)
+        lo, hi = _compiled(e).eval_dyadic(n, bits)
     except NeedBits:
         pass  # a floor its enclosure straddles: exact mode decides
     else:
@@ -305,7 +304,7 @@ def eval_indicator(
         if hi < 0 or lo > (1 << bits):
             raise NonBooleanValue("indicator outside {0,1}", n=n, value=(lo, hi))
     try:
-        value = eval_exact(e, n, max_bits, program)
+        value = eval_exact(e, n, max_bits)
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"indicator undecided at n={n}", n=n, bits=max_bits) from exc
     if isinstance(value, FieldElement) and value.is_rational():
@@ -319,27 +318,14 @@ def eval_indicator(
     raise NonBooleanValue(f"indicator did not reduce to an integer at n={n}", n=n, value=value)
 
 
-# the last expression members() ran on and its Program, updated in place
-_last_compiled: list = [None, None]
-
-
 def members(
     e: Expr,
     lo: int,
     hi: int,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> list[int]:
-    """All n in [lo, hi] where the indicator evaluates to 1, in order.
-
-    The last expression's ``Program`` is kept (with a strong reference, so
-    the identity test cannot match a recycled id): repeated windows of one
-    indicator compile it and fill its constant templates once.
-    """
-    expr, program = _last_compiled
-    if expr is not e:
-        program = Program(e)
-        _last_compiled[:] = e, program
-    return [n for n in range(lo, hi + 1) if eval_indicator(e, n, max_bits, program) == 1]
+    """All n in [lo, hi] where the indicator evaluates to 1, in order."""
+    return [n for n in range(lo, hi + 1) if eval_indicator(e, n, max_bits) == 1]
 
 
 def discrete_difference(q: Expr, shifts: list[int], max_bits: int = DEFAULT_MAX_BITS) -> Real:
@@ -351,7 +337,6 @@ def discrete_difference(q: Expr, shifts: list[int], max_bits: int = DEFAULT_MAX_
     d = len(shifts)
     if d < 1:
         raise ValueError("need at least one shift")
-    program = Program(q)
     total: Real = Fraction(0)
     for mask in range(1 << d):
         s = 0
@@ -360,6 +345,6 @@ def discrete_difference(q: Expr, shifts: list[int], max_bits: int = DEFAULT_MAX_
             if mask >> i & 1:
                 s += shifts[i]
                 parity ^= 1
-        term = eval_exact(q, s, max_bits, program)
+        term = eval_exact(q, s, max_bits)
         total = rsub(total, term) if parity else radd(total, term)
     return total

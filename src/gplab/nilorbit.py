@@ -124,16 +124,12 @@ def default_orbit_spec(c=Fraction(1, 20), n_max: int = 10**6) -> OrbitSpec:
 
 
 def orbit_point(spec: OrbitSpec, n: int, max_bits: int = DEFAULT_MAX_BITS) -> HeisenbergElem:
-    """Reduced fractional part of g(n); third coordinate cross-checked."""
+    """Reduced fractional part of g(n), whose third coordinate is
+    {n*alpha*floor(n*beta)}."""
     if n < 0:
         raise PreconditionError("n must be nonnegative")
     g = HeisenbergElem(rmul(Fraction(-n), spec.alpha), rmul(Fraction(n), spec.beta), _Zero)
-    frac, _ = heis_reduce(g, max_bits)
-    m = floor_frac(rmul(Fraction(n), spec.beta), max_bits)[0]
-    expected = floor_frac(rmul(rmul(Fraction(n), spec.alpha), Fraction(m)), max_bits)[1]
-    if compare(frac.z, expected, max_bits) != 0:
-        raise AssertionError(f"third-coordinate identity failed at n={n}")
-    return frac
+    return heis_reduce(g, max_bits)[0]
 
 
 def _threshold_at_least_half(n: int, c: Fraction) -> bool:
@@ -213,6 +209,8 @@ def growth_count(
     counted.
     """
     ladder = tuple(sorted(ladder))
+    if ladder and ladder[0] < 1:
+        raise PreconditionError("ladder values N must be positive")
     bits = _fixed_bits(spec, ladder[-1] if ladder else 0, max_bits)
     alpha = fixed_enclosure(spec.alpha, bits)
     beta = fixed_enclosure(spec.beta, bits)

@@ -53,6 +53,7 @@ from .realnum import (
     frac_of,
     nint_of,
     radd,
+    rmul,
     rsub,
     sign_of,
     to_float,
@@ -162,10 +163,8 @@ def check_cubic(to: int = 10**6, h_to: int = 10**4, i_max: int = 20) -> str:
     # record law with the measured alignment, exact (implies 1e-6 relative)
     terms = recurrence_terms(cons.recurrence, 10**7)
     k = cons.plateau_pow
-    m1_4 = cons.m1_sq * cons.m1_sq
     for i in range(2, i_max + 1):
-        n0 = cons.n0_sq(terms[i])
-        assert (n0 * n0 * cons.beta ** (2 * i - k) - m1_4).is_zero(), f"record law at i={i}"
+        assert cons.record_law(i, terms[i]), f"record law at i={i}"
     return (
         f"set = recurrence values exactly on [1, {to}]; h == N0 at {checked} points "
         f"of [1, {h_to}]; records m(R_i) = m1 * beta^(({k} - 2i)/4) exact for 2 <= i <= {i_max}"
@@ -194,10 +193,8 @@ def check_cubic_to_1e17(to: int = 10**17) -> str:
         parts.append(f"({cons.a}, {cons.b}): {len(found)} members, {len(extra)} off it")
     terms = recurrence_terms(tribonacci.recurrence, to)
     k = tribonacci.plateau_pow
-    m1_4 = tribonacci.m1_sq * tribonacci.m1_sq
     for i in range(2, len(terms)):
-        n0 = tribonacci.n0_sq(terms[i])
-        assert (n0 * n0 * tribonacci.beta ** (2 * i - k) - m1_4).is_zero(), f"record law at i={i}"
+        assert tribonacci.record_law(i, terms[i]), f"record law at i={i}"
     return (
         f"members on [1, {to}] against the recurrence: " + "; ".join(parts)
         + " (the orbit R_(i-2) + R_i); "
@@ -249,7 +246,9 @@ def check_heisenberg_growth() -> str:
     _, detail = _growth_rows(Fraction(1, 20), (10**3, 10**4, 10**5, 10**6))
     spec = default_orbit_spec(Fraction(1, 20))
     for n in range(1, 1001):
-        orbit_point(spec, n)  # raises if the third-coordinate identity fails
+        m = floor_frac(rmul(Fraction(n), spec.beta))[0]
+        z = frac_of(rmul(Fraction(n * m), spec.alpha))
+        assert compare(orbit_point(spec, n).z, z) == 0, f"z-identity failed at n={n}"
     return f"{detail}; z-identity exact for n <= 1000"
 
 

@@ -70,6 +70,21 @@ def test_exit_code_bad_construction_params():
     assert run(["verify", "--construction", "verysparse", "--sequence", "2,x", "--to", "9"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bestapprox", "--Q", "10"],
+        ["heis", "--c", "abc"],
+        ["heis", "--c", "1/0"],
+        ["heis", "--mode", "growth", "--ladder", "0,10", "--c", "1/3"],
+    ],
+)
+def test_exit_code_bad_command_input(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err
+
+
 def test_exit_code_bad_int_lists(capsys):
     for argv in (["heis", "--ladder", "10,x"], ["ipsearch", "--mode", "translated", "--r", "2",
                                                 "--shifts", "0,y"]):

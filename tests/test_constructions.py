@@ -21,8 +21,8 @@ from gplab.constructions import (
 from gplab.cf import cf_expand
 from gplab.constructions.registry import SCAN_TO, construction
 from gplab.errors import PreconditionError, ZeroSolution
-from gplab.gpexpr import eval_indicator, members
-from gplab.realnum import DEFAULT_MAX_BITS, NumberField, to_float
+from gplab.gpexpr import eval_exact, eval_indicator, members
+from gplab.realnum import NumberField, to_float
 
 from oracles import dist_quadratic_lt, fibonacci_upto
 
@@ -141,11 +141,10 @@ def test_exact_mode_of_every_registry_indicator_is_a_rational_bit(name, params):
     # operators; every indicator still ends in a Fraction 0 or 1, the
     # verdict of the dyadic ladder
     cert = construction(name).build(SimpleNamespace(**{**_DEFAULTS, **params}))
-    program = cert.program()
     for n in range(-5, 201):
-        value = program.eval_exact(n, DEFAULT_MAX_BITS)
+        value = eval_exact(cert.indicator, n)
         assert type(value) is Fraction and value in (0, 1), n
-        assert value == eval_indicator(cert.indicator, n, program=program), n
+        assert value == eval_indicator(cert.indicator, n), n
 
 
 def test_pell_certificate():

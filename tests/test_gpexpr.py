@@ -389,7 +389,6 @@ def test_members_runs_one_dyadic_evaluation_per_point(pair, monkeypatch):
         return eval_dyadic(self, n, bits)
 
     monkeypatch.setattr(evaluate.Program, "eval_dyadic", counted)
-    monkeypatch.setattr(evaluate, "_last_compiled", [None, None])
     assert [members(ind, lo, hi) for lo, hi in windows] == want
     assert calls == [q for lo, hi in windows for q in range(lo, hi + 1)]
 
@@ -405,7 +404,6 @@ def test_members_compiles_each_expression_once(monkeypatch):
         return real(e)
 
     monkeypatch.setattr(evaluate, "Program", counting)
-    monkeypatch.setattr(evaluate, "_last_compiled", [None, None])
     first = parse("let s = root(x^2-2, 1, 2); floor(1 - frac(theta*floor(2*n*dist(n*s))))")
     windows = [members(first, lo, lo + 40) for lo in (1, 41, 81)]
     assert len(compiled) == 1
@@ -415,3 +413,25 @@ def test_members_compiles_each_expression_once(monkeypatch):
     assert compiled == [first, second]
     monkeypatch.setattr(evaluate, "Program", real)
     assert [n for n in range(1, 121) if eval_indicator(first, n) == 1] == sum(windows, [])
+
+
+def test_members_keeps_each_program_across_alternating_windows(monkeypatch):
+    # windows that switch between two expressions compile each one once
+    from gplab.gpexpr import evaluate
+
+    compiled = []
+    real = evaluate.Program
+
+    def counting(e):
+        compiled.append(e)
+        return real(e)
+
+    monkeypatch.setattr(evaluate, "Program", counting)
+    text = "let s = root(x^2-{}, 1, 2); floor(1 - frac(theta*floor(2*n*dist(n*s))))"
+    exprs = parse(text.format(2)), parse(text.format(3))
+    got = [members(e, lo, lo + 29) for lo in (1, 31, 61) for e in exprs]
+    assert len(compiled) == 2 and compiled[0] is exprs[0] and compiled[1] is exprs[1]
+    monkeypatch.setattr(evaluate, "Program", real)
+    for i, e in enumerate(exprs):
+        want = [n for n in range(1, 91) if eval_indicator(e, n) == 1]
+        assert sum(got[i::2], []) == want

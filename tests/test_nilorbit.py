@@ -80,12 +80,13 @@ def test_orbit_point_examples(sq2):
 
 
 def test_third_coordinate_identity_oracle():
+    # z = {n sqrt2 floor(n sqrt3)}, exactly, against the integer oracle
     spec = default_orbit_spec()
     for n in range(1, 200):
-        p = orbit_point(spec, n)  # internal exact cross-check
+        p = orbit_point(spec, n)
         m = floor_quadratic(Fraction(0), Fraction(n), 3)
         fp, fq = frac_quadratic(Fraction(0), Fraction(n * m), 2)
-        assert abs(to_float(p.z) - (float(fp) + float(fq) * 2**0.5)) < 1e-9
+        assert (p.z - (spec.alpha * fq + fp)).is_zero(), n
 
 
 def test_polynomial_sequence_identity_same_field(sq2):
