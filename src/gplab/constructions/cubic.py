@@ -17,7 +17,10 @@ records scale by |alpha| = beta^{-1/2} per step while g scales by beta),
 and strictly larger elsewhere.  The certificate tests the squared product
 against the exact plateau constant beta^k, a comparison that lives
 entirely in the ground field.  The plateau exponent k is measured at
-build time and verified exactly at two independent indices.
+build time, by one walk over k from 0 that multiplies by beta (or 1/beta)
+per step, and verified exactly at two independent indices.  The field
+itself is built on integers: the root count and the unit interval of beta
+come from integer Sturm counts and integer Horner signs.
 
 The certificate's indicator is the one encoding of this test: ``h_sq``
 and ``g_value`` evaluate ``h_sq_expr`` and ``g_expr``, ``member`` is the
@@ -30,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator
 
@@ -54,7 +58,7 @@ from ..realnum import (
     fixed_enclosure,
     scale_iv,
 )
-from ..realnum.polys import count_real_roots
+from ..realnum.polys import count_real_roots, poly_sign
 from .certificate import Certificate
 from .recurrence import LinearRecurrence, recurrence_terms
 
@@ -64,20 +68,14 @@ def _cubic_field(a: int, b: int) -> NumberField:
     if not ok:
         raise PreconditionError("need (a >= 0 and 0 <= b <= a+1) or (a >= 2 and b = -1)")
     coeffs = (-1, -b, -a, 1)
-    fr = [Fraction(c) for c in coeffs]
-    if count_real_roots(fr) != 1:
+    if count_real_roots(coeffs) != 1:
         raise PreconditionError(f"x^3-{a}x^2-{b}x-1 does not have a unique real root")
-    # locate the unit interval holding the root; it lies in (1, a+2)
-    from ..realnum.polys import poly_eval
-
-    lo = None
-    for k in range(1, a + 3):
-        if poly_eval(fr, Fraction(k)) < 0 and poly_eval(fr, Fraction(k + 1)) > 0:
-            lo = k
-            break
-    if lo is None:
-        raise PreconditionError("real root is not greater than 1")
-    return NumberField(coeffs, lo, lo + 1, "beta")
+    # the unit interval holding the root: it lies in (1, a+2), where the
+    # monic cubic turns from negative to positive
+    for lo in range(1, a + 3):
+        if poly_sign(coeffs, lo) < 0 < poly_sign(coeffs, lo + 1):
+            return NumberField(coeffs, lo, lo + 1, "beta")
+    raise PreconditionError("real root is not greater than 1")
 
 
 @dataclass
@@ -117,28 +115,29 @@ class CubicConstruction:
         m1_4 = self.m1_sq * self.m1_sq
         return (n0 * n0 * self.beta ** (2 * i - self.plateau_pow) - m1_4).is_zero()
 
+    @cached_property
+    def _exact_consts(self) -> tuple[FieldElement, ...]:
+        """1/beta, 1/beta^2, beta Re(u), m1^-2, beta^k, K, L, Im(u)^-2 and
+        beta^2, exactly (K and L bound g; see ``_cubic_candidates``)."""
+        inv_b, inv_b2 = self.theta
+        c1 = (self.beta * self.b + 1) * inv_b2
+        return (
+            inv_b,
+            inv_b2,
+            self.beta * self.norm.re_u,
+            self.m1_sq.inverse(),
+            self.beta**self.plateau_pow,
+            1 + c1 * inv_b + inv_b * inv_b2,
+            ((c1 if c1.sign() >= 0 else -c1) + inv_b) / 2,
+            self.norm.im_u_sq.inverse(),
+            self.beta * self.beta,
+        )
+
     def _fixed_consts(self, bits: int) -> tuple:
-        """Enclosures at ``bits`` of 1/beta, 1/beta^2, beta Re(u), m1^-2,
-        beta^k, K, L, Im(u)^-2 and beta^2, computed once per precision (K
-        and L bound g; see ``_cubic_candidates``)."""
-        cache = getattr(self, "_fixed_cache", None)
-        if cache is None:
-            cache = self._fixed_cache = {}
+        """Enclosures at ``bits`` of ``_exact_consts``, computed once per precision."""
+        cache = self.__dict__.setdefault("_fixed_cache", {})
         if bits not in cache:
-            inv_b, inv_b2 = self.theta
-            c1 = (self.beta * self.b + 1) * inv_b2
-            consts = (
-                inv_b,
-                inv_b2,
-                self.beta * self.norm.re_u,
-                self.m1_sq.inverse(),
-                self.beta**self.plateau_pow,
-                1 + c1 * inv_b + inv_b * inv_b2,
-                ((c1 if c1.sign() >= 0 else -c1) + inv_b) / 2,
-                self.norm.im_u_sq.inverse(),
-                self.beta * self.beta,
-            )
-            cache[bits] = tuple(fixed_enclosure(c, bits) for c in consts)
+            cache[bits] = tuple(fixed_enclosure(c, bits) for c in self._exact_consts)
         return cache[bits]
 
     def member(self, q: int) -> bool:
@@ -147,18 +146,26 @@ class CubicConstruction:
 
 
 def _measure_plateau(cons: CubicConstruction, terms: list[int]) -> int:
-    """Exact exponent k with (h^2 g)^2 = beta^k at two large recurrence terms."""
+    """Exact exponent k with (h^2 g)^2 = beta^k at the two largest recurrence terms.
+
+    As beta > 1, beta^k increases strictly with k.  So the walk starts at
+    k = 0 and steps towards the sign of (h^2 g)^2 - 1, one product by beta
+    (or 1/beta) per step, until the difference is exactly zero: at most
+    |k| + 1 exact comparisons per term.  A sign flip, or k leaving
+    [-8, 40], means there is no exact plateau.
+    """
     beta = cons.beta
     found = None
     for q in terms[-2:]:
         v = cons.h_sq(q) * cons.g_value(q)
         vv = v * v
-        k = None
-        for cand in range(-8, 41):
-            if (vv - beta**cand).is_zero():
-                k = cand
-                break
-        if k is None:
+        k, power = 0, cons.field.one()
+        side = first = (vv - power).sign()
+        step, factor = (-1, cons.theta[0]) if first < 0 else (1, beta)
+        while side == first != 0 and -8 <= k + step <= 40:
+            k, power = k + step, power * factor
+            side = (vv - power).sign()
+        if side:
             raise PreconditionError(
                 f"no exact plateau constant at q={q}; construction out of regime"
             )

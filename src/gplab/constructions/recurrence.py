@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from ..errors import PreconditionError, ZeroSolution
 from ..realnum import FieldElement, NumberField
+from ..realnum.polys import count_real_roots
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,7 @@ def _check_pisot(rec: LinearRecurrence, fld: NumberField) -> None:
         if not ((conj - 1).sign() < 0 and (conj + 1).sign() > 0):
             raise PreconditionError("conjugate root must have modulus below 1")
     else:
-        from ..realnum.polys import count_real_roots
-
-        fr = [Fraction(c) for c in fld.minpoly]
-        if count_real_roots(fr) != 1:
+        if count_real_roots(fld.minpoly) != 1:
             raise PreconditionError("cubic must have a unique real root")
         if (fld.complex_pair_modulus_sq() - 1).sign() >= 0:
             raise PreconditionError("complex conjugates must have modulus below 1")

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from ..errors import DivisionByZero, ParseError, PreconditionError
 from ..realnum import THETA, FieldElement, NumberField, is_exact_zero, rinv
-from ..realnum.polys import Poly, poly_add, poly_mul, poly_scale
+from ..realnum.polys import Poly, poly_add, poly_mul
 from .ast import (
     Add,
     Const,
@@ -186,31 +186,24 @@ class _Parser:
 
     # -- integer polynomials in x (inside root) -------------------------------
     def parse_intpoly(self) -> tuple[int, ...]:
-        coeffs = self._poly_expr()
-        out = []
-        for c in coeffs:
-            if c.denominator != 1:
-                self.error("root() requires integer polynomial coefficients")
-            out.append(c.numerator)
-        while out and out[-1] == 0:
-            out.pop()
+        out = self._poly_expr()  # trimmed, with integer coefficients
         if len(out) - 1 not in (2, 3):
             self.error("root() requires a polynomial of degree 2 or 3")
         if out[-1] != 1:
             self.error("root() requires a monic polynomial")
-        return tuple(out)
+        return out
 
     def _poly_expr(self) -> Poly:
         sign = 1
         if self.peek().text == "-":
             self.next()
             sign = -1
-        acc = poly_scale(self._poly_term(), sign)
+        acc = poly_mul(self._poly_term(), (sign,))
         while self.peek().text in ("+", "-"):
             op = self.next().text
             term = self._poly_term()
             if op == "-":
-                term = poly_scale(term, -1)
+                term = poly_mul(term, (-1,))
             acc = poly_add(acc, term)
         return acc
 
@@ -228,7 +221,7 @@ class _Parser:
             t = self.next()
             if t.kind != "int":
                 self.error("expected an exponent", t)
-            out: Poly = (Fraction(1),)
+            out: Poly = (1,)
             for _ in range(int(t.text)):
                 out = poly_mul(out, base)
             return out
@@ -237,9 +230,9 @@ class _Parser:
     def _poly_base(self) -> Poly:
         t = self.next()
         if t.kind == "int":
-            return (Fraction(int(t.text)),)
+            return (int(t.text),)
         if t.text == "x":
-            return (Fraction(0), Fraction(1))
+            return (0, 1)
         if t.text == "(":
             return self.nested(self._poly_expr, t)
         self.error("expected an integer, 'x', or '(' in root() polynomial", t)

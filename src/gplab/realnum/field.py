@@ -9,10 +9,11 @@ monic minimal polynomial.
 
 A field designates one real root of its minimal polynomial by an isolating
 interval supplied at construction; the interval is validated (exactly one
-root, by Sturm counting).  The root is kept as a unit bracket
-``(a, a + 1) * 2^-g`` on a dyadic grid inside that interval, certified by
-opposite signs of the integer-scaled minimal polynomial at its two ends,
-and refined on demand by integer Newton steps (Moore, *Interval Analysis*,
+root, by a Sturm count on integer pseudo-remainders, with the signs at its
+rational ends from integer Horner evaluation).  The root is kept as a unit
+bracket ``(a, a + 1) * 2^-g`` on a dyadic grid inside that interval,
+certified by opposite signs of the integer-scaled minimal polynomial at its
+two ends, and refined on demand by integer Newton steps (Moore, *Interval Analysis*,
 1966) with integer bisection as the fallback.  Signs, floors and enclosures
 of elements come from integer interval Horner evaluations on
 that grid (:func:`dyadic_enclosure`), never from floats.
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ..errors import DivisionByZero, PreconditionError
-from .polys import count_real_roots, is_irreducible_low_degree, poly_eval
+from .polys import count_real_roots, is_irreducible_low_degree, poly_sign
 
 Rat = Union[int, Fraction]
 
@@ -56,10 +57,10 @@ class NumberField:
         lo, hi = Fraction(lo), Fraction(hi)
         if not lo < hi:
             raise PreconditionError("isolating interval must be nonempty")
-        fr = [Fraction(c) for c in coeffs]
-        if count_real_roots(fr, lo, hi) != 1:
+        if count_real_roots(coeffs, lo, hi) != 1:
             raise PreconditionError(f"[{lo}, {hi}] does not isolate exactly one root of {coeffs}")
-        if poly_eval(fr, lo) == 0 or poly_eval(fr, hi) == 0:
+        self._sign_lo = poly_sign(coeffs, lo)
+        if self._sign_lo == 0 or poly_sign(coeffs, hi) == 0:
             # rational endpoints are never roots of an irreducible polynomial
             raise PreconditionError("isolating endpoints must not be roots")
         self.minpoly = coeffs
@@ -67,7 +68,6 @@ class NumberField:
         self.name = name
         self.isolating_interval = (lo, hi)
         self._hash = hash((coeffs, self.isolating_interval))
-        self._sign_lo = 1 if poly_eval(fr, lo) > 0 else -1
         self._dpoly = tuple(i * c for i, c in enumerate(coeffs) if i)
         # bounds |beta| on every root bracket, which stays within 1 of [lo, hi]
         self._root_bound = math.ceil(max(abs(lo), abs(hi))) + 1

@@ -1,59 +1,40 @@
-"""Dense univariate polynomial helpers over the rationals.
+"""Dense univariate polynomial helpers over the integers.
 
 Coefficients are stored low degree first, e.g. ``x^2 - x - 1`` is
-``(-1, -1, 1)``.  Everything here is exact; these routines back the root
-isolation of the number fields and the polynomials of the expression
-parser.
+``(-1, -1, 1)``.  These routines back the root isolation of the number
+fields and the polynomials of the expression parser, all on Python ints:
+real roots are counted with a Sturm chain of integer pseudo-remainders
+(Cohen, GTM 138, 3.1-3.3), each scaled by a positive factor so the chain
+keeps its signs, and signs at a rational ``u/v`` come from homogenised
+integer Horner evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import zip_longest
 from typing import Sequence
 
-Poly = tuple[Fraction, ...]
+Poly = tuple[int, ...]
 
 
-def poly_trim(coeffs: Sequence[Fraction]) -> Poly:
+def poly_trim(coeffs: Sequence[int]) -> Poly:
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
 
 
-def poly_degree(p: Poly) -> int:
-    return len(p) - 1
+def poly_add(a: Sequence[int], b: Sequence[int]) -> Poly:
+    return poly_trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_derivative(p: Sequence[Fraction]) -> Poly:
-    return tuple(Fraction(i) * c for i, c in enumerate(p) if i >= 1)
-
-
-def poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly_trim(out)
-
-
-def poly_scale(a: Sequence[Fraction], s: Fraction) -> Poly:
-    return poly_trim([c * s for c in a])
-
-
-def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> Poly:
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -61,88 +42,107 @@ def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
     return poly_trim(out)
 
 
-def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Poly, Poly]:
-    a = list(poly_trim(a))
-    b = poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        k = len(a) - len(b)
-        f = a[-1] * inv_lead
-        q[k] = f
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        while a and a[-1] == 0:
-            a.pop()
-    return poly_trim(q), poly_trim(a)
+def poly_sign(p: Sequence[int], x: int | Fraction) -> int:
+    """Sign of ``p`` at the rational ``x = u/v``: that of ``v^deg p(u/v)``, as v > 0."""
+    u, v = x.numerator, x.denominator
+    acc, vk = 0, 1
+    for c in reversed(p):
+        acc = acc * u + c * vk
+        vk *= v
+    return (acc > 0) - (acc < 0)
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _primitive(p: list[int]) -> Poly:
+    """``p`` trimmed and divided by the gcd of its coefficients (a positive factor)."""
+    p = poly_trim(p)
+    g = math.gcd(*p) if p else 1
+    return tuple(c // g for c in p)
 
 
-def sturm_chain(p: Sequence[Fraction]) -> list[Poly]:
-    p0 = poly_trim(p)
-    p1 = poly_derivative(p0)
-    chain = [p0, p1]
-    while chain[-1]:
-        _, rem = poly_divmod(chain[-2], chain[-1])
+def _neg_prem(a: Poly, b: Poly) -> Poly:
+    """A positive multiple of ``-(a mod b)``: the pseudo-remainder of
+    ``|lc b|^(deg a - deg b + 1) a`` by ``b``, negated, primitive part."""
+    r, m = list(a), abs(b[-1])
+    s = 1 if b[-1] > 0 else -1
+    for k in range(len(a) - len(b), -1, -1):
+        # r <- m r - s lead(r) x^k b cancels the lead, as s * lc(b) = m
+        f = s * r.pop()
+        r = [c * m for c in r]
+        for i, c in enumerate(b[:-1]):
+            r[k + i] -= f * c
+    return _primitive([-c for c in r])
+
+
+@lru_cache(maxsize=128)
+def _sturm(p: Poly) -> tuple[Poly, ...]:
+    """Sturm chain p, p', -rem, ...; its last member is gcd(p, p') up to a positive factor."""
+    chain = [_primitive(p), _primitive([i * c for i, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        rem = _neg_prem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append(poly_scale(rem, Fraction(-1)))
-    return chain
+        chain.append(rem)
+    return tuple(chain)
 
 
-def _sign_variations(values: list[int]) -> int:
-    nz = [v for v in values if v != 0]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
+def _variations(chain: tuple[Poly, ...], x: int | Fraction | None, at_plus_inf: bool) -> int:
+    """Sign changes along ``chain`` at x (``None``: the infinity on the side given)."""
+    out, prev = 0, 0
+    for q in chain:
+        if x is None:
+            s = 1 if q[-1] > 0 else -1
+            if not at_plus_inf and len(q) % 2 == 0:
+                s = -s
+        else:
+            s = poly_sign(q, x)
+        if s:
+            out += prev * s < 0
+            prev = s
+    return out
 
 
-def count_real_roots(p: Sequence[Fraction], lo: Fraction | None = None, hi: Fraction | None = None) -> int:
-    """Number of distinct real roots of ``p`` in ``(lo, hi]`` (Sturm).
+def count_real_roots(
+    p: Sequence[int], lo: int | Fraction | None = None, hi: int | Fraction | None = None
+) -> int:
+    """Number of distinct real roots of the integer polynomial ``p`` in ``(lo, hi]`` (Sturm).
 
     ``None`` endpoints mean -inf / +inf.  ``p`` must be squarefree for the
     count to equal the number of roots; irreducible polynomials always are.
     """
-    chain = sturm_chain(p)
-
-    def vals_at(x: Fraction | None, at_plus_inf: bool) -> list[int]:
-        out = []
-        for q in chain:
-            if not q:
-                out.append(0)
-            elif x is None:
-                lead = _sign(q[-1])
-                deg = poly_degree(q)
-                out.append(lead if (at_plus_inf or deg % 2 == 0) else -lead)
-            else:
-                out.append(_sign(poly_eval(q, x)))
-        return out
-
-    v_lo = _sign_variations(vals_at(lo, at_plus_inf=False))
-    v_hi = _sign_variations(vals_at(hi, at_plus_inf=True))
-    return v_lo - v_hi
+    chain = _sturm(tuple(p))
+    return _variations(chain, lo, False) - _variations(chain, hi, True)
 
 
 def is_irreducible_low_degree(int_coeffs: Sequence[int]) -> bool:
     """Irreducibility over Q for monic integer polynomials of degree 2 or 3.
 
     In these degrees reducibility forces a linear factor, hence an integer
-    root dividing the constant term.
+    root dividing the constant term c0, or a repeated factor, which leaves
+    a nonconstant last member in the Sturm chain.  A squarefree chain counts
+    roots exactly, so bisecting (-|c0| - 1, |c0|] by root counts isolates
+    each real root in a unit interval (m, m + 1] in O(log |c0|) counts, and
+    only m + 1 is tested.
     """
-    cs = [int(c) for c in int_coeffs]
-    deg = len(cs) - 1
-    if deg not in (2, 3) or cs[-1] != 1:
+    cs = tuple(int(c) for c in int_coeffs)
+    if len(cs) - 1 not in (2, 3) or cs[-1] != 1:
         raise ValueError("expected a monic integer polynomial of degree 2 or 3")
-    c0 = cs[0]
-    if c0 == 0:
+    chain = _sturm(cs)
+    if len(chain[-1]) > 1:
         return False
-    for d in range(1, abs(c0) + 1):
-        if abs(c0) % d:
+
+    def var(x: int) -> int:
+        return _variations(chain, x, False)
+
+    bound = abs(cs[0])
+    stack = [(-bound - 1, var(-bound - 1), bound, var(bound))]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo == v_hi:
             continue
-        for r in (d, -d):
-            if poly_eval([Fraction(c) for c in cs], Fraction(r)) == 0:
-                return False
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            v_mid = var(mid)
+            stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+        elif poly_sign(cs, hi) == 0:
+            return False
     return True

@@ -184,6 +184,77 @@ class FractionFieldRef:
 
 
 # ---------------------------------------------------------------------------
+# Sturm root counts over Fraction: the reference for the integer count
+# ---------------------------------------------------------------------------
+
+
+def poly_eval(p, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _fraction_trim(cs) -> list[Fraction]:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _fraction_rem(a, b) -> list[Fraction]:
+    a, b = _fraction_trim(a), _fraction_trim(b)
+    while len(a) >= len(b):
+        k, f = len(a) - len(b), a[-1] / b[-1]
+        for i, c in enumerate(b):
+            a[k + i] -= f * c
+        a = _fraction_trim(a)
+    return a
+
+
+def sturm_count_fraction(p, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
+    """Distinct real roots of a squarefree p in (lo, hi]: the textbook Sturm
+    chain p, p', -rem, ... on Fraction coefficients, ``None`` meaning -inf / +inf."""
+    chain = [_fraction_trim(p), _fraction_trim(i * c for i, c in enumerate(p))[1:]]
+    while len(chain[-1]) > 1:
+        rem = _fraction_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def variations(x, plus_inf: bool) -> int:
+        signs = []
+        for q in chain:
+            v = q[-1] * (1 if plus_inf or len(q) % 2 else -1) if x is None else poly_eval(q, x)
+            if v:
+                signs.append(v > 0)
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(lo, False) - variations(hi, True)
+
+
+def irreducible_by_divisors(minpoly) -> bool:
+    """A monic integer polynomial of degree 2 or 3 is reducible over Q
+    exactly when it has an integer root, which divides the constant term."""
+    cs = [int(c) for c in minpoly]
+    c0 = abs(cs[0])
+    return c0 != 0 and not any(
+        poly_eval(cs, Fraction(r)) == 0 for d in range(1, c0 + 1) if c0 % d == 0 for r in (d, -d)
+    )
+
+
+def number_field_accepts(minpoly, lo, hi) -> bool:
+    """The rule a NumberField applies to (minpoly, lo, hi), by divisor search
+    and the Fraction Sturm count: a monic irreducible polynomial of degree 2
+    or 3 with exactly one root in [lo, hi], neither end a root."""
+    cs = [int(c) for c in minpoly]
+    lo, hi = Fraction(lo), Fraction(hi)
+    if len(cs) - 1 not in (2, 3) or cs[-1] != 1 or not lo < hi or not irreducible_by_divisors(cs):
+        return False
+    return sturm_count_fraction(cs, lo, hi) == 1 and poly_eval(cs, lo) * poly_eval(cs, hi) != 0
+
+
+# ---------------------------------------------------------------------------
 # exhaustive exact scans: every q or n decided by exact arithmetic
 # ---------------------------------------------------------------------------
 

@@ -145,6 +145,21 @@ def test_cli_import_leaves_numpy_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_members_root_with_a_large_constant_term():
+    # x^2 - (10^18 + 9) is shown irreducible by O(log |c0|) root counts,
+    # not by trying every divisor of c0; a subprocess, so a hang times out
+    import gplab
+
+    src = os.path.dirname(os.path.dirname(gplab.__file__))
+    expr = "let s = root(x^2-1000000000000000009, 1000000000, 1000000001); floor(2*frac(n*s))"
+    argv = [sys.executable, "-m", "gplab.cli", "members", "--expr", expr, "--from", "1", "--to", "3"]
+    out = subprocess.run(
+        argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=2
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["n"]
+
+
 def test_exit_code_precision_exhausted():
     # (theta + 1) - theta is exactly 1, but interval streams cannot certify
     # the cancellation, so the floor stays undecided up to any budget

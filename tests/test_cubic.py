@@ -54,6 +54,81 @@ def test_plateau_value_at_index_ten(trib):
     assert (trib.g_value(q) * trib.m1_sq - trib.beta**10).is_zero()
 
 
+# plateau_pow of every admissible (a, b) with a <= 3, as the search over
+# k = -8..40 found it; None where the build refuses the pair
+PLATEAU_PINS = {
+    (0, 0): None, (0, 1): 8, (1, 0): 4, (1, 1): 2, (1, 2): 2, (2, -1): 1, (2, 0): 0, (2, 1): 0,
+    (2, 2): 0, (2, 3): 1, (3, -1): 0, (3, 0): 0, (3, 1): 0, (3, 2): 0, (3, 3): 0, (3, 4): None,
+}
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = [0]
+    real = getattr(cls, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("a, b", list(PLATEAU_PINS))
+def test_plateau_exponent_pins(a, b):
+    if PLATEAU_PINS[a, b] is None:
+        with pytest.raises(PreconditionError):
+            cubic_pisot_set(a, b)
+    else:
+        assert cubic_pisot_set(a, b).plateau_pow == PLATEAU_PINS[a, b]
+
+
+def test_plateau_walk_counts_its_comparisons(monkeypatch):
+    # the walk compares (h^2 g)^2 with beta^k for k = 0, +-1, ..., k: |k| + 1
+    # exact signs per term, counted on fixed values of h^2 and g
+    from gplab.constructions.cubic import _measure_plateau
+    from gplab.realnum import FieldElement
+
+    cons = cubic_pisot_set(1, 0)
+    terms = recurrence_terms(cons.recurrence, 5000)
+    beta, one = cons.beta, cons.field.one()
+    real = {q: (cons.h_sq(q), cons.g_value(q)) for q in terms[-2:]}
+    for h_sq, g, want in (
+        (lambda q: real[q][0], lambda q: real[q][1], 4),
+        (lambda q: beta**-2, lambda q: one, -4),
+        (lambda q: beta**20, lambda q: one, 40),
+    ):
+        monkeypatch.setattr(cons, "h_sq", h_sq)
+        monkeypatch.setattr(cons, "g_value", g)
+        calls = _count_calls(monkeypatch, FieldElement, "sign")
+        assert _measure_plateau(cons, terms) == want
+        assert calls[0] == 2 * (abs(want) + 1)
+        monkeypatch.undo()
+    # below beta^-8, above beta^40, and two values strictly between powers
+    for x in (beta**-5, beta**21, one * 2, beta + 1):
+        monkeypatch.setattr(cons, "h_sq", lambda q: x)
+        monkeypatch.setattr(cons, "g_value", lambda q: one)
+        with pytest.raises(PreconditionError, match="no exact plateau"):
+            _measure_plateau(cons, terms)
+        monkeypatch.undo()
+
+
+def test_fixed_consts_builds_exact_constants_once(monkeypatch):
+    # m1^-2 and Im(u)^-2 are inverted once; each new precision only
+    # encloses the stored constants (k = 2 here, so beta^k needs no inverse)
+    from gplab.realnum import FieldElement
+
+    cons = cubic_pisot_set(1, 1)
+    cons.__dict__.pop("_exact_consts", None)
+    cons.__dict__.pop("_fixed_cache", None)
+    calls = _count_calls(monkeypatch, FieldElement, "inverse")
+    first = cons._fixed_consts(100)
+    assert calls[0] == 2
+    second = cons._fixed_consts(200)
+    assert calls[0] == 2
+    assert cons._fixed_consts(100) is first and len(second) == len(first) == 9
+
+
 def test_h_matches_bruteforce_when_small(trib):
     im_sq = trib.norm.im_u_sq
     for q in range(1, 300):
@@ -300,15 +375,7 @@ def test_cubic_scan_across_scale_boundaries(cubic_pairs, pair):
 def _count_exact_evals(monkeypatch):
     from gplab.gpexpr.evaluate import Program
 
-    calls = [0]
-    eval_exact = Program.eval_exact
-
-    def counted(self, n, max_bits):
-        calls[0] += 1
-        return eval_exact(self, n, max_bits)
-
-    monkeypatch.setattr(Program, "eval_exact", counted)
-    return calls
+    return _count_calls(monkeypatch, Program, "eval_exact")
 
 
 def test_cubic_prefilter_work(trib, monkeypatch):

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 from gplab.constructions import cubic_pisot_set
 from gplab.realnum import NumberField, dyadic_enclosure
-from gplab.realnum.polys import poly_eval
 
-from oracles import FractionFieldRef, tribonacci_R
+from oracles import FractionFieldRef, poly_eval, tribonacci_R
 
 PHI = ((-1, -1, 1), 1, 2)
 TRIB = ((-1, -1, -1, 1), 1, 2)

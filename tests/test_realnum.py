@@ -31,8 +31,15 @@ from gplab.realnum import (
     sqrt_interval,
     to_float,
 )
+from gplab.realnum.polys import count_real_roots, is_irreducible_low_degree
 
-from oracles import FractionFieldRef, floor_quadratic
+from oracles import (
+    FractionFieldRef,
+    floor_quadratic,
+    irreducible_by_divisors,
+    number_field_accepts,
+    sturm_count_fraction,
+)
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +63,65 @@ def test_field_construction_rejects_bad_isolation():
     # x^2 - 2 has both roots in [-2, 2]
     with pytest.raises(PreconditionError):
         NumberField((-2, 0, 1), -2, 2)
+
+
+ints = st.integers(min_value=-20, max_value=20)
+endpoints = st.none() | st.fractions(min_value=-25, max_value=25, max_denominator=12)
+
+
+@st.composite
+def int_polys(draw):
+    """Integer polynomials of degree 1-3; half of them times a linear factor
+    q x - p, so rational and repeated roots are common."""
+    deg = draw(st.integers(min_value=1, max_value=3))
+    if deg > 1 and draw(st.booleans()):
+        p, q = draw(ints), draw(st.integers(min_value=1, max_value=4))
+        f = draw(st.lists(ints, min_size=deg - 1, max_size=deg - 1)) + [draw(ints.filter(bool))]
+        return tuple(-p * c + q * d for c, d in zip(f + [0], [0] + f))
+    return tuple(draw(st.lists(ints, min_size=deg, max_size=deg)) + [draw(ints.filter(bool))])
+
+
+@given(int_polys(), endpoints, endpoints)
+@example((-1, 3, -3, 1), Fraction(0), Fraction(1))  # (x - 1)^3, a root at hi
+@example((2, -3, 0, 1), None, Fraction(1))  # (x - 1)^2 (x + 2)
+@example((-2, 0, 1), Fraction(-3, 2), Fraction(3, 2))
+def test_integer_sturm_count_matches_fraction_reference(p, lo, hi):
+    assert count_real_roots(p, lo, hi) == sturm_count_fraction(p, lo, hi)
+
+
+monic = st.builds(lambda cs: tuple(cs) + (1,), st.lists(ints, min_size=2, max_size=3))
+small_monic = st.builds(
+    lambda cs: tuple(cs) + (1,), st.lists(st.integers(-6, 6), min_size=2, max_size=3)
+)
+small_ends = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+widths = st.fractions(min_value=-1, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=300)
+@given(small_monic, small_ends, widths)
+@example((-1, -1, 1), Fraction(1), Fraction(1))
+@example((-1, -1, -1, 1), Fraction(1), Fraction(1))
+@example((-4, 0, 1), Fraction(1), Fraction(2))
+@example((1, -2, 1), Fraction(0), Fraction(2))
+@example((-2, 0, 1), Fraction(-2), Fraction(4))
+@example((-3, -1, 1), Fraction(-2), Fraction(1))  # the negative root
+@example((-2, 0, 1), Fraction(3, 2), Fraction(-1, 2))  # lo > hi
+def test_number_field_accepts_what_the_fraction_rule_accepts(minpoly, lo, width):
+    hi = lo + width
+    try:
+        NumberField(minpoly, lo, hi)
+        accepted = True
+    except PreconditionError:
+        accepted = False
+    assert accepted == number_field_accepts(minpoly, lo, hi)
+
+
+@given(monic, st.integers(min_value=-300, max_value=300))
+def test_irreducibility_matches_divisor_search(minpoly, r):
+    assert is_irreducible_low_degree(minpoly) == irreducible_by_divisors(minpoly)
+    if len(minpoly) == 3:  # times x - r: a cubic with the integer root r
+        c0, c1, _ = minpoly
+        assert not is_irreducible_low_degree((-r * c0, c0 - r * c1, c1 - r, 1))
 
 
 def test_additive_inverse(phi_field):
