@@ -40,15 +40,17 @@ def _write_atomic(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gp-tmp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gp-tmp-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _expr_text(spec: str) -> str:
@@ -258,12 +260,19 @@ def cmd_suite(args) -> int:
 def _add_common(p: argparse.ArgumentParser, maxprec: bool = True, fmt: bool = True) -> None:
     """--out and --jobs on every command; --maxprec and --format where the command reads them."""
     if maxprec:
-        p.add_argument("--maxprec", type=int, default=DEFAULT_MAX_BITS, help="precision budget in bits")
+        p.add_argument("--maxprec", type=_budget, default=DEFAULT_MAX_BITS, help="precision budget in bits")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     if fmt:
         p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="parallelism degree (scans are deterministic regardless)")
+
+
+def _budget(text: str) -> int:
+    bits = int(text)
+    if bits < 1:
+        raise argparse.ArgumentTypeError(f"the precision budget must be at least 1 bit, not {bits}")
+    return bits
 
 
 def _int_list(text: str) -> tuple[int, ...]:

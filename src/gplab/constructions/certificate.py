@@ -8,21 +8,21 @@ behind it; ``verify_certificate`` (which ``gp cert`` runs from the
 registry's scan start to 4000) writes the data its scan finds.
 
 The indicator decides membership, and ``members`` is the one place that
-asks it.  A builder may attach ``candidates(lo, hi, max_bits)``, a
-generator that only proposes points (continued-fraction denominators, the
-lattice points of a recurrence basis, a pull-back, another certificate's
-members); ``members`` keeps the proposals in [lo, hi], takes each once in
-increasing order and confirms it with the indicator through ``confirm``.
-Without a generator it confirms every point.  The precision budget
-reaches every ``confirm`` and, through ``candidates``, every nested
-``members`` call.
+asks it.  A builder may attach ``candidates(lo, hi)``, a generator that
+only proposes points (continued-fraction denominators, the lattice points
+of a recurrence basis, a pull-back of another certificate's ``points``).
+``points`` keeps the proposals in [lo, hi], each once in increasing order,
+or every point without a generator, and ``members`` confirms exactly those
+through ``confirm``.  A certificate built on another reads its ``points``,
+never its ``members``, so a scan confirms each point once, with its own
+indicator, and the precision budget reaches every ``confirm``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from ..errors import ParseError
 from ..gpexpr import Expr, eval_indicator, parse, to_text
@@ -35,7 +35,7 @@ class Certificate:
     target_description: str
     exceptional_bound: int = 0
     exceptional: tuple[int, ...] = ()
-    candidates: Callable[[int, int, int], Iterable[int]] | None = None  # (lo, hi, max_bits)
+    candidates: Callable[[int, int], Iterable[int]] | None = None  # (lo, hi)
     meta: dict = field(default_factory=dict)
 
     def confirm(self, n: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:
@@ -45,13 +45,17 @@ class Certificate:
     def member(self, n: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:
         return n in self.members(n, n, max_bits)
 
+    def points(self, lo: int, hi: int) -> Sequence[int]:
+        """The points ``members`` confirms: every proposal in [lo, hi], once
+        and in increasing order, or every point without a generator."""
+        if self.candidates is None:
+            return range(lo, hi + 1)
+        return sorted({n for n in self.candidates(lo, hi) if lo <= n <= hi})
+
     def members(self, lo: int, hi: int, max_bits: int = DEFAULT_MAX_BITS) -> list[int]:
         """The points of [lo, hi] where the indicator holds, in increasing order:
-        every proposed point, or every point without a generator, confirmed."""
-        points = range(lo, hi + 1)
-        if self.candidates is not None:
-            points = sorted({n for n in self.candidates(lo, hi, max_bits) if lo <= n <= hi})
-        return [n for n in points if self.confirm(n, max_bits)]
+        each of ``points(lo, hi)``, confirmed."""
+        return [n for n in self.points(lo, hi) if self.confirm(n, max_bits)]
 
     # -- serialization ------------------------------------------------------
     def to_file_text(self) -> str:

@@ -259,7 +259,7 @@ def cubic_pisot_set(a: int, b: int) -> CubicConstruction:
         target_description=(
             f"value set of x(i+3) = {a} x(i+2) + {b} x(i+1) + x(i) from 1, {a}, {a*a+b}"
         ),
-        candidates=lambda lo, hi, _: _cubic_candidates(cons, lo, hi),
+        candidates=lambda lo, hi: _cubic_candidates(cons, lo, hi),
         meta={
             "construction": f"cubic a={a} b={b}",
             "plateau_pow": k,

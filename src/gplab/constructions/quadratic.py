@@ -12,13 +12,13 @@ Three layers:
   ||u*m|| < |u|/2), which converts a certificate for one linear-recurrence
   value set into one for another with the same characteristic polynomial.
 
-Each certificate's candidate generator proposes points (multiples of
-continued-fraction denominators, the pull-back of source members, the
-members of the unfiltered set, the members of both a = 3 branches), and
-``Certificate.members`` confirms each with the compiled indicator, so a
-scan's output is exactly the indicator's member set.  The builders do not
-scan against their targets: the registry pairs each one with its oracle,
-and ``gp cert`` computes the exceptional set.
+Each certificate's candidate generator proposes points: multiples of
+continued-fraction denominators, or another certificate's ``points``
+(pulled back, unfiltered, both a = 3 halves), never its ``members``.  So
+only the outer ``Certificate.members`` confirms, once per point, with the
+compiled indicator, and a scan's output is exactly the indicator's member
+set.  The builders do not scan against their targets: the registry pairs
+each one with its oracle, and ``gp cert`` computes the exceptional set.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def _half_over_n_certificate(x: FieldElement, description: str) -> Certificate:
     return Certificate(
         indicator=ind,
         target_description=description,
-        candidates=lambda lo, hi, _: _half_over_n_scan(cf, lo, hi),
+        candidates=lambda lo, hi: _half_over_n_scan(cf, lo, hi),
         meta={"kind": "half-over-n", "root": repr(x)},
     )
 
@@ -129,12 +129,14 @@ def scaled_set_transfer(
     When the source terms satisfy R_i = u*S_i + o(1) this is, up to a finite
     exceptional set, a certificate for the value set {S_i}.
 
-    The scan pulls source members back.  A member m has r = nint(u*m) in
-    E_R and |u*m - r| = ||u*m|| < |u|/2, so |m - r/u| < 1/2 and
-    m = nint(r/u): each source member r proposes that one point.  As nint
-    is monotone, m in [lo, hi] has r between nint(u*lo) and nint(u*hi)
-    (in that order when u > 0, swapped when u < 0), so the source is
-    scanned there, at every sign of u and of its members.
+    The scan pulls source proposals back.  A member m has r = nint(u*m) a
+    source member and |u*m - r| < |u|/2, so m = nint(r/u), and r is a
+    source proposal (``cert_r.points``) as long as the source's generator
+    proposes every point where its indicator holds; a source without one
+    proposes every point.  As nint is monotone, m in [lo, hi] has r
+    between nint(u*lo) and nint(u*hi) (in that order when u > 0, swapped
+    when u < 0), so the source proposes there, at every sign of u and of
+    its points.
     """
     if u.is_zero():
         raise PreconditionError("transfer constant must be nonzero")
@@ -148,9 +150,9 @@ def scaled_set_transfer(
 
     inv_u = u.inverse()
 
-    def pull_back(lo: int, hi: int, max_bits: int) -> Iterator[int]:
+    def pull_back(lo: int, hi: int) -> Iterator[int]:
         ends = sorted(((u * lo).nint(), (u * hi).nint()))
-        return ((inv_u * r).nint() for r in cert_r.members(*ends, max_bits))
+        return ((inv_u * r).nint() for r in cert_r.points(*ends))
 
     return Certificate(
         indicator=indicator,
@@ -204,7 +206,8 @@ def _norm_plus_odd_certificate(gamma: FieldElement, a: int) -> tuple[Certificate
     """Odd-index convergent denominators of gamma with gamma^2 = a*gamma - 1.
 
     Returns the filtered certificate and the exact constant v1 with
-    q_{2i+1} = v1 * gamma^i + o(1).
+    q_{2i+1} = v1 * gamma^i + o(1).  A member is an unfiltered member,
+    hence one of the unfiltered ``points``, which the scan proposes.
     """
     if not (gamma * gamma - a * gamma + 1).is_zero():
         raise PreconditionError("gamma must satisfy gamma^2 = a*gamma - 1")
@@ -222,7 +225,7 @@ def _norm_plus_odd_certificate(gamma: FieldElement, a: int) -> tuple[Certificate
     cert = Certificate(
         indicator=ind_and(base.indicator, ind_not(substitute_var(base.indicator, Nint(wn)))),
         target_description=f"odd-index convergent denominators of gamma, gamma^2 = {a} gamma - 1",
-        candidates=base.members,
+        candidates=base.points,
         meta={"kind": "odd-denominator-filter", "a": a, "w": repr(w)},
     )
     return cert, v1
@@ -246,7 +249,8 @@ def quadratic_pisot_unit_set(a: int, norm: int) -> Certificate:
     ``norm=-1``: beta^2 = a*beta + 1 (a >= 1), built from the basic
     small-distance set and one transfer.  ``norm=+1``: beta^2 = a*beta - 1
     (a >= 3), built from the odd-denominator filter (via beta^2 when a = 3)
-    and transfers.  Its oracle is ``nint_powers`` of beta.
+    and transfers.  Its oracle is ``nint_powers`` of beta.  For a = 3 a
+    member is a member of one half, so the scan proposes both halves' points.
     """
     beta = quadratic_unit(a, norm)
     sign = "-" if norm == -1 else "+"
@@ -274,7 +278,6 @@ def quadratic_pisot_unit_set(a: int, norm: int) -> Certificate:
     return Certificate(
         indicator=ind_or(even.indicator, odd_powers.indicator),
         target_description=description,
-        candidates=lambda lo, hi, max_bits: even.members(lo, hi, max_bits)
-        + odd_powers.members(lo, hi, max_bits),
+        candidates=lambda lo, hi: [*even.points(lo, hi), *odd_powers.points(lo, hi)],
         meta={"construction": "quadratic a=3 norm=+1"},
     )

@@ -4,7 +4,8 @@ and the start of its scan.
 ``params`` has the attributes a construction reads (the ``gp`` parser's
 namespace): ``a``, ``b``, ``norm``, ``C``, ``D``, ``sequence`` (integers).
 Builders compute no exceptional data; each returns its certificate, whose
-``members`` confirms every point its candidate generator proposes.
+``members`` is the only scan that confirms: a certificate built on another
+reads that one's ``points``.
 ``gp cert`` computes a certificate's exceptional set with one
 ``verify_certificate`` call on [``scan_from``, ``SCAN_TO``] against the
 oracle; ``gp verify`` scans the range it is given.  A construction without

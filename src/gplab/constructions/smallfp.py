@@ -21,29 +21,25 @@ from ..gpexpr import (
     Pow,
     Sub,
     canonicalize,
-    eval_exact,
     ind_and,
     ind_not,
     indicator_of_range,
     indicator_of_zero_set,
     nint_expr,
 )
-from ..realnum import NumberField, compare, sign_of
+from ..realnum import NumberField
 from .certificate import Certificate
 
 
-def small_fp_family(q: Expr, p: Expr, b, probe_to: int = 0) -> Expr:
+def small_fp_family(q: Expr, p: Expr, b) -> Expr:
     """Indicator of {n : 0 < q(n) < p(n)^b} as a floor-closure expression.
 
-    ``q`` must be nonnegative-valued and ``p`` positive and unbounded; with
-    ``probe_to`` > 0 these are spot-checked empirically on [1, probe_to].
+    ``q`` must be nonnegative-valued and ``p`` positive and unbounded.
     """
     b = Fraction(b)
     if b >= 0:
         raise PreconditionError("exponent must be negative")
     num, den = -b.numerator, b.denominator
-    if probe_to:
-        _probe_growth(p, probe_to)
     if isinstance(q, Dist):
         # enter through the square: q^(2 den) p^(2 num) < 1
         offset = Sub(q.arg, nint_expr(q.arg))
@@ -54,16 +50,6 @@ def small_fp_family(q: Expr, p: Expr, b, probe_to: int = 0) -> Expr:
         positive = ind_not(indicator_of_zero_set(q))
     in_range = indicator_of_range(y, 0, 1)
     return canonicalize(ind_and(positive, in_range))
-
-
-def _probe_growth(p: Expr, probe_to: int) -> None:
-    first = eval_exact(p, 1)
-    last = eval_exact(p, probe_to)
-    for n in (1, probe_to // 2, probe_to):
-        if sign_of(eval_exact(p, max(n, 1))) <= 0:
-            raise PreconditionError("p(n) must be positive on the probe range")
-    if compare(last, first) <= 0:
-        raise PreconditionError("p(n) does not grow on the probe range")
 
 
 def sqrt2_small_dist_certificate() -> Certificate:
@@ -77,6 +63,6 @@ def sqrt2_small_dist_certificate() -> Certificate:
     return Certificate(
         indicator=small_fp_family(Dist(Mul(N, Const("s", sq2))), N, Fraction(-1, 2)),
         target_description="integers with ||n sqrt(2)|| below 1/sqrt(n)",
-        candidates=lambda lo, hi, _: range(max(lo, 1), hi + 1),
+        candidates=lambda lo, hi: range(max(lo, 1), hi + 1),
         meta={"construction": "small_fp sqrt2 b=-1/2"},
     )

@@ -136,7 +136,7 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
     return Certificate(
         indicator=indicator,
         target_description=f"terms of the supplied sequence {params.n_seq[:3]}...",
-        candidates=lambda lo, hi, _: _very_sparse_scan(alpha, C, lo, hi),
+        candidates=lambda lo, hi: _very_sparse_scan(alpha, C, lo, hi),
         meta={
             "construction": f"very_sparse C={params.C} D={params.D}",
             "coprime_from": params.coprime_from,

@@ -219,10 +219,12 @@ class Program:
                 out = (x[0] - f, x[1] - f)
             elif code == _DIST:
                 out = dist_iv(x, bits)
-            else:  # _POW
+            else:  # _POW, by squaring over the exponent's bits
                 out = x
-                for _ in range(b - 1):
-                    out = mul_iv(out, x, bits)
+                for bit in bin(b)[3:]:
+                    out = mul_iv(out, out, bits)
+                    if bit == "1":
+                        out = mul_iv(out, x, bits)
             val[i] = out
             stack.pop()
         return val[root]

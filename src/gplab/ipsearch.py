@@ -229,17 +229,12 @@ def density_estimate(cert: Certificate, N: int, max_bits: int = DEFAULT_MAX_BITS
     """
     if N < 1:
         raise PreconditionError("N must be at least 1")
-    undecided = []
-    try:
-        count = len(cert.members(1, N, max_bits))
-    except PrecisionExhausted as exc:
-        # fall back to pointwise so the offending points can be reported
-        count = 0
-        for n in range(1, N + 1):
-            try:
-                count += 1 if cert.member(n, max_bits) else 0
-            except PrecisionExhausted:
-                undecided.append(n)
+    count, undecided = 0, []
+    for n in cert.points(1, N):
+        try:
+            count += cert.confirm(n, max_bits)
+        except PrecisionExhausted:
+            undecided.append(n)
     return DensityEstimate(
         N=N,
         count=count,

@@ -160,6 +160,39 @@ def test_members_root_with_a_large_constant_term():
     assert out.stdout.split() == ["n"]
 
 
+def test_members_large_power_in_dyadic_mode():
+    # dyadic mode raises to a power by squaring, as exact mode does, so
+    # n^1000000 takes 20 squarings, not 999999 products
+    import gplab
+
+    src = os.path.dirname(os.path.dirname(gplab.__file__))
+    expr = "floor(n^1000000) - floor(n^1000000)"
+    argv = [sys.executable, "-m", "gplab.cli", "members", "--expr", expr, "--from", "3", "--to", "3"]
+    out = subprocess.run(
+        argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=5
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["n"]
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_exit_code_unwritable_out(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    argv = ["members", "--expr", "floor(frac(theta*n)*0)", "--from", "1", "--to", "2"]
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert not list(out.parent.glob(".gp-tmp-*"))  # no temporary file left behind
+
+
+@pytest.mark.parametrize("maxprec", ["0", "-5"])
+def test_exit_code_budget_below_one_bit(capsys, maxprec):
+    argv = ["members", "--expr", "floor(frac(theta*n)*0)", "--from", "1", "--to", "2"]
+    assert run(argv + ["--maxprec", maxprec]) == 2
+    err = capsys.readouterr().err
+    assert "--maxprec" in err and "Traceback" not in err, err
+
+
 def test_exit_code_precision_exhausted():
     # (theta + 1) - theta is exactly 1, but interval streams cannot certify
     # the cancellation, so the floor stays undecided up to any budget
@@ -284,9 +317,9 @@ def test_each_command_scans_against_the_oracle_at_most_once(tmp_path, monkeypatc
     ],
 )
 def test_maxprec_reaches_every_confirmation(tmp_path, monkeypatch, command, params):
-    # every point a scan confirms, nested scans included, is decided within
-    # the command's budget; the cubic build's own flag scan on (2000, 4000]
-    # is not the command's and is left out
+    # every point a scan confirms is decided within the command's budget;
+    # the cubic build's own flag scan on (2000, 4000] is not the command's
+    # and is left out
     import dataclasses
 
     from gplab import cli

@@ -19,6 +19,7 @@ from gplab.constructions import (
     verify_certificate,
 )
 from gplab.cf import cf_expand
+from gplab.constructions.quadratic import odd_index_denominators, quadratic_unit
 from gplab.constructions.registry import SCAN_TO, construction
 from gplab.errors import PreconditionError, ZeroSolution
 from gplab.gpexpr import eval_exact, eval_indicator, members
@@ -332,8 +333,6 @@ def test_small_fp_family_examples():
     assert [eval_indicator(zero, n) for n in range(1, 8)] == [0] * 7
     with pytest.raises(PE):
         small_fp_family(N, N, F(1, 2))  # exponent must be negative
-    with pytest.raises(PE):
-        small_fp_family(N, RationalConst(F(-3)), F(-1, 2), probe_to=50)  # p not positive
 
 
 def test_sqrt2_certificate_starts_at_one():
@@ -413,6 +412,46 @@ def test_half_over_n_prefilter_work(monkeypatch):
         for t in (t for t in terms if 10**6 <= t <= 10**15):
             lo, hi = t - 20, t + 20
             assert cert.members(lo, hi) == [x for x in terms if lo <= x <= hi], t
+
+
+@pytest.mark.parametrize(
+    "build,expected",
+    [
+        # nint(beta^i) from i = 2; 1 and 3 are exceptional
+        (lambda: quadratic_pisot_unit_set(3, 1),
+         lambda top: nint_powers(quadratic_unit(3, 1), top)[2:]),
+        # 0 and 4 hold, 1 and 3 do not
+        (lambda: quadratic_pisot_unit_set(3, -1),
+         lambda top: [0, 4] + nint_powers(quadratic_unit(3, -1), top)[2:]),
+        # odd-index convergent denominators from q_3 = 4
+        (lambda: norm_plus_filtered_set(4), lambda top: odd_index_denominators(4, top)[1:]),
+    ],
+    ids=["quadratic-a3-norm+1", "quadratic-a3-norm-1", "quadratic-filter-a4"],
+)
+def test_derived_scan_confirms_each_point_once(monkeypatch, build, expected):
+    # a certificate built on others reads their proposals, not their members:
+    # its scan compiles one program, its own, and evaluates it once per point
+    from gplab.constructions import certificate
+    from gplab.gpexpr import evaluate
+
+    cert = build()
+    compiles, evaluated = [0], []
+
+    class Counted(evaluate.Program):
+        def __init__(self, e):
+            compiles[0] += 1
+            super().__init__(e)
+
+    def counted(e, n, max_bits):
+        evaluated.append(n)
+        return eval_indicator(e, n, max_bits)
+
+    monkeypatch.setattr(evaluate, "Program", Counted)
+    monkeypatch.setattr(certificate, "eval_indicator", counted)
+    top = 10**17
+    assert cert.members(0, top) == expected(top)
+    assert compiles[0] == 1
+    assert evaluated == list(cert.points(0, top))
 
 
 def _half_over_n_root(name: str):
