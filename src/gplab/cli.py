@@ -79,7 +79,11 @@ def _format_rows(rows: list[dict], fmt: str, columns: list[str]) -> str:
 
 def _interval_strings(value, bits: int = 96) -> tuple[str, str]:
     lo, hi = interval_of(value, bits)
-    return f"{lo.numerator}/{lo.denominator}", f"{hi.numerator}/{hi.denominator}"
+    try:
+        return f"{lo.numerator}/{lo.denominator}", f"{hi.numerator}/{hi.denominator}"
+    except ValueError:  # Python prints no integer of more than 4300 digits
+        size = max(abs(lo.numerator), abs(hi.numerator)).bit_length()
+        raise PreconditionError(f"value bounds of {size} bits are too long to print") from None
 
 
 def _members_worker(payload):

@@ -8,12 +8,28 @@ expression compiles on its first evaluation (``eval_exact``,
 ``eval_indicator`` or ``members``) and keeps its program for as long as it
 lives: the memo is a slot on the expression object, keyed on its identity,
 never on the recursive ``==``, so an equal but distinct tree compiles on
-its own.  The same op list is run in two modes:
+its own.
+
+The ops are constants, ``n``, ``+``, ``-``, ``*``, integer powers,
+``floor``, ``frac``, ``nint``, ``dist`` and one compiled zero test.  Every
+membership predicate of the indicator builders ends in the zero test
+``floor(1 - frac(theta * floor(Y)))``, written ``Frac(M)`` or
+``M - floor(M)`` with ``M = theta * floor(Y)``.  Since ``floor(Y)`` is an
+integer and ``theta`` is irrational, this is ``[floor(Y) = 0]``, that is
+``[0 <= Y < 1]``: it needs only the irrationality of ``theta``, never its
+transcendence.  ``Program`` compiles that shape to one ``_ZERO`` op on Y,
+matching the two copies of M by identity or by their hash-consed op, and
+never compiles the rest of the subtree.  The tree itself, and so every
+printed certificate, is unchanged.  A zero test on any other argument is
+evaluated as written.
+
+The same op list is run in two modes:
 
 * exact mode (``eval_exact``) produces an exact :data:`~gplab.realnum.value.Real`
   (rational / field element / interval stream), computing each shared
   subterm once.  Floors on exact values are decided exactly; floors on
-  streams refine up to the precision budget.
+  streams refine up to the precision budget.  A zero test is
+  ``floor(Y) == 0``.
 
 * dyadic mode evaluates over fixed-point intervals ``[lo, hi] * 2^-bits``
   with plain integer arithmetic.  It is the fast path for range scans: ops
@@ -25,6 +41,10 @@ its own.  The same op list is run in two modes:
   point it leaves open straight to exact mode.  A second rung would not
   help where it matters: on a closed threshold that a value meets exactly
   (a cubic member on its plateau) every enclosure straddles the floor.
+  A zero test reads Y's interval: 1 inside [0, 1), 0 disjoint from it,
+  and ``NeedBits`` when it straddles 0 or 1.  So a huge Y costs nothing,
+  where the literal tree would have to decide ``theta * floor(Y)`` to its
+  distance from an integer.
 
 Constant enclosures are computed once per program and precision with
 :func:`~gplab.realnum.fixed_enclosure`; irrational field elements use the
@@ -43,6 +63,7 @@ from fractions import Fraction
 from ..errors import NonBooleanValue, PrecisionExhausted
 from ..realnum import (
     DEFAULT_MAX_BITS,
+    THETA,
     FieldElement,
     NeedBits,
     Real,
@@ -76,11 +97,49 @@ from .ast import (
 )
 
 # opcodes; an op is (opcode, a, b): child indices, or for _POW the base
-# index and the exponent, for _CONST an index into Program.consts
-_CONST, _VAR, _ADD, _SUB, _MUL, _POW, _FLOOR, _FRAC, _NINT, _DIST = range(10)
+# index and the exponent, for _CONST an index into Program.consts; _ZERO's
+# one child is Y in [floor(Y) = 0]
+_CONST, _VAR, _ADD, _SUB, _MUL, _POW, _FLOOR, _FRAC, _NINT, _DIST, _ZERO = range(11)
 
 _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL}
 _UNARY = {Floor: _FLOOR, Frac: _FRAC, Nint: _NINT, Dist: _DIST}
+
+
+def _theta_floor_arg(m: Expr) -> Expr | None:
+    """Y when ``m`` is ``theta * floor(Y)``, else None."""
+    if (
+        type(m) is Mul
+        and type(m.left) is Const
+        and m.left.value is THETA
+        and type(m.right) is Floor
+    ):
+        return m.right.arg
+    return None
+
+
+def _zero_test_args(node: Floor) -> tuple[Expr, Expr] | None:
+    """(Y, Y') when ``node`` is ``floor(1 - frac(M))`` with M = theta * floor(Y),
+    frac written ``Frac(M)`` (then Y' is Y) or ``M - floor(M')`` with
+    M' = theta * floor(Y'); None for any other shape.
+
+    The tree is [floor(Y) = 0] when Y' compiles to Y's op: floor(Y) is an
+    integer k, and theta * k is irrational unless k = 0.
+    """
+    s = node.arg
+    if type(s) is not Sub or type(s.left) is not RationalConst or s.left.value != 1:
+        return None
+    f = s.right
+    if type(f) is Frac:
+        m = m2 = f.arg
+    elif type(f) is Sub and type(f.right) is Floor:
+        m, m2 = f.left, f.right.arg
+    else:
+        return None
+    y = _theta_floor_arg(m)
+    y2 = y if m2 is m else _theta_floor_arg(m2)
+    if y is None or y2 is None:
+        return None
+    return y, y2
 
 
 class Program:
@@ -107,7 +166,13 @@ class Program:
                 stack.pop()
                 continue
             t = type(node)
-            if t in _BINARY:
+            ys = _zero_test_args(node) if t is Floor else None
+            if ys is not None and (pending := [y for y in ys if id(y) not in index]):
+                stack.extend(pending)
+                continue
+            if ys is not None and index[id(ys[0])] == index[id(ys[1])]:
+                key = (_ZERO, index[id(ys[0])], 0)  # the rest of the tree is never compiled
+            elif t in _BINARY:
                 left, right = node.left, node.right
                 a, b = index.get(id(left)), index.get(id(right))
                 if a is None or b is None:
@@ -219,6 +284,14 @@ class Program:
                 out = (x[0] - f, x[1] - f)
             elif code == _DIST:
                 out = dist_iv(x, bits)
+            elif code == _ZERO:  # [0 <= Y < 1] from Y's interval
+                one = 1 << bits
+                if x[0] >= 0 and x[1] < one:
+                    out = (one, one)
+                elif x[1] < 0 or x[0] >= one:
+                    out = (0, 0)
+                else:
+                    raise NeedBits
             else:  # _POW, by squaring over the exponent's bits
                 out = x
                 for bit in bin(b)[3:]:
@@ -252,8 +325,10 @@ class Program:
                 out = frac_of(val[a], max_bits)
             elif code == _NINT:
                 out = Fraction(nint_of(val[a], max_bits))
-            else:  # _DIST
+            elif code == _DIST:
                 out = dist_of(val[a], max_bits)
+            else:  # _ZERO
+                out = Fraction(int(floor_frac(val[a], max_bits)[0] == 0))
             val.append(out)
         return val[-1]
 
@@ -289,6 +364,16 @@ def eval_exact(e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS) -> Real:
     return _compiled(e).eval_exact(n, max_bits)
 
 
+def _shown(v: int | Fraction) -> str:
+    """A rational for an error message; one past 256 bits by its size, since
+    Python will not print an integer of more than 4300 digits."""
+    v = Fraction(v)
+    num, den = v.numerator.bit_length(), v.denominator.bit_length()
+    if max(num, den) <= 256:
+        return str(v)
+    return f"a {num}-bit integer" if den == 1 else f"a {num}-bit / {den}-bit fraction"
+
+
 def eval_indicator(e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
     """Value of an indicator expression; raises NonBooleanValue outside {0,1}."""
     bits = _dyadic_bits(n, max_bits)
@@ -300,7 +385,7 @@ def eval_indicator(e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
         if lo == hi and lo % (1 << bits) == 0:
             val = lo >> bits
             if val not in (0, 1):
-                raise NonBooleanValue(f"indicator value {val} at n={n}", n=n, value=val)
+                raise NonBooleanValue(f"indicator value {_shown(val)} at n={n}", n=n, value=val)
             return val
         # non-point result: the expression did not collapse to an integer
         if hi < 0 or lo > (1 << bits):
@@ -316,7 +401,7 @@ def eval_indicator(e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
             return 0
         if value == 1:
             return 1
-        raise NonBooleanValue(f"indicator value {value} at n={n}", n=n, value=value)
+        raise NonBooleanValue(f"indicator value {_shown(value)} at n={n}", n=n, value=value)
     raise NonBooleanValue(f"indicator did not reduce to an integer at n={n}", n=n, value=value)
 
 

@@ -5,11 +5,15 @@ The closure operations are addition, multiplication and floor; ``frac``,
 predicates are built from two primitives:
 
 * zero test: ``[h = 0]`` is ``floor(1 - frac(theta * h))`` for a constant
-  ``theta`` chosen so ``theta*h(n)`` is irrational whenever ``h(n) != 0``
-  (the built-in surrogate is transcendental, which suffices for ``h`` with
-  algebraic constants);
+  ``theta`` chosen so ``theta*h(n)`` is irrational whenever ``h(n) != 0``.
+  When h is a floor, an integer, irrationality of ``theta`` suffices; the
+  built-in ``theta`` is irrational because its binary expansion is not
+  periodic.  Only a zero test on any other h (``small_fp_family``'s
+  ``[q = 0]``) rests on ``theta`` being transcendental, which suffices for
+  h with algebraic constants;
 * half-open range: ``[a <= h < b]`` rescales to ``[0, 1)`` and zero-tests
-  the floor.
+  the floor.  The evaluator decides that zero test from the interval of
+  the rescaled value (see :mod:`gplab.gpexpr.evaluate`).
 
 Strict threshold predicates on the distance-to-nearest-integer rewrite to
 the union of two fractional-part ranges (sum minus product), which keeps

@@ -196,7 +196,9 @@ def ap_witness_in_small_dist_set(r: int, max_bits: int = DEFAULT_MAX_BITS) -> Se
         nodes += 1
         if m >= r**3:
             d = (sq2 * m).dist_to_int()
-            if (d * m - 1).sign() < 0 and all(cert.member(k * m) for k in range(1, r + 1)):
+            if (d * m - 1).sign() < 0 and all(
+                cert.confirm(k * m, max_bits) for k in range(1, r + 1)
+            ):
                 witness = tuple(k * m for k in range(1, r + 1))
                 if not _reverify(cert, witness, max_bits):
                     raise AssertionError("progression failed re-verification")

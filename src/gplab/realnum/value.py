@@ -16,6 +16,7 @@ exactly; on streams they refine until decided or the precision budget
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -200,5 +201,10 @@ def dist_of(x: Real, max_bits: int = DEFAULT_MAX_BITS) -> Real:
 
 
 def to_float(x: Real, bits: int = 80) -> float:
+    """The nearest float to an enclosure's midpoint; +-inf past the float range."""
     lo, hi = interval_of(x, bits)
-    return float((lo + hi) / 2)
+    mid = (lo + hi) / 2
+    try:
+        return float(mid)
+    except OverflowError:
+        return math.inf if mid > 0 else -math.inf

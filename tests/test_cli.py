@@ -354,6 +354,42 @@ def test_maxprec_reaches_every_confirmation(tmp_path, monkeypatch, command, para
     assert seen and set(seen) == {512}
 
 
+def test_maxprec_reaches_the_ap_search_confirmations(tmp_path, monkeypatch):
+    # the progression is confirmed within the budget and re-verified at
+    # twice it, never at the default precision
+    from gplab.constructions import Certificate
+
+    seen = []
+    confirm = Certificate.confirm
+
+    def spy(self, n, max_bits=None):
+        seen.append(max_bits)
+        return confirm(self, n) if max_bits is None else confirm(self, n, max_bits)
+
+    monkeypatch.setattr(Certificate, "confirm", spy)
+    argv = ["ipsearch", "--mode", "ap", "--r", "3", "--maxprec", "512"]
+    assert run(argv + ["--out", str(tmp_path / "out.txt")]) == 0
+    assert seen and all(bits is not None and bits <= 2 * 512 for bits in seen), seen
+
+
+def test_huge_indicator_value_is_a_typed_error(tmp_path, capsys):
+    # 2^100000 has more digits than Python prints: the message gives its size
+    assert run(["members", "--expr", "2^100000", "--from", "1", "--to", "1",
+                "--out", str(tmp_path / "m.csv")]) == 2
+    assert "100001-bit integer" in capsys.readouterr().err
+
+
+def test_eval_past_the_float_range(tmp_path, capsys):
+    # the float column overflows to inf; the exact bounds still print
+    out = tmp_path / "e.csv"
+    assert run(["eval", "--expr", "2^2000", "--from", "0", "--to", "0", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[:2] == ["0", "inf"] and row[2] == f"{2**2000}/1"
+    # bounds too long to print end in a typed error, not a traceback
+    assert run(["eval", "--expr", "2^100000", "--from", "0", "--to", "0", "--out", str(out)]) == 2
+    assert "too long to print" in capsys.readouterr().err
+
+
 def test_cf_command_output(tmp_path):
     out = tmp_path / "cf.csv"
     assert run(["cf", "--expr", "let t = root(x^2-4*x+1, 3, 4); t", "--count", "6",

@@ -136,6 +136,49 @@ def test_scan_matches_compiled_indicator(name, params):
     assert cert.members(-50, 4000) == members(cert.indicator, -50, 4000)
 
 
+_README_EXPRESSION = (
+    "let phi = root(x^2-x-1, 1, 2); floor(1 - frac(theta*floor(2*n*(n*phi - floor(n*phi)))))"
+)
+
+
+def _theta_floor_products(e) -> list:
+    """The compiled ops that multiply theta by a floor: a zero test the
+    evaluator did not recognise compiles to one."""
+    from gplab.gpexpr.evaluate import _CONST, _FLOOR, _MUL, Program
+    from gplab.realnum import THETA
+
+    program = Program(e)
+    ops = program.ops
+
+    def is_theta(i):
+        return ops[i][0] == _CONST and program.consts[ops[i][1]] is THETA
+
+    return [
+        op for op in ops
+        if op[0] == _MUL and {ops[op[1]][0], ops[op[2]][0]} >= {_FLOOR, _CONST}
+        and (is_theta(op[1]) or is_theta(op[2]))
+    ]
+
+
+@pytest.mark.parametrize("name, params", _REGISTRY_CASES)
+def test_every_registry_zero_test_compiles_to_one_op(name, params):
+    # as built and as gp cert prints it: a builder change that loses the
+    # compiled zero test would leave theta * floor(...) in the program
+    cert = construction(name).build(SimpleNamespace(**{**_DEFAULTS, **params}))
+    reparsed = Certificate.from_file_text(cert.to_file_text())
+    assert _theta_floor_products(cert.indicator) == []
+    assert _theta_floor_products(reparsed.indicator) == []
+    assert reparsed.members(-50, 600) == cert.members(-50, 600)
+
+
+def test_readme_zero_test_compiles_to_one_op():
+    from gplab.gpexpr import parse
+    from gplab.gpexpr.evaluate import Program
+
+    assert _theta_floor_products(parse(_README_EXPRESSION)) == []
+    assert len(Program(parse(_README_EXPRESSION)).ops) == 9
+
+
 @pytest.mark.parametrize("name, params", _REGISTRY_CASES)
 def test_exact_mode_of_every_registry_indicator_is_a_rational_bit(name, params):
     # exact mode combines rationals and one field's elements with their own

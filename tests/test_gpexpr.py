@@ -233,9 +233,75 @@ def test_program_shares_repeated_subterms():
     from gplab.constructions import cubic_pisot_set, fibonacci_like_set, quadratic_pisot_unit_set
     from gplab.gpexpr.evaluate import Program
 
-    assert len(Program(fibonacci_like_set(1).indicator).ops) == 32
-    assert len(Program(cubic_pisot_set(1, 1).certificate.indicator).ops) == 45
-    assert len(Program(quadratic_pisot_unit_set(3, 1).indicator).ops) == 207
+    # each zero test on a floor is one op, its theta/frac subtree never compiled
+    assert len(Program(fibonacci_like_set(1).indicator).ops) == 21
+    assert len(Program(cubic_pisot_set(1, 1).certificate.indicator).ops) == 38
+    assert len(Program(quadratic_pisot_unit_set(3, 1).indicator).ops) == 136
+
+
+def test_zero_test_on_a_non_floor_argument_stays_literal():
+    # [n/2 = 0] is 1 at n = 0 and 0 at n = 1; the interval rule [0 <= n/2 < 1]
+    # would accept n = 1
+    half_n = Mul(N, RationalConst(Fraction(1, 2)))
+    for e in (indicator_of_zero_set(half_n), parse("floor(1 - frac(theta*(n/2)))")):
+        assert members(e, -3, 3) == [0]
+        assert [eval_exact(e, n) for n in (0, 1)] == [1, 0]
+
+
+def test_zero_test_needs_both_copies_of_its_argument_to_agree():
+    # theta*floor(n) - floor(theta*floor(n + 1)) is not a fractional part: at
+    # n = -1 it is -theta and at n = 3 it is 3 theta - 1 (theta ~ 0.316), so
+    # the tree is 1 at -1, 0 and 3, where the interval rule on n would give 1
+    # at n = 0 only
+    e = parse("floor(1 - (theta*floor(n) - floor(theta*floor(n + 1))))")
+    assert members(e, -1, 3) == [-1, 0, 3]
+    assert [eval_exact(e, n) for n in range(-1, 4)] == [1, 1, 0, 0, 1]
+
+
+_SQRT2 = NumberField((-2, 0, 1), 1, 2, "s").generator()
+_SQRT3 = NumberField((-3, 0, 1), 1, 2, "t").generator()
+_PHI = NumberField((-1, -1, 1), 1, 2, "phi").generator()
+# (expression, exact value at n)
+_RANGE_VALUES = [
+    (Mul(N, Const("phi", _PHI)), lambda n: _PHI * n),
+    (Sub(Mul(Pow(N, 2), Const("phi", _PHI)), N), lambda n: _PHI * (n * n) - n),
+    (
+        Mul(Floor(Mul(N, Const("s", _SQRT2))), Const("t", _SQRT3)),
+        lambda n: _SQRT3 * (_SQRT2 * n).floor(),
+    ),
+]
+
+
+@given(
+    st.sampled_from(range(len(_RANGE_VALUES))),
+    st.integers(-(10**30), 10**30),
+    st.fractions(-3, 3, max_denominator=40),
+    st.fractions(Fraction(1, 40), 4, max_denominator=40),
+)
+@settings(max_examples=120, deadline=None)
+def test_range_indicator_is_the_exact_comparison(which, n, offset, width):
+    # the window sits next to h(n), so both verdicts occur; dyadic and exact
+    # mode must each agree with the field comparison a <= h(n) < b
+    h, value = _RANGE_VALUES[which]
+    v = value(n)
+    a = v.floor() + offset
+    b = a + width
+    expected = int((v - a).sign() >= 0 and (v - b).sign() < 0)
+    ind = indicator_of_range(h, a, b)
+    assert eval_indicator(ind, n) == expected
+    assert eval_exact(ind, n) == expected
+
+
+def test_deeply_nested_zero_tests_compile_without_recursion():
+    # [0 <= e < 1] applied 1200 times to n alternates [n = 0] and [n != 0]
+    from gplab.gpexpr.evaluate import _ZERO, Program
+
+    e = N
+    for _ in range(1200):
+        e = indicator_of_range(e, 0, 1)
+    assert sum(op[0] == _ZERO for op in Program(e).ops) == 1200
+    assert members(e, -3, 3) == [-3, -2, -1, 1, 2, 3]
+    assert [eval_exact(e, n) for n in (0, 5)] == [0, 1]
 
 
 def test_program_keys_constants_by_value(phi):

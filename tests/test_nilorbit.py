@@ -176,3 +176,31 @@ def test_orbit_spec_validation(sq2, sq3):
         OrbitSpec(sq2, sq3, Fraction(3, 2))
     with pytest.raises(PreconditionError):
         orbit_point(default_orbit_spec(), -1)
+
+
+@pytest.mark.parametrize("c, size", [(Fraction(1, 3), 13), (Fraction(9, 20), 0)])
+def test_heisenberg_indicator_decides_in_dyadic_mode(monkeypatch, sq2, sq3, c, size):
+    # small_fp_family's indicator of ||n sqrt2 floor(n sqrt3)|| < n^-c at
+    # n ~ 1e6: at c = 9/20 its range test scales d^40 n^18 ~ 2^280, which the
+    # compiled zero test decides from the interval, so few points reach exact
+    # mode; members agree with the orbit simulator at every point
+    from gplab.constructions import small_fp_family
+    from gplab.gpexpr import Const, Dist, Floor, Mul, N, members
+    from gplab.gpexpr.evaluate import Program
+
+    exact = Program.eval_exact
+    calls = []
+
+    def spy(self, n, max_bits):
+        calls.append(n)
+        return exact(self, n, max_bits)
+
+    q = Dist(Mul(Mul(N, Const("sqrt2", sq2)), Floor(Mul(N, Const("sqrt3", sq3)))))
+    window = range(10**6, 10**6 + 500)
+    monkeypatch.setattr(Program, "eval_exact", spy)
+    found = members(small_fp_family(q, N, -c), window[0], window[-1])
+    monkeypatch.undo()
+    spec = OrbitSpec(sq2, sq3, c)
+    assert found == [n for n in window if small_value_indicator(spec, n)]
+    assert len(found) == size
+    assert len(calls) <= len(window) // 10
