@@ -95,7 +95,8 @@ def cmd_members(args) -> int:
     text = _expr_text(args.expr)
     expr = parse(text)  # fail fast on syntax errors in the parent process
     lo, hi = args.range_from, args.range_to
-    jobs = max(1, args.jobs)
+    # more workers than cores never speeds up a CPU-bound scan
+    jobs = max(1, min(args.jobs, os.cpu_count() or 1))
     if jobs == 1 or hi - lo < 4 * jobs:
         found = members(expr, lo, hi, args.maxprec)
     else:

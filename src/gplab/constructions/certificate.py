@@ -108,10 +108,6 @@ class VerificationReport:
     symmetric_difference: tuple[int, ...]
     exceptional_bound: int
 
-    @property
-    def clean_beyond_bound(self) -> bool:
-        return all(x < self.exceptional_bound for x in self.symmetric_difference)
-
     def to_text(self) -> str:
         rows = [
             f"range: {self.range_lo} {self.range_hi}",

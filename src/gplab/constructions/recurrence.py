@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..errors import PreconditionError, ZeroSolution
 from ..realnum import FieldElement, NumberField
-from ..realnum.polys import count_real_roots
+from ..realnum.polys import count_real_roots, poly_derivative, poly_eval
 
 
 @dataclass(frozen=True)
@@ -101,22 +100,10 @@ def residue_coefficient(rec: LinearRecurrence, fld: NumberField) -> FieldElement
     d = rec.order
     beta = fld.generator()
     # numerator of the generating function: Q(x) = sum_j (R_j - sum_k c_k R_{j-k}) x^j
-    qcoeffs = []
-    for j in range(d):
-        acc = Fraction(rec.initial[j])
-        for k in range(1, j + 1):
-            acc -= rec.coefficients[k - 1] * rec.initial[j - k]
-        qcoeffs.append(acc)
-    inv_beta = beta.inverse()
-    q_at = fld.zero()
-    for j in reversed(range(d)):
-        q_at = q_at * inv_beta + qcoeffs[j]
-    # P'(beta)
-    mp = fld.minpoly
-    dp = fld.zero()
-    for j in range(1, d + 1):
-        dp = dp + (j * mp[j]) * beta ** (j - 1)
-    u = beta ** (d - 1) * q_at * dp.inverse()
+    r, c = rec.initial, rec.coefficients
+    qcoeffs = [r[j] - sum(c[k - 1] * r[j - k] for k in range(1, j + 1)) for j in range(d)]
+    q_at = poly_eval(qcoeffs, beta.inverse())
+    u = beta ** (d - 1) * q_at * poly_eval(poly_derivative(fld.minpoly), beta).inverse()
     if u.is_zero():
         raise ZeroSolution("dominant-root coefficient is zero")
     return u

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import mpmath
-
 from ..errors import NoCoprimeCandidate, NotFound, NoValidL, PrecisionExhausted, PreconditionError
 from ..gpexpr import (
     Const,
@@ -215,21 +213,6 @@ def _select_depth(n_lo: int, n_hi: int, step: int) -> int:
     )
 
 
-class _IvPrec:
-    """Temporarily raise the interval context's working precision."""
-
-    def __init__(self, prec: int):
-        self.prec = prec
-
-    def __enter__(self):
-        self._old = mpmath.iv.prec
-        mpmath.iv.prec = self.prec
-        return mpmath.iv
-
-    def __exit__(self, *exc):
-        mpmath.iv.prec = self._old
-
-
 def _exact_log(n_hi: int, n_lo: int) -> int | None:
     """M with n_lo^M = n_hi exactly, if it exists."""
     est = max(1, n_hi.bit_length() // max(1, n_lo.bit_length() - 1))
@@ -269,12 +252,19 @@ def _interp_term(n_lo: int, n_hi: int, k: int, l: int) -> int:
         if t is not None:
             return n_lo ** (t ** (k // g))
 
+    import mpmath  # only the densifier needs it, so gp starts without it
+
+    iv = mpmath.iv
+
     def value(prec: int):
-        with _IvPrec(prec) as iv:
+        old, iv.prec = iv.prec, prec
+        try:
             lhi = iv.log(iv.mpf(n_hi))
             llo = iv.log(iv.mpf(n_lo))
             a = iv.exp(iv.log(lhi) * k / l + iv.log(llo) * (l - k) / l)
             return a, iv.exp(a)
+        finally:
+            iv.prec = old
 
     prec = int(float(value(64)[0].b) / math.log(2)) + 64
     for _ in range(_INTERP_DOUBLINGS):

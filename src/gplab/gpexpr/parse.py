@@ -3,20 +3,29 @@
 Grammar (UTF-8 text)::
 
     program   := (letdecl ";")* expr
-    letdecl   := "let" IDENT "=" constexpr
-    constexpr := "root(" intpoly "," rational "," rational ")" | srational
+    letdecl   := "let" IDENT "=" (rootexpr | expr)
+    rootexpr  := "root(" expr "," expr "," expr ")"
     expr      := ["-"] term (("+" | "-") term)*
     term      := factor (("*" | "/") factor)*      -- "/" only by constants
     factor    := base ("^" UINT)?
-    base      := UINT | IDENT | "n"
+    base      := UINT | IDENT | VAR
                | "floor(" expr ")" | "frac(" expr ")"
                | "nint(" expr ")" | "dist(" expr ")" | "(" expr ")"
 
 Rationals are written with the division operator (``1/2``), so there is no
 separate fraction token.  Division is restricted to divisors that do not
-involve ``n``; the divisor is evaluated exactly and folded into a constant,
-keeping the tree inside the +, *, floor closure.  ``theta`` is a reserved
-identifier bound to the built-in transcendental surrogate constant.
+involve the variable; the divisor is evaluated exactly and folded into a
+constant, keeping the tree inside the +, *, floor closure.  ``theta`` is a
+reserved identifier bound to the built-in transcendental surrogate constant.
+
+There is one grammar.  ``VAR`` is ``n``, except in the first argument of
+``root()``, where it is ``x``: that argument is read as an expression and
+expanded into integer coefficients, taking only integers, ``x``, ``+``,
+``-``, ``*`` and powers with an exponent of at most 3, and a term of
+degree above 3 is refused before it is expanded; the expansion must be
+monic of degree 2 or 3.  The two bounds of ``root()`` and a ``let``
+rational are expressions too, and must fold to a rational constant, so
+``x^2 - 4/2`` and a bound ``(1/3)`` are read as written.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from fractions import Fraction
 
 from ..errors import DivisionByZero, ParseError, PreconditionError
 from ..realnum import THETA, FieldElement, NumberField, is_exact_zero, rinv
-from ..realnum.polys import Poly, poly_add, poly_mul
+from ..realnum.polys import Poly, poly_add, poly_mul, poly_trim
 from .ast import (
     Add,
     Const,
@@ -40,7 +49,9 @@ from .ast import (
     Pow,
     RationalConst,
     Sub,
+    Var,
     depends_on_var,
+    map_tree,
 )
 
 _TOKEN_RE = re.compile(
@@ -56,13 +67,14 @@ MAX_NESTING = 100
 
 
 class _Token:
-    __slots__ = ("kind", "text", "line", "col")
+    __slots__ = ("kind", "text", "line", "col", "value")
 
-    def __init__(self, kind, text, line, col):
+    def __init__(self, kind, text, line, col, value=None):
         self.kind = kind
         self.text = text
         self.line = line
         self.col = col
+        self.value = value  # the int of an integer literal
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -81,8 +93,14 @@ def _tokenize(text: str) -> list[_Token]:
         if "\n" in text[pos : m.start()]:
             line_start = text.rfind("\n", pos, m.start()) + 1
         col = m.start() - line_start + 1
-        if m.group("int") is not None:
-            tokens.append(_Token("int", m.group("int"), line, col))
+        digits = m.group("int")
+        if digits is not None:
+            try:
+                value = int(digits)
+            except ValueError:  # past Python's int-string limit (4300 digits by default)
+                msg = f"integer literal of {len(digits)} digits is too long"
+                raise ParseError(msg, line, col) from None
+            tokens.append(_Token("int", digits, line, col, value))
         elif m.group("ident") is not None:
             tokens.append(_Token("ident", m.group("ident"), line, col))
         else:
@@ -98,6 +116,7 @@ class _Parser:
         self.i = 0
         self.depth = 0
         self.bindings: dict[str, Const] = {}
+        self.var = "n"  # the name read as the variable; "x" inside root()
 
     # -- token plumbing ----------------------------------------------------
     def peek(self) -> _Token:
@@ -147,95 +166,55 @@ class _Parser:
         return e
 
     def parse_constexpr(self, name: str):
-        if self.peek().text == "root":
-            self.next()
-            self.expect("(")
-            coeffs = self.parse_intpoly()
-            self.expect(",")
-            lo = self.parse_signed_rational()
-            self.expect(",")
-            hi = self.parse_signed_rational()
-            self.expect(")")
-            try:
-                field = NumberField(coeffs, lo, hi, name)
-            except PreconditionError as exc:
-                self.error(f"malformed root(): {exc}")
-            return field.generator()
-        return self.parse_signed_rational()
+        if self.peek().text != "root":
+            return self.parse_rational()
+        self.next()
+        self.expect("(")
+        self.var, at = "x", self.peek()
+        poly = self.parse_expr()
+        self.var = "n"
+        coeffs = map_tree(poly, lambda node, kids: self._expand(node, kids, at))
+        if len(coeffs) - 1 not in (2, 3) or coeffs[-1] != 1:
+            self.error("root() requires a monic polynomial of degree 2 or 3", at)
+        self.expect(",")
+        lo = self.parse_rational()
+        self.expect(",")
+        hi = self.parse_rational()
+        self.expect(")")
+        try:
+            field = NumberField(coeffs, lo, hi, name)
+        except PreconditionError as exc:
+            self.error(f"malformed root(): {exc}", at)
+        return field.generator()
 
-    def parse_signed_rational(self) -> Fraction:
-        neg = False
-        if self.peek().text == "-":
-            self.next()
-            neg = True
-        t = self.next()
-        if t.kind != "int":
-            self.error("expected a rational number", t)
-        num = int(t.text)
-        den = 1
-        if self.peek().text == "/":
-            self.next()
-            t2 = self.next()
-            if t2.kind != "int":
-                self.error("expected a denominator", t2)
-            den = int(t2.text)
-            if den == 0:
-                self.error("zero denominator", t2)
-        q = Fraction(num, den)
-        return -q if neg else q
+    def parse_rational(self) -> Fraction:
+        at = self.peek()
+        e = self.parse_expr()
+        if not isinstance(e, RationalConst):
+            self.error("expected a rational number", at)
+        return e.value
 
-    # -- integer polynomials in x (inside root) -------------------------------
-    def parse_intpoly(self) -> tuple[int, ...]:
-        out = self._poly_expr()  # trimmed, with integer coefficients
-        if len(out) - 1 not in (2, 3):
-            self.error("root() requires a polynomial of degree 2 or 3")
-        if out[-1] != 1:
-            self.error("root() requires a monic polynomial")
+    def _expand(self, node: Expr, kids: tuple, at: _Token) -> Poly:
+        """One step of expanding a root() polynomial into integer coefficients."""
+        if isinstance(node, Var):
+            out = (0, 1)
+        elif isinstance(node, RationalConst) and node.value.denominator == 1:
+            out = poly_trim((node.value.numerator,))
+        elif isinstance(node, Add):
+            out = poly_add(*kids)
+        elif isinstance(node, Sub):
+            out = poly_add(kids[0], poly_mul(kids[1], (-1,)))
+        elif isinstance(node, Mul):
+            out = poly_mul(*kids)
+        elif isinstance(node, Pow) and node.exponent <= 3:
+            out = (1,)
+            for _ in range(node.exponent):
+                out = poly_mul(out, kids[0])
+        else:
+            self.error("root() takes integers, 'x', '+', '-', '*' and powers up to 3", at)
+        if len(out) > 4:
+            self.error("root() polynomial has a term of degree above 3", at)
         return out
-
-    def _poly_expr(self) -> Poly:
-        sign = 1
-        if self.peek().text == "-":
-            self.next()
-            sign = -1
-        acc = poly_mul(self._poly_term(), (sign,))
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            term = self._poly_term()
-            if op == "-":
-                term = poly_mul(term, (-1,))
-            acc = poly_add(acc, term)
-        return acc
-
-    def _poly_term(self) -> Poly:
-        acc = self._poly_factor()
-        while self.peek().text == "*":
-            self.next()
-            acc = poly_mul(acc, self._poly_factor())
-        return acc
-
-    def _poly_factor(self) -> Poly:
-        base = self._poly_base()
-        if self.peek().text == "^":
-            self.next()
-            t = self.next()
-            if t.kind != "int":
-                self.error("expected an exponent", t)
-            out: Poly = (1,)
-            for _ in range(int(t.text)):
-                out = poly_mul(out, base)
-            return out
-        return base
-
-    def _poly_base(self) -> Poly:
-        t = self.next()
-        if t.kind == "int":
-            return (int(t.text),)
-        if t.text == "x":
-            return (0, 1)
-        if t.text == "(":
-            return self.nested(self._poly_expr, t)
-        self.error("expected an integer, 'x', or '(' in root() polynomial", t)
 
     # -- expressions -----------------------------------------------------------
     def parse_expr(self) -> Expr:
@@ -294,14 +273,14 @@ class _Parser:
             t = self.next()
             if t.kind != "int":
                 self.error("expected a nonnegative integer exponent", t)
-            return Pow(base, int(t.text))
+            return Pow(base, t.value)
         return base
 
     def parse_base(self) -> Expr:
         t = self.next()
         if t.kind == "int":
-            return RationalConst(Fraction(int(t.text)))
-        if t.text == "n":
+            return RationalConst(Fraction(t.value))
+        if t.text == self.var:
             return N
         if t.text in ("floor", "frac", "nint", "dist"):
             inner = self.nested(self.parse_expr, self.expect("("))

@@ -26,7 +26,14 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ..errors import DivisionByZero, PreconditionError
-from .polys import count_real_roots, is_irreducible_low_degree, poly_sign
+from .polys import (
+    count_real_roots,
+    is_irreducible_low_degree,
+    poly_derivative,
+    poly_eval,
+    poly_sign,
+    scaled_eval,
+)
 
 Rat = Union[int, Fraction]
 
@@ -34,15 +41,6 @@ _BASE_GRID = 32  # grid bits of the first certified root bracket
 _NEWTON_SLACK = 8  # one Newton step from grid g aims at grid 2g - slack
 _GUARD_BITS = 4
 _FIRST_BITS = 64  # first rung of the sign/floor ladder; each next rung doubles
-
-
-def _scaled_eval(coeffs: Sequence[int], x: int, g: int) -> int:
-    """``2^(g*deg) * p(x / 2^g)``: an integer with the sign of ``p`` at ``x * 2^-g``."""
-    deg = len(coeffs) - 1
-    acc = 0
-    for i in range(deg, -1, -1):
-        acc = acc * x + (coeffs[i] << (g * (deg - i)))
-    return acc
 
 
 class NumberField:
@@ -68,7 +66,7 @@ class NumberField:
         self.name = name
         self.isolating_interval = (lo, hi)
         self._hash = hash((coeffs, self.isolating_interval))
-        self._dpoly = tuple(i * c for i, c in enumerate(coeffs) if i)
+        self._dpoly = poly_derivative(coeffs)
         # bounds |beta| on every root bracket, which stays within 1 of [lo, hi]
         self._root_bound = math.ceil(max(abs(lo), abs(hi))) + 1
         # reduction table: beta^k for k = degree .. 2*degree-2, as integer coordinates
@@ -97,7 +95,7 @@ class NumberField:
     # -- the designated root on the dyadic grid ------------------------------
     def _left_of_root(self, x: int, g: int) -> bool:
         """Whether ``x * 2^-g`` (a point of the isolating interval) lies below the root."""
-        return (_scaled_eval(self.minpoly, x, g) > 0) == (self._sign_lo > 0)
+        return (scaled_eval(self.minpoly, x, g) > 0) == (self._sign_lo > 0)
 
     def _bisect(self, a: int, b: int, g: int) -> int:
         """Shrink a certified bracket ``a < root * 2^g < b`` to width 1; returns its left end."""
@@ -138,9 +136,9 @@ class NumberField:
             k = t - cur
             lo, hi = a << k, (a + 1) << k
             x = (lo + hi) >> 1
-            slope = _scaled_eval(self._dpoly, x, t)
+            slope = scaled_eval(self._dpoly, x, t)
             if slope:
-                x = min(max(x - _scaled_eval(self.minpoly, x, t) // slope, lo + 1), hi - 1)
+                x = min(max(x - scaled_eval(self.minpoly, x, t) // slope, lo + 1), hi - 1)
             # the root is within one cell of a good Newton iterate x
             if self._left_of_root(x, t):
                 a = x if not self._left_of_root(x + 1, t) else self._bisect(x + 1, hi, t)
@@ -485,13 +483,11 @@ def dyadic_enclosure(x: FieldElement, bits: int) -> tuple[int, int]:
     field = x.field
     # |d(den * x)/d beta| <= sum(i |p_i| r^(i-1)) for beta within r of 0
     r = field._root_bound
-    slope = sum(i * abs(p) * r ** (i - 1) for i, p in enumerate(nums) if i)
+    slope = poly_eval(poly_derivative([abs(p) for p in nums]), r)
     g = bits + max(0, (3 * slope).bit_length() - den.bit_length() + 1) + _GUARD_BITS
     while True:
         blo, bhi = field.root_enclosure(g)
-        acc = nums[-1]
-        for k, p in enumerate(reversed(nums[:-1]), 1):
-            acc = acc * blo + (p << (g * k))
+        acc = scaled_eval(nums, blo, g)
         # acc = den * x(blo * 2^-g) * 2^(g * degree), so den * x * 2^g lies in [lo, hi]
         shift = g * (len(nums) - 2)
         spread = slope * (bhi - blo)

@@ -1,12 +1,14 @@
 """Dense univariate polynomial helpers over the integers.
 
 Coefficients are stored low degree first, e.g. ``x^2 - x - 1`` is
-``(-1, -1, 1)``.  These routines back the root isolation of the number
-fields and the polynomials of the expression parser, all on Python ints:
-real roots are counted with a Sturm chain of integer pseudo-remainders
-(Cohen, GTM 138, 3.1-3.3), each scaled by a positive factor so the chain
-keeps its signs, and signs at a rational ``u/v`` come from homogenised
-integer Horner evaluation.
+``(-1, -1, 1)``.  This module is the one home of integer-polynomial
+arithmetic: the root isolation and refinement of the number fields, the
+expansion of ``root()`` polynomials by the expression parser and the
+dominant-root data of recurrences all use it.  Real roots are counted with
+a Sturm chain of integer pseudo-remainders (Cohen, GTM 138, 3.1-3.3), each
+scaled by a positive factor so the chain keeps its signs, and signs at a
+rational ``u/v`` or a dyadic ``x * 2^-g`` come from homogenised integer
+Horner evaluation.
 """
 
 from __future__ import annotations
@@ -42,6 +44,27 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> Poly:
     return poly_trim(out)
 
 
+def poly_derivative(p: Sequence[int]) -> Poly:
+    return tuple(i * c for i, c in enumerate(p))[1:]
+
+
+def poly_eval(p: Sequence, x):
+    """``p(x)`` by Horner's rule, for ``x`` of any ring type (int, Fraction, field element)."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def scaled_eval(p: Sequence[int], x: int, g: int) -> int:
+    """``2^(g*deg) * p(x / 2^g)``: an integer with the sign of ``p`` at ``x * 2^-g``."""
+    deg = len(p) - 1
+    acc = 0
+    for i in range(deg, -1, -1):
+        acc = acc * x + (p[i] << (g * (deg - i)))
+    return acc
+
+
 def poly_sign(p: Sequence[int], x: int | Fraction) -> int:
     """Sign of ``p`` at the rational ``x = u/v``: that of ``v^deg p(u/v)``, as v > 0."""
     u, v = x.numerator, x.denominator
@@ -52,7 +75,7 @@ def poly_sign(p: Sequence[int], x: int | Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _primitive(p: list[int]) -> Poly:
+def _primitive(p: Sequence[int]) -> Poly:
     """``p`` trimmed and divided by the gcd of its coefficients (a positive factor)."""
     p = poly_trim(p)
     g = math.gcd(*p) if p else 1
@@ -76,7 +99,7 @@ def _neg_prem(a: Poly, b: Poly) -> Poly:
 @lru_cache(maxsize=128)
 def _sturm(p: Poly) -> tuple[Poly, ...]:
     """Sturm chain p, p', -rem, ...; its last member is gcd(p, p') up to a positive factor."""
-    chain = [_primitive(p), _primitive([i * c for i, c in enumerate(p)][1:])]
+    chain = [_primitive(p), _primitive(poly_derivative(p))]
     while len(chain[-1]) > 1:
         rem = _neg_prem(chain[-2], chain[-1])
         if not rem:

@@ -145,6 +145,65 @@ def test_cli_import_leaves_numpy_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_mpmath_out():
+    # mpmath serves only the very-sparse densifier, which no gp command runs
+    import gplab
+
+    src = os.path.dirname(os.path.dirname(gplab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, gplab.cli; print([m for m in sys.modules if m.startswith('mpmath')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_members_refuses_a_huge_root_power_at_once():
+    # x^(10^9) is refused before it is expanded; a subprocess, so a hang times out
+    import gplab
+
+    src = os.path.dirname(os.path.dirname(gplab.__file__))
+    expr = "let r = root(x^1000000000, 0, 1); n"
+    argv = [sys.executable, "-m", "gplab.cli", "members", "--expr", expr, "--from", "1", "--to", "1"]
+    out = subprocess.run(
+        argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=2
+    )
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr and "root()" in out.stderr
+
+
+def test_huge_integer_literal_is_a_parse_error(capsys):
+    assert run(["members", "--expr", "1" * 5000 + "*n", "--from", "1", "--to", "2"]) == 2
+    assert "integer literal of 5000 digits" in capsys.readouterr().err
+
+
+def test_members_starts_no_more_workers_than_cores(monkeypatch, tmp_path):
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = tmp_path / "m.csv"
+    # 200 points are enough for 50 workers, but the machine has 2 cores
+    assert run(["members", "--expr", "floor(n/7) - floor((n-1)/7)", "--from", "1", "--to", "201",
+                "--jobs", "50", "--out", str(out)]) == 0
+    assert sizes == [2]
+    assert out.read_text().split() == ["n"] + [str(n) for n in range(7, 202, 7)]
+
+
 def test_members_root_with_a_large_constant_term():
     # x^2 - (10^18 + 9) is shown irreducible by O(log |c0|) root counts,
     # not by trying every divisor of c0; a subprocess, so a hang times out

@@ -35,7 +35,7 @@ from gplab.gpexpr import (
     to_text,
     walk,
 )
-from gplab.realnum import NumberField, compare, to_float
+from gplab.realnum import FieldElement, NumberField, compare, to_float
 
 from oracles import floor_quadratic
 
@@ -105,6 +105,77 @@ def test_print_expands_non_generator_constants(phi):
     reparsed = parse(text)
     for n in (1, 5, 11):
         assert compare(eval_exact(e, n), eval_exact(reparsed, n)) == 0
+
+
+def _root_field(poly: str, lo: str = "1", hi: str = "2") -> NumberField:
+    return eval_exact(parse(f"let r = root({poly}, {lo}, {hi}); r"), 0).field
+
+
+def test_root_reads_its_polynomial_and_bounds_as_expressions():
+    assert _root_field("x^2-x-1").minpoly == (-1, -1, 1)
+    assert _root_field("(x-1)*(x+1)-1") == _root_field("x^2-2")
+    cubic = _root_field("x^3 - 2*x^2 + x - 1", "1/1", "2/1")
+    assert cubic.minpoly == (-1, 1, -2, 1) and cubic.isolating_interval == (1, 2)
+    assert _root_field("x^2-2", "-2", "-1").isolating_interval == (-2, -1)
+    # the grammar's constant folding applies inside root() and let
+    assert _root_field("x^2 - 4/2", "(1/3)") == NumberField((-2, 0, 1), Fraction(1, 3), 2)
+    e = parse("let a = -3/4; a*n")
+    assert eval_exact(e, 4) == -3 and to_text(e) == "let a = -3/4;\na * n"
+
+
+@pytest.mark.parametrize(
+    "poly",
+    ["x/2 + x^2 - 2", "n^2 - 2", "theta*x^2 - 2", "floor(x)^2 - 2", "a", "2*x^2 - 2",
+     "x^4 - 2", "x^4 - x^4 + x^2 - 2", "x*x*x*x - x*x*x*x + x^2 - 2", "(x^2)^2 - 2"],
+)
+def test_root_refuses_what_is_not_a_monic_integer_polynomial_of_low_degree(poly):
+    with pytest.raises(ParseError):
+        parse(f"let a = 1/2; let r = root({poly}, 1, 2); r")
+
+
+def test_root_refuses_a_huge_power_before_expanding_it():
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse("let r = root(x^1000000000, 0, 1); n")
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("text", ["let a = 2*3; a", "let a = n; a", "x", "let a = 1/2; x*a"])
+def test_let_values_are_rational_and_x_stays_reserved(text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fibonacci"], ["quadratic", "--a", "3", "--norm", "1"], ["quadratic-filter", "--a", "4"],
+     ["cubic"], ["verysparse"]],
+)
+def test_printed_certificates_reparse_to_the_same_text_and_constants(argv, tmp_path):
+    from gplab.cli import build_parser, main
+    from gplab.constructions import Certificate
+    from gplab.constructions.registry import construction
+
+    def constants(e):
+        out = set()
+        for node in walk(e):
+            v = node.value if isinstance(node, Const) else None
+            if isinstance(v, Fraction):
+                out.add((node.name, v))
+            elif isinstance(v, FieldElement):
+                out.add((v.field.name, v.field.minpoly, v.field.isolating_interval))
+        return out
+
+    out = tmp_path / "cert.gp"
+    assert main(["cert", "--construction", *argv, "--out", str(out)]) == 0
+    text = out.read_text()
+    again = Certificate.from_file_text(text)
+    assert again.to_file_text() == text
+    args = build_parser().parse_args(["cert", "--construction", *argv])
+    built = constants(construction(args.construction).build(args).indicator)
+    assert built and constants(again.indicator) == built
 
 
 # -- evaluation ---------------------------------------------------------------
