@@ -29,10 +29,12 @@ class PreconditionError(GPLabError):
 
 
 class ParseError(GPLabError):
-    """Syntax or binding error in the expression language."""
+    """Syntax or binding error in the expression language, at a position
+    when there is one (a constant folded past its size cap has none)."""
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, column {col})")
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line}, column {col})")
+        self.message = message
         self.line = line
         self.col = col
 

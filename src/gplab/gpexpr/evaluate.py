@@ -11,38 +11,61 @@ never on the recursive ``==``, so an equal but distinct tree compiles on
 its own.
 
 The ops are constants, ``n``, ``+``, ``-``, ``*``, integer powers,
-``floor``, ``frac``, ``nint``, ``dist`` and one compiled zero test.  Every
-membership predicate of the indicator builders ends in the zero test
-``floor(1 - frac(theta * floor(Y)))``, written ``Frac(M)`` or
-``M - floor(M)`` with ``M = theta * floor(Y)``.  Since ``floor(Y)`` is an
-integer and ``theta`` is irrational, this is ``[floor(Y) = 0]``, that is
-``[0 <= Y < 1]``: it needs only the irrationality of ``theta``, never its
-transcendence.  ``Program`` compiles that shape to one ``_ZERO`` op on Y,
-matching the two copies of M by identity or by their hash-consed op, and
-never compiles the rest of the subtree.  The tree itself, and so every
-printed certificate, is unchanged.  A zero test on any other argument is
-evaluated as written.
+``floor``, ``frac``, ``nint``, ``dist``, and three ops for the predicates
+the indicator builders write (:mod:`gplab.gpexpr.indicators`):
+
+* ``_RANGE(h; a, b)`` is ``[a <= h < b]``.  The zero test
+  ``floor(1 - frac(theta * floor(Y)))``, written ``frac(M)`` or
+  ``M - floor(M)`` with ``M = theta * floor(Y)``, is ``[floor(Y) = 0]``:
+  ``floor(Y)`` is an integer and ``theta`` is irrational, so ``theta *
+  floor(Y)`` is an integer only at 0.  This needs only the irrationality
+  of ``theta``, never its transcendence.  The zero test compiles to
+  ``_RANGE(h; a, a + 1/c)`` when Y is ``indicator_of_range``'s
+  ``(h - a) * c`` with rationals a and c > 0, and to ``_RANGE(Y; 0, 1)``
+  for any other Y.  A zero test on a non-floor argument is evaluated as
+  written.
+* ``_DIST_LT(x, s)`` is ``dist_lt_scaled``'s
+  ``[0 <= s f < 1] or [0 <= s (1 - f) < 1]`` with ``f = x - floor(x)``, as
+  two such range tests, for any sign of s.  s is evaluated first; where
+  it is exactly 0 the value is 1 and no floor of x is taken.  The second
+  test runs only where the first gives 0.
+* ``_OR(p, q)`` is ``p + q - p q`` for 0/1-valued p and q: range and
+  distance tests, ORs, products of such and ``1 -`` such.  In dyadic
+  mode q is evaluated only where p is 0.
+
+The shapes are matched top down, on the tree's structure down to their
+operands, and the copies of an operand (the two ``M`` of a zero test, the
+scale and argument in each half of a distance test) must compile to one
+hash-consed op, so a certificate printed and re-parsed, whose copies are
+distinct objects, compiles like the built one.  The nodes a shape absorbs
+are never compiled; the tree itself, and so every printed certificate, is
+unchanged.  Each fused op decides every point its literal subtree decides,
+with the same value.  Subterms whose operands are all rationals or
+elements of one number field fold into one constant (never through
+``theta`` or another stream), within :data:`MAX_CONST_BITS`.
 
 The same op list is run in two modes:
 
 * exact mode (``eval_exact``) produces an exact :data:`~gplab.realnum.value.Real`
-  (rational / field element / interval stream), computing each shared
-  subterm once.  Floors on exact values are decided exactly; floors on
-  streams refine up to the precision budget.  A zero test is
-  ``floor(Y) == 0``.
+  (rational / field element / interval stream), running every op once,
+  in order.  Floors on exact values are decided exactly; floors on
+  streams refine up to the precision budget.  A range test compares h
+  with a and b exactly.
 
 * dyadic mode evaluates over fixed-point intervals ``[lo, hi] * 2^-bits``
   with plain integer arithmetic.  It is the fast path for range scans: ops
   are computed on demand from an explicit stack with a per-point,
   per-precision memo, so a product whose left factor is exactly zero never
-  evaluates its right factor.  ``eval_indicator`` runs it once per point,
+  evaluates its right factor, and an OR whose first operand is 1 never
+  evaluates its second.  ``eval_indicator`` runs it once per point,
   at the least of 96, 192, 384, ... bits that holds 64 + 2 bits(n) (room
   for a product of two n-sized factors, such as 2n {n x}), and sends a
   point it leaves open straight to exact mode.  A second rung would not
   help where it matters: on a closed threshold that a value meets exactly
   (a cubic member on its plateau) every enclosure straddles the floor.
-  A zero test reads Y's interval: 1 inside [0, 1), 0 disjoint from it,
-  and ``NeedBits`` when it straddles 0 or 1.  So a huge Y costs nothing,
+  A range test compares h's interval with a and b by integer
+  cross-multiplication: 1 inside [a, b), 0 disjoint from it, and
+  ``NeedBits`` when it straddles a or b.  So a huge h costs nothing,
   where the literal tree would have to decide ``theta * floor(Y)`` to its
   distance from an integer.
 
@@ -59,14 +82,16 @@ evaluate to exact 0/1 once every floor is decided.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from ..errors import NonBooleanValue, PrecisionExhausted
+from ..errors import NonBooleanValue, ParseError, PrecisionExhausted
 from ..realnum import (
     DEFAULT_MAX_BITS,
     THETA,
     FieldElement,
     NeedBits,
     Real,
+    compare,
     dist_iv,
     dist_of,
     fixed_enclosure,
@@ -74,6 +99,7 @@ from ..realnum import (
     floor_iv,
     frac_of,
     interval_of,  # noqa: F401  (bound here for perfbench's constant-enclosure probe)
+    is_exact_zero,
     mul_iv,
     nint_of,
     radd,
@@ -96,69 +122,341 @@ from .ast import (
     Var,
 )
 
-# opcodes; an op is (opcode, a, b): child indices, or for _POW the base
-# index and the exponent, for _CONST an index into Program.consts; _ZERO's
-# one child is Y in [floor(Y) = 0]
-_CONST, _VAR, _ADD, _SUB, _MUL, _POW, _FLOOR, _FRAC, _NINT, _DIST, _ZERO = range(11)
+# opcodes; an op is (opcode, a, b), a and b its operands' op indices, except
+# that _CONST's a indexes Program.consts, _POW's b is the exponent, _RANGE's
+# b is the bounds (an, ad, bn, bd) of [an/ad <= h < bn/bd], and _DIST_LT's a
+# is the scale s and b the argument x
+_CONST, _VAR, _ADD, _SUB, _MUL, _POW, _FLOOR, _FRAC, _NINT, _DIST, _RANGE, _DIST_LT, _OR = range(13)
+_ZERO = _RANGE  # a zero test on floor(Y) is _RANGE(Y; 0, 1)
 
 _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL}
 _UNARY = {Floor: _FLOOR, Frac: _FRAC, Nint: _NINT, Dist: _DIST}
+_TWO_OPERANDS = frozenset({_ADD, _SUB, _MUL, _DIST_LT, _OR})
+_PREDICATES = frozenset({_RANGE, _DIST_LT, _OR})
+_EXACT = (Fraction, FieldElement)
+
+#: Cap on the bit size of a folded constant, checked before it is formed
+#: from a bound on its operands' sizes (see :func:`const_bits`): a sum or
+#: product by the sum of theirs, a k-th power by k times its base's.
+MAX_CONST_BITS = 1 << 20
 
 
-def _theta_floor_arg(m: Expr) -> Expr | None:
-    """Y when ``m`` is ``theta * floor(Y)``, else None."""
-    if (
-        type(m) is Mul
-        and type(m.left) is Const
-        and m.left.value is THETA
-        and type(m.right) is Floor
-    ):
-        return m.right.arg
+def const_bits(v: Fraction | FieldElement) -> int:
+    """Bit size of an exact constant: its largest numerator or denominator."""
+    if type(v) is Fraction:
+        return max(v.numerator.bit_length(), v.denominator.bit_length())
+    return max(v.den.bit_length(), *(c.bit_length() for c in v.num))
+
+
+def check_const_bits(bits: int) -> None:
+    """Raise ``ParseError`` for a folded constant bounded by more than the cap."""
+    if bits > MAX_CONST_BITS:
+        raise ParseError(
+            f"a constant of up to {bits} bits is past the "
+            f"{MAX_CONST_BITS}-bit cap on folded constants"
+        )
+
+
+# -- the compiled shapes ---------------------------------------------------------
+#
+# A pattern is a tuple (node type, child patterns...); a str, the variable
+# that binds the subtree there (an operand); a _Scaled, the argument of a
+# zero test; a _Factors, the variable that binds the factors of a product; a
+# Fraction, a rational constant of that value; THETA, the constant theta; a
+# list of alternative patterns, each with its own node type; or a _Shared
+# pattern, one that occurs twice, where the builders share one subtree.
+
+
+class _Scaled(str):
+    """The argument Y of a zero test: ``indicator_of_range``'s ``(h - a) * c``
+    with rationals a and c > 0 binds h, and a and c to their values, and
+    any other Y binds this variable."""
+
+
+class _Shared:
+    """A pattern that occurs twice in its shape: a subtree the builders share
+    between both places is matched once."""
+
+    __slots__ = ("pat",)
+
+    def __init__(self, pat):
+        self.pat = pat
+
+
+class _Factors(str):
+    """A variable bound to the factors of a product, in order, however it
+    associates: the printer writes ``p * (u * v)`` as ``p * u * v``, which
+    parses as ``(p * u) * v``."""
+
+
+_ONE, _NIL = Fraction(1), Fraction(0)
+
+
+def _frac_pat(m):
+    """frac(m), as parsed or as the builders write it, m - floor(m)."""
+    m = _Shared(m)
+    return [(Frac, m), (Sub, m, (Floor, m))]
+
+
+def _zero_pat(y):
+    """[floor(y) = 0], written floor(1 - frac(theta * floor(y)))."""
+    return (Floor, (Sub, _ONE, _frac_pat((Mul, THETA, (Floor, y)))))
+
+
+def _unit_range_pat(h):
+    """[0 <= h < 1], as ``indicator_of_range(h, 0, 1)`` writes it."""
+    return _zero_pat((Mul, (Sub, h, _NIL), _ONE))
+
+
+def _or_pat(p, q):
+    """p + q - p q."""
+    p, q = _Shared(p), _Shared(q)
+    return (Sub, (Add, p, q), (Mul, p, q))
+
+
+def _range_key(v: dict, *_):
+    if "y" in v:
+        return None if "h" in v else (_RANGE, v["y"], (0, 1, 1, 1))  # copies of Y differ in shape
+    a, c = v["a"], v["c"]
+    an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
+    bn, bd = an * cn + cd * ad, ad * cn  # b = a + 1/c
+    g = gcd(bn, bd)
+    return (_RANGE, v["h"], (an, ad, bn // g, bd // g))
+
+
+def _or_key(v: dict, is_pred, factors):
+    p, q = v["p"], v["q"]
+    if is_pred(p) and is_pred(q) and v["pq"] == factors(p) + factors(q):
+        return (_OR, p, q)
     return None
 
 
-def _zero_test_args(node: Floor) -> tuple[Expr, Expr] | None:
-    """(Y, Y') when ``node`` is ``floor(1 - frac(M))`` with M = theta * floor(Y),
-    frac written ``Frac(M)`` (then Y' is Y) or ``M - floor(M')`` with
-    M' = theta * floor(Y'); None for any other shape.
+# per node type, (pattern, key from the bound variables, the test of whether
+# an operand is 0/1-valued and the factors of an operand) in the order they
+# are tried; a key of None falls through to the next
+_FUSIONS = {
+    Floor: ((_zero_pat(_Scaled("y")), _range_key),),
+    Sub: (
+        (
+            _or_pat(
+                _unit_range_pat((Mul, "s", _frac_pat("x"))),
+                _unit_range_pat((Mul, "s", (Sub, _ONE, _frac_pat("x")))),
+            ),
+            lambda v, *_: (_DIST_LT, v["s"], v["x"]),
+        ),
+        ((Sub, (Add, "p", "q"), _Factors("pq")), _or_key),
+    ),
+}
 
-    The tree is [floor(Y) = 0] when Y' compiles to Y's op: floor(Y) is an
-    integer k, and theta * k is irrational unless k = 0.
-    """
-    s = node.arg
-    if type(s) is not Sub or type(s.left) is not RationalConst or s.left.value != 1:
+
+def _match(pat, node: Expr, binds: list, seen: set) -> bool:
+    """Whether ``node`` has the shape ``pat``; appends (variable, subtree or
+    a rational's value) to ``binds`` for each variable it meets.  A shared
+    pattern meets a shared subtree once (``seen``), and there is nothing to
+    undo: alternatives differ in their node type, so the first that fits is
+    the only one that can."""
+    tp = type(pat)
+    if tp is tuple:
+        if type(node) is not pat[0]:
+            return False
+        if len(pat) == 2:
+            return _match(pat[1], node.arg, binds, seen)
+        return _match(pat[1], node.left, binds, seen) and _match(pat[2], node.right, binds, seen)
+    if tp is _Shared:
+        k = (id(pat), id(node))
+        if k in seen:
+            return True
+        seen.add(k)
+        return _match(pat.pat, node, binds, seen)
+    if tp is str:
+        binds.append((pat, node))
+        return True
+    if tp is _Factors:
+        if type(node) is not Mul:
+            return False
+        todo = [node]
+        while todo:
+            m = todo.pop()
+            if type(m) is Mul:
+                todo += (m.right, m.left)
+            else:
+                binds.append((pat, m))
+        return True
+    if tp is _Scaled:
+        s, c = (node.left, node.right) if type(node) is Mul else (None, None)
+        if (
+            type(s) is Sub
+            and type(s.right) is RationalConst
+            and type(c) is RationalConst
+            and c.value.numerator > 0
+        ):
+            binds += (("h", s.left), ("a", s.right.value), ("c", c.value))
+        else:
+            binds.append((pat, node))
+        return True
+    if tp is Fraction:
+        return type(node) is RationalConst and node.value == pat
+    if tp is list:
+        for alt in pat:
+            if type(node) is alt[0]:
+                return _match(alt, node, binds, seen)
+        return False
+    return type(node) is Const and node.value is pat  # THETA
+
+
+def _fuse(node: Expr, index: dict, plans: dict, is_pred, factors):
+    """The key of the first shape ``node`` compiles to; or the operands a
+    matching shape still needs compiled, as a list, with the match kept in
+    ``plans`` for the node's next visit; or None."""
+    fusions = _FUSIONS[type(node)]
+    j, binds = plans.pop(id(node), (0, None))
+    while j < len(fusions):
+        pattern, key_of = fusions[j]
+        if binds is None:
+            binds = []
+            if not _match(pattern, node, binds, set()):
+                j, binds = j + 1, None
+                continue
+        pending = [x for _, x in binds if isinstance(x, Expr) and id(x) not in index]
+        if pending:
+            plans[id(node)] = (j, binds)
+            return pending
+        bound: dict = {}
+        for name, x in binds:
+            if isinstance(x, Expr):
+                x = index[id(x)]  # its op
+            if type(name) is _Factors:
+                bound[name] = bound.get(name, ()) + (x,)
+            elif bound.setdefault(name, x) != x:
+                break  # two copies of an operand differ
+        else:
+            key = key_of(bound, is_pred, factors)
+            if key is not None:
+                return key
+        j, binds = j + 1, None
+    return None
+
+
+# -- exact mode, one op -----------------------------------------------------------
+
+def _in_range(v: Real, lo: Fraction, hi: Fraction, max_bits: int) -> bool:
+    return compare(v, lo, max_bits) >= 0 and compare(v, hi, max_bits) < 0
+
+
+def _exact(code: int, x: Real, y, max_bits: int) -> Real:
+    """One op in exact mode, on its first operand's value x and its second
+    operand's value y (the exponent of a _POW, the bounds of a _RANGE)."""
+    if code == _ADD:
+        return radd(x, y)
+    if code == _SUB:
+        return rsub(x, y)
+    if code == _MUL:
+        return rmul(x, y)
+    if code == _POW:
+        return rpow(x, y)
+    if code == _FLOOR:
+        return Fraction(floor_frac(x, max_bits)[0])
+    if code == _FRAC:
+        return frac_of(x, max_bits)
+    if code == _NINT:
+        return Fraction(nint_of(x, max_bits))
+    if code == _DIST:
+        return dist_of(x, max_bits)
+    if code == _RANGE:
+        return Fraction(_in_range(x, Fraction(y[0], y[1]), Fraction(y[2], y[3]), max_bits))
+    if code == _OR:
+        return x if x == 1 else y
+    # _DIST_LT, x the scale and y the argument
+    if is_exact_zero(x):
+        return _ONE
+    f = frac_of(y, max_bits)
+    return Fraction(
+        _in_range(rmul(x, f), _NIL, _ONE, max_bits)
+        or _in_range(rmul(x, rsub(_ONE, f)), _NIL, _ONE, max_bits)
+    )
+
+
+def _folded(code: int, x: Real, y) -> Real | None:
+    """The value of op ``code`` on the constants x and y (for a _POW or a
+    _RANGE, y is its exponent or bounds), or None where an operand is not
+    exact or the value would not be (two fields' elements make a stream)."""
+    if type(x) not in _EXACT:
         return None
-    f = s.right
-    if type(f) is Frac:
-        m = m2 = f.arg
-    elif type(f) is Sub and type(f.right) is Floor:
-        m, m2 = f.left, f.right.arg
-    else:
-        return None
-    y = _theta_floor_arg(m)
-    y2 = y if m2 is m else _theta_floor_arg(m2)
-    if y is None or y2 is None:
-        return None
-    return y, y2
+    if code in _TWO_OPERANDS:
+        if type(y) not in _EXACT:
+            return None
+        check_const_bits(const_bits(x) + const_bits(y))
+    elif code == _POW:
+        check_const_bits(const_bits(x) * y)
+    v = _exact(code, x, y, DEFAULT_MAX_BITS)
+    return v if type(v) in _EXACT else None
+
+
+# -- dyadic mode, the two range tests of a distance threshold -------------------
+
+def _in_unit(v: tuple[int, int], one: int) -> bool:
+    """[0 <= x < 1] for x in ``v * 2^-bits``, one = 2^bits; NeedBits if v straddles 0 or 1."""
+    if v[0] >= 0 and v[1] < one:
+        return True
+    if v[1] < 0 or v[0] >= one:
+        return False
+    raise NeedBits
 
 
 class Program:
     """An expression compiled to a hash-consed, topologically ordered op list.
 
-    Ops are keyed on ``(opcode, child indices)`` plus the exponent or the
-    constant (compared by value; interval streams by identity), never on the
-    tree's own recursive hash.  The last op is the root.  The program also
-    caches the dyadic enclosures of its constants, per precision.
+    Ops are keyed on ``(opcode, operand indices)`` plus the exponent, the
+    bounds or the constant (compared by value; interval streams by
+    identity), never on the tree's own recursive hash.  The last op is the
+    root.  The program also caches the dyadic enclosures of its constants,
+    per precision.
     """
 
     __slots__ = ("ops", "consts", "_var", "_templates")
 
     def __init__(self, e: Expr):
         self._var = -1  # index of the variable's op, if any
-        ops: list[tuple[int, int, int]] = []
+        ops: list[tuple] = []
         consts: list[Real] = []
-        keys: dict[tuple, int] = {}
+        keys: dict[tuple, int] = {}  # also an op on constants -> the op of its folded value
         index: dict[int, int] = {}  # id(node) -> op; nodes live as long as e
+        plans: dict[int, tuple] = {}  # id(node) -> a match awaiting its operands
+        folded = False
+
+        def rational(i: int) -> Fraction | None:
+            v = consts[ops[i][1]] if ops[i][0] == _CONST else None
+            return v if type(v) is Fraction else None
+
+        def is_pred(i: int) -> bool:
+            """Whether op i is 0/1-valued: a predicate, a rational 0 or 1, or a
+            product or ``1 -`` of such."""
+            todo, seen = [i], set()
+            while todo:
+                i = todo.pop()
+                if i in seen:
+                    continue
+                seen.add(i)
+                code, a, b = ops[i]
+                if code == _MUL:
+                    todo += (a, b)
+                elif code == _SUB and rational(a) == 1:
+                    todo.append(b)
+                elif code not in _PREDICATES and rational(i) not in (0, 1):
+                    return False
+            return True
+
+        def factors(i: int) -> tuple:
+            """The factors of a product op, in order."""
+            out, todo = [], [i]
+            while todo:
+                i = todo.pop()
+                if ops[i][0] == _MUL:
+                    todo += (ops[i][2], ops[i][1])
+                else:
+                    out.append(i)
+            return tuple(out)
+
         stack = [e]
         while stack:
             node = stack[-1]
@@ -166,12 +464,18 @@ class Program:
                 stack.pop()
                 continue
             t = type(node)
-            ys = _zero_test_args(node) if t is Floor else None
-            if ys is not None and (pending := [y for y in ys if id(y) not in index]):
-                stack.extend(pending)
-                continue
-            if ys is not None and index[id(ys[0])] == index[id(ys[1])]:
-                key = (_ZERO, index[id(ys[0])], 0)  # the rest of the tree is never compiled
+            # every shape is floor(r - ...) with r rational, or a sum less a product
+            if (t is Floor and type(node.arg) is Sub and type(node.arg.left) is RationalConst) or (
+                t is Sub and type(node.left) is Add and type(node.right) is Mul
+            ):
+                key = _fuse(node, index, plans, is_pred, factors)
+                if type(key) is list:
+                    stack.extend(key)  # a shape's operands first
+                    continue
+            else:
+                key = None
+            if key is not None:
+                pass  # the nodes the shape absorbs are never compiled
             elif t in _BINARY:
                 left, right = node.left, node.right
                 a, b = index.get(id(left)), index.get(id(right))
@@ -203,18 +507,65 @@ class Program:
             stack.pop()
             i = keys.get(key)
             if i is None:
-                i = keys[key] = len(ops)
-                if key[0] == _CONST:
-                    ops.append((_CONST, len(consts), 0))
-                    consts.append(key[2])
-                else:
-                    ops.append(key)
-                    if key[0] == _VAR:
-                        self._var = i
+                code, a, b = key
+                two = code in _TWO_OPERANDS
+                if code > _VAR and ops[a][0] == _CONST and (not two or ops[b][0] == _CONST):
+                    v = _folded(code, consts[ops[a][1]], consts[ops[b][1]] if two else b)
+                    if v is not None:  # an exact value: one constant
+                        folded = True
+                        fkey = (_CONST, type(v), v)
+                        i = keys.get(fkey)
+                        if i is None:
+                            i = keys[fkey] = len(ops)
+                            ops.append((_CONST, len(consts), 0))
+                            consts.append(v)
+                        keys[key] = i
+                if i is None:
+                    i = keys[key] = len(ops)
+                    if code == _CONST:
+                        ops.append((_CONST, len(consts), 0))
+                        consts.append(b)
+                    else:
+                        ops.append(key)
+                        if code == _VAR:
+                            self._var = i
             index[id(node)] = i
         self.ops = ops
         self.consts = consts
+        if folded:
+            self._drop_unused(index[id(e)])
         self._templates: dict[int, list] = {}
+
+    def _drop_unused(self, root: int) -> None:
+        """Keep the ops the root uses, in order: the operands of a folded
+        subterm are compiled before it folds."""
+        ops = self.ops
+        self._var = -1
+        used = [False] * len(ops)
+        used[root] = True
+        for i in range(root, -1, -1):
+            if used[i]:
+                code, a, b = ops[i]
+                if code != _CONST and code != _VAR:
+                    used[a] = True
+                    if code in _TWO_OPERANDS:
+                        used[b] = True
+        new: dict[int, int] = {}
+        kept: list[tuple] = []
+        consts: list[Real] = []
+        for i, (code, a, b) in enumerate(ops):
+            if not used[i]:
+                continue
+            new[i] = len(kept)
+            if code == _CONST:
+                kept.append((_CONST, len(consts), 0))
+                consts.append(self.consts[a])
+            elif code == _VAR:
+                kept.append((_VAR, 0, 0))
+                self._var = new[i]
+            else:
+                kept.append((code, new[a], new[b] if code in _TWO_OPERANDS else b))
+        self.ops, self.consts = kept, consts
 
     # -- dyadic mode ----------------------------------------------------------
     def _template(self, bits: int) -> list:
@@ -241,12 +592,12 @@ class Program:
             val[self._var] = (v, v)
         if val[root] is not None:
             return val[root]
+        one = 1 << bits
         stack = [root]
         while stack:
             i = stack[-1]
             code, a, b = ops[i]
             if code == _POW and b == 0:
-                one = 1 << bits
                 val[i] = (one, one)
                 stack.pop()
                 continue
@@ -272,9 +623,42 @@ class Program:
                     out = (x[0] + y[0], x[1] + y[1])
                 else:
                     out = (x[0] - y[1], x[1] - y[0])
+            elif code == _RANGE:  # [a <= h < b] by cross-multiplication, no rounding
+                an, ad, bn, bd = b
+                if x[0] * ad >= an << bits and x[1] * bd < bn << bits:
+                    out = (one, one)
+                elif x[1] * ad < an << bits or x[0] * bd >= bn << bits:
+                    out = (0, 0)
+                else:
+                    raise NeedBits
             elif code == _FLOOR:
                 v = floor_iv(x, bits) << bits
                 out = (v, v)
+            elif code == _DIST_LT:  # x is the scale s
+                if x[0] == 0 and x[1] == 0:
+                    out = (one, one)
+                else:
+                    y = val[b]
+                    if y is None:
+                        stack.append(b)
+                        continue
+                    f = floor_iv(y, bits) << bits
+                    f = (y[0] - f, y[1] - f)
+                    if _in_unit(mul_iv(x, f, bits), one) or _in_unit(
+                        mul_iv(x, (one - f[1], one - f[0]), bits), one
+                    ):
+                        out = (one, one)
+                    else:
+                        out = (0, 0)
+            elif code == _OR:
+                if x[0] == one:
+                    out = x
+                else:
+                    y = val[b]
+                    if y is None:
+                        stack.append(b)
+                        continue
+                    out = y
             elif code == _NINT:
                 half = 1 << (bits - 1)
                 v = floor_iv((x[0] + half, x[1] + half), bits) << bits
@@ -284,14 +668,6 @@ class Program:
                 out = (x[0] - f, x[1] - f)
             elif code == _DIST:
                 out = dist_iv(x, bits)
-            elif code == _ZERO:  # [0 <= Y < 1] from Y's interval
-                one = 1 << bits
-                if x[0] >= 0 and x[1] < one:
-                    out = (one, one)
-                elif x[1] < 0 or x[0] >= one:
-                    out = (0, 0)
-                else:
-                    raise NeedBits
             else:  # _POW, by squaring over the exponent's bits
                 out = x
                 for bit in bin(b)[3:]:
@@ -311,24 +687,8 @@ class Program:
                 out = consts[a]
             elif code == _VAR:
                 out = Fraction(n)
-            elif code == _ADD:
-                out = radd(val[a], val[b])
-            elif code == _SUB:
-                out = rsub(val[a], val[b])
-            elif code == _MUL:
-                out = rmul(val[a], val[b])
-            elif code == _POW:
-                out = rpow(val[a], b)
-            elif code == _FLOOR:
-                out = Fraction(floor_frac(val[a], max_bits)[0])
-            elif code == _FRAC:
-                out = frac_of(val[a], max_bits)
-            elif code == _NINT:
-                out = Fraction(nint_of(val[a], max_bits))
-            elif code == _DIST:
-                out = dist_of(val[a], max_bits)
-            else:  # _ZERO
-                out = Fraction(int(floor_frac(val[a], max_bits)[0] == 0))
+            else:
+                out = _exact(code, val[a], val[b] if code in _TWO_OPERANDS else b, max_bits)
             val.append(out)
         return val[-1]
 

@@ -12,12 +12,13 @@ predicates are built from two primitives:
   ``[q = 0]``) rests on ``theta`` being transcendental, which suffices for
   h with algebraic constants;
 * half-open range: ``[a <= h < b]`` rescales to ``[0, 1)`` and zero-tests
-  the floor.  The evaluator decides that zero test from the interval of
-  the rescaled value (see :mod:`gplab.gpexpr.evaluate`).
+  the floor.
 
 Strict threshold predicates on the distance-to-nearest-integer rewrite to
 the union of two fractional-part ranges (sum minus product), which keeps
-exported certificates inside the closure.
+exported certificates inside the closure.  The evaluator compiles each
+range test, each distance threshold and each such union to one op (see
+:mod:`gplab.gpexpr.evaluate`); the trees keep the forms written here.
 """
 
 from __future__ import annotations

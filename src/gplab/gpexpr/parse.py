@@ -15,7 +15,9 @@ Grammar (UTF-8 text)::
 Rationals are written with the division operator (``1/2``), so there is no
 separate fraction token.  Division is restricted to divisors that do not
 involve the variable; the divisor is evaluated exactly and folded into a
-constant, keeping the tree inside the +, *, floor closure.  ``theta`` is a
+constant, keeping the tree inside the +, *, floor closure.  Folding stops
+at :data:`~gplab.gpexpr.evaluate.MAX_CONST_BITS`, checked before a product
+or power is formed, with a ``ParseError`` at the ``/``.  ``theta`` is a
 reserved identifier bound to the built-in transcendental surrogate constant.
 
 There is one grammar.  ``VAR`` is ``n``, except in the first argument of
@@ -53,6 +55,7 @@ from .ast import (
     depends_on_var,
     map_tree,
 )
+from .evaluate import check_const_bits, const_bits, eval_exact
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),;=]))"
@@ -244,19 +247,23 @@ class _Parser:
             if op_tok.text == "*":
                 acc = Mul(acc, rhs)
             else:
-                inv = self._fold_divisor(rhs, op_tok)
-                if isinstance(acc, RationalConst) and isinstance(inv, RationalConst):
-                    acc = RationalConst(acc.value * inv.value)
-                else:
-                    acc = Mul(acc, inv)
+                try:
+                    inv = self._fold_divisor(rhs, op_tok)
+                    if isinstance(acc, RationalConst) and isinstance(inv, RationalConst):
+                        check_const_bits(const_bits(acc.value) + const_bits(inv.value))
+                        acc = RationalConst(acc.value * inv.value)
+                    else:
+                        acc = Mul(acc, inv)
+                except ParseError as exc:
+                    if exc.line is not None:
+                        raise
+                    self.error(exc.message, op_tok)  # a folded constant past the cap
         return acc
 
     def _fold_divisor(self, rhs: Expr, op_tok: _Token) -> Expr:
         if depends_on_var(rhs):
             self.error("division is only allowed by constant expressions", op_tok)
-        from .evaluate import eval_exact
-
-        value = eval_exact(rhs, 0)
+        value = eval_exact(rhs, 0)  # compiling rhs folds it, within the size cap
         if is_exact_zero(value):
             raise DivisionByZero("division by a constant that is exactly zero")
         inv = rinv(value)

@@ -438,6 +438,16 @@ def test_huge_indicator_value_is_a_typed_error(tmp_path, capsys):
     assert "100001-bit integer" in capsys.readouterr().err
 
 
+def test_constant_past_the_size_cap_is_a_parse_error(tmp_path, capsys):
+    from gplab.gpexpr.evaluate import MAX_CONST_BITS
+
+    k = MAX_CONST_BITS // 2 + 1
+    for expr in (f"n/2^{k}", f"n + 2^{k}"):
+        assert run(["members", "--expr", expr, "--from", "1", "--to", "1",
+                    "--out", str(tmp_path / "m.csv")]) == 2
+        assert "cap on folded constants" in capsys.readouterr().err
+
+
 def test_eval_past_the_float_range(tmp_path, capsys):
     # the float column overflows to inf; the exact bounds still print
     out = tmp_path / "e.csv"

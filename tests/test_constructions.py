@@ -171,6 +171,18 @@ def test_every_registry_zero_test_compiles_to_one_op(name, params):
     assert reparsed.members(-50, 600) == cert.members(-50, 600)
 
 
+@pytest.mark.parametrize("name, params", _REGISTRY_CASES)
+def test_every_registry_indicator_compiles_alike_built_and_reparsed(name, params):
+    # printed constants such as (-1/2) + (-3/2) * beta + beta^2 fold back into
+    # the one constant the builder wrote, and a product the printer
+    # re-associates still closes its OR
+    from gplab.gpexpr.evaluate import Program
+
+    cert = construction(name).build(SimpleNamespace(**{**_DEFAULTS, **params}))
+    reparsed = Certificate.from_file_text(cert.to_file_text())
+    assert len(Program(reparsed.indicator).ops) == len(Program(cert.indicator).ops)
+
+
 def test_readme_zero_test_compiles_to_one_op():
     from gplab.gpexpr import parse
     from gplab.gpexpr.evaluate import Program

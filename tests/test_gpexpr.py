@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gplab.errors import NonBooleanValue, ParseError, PreconditionError
+from gplab.errors import NonBooleanValue, ParseError, PrecisionExhausted, PreconditionError
 from gplab.gpexpr import (
     N,
     Add,
@@ -23,8 +23,12 @@ from gplab.gpexpr import (
     depends_on_var,
     discrete_difference,
     dist_lt_const,
+    dist_lt_scaled,
     eval_exact,
     eval_indicator,
+    ind_and,
+    ind_not,
+    ind_or,
     indicator_of_range,
     indicator_of_zero_set,
     is_floor_only,
@@ -35,7 +39,7 @@ from gplab.gpexpr import (
     to_text,
     walk,
 )
-from gplab.realnum import FieldElement, NumberField, compare, to_float
+from gplab.realnum import FieldElement, NeedBits, NumberField, RefinableReal, compare, to_float
 
 from oracles import floor_quadratic
 
@@ -140,6 +144,30 @@ def test_root_refuses_a_huge_power_before_expanding_it():
     with pytest.raises(ParseError):
         parse("let r = root(x^1000000000, 0, 1); n")
     assert time.perf_counter() - start < 0.1
+
+
+def test_folded_constants_stop_at_the_size_cap():
+    import time
+
+    from gplab.gpexpr.evaluate import MAX_CONST_BITS
+
+    k = MAX_CONST_BITS // 2  # 2^k is bounded by k times the 2 bits of its base: the cap
+    assert eval_exact(parse(f"2^{k}*n"), 0) == 0
+    start = time.perf_counter()
+    for text in (
+        f"n/2^{k + 1}",  # parse-time folding of a divisor
+        f"let r = root(x^2-2, 1/2^{k + 1}, 2); r*n",
+        f"n*(1/3)/2^{k + 1}",
+    ):
+        with pytest.raises(ParseError, match="cap") as exc:
+            parse(text)
+        assert exc.value.line == 1
+    # compile-time folding, on the first evaluation; the cube of 2^(3^12),
+    # thirteen deep, is bounded by 3 (3^12 + 1) bits
+    for text in (f"n + 2^{k + 1}", "floor(" + "(" * 13 + "2" + ")^3" * 13 + ")"):
+        with pytest.raises(ParseError, match="cap"):
+            eval_exact(parse(text), 0)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("text", ["let a = 2*3; a", "let a = n; a", "x", "let a = 1/2; x*a"])
@@ -301,13 +329,24 @@ def test_eval_negative_arguments(phi):
 # -- the compiled program -------------------------------------------------------
 
 def test_program_shares_repeated_subterms():
-    from gplab.constructions import cubic_pisot_set, fibonacci_like_set, quadratic_pisot_unit_set
+    from gplab.constructions import (
+        cubic_pisot_set,
+        fibonacci_like_set,
+        norm_plus_filtered_set,
+        quadratic_pisot_unit_set,
+    )
     from gplab.gpexpr.evaluate import Program
 
-    # each zero test on a floor is one op, its theta/frac subtree never compiled
-    assert len(Program(fibonacci_like_set(1).indicator).ops) == 21
-    assert len(Program(cubic_pisot_set(1, 1).certificate.indicator).ops) == 38
-    assert len(Program(quadratic_pisot_unit_set(3, 1).indicator).ops) == 136
+    # each range test is one op, each distance threshold one op, each OR of
+    # predicates one op; the subtrees they absorb are never compiled
+    assert len(Program(fibonacci_like_set(1).indicator).ops) == 6
+    assert len(Program(cubic_pisot_set(1, 1).certificate.indicator).ops) == 34
+    assert len(Program(quadratic_pisot_unit_set(3, 1).indicator).ops) == 42
+    assert len(Program(norm_plus_filtered_set(4).indicator).ops) == 15
+    readme = (
+        "let phi = root(x^2-x-1, 1, 2); floor(1 - frac(theta*floor(2*n*(n*phi - floor(n*phi)))))"
+    )
+    assert len(Program(parse(readme)).ops) == 9
 
 
 def test_zero_test_on_a_non_floor_argument_stays_literal():
@@ -375,6 +414,165 @@ def test_deeply_nested_zero_tests_compile_without_recursion():
     assert [eval_exact(e, n) for n in (0, 5)] == [0, 1]
 
 
+# -- the compiled predicates: range tests, distance thresholds, ORs ---------------
+
+def _codes(e) -> list[int]:
+    from gplab.gpexpr.evaluate import Program
+
+    return [op[0] for op in Program(e).ops]
+
+
+def _affine(c0: Fraction, c1: Fraction):
+    """c0 + c1 n as an expression."""
+    return Add(RationalConst(c0), Mul(RationalConst(c1), N))
+
+
+def _frac(q: Fraction) -> Fraction:
+    return q - q.numerator // q.denominator
+
+
+def _dist_lt_ref(x: Fraction, s: Fraction) -> int:
+    """[0 <= s {x} < 1] or [0 <= s (1 - {x}) < 1]: dist_lt_scaled's two range tests."""
+    f = _frac(x)
+    return int(0 <= s * f < 1 or 0 <= s * (1 - f) < 1)
+
+
+def _verdicts(e, n: int) -> set[int]:
+    """eval_indicator, eval_exact, and the dyadic walker at 96 bits where it decides."""
+    from gplab.gpexpr.evaluate import Program
+
+    seen = {eval_indicator(e, n), eval_exact(e, n)}
+    try:
+        lo, hi = Program(e).eval_dyadic(n, 96)
+    except NeedBits:
+        pass
+    else:
+        assert lo == hi and lo % (1 << 96) == 0
+        seen.add(lo >> 96)
+    return seen
+
+
+def test_builder_predicates_compile_to_one_op_each():
+    from gplab.gpexpr.evaluate import _DIST_LT, _OR, _RANGE, Program
+
+    x, s = _affine(Fraction(1, 3), Fraction(1)), _affine(Fraction(0), Fraction(2))
+    assert _codes(dist_lt_scaled(x, s)).count(_DIST_LT) == 1
+    r = indicator_of_range(N, Fraction(-1, 2), Fraction(3, 4))
+    assert Program(r).ops == [(1, 0, 0), (_RANGE, 0, (-1, 2, 3, 4))]
+    p, q = indicator_of_range(N, 0, 5), indicator_of_range(N, 7, 9)
+    for e in (ind_or(p, q), ind_or(ind_not(p), ind_and(p, q)), ind_or(ind_or(p, q), q)):
+        assert _codes(e)[-1] == _OR
+    # the tree keeps its literal form
+    assert "theta" in to_text(dist_lt_scaled(x, s))
+
+
+@pytest.mark.parametrize(
+    "x0, x1, s0, s1",
+    [
+        (0, 0, 0, 0),  # s = 0
+        (3, 1, 2, 0),  # integer x: frac exactly 0
+        (Fraction(1, 4), 1, 4, 0),  # s {x} exactly 1
+        (Fraction(3, 4), 1, 4, 0),  # s (1 - {x}) exactly 1
+        (Fraction(3, 4), 1, 3, 0),  # s (1 - {x}) = 3/4
+        (Fraction(1, 3), 0, -2, 0),  # negative s: both scaled values negative
+        (0, Fraction(1, 3), 0, 3),  # s = 3n: s {x} = 0 at n = 0, both signs of n
+        (Fraction(1, 2), Fraction(1, 4), 0, 2),  # s {x} and s (1 - {x}) hit 1 at some n
+    ],
+)
+def test_distance_threshold_at_its_boundaries(x0, x1, s0, s1):
+    x0, x1, s0, s1 = map(Fraction, (x0, x1, s0, s1))
+    e = dist_lt_scaled(_affine(x0, x1), _affine(s0, s1))
+    for n in range(-8, 9):
+        assert _verdicts(e, n) == {_dist_lt_ref(x0 + x1 * n, s0 + s1 * n)}, n
+
+
+@pytest.mark.parametrize(
+    "h0, h1, a, b",
+    [
+        (0, Fraction(1, 3), -1, Fraction(2, 3)),  # h on a at n = -3, on b at n = 2
+        (0, Fraction(1, 4), Fraction(1, 2), Fraction(5, 4)),  # on a at n = 2, on b at n = 5
+        (Fraction(1, 7), -1, -3, 0),  # negative slope
+    ],
+)
+def test_range_test_at_its_boundaries(h0, h1, a, b):
+    h0, h1, a, b = map(Fraction, (h0, h1, a, b))
+    e = indicator_of_range(_affine(h0, h1), a, b)
+    for n in range(-8, 9):
+        assert _verdicts(e, n) == {int(a <= h0 + h1 * n < b)}, n
+
+
+def test_zero_test_with_a_nonpositive_scale_is_not_a_range():
+    # (n - 0) * (-1) is not (h - a) * c with c > 0: the zero test is [0 <= -n < 1]
+    e = parse("floor(1 - frac(theta*floor((n - 0) * (-1))))")
+    assert members(e, -3, 3) == [0]
+    assert members(parse("floor(1 - frac(theta*floor((n - 0) * (1/2))))"), -3, 3) == [0, 1]
+
+
+_SMALL = st.fractions(-4, 4, max_denominator=12)
+
+
+@given(_SMALL, _SMALL, _SMALL, _SMALL, st.integers(-40, 40))
+@settings(max_examples=150, deadline=None)
+def test_distance_threshold_is_its_two_range_tests(x0, x1, s0, s1, n):
+    e = dist_lt_scaled(_affine(x0, x1), _affine(s0, s1))
+    assert _verdicts(e, n) == {_dist_lt_ref(x0 + x1 * n, s0 + s1 * n)}
+
+
+@given(
+    _SMALL, _SMALL, _SMALL, st.fractions(Fraction(1, 12), 4, max_denominator=12), _SMALL,
+    st.integers(-40, 40),
+)
+@settings(max_examples=150, deadline=None)
+def test_or_of_range_tests_is_the_or_of_comparisons(h0, h1, a, width, c, n):
+    h = _affine(h0, h1)
+    p, q = indicator_of_range(h, a, a + width), indicator_of_range(h, c, c + 1)
+    v = h0 + h1 * n
+    assert _verdicts(ind_or(p, q), n) == {int(a <= v < a + width or c <= v < c + 1)}
+
+
+# a stream for 1 whose every enclosure straddles 1: its floor is never decided
+_STUCK_ONE = Const("one", RefinableReal(lambda bits: ((1 << bits) - 1, (1 << bits) + 1), "one"))
+
+
+def test_distance_threshold_with_zero_scale_takes_no_floor():
+    from gplab.gpexpr.evaluate import Program
+
+    e = dist_lt_scaled(Mul(N, _STUCK_ONE), _affine(Fraction(-3), Fraction(1)))
+    assert Program(e).eval_dyadic(3, 96) == (1 << 96, 1 << 96)
+    assert eval_indicator(e, 3, max_bits=256) == 1
+    assert eval_exact(e, 3, max_bits=256) == 1
+    with pytest.raises(PrecisionExhausted):
+        eval_exact(e, 2, max_bits=256)
+
+
+def test_or_skips_its_second_operand_in_dyadic_mode():
+    from gplab.gpexpr.evaluate import Program
+
+    stuck = indicator_of_range(Mul(N, _STUCK_ONE), 1, 2)  # undecided at n = 1
+    e = ind_or(indicator_of_range(N, 0, 5), stuck)
+    one = 1 << 96
+    assert Program(e).eval_dyadic(1, 96) == (one, one)
+    with pytest.raises(NeedBits):
+        Program(ind_or(indicator_of_range(N, 3, 5), stuck)).eval_dyadic(1, 96)
+
+
+def test_sum_of_non_predicates_stays_literal():
+    from gplab.gpexpr.evaluate import _OR
+
+    e = Sub(Add(N, N), Mul(N, N))
+    assert _OR not in _codes(e)
+    assert eval_exact(e, 3) == -3
+    # p + q - p p is q, and 2 - p is not 0/1-valued: neither is an OR
+    p, q = indicator_of_range(N, 0, 5), indicator_of_range(N, 3, 9)
+    two_less_p = Sub(RationalConst(Fraction(2)), p)
+    for e, values in (
+        (Sub(Add(p, q), Mul(p, p)), [0, 0, 1, 1, 1]),  # q
+        (Sub(Add(p, two_less_p), Mul(p, two_less_p)), [2, 1, 1, 2, 2]),  # 2 - p
+    ):
+        assert _OR not in _codes(e)
+        assert [eval_exact(e, n) for n in (-1, 1, 4, 6, 8)] == values
+
+
 def test_program_keys_constants_by_value(phi):
     from gplab.gpexpr.evaluate import Program
 
@@ -386,7 +584,10 @@ def test_program_keys_constants_by_value(phi):
     # equal values of different types stay apart: the rational 1/2 and the
     # field element 1/2 evaluate to different kinds of exact value
     half = phi.field.from_rational(Fraction(1, 2))
-    assert len(Program(Add(RationalConst(Fraction(1, 2)), Const("phi", half))).ops) == 3
+    e = Add(Mul(RationalConst(Fraction(1, 2)), N), Mul(Const("phi", half), N))
+    assert len(Program(e).ops) == 6  # 1/2, n, *, 1/2 in the field, *, +
+    # a constant subterm folds to one op, and its operands never enter the list
+    assert len(Program(Add(RationalConst(Fraction(1, 2)), Const("phi", half))).ops) == 1
 
 
 def test_deep_expression_evaluates_without_recursion():
