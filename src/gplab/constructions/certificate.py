@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from ..errors import ParseError
+from ..errors import ParseError, PreconditionError
 from ..gpexpr import Expr, eval_indicator, parse, to_text
 from ..realnum import DEFAULT_MAX_BITS
 
@@ -130,8 +130,12 @@ def verify_certificate(
 
     The exceptional bound is one past the largest mismatch on the scanned
     range (``lo`` if there is none).  The certificate's exceptional data and
-    ``scanned_to`` are replaced by this scan's results.
+    ``scanned_to`` are replaced by this scan's results.  An empty range
+    (``lo > hi``) is a ``PreconditionError``: a scan of no point would
+    report agreement.
     """
+    if lo > hi:
+        raise PreconditionError(f"empty range: from {lo} is past to {hi}")
     found = cert.members(lo, hi, max_bits)
     oracle = sorted(x for x in set(oracle_members) if lo <= x <= hi)
     sym = sorted(set(found).symmetric_difference(oracle))

@@ -33,16 +33,19 @@ the indicator builders write (:mod:`gplab.gpexpr.indicators`):
   distance tests, ORs, products of such and ``1 -`` such.  In dyadic
   mode q is evaluated only where p is 0.
 
-The shapes are matched top down, on the tree's structure down to their
-operands, and the copies of an operand (the two ``M`` of a zero test, the
-scale and argument in each half of a distance test) must compile to one
-hash-consed op, so a certificate printed and re-parsed, whose copies are
-distinct objects, compiles like the built one.  The nodes a shape absorbs
-are never compiled; the tree itself, and so every printed certificate, is
-unchanged.  Each fused op decides every point its literal subtree decides,
-with the same value.  Subterms whose operands are all rationals or
-elements of one number field fold into one constant (never through
-``theta`` or another stream), within :data:`MAX_CONST_BITS`.
+Every node compiles bottom up to its literal op; the shapes are read at
+emit time from the ops already compiled for a new ``floor`` or ``-``
+node's operands.  The copies of an operand (the two ``M`` of a zero test,
+the scale and argument in each half of a distance test) are copies
+exactly when they are one hash-consed op, so a certificate printed and
+re-parsed, whose copies are distinct objects, compiles like the built one.
+The ops a shape absorbs are compiled first and dropped once the program
+is complete, unless another op uses them; the tree itself, and so every
+printed certificate, is unchanged.  Each fused op decides every point its
+literal subtree decides, with the same value.  Subterms whose operands are
+all rationals or elements of one number field fold into one constant
+(never through ``theta`` or another stream), within
+:data:`MAX_CONST_BITS`.
 
 The same op list is run in two modes:
 
@@ -82,7 +85,6 @@ evaluate to exact 0/1 once every floor is decided.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from ..errors import NonBooleanValue, ParseError, PrecisionExhausted
 from ..realnum import (
@@ -127,13 +129,15 @@ from .ast import (
 # b is the bounds (an, ad, bn, bd) of [an/ad <= h < bn/bd], and _DIST_LT's a
 # is the scale s and b the argument x
 _CONST, _VAR, _ADD, _SUB, _MUL, _POW, _FLOOR, _FRAC, _NINT, _DIST, _RANGE, _DIST_LT, _OR = range(13)
-_ZERO = _RANGE  # a zero test on floor(Y) is _RANGE(Y; 0, 1)
 
 _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL}
 _UNARY = {Floor: _FLOOR, Frac: _FRAC, Nint: _NINT, Dist: _DIST}
 _TWO_OPERANDS = frozenset({_ADD, _SUB, _MUL, _DIST_LT, _OR})
 _PREDICATES = frozenset({_RANGE, _DIST_LT, _OR})
+_FUSABLE = (_FLOOR, _SUB)
+_UNIT = (0, 1, 1, 1)  # the bounds of [0 <= h < 1]
 _EXACT = (Fraction, FieldElement)
+_ONE, _NIL = Fraction(1), Fraction(0)
 
 #: Cap on the bit size of a folded constant, checked before it is formed
 #: from a bound on its operands' sizes (see :func:`const_bits`): a sum or
@@ -155,186 +159,6 @@ def check_const_bits(bits: int) -> None:
             f"a constant of up to {bits} bits is past the "
             f"{MAX_CONST_BITS}-bit cap on folded constants"
         )
-
-
-# -- the compiled shapes ---------------------------------------------------------
-#
-# A pattern is a tuple (node type, child patterns...); a str, the variable
-# that binds the subtree there (an operand); a _Scaled, the argument of a
-# zero test; a _Factors, the variable that binds the factors of a product; a
-# Fraction, a rational constant of that value; THETA, the constant theta; a
-# list of alternative patterns, each with its own node type; or a _Shared
-# pattern, one that occurs twice, where the builders share one subtree.
-
-
-class _Scaled(str):
-    """The argument Y of a zero test: ``indicator_of_range``'s ``(h - a) * c``
-    with rationals a and c > 0 binds h, and a and c to their values, and
-    any other Y binds this variable."""
-
-
-class _Shared:
-    """A pattern that occurs twice in its shape: a subtree the builders share
-    between both places is matched once."""
-
-    __slots__ = ("pat",)
-
-    def __init__(self, pat):
-        self.pat = pat
-
-
-class _Factors(str):
-    """A variable bound to the factors of a product, in order, however it
-    associates: the printer writes ``p * (u * v)`` as ``p * u * v``, which
-    parses as ``(p * u) * v``."""
-
-
-_ONE, _NIL = Fraction(1), Fraction(0)
-
-
-def _frac_pat(m):
-    """frac(m), as parsed or as the builders write it, m - floor(m)."""
-    m = _Shared(m)
-    return [(Frac, m), (Sub, m, (Floor, m))]
-
-
-def _zero_pat(y):
-    """[floor(y) = 0], written floor(1 - frac(theta * floor(y)))."""
-    return (Floor, (Sub, _ONE, _frac_pat((Mul, THETA, (Floor, y)))))
-
-
-def _unit_range_pat(h):
-    """[0 <= h < 1], as ``indicator_of_range(h, 0, 1)`` writes it."""
-    return _zero_pat((Mul, (Sub, h, _NIL), _ONE))
-
-
-def _or_pat(p, q):
-    """p + q - p q."""
-    p, q = _Shared(p), _Shared(q)
-    return (Sub, (Add, p, q), (Mul, p, q))
-
-
-def _range_key(v: dict, *_):
-    if "y" in v:
-        return None if "h" in v else (_RANGE, v["y"], (0, 1, 1, 1))  # copies of Y differ in shape
-    a, c = v["a"], v["c"]
-    an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
-    bn, bd = an * cn + cd * ad, ad * cn  # b = a + 1/c
-    g = gcd(bn, bd)
-    return (_RANGE, v["h"], (an, ad, bn // g, bd // g))
-
-
-def _or_key(v: dict, is_pred, factors):
-    p, q = v["p"], v["q"]
-    if is_pred(p) and is_pred(q) and v["pq"] == factors(p) + factors(q):
-        return (_OR, p, q)
-    return None
-
-
-# per node type, (pattern, key from the bound variables, the test of whether
-# an operand is 0/1-valued and the factors of an operand) in the order they
-# are tried; a key of None falls through to the next
-_FUSIONS = {
-    Floor: ((_zero_pat(_Scaled("y")), _range_key),),
-    Sub: (
-        (
-            _or_pat(
-                _unit_range_pat((Mul, "s", _frac_pat("x"))),
-                _unit_range_pat((Mul, "s", (Sub, _ONE, _frac_pat("x")))),
-            ),
-            lambda v, *_: (_DIST_LT, v["s"], v["x"]),
-        ),
-        ((Sub, (Add, "p", "q"), _Factors("pq")), _or_key),
-    ),
-}
-
-
-def _match(pat, node: Expr, binds: list, seen: set) -> bool:
-    """Whether ``node`` has the shape ``pat``; appends (variable, subtree or
-    a rational's value) to ``binds`` for each variable it meets.  A shared
-    pattern meets a shared subtree once (``seen``), and there is nothing to
-    undo: alternatives differ in their node type, so the first that fits is
-    the only one that can."""
-    tp = type(pat)
-    if tp is tuple:
-        if type(node) is not pat[0]:
-            return False
-        if len(pat) == 2:
-            return _match(pat[1], node.arg, binds, seen)
-        return _match(pat[1], node.left, binds, seen) and _match(pat[2], node.right, binds, seen)
-    if tp is _Shared:
-        k = (id(pat), id(node))
-        if k in seen:
-            return True
-        seen.add(k)
-        return _match(pat.pat, node, binds, seen)
-    if tp is str:
-        binds.append((pat, node))
-        return True
-    if tp is _Factors:
-        if type(node) is not Mul:
-            return False
-        todo = [node]
-        while todo:
-            m = todo.pop()
-            if type(m) is Mul:
-                todo += (m.right, m.left)
-            else:
-                binds.append((pat, m))
-        return True
-    if tp is _Scaled:
-        s, c = (node.left, node.right) if type(node) is Mul else (None, None)
-        if (
-            type(s) is Sub
-            and type(s.right) is RationalConst
-            and type(c) is RationalConst
-            and c.value.numerator > 0
-        ):
-            binds += (("h", s.left), ("a", s.right.value), ("c", c.value))
-        else:
-            binds.append((pat, node))
-        return True
-    if tp is Fraction:
-        return type(node) is RationalConst and node.value == pat
-    if tp is list:
-        for alt in pat:
-            if type(node) is alt[0]:
-                return _match(alt, node, binds, seen)
-        return False
-    return type(node) is Const and node.value is pat  # THETA
-
-
-def _fuse(node: Expr, index: dict, plans: dict, is_pred, factors):
-    """The key of the first shape ``node`` compiles to; or the operands a
-    matching shape still needs compiled, as a list, with the match kept in
-    ``plans`` for the node's next visit; or None."""
-    fusions = _FUSIONS[type(node)]
-    j, binds = plans.pop(id(node), (0, None))
-    while j < len(fusions):
-        pattern, key_of = fusions[j]
-        if binds is None:
-            binds = []
-            if not _match(pattern, node, binds, set()):
-                j, binds = j + 1, None
-                continue
-        pending = [x for _, x in binds if isinstance(x, Expr) and id(x) not in index]
-        if pending:
-            plans[id(node)] = (j, binds)
-            return pending
-        bound: dict = {}
-        for name, x in binds:
-            if isinstance(x, Expr):
-                x = index[id(x)]  # its op
-            if type(name) is _Factors:
-                bound[name] = bound.get(name, ()) + (x,)
-            elif bound.setdefault(name, x) != x:
-                break  # two copies of an operand differ
-        else:
-            key = key_of(bound, is_pred, factors)
-            if key is not None:
-                return key
-        j, binds = j + 1, None
-    return None
 
 
 # -- exact mode, one op -----------------------------------------------------------
@@ -409,54 +233,24 @@ class Program:
     Ops are keyed on ``(opcode, operand indices)`` plus the exponent, the
     bounds or the constant (compared by value; interval streams by
     identity), never on the tree's own recursive hash.  The last op is the
-    root.  The program also caches the dyadic enclosures of its constants,
-    per precision.
+    root.  One bottom-up loop compiles every node as its literal op, except
+    that a new ``_FLOOR`` or ``_SUB`` whose operands' ops have a
+    predicate's shape becomes that predicate (:meth:`_fused`), and an op on
+    constants becomes its folded value.  The ops they absorb are compiled
+    first and dropped at the end unless something else uses them.  The
+    program also caches the dyadic enclosures of its constants, per
+    precision.
     """
 
     __slots__ = ("ops", "consts", "_var", "_templates")
 
     def __init__(self, e: Expr):
         self._var = -1  # index of the variable's op, if any
-        ops: list[tuple] = []
-        consts: list[Real] = []
-        keys: dict[tuple, int] = {}  # also an op on constants -> the op of its folded value
+        self.ops: list[tuple] = []
+        self.consts: list[Real] = []
+        self._templates: dict[int, list] = {}
+        keys: dict[tuple, int] = {}  # one per op, plus each fused or folded key
         index: dict[int, int] = {}  # id(node) -> op; nodes live as long as e
-        plans: dict[int, tuple] = {}  # id(node) -> a match awaiting its operands
-        folded = False
-
-        def rational(i: int) -> Fraction | None:
-            v = consts[ops[i][1]] if ops[i][0] == _CONST else None
-            return v if type(v) is Fraction else None
-
-        def is_pred(i: int) -> bool:
-            """Whether op i is 0/1-valued: a predicate, a rational 0 or 1, or a
-            product or ``1 -`` of such."""
-            todo, seen = [i], set()
-            while todo:
-                i = todo.pop()
-                if i in seen:
-                    continue
-                seen.add(i)
-                code, a, b = ops[i]
-                if code == _MUL:
-                    todo += (a, b)
-                elif code == _SUB and rational(a) == 1:
-                    todo.append(b)
-                elif code not in _PREDICATES and rational(i) not in (0, 1):
-                    return False
-            return True
-
-        def factors(i: int) -> tuple:
-            """The factors of a product op, in order."""
-            out, todo = [], [i]
-            while todo:
-                i = todo.pop()
-                if ops[i][0] == _MUL:
-                    todo += (ops[i][2], ops[i][1])
-                else:
-                    out.append(i)
-            return tuple(out)
-
         stack = [e]
         while stack:
             node = stack[-1]
@@ -464,19 +258,7 @@ class Program:
                 stack.pop()
                 continue
             t = type(node)
-            # every shape is floor(r - ...) with r rational, or a sum less a product
-            if (t is Floor and type(node.arg) is Sub and type(node.arg.left) is RationalConst) or (
-                t is Sub and type(node.left) is Add and type(node.right) is Mul
-            ):
-                key = _fuse(node, index, plans, is_pred, factors)
-                if type(key) is list:
-                    stack.extend(key)  # a shape's operands first
-                    continue
-            else:
-                key = None
-            if key is not None:
-                pass  # the nodes the shape absorbs are never compiled
-            elif t in _BINARY:
+            if t in _BINARY:
                 left, right = node.left, node.right
                 a, b = index.get(id(left)), index.get(id(right))
                 if a is None or b is None:
@@ -506,39 +288,123 @@ class Program:
                 raise TypeError(f"unknown node {node!r}")
             stack.pop()
             i = keys.get(key)
-            if i is None:
-                code, a, b = key
-                two = code in _TWO_OPERANDS
-                if code > _VAR and ops[a][0] == _CONST and (not two or ops[b][0] == _CONST):
-                    v = _folded(code, consts[ops[a][1]], consts[ops[b][1]] if two else b)
-                    if v is not None:  # an exact value: one constant
-                        folded = True
-                        fkey = (_CONST, type(v), v)
-                        i = keys.get(fkey)
-                        if i is None:
-                            i = keys[fkey] = len(ops)
-                            ops.append((_CONST, len(consts), 0))
-                            consts.append(v)
-                        keys[key] = i
-                if i is None:
-                    i = keys[key] = len(ops)
-                    if code == _CONST:
-                        ops.append((_CONST, len(consts), 0))
-                        consts.append(b)
-                    else:
-                        ops.append(key)
-                        if code == _VAR:
-                            self._var = i
-            index[id(node)] = i
-        self.ops = ops
-        self.consts = consts
-        if folded:
+            index[id(node)] = self._emit(key, keys) if i is None else i
+        if len(keys) > len(self.ops):  # something fused or folded
             self._drop_unused(index[id(e)])
-        self._templates: dict[int, list] = {}
+
+    def _emit(self, key: tuple, keys: dict) -> int:
+        """The op of a new key: the predicate it fuses to, its folded
+        constant, or a new op."""
+        ops, consts = self.ops, self.consts
+        code, a, b = key
+        new = self._fused(code, a, b) if code in _FUSABLE else None
+        two = code in _TWO_OPERANDS
+        if new is None and code > _VAR and ops[a][0] == _CONST and (not two or ops[b][0] == _CONST):
+            v = _folded(code, consts[ops[a][1]], consts[ops[b][1]] if two else b)
+            if v is not None:  # an exact value: one constant
+                new = (_CONST, type(v), v)
+        if new is not None:
+            i = keys.get(new)
+            i = keys[key] = self._emit(new, keys) if i is None else i
+            return i
+        i = keys[key] = len(ops)
+        if code == _CONST:
+            ops.append((_CONST, len(consts), 0))
+            consts.append(b)
+        else:
+            ops.append(key)
+            if code == _VAR:
+                self._var = i
+        return i
+
+    # -- the predicates, read from the operands' ops ------------------------------
+    def _rational(self, i: int) -> Fraction | None:
+        code, a, _ = self.ops[i]
+        v = self.consts[a] if code == _CONST else None
+        return v if type(v) is Fraction else None
+
+    def _frac_arg(self, i: int) -> int | None:
+        """M where op i is frac(M), as parsed or as M - floor(M)."""
+        code, m, f = self.ops[i]
+        if code == _FRAC or (code == _SUB and self.ops[f] == (_FLOOR, m, 0)):
+            return m
+        return None
+
+    def _is_pred(self, i: int) -> bool:
+        """Whether op i is 0/1-valued: a predicate, a rational 0 or 1, or a
+        product or ``1 -`` of such."""
+        todo, seen = [i], set()
+        while todo:
+            i = todo.pop()
+            if i in seen:
+                continue
+            seen.add(i)
+            code, a, b = self.ops[i]
+            if code == _MUL:
+                todo += (a, b)
+            elif code == _SUB and self._rational(a) == 1:
+                todo.append(b)
+            elif code not in _PREDICATES and self._rational(i) not in (0, 1):
+                return False
+        return True
+
+    def _factors(self, i: int) -> tuple:
+        """The factors of a product op, in order, however it associates: the
+        printer writes ``p * (u * v)`` as ``p * u * v``, which parses as
+        ``(p * u) * v``."""
+        out, todo = [], [i]
+        while todo:
+            i = todo.pop()
+            code, a, b = self.ops[i]
+            if code == _MUL:
+                todo += (b, a)
+            else:
+                out.append(i)
+        return tuple(out)
+
+    def _fused(self, code: int, a: int, b: int) -> tuple | None:
+        """The predicate key of the new op ``(code, a, b)``, a _FLOOR or a
+        _SUB, or None where its operands' ops have no predicate's shape.  Two
+        copies of an operand (the two M of a zero test, s and x in both
+        halves of a distance test) are equal exactly when they are one op,
+        so a re-parsed certificate fuses like the built one."""
+        ops = self.ops
+        if code == _FLOOR:  # floor(1 - frac(M)), M = theta * floor(Y): [floor(Y) = 0]
+            sub, one, fr = ops[a]
+            m = self._frac_arg(fr) if sub == _SUB else None
+            if m is None or ops[m][0] != _MUL or self._rational(one) != 1:
+                return None
+            _, t, fy = ops[m]
+            if ops[fy][0] != _FLOOR or ops[t][0] != _CONST or self.consts[ops[t][1]] is not THETA:
+                return None
+            y = ops[fy][1]
+            mul, d, c = ops[y]  # indicator_of_range's Y = (h - lo) * c with c > 0?
+            lo = self._rational(ops[d][2]) if mul == _MUL and ops[d][0] == _SUB else None
+            c = self._rational(c) if lo is not None else None
+            if c is None or c <= 0:
+                return (_RANGE, y, _UNIT)
+            hi = lo + 1 / c
+            return (_RANGE, ops[d][1], (lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+        add, p, q = ops[a]  # p + q - product
+        if add != _ADD or ops[b][0] != _MUL:
+            return None
+        # dist_lt_scaled: [0 <= s f < 1] or [0 <= s (1 - f) < 1], f = frac(x)
+        unit_ranges = ops[p][0] == ops[q][0] == _RANGE and ops[p][2] == ops[q][2] == _UNIT
+        if unit_ranges and ops[b] == (_MUL, p, q):
+            (m1, s, f), (m2, s2, g) = ops[ops[p][1]], ops[ops[q][1]]  # s f, s2 g
+            one_less = m2 == _MUL and ops[g][0] == _SUB and self._rational(ops[g][1]) == 1
+            if m1 == _MUL and s == s2 and one_less:
+                x = self._frac_arg(f)
+                if x is not None and x == self._frac_arg(ops[g][2]):
+                    return (_DIST_LT, s, x)
+        if self._is_pred(p) and self._is_pred(q):
+            if self._factors(b) == self._factors(p) + self._factors(q):
+                return (_OR, p, q)
+        return None
 
     def _drop_unused(self, root: int) -> None:
         """Keep the ops the root uses, in order: the operands of a folded
-        subterm are compiled before it folds."""
+        subterm, and the ops a predicate absorbs, are compiled before it."""
         ops = self.ops
         self._var = -1
         used = [False] * len(ops)

@@ -8,7 +8,9 @@ closed forms at the end: the scans are the package's exact decisions run at
 every q or n, with no prefilter, the reference for the prefiltered scans in
 ``gplab.cf`` and ``gplab.nilorbit``; the closed forms are h(q)^2, g(q) and
 the plateau test written out in field arithmetic, the reference for the
-compiled cubic indicator.
+compiled cubic indicator; and ``eval_tree``, an expression's literal tree
+evaluated node by node with the package's real-number operations, the
+reference for the compiled program's fused predicates.
 """
 
 from __future__ import annotations
@@ -415,3 +417,55 @@ class CubicClosedForms:
         g = mul_iv(m1inv2, ((q << bits) + a[0] + b[0], (q << bits) + a[1] + b[1]), bits)
         v = mul_iv(h_sq, g, bits)
         return mul_iv(v, v, bits)[0] <= beta_k[1]
+
+
+# ---------------------------------------------------------------------------
+# the literal tree: every node evaluated as written, with no compiled program
+# ---------------------------------------------------------------------------
+
+
+def eval_tree(e, n: int, max_bits: int = 4096):
+    """The exact value of expression ``e`` at n, walking its literal tree.
+
+    Each node is evaluated once per distinct object (memoised by ``id``),
+    with the realnum operations and without ``Program``: no fused range
+    test, distance threshold or OR, no folded constant and no hash-consing.
+    It is the reference for the compiled program's predicate ops.  The walk
+    is an explicit stack, so deep trees are fine.
+    """
+    from gplab.gpexpr.ast import Add, Dist, Floor, Frac, Mul, Nint, Pow, Sub, Var, children
+    from gplab.realnum import dist_of, floor_frac, frac_of, nint_of, radd, rmul, rpow, rsub
+
+    binary = {Add: radd, Sub: rsub, Mul: rmul}
+    unary = {
+        Floor: lambda x: Fraction(floor_frac(x, max_bits)[0]),
+        Frac: lambda x: frac_of(x, max_bits),
+        Nint: lambda x: Fraction(nint_of(x, max_bits)),
+        Dist: lambda x: dist_of(x, max_bits),
+    }
+    val: dict[int, object] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in val:
+            stack.pop()
+            continue
+        kids = children(node)
+        todo = [k for k in kids if id(k) not in val]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        t = type(node)
+        if t is Var:
+            v = Fraction(n)
+        elif t in binary:
+            v = binary[t](val[id(node.left)], val[id(node.right)])
+        elif t in unary:
+            v = unary[t](val[id(node.arg)])
+        elif t is Pow:
+            v = rpow(val[id(node.base)], node.exponent)
+        else:  # RationalConst, Const
+            v = node.value
+        val[id(node)] = v
+    return val[id(e)]

@@ -77,12 +77,14 @@ def test_exit_code_bad_construction_params():
         ["heis", "--c", "abc"],
         ["heis", "--c", "1/0"],
         ["heis", "--mode", "growth", "--ladder", "0,10", "--c", "1/3"],
+        ["verify", "--construction", "fibonacci", "--from", "10", "--to", "5"],  # nothing scanned
     ],
 )
 def test_exit_code_bad_command_input(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err, err
+    assert len(err.splitlines()) == 1, err
 
 
 def test_exit_code_bad_int_lists(capsys):

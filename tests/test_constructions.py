@@ -25,7 +25,7 @@ from gplab.errors import PreconditionError, ZeroSolution
 from gplab.gpexpr import eval_exact, eval_indicator, members
 from gplab.realnum import NumberField, to_float
 
-from oracles import dist_quadratic_lt, fibonacci_upto
+from oracles import dist_quadratic_lt, eval_tree, fibonacci_upto
 
 # nint(phi^i) for i >= 0, phi the golden ratio: 1, 2, then the Lucas numbers
 PHI_POWERS = (1, 2, 3, 4, 7, 11, 18, 29, 47, 76, 123, 199, 322, 521, 843)
@@ -180,7 +180,24 @@ def test_every_registry_indicator_compiles_alike_built_and_reparsed(name, params
 
     cert = construction(name).build(SimpleNamespace(**{**_DEFAULTS, **params}))
     reparsed = Certificate.from_file_text(cert.to_file_text())
-    assert len(Program(reparsed.indicator).ops) == len(Program(cert.indicator).ops)
+    built, again = Program(cert.indicator).ops, Program(reparsed.indicator).ops
+    assert len(again) == len(built)
+    assert sorted(op[0] for op in again) == sorted(op[0] for op in built)
+
+
+@pytest.mark.parametrize("name, params", _REGISTRY_CASES)
+def test_every_registry_indicator_decides_like_its_literal_tree(name, params):
+    # the compiled program fuses range tests, distance thresholds and ORs;
+    # the reference walks every node of the tree as written.  Near 0, and
+    # at the members of [10^5, 10^6] and their neighbours
+    args = SimpleNamespace(**{**_DEFAULTS, **params})
+    spec = construction(name)
+    cert = spec.build(args)
+    reparsed = Certificate.from_file_text(cert.to_file_text())
+    far = [m + d for m in spec.oracle(args, 10**6) if m >= 10**5 for d in (-1, 0, 1)]
+    for n in [*range(-6, 11), *far]:
+        for e in (cert.indicator, reparsed.indicator):
+            assert eval_indicator(e, n) == eval_exact(e, n) == eval_tree(e, n), n
 
 
 def test_readme_zero_test_compiles_to_one_op():

@@ -41,7 +41,7 @@ from gplab.gpexpr import (
 )
 from gplab.realnum import FieldElement, NeedBits, NumberField, RefinableReal, compare, to_float
 
-from oracles import floor_quadratic
+from oracles import eval_tree, floor_quadratic
 
 
 @pytest.fixture(scope="module")
@@ -404,12 +404,12 @@ def test_range_indicator_is_the_exact_comparison(which, n, offset, width):
 
 def test_deeply_nested_zero_tests_compile_without_recursion():
     # [0 <= e < 1] applied 1200 times to n alternates [n = 0] and [n != 0]
-    from gplab.gpexpr.evaluate import _ZERO, Program
+    from gplab.gpexpr.evaluate import _RANGE, Program
 
     e = N
     for _ in range(1200):
         e = indicator_of_range(e, 0, 1)
-    assert sum(op[0] == _ZERO for op in Program(e).ops) == 1200
+    assert sum(op[0] == _RANGE for op in Program(e).ops) == 1200
     assert members(e, -3, 3) == [-3, -2, -1, 1, 2, 3]
     assert [eval_exact(e, n) for n in (0, 5)] == [0, 1]
 
@@ -530,6 +530,47 @@ def test_or_of_range_tests_is_the_or_of_comparisons(h0, h1, a, width, c, n):
     assert _verdicts(ind_or(p, q), n) == {int(a <= v < a + width or c <= v < c + 1)}
 
 
+def _phi_affine(c0: Fraction, c1: Fraction):
+    """c0 + c1 phi n as an expression."""
+    return Add(RationalConst(c0), Mul(RationalConst(c1), Mul(Const("phi", _PHI), N)))
+
+
+def _range_through(h0: Fraction, h1: Fraction, n0: int, width: Fraction, top: bool):
+    """[a <= h0 + h1 n < a + width], with h(n0) on its top bound or its bottom one."""
+    v = h0 + h1 * n0
+    a = v - width if top else v
+    return indicator_of_range(_affine(h0, h1), a, a + width)
+
+
+_WINDOW = range(-12, 13)
+# halves, so that scaled fractional parts also land on their bounds
+_HALVES = st.fractions(-3, 3, max_denominator=2)
+_WIDTHS = st.fractions(Fraction(1, 2), 3, max_denominator=2)
+_TERMS = st.one_of(st.builds(_affine, _HALVES, _HALVES), st.builds(_phi_affine, _HALVES, _HALVES))
+_PREDICATES = st.recursive(
+    st.one_of(
+        st.builds(
+            _range_through, _HALVES, _HALVES, st.sampled_from(_WINDOW), _WIDTHS, st.booleans()
+        ),
+        st.builds(lambda h, a, w: indicator_of_range(h, a, a + w), _TERMS, _HALVES, _WIDTHS),
+        st.builds(dist_lt_scaled, _TERMS, _TERMS),
+    ),
+    lambda kids: st.one_of(
+        st.builds(ind_or, kids, kids), st.builds(ind_and, kids, kids), st.builds(ind_not, kids)
+    ),
+    max_leaves=6,
+)
+
+
+@given(_PREDICATES)
+@settings(max_examples=60, deadline=None)
+def test_compiled_predicates_decide_like_the_literal_tree(e):
+    # each fused op (range test, distance threshold, OR) against every node
+    # of the tree as written, through both evaluation modes
+    for n in _WINDOW:
+        assert eval_indicator(e, n) == eval_exact(e, n) == eval_tree(e, n), n
+
+
 # a stream for 1 whose every enclosure straddles 1: its floor is never decided
 _STUCK_ONE = Const("one", RefinableReal(lambda bits: ((1 << bits) - 1, (1 << bits) + 1), "one"))
 
@@ -571,6 +612,33 @@ def test_sum_of_non_predicates_stays_literal():
     ):
         assert _OR not in _codes(e)
         assert [eval_exact(e, n) for n in (-1, 1, 4, 6, 8)] == values
+
+
+def _dist_halves(s, f, s2, f2):
+    """dist_lt_scaled's two range tests, on s f and s2 (1 - f2)."""
+    one_less = Sub(RationalConst(Fraction(1)), f2)
+    return ind_or(indicator_of_range(Mul(s, f), 0, 1), indicator_of_range(Mul(s2, one_less), 0, 1))
+
+
+_X = Mul(N, RationalConst(Fraction(1, 7)))
+
+
+@pytest.mark.parametrize(
+    "e, fused",
+    [
+        # the halves of a distance test need one scale and one argument
+        (_dist_halves(N, Frac(_X), Add(N, N), Frac(_X)), False),
+        (_dist_halves(N, Frac(_X), N, Frac(Add(_X, RationalConst(Fraction(1, 3))))), False),
+        # frac written two ways is one argument
+        (_dist_halves(N, Frac(_X), N, Sub(_X, Floor(_X))), True),
+    ],
+)
+def test_distance_halves_share_their_scale_and_argument(e, fused):
+    from gplab.gpexpr.evaluate import _DIST_LT
+
+    assert (_DIST_LT in _codes(e)) == fused
+    for n in range(-10, 21):
+        assert eval_indicator(e, n) == eval_exact(e, n) == eval_tree(e, n), n
 
 
 def test_program_keys_constants_by_value(phi):
