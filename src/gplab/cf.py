@@ -1,19 +1,21 @@
-"""Continued fractions of quadratic irrationals and rationals, and best
-approximations.
+"""Continued fractions and best approximations.
 
-The expansion uses the classical integer surd state ``(P + sqrt(D))/Q``,
-so partial quotients and the (always eventually periodic) period are exact;
-a rational has a finite expansion.  ``convergent_walk`` is the one walk
-over the convergents of either kind, and ``legendre_candidates`` the one
-candidate walk of the small-distance sets over it.
-Best approximations in one and two dimensions are found by record scans
-whose decisions are exact; a certified fixed-point screen skips the q that
-cannot beat the current record.  The planar norm is ``|u*x1 + v*x2|`` for
-a complex constant ``u`` and real ``v``, evaluated through its exact
-squared value in the ground field.  ``nearest_lattice_sq`` is the one
-computation of the planar distance N0(q theta): a window derived on
-integer enclosures, with exact field comparisons only among the points
-those enclosures cannot order.
+``complete_quotients`` is the one walk x_0 = x, a_k = floor(x_k),
+x_(k+1) = 1/(x_k - a_k): exact on rationals and field elements, and
+decided within ``max_bits`` on streams.  ``cf_expand`` reads a quadratic
+irrational's expansion off it, the period ending where a complete quotient
+first recurs as an equal field element; ``cf_of_rational`` is Euclid's
+algorithm on integers.  ``convergent_walk`` is the one walk over the
+convergents of either kind, and ``legendre_candidates`` the one candidate
+walk of the small-distance sets over it.  The 1-D best approximations are
+the convergent denominators (Lagrange's theorem), each compared exactly
+with the last record.  The planar record scan decides exactly too, and a
+certified fixed-point screen skips the q that cannot beat the current
+record.  The planar norm is ``|u*x1 + v*x2|`` for a complex constant
+``u`` and real ``v``, evaluated through its exact squared value in the
+ground field.  ``nearest_lattice_sq`` is the one computation of the planar
+distance N0(q theta): a window derived on integer enclosures, with exact
+field comparisons only among the points those enclosures cannot order.
 """
 
 from __future__ import annotations
@@ -37,10 +39,13 @@ from .realnum import (
     dist_of,
     dyadic_enclosure,
     fixed_enclosure,
+    floor_frac,
     floor_iv,
+    is_exact_zero,
     mul_iv,
     nint_of,
     prefilter_bits,
+    rinv,
     rmul,
     rpow,
     rr_sqrt,
@@ -48,21 +53,15 @@ from .realnum import (
     scale_iv,
 )
 
+#: ``cf_expand`` gives up on a period not found within this many terms
+CF_MAX_TERMS = 10_000
+
 
 @dataclass(frozen=True)
 class ContinuedFraction:
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
     source: object = None
-
-    def quotients(self, count: int) -> list[int]:
-        out = list(self.preperiod[:count])
-        while len(out) < count:
-            if not self.period:
-                raise PreconditionError("finite expansion exhausted")
-            take = min(len(self.period), count - len(out))
-            out.extend(self.period[:take])
-        return out
 
     def __str__(self):
         pre = ";".join(str(a) for a in self.preperiod)
@@ -79,73 +78,56 @@ class BestApprox:
     value_sq: object  # exact squared distance when available (FieldElement/Fraction)
     value: object  # Real: the distance itself (may be a sqrt stream)
 
-    def value_float(self) -> float:
-        from .realnum import to_float
 
-        return to_float(self.value)
+def complete_quotients(x: Real, max_bits: int = DEFAULT_MAX_BITS) -> Iterator[tuple[int, Real]]:
+    """(a_k, x_k) for k = 0, 1, ...: x_0 = x, a_k = floor(x_k) and
+    x_(k+1) = 1/(x_k - a_k), each x_(k+1) formed only when asked for.
+
+    The walk ends at the first x_k = a_k, which a rational reaches; an
+    irrational's walk has no end.
+    """
+    while True:
+        a, f = floor_frac(x, max_bits)
+        yield a, x
+        if is_exact_zero(f):
+            return
+        x = rinv(f, max_bits)
 
 
-def _surd_state(x: FieldElement) -> tuple[int, int, int]:
-    """Write x = (P + sqrt(D))/Q with integers, D nonsquare, Q | D - P^2."""
-    field = x.field
-    if field.degree != 2:
+def cf_expand(x: FieldElement) -> ContinuedFraction:
+    """Exact continued fraction of a real quadratic irrational.
+
+    The complete quotients of a quadratic irrational recur (Lagrange), and
+    the period is read off the first that equals an earlier one as a field
+    element, so it is exact rather than heuristic.
+    """
+    if x.field.degree != 2:
         raise PreconditionError("continued fraction expansion needs a quadratic element")
     if x.is_rational():
         raise PreconditionError("continued fraction expansion needs an irrational element")
-    c0, c1, _ = (Fraction(c) for c in field.minpoly)
-    disc = c1 * c1 - 4 * c0
-    if disc <= 0:
-        raise PreconditionError("field is not real quadratic")
-    # generator g = (-c1 + s*sqrt(disc))/2 with s = sign(g + c1/2)
-    s = (field.generator() + c1 / 2).sign()
-    a, b = x.coords
-    # x = (a - b*c1/2) + (b*s/2) * sqrt(disc)
-    ra = a - b * c1 / 2
-    rb = b * s / 2
-    d_int = disc.numerator * disc.denominator  # sqrt(p/q) = sqrt(pq)/q
-    ra, rb = ra, rb / disc.denominator
-    # now x = ra + rb*sqrt(d_int); clear denominators
-    den = math.lcm(ra.denominator, rb.denominator)
-    A = ra.numerator * (den // ra.denominator)
-    B = rb.numerator * (den // rb.denominator)
-    # fold |B| into the radicand so the numerator is P + sqrt(D)
-    if B < 0:
-        A, B, den = -A, -B, -den
-    P, D, Q = A, B * B * d_int, den
-    if (D - P * P) % Q != 0:
-        P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
-    return P, D, Q
-
-
-def cf_expand(x: FieldElement, max_terms: int = 10_000) -> ContinuedFraction:
-    """Exact continued fraction of a real quadratic irrational.
-
-    The period is detected by recurrence of the integer surd state, so it
-    is exact rather than heuristic.
-    """
-    P, D, Q = _surd_state(x)
-    fl = math.isqrt(D)
     terms: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    while len(terms) <= max_terms:
-        key = (P, Q)
-        if key in seen:
-            start = seen[key]
+    seen: dict[FieldElement, int] = {}
+    for a, xk in complete_quotients(x):
+        start = seen.setdefault(xk, len(terms))
+        if start < len(terms):
             pre, per = terms[:start], terms[start:]
             if not pre:
                 # normalize purely periodic expansions to start with one term
                 pre, per = per[:1], per[1:] + per[:1]
             return ContinuedFraction(tuple(pre), tuple(per), x)
-        seen[key] = len(terms)
-        a = (P + fl) // Q if Q > 0 else (P + fl + 1) // Q
+        if len(terms) == CF_MAX_TERMS:
+            raise PreconditionError(f"period not detected within {CF_MAX_TERMS} terms")
         terms.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-    raise PreconditionError(f"period not detected within {max_terms} terms")
 
 
 def cf_of_rational(x: Fraction) -> ContinuedFraction:
-    """The finite continued fraction of a rational, by Euclid's algorithm."""
+    """The finite continued fraction of a rational, by Euclid's algorithm.
+
+    ``complete_quotients`` gives the same quotients, but each of its
+    ``Fraction`` steps reduces by a gcd: on a 2000-bit rational it takes
+    about ten times as long, and a very sparse alpha has a denominator near
+    n_last^C.
+    """
     terms = []
     num, den = x.numerator, x.denominator
     while den:
@@ -167,7 +149,6 @@ def convergent_walk(cf: ContinuedFraction) -> Iterator[tuple[int, int, int | Non
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
     yield p, q, None
-
 
 def legendre_candidates(
     cf: ContinuedFraction, lo: int, hi: int, holds: Callable[[int, int, int, int], bool]
@@ -217,35 +198,32 @@ def legendre_check(x: Real, m: int, n: int, max_bits: int = DEFAULT_MAX_BITS) ->
 
 
 def best_approx_1d(x: Real, Q: int, max_bits: int = DEFAULT_MAX_BITS) -> list[BestApprox]:
-    """All best approximations with q <= Q: a record scan with exact decisions.
+    """All best approximations with q <= Q: the records of ||q x||.
 
-    Each q is first screened on a fixed-point enclosure of x: when the
-    certified lower bound of ||q x|| is at least the current record's upper
-    bound, ||q x|| >= record and q is skipped.  Every other q is decided
-    exactly (``dist_of``/``compare``), so the records are those of the
-    exhaustive exact scan.  ``max_bits`` also caps the screen's precision.
+    By Lagrange's theorem (Khinchin, *Continued Fractions*, Thms 16-17)
+    every record is a convergent denominator q_k, and every q_k with k >= 1
+    is a record, so only the q_k <= Q are read, each decided exactly
+    (``dist_of``/``compare``) against the last record.  When a_1 = 1,
+    q_1 = q_0 = 1 is read once.  No complete quotient past the first with
+    q_k > Q is formed, so a stream spends its ``max_bits`` only on
+    quotients the answer uses.
     """
     if Q < 1:
         raise PreconditionError("Q must be at least 1")
-    bits = prefilter_bits(Q.bit_length(), max_bits)
-    x_iv = fixed_enclosure(x, bits)
     out: list[BestApprox] = []
     best: Real | None = None
-    best_hi = 0  # the record's upper bound, at scale 2^bits
-    for q in range(1, Q + 1):
-        if best is not None:
-            try:
-                if dist_iv(scale_iv(q, x_iv), bits)[0] >= best_hi:
-                    continue
-            except NeedBits:
-                pass
+    q_prev, q = 1, 0  # q_(-2), q_(-1)
+    for a, _ in complete_quotients(x, max_bits):
+        q_prev, q = q, a * q + q_prev
+        if q > Q:
+            break
+        if q == q_prev:
+            continue
         qx = rmul(Fraction(q), x)
         d = dist_of(qx, max_bits)
         if best is None or compare(d, best, max_bits) < 0:
-            p = nint_of(qx, max_bits)
-            out.append(BestApprox(q, (p,), rpow(d, 2), d))
+            out.append(BestApprox(q, (nint_of(qx, max_bits),), rpow(d, 2), d))
             best = d
-            best_hi = fixed_enclosure(d, bits)[1]
     return out
 
 

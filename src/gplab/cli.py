@@ -19,7 +19,7 @@ from .cf import best_approx_1d, best_approx_2d, cf_expand, convergents
 from .constructions import cubic_pisot_set, verify_certificate
 from .constructions.registry import CONSTRUCTIONS, SCAN_TO, construction
 from .errors import ParseError, PrecisionExhausted, PreconditionError, GPLabError
-from .gpexpr import eval_exact, members, parse
+from .gpexpr import depends_on_var, eval_exact, members, parse
 from .ipsearch import (
     ap_witness_in_small_dist_set,
     density_estimate,
@@ -27,7 +27,7 @@ from .ipsearch import (
     translated_ip_probe,
 )
 from .nilorbit import default_orbit_spec, equidist_stats, growth_count, orbit_point
-from .realnum import DEFAULT_MAX_BITS, interval_of, to_float
+from .realnum import DEFAULT_MAX_BITS, FieldElement, interval_of, to_float
 from .suites import run_suite
 
 EXIT_OK = 0
@@ -144,10 +144,16 @@ def cmd_cert(args) -> int:
     return EXIT_OK
 
 
-def cmd_cf(args) -> int:
-    value = eval_exact(parse(_expr_text(args.expr)), 0, args.maxprec)
-    from .realnum import FieldElement
+def _constant(args):
+    """The value of ``--expr``, which must not depend on n."""
+    expr = parse(_expr_text(args.expr))
+    if depends_on_var(expr):
+        raise PreconditionError(f"{args.command} needs a constant expression, not one in n")
+    return eval_exact(expr, 0, args.maxprec)
 
+
+def cmd_cf(args) -> int:
+    value = _constant(args)
     if not isinstance(value, FieldElement):
         raise PreconditionError("cf requires an exact quadratic constant expression")
     cf = cf_expand(value)
@@ -160,7 +166,9 @@ def cmd_cf(args) -> int:
 
 def cmd_bestapprox(args) -> int:
     if args.cubic_a is not None:
-        cons = cubic_pisot_set(args.cubic_a, args.cubic_b)
+        if args.expr is not None:
+            raise PreconditionError("bestapprox takes --expr (1-D) or --cubic-a (2-D), not both")
+        cons = cubic_pisot_set(args.cubic_a, 1 if args.cubic_b is None else args.cubic_b)
         ba = best_approx_2d(cons.theta, cons.norm, args.Q)
         rows = []
         for b in ba:
@@ -170,7 +178,9 @@ def cmd_bestapprox(args) -> int:
     else:
         if args.expr is None:
             raise PreconditionError("bestapprox needs --expr (1-D) or --cubic-a (2-D)")
-        value = eval_exact(parse(_expr_text(args.expr)), 0, args.maxprec)
+        if args.cubic_b is not None:
+            raise PreconditionError("bestapprox reads --cubic-b only with --cubic-a")
+        value = _constant(args)
         ba = best_approx_1d(value, args.Q, args.maxprec)
         rows = []
         for b in ba:
@@ -333,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bestapprox", help="best approximations (1-D or cubic 2-D)")
     p.add_argument("--expr", help="1-D: constant expression")
     p.add_argument("--cubic-a", type=int, default=None, help="2-D: cubic parameter a")
-    p.add_argument("--cubic-b", type=int, default=1, help="2-D: cubic parameter b")
+    p.add_argument("--cubic-b", type=int, default=None, help="2-D: cubic parameter b (default 1)")
     p.add_argument("--Q", type=int, default=100)
     _add_common(p)
     p.set_defaults(fn=cmd_bestapprox)

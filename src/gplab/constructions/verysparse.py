@@ -41,7 +41,7 @@ from ..gpexpr import (
     indicator_of_range,
     indicator_of_zero_set,
 )
-from ..cf import cf_of_rational, coprime_in_interval, legendre_candidates
+from ..cf import ContinuedFraction, cf_of_rational, coprime_in_interval, legendre_candidates
 from .certificate import Certificate
 
 #: Smallest growth exponent for which the plain interpolation always finds
@@ -131,10 +131,11 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
         indicator_of_zero_set(Sub(y, RationalConst(Fraction(2)))),
     )
     alpha_lo, alpha_hi = params.intervals[-1]
+    cf = cf_of_rational(alpha)
     return Certificate(
         indicator=indicator,
         target_description=f"terms of the supplied sequence {params.n_seq[:3]}...",
-        candidates=lambda lo, hi: _very_sparse_scan(alpha, C, lo, hi),
+        candidates=lambda lo, hi: _very_sparse_scan(cf, C, lo, hi),
         meta={
             "construction": f"very_sparse C={params.C} D={params.D}",
             "coprime_from": params.coprime_from,
@@ -146,8 +147,9 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
     )
 
 
-def _very_sparse_scan(alpha: Fraction, C: int, lo: int, hi: int) -> Iterator[int]:
-    """Candidates for E' on [lo, hi], from the continued fraction of alpha.
+def _very_sparse_scan(cf: ContinuedFraction, C: int, lo: int, hi: int) -> Iterator[int]:
+    """Candidates for E' on [lo, hi], from the continued fraction ``cf`` of
+    alpha, expanded once per certificate.
 
     Every point n <= 1 is proposed.  A member n >= 2 has
     |alpha - nint(n alpha)/n| <= n^{-C}/2 < 1/(2n^2), so it is g q_k
@@ -155,9 +157,10 @@ def _very_sparse_scan(alpha: Fraction, C: int, lo: int, hi: int) -> Iterator[int
     2 g^C q_k^{C-1} d_k <= 1 (d_k = |q_k alpha - p_k|, exact).  At alpha's
     last convergent d_k = 0, and ||n alpha|| = 0 is outside the window.
     """
+    alpha = cf.source
     yield from range(lo, min(1, hi) + 1)
     yield from legendre_candidates(
-        cf_of_rational(alpha),
+        cf,
         lo,
         hi,
         lambda g, p, q, _: 2 * g**C * q ** (C - 1) * abs(q * alpha - p) <= 1,
@@ -275,7 +278,7 @@ def _interp_term(n_lo: int, n_hi: int, k: int, l: int) -> int:
     raise PrecisionExhausted("floor(exp(...)) undecided; value too close to an integer")
 
 
-def densify_sequence(n_seq, c: int | None = None) -> DensifyPlan:
+def densify_sequence(n_seq) -> DensifyPlan:
     """Interpolate the sequence so consecutive log-ratios land in (6, 12).
 
     Each gap A = log n_{i+1} / log n_i is split into l equal geometric steps

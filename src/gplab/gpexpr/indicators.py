@@ -48,9 +48,9 @@ from .ast import (
 def canonicalize(e: Expr) -> Expr:
     """Rewrite frac/nint (and even powers of dist) into floor-only form.
 
-    A bare ``dist`` node is left in place: as a real value the distance to
-    the nearest integer is not itself in the closure, only its thresholds
-    and even powers are.
+    A bare ``dist`` node is left in place: it is in the closure, as
+    ||x|| = {x} + floor(2{x})(1 - 2{x}), but it is also a primitive of the
+    language, which both evaluators read directly.
     """
 
     def rewrite(node: Expr, kids: tuple) -> Expr:

@@ -7,6 +7,7 @@ battery with timing and one pass/fail line per check.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -426,12 +427,19 @@ def check_heisenberg_axioms(cases: int = 60) -> str:
     return f"group axioms, inverses and reduction verified on {cases} random triples"
 
 
+@functools.cache
+def _quadratic_fields() -> tuple[NumberField, ...]:
+    """Q(phi), Q(sqrt 2) and Q(2 + sqrt 3): the fields of the 1-D quick checks."""
+    return (
+        NumberField((-1, -1, 1), 1, 2, "phi"),
+        NumberField((-2, 0, 1), 1, 2, "s"),
+        NumberField((1, -4, 1), 3, 4, "t"),
+    )
+
+
 def check_legendre_completeness(n_max: int = 1000) -> str:
-    fld_phi = NumberField((-1, -1, 1), 1, 2, "phi")
-    fld_s2 = NumberField((-2, 0, 1), 1, 2, "s")
-    fld_s3 = NumberField((1, -4, 1), 3, 4, "t")
     count = 0
-    for x in (fld_phi.generator(), fld_s2.generator(), fld_s3.generator()):
+    for x in (fld.generator() for fld in _quadratic_fields()):
         conv = {pq for pq in convergents(cf_expand(x), 40)}
         import math as _math
 
@@ -459,28 +467,25 @@ def check_best_approx_2d_monotone(Q: int = 100) -> str:
 
 
 def check_best_approx_1d_matches_convergents(Q: int = 10**4) -> str:
-    fields = [
-        NumberField((-1, -1, 1), 1, 2, "phi"),
-        NumberField((-2, 0, 1), 1, 2, "s"),
-        NumberField((1, -4, 1), 3, 4, "t"),
-    ]
-    for fld in fields:
+    """Lagrange's theorem: the records of ||q x|| over every q <= Q, decided
+    exactly, are the convergent denominators, and ``best_approx_1d``."""
+    for fld in _quadratic_fields():
         x = fld.generator()
+        records, best = [], None
+        for q in range(1, Q + 1):
+            d = (x * q).dist_to_int()
+            if best is None or d < best:
+                records.append(q)
+                best = d
+        conv = sorted({q for _, q in convergents(cf_expand(x), 60) if q <= Q})
+        assert records == conv, f"{fld.name}: {records[:8]} vs {conv[:8]}"
         ba = [b.q for b in best_approx_1d(x, Q)]
-        conv = [q for _, q in convergents(cf_expand(x), 60) if q <= Q]
-        # initial duplicated denominator collapses in the best-approx list
-        dedup = sorted(set(conv))
-        assert ba == [q for q in dedup if q <= Q], f"{fld.name}: {ba[:8]} vs {dedup[:8]}"
-    return f"best approximations = convergent denominators up to {Q} (3 constants)"
+        assert ba == records, f"{fld.name}: {ba[:8]} vs {records[:8]}"
+    return f"records of every q <= {Q} = convergent denominators = best_approx_1d (3 constants)"
 
 
 def check_error_term_sandwich() -> str:
-    fields = [
-        NumberField((-1, -1, 1), 1, 2, "phi"),
-        NumberField((-2, 0, 1), 1, 2, "s"),
-        NumberField((1, -4, 1), 3, 4, "t"),
-    ]
-    for fld in fields:
+    for fld in _quadratic_fields():
         x = fld.generator()
         conv = convergents(cf_expand(x), 31)
         for (p1, q1), (p2, q2) in zip(conv, conv[1:]):

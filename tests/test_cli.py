@@ -78,6 +78,8 @@ def test_exit_code_bad_construction_params():
         ["heis", "--c", "1/0"],
         ["heis", "--mode", "growth", "--ladder", "0,10", "--c", "1/3"],
         ["verify", "--construction", "fibonacci", "--from", "10", "--to", "5"],  # nothing scanned
+        ["cf", "--expr", "let s = root(x^2-2,1,2); s + n"],  # refused, not read at n = 0
+        ["bestapprox", "--expr", "let s = root(x^2-2,1,2); s + n"],
     ],
 )
 def test_exit_code_bad_command_input(argv, capsys):
@@ -129,10 +131,17 @@ def test_exit_code_unknown_suite():
     assert run(["suite", "nope"]) == 2
 
 
-def test_flags_a_command_ignores_are_rejected():
+def test_flags_a_command_ignores_are_rejected(capsys):
     assert run(["cert", "--construction", "fibonacci", "--format", "json"]) == 2
     assert run(["cert", "--construction", "fibonacci", "--maxprec", "64"]) == 2
     assert run(["suite", "quick", "--format", "json"]) == 2
+    capsys.readouterr()
+    # 1-D reads --expr only, 2-D --cubic-a and --cubic-b only
+    for argv in (["bestapprox", "--expr", "1/3", "--cubic-a", "1"],
+                 ["bestapprox", "--expr", "1/3", "--cubic-b", "2"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
 
 
 def test_cli_import_leaves_numpy_out():
@@ -171,6 +180,25 @@ def test_members_refuses_a_huge_root_power_at_once():
     )
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr and "root()" in out.stderr
+
+
+def test_bestapprox_reads_only_the_convergents_to_q():
+    # Q = 10^30 lists the 79 Pell denominators without a pass over every q;
+    # a subprocess, so a hang times out
+    import gplab
+
+    src = os.path.dirname(os.path.dirname(gplab.__file__))
+    argv = [sys.executable, "-m", "gplab.cli", "bestapprox", "--expr",
+            "let s = root(x^2-2, 1, 2); s", "--Q", str(10**30)]
+    out = subprocess.run(
+        argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10
+    )
+    assert out.returncode == 0, out.stderr
+    pell = [1, 2]
+    while pell[-1] <= 10**30:
+        pell.append(2 * pell[-1] + pell[-2])
+    qs = [int(line.split(",")[0]) for line in out.stdout.splitlines()[1:]]
+    assert qs == pell[:-1] and len(qs) == 79
 
 
 def test_huge_integer_literal_is_a_parse_error(capsys):

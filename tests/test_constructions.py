@@ -18,7 +18,7 @@ from gplab.constructions import (
     scaled_set_transfer,
     verify_certificate,
 )
-from gplab.cf import cf_expand
+from gplab.cf import cf_expand, convergent_walk
 from gplab.constructions.quadratic import odd_index_denominators, quadratic_unit
 from gplab.constructions.registry import SCAN_TO, construction
 from gplab.errors import PreconditionError, ZeroSolution
@@ -551,14 +551,11 @@ def test_half_over_n_scan_matches_indicator(name):
     if name == "root8":
         assert {2, 16, 130, 1056, 8578} <= set(got)  # the g = 2 candidates
     # +-20 windows around every convergent denominator q_k and 2 q_k to 1e17
-    q_prev, q = 0, 1
-    quotients = list(cf.quotients(100))
     centres = set()
-    for a_next in quotients[1:]:
+    for _, q, _ in convergent_walk(cf):
         if q > 10**17:
             break
         centres |= {q, 2 * q}
-        q_prev, q = q, a_next * q + q_prev
     for c in sorted(centres):
         lo, hi = c - 20, c + 20
         got = cert.members(lo, hi)

@@ -162,6 +162,22 @@ def test_legendre_candidates_hold_every_member(seq):
     assert cert.members(-50, 6000) == members(cert.indicator, -50, 6000)
 
 
+def test_members_expands_alpha_once(monkeypatch):
+    from gplab.constructions import verysparse
+
+    calls = []
+    real = verysparse.cf_of_rational
+
+    def spy(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(verysparse, "cf_of_rational", spy)
+    cert = very_sparse_set(very_sparse_alpha((2, 128), 5, 6))
+    assert cert.members(1, 200) == cert.members(1, 200) == [2, 128]
+    assert len(calls) == 1
+
+
 def test_densified_terms_equal_a_high_precision_floor():
     # every interpolated term equals floor(exp(...)) at 2 bits + 200
     # bits of mpmath precision, far past the term's own bit length
