@@ -139,7 +139,9 @@ def cmd_cert(args) -> int:
     spec = construction(args.construction)
     cert = spec.build(args)
     if spec.scan_from is not None:
-        verify_certificate(cert, spec.oracle(args, SCAN_TO), spec.scan_from, SCAN_TO)
+        report = verify_certificate(cert, spec.oracle(args, SCAN_TO), spec.scan_from, SCAN_TO)
+        if spec.annotate is not None:
+            spec.annotate(cert, report)
     _write_atomic(args.out, cert.to_file_text())
     return EXIT_OK
 

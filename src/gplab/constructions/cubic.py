@@ -18,14 +18,18 @@ and strictly larger elsewhere.  The certificate tests the squared product
 against the exact plateau constant beta^k, a comparison that lives
 entirely in the ground field.  The plateau exponent k is measured at
 build time, by one walk over k from 0 that multiplies by beta (or 1/beta)
-per step, and verified exactly at two independent indices.  The field
+per step, on exact values of the one product node h^2 g at two
+independent indices; the indicator squares that same node.  The field
 itself is built on integers: the root count and the unit interval of beta
 come from integer Sturm counts and integer Horner signs.
 
 The certificate's indicator is the one encoding of this test: ``h_sq``
-and ``g_value`` evaluate ``h_sq_expr`` and ``g_expr``, ``member`` is the
-indicator's exact verdict, and ``Certificate.members`` confirms the
-lattice points ``_cubic_candidates`` proposes, as in every other scan.
+and ``g_value`` evaluate ``h_sq_expr`` and ``g_expr`` (each compiled on
+its first call), ``member`` is the indicator's exact verdict, and
+``Certificate.members`` confirms the lattice points ``_cubic_candidates``
+proposes, as in every other scan.  A build confirms nothing: the
+``plateau_shared_by_extra_orbit`` flag is read off ``gp cert``'s scan
+(``flag_extra_orbit``).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ..cf import RauzyNorm, nearest_lattice_sq
 from ..errors import PreconditionError
@@ -59,7 +63,7 @@ from ..realnum import (
     scale_iv,
 )
 from ..realnum.polys import count_real_roots, poly_sign
-from .certificate import Certificate
+from .certificate import Certificate, VerificationReport
 from .recurrence import LinearRecurrence, recurrence_terms
 
 
@@ -145,8 +149,11 @@ class CubicConstruction:
         return q >= 1 and eval_exact(self.certificate.indicator, q) == 1
 
 
-def _measure_plateau(cons: CubicConstruction, terms: list[int]) -> int:
-    """Exact exponent k with (h^2 g)^2 = beta^k at the two largest recurrence terms.
+def _measure_plateau(
+    cons: CubicConstruction, product: Callable[[int], FieldElement], terms: list[int]
+) -> int:
+    """Exact exponent k with product(q)^2 = beta^k at the two largest
+    recurrence terms, ``product`` being h^2 g.
 
     As beta > 1, beta^k increases strictly with k.  So the walk starts at
     k = 0 and steps towards the sign of (h^2 g)^2 - 1, one product by beta
@@ -157,7 +164,7 @@ def _measure_plateau(cons: CubicConstruction, terms: list[int]) -> int:
     beta = cons.beta
     found = None
     for q in terms[-2:]:
-        v = cons.h_sq(q) * cons.g_value(q)
+        v = product(q)
         vv = v * v
         k, power = 0, cons.field.one()
         side = first = (vv - power).sign()
@@ -215,8 +222,10 @@ def cubic_recurrence(a: int, b: int) -> LinearRecurrence:
 def cubic_pisot_set(a: int, b: int) -> CubicConstruction:
     """Build the full cubic construction and its certificate.
 
-    The certificate's oracle is ``cubic_recurrence``; the build scans only
-    (2000, 4000] against it, to set the ``plateau_shared_by_extra_orbit`` flag.
+    The certificate's oracle is ``cubic_recurrence``.  The build compiles
+    one program, the product h^2 g its plateau walk evaluates, and scans
+    nothing; ``gp cert`` sets the ``plateau_shared_by_extra_orbit`` flag
+    from its own scan (``flag_extra_orbit``).
     """
     fld = _cubic_field(a, b)
     beta = fld.generator()
@@ -241,8 +250,9 @@ def cubic_pisot_set(a: int, b: int) -> CubicConstruction:
     cons.m1_sq = m1_sq
     cons.m1_at = m1_at
     cons.g_expr, cons.h_sq_expr = _build_exprs(cons)
+    prod = Mul(cons.h_sq_expr, cons.g_expr)
     probe_terms = recurrence_terms(rec, 5000)
-    cons.plateau_pow = _measure_plateau(cons, probe_terms)
+    cons.plateau_pow = _measure_plateau(cons, lambda q: eval_exact(prod, q), probe_terms)
     cons.record_offset = Fraction(cons.plateau_pow, 2)
     _verify_record_plateau_link(cons, probe_terms)
 
@@ -251,8 +261,7 @@ def cubic_pisot_set(a: int, b: int) -> CubicConstruction:
     k = cons.plateau_pow
     beta_k = beta**k
     bound = Fraction((dyadic_enclosure(beta_k, 3)[1] >> 3) + 2)
-    y = Sub(Const(fld.name, beta_k), Pow(Mul(cons.h_sq_expr, cons.g_expr), 2))
-    indicator = indicator_of_range(y, 0, bound)
+    indicator = indicator_of_range(Sub(Const(fld.name, beta_k), Pow(prod, 2)), 0, bound)
 
     cert = Certificate(
         indicator=indicator,
@@ -267,13 +276,20 @@ def cubic_pisot_set(a: int, b: int) -> CubicConstruction:
         },
     )
     cons.certificate = cert
-    if cert.members(2001, 4000) != sorted({t for t in recurrence_terms(rec, 4000) if t > 2000}):
-        # Some parameter pairs admit a second recurrence orbit (for example
-        # the values R_{i-2} + R_i) on which h^2 g attains the *same* exact
-        # plateau, so no threshold on h^2 g separates the target orbit.
-        # Surface the finding instead of pretending the set matches.
-        cert.meta["plateau_shared_by_extra_orbit"] = True
     return cons
+
+
+def flag_extra_orbit(cert: Certificate, report: VerificationReport) -> None:
+    """Flag ``plateau_shared_by_extra_orbit`` when ``gp cert``'s scan against
+    ``cubic_recurrence`` finds a mismatch in (2000, 4000].
+
+    Some parameter pairs admit a second recurrence orbit (for example the
+    values R_(i-2) + R_i) on which h^2 g attains the *same* exact plateau,
+    so no threshold on h^2 g separates the target orbit.  The flag
+    surfaces the finding instead of pretending the set matches.
+    """
+    if any(2000 < x <= 4000 for x in report.symmetric_difference):
+        cert.meta["plateau_shared_by_extra_orbit"] = True
 
 
 def _inverse_rows(m: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:

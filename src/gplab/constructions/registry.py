@@ -8,9 +8,10 @@ Builders compute no exceptional data; each returns its certificate, whose
 reads that one's ``points``.
 ``gp cert`` computes a certificate's exceptional set with one
 ``verify_certificate`` call on [``scan_from``, ``SCAN_TO``] against the
-oracle; ``gp verify`` scans the range it is given.  A construction without
-``scan_from`` (``verysparse``, whose oracle is the supplied sequence
-itself) is printed unscanned.
+oracle, and hands that scan's report to ``annotate`` where one is set
+(cubic's extra-orbit flag); ``gp verify`` scans the range it is given.
+A construction without ``scan_from`` (``verysparse``, whose oracle is the
+supplied sequence itself) is printed unscanned.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 
 from ..errors import PreconditionError
 from . import cubic, quadratic, verysparse
-from .certificate import Certificate
+from .certificate import Certificate, VerificationReport
 from .recurrence import recurrence_terms
 
 
@@ -33,6 +34,7 @@ class Construction:
     build: Callable[[object], Certificate]
     oracle: Callable[[object, int], list[int]]
     scan_from: int | None
+    annotate: Callable[[Certificate, VerificationReport], None] | None = None
 
 
 CONSTRUCTIONS = {
@@ -55,6 +57,7 @@ CONSTRUCTIONS = {
         lambda p: cubic.cubic_pisot_set(p.a, p.b).certificate,
         lambda p, bound: recurrence_terms(cubic.cubic_recurrence(p.a, p.b), bound),
         scan_from=1,
+        annotate=cubic.flag_extra_orbit,
     ),
     "verysparse": Construction(
         lambda p: verysparse.very_sparse_set(verysparse.very_sparse_alpha(p.sequence, p.C, p.D)),

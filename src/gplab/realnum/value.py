@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from ..errors import DivisionByZero, PrecisionExhausted
 from .field import FieldElement, dyadic_enclosure
@@ -137,14 +137,24 @@ def rpow(a: Real, e: int) -> Real:
     return out
 
 
+def _ladder(max_bits: int) -> Iterator[int]:
+    """The precisions a stream is read at: 4, 8, 16, ... below ``max_bits``,
+    then ``max_bits`` itself, so the whole budget is spent."""
+    k = 4
+    while k < max_bits:
+        yield k
+        k *= 2
+    if max_bits > 0:
+        yield max_bits
+
+
 def sign_of(x: Real, max_bits: int = DEFAULT_MAX_BITS) -> int:
     t = type(x)
     if t is Fraction:
         return (x > 0) - (x < 0)
     if t is FieldElement:
         return x.sign()
-    k = 4
-    while k <= max_bits:
+    for k in _ladder(max_bits):
         lo, hi = x.interval(k)
         if lo > 0:
             return 1
@@ -152,7 +162,6 @@ def sign_of(x: Real, max_bits: int = DEFAULT_MAX_BITS) -> int:
             return -1
         if lo == hi:
             return 0  # 0 <= x * 2^k <= 0
-        k *= 2
     raise PrecisionExhausted("sign undecided within budget", bits=max_bits)
 
 
@@ -174,13 +183,11 @@ def floor_frac(x: Real, max_bits: int = DEFAULT_MAX_BITS) -> tuple[int, Real]:
     if t is FieldElement:
         m = x.floor()
         return m, x - m
-    k = 4
-    while k <= max_bits:
+    for k in _ladder(max_bits):
         lo, hi = x.interval(k)
         flo = lo >> k
         if flo == hi >> k:
             return flo, radd(x, Fraction(-flo))
-        k *= 2
     raise PrecisionExhausted("floor straddles an integer within budget", bits=max_bits)
 
 

@@ -223,6 +223,18 @@ def test_best_approx_1d_on_stream_constant():
         assert compare(cur.value, prev.value) < 0
 
 
+def test_best_approx_1d_spends_the_whole_budget():
+    # ||q x|| - ||q' x|| for the last records 2040 and 1291 of x = 2 theta
+    # is about -2^-13.4: a 14-bit budget decides it when read at 14 bits,
+    # not at the 8 of the last doubling below
+    from gplab.realnum import THETA, rmul
+
+    x = rmul(Fraction(2), THETA)
+    got = best_approx_1d(x, 3000, 14)
+    assert [b.q for b in got] == [b.q for b in best_approx_1d(x, 3000)]
+    assert got[-1].q == 2040
+
+
 def test_cf_expand_composite_element():
     # an element with large coordinates still has an exactly detected period
     fld = NumberField((1, -4, 1), 3, 4, "t")

@@ -395,6 +395,32 @@ def test_each_command_scans_against_the_oracle_at_most_once(tmp_path, monkeypatc
     assert len(calls) == scans, calls
 
 
+@pytest.mark.parametrize("a, b", [(1, 1), (2, -1), (0, 1)])
+def test_cubic_build_confirms_nothing_and_compiles_once(monkeypatch, a, b):
+    # the build measures its plateau on the one program h^2 g and scans
+    # nothing: gp cert's scan sets the extra-orbit flag
+    from gplab.constructions import Certificate, cubic_pisot_set
+    from gplab.gpexpr import evaluate
+
+    calls = []
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return counted
+
+    real = evaluate.eval_indicator
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gplab") and getattr(module, "eval_indicator", None) is real:
+            monkeypatch.setattr(module, "eval_indicator", spy("eval_indicator", real))
+    monkeypatch.setattr(Certificate, "members", spy("members", Certificate.members))
+    monkeypatch.setattr(evaluate.Program, "__init__", spy("compile", evaluate.Program.__init__))
+    cubic_pisot_set(a, b)
+    assert calls == ["compile"]
+
+
 @pytest.mark.parametrize("command", [["verify", "--to", "3000"], ["density", "--N", "3000"]])
 @pytest.mark.parametrize(
     "params",
@@ -406,38 +432,18 @@ def test_each_command_scans_against_the_oracle_at_most_once(tmp_path, monkeypatc
     ],
 )
 def test_maxprec_reaches_every_confirmation(tmp_path, monkeypatch, command, params):
-    # every point a scan confirms is decided within the command's budget;
-    # the cubic build's own flag scan on (2000, 4000] is not the command's
-    # and is left out
-    import dataclasses
-
-    from gplab import cli
+    # every point a scan confirms is decided within the command's budget,
+    # the construction's build included
     from gplab.constructions import Certificate
 
-    seen, quiet = [], [False]
+    seen = []
     confirm = Certificate.confirm
 
     def spy(self, n, max_bits=None):
-        if not quiet[0]:
-            seen.append(max_bits)
+        seen.append(max_bits)
         return confirm(self, n) if max_bits is None else confirm(self, n, max_bits)
 
-    construction = cli.construction
-
-    def spec_for(name):
-        spec = construction(name)
-
-        def build(args):
-            quiet[0] = True
-            try:
-                return spec.build(args)
-            finally:
-                quiet[0] = False
-
-        return dataclasses.replace(spec, build=build)
-
     monkeypatch.setattr(Certificate, "confirm", spy)
-    monkeypatch.setattr(cli, "construction", spec_for)
     argv = command[:1] + params + command[1:] + ["--maxprec", "512"]
     assert run(argv + ["--out", str(tmp_path / "out.txt")]) == 0
     assert seen and set(seen) == {512}
@@ -531,6 +537,9 @@ CERT_SHA256 = {
     "quadratic-filter": "1372126b22daaad75a7631baccfac20a21a37907ff081165abed2d9d15d0f908",
     "cubic": "50080299979bd151fab65e61efc10c733d45c1109abb6b52d6003a9a5b26137e",
     "verysparse": "1091a1f1a4f0fa2a9516c147e6deea6c69356b6c68a8ce2abb9d97079e877c41",
+    # the certificate flagged plateau_shared_by_extra_orbit, pinned while the
+    # cubic build still scanned for the flag, before gp cert's scan set it
+    "cubic a=2 b=-1": "c5cd80c052745556397976f95dc738c0d3494cb368c0831684ade45fec50e3ea",
 }
 
 # sha256 of artifacts whose decisions go through certificate scans
@@ -575,6 +584,7 @@ def test_artifacts_are_byte_identical(tmp_path):
         "cert-quadratic": ["cert", "--construction", "quadratic", "--a", "3", "--norm", "1"],
         "cert-quadratic-filter": ["cert", "--construction", "quadratic-filter", "--a", "4"],
         "cert-cubic": ["cert", "--construction", "cubic"],
+        "cert-cubic a=2 b=-1": ["cert", "--construction", "cubic", "--a", "2", "--b", "-1"],
         "cert-verysparse": ["cert", "--construction", "verysparse"],
         "heis-growth": ["heis", "--mode", "growth", "--c", "9/20", "--ladder", "1000,10000"],
         "heis-equidist": ["heis", "--mode", "equidist", "--to", "20000", "--grid", "4"],

@@ -85,32 +85,25 @@ def test_plateau_exponent_pins(a, b):
 
 def test_plateau_walk_counts_its_comparisons(monkeypatch):
     # the walk compares (h^2 g)^2 with beta^k for k = 0, +-1, ..., k: |k| + 1
-    # exact signs per term, counted on fixed values of h^2 and g
+    # exact signs per term, counted on fixed values of the product h^2 g
     from gplab.constructions.cubic import _measure_plateau
     from gplab.realnum import FieldElement
 
     cons = cubic_pisot_set(1, 0)
     terms = recurrence_terms(cons.recurrence, 5000)
     beta, one = cons.beta, cons.field.one()
-    real = {q: (cons.h_sq(q), cons.g_value(q)) for q in terms[-2:]}
-    for h_sq, g, want in (
-        (lambda q: real[q][0], lambda q: real[q][1], 4),
-        (lambda q: beta**-2, lambda q: one, -4),
-        (lambda q: beta**20, lambda q: one, 40),
-    ):
-        monkeypatch.setattr(cons, "h_sq", h_sq)
-        monkeypatch.setattr(cons, "g_value", g)
+    real = {q: cons.h_sq(q) * cons.g_value(q) for q in terms[-2:]}
+    for product, want in ((real.get, 4), (lambda q: beta**-2, -4), (lambda q: beta**20, 40)):
         calls = _count_calls(monkeypatch, FieldElement, "sign")
-        assert _measure_plateau(cons, terms) == want
+        assert _measure_plateau(cons, product, terms) == want
         assert calls[0] == 2 * (abs(want) + 1)
         monkeypatch.undo()
     # below beta^-8, above beta^40, and two values strictly between powers
     for x in (beta**-5, beta**21, one * 2, beta + 1):
-        monkeypatch.setattr(cons, "h_sq", lambda q: x)
-        monkeypatch.setattr(cons, "g_value", lambda q: one)
         with pytest.raises(PreconditionError, match="no exact plateau"):
-            _measure_plateau(cons, terms)
-        monkeypatch.undo()
+            _measure_plateau(cons, lambda q: x, terms)
+    with pytest.raises(PreconditionError, match="differs between indices"):
+        _measure_plateau(cons, lambda q: beta if q == terms[-1] else one, terms)
 
 
 def test_fixed_consts_builds_exact_constants_once(monkeypatch):
@@ -194,19 +187,29 @@ def test_member_equals_closed_form_on_every_point(a, b):
     ]
 
 
-def test_other_parameters_single_orbit():
+def _cert_meta(tmp_path, a, b) -> dict:
+    """The metadata of ``gp cert`` for the cubic (a, b), read from its file."""
+    from gplab.cli import main
+    from gplab.constructions.certificate import Certificate
+
+    out = tmp_path / f"cert{a}{b}.txt"
+    argv = ["cert", "--construction", "cubic", "--a", str(a), "--b", str(b)]
+    assert main(argv + ["--out", str(out)]) == 0
+    return Certificate.from_file_text(out.read_text()).meta
+
+
+def test_other_parameters_single_orbit(tmp_path):
     for a, b in ((1, 0), (0, 1), (3, -1)):
+        assert "plateau_shared_by_extra_orbit" not in _cert_meta(tmp_path, a, b)
         cons = cubic_pisot_set(a, b)
-        cert = cons.certificate
-        assert "plateau_shared_by_extra_orbit" not in cert.meta
         oracle = sorted(set(t for t in recurrence_terms(cons.recurrence, 3000) if t >= 1))
-        assert cert.members(1, 3000) == oracle
+        assert cons.certificate.members(1, 3000) == oracle
 
 
-def test_known_extra_orbit_parameters_are_flagged():
-    cons = cubic_pisot_set(2, -1)
-    assert cons.certificate.meta.get("plateau_shared_by_extra_orbit") is True
+def test_known_extra_orbit_parameters_are_flagged(tmp_path):
+    assert _cert_meta(tmp_path, 2, -1).get("plateau_shared_by_extra_orbit") == "True"
     # the flagged extra members really do sit on the same exact plateau
+    cons = cubic_pisot_set(2, -1)
     beta_k = cons.beta**cons.plateau_pow
     for q in (12, 21, 37):
         v = cons.h_sq(q) * cons.g_value(q)

@@ -253,6 +253,22 @@ def test_floor_frac_stream_boundary_raises():
         floor_frac(exact_int, max_bits=256)
 
 
+@pytest.mark.parametrize("max_bits", [12, 100])
+def test_sign_and_floor_spend_the_whole_budget(max_bits):
+    # the ladder doubles from 4 bits and ends at max_bits itself, not at
+    # the last doubling below it
+    for decide, x0 in ((sign_of, 0), (floor_frac, 2)):
+        read = []
+
+        def at(k, x0=x0, read=read):
+            read.append(k)
+            return (x0 << k) - 1, x0 << k  # x may be exactly x0: never decided
+
+        with pytest.raises(PrecisionExhausted):
+            decide(RefinableReal(at, "stuck"), max_bits)
+        assert read[-1] == max_bits and read == sorted(read), read
+
+
 def test_compare_exact_vs_stream():
     sq2 = NumberField((-2, 0, 1), 1, 2).generator()
     assert compare(sq2, Fraction(3, 2)) < 0

@@ -126,8 +126,8 @@ def test_best_approx_1d_coarse_budgets(one_d_oracles, name):
     x, want = one_d_oracles[name]
     for max_bits in COARSE_BITS:
         if name == "2theta" and max_bits == 12:
-            # a 12-bit budget reads a stream's sign to 2^-8, and
-            # ||128 x|| - ||79 x|| is about -2^-8
+            # a 12-bit reading of a difference is up to 2^-11 wide, and
+            # ||1291 x|| - ||749 x|| is about -2^-12
             with pytest.raises(PrecisionExhausted):
                 best_approx_1d(x, 3000, max_bits)
             continue
