@@ -56,11 +56,24 @@ The same op list is run in two modes:
   with a and b exactly.
 
 * dyadic mode evaluates over fixed-point intervals ``[lo, hi] * 2^-bits``
-  with plain integer arithmetic.  It is the fast path for range scans: ops
-  are computed on demand from an explicit stack with a per-point,
-  per-precision memo, so a product whose left factor is exactly zero never
-  evaluates its right factor, and an OR whose first operand is 1 never
-  evaluates its second.  ``eval_indicator`` runs it once per point,
+  with plain integer arithmetic.  It is the fast path for range scans, and
+  it runs one Python function generated from the op list
+  (:func:`kernel_source`): one flat statement per op, each op's interval
+  in two locals, the constants' enclosures and the range tests' bounds
+  passed in from the program's per-precision template, never written into
+  the source.  Ops run in the order a demand-driven walk from the root
+  computes them, and a lazy operand runs only under a need flag set from
+  its left operand: a product whose left factor is exactly zero never
+  evaluates its right factor, a distance test whose scale is exactly zero
+  never evaluates its argument, and an OR whose first operand is 1 never
+  evaluates its second.  So the ops computed at a point are exactly those
+  it demands, and the same points raise ``NeedBits`` as under the walk.
+  The function is made on the program's first dyadic evaluation and kept
+  in it; the compiled code is cached per process by the op structure
+  (opcodes, operand indices, exponents, and whether each constant is an
+  exact nonzero value), so programs of one structure, such as the
+  indicators of repeated builds, compile it once.  ``eval_indicator`` runs
+  it once per point,
   at the least of 96, 192, 384, ... bits that holds 64 + 2 bits(n) (room
   for a product of two n-sized factors, such as 2n {n x}), and sends a
   point it leaves open straight to exact mode.  A second rung would not
@@ -74,8 +87,10 @@ The same op list is run in two modes:
 
 Constant enclosures are computed once per program and precision with
 :func:`~gplab.realnum.fixed_enclosure`; irrational field elements use the
-field's certified dyadic root bracket.  The interval kernels are the shared
-ones of :mod:`gplab.realnum.fixed`.
+field's certified dyadic root bracket.  Sums, differences, products of
+nonnegative intervals, squares, floors, fractional parts, nearest integers
+and range tests are written out in the generated statements; the other
+interval kernels are the shared ones of :mod:`gplab.realnum.fixed`.
 
 Exact integer intermediate results stay exact in dyadic mode (their
 endpoints coincide and carry no rounding), so indicator expressions always
@@ -85,6 +100,7 @@ evaluate to exact 0/1 once every floor is decided.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from ..errors import NonBooleanValue, ParseError, PrecisionExhausted
 from ..realnum import (
@@ -216,7 +232,11 @@ def _folded(code: int, x: Real, y) -> Real | None:
     return v if type(v) in _EXACT else None
 
 
-# -- dyadic mode, the two range tests of a distance threshold -------------------
+# -- dyadic mode: one generated function per op structure ------------------------
+
+def _need() -> None:
+    raise NeedBits
+
 
 def _in_unit(v: tuple[int, int], one: int) -> bool:
     """[0 <= x < 1] for x in ``v * 2^-bits``, one = 2^bits; NeedBits if v straddles 0 or 1."""
@@ -225,6 +245,194 @@ def _in_unit(v: tuple[int, int], one: int) -> bool:
     if v[1] < 0 or v[0] >= one:
         return False
     raise NeedBits
+
+
+def _dist_lt(sl: int, sh: int, xl: int, xh: int, bits: int, one: int) -> int:
+    """A distance threshold's two range tests, [0 <= s {x} < 1] and then
+    [0 <= s (1 - {x}) < 1], for a scale s that is not exactly 0."""
+    f = floor_iv((xl, xh), bits) << bits
+    lo, hi = xl - f, xh - f
+    if sl >= 0:  # {x} and 1 - {x} are nonnegative: so is each product
+        if -(-sh * hi >> bits) < one:
+            return one
+        if sl * lo >> bits < one:
+            raise NeedBits
+        if -(-sh * (one - lo) >> bits) < one:
+            return one
+        if sl * (one - hi) >> bits < one:
+            raise NeedBits
+        return 0
+    s = (sl, sh)
+    if _in_unit(mul_iv(s, (lo, hi), bits), one) or _in_unit(
+        mul_iv(s, (one - hi, one - lo), bits), one
+    ):
+        return one
+    return 0
+
+
+def _pow_iv(x: tuple[int, int], e: int, bits: int) -> tuple[int, int]:
+    """x^e by squaring over the exponent's bits."""
+    out = x
+    for bit in bin(e)[3:]:
+        out = mul_iv(out, out, bits)
+        if bit == "1":
+            out = mul_iv(out, x, bits)
+    return out
+
+
+# op i's value is in the locals l{i}, h{i}, and a and b are its operands
+_PROD = (
+    "(l{a} * l{b} >> bits, -(-h{a} * h{b} >> bits)) if l{a} >= 0 and l{b} >= 0"
+    " else mul_iv((l{a}, h{a}), (l{b}, h{b}), bits)"
+)
+_STATEMENTS = {
+    _ADD: "l{i}, h{i} = l{a} + l{b}, h{a} + h{b}",
+    _SUB: "l{i}, h{i} = l{a} - h{b}, h{a} - l{b}",
+    _MUL: "l{i}, h{i} = " + _PROD,
+    _FLOOR: "l{i} = h{i} = l{a} & m if l{a} & m == h{a} & m else _need()",
+    _FRAC: "l{i}, h{i} = (l{a} & r, h{a} & r) if l{a} & m == h{a} & m else _need()",
+    _NINT: "l{i} = h{i} = (l{a} + half) & m if (l{a} + half) & m == (h{a} + half) & m else _need()",
+    _DIST: "l{i}, h{i} = dist_iv((l{a}, h{a}), bits)",
+    _RANGE: (
+        "l{i} = h{i} = one if l{a} * ad{i} >= an{i} and h{a} * bd{i} < bn{i}"
+        " else 0 if h{a} * ad{i} < an{i} or l{a} * bd{i} >= bn{i} else _need()"
+    ),
+    _DIST_LT: "l{i} = h{i} = _dist_lt(l{a}, h{a}, l{b}, h{b}, bits, one)",
+}
+# the lazy ops' statements where b is needed only under {g}
+_UNDER = {
+    _MUL: "l{i}, h{i} = (" + _PROD + ") if {g} else (0, 0)",
+    _DIST_LT: _STATEMENTS[_DIST_LT] + " if {g} else one",
+    _OR: "l{i}, h{i} = (l{b}, h{b}) if {g} else (l{a}, h{a})",
+}
+# where a lazy b is needed: _MUL's and _DIST_LT's where a is not exactly 0,
+# _OR's where a is not 1
+_NEEDS_B = {_MUL: "(l{a} or h{a})", _DIST_LT: "(l{a} or h{a})", _OR: "l{a} != one"}
+_SCRATCH = {_FRAC: "r = one - 1", _NINT: "half = one >> 1"}
+
+
+def _statement(code: int, i: int, a: int, b: int, g: str | None) -> str:
+    """Op i's statement, with g the flag or test under which b is needed,
+    or None where it always is."""
+    if code == _POW:
+        if b == 0:
+            return f"l{i} = h{i} = one"
+        if b == 2:  # one squaring
+            return f"l{i}, h{i} = " + _PROD.format(a=a, b=a)
+        return f"l{i}, h{i} = _pow_iv((l{a}, h{a}), {b:#x}, bits)"
+    return (_STATEMENTS if g is None else _UNDER)[code].format(i=i, a=a, b=b, g=g)
+
+
+def kernel_source(shape: tuple) -> str:
+    """The source of ``dyadic(n, bits, t)``, the dyadic function of the ops
+    ``shape``: a program's ops with each range test's bounds left out and
+    each constant replaced by whether it is an exact nonzero value.  The
+    constants' enclosures and the bounds are read from ``t``,
+    :meth:`Program._template`'s tuple.
+
+    The ops are visited in the order a demand-driven walk from the root
+    computes them, left operand first, and each is one flat statement.  A
+    lazy operand (``_MUL``'s right factor and ``_DIST_LT``'s argument, unless
+    the left operand is a nonzero constant, and ``_OR``'s second operand)
+    is computed under a flag that is set after the left operand, from its
+    value and the op's own flag.  A flag implies its op's flag, and a
+    product that is not 0 (an OR that is not 1) implies the flag its lazy
+    operand was computed under.  An op that a later visit needs under a
+    flag that implies none it was computed under is emitted again, for the
+    cases those did not cover.  So the ops the walk demands are computed,
+    once each, and no other: the same points raise ``NeedBits``.  The visit
+    is a loop and no statement is nested, so neither depth nor laziness is
+    limited.
+    """
+    root = len(shape) - 1
+    codes = {code for code, _, _ in shape}
+    head = ["m = -one"] if codes & {_FLOOR, _FRAC, _NINT} else []
+    head += [line for code, line in _SCRATCH.items() if code in codes]
+    body, inputs = [], []
+    done: list[list] = [[] for _ in shape]  # the flags op i is computed under; None: always
+    lazy: list = [None] * len(shape)  # the flag of op i's lazy operand, if i is emitted once
+    implies: dict[str, list] = {}  # the flags each flag implies
+    nonzero = set()
+    for i, (code, a, b) in enumerate(shape):
+        if code == _CONST:
+            inputs.append(f"(l{i}, h{i})")
+            done[i].append(None)
+            if b:
+                nonzero.add(i)
+        elif code == _RANGE:
+            inputs.append(f"(an{i}, ad{i}, bn{i}, bd{i})")
+        elif code == _VAR:
+            body.append(f"l{i} = h{i} = n << bits")
+            done[i].append(None)
+    if inputs:
+        head.append(", ".join(inputs) + ", = t")
+
+    def covered(i: int, g: str | None) -> bool:
+        if None in done[i]:
+            return True
+        todo, seen = [g], set()
+        while todo:
+            g = todo.pop()
+            if g in done[i]:
+                return True
+            if g is not None and g not in seen:
+                seen.add(g)
+                todo += implies[g]
+        return False
+
+    # (op, its flag, its operands' stage: 0 none, 1 a, 2 both, the flag or test of b)
+    work: list[tuple] = [(root, None, 0, None)]
+    while work:
+        i, g, stage, test = work.pop()
+        code, a, b = shape[i]
+        if stage == 0:
+            if not covered(i, g):
+                work.append((i, g, 1, None))
+                if code != _POW or b != 0:
+                    work.append((a, g, 0, None))
+            continue
+        flag = None
+        if stage == 1 and code in _TWO_OPERANDS:
+            if code in _NEEDS_B and (code == _OR or a not in nonzero):
+                test = _NEEDS_B[code].format(a=a)
+                if not covered(b, g):
+                    flag = f"g{len(implies)}"
+                    # a product that is not 0, or an OR that is not 1, had
+                    # its own lazy operand computed
+                    told = shape[a][0] == (_OR if code == _OR else _MUL)
+                    implies[flag] = [f for f in (g, lazy[a] if told else None) if f]
+                    body.append(f"{flag} = {test}" if g is None else f"{flag} = {g} and {test}")
+                    test = flag
+                elif code == _MUL:
+                    test = None  # b is computed anyway, and 0 times it is 0
+            work += [(i, g, 2, test), (b, flag or g, 0, None)]
+            continue
+        when = [] if g is None else [g]
+        if done[i]:  # emitted before under other flags: only where none of them held
+            when.append(f"not ({' or '.join(done[i])})")
+        stmt = _statement(code, i, a, b, test)
+        body.append(f"if {' and '.join(when)}: {stmt}" if when else stmt)
+        lazy[i] = test if not done[i] and test in implies else None
+        done[i].append(g)
+    lines = ["def dyadic(n, bits, t):", "    one = 1 << bits"]
+    lines += ["    " + line for line in head + body]
+    lines.append(f"    return l{root}, h{root}")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=256)
+def _kernel(shape: tuple):
+    """The dyadic function of an op structure, compiled once per process
+    for every program of that structure (the 256 most recent)."""
+    namespace = {
+        "mul_iv": mul_iv,
+        "dist_iv": dist_iv,
+        "_pow_iv": _pow_iv,
+        "_dist_lt": _dist_lt,
+        "_need": _need,
+    }
+    exec(compile(kernel_source(shape), "<dyadic kernel>", "exec"), namespace)
+    return namespace["dyadic"]
 
 
 class Program:
@@ -238,17 +446,19 @@ class Program:
     predicate's shape becomes that predicate (:meth:`_fused`), and an op on
     constants becomes its folded value.  The ops they absorb are compiled
     first and dropped at the end unless something else uses them.  The
-    program also caches the dyadic enclosures of its constants, per
-    precision.
+    program also keeps, per precision, the inputs of its dyadic function
+    (its constants' enclosures and its range tests' bounds), and that
+    function itself, made from :meth:`shape` on the first dyadic
+    evaluation.
     """
 
-    __slots__ = ("ops", "consts", "_var", "_templates")
+    __slots__ = ("ops", "consts", "_templates", "_kernel")
 
     def __init__(self, e: Expr):
-        self._var = -1  # index of the variable's op, if any
         self.ops: list[tuple] = []
         self.consts: list[Real] = []
-        self._templates: dict[int, list] = {}
+        self._templates: dict[int, tuple] = {}
+        self._kernel = None  # the dyadic function, made on the first dyadic evaluation
         keys: dict[tuple, int] = {}  # one per op, plus each fused or folded key
         index: dict[int, int] = {}  # id(node) -> op; nodes live as long as e
         stack = [e]
@@ -313,8 +523,6 @@ class Program:
             consts.append(b)
         else:
             ops.append(key)
-            if code == _VAR:
-                self._var = i
         return i
 
     # -- the predicates, read from the operands' ops ------------------------------
@@ -406,7 +614,6 @@ class Program:
         """Keep the ops the root uses, in order: the operands of a folded
         subterm, and the ops a predicate absorbs, are compiled before it."""
         ops = self.ops
-        self._var = -1
         used = [False] * len(ops)
         used[root] = True
         for i in range(root, -1, -1):
@@ -428,21 +635,33 @@ class Program:
                 consts.append(self.consts[a])
             elif code == _VAR:
                 kept.append((_VAR, 0, 0))
-                self._var = new[i]
             else:
                 kept.append((code, new[a], new[b] if code in _TWO_OPERANDS else b))
         self.ops, self.consts = kept, consts
 
     # -- dyadic mode ----------------------------------------------------------
-    def _template(self, bits: int) -> list:
-        """Per-op memo for one point at ``bits``, constants filled in."""
-        tpl = self._templates.get(bits)
-        if tpl is None:
-            tpl = [None] * len(self.ops)
-            for i, (code, a, _) in enumerate(self.ops):
-                if code == _CONST:
-                    tpl[i] = fixed_enclosure(self.consts[a], bits)
-            self._templates[bits] = tpl
+    def shape(self) -> tuple:
+        """The ops as :func:`kernel_source` reads them: range tests without
+        their bounds, and constants by whether they are exact and nonzero."""
+        consts = self.consts
+        return tuple(
+            (code, a, type(consts[a]) in _EXACT and not is_exact_zero(consts[a]))
+            if code == _CONST
+            else (code, a, 0) if code == _RANGE else (code, a, b)
+            for code, a, b in self.ops
+        )
+
+    def _template(self, bits: int) -> tuple:
+        """The dyadic function's inputs at ``bits``, in op order: each
+        constant's enclosure, and each range test's bounds as
+        ``(an << bits, ad, bn << bits, bd)``."""
+        tpl = self._templates[bits] = tuple(
+            fixed_enclosure(self.consts[a], bits)
+            if code == _CONST
+            else (b[0] << bits, b[1], b[2] << bits, b[3])
+            for code, a, b in self.ops
+            if code == _CONST or code == _RANGE
+        )
         return tpl
 
     def eval_dyadic(self, n: int, bits: int) -> tuple[int, int]:
@@ -450,99 +669,11 @@ class Program:
 
         Raises ``NeedBits`` when a floor it needs is undecided at ``bits``.
         """
-        ops = self.ops
-        val = self._template(bits).copy()
-        root = len(ops) - 1
-        if self._var >= 0:
-            v = n << bits
-            val[self._var] = (v, v)
-        if val[root] is not None:
-            return val[root]
-        one = 1 << bits
-        stack = [root]
-        while stack:
-            i = stack[-1]
-            code, a, b = ops[i]
-            if code == _POW and b == 0:
-                val[i] = (one, one)
-                stack.pop()
-                continue
-            x = val[a]
-            if x is None:
-                stack.append(a)
-                continue
-            if code == _MUL:
-                if x[0] == 0 and x[1] == 0:
-                    out = x
-                else:
-                    y = val[b]
-                    if y is None:
-                        stack.append(b)
-                        continue
-                    out = mul_iv(x, y, bits)
-            elif code == _ADD or code == _SUB:
-                y = val[b]
-                if y is None:
-                    stack.append(b)
-                    continue
-                if code == _ADD:
-                    out = (x[0] + y[0], x[1] + y[1])
-                else:
-                    out = (x[0] - y[1], x[1] - y[0])
-            elif code == _RANGE:  # [a <= h < b] by cross-multiplication, no rounding
-                an, ad, bn, bd = b
-                if x[0] * ad >= an << bits and x[1] * bd < bn << bits:
-                    out = (one, one)
-                elif x[1] * ad < an << bits or x[0] * bd >= bn << bits:
-                    out = (0, 0)
-                else:
-                    raise NeedBits
-            elif code == _FLOOR:
-                v = floor_iv(x, bits) << bits
-                out = (v, v)
-            elif code == _DIST_LT:  # x is the scale s
-                if x[0] == 0 and x[1] == 0:
-                    out = (one, one)
-                else:
-                    y = val[b]
-                    if y is None:
-                        stack.append(b)
-                        continue
-                    f = floor_iv(y, bits) << bits
-                    f = (y[0] - f, y[1] - f)
-                    if _in_unit(mul_iv(x, f, bits), one) or _in_unit(
-                        mul_iv(x, (one - f[1], one - f[0]), bits), one
-                    ):
-                        out = (one, one)
-                    else:
-                        out = (0, 0)
-            elif code == _OR:
-                if x[0] == one:
-                    out = x
-                else:
-                    y = val[b]
-                    if y is None:
-                        stack.append(b)
-                        continue
-                    out = y
-            elif code == _NINT:
-                half = 1 << (bits - 1)
-                v = floor_iv((x[0] + half, x[1] + half), bits) << bits
-                out = (v, v)
-            elif code == _FRAC:
-                f = floor_iv(x, bits) << bits
-                out = (x[0] - f, x[1] - f)
-            elif code == _DIST:
-                out = dist_iv(x, bits)
-            else:  # _POW, by squaring over the exponent's bits
-                out = x
-                for bit in bin(b)[3:]:
-                    out = mul_iv(out, out, bits)
-                    if bit == "1":
-                        out = mul_iv(out, x, bits)
-            val[i] = out
-            stack.pop()
-        return val[root]
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = _kernel(self.shape())
+        tpl = self._templates.get(bits)
+        return kernel(n, bits, self._template(bits) if tpl is None else tpl)
 
     # -- exact mode -------------------------------------------------------------
     def eval_exact(self, n: int, max_bits: int) -> Real:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..errors import DivisionByZero, PrecisionExhausted, PreconditionError
 from .fixed import mul_iv
@@ -115,16 +115,31 @@ def rr_mul(x: RefinableReal, y: RefinableReal) -> RefinableReal:
     return RefinableReal(fn)
 
 
-def rr_inv(x: RefinableReal, max_bits: int = DEFAULT_MAX_BITS) -> RefinableReal:
-    # find a separation from zero first: then |x| >= 2^-k
+def _ladder(max_bits: int) -> Iterator[int]:
+    """The precisions a stream is read at: 4, 8, 16, ... below ``max_bits``,
+    then ``max_bits`` itself, so the whole budget is spent."""
     k = 4
-    while True:
+    while k < max_bits:
+        yield k
+        k *= 2
+    if max_bits > 0:
+        yield max_bits
+
+
+def rr_inv(x: RefinableReal, max_bits: int = DEFAULT_MAX_BITS) -> RefinableReal:
+    """1/x, once x is separated from zero within ``max_bits``.
+
+    Raises ``DivisionByZero`` where an answer is exactly ``(0, 0)`` (x is
+    0), and ``PrecisionExhausted`` where x stays undecided on the budget.
+    """
+    for k in _ladder(max_bits):
         lo, hi = x.interval(k)
         if lo > 0 or hi < 0:
-            break
-        if k > max_bits:
-            raise DivisionByZero("cannot separate divisor from zero")
-        k *= 2
+            break  # |x| >= 2^-k
+        if lo == hi:
+            raise DivisionByZero(f"division by {x.name or 'a stream'}, exactly 0")
+    else:
+        raise PrecisionExhausted("cannot separate divisor from zero within budget", bits=max_bits)
     negative = hi < 0
 
     def fn(bits: int) -> Interval:

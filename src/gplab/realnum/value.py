@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 from ..errors import DivisionByZero, PrecisionExhausted
 from .field import FieldElement, dyadic_enclosure
 from .refine import (
     DEFAULT_MAX_BITS,
     RefinableReal,
+    _ladder,
     constant,
     rr_add,
     rr_inv,
@@ -135,17 +136,6 @@ def rpow(a: Real, e: int) -> Real:
         base = rmul(base, base)
         e >>= 1
     return out
-
-
-def _ladder(max_bits: int) -> Iterator[int]:
-    """The precisions a stream is read at: 4, 8, 16, ... below ``max_bits``,
-    then ``max_bits`` itself, so the whole budget is spent."""
-    k = 4
-    while k < max_bits:
-        yield k
-        k *= 2
-    if max_bits > 0:
-        yield max_bits
 
 
 def sign_of(x: Real, max_bits: int = DEFAULT_MAX_BITS) -> int:

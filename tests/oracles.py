@@ -10,7 +10,9 @@ every q or n, with no prefilter, the reference for the prefiltered scans in
 the plateau test written out in field arithmetic, the reference for the
 compiled cubic indicator; and ``eval_tree``, an expression's literal tree
 evaluated node by node with the package's real-number operations, the
-reference for the compiled program's fused predicates.
+reference for the compiled program's fused predicates; and
+``dyadic_reference``, the stack machine that ran a program's dyadic mode
+before it was generated code, the reference for that code.
 """
 
 from __future__ import annotations
@@ -469,3 +471,135 @@ def eval_tree(e, n: int, max_bits: int = 4096):
             v = node.value
         val[id(node)] = v
     return val[id(e)]
+
+
+def dyadic_reference(program, n: int, bits: int) -> tuple[int, int]:
+    """``program``'s interval ``[lo, hi] * 2^-bits`` at n, or ``NeedBits``,
+    by the stack machine that evaluated dyadic mode before each program was
+    given a generated function: the reference for that function.
+
+    Ops are computed on demand from an explicit stack, with a per-point
+    memo, left operand first; a product whose left factor is exactly 0
+    never evaluates its right factor, an OR whose first operand is 1 never
+    evaluates its second, and a distance threshold whose scale is exactly 0
+    takes no floor of its argument.
+    """
+    from gplab.gpexpr.evaluate import (
+        _ADD,
+        _CONST,
+        _DIST,
+        _DIST_LT,
+        _FLOOR,
+        _FRAC,
+        _MUL,
+        _NINT,
+        _OR,
+        _POW,
+        _RANGE,
+        _SUB,
+        _VAR,
+    )
+    from gplab.realnum import NeedBits, dist_iv, fixed_enclosure, floor_iv, mul_iv
+
+    def in_unit(v: tuple[int, int], one: int) -> bool:
+        if v[0] >= 0 and v[1] < one:
+            return True
+        if v[1] < 0 or v[0] >= one:
+            return False
+        raise NeedBits
+
+    ops = program.ops
+    val: list = [None] * len(ops)
+    for i, (code, a, _) in enumerate(ops):
+        if code == _CONST:
+            val[i] = fixed_enclosure(program.consts[a], bits)
+        elif code == _VAR:
+            val[i] = (n << bits, n << bits)
+    root = len(ops) - 1
+    if val[root] is not None:
+        return val[root]
+    one = 1 << bits
+    stack = [root]
+    while stack:
+        i = stack[-1]
+        code, a, b = ops[i]
+        if code == _POW and b == 0:
+            val[i] = (one, one)
+            stack.pop()
+            continue
+        x = val[a]
+        if x is None:
+            stack.append(a)
+            continue
+        if code == _MUL:
+            if x[0] == 0 and x[1] == 0:
+                out = x
+            else:
+                y = val[b]
+                if y is None:
+                    stack.append(b)
+                    continue
+                out = mul_iv(x, y, bits)
+        elif code == _ADD or code == _SUB:
+            y = val[b]
+            if y is None:
+                stack.append(b)
+                continue
+            if code == _ADD:
+                out = (x[0] + y[0], x[1] + y[1])
+            else:
+                out = (x[0] - y[1], x[1] - y[0])
+        elif code == _RANGE:  # [a <= h < b] by cross-multiplication, no rounding
+            an, ad, bn, bd = b
+            if x[0] * ad >= an << bits and x[1] * bd < bn << bits:
+                out = (one, one)
+            elif x[1] * ad < an << bits or x[0] * bd >= bn << bits:
+                out = (0, 0)
+            else:
+                raise NeedBits
+        elif code == _FLOOR:
+            v = floor_iv(x, bits) << bits
+            out = (v, v)
+        elif code == _DIST_LT:  # x is the scale s
+            if x[0] == 0 and x[1] == 0:
+                out = (one, one)
+            else:
+                y = val[b]
+                if y is None:
+                    stack.append(b)
+                    continue
+                f = floor_iv(y, bits) << bits
+                f = (y[0] - f, y[1] - f)
+                if in_unit(mul_iv(x, f, bits), one) or in_unit(
+                    mul_iv(x, (one - f[1], one - f[0]), bits), one
+                ):
+                    out = (one, one)
+                else:
+                    out = (0, 0)
+        elif code == _OR:
+            if x[0] == one:
+                out = x
+            else:
+                y = val[b]
+                if y is None:
+                    stack.append(b)
+                    continue
+                out = y
+        elif code == _NINT:
+            half = 1 << (bits - 1)
+            v = floor_iv((x[0] + half, x[1] + half), bits) << bits
+            out = (v, v)
+        elif code == _FRAC:
+            f = floor_iv(x, bits) << bits
+            out = (x[0] - f, x[1] - f)
+        elif code == _DIST:
+            out = dist_iv(x, bits)
+        else:  # _POW, by squaring over the exponent's bits
+            out = x
+            for bit in bin(b)[3:]:
+                out = mul_iv(out, out, bits)
+                if bit == "1":
+                    out = mul_iv(out, x, bits)
+        val[i] = out
+        stack.pop()
+    return val[root]

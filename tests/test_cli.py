@@ -560,6 +560,9 @@ SCAN_SHA256 = {
     "verify-quadratic-1e7": "7a71dfd90abee80bfa8fdb8d72abb0aeff9de92c066680f850ea26780ab4cdd4",
     "verify-quadratic-filter-1e7": "5bcf38db6efcd9c5ae145b0a328762d4c3e5aaaa89a70c39181fffed982f6b86",
     "density-pell-1e7": "e1bf77303f8140a22011c2e6267d9e3ba499a76aa39a0cac0cbbbccf7e1dd4ce",
+    # the README expression near F_75, on dyadic mode's 192-bit precision;
+    # computed with the stack-machine evaluator, before the generated functions
+    "members-readme-2e15": "63a7c711c5ac6eb0f2f838aedf53198879aeacd484b87f02995fb2860343839e",
 }
 
 
@@ -572,6 +575,9 @@ def test_artifacts_are_byte_identical(tmp_path):
         "suite": ["suite", "quick"],
         "members": ["members", "--expr", "floor(1 - frac(theta*n/7))", "--from", "1",
                     "--to", "60"],
+        "members-readme-2e15": ["members", "--expr", "let phi = root(x^2-x-1, 1, 2); "
+                                "floor(1 - frac(theta*floor(2*n*(n*phi - floor(n*phi)))))",
+                                "--from", "2111485077977950", "--to", "2111485077978150"],
         "verify": ["verify", "--construction", "fibonacci", "--to", "2000"],
         "density": ["density", "--construction", "cubic", "--N", "100000"],
         "verify-quadratic-1e7": ["verify", "--construction", "quadratic", "--a", "3",

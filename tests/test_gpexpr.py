@@ -571,6 +571,25 @@ def test_compiled_predicates_decide_like_the_literal_tree(e):
         assert eval_indicator(e, n) == eval_exact(e, n) == eval_tree(e, n), n
 
 
+@given(_PREDICATES)
+@settings(max_examples=60, deadline=None)
+def test_generated_dyadic_function_matches_the_stack_machine(e):
+    # the same interval, or NeedBits on both sides, at every point
+    from gplab.gpexpr.evaluate import Program
+
+    from oracles import dyadic_reference
+
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except NeedBits:
+            return "NeedBits"
+
+    program = Program(e)
+    for n in _WINDOW:
+        assert outcome(program.eval_dyadic, n, 96) == outcome(dyadic_reference, program, n, 96), n
+
+
 # a stream for 1 whose every enclosure straddles 1: its floor is never decided
 _STUCK_ONE = Const("one", RefinableReal(lambda bits: ((1 << bits) - 1, (1 << bits) + 1), "one"))
 

@@ -269,6 +269,27 @@ def test_sign_and_floor_spend_the_whole_budget(max_bits):
         assert read[-1] == max_bits and read == sorted(read), read
 
 
+def test_inverse_separates_its_divisor_within_the_budget():
+    # a divisor stuck at (-1, 1) is read on the ladder up to max_bits and no
+    # further; undecided, it is PrecisionExhausted, not a division by zero
+    read = []
+
+    def at(k):
+        read.append(k)
+        return -1, 1
+
+    with pytest.raises(PrecisionExhausted):
+        rinv(RefinableReal(at, "stuck"), 12)
+    assert read == [4, 8, 12]
+    # an answer of exactly (0, 0) is a zero divisor
+    with pytest.raises(DivisionByZero):
+        rinv(RefinableReal(lambda k: (-1, 1) if k < 8 else (0, 0), "zero"), 12)
+    # once separated, the inverse is read within its contract
+    inv = rinv(RefinableReal(lambda k: ((3 << k) - 1, 3 << k), "three"), 12)
+    lo, hi = inv.interval(40)
+    assert lo <= (1 << 40) / 3 <= hi and hi - lo <= 2
+
+
 def test_compare_exact_vs_stream():
     sq2 = NumberField((-2, 0, 1), 1, 2).generator()
     assert compare(sq2, Fraction(3, 2)) < 0
