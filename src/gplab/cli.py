@@ -193,12 +193,31 @@ def cmd_bestapprox(args) -> int:
     return EXIT_OK
 
 
+# the options each heis mode reads besides --c, with their defaults
+_HEIS_READS = {
+    "orbit": {"range_from": 0, "range_to": 1000},
+    "growth": {"ladder": (1000, 10000, 100000, 1000000)},
+    "equidist": {"range_to": 1000, "grid": 4},
+}
+
+
 def cmd_heis(args) -> int:
+    reads = _HEIS_READS[args.mode]
+    ignored = [
+        f"--{dest.removeprefix('range_')}"
+        for dest in ("range_from", "range_to", "ladder", "grid")
+        if dest not in reads and getattr(args, dest) is not None
+    ]
+    if ignored:
+        raise PreconditionError(f"heis --mode {args.mode} reads no {', '.join(ignored)}")
+    for dest, default in reads.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     try:
         c = Fraction(args.c)
     except (ValueError, ZeroDivisionError):
         raise PreconditionError(f"--c must be a rational such as 1/20, not {args.c!r}") from None
-    spec = default_orbit_spec(c, args.range_to)
+    spec = default_orbit_spec(c)
     if args.mode == "growth":
         rows = growth_count(spec, args.ladder, args.maxprec)
         data = [
@@ -353,10 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heis", help="Heisenberg orbit tools")
     p.add_argument("--mode", choices=("orbit", "growth", "equidist"), default="growth")
     p.add_argument("--c", default="1/20", help="threshold exponent (rational)")
-    p.add_argument("--from", dest="range_from", type=int, default=0)
-    p.add_argument("--to", dest="range_to", type=int, default=1000)
-    p.add_argument("--ladder", type=_int_list, default="1000,10000,100000,1000000")
-    p.add_argument("--grid", type=int, default=4)
+    p.add_argument("--from", dest="range_from", type=int, help="orbit (default 0)")
+    p.add_argument("--to", dest="range_to", type=int, help="orbit, equidist (default 1000)")
+    p.add_argument("--ladder", type=_int_list, help="growth (default 1000,10000,100000,1000000)")
+    p.add_argument("--grid", type=int, help="equidist (default 4)")
     _add_common(p)
     p.set_defaults(fn=cmd_heis)
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -92,9 +91,7 @@ class CubicConstruction:
     theta: tuple[FieldElement, FieldElement]
     recurrence: LinearRecurrence
     m1_sq: FieldElement
-    m1_at: tuple[int, int]
     plateau_pow: int  # (h^2 g)^2 == beta^plateau_pow along the recurrence
-    record_offset: Fraction  # N0(R_i theta)^2 == m1^2 beta^-(i-offset), large i
     g_expr: Expr = dc_field(repr=False, default=None)
     h_sq_expr: Expr = dc_field(repr=False, default=None)
     certificate: Certificate = dc_field(repr=False, default=None)
@@ -119,13 +116,13 @@ class CubicConstruction:
         m1_4 = self.m1_sq * self.m1_sq
         return (n0 * n0 * self.beta ** (2 * i - self.plateau_pow) - m1_4).is_zero()
 
-    @cached_property
-    def _exact_consts(self) -> tuple[FieldElement, ...]:
-        """1/beta, 1/beta^2, beta Re(u), m1^-2, beta^k, K, L, Im(u)^-2 and
-        beta^2, exactly (K and L bound g; see ``_cubic_candidates``)."""
+    def _fixed_consts(self, bits: int) -> tuple:
+        """Enclosures at ``bits`` of 1/beta, 1/beta^2, beta Re(u), m1^-2,
+        beta^k, K, L, Im(u)^-2 and beta^2 (K and L bound g; see
+        ``_cubic_candidates``), computed when a scan starts."""
         inv_b, inv_b2 = self.theta
         c1 = (self.beta * self.b + 1) * inv_b2
-        return (
+        exact = (
             inv_b,
             inv_b2,
             self.beta * self.norm.re_u,
@@ -136,13 +133,7 @@ class CubicConstruction:
             self.norm.im_u_sq.inverse(),
             self.beta * self.beta,
         )
-
-    def _fixed_consts(self, bits: int) -> tuple:
-        """Enclosures at ``bits`` of ``_exact_consts``, computed once per precision."""
-        cache = self.__dict__.setdefault("_fixed_cache", {})
-        if bits not in cache:
-            cache[bits] = tuple(fixed_enclosure(c, bits) for c in self._exact_consts)
-        return cache[bits]
+        return tuple(fixed_enclosure(c, bits) for c in exact)
 
     def member(self, q: int) -> bool:
         """The indicator's exact verdict at q >= 1: (h^2 g)^2 <= beta^k."""
@@ -241,19 +232,13 @@ def cubic_pisot_set(a: int, b: int) -> CubicConstruction:
         norm=norm,
         theta=theta,
         recurrence=rec,
-        m1_sq=None,
-        m1_at=(0, 0),
+        m1_sq=nearest_lattice_sq(norm, theta, 1)[0],
         plateau_pow=0,
-        record_offset=0,
     )
-    m1_sq, m1_at = nearest_lattice_sq(norm, theta, 1)
-    cons.m1_sq = m1_sq
-    cons.m1_at = m1_at
     cons.g_expr, cons.h_sq_expr = _build_exprs(cons)
     prod = Mul(cons.h_sq_expr, cons.g_expr)
     probe_terms = recurrence_terms(rec, 5000)
     cons.plateau_pow = _measure_plateau(cons, lambda q: eval_exact(prod, q), probe_terms)
-    cons.record_offset = Fraction(cons.plateau_pow, 2)
     _verify_record_plateau_link(cons, probe_terms)
 
     # indicator: 0 <= beta^k - (h^2 g)^2 < B, i.e. the product sits on or
@@ -272,7 +257,8 @@ def cubic_pisot_set(a: int, b: int) -> CubicConstruction:
         meta={
             "construction": f"cubic a={a} b={b}",
             "plateau_pow": k,
-            "record_offset": cons.record_offset,
+            # N0(R_i theta)^2 == m1^2 beta^-(i - record_offset), large i
+            "record_offset": Fraction(k, 2),
         },
     )
     cons.certificate = cert
@@ -281,14 +267,16 @@ def cubic_pisot_set(a: int, b: int) -> CubicConstruction:
 
 def flag_extra_orbit(cert: Certificate, report: VerificationReport) -> None:
     """Flag ``plateau_shared_by_extra_orbit`` when ``gp cert``'s scan against
-    ``cubic_recurrence`` finds a mismatch in (2000, 4000].
+    ``cubic_recurrence`` finds a mismatch in the upper half of its range,
+    (hi/2, hi].
 
     Some parameter pairs admit a second recurrence orbit (for example the
     values R_(i-2) + R_i) on which h^2 g attains the *same* exact plateau,
     so no threshold on h^2 g separates the target orbit.  The flag
     surfaces the finding instead of pretending the set matches.
     """
-    if any(2000 < x <= 4000 for x in report.symmetric_difference):
+    hi = report.range_hi
+    if any(hi // 2 < x <= hi for x in report.symmetric_difference):
         cert.meta["plateau_shared_by_extra_orbit"] = True
 
 

@@ -335,14 +335,13 @@ def kernel_source(shape: tuple) -> str:
     lazy operand (``_MUL``'s right factor and ``_DIST_LT``'s argument, unless
     the left operand is a nonzero constant, and ``_OR``'s second operand)
     is computed under a flag that is set after the left operand, from its
-    value and the op's own flag.  A flag implies its op's flag, and a
-    product that is not 0 (an OR that is not 1) implies the flag its lazy
-    operand was computed under.  An op that a later visit needs under a
-    flag that implies none it was computed under is emitted again, for the
-    cases those did not cover.  So the ops the walk demands are computed,
-    once each, and no other: the same points raise ``NeedBits``.  The visit
-    is a loop and no statement is nested, so neither depth nor laziness is
-    limited.
+    value and the op's own flag.  The one implication used is that a flag
+    implies the flag it is nested in.  An op that a later visit needs under
+    a flag that implies none it was computed under is emitted again,
+    guarded to the cases those did not cover.  So the ops the walk demands
+    are computed, once each, and no other: the same points raise
+    ``NeedBits``.  The visit is a loop and no statement is nested, so
+    neither depth nor laziness is limited.
     """
     root = len(shape) - 1
     codes = {code for code, _, _ in shape}
@@ -350,8 +349,7 @@ def kernel_source(shape: tuple) -> str:
     head += [line for code, line in _SCRATCH.items() if code in codes]
     body, inputs = [], []
     done: list[list] = [[] for _ in shape]  # the flags op i is computed under; None: always
-    lazy: list = [None] * len(shape)  # the flag of op i's lazy operand, if i is emitted once
-    implies: dict[str, list] = {}  # the flags each flag implies
+    parent: dict[str, str | None] = {}  # the flag each flag is nested in
     nonzero = set()
     for i, (code, a, b) in enumerate(shape):
         if code == _CONST:
@@ -368,17 +366,11 @@ def kernel_source(shape: tuple) -> str:
         head.append(", ".join(inputs) + ", = t")
 
     def covered(i: int, g: str | None) -> bool:
-        if None in done[i]:
-            return True
-        todo, seen = [g], set()
-        while todo:
-            g = todo.pop()
-            if g in done[i]:
-                return True
-            if g is not None and g not in seen:
-                seen.add(g)
-                todo += implies[g]
-        return False
+        while g not in done[i]:
+            if g is None:
+                return False
+            g = parent[g]
+        return True
 
     # (op, its flag, its operands' stage: 0 none, 1 a, 2 both, the flag or test of b)
     work: list[tuple] = [(root, None, 0, None)]
@@ -396,11 +388,8 @@ def kernel_source(shape: tuple) -> str:
             if code in _NEEDS_B and (code == _OR or a not in nonzero):
                 test = _NEEDS_B[code].format(a=a)
                 if not covered(b, g):
-                    flag = f"g{len(implies)}"
-                    # a product that is not 0, or an OR that is not 1, had
-                    # its own lazy operand computed
-                    told = shape[a][0] == (_OR if code == _OR else _MUL)
-                    implies[flag] = [f for f in (g, lazy[a] if told else None) if f]
+                    flag = f"g{len(parent)}"
+                    parent[flag] = g
                     body.append(f"{flag} = {test}" if g is None else f"{flag} = {g} and {test}")
                     test = flag
                 elif code == _MUL:
@@ -412,7 +401,6 @@ def kernel_source(shape: tuple) -> str:
             when.append(f"not ({' or '.join(done[i])})")
         stmt = _statement(code, i, a, b, test)
         body.append(f"if {' and '.join(when)}: {stmt}" if when else stmt)
-        lazy[i] = test if not done[i] and test in implies else None
         done[i].append(g)
     lines = ["def dyadic(n, bits, t):", "    one = 1 << bits"]
     lines += ["    " + line for line in head + body]

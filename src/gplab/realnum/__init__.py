@@ -16,7 +16,7 @@ from .fixed import (
     prefilter_bits,
     scale_iv,
 )
-from .refine import DEFAULT_MAX_BITS, THETA, RefinableReal, rr_sqrt, sqrt_interval
+from .refine import DEFAULT_MAX_BITS, THETA, RefinableReal, rr_sqrt
 from .value import (
     Real,
     as_stream,
@@ -67,7 +67,6 @@ __all__ = [
     "rpow",
     "rsub",
     "sign_of",
-    "sqrt_interval",
     "rr_sqrt",
     "to_float",
 ]

@@ -162,18 +162,6 @@ def _isqrt_iv(lo: int, hi: int) -> Interval:
     return math.isqrt(lo), r + (r * r < hi)
 
 
-def sqrt_interval(lo: Fraction, hi: Fraction, k: int) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of sqrt over a nonnegative rational interval, on the 2^-(k+1) grid."""
-    if lo < 0:
-        raise PrecisionExhausted("sqrt of an interval reaching below zero", bits=k)
-    shift = 2 * k + 2
-    slo, shi = _isqrt_iv(
-        (lo.numerator << shift) // lo.denominator, -((-hi.numerator << shift) // hi.denominator)
-    )
-    r = 1 << (k + 1)
-    return Fraction(slo, r), Fraction(shi, r)
-
-
 def rr_sqrt(x: RefinableReal) -> RefinableReal:
     def fn(bits: int) -> Interval:
         # sqrt(x) * 2^bits = sqrt(x * 4^bits); a 2-wide radicand gives a root

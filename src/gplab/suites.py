@@ -12,21 +12,20 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable
 
 from .cf import best_approx_1d, best_approx_2d, cf_expand, convergents, legendre_check
 from .constructions import (
-    LinearRecurrence,
+    VerificationReport,
     cubic_pisot_set,
     fibonacci_like_set,
-    norm_plus_filtered_set,
-    quadratic_pisot_unit_set,
     recurrence_terms,
     very_sparse_alpha,
     very_sparse_set,
     verify_certificate,
 )
-from .constructions.quadratic import fibonacci_like_terms, odd_index_denominators
+from .constructions.quadratic import fibonacci_like_terms
 from .constructions.registry import CONSTRUCTIONS, SCAN_TO
 from .errors import GPLabError
 from .gpexpr import (
@@ -73,9 +72,15 @@ class CheckResult:
 # acceptance criteria
 # ---------------------------------------------------------------------------
 
+def _verify(name: str, lo: int, to: int, **params) -> VerificationReport:
+    """The registry construction ``name`` built from ``params``, scanned on
+    [lo, to] against its registry oracle."""
+    spec, p = CONSTRUCTIONS[name], SimpleNamespace(**params)
+    return verify_certificate(spec.build(p), spec.oracle(p, to), lo, to)
+
+
 def check_fibonacci_certificate(to: int = 10**6) -> str:
-    cert = fibonacci_like_set(1)
-    report = verify_certificate(cert, fibonacci_like_terms(1, to), 2, to)
+    report = _verify("fibonacci", 2, to, a=1)
     assert report.symmetric_difference == (), (
         f"unexpected mismatches: {report.symmetric_difference}"
     )
@@ -100,8 +105,7 @@ def check_fibonacci_constant() -> str:
 
 
 def check_quadratic_norm_plus(to: int = 10**6) -> str:
-    cert = norm_plus_filtered_set(4)
-    report = verify_certificate(cert, odd_index_denominators(4, to), 1, to)
+    report = _verify("quadratic-filter", 1, to, a=4)
     assert report.exceptional_bound <= 2, f"exceptional bound {report.exceptional_bound}"
     # q_1 = 1 is the lone exception
     assert report.symmetric_difference == (1,), f"exceptional {report.symmetric_difference}"
@@ -118,28 +122,24 @@ def check_half_over_n_to_1e17(to: int = 10**17) -> str:
     mismatch must lie below ``SCAN_TO``, where that scan lists it as
     exceptional.  The scans take their candidates from continued-fraction
     denominators, so the range costs O(log to) confirmations.  The oracles
-    are the integer recurrences: nint(beta^i) for the root of x^2 - 3x -+ 1
-    is 1 at i = 0 and the trace L_i = beta^i + beta'^i, L_0 = 2, L_1 = 3,
-    after it.
+    are the registry's.
     """
     cases = [
-        ("fibonacci", "a=1", fibonacci_like_set(1), fibonacci_like_terms(1, to)),
-        ("fibonacci", "a=2", fibonacci_like_set(2), fibonacci_like_terms(2, to)),
-        ("quadratic-filter", "a=4", norm_plus_filtered_set(4), odd_index_denominators(4, to)),
+        ("fibonacci", "a=1", dict(a=1)),
+        ("fibonacci", "a=2", dict(a=2)),
+        ("quadratic-filter", "a=4", dict(a=4)),
+        ("quadratic", "a=3 norm=+1", dict(a=3, norm=1)),
+        ("quadratic", "a=3 norm=-1", dict(a=3, norm=-1)),
     ]
-    for norm in (1, -1):
-        traces = recurrence_terms(LinearRecurrence((3, -norm), (2, 3)), to)
-        cert = quadratic_pisot_unit_set(3, norm)
-        cases.append(("quadratic", f"a=3 norm={norm:+d}", cert, [1] + traces[1:]))
     parts = []
-    for name, params, cert, oracle in cases:
+    for name, label, params in cases:
         lo = CONSTRUCTIONS[name].scan_from
-        report = verify_certificate(cert, oracle, lo, to)
+        report = _verify(name, lo, to, **params)
         assert report.exceptional_bound <= SCAN_TO, (
-            f"{name} {params}: mismatches {report.symmetric_difference} on [{lo}, {to}]"
+            f"{name} {label}: mismatches {report.symmetric_difference} on [{lo}, {to}]"
         )
         parts.append(
-            f"{name} {params}: {len(report.members_found)} on [{lo}, {to}], "
+            f"{name} {label}: {len(report.members_found)} on [{lo}, {to}], "
             f"exceptional {list(report.symmetric_difference)}"
         )
     return f"every mismatch below {SCAN_TO}; " + "; ".join(parts)

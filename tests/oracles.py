@@ -285,16 +285,16 @@ def nearest_lattice_sq_exhaustive(norm, theta, q: int):
     rational enclosures at 2^-24 of sqrt(Im(u)^2), |v| and Re(u) x1; every
     point in it is compared in the field, the point nearest q theta first.
     """
-    from gplab.realnum import interval_of, sqrt_interval
+    from gplab.realnum import interval_of
 
     th1, th2 = theta
     y1, y2 = th1 * q, th2 * q
+    s = 1 << 24
 
     def sqrt_hi(x):
-        lo, hi = interval_of(x, 24)
-        return sqrt_interval(max(lo, Fraction(0)), hi, 24)[1]
+        return Fraction(isqrt(ceil(interval_of(x, 24)[1] * s * s)) + 1, s)
 
-    im_lo = sqrt_interval(*interval_of(norm.im_u_sq, 24), 24)[0]
+    im_lo = Fraction(isqrt(floor(interval_of(norm.im_u_sq, 24)[0] * s * s)), s)
     vlo, vhi = interval_of(norm.v, 24)
     v_abs_lo = vlo if vlo > 0 else -vhi
     assert v_abs_lo > 0

@@ -77,6 +77,11 @@ def test_exit_code_bad_construction_params():
         ["heis", "--c", "abc"],
         ["heis", "--c", "1/0"],
         ["heis", "--mode", "growth", "--ladder", "0,10", "--c", "1/3"],
+        # options the mode ignores: growth reads --ladder, equidist --to and
+        # --grid, orbit --from and --to
+        ["heis", "--mode", "growth", "--grid", "9", "--from", "5", "--to", "7"],
+        ["heis", "--mode", "orbit", "--ladder", "5,6", "--grid", "3"],
+        ["heis", "--mode", "equidist", "--ladder", "7", "--from", "9"],
         ["verify", "--construction", "fibonacci", "--from", "10", "--to", "5"],  # nothing scanned
         ["cf", "--expr", "let s = root(x^2-2,1,2); s + n"],  # refused, not read at n = 0
         ["bestapprox", "--expr", "let s = root(x^2-2,1,2); s + n"],

@@ -28,7 +28,7 @@ def test_parameter_validation():
 
 
 def test_m1_value_and_location(trib):
-    assert trib.m1_at == (1, 0)
+    assert nearest_lattice_sq(trib.norm, trib.theta, 1)[1] == (1, 0)
     assert abs(to_float(trib.m1_sq) - 0.2955977425220848**2) < 1e-12
     # m1^2 = 2 beta^2 - 2 beta - 3 exactly
     b = trib.beta
@@ -104,22 +104,6 @@ def test_plateau_walk_counts_its_comparisons(monkeypatch):
             _measure_plateau(cons, lambda q: x, terms)
     with pytest.raises(PreconditionError, match="differs between indices"):
         _measure_plateau(cons, lambda q: beta if q == terms[-1] else one, terms)
-
-
-def test_fixed_consts_builds_exact_constants_once(monkeypatch):
-    # m1^-2 and Im(u)^-2 are inverted once; each new precision only
-    # encloses the stored constants (k = 2 here, so beta^k needs no inverse)
-    from gplab.realnum import FieldElement
-
-    cons = cubic_pisot_set(1, 1)
-    cons.__dict__.pop("_exact_consts", None)
-    cons.__dict__.pop("_fixed_cache", None)
-    calls = _count_calls(monkeypatch, FieldElement, "inverse")
-    first = cons._fixed_consts(100)
-    assert calls[0] == 2
-    second = cons._fixed_consts(200)
-    assert calls[0] == 2
-    assert cons._fixed_consts(100) is first and len(second) == len(first) == 9
 
 
 def test_h_matches_bruteforce_when_small(trib):

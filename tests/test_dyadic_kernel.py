@@ -8,6 +8,7 @@ point and precision both must give the same interval, or both raise
 machine did.
 """
 
+import hashlib
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gplab.constructions import Certificate
+from gplab.constructions import Certificate, sqrt2_small_dist_certificate
 from gplab.constructions.registry import CONSTRUCTIONS
 from gplab.gpexpr import (
     N,
@@ -35,6 +36,7 @@ from gplab.gpexpr import (
     ind_or,
     indicator_of_range,
     members,
+    parse,
 )
 from gplab.gpexpr.evaluate import DEFAULT_MAX_BITS, Program, _dyadic_bits, kernel_source
 from gplab.realnum import NeedBits, NumberField, RefinableReal
@@ -88,6 +90,64 @@ def test_registry_indicators_match_the_stack_machine(name, kwargs):
         program = Program(e)
         for window in windows:
             _assert_matches(program, window)
+
+
+# sha256 of kernel_source(Program(e).shape()) for the indicators of the
+# registry constructions, built and printed-then-parsed, the README expression
+# and the small-distance certificate; a generator change that alters any
+# generated source re-pins it with its reason
+_FIB = "24b223bbf6f6af44143d19fe8253be40c5fc67be544f4dfe86d3404a241deb98"
+_QUAD_MINUS = "bd6df2da185b9c1c31d9657603f7cc12ffb0182bac36934ebbcd9503dba2d531"
+_QUAD_MINUS_REPARSED = "ba8b672138801737e0054245b43bc417e6556583d631a8d5f0dbf76a957d6793"
+_FILTER = "34e40766107a91bde0a477d6a9f346bb6907cb4466716f3e605d044fd50e72ee"
+_CUBIC = "b847c596e3852d19946f21b13c703e988a4773bab10f98b92377b13365ca6f2e"
+_CUBIC_REPARSED = "27576421ccf5742ac4d5ad23a213fb5a3c2418ed48ef8f375646e156233aa9b9"
+KERNEL_SHA256 = [
+    # (construction, params, built, re-parsed)
+    ("fibonacci", dict(a=1), _FIB, _FIB),
+    ("fibonacci", dict(a=2), _FIB, _FIB),
+    ("fibonacci", dict(a=7), _FIB, _FIB),
+    ("quadratic", dict(a=3, norm=1),
+     "80f76562cbf88827f2b1fa179068d3cb566e3b3f34d1f3e086d757940c3662ef",
+     "80f76562cbf88827f2b1fa179068d3cb566e3b3f34d1f3e086d757940c3662ef"),
+    ("quadratic", dict(a=3, norm=-1), _QUAD_MINUS, _QUAD_MINUS_REPARSED),
+    ("quadratic", dict(a=5, norm=1),
+     "e75ae3b295b018b2eebf530afea0d46187eae91be0dab8f139e753a89591a47f",
+     "1986b90824bd3eb713a6861b5906fbe0c1851f019e1db8ebd744622fc77cb0e2"),
+    ("quadratic", dict(a=2, norm=-1), _QUAD_MINUS, _QUAD_MINUS_REPARSED),
+    ("quadratic-filter", dict(a=4), _FILTER, _FILTER),
+    ("quadratic-filter", dict(a=6), _FILTER, _FILTER),
+    ("cubic", dict(a=1, b=1), _CUBIC, _CUBIC_REPARSED),
+    ("cubic", dict(a=2, b=1), _CUBIC, _CUBIC_REPARSED),
+    ("cubic", dict(a=2, b=-1), _CUBIC, _CUBIC_REPARSED),
+    ("verysparse", dict(sequence=(2, 128, 562949953421312), C=5, D=6),
+     "ef309f3c78a326beda74d50f3690145bf607e56bcb37298c09ed7d8da5db4690",
+     "ef309f3c78a326beda74d50f3690145bf607e56bcb37298c09ed7d8da5db4690"),
+]
+_README_SHA256 = "0a59f6550a54d14f432b6b549de68aca24d53de8c3405b2be83ffd56c709f027"
+_SQRT2_SHA256 = "4839ff52befba8b2bad9ac376fcb4990815927af714d0b3298e22802f84217ef"
+
+
+def _kernel_sha256(e) -> str:
+    return hashlib.sha256(kernel_source(Program(e).shape()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, kwargs, built, reparsed", KERNEL_SHA256, ids=lambda v: str(v))
+def test_registry_kernels_are_pinned(name, kwargs, built, reparsed):
+    cert = CONSTRUCTIONS[name].build(SimpleNamespace(**kwargs))
+    assert _kernel_sha256(cert.indicator) == built
+    assert _kernel_sha256(Certificate.from_file_text(cert.to_file_text()).indicator) == reparsed
+
+
+def test_readme_and_small_distance_kernels_are_pinned():
+    readme = (
+        "let phi = root(x^2-x-1, 1, 2);"
+        " floor(1 - frac(theta*floor(2*n*(n*phi - floor(n*phi)))))"
+    )
+    assert _kernel_sha256(parse(readme)) == _README_SHA256
+    cert = sqrt2_small_dist_certificate()
+    reparsed = Certificate.from_file_text(cert.to_file_text())
+    assert _kernel_sha256(cert.indicator) == _kernel_sha256(reparsed.indicator) == _SQRT2_SHA256
 
 
 # -- random op DAGs: shared subterms under every kind of lazy operand -----------------
@@ -159,6 +219,18 @@ def test_an_op_needed_under_two_unrelated_flags_is_computed_under_either():
     _assert_matches(program, range(-3, 9), 96)
     need = [n for n in range(-3, 9) if _outcome(program.eval_dyadic, n, 96) == "NeedBits"]
     assert need == [1, 2, 3, 4, 5]
+
+
+def test_a_factor_reused_by_a_product_of_its_product():
+    # (p floor(Y)) floor(Y) with floor(Y) undecided but at n = 0: floor(Y) is
+    # computed under p's flag, and needed again where p floor(Y) is not 0,
+    # which happens only where p is 1; it is computed there, once, and
+    # nowhere else
+    stuck = Floor(Mul(N, _STUCK_ONE))
+    program = Program(Mul(Mul(indicator_of_range(N, 0, 3), stuck), stuck))
+    _assert_matches(program, range(-3, 6), 96)
+    need = [n for n in range(-3, 6) if _outcome(dyadic_reference, program, n, 96) == "NeedBits"]
+    assert need == [1, 2]
 
 
 # -- robustness of the generator --------------------------------------------------

@@ -28,7 +28,6 @@ from gplab.realnum import (
     rpow,
     rsub,
     sign_of,
-    sqrt_interval,
     to_float,
 )
 from gplab.realnum.polys import count_real_roots, is_irreducible_low_degree
@@ -442,11 +441,3 @@ def test_stream_arithmetic_keeps_the_integer_enclosure_contract(x, y, e, order):
         for b1, b2 in zip(bits, bits[1:]):
             (lo1, hi1), (lo2, hi2) = answers[b1], answers[b2]
             assert lo1 << (b2 - b1) <= lo2 and hi2 <= hi1 << (b2 - b1)
-
-
-def test_sqrt_interval_rounds_its_upper_end_up():
-    # sqrt(9/32) = 0.530..., above the 1/2 that flooring 9/32 * 2^4 gives
-    lo, hi = sqrt_interval(Fraction(1, 4), Fraction(9, 32), 1)
-    assert lo <= Fraction(1, 2) and lo**2 <= Fraction(1, 4)
-    assert hi**2 >= Fraction(9, 32)
-    assert hi - lo <= Fraction(1, 4)
