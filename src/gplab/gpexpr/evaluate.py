@@ -53,16 +53,22 @@ The same op list is run in two modes:
   (rational / field element / interval stream), running every op once,
   in order.  Floors on exact values are decided exactly; floors on
   streams refine up to the precision budget.  A range test compares h
-  with a and b exactly.
+  with a and b exactly.  For a point the dyadic pass left open it is
+  given the integer-valued ops (floors, nints, range and distance tests,
+  ORs) that pass decided at that same point, and reads each as the
+  integer it decided instead of working it out again, the pattern of
+  Shewchuk's adaptive predicates (DCG 18, 1997).
 
 * dyadic mode evaluates over fixed-point intervals ``[lo, hi] * 2^-bits``
   with plain integer arithmetic.  It is the fast path for range scans, and
   it runs one Python function generated from the op list
-  (:func:`kernel_source`): one flat statement per op, each op's interval
-  in two locals, the constants' enclosures and the range tests' bounds
-  passed in from the program's per-precision template, never written into
-  the source.  Ops run in the order a demand-driven walk from the root
-  computes them, and a lazy operand runs only under a need flag set from
+  (:func:`kernel_source`), a loop over a window of n: the constants'
+  enclosures, the range tests' bounds (passed in from the program's
+  per-precision template, never written into the source) and the scratch
+  values are read once per call, and the loop body is one flat statement
+  per op, each op's interval in two locals.  Ops run in the order a
+  demand-driven walk from the root computes them, and a lazy operand runs
+  only under a need flag set from
   its left operand: a product whose left factor is exactly zero never
   evaluates its right factor, a distance test whose scale is exactly zero
   never evaluates its argument, and an OR whose first operand is 1 never
@@ -72,11 +78,16 @@ The same op list is run in two modes:
   in it; the compiled code is cached per process by the op structure
   (opcodes, operand indices, exponents, and whether each constant is an
   exact nonzero value), so programs of one structure, such as the
-  indicators of repeated builds, compile it once.  ``eval_indicator`` runs
-  it once per point,
-  at the least of 96, 192, 384, ... bits that holds 64 + 2 bits(n) (room
-  for a product of two n-sized factors, such as 2n {n x}), and sends a
-  point it leaves open straight to exact mode.  A second rung would not
+  indicators of repeated builds, compile it once.  Each point is run
+  through it once, at the least of 96, 192, 384, ... bits that holds
+  64 + 2 bits(n) (room for a product of two n-sized factors, such as
+  2n {n x}): ``members`` calls it once per run of points that share that
+  precision, ``eval_indicator`` on its one point.  A point whose value is
+  exactly 0 or 1 is settled in the loop; any other goes to
+  ``eval_indicator``, and a point left open goes straight to exact mode
+  with the ops decided before the floor that stopped it.  The decided
+  ops' locals are reset at the top of each iteration, so no value of an
+  earlier point is ever passed on.  A second rung would not
   help where it matters: on a closed threshold that a value meets exactly
   (a cubic member on its plateau) every enclosure straddles the floor.
   A range test compares h's interval with a and b by integer
@@ -150,6 +161,7 @@ _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL}
 _UNARY = {Floor: _FLOOR, Frac: _FRAC, Nint: _NINT, Dist: _DIST}
 _TWO_OPERANDS = frozenset({_ADD, _SUB, _MUL, _DIST_LT, _OR})
 _PREDICATES = frozenset({_RANGE, _DIST_LT, _OR})
+_DECIDED = frozenset({_FLOOR, _NINT, _RANGE, _DIST_LT, _OR})  # integer-valued: kept for exact mode
 _FUSABLE = (_FLOOR, _SUB)
 _UNIT = (0, 1, 1, 1)  # the bounds of [0 <= h < 1]
 _EXACT = (Fraction, FieldElement)
@@ -308,7 +320,7 @@ _UNDER = {
 # where a lazy b is needed: _MUL's and _DIST_LT's where a is not exactly 0,
 # _OR's where a is not 1
 _NEEDS_B = {_MUL: "(l{a} or h{a})", _DIST_LT: "(l{a} or h{a})", _OR: "l{a} != one"}
-_SCRATCH = {_FRAC: "r = one - 1", _NINT: "half = one >> 1"}
+_SCRATCH = {_FRAC: ("r", "one - 1"), _NINT: ("half", "one >> 1")}
 
 
 def _statement(code: int, i: int, a: int, b: int, g: str | None) -> str:
@@ -324,11 +336,16 @@ def _statement(code: int, i: int, a: int, b: int, g: str | None) -> str:
 
 
 def kernel_source(shape: tuple) -> str:
-    """The source of ``dyadic(n, bits, t)``, the dyadic function of the ops
+    """The source of ``dyadic(ns, bits, t)``, the dyadic function of the ops
     ``shape``: a program's ops with each range test's bounds left out and
     each constant replaced by whether it is an exact nonzero value.  The
     constants' enclosures and the bounds are read from ``t``,
-    :meth:`Program._template`'s tuple.
+    :meth:`Program._template`'s tuple, once per call; the ops run in a loop
+    over the points ``ns``, and the function returns what
+    :meth:`Program.scan` describes.  A floor or range test left open raises
+    ``NeedBits`` inside the loop's ``try``, whose handler records the point
+    with the locals of the integer-valued ops, which are reset to None at
+    the top of each iteration.
 
     The ops are visited in the order a demand-driven walk from the root
     computes them, left operand first, and each is one flat statement.  A
@@ -345,8 +362,9 @@ def kernel_source(shape: tuple) -> str:
     """
     root = len(shape) - 1
     codes = {code for code, _, _ in shape}
-    head = ["m = -one"] if codes & {_FLOOR, _FRAC, _NINT} else []
-    head += [line for code, line in _SCRATCH.items() if code in codes]
+    scratch = [("m", "-one")] if codes & {_FLOOR, _FRAC, _NINT} else []
+    scratch += [pair for code, pair in _SCRATCH.items() if code in codes]
+    head = [" = ".join(map(", ".join, zip(*scratch)))] if scratch else []
     body, inputs = [], []
     done: list[list] = [[] for _ in shape]  # the flags op i is computed under; None: always
     parent: dict[str, str | None] = {}  # the flag each flag is nested in
@@ -402,9 +420,21 @@ def kernel_source(shape: tuple) -> str:
         stmt = _statement(code, i, a, b, test)
         body.append(f"if {' and '.join(when)}: {stmt}" if when else stmt)
         done[i].append(g)
-    lines = ["def dyadic(n, bits, t):", "    one = 1 << bits"]
-    lines += ["    " + line for line in head + body]
-    lines.append(f"    return l{root}, h{root}")
+    decided = [i for i, (code, _, _) in enumerate(shape) if code in _DECIDED]
+    lines = ["def dyadic(ns, bits, t):", "    one = 1 << bits"]
+    lines += ["    " + line for line in head]
+    lines += ["    out = []", "    for n in ns:"]
+    if decided:  # none is read from an earlier point
+        lines.append("        " + " = ".join(f"l{i}" for i in decided) + " = None")
+    lines.append("        try:")
+    lines += ["            " + line for line in body]
+    lo, hi = f"l{root}", f"h{root}"
+    lines.append(
+        f"            if {lo} or {hi}: out.append(n if {lo} == {hi} == one else (n, ({lo}, {hi})))"
+    )
+    kept = ", ".join(f"{i}: l{i}" for i in decided)
+    lines.append(f"        except NeedBits: out.append((n, {{{kept}}}))")
+    lines.append("    return out")
     return "\n".join(lines) + "\n"
 
 
@@ -418,6 +448,7 @@ def _kernel(shape: tuple):
         "_pow_iv": _pow_iv,
         "_dist_lt": _dist_lt,
         "_need": _need,
+        "NeedBits": NeedBits,
     }
     exec(compile(kernel_source(shape), "<dyadic kernel>", "exec"), namespace)
     return namespace["dyadic"]
@@ -652,22 +683,46 @@ class Program:
         )
         return tpl
 
+    def scan(self, ns: range, bits: int) -> list:
+        """The dyadic function at every n of ``ns``, all at ``bits``, in
+        order: n where the value is exactly 1, ``(n, (lo, hi))`` where the
+        interval is not exactly 0 or 1, and ``(n, decided)`` where a floor
+        or a range test was left open, ``decided`` mapping each integer-valued
+        op (floor, nint, range and distance test, OR) to its local: its
+        value times ``2^bits`` where it was decided at n, else None.  A
+        point whose value is exactly 0 is left out."""
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = _kernel(self.shape())
+        tpl = self._templates.get(bits)
+        return kernel(ns, bits, self._template(bits) if tpl is None else tpl)
+
     def eval_dyadic(self, n: int, bits: int) -> tuple[int, int]:
         """Interval ``[lo, hi] * 2^-bits`` holding the value at n.
 
         Raises ``NeedBits`` when a floor it needs is undecided at ``bits``.
         """
-        kernel = self._kernel
-        if kernel is None:
-            kernel = self._kernel = _kernel(self.shape())
-        tpl = self._templates.get(bits)
-        return kernel(n, bits, self._template(bits) if tpl is None else tpl)
+        out = self.scan(range(n, n + 1), bits)
+        if not out:
+            return 0, 0
+        if type(out[0]) is int:
+            return 1 << bits, 1 << bits
+        if type(out[0][1]) is dict:
+            raise NeedBits
+        return out[0][1]
 
     # -- exact mode -------------------------------------------------------------
-    def eval_exact(self, n: int, max_bits: int) -> Real:
+    def eval_exact(self, n: int, max_bits: int, decided: dict | None = None) -> Real:
+        """The value at n, every op computed in order, except that an op in
+        ``decided`` (a dyadic pass's verdicts at this same n) is read as
+        the integer it maps to."""
+        ops, consts = self.ops, self.consts
+        if decided:  # each decided op becomes a constant of its integer
+            ops, consts = list(ops), consts + [Fraction(v) for v in decided.values()]
+            for k, i in enumerate(decided, len(self.consts)):
+                ops[i] = (_CONST, k, 0)
         val: list[Real] = []
-        consts = self.consts
-        for code, a, b in self.ops:
+        for code, a, b in ops:
             if code == _CONST:
                 out = consts[a]
             elif code == _VAR:
@@ -693,6 +748,25 @@ def _dyadic_bits(n: int, max_bits: int) -> int:
     return bits
 
 
+def _runs(lo: int, hi: int, max_bits: int) -> list[list[int]]:
+    """[lo, hi] as ``[start, stop, bits]`` runs of points that share
+    :func:`_dyadic_bits`: split wherever |n| changes bit length, and
+    neighbours of one precision joined."""
+    runs: list[list[int]] = []
+    n = lo
+    while n <= hi:
+        k = abs(n).bit_length()
+        last = (1 << k) - 1 if n >= 0 else -(1 << (k - 1))  # the last n' >= n with |n'| of k bits
+        stop = min(last, hi) + 1
+        bits = _dyadic_bits(n, max_bits)
+        if runs and runs[-1][2] == bits:
+            runs[-1][1] = stop
+        else:
+            runs.append([n, stop, bits])
+        n = stop
+    return runs
+
+
 def _compiled(e: Expr) -> Program:
     """The program of ``e``: compiled on its first evaluation, then kept in
     the expression's own slot, so it lives exactly as long as ``e``."""
@@ -704,9 +778,16 @@ def _compiled(e: Expr) -> Program:
         return program
 
 
-def eval_exact(e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS) -> Real:
-    """Exact value of the expression at integer n (spec semantics)."""
-    return _compiled(e).eval_exact(n, max_bits)
+def eval_exact(
+    e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS, decided: dict | None = None
+) -> Real:
+    """Exact value of the expression at integer n (spec semantics).
+
+    ``decided`` maps op indices of the expression's program to integers a
+    dyadic pass decided at this n; exact mode reads them instead of
+    computing them.
+    """
+    return _compiled(e).eval_exact(n, max_bits, decided)
 
 
 def _shown(v: int | Fraction) -> str:
@@ -719,24 +800,36 @@ def _shown(v: int | Fraction) -> str:
     return f"a {num}-bit integer" if den == 1 else f"a {num}-bit / {den}-bit fraction"
 
 
-def eval_indicator(e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
-    """Value of an indicator expression; raises NonBooleanValue outside {0,1}."""
+def eval_indicator(
+    e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS, outcome: tuple | dict | None = None
+) -> int:
+    """Value of an indicator expression; raises NonBooleanValue outside {0,1}.
+
+    ``outcome`` is what a window scan's dyadic function (:meth:`Program.scan`)
+    already found at n, an interval that is not exactly 0 or 1 or the
+    decided ops of a point left open, so that n is not run through it again.
+    """
     bits = _dyadic_bits(n, max_bits)
-    try:
-        lo, hi = _compiled(e).eval_dyadic(n, bits)
-    except NeedBits:
-        pass  # a floor its enclosure straddles: exact mode decides
+    if outcome is None:
+        out = _compiled(e).scan(range(n, n + 1), bits)
+        if not out:
+            return 0
+        if type(out[0]) is int:
+            return 1
+        outcome = out[0][1]
+    decided = None
+    if type(outcome) is dict:  # a floor its enclosure straddles: exact mode decides
+        decided = {i: v >> bits for i, v in outcome.items() if v is not None}
     else:
+        lo, hi = outcome
         if lo == hi and lo % (1 << bits) == 0:
             val = lo >> bits
-            if val not in (0, 1):
-                raise NonBooleanValue(f"indicator value {_shown(val)} at n={n}", n=n, value=val)
-            return val
+            raise NonBooleanValue(f"indicator value {_shown(val)} at n={n}", n=n, value=val)
         # non-point result: the expression did not collapse to an integer
         if hi < 0 or lo > (1 << bits):
             raise NonBooleanValue("indicator outside {0,1}", n=n, value=(lo, hi))
     try:
-        value = eval_exact(e, n, max_bits)
+        value = eval_exact(e, n, max_bits, decided)
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"indicator undecided at n={n}", n=n, bits=max_bits) from exc
     if isinstance(value, FieldElement) and value.is_rational():
@@ -756,8 +849,22 @@ def members(
     hi: int,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> list[int]:
-    """All n in [lo, hi] where the indicator evaluates to 1, in order."""
-    return [n for n in range(lo, hi + 1) if eval_indicator(e, n, max_bits) == 1]
+    """All n in [lo, hi] where the indicator evaluates to 1, in order.
+
+    One call of the program's dyadic function per run of points that share a
+    precision; a point whose value is not exactly 0 or 1 there is settled by
+    :func:`eval_indicator` from what that call found, in order, so the
+    first point that is not 0 or 1 raises as it would alone.
+    """
+    program = _compiled(e)
+    found = []
+    for start, stop, bits in _runs(lo, hi, max_bits):
+        for v in program.scan(range(start, stop), bits):
+            if type(v) is int:
+                found.append(v)
+            elif eval_indicator(e, v[0], max_bits, v[1]) == 1:
+                found.append(v[0])
+    return found
 
 
 def discrete_difference(q: Expr, shifts: list[int], max_bits: int = DEFAULT_MAX_BITS) -> Real:

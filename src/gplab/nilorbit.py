@@ -105,22 +105,25 @@ class OrbitSpec:
     alpha: Real
     beta: Real
     c: Fraction
-    n_max: int = 10**6
 
     def __post_init__(self):
         if not (0 < self.c < 1):
             raise PreconditionError("exponent c must lie in (0, 1)")
 
 
-def default_orbit_spec(c=Fraction(1, 20), n_max: int = 10**6) -> OrbitSpec:
-    """The sqrt2/sqrt3 preset; 1, sqrt2, sqrt3 are independent over Q."""
+def default_orbit_spec(c=Fraction(1, 20), _orbit_length: int | None = None) -> OrbitSpec:
+    """The sqrt2/sqrt3 preset; 1, sqrt2, sqrt3 are independent over Q.
+
+    A second argument (the orbit length perfbench's workloads still pass) is
+    ignored: each count or sample takes its own range.
+    """
     for d in (2, 3, 6):
         r = math.isqrt(d)
         if r * r == d:
             raise PreconditionError("preset radicands must be nonsquare")
     alpha = NumberField((-2, 0, 1), 1, 2, "sqrt2").generator()
     beta = NumberField((-3, 0, 1), 1, 2, "sqrt3").generator()
-    return OrbitSpec(alpha, beta, Fraction(c), n_max)
+    return OrbitSpec(alpha, beta, Fraction(c))
 
 
 def orbit_point(spec: OrbitSpec, n: int, max_bits: int = DEFAULT_MAX_BITS) -> HeisenbergElem:

@@ -107,15 +107,46 @@ class NumberField:
                 b = m
         return a
 
+    def _newton_cell(self, a: int, b: int, g: int) -> int:
+        """What :meth:`_bisect` returns, by safeguarded integer Newton steps
+        (Press et al., *Numerical Recipes*, rtsafe): each iterate's sign
+        shrinks the bracket, and a bisection step replaces a Newton step
+        that would leave the bracket or not halve the step before it.  The
+        iterate is rounded toward the root's side, so near the root two
+        signs close the unit cell.  Bisection closes what g steps leave, so
+        the step count is bounded whatever the polynomial."""
+        x, step = (a + b) >> 1, b - a
+        for _ in range(g):
+            v = scaled_eval(self.minpoly, x, g)
+            left = (v > 0) == (self._sign_lo > 0)
+            if left:
+                a = x
+            else:
+                b = x
+            if b - a == 1:
+                break
+            slope = scaled_eval(self._dpoly, x, g)
+            nx = a  # no Newton step: bisect
+            if slope and 2 * abs(v) <= step * abs(slope):
+                nx = x - v // slope if left else x + -v // slope  # ceil / floor of x - v/slope
+            if a < nx < b:
+                step = abs(nx - x)
+            else:
+                nx = (a + b) >> 1
+                step = b - a
+            x = nx
+        return self._bisect(a, b, g)
+
     def _base_bracket(self) -> tuple[int, int]:
-        """First unit bracket: grid points inside the isolating interval, bisected."""
+        """First unit bracket: grid points inside the isolating interval,
+        closed to the root's cell ``floor(root * 2^g)`` by Newton steps."""
         lo, hi = self.isolating_interval
         g = _BASE_GRID
         while True:
             a = -((-lo.numerator << g) // lo.denominator)  # ceil(lo * 2^g)
             b = (hi.numerator << g) // hi.denominator  # floor(hi * 2^g)
             if a < b and self._left_of_root(a, g) and not self._left_of_root(b, g):
-                return g, self._bisect(a, b, g)
+                return g, self._newton_cell(a, b, g)
             g += _BASE_GRID
 
     def root_enclosure(self, bits: int) -> tuple[int, int]:

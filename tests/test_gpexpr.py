@@ -790,9 +790,9 @@ def test_tribonacci_windows_near_1e12_reach_exact_fallback(monkeypatch):
 
 @pytest.mark.parametrize("pair", [(1, 1), (2, 1)])
 def test_members_runs_one_dyadic_evaluation_per_point(pair, monkeypatch):
-    # on the plateau no dyadic precision decides the last floor (for (2, 1)
-    # on [1000, 1200), h^2 g is an integer at 83 of the q), so a point the
-    # one dyadic evaluation leaves open goes straight to exact mode
+    # the generated function runs once at each point, and a point it leaves
+    # open (a Tribonacci member on the plateau, where no dyadic precision
+    # decides the last floor) goes straight to exact mode, with no second run
     from gplab.constructions import cubic_pisot_set
     from gplab.gpexpr import evaluate
 
@@ -806,16 +806,161 @@ def test_members_runs_one_dyadic_evaluation_per_point(pair, monkeypatch):
     else:
         windows = [(1000, 1199)]
     want = [[q for q in range(lo, hi + 1) if cons.member(q)] for lo, hi in windows]
-    calls = []
-    eval_dyadic = evaluate.Program.eval_dyadic
+    program = evaluate._compiled(ind)
+    kernel = evaluate._kernel(program.shape())
+    runs, opened, exact = [], [], []
 
-    def counted(self, n, bits):
-        calls.append(n)
-        return eval_dyadic(self, n, bits)
+    def counted_kernel(ns, bits, t):
+        runs.extend(ns)  # the generated function runs its body once per n
+        out = kernel(ns, bits, t)
+        opened.extend(v[0] for v in out if type(v) is tuple and type(v[1]) is dict)
+        return out
 
-    monkeypatch.setattr(evaluate.Program, "eval_dyadic", counted)
+    def counted_exact(e, n, *args):
+        exact.append(n)
+        return eval_exact(e, n, *args)
+
+    monkeypatch.setattr(program, "_kernel", counted_kernel)
+    monkeypatch.setattr(evaluate, "eval_exact", counted_exact)
     assert [members(ind, lo, hi) for lo, hi in windows] == want
-    assert calls == [q for lo, hi in windows for q in range(lo, hi + 1)]
+    assert runs == [q for lo, hi in windows for q in range(lo, hi + 1)]
+    assert exact == opened
+    assert opened or pair != (1, 1)  # each Tribonacci member is an open point
+
+
+def test_tribonacci_members_below_200_are_the_only_exact_fallbacks(monkeypatch):
+    # tier-1's fallback count: cubic (1, 1) on [1, 200] sends exactly its 9
+    # members, which sit on the plateau, to exact mode
+    from gplab.constructions import cubic_pisot_set
+    from gplab.gpexpr import evaluate
+
+    from oracles import tribonacci_R
+
+    calls = []
+
+    def counting(e, n, *args):
+        calls.append(n)
+        return eval_exact(e, n, *args)
+
+    monkeypatch.setattr(evaluate, "eval_exact", counting)
+    terms = sorted(set(tribonacci_R(200)) - {0})
+    assert len(terms) == 9
+    assert members(cubic_pisot_set(1, 1).certificate.indicator, 1, 200) == terms
+    assert calls == terms
+
+
+def test_exact_mode_reads_the_roundings_the_dyadic_pass_decided(monkeypatch):
+    # at a Tribonacci member only the plateau's range test is left open:
+    # exact mode takes the three nint roundings from the dyadic pass and
+    # works none of them out again, and without them it works out all three
+    from gplab.constructions import cubic_pisot_set
+    from gplab.gpexpr import evaluate
+
+    ind = cubic_pisot_set(1, 1).certificate.indicator
+    rounded = []
+    nint_of = evaluate.nint_of
+
+    def counted(x, max_bits):
+        rounded.append(x)
+        return nint_of(x, max_bits)
+
+    monkeypatch.setattr(evaluate, "nint_of", counted)
+    assert members(ind, 1700, 1710) == [1705]
+    assert rounded == []
+    assert eval_exact(ind, 1705) == 1 and len(rounded) == 3
+
+
+def _pointwise(e, lo: int, hi: int):
+    """``members`` the old way, one ``eval_indicator`` per point: the list,
+    or the type and n of the first error."""
+    try:
+        return [n for n in range(lo, hi + 1) if eval_indicator(e, n) == 1]
+    except (NonBooleanValue, PrecisionExhausted) as exc:
+        return type(exc), exc.n
+
+
+def _windowed(e, lo: int, hi: int):
+    try:
+        return members(e, lo, hi)
+    except (NonBooleanValue, PrecisionExhausted) as exc:
+        return type(exc), exc.n
+
+
+def test_members_windows_split_at_the_precision_boundaries(phi, monkeypatch):
+    # one call of the generated function per run of points of one precision
+    # (96 bits up to |n| < 2^16, 192 up to 2^64, then 384), each point at
+    # its own: windows across those boundaries, through 0 and negative n,
+    # and empty ones
+    from gplab.constructions import cubic_pisot_set
+    from gplab.gpexpr import evaluate
+    from gplab.gpexpr.evaluate import DEFAULT_MAX_BITS, _dyadic_bits
+
+    half = indicator_of_range(Frac(Mul(N, Const("phi", phi))), Fraction(1, 2), 1)
+    trib = cubic_pisot_set(1, 1).certificate.indicator
+    assert _dyadic_bits(2**16 - 1, DEFAULT_MAX_BITS) < _dyadic_bits(2**16, DEFAULT_MAX_BITS)
+    assert _dyadic_bits(2**64 - 1, DEFAULT_MAX_BITS) < _dyadic_bits(2**64, DEFAULT_MAX_BITS)
+    program = evaluate._compiled(half)
+    kernel = evaluate._kernel(program.shape())
+    calls = []
+
+    def counted(ns, bits, t):
+        calls.append((ns, bits))
+        return kernel(ns, bits, t)
+
+    monkeypatch.setattr(program, "_kernel", counted)
+    for c in (0, 2**16, -(2**16), 2**64, -(2**64)):
+        want = _pointwise(half, c - 30, c + 30)
+        calls.clear()
+        assert _windowed(half, c - 30, c + 30) == want, c
+        assert min(want) < c < max(want), c  # members on both sides of c
+        assert [n for ns, _ in calls for n in ns] == list(range(c - 30, c + 31))
+        assert all(_dyadic_bits(n, DEFAULT_MAX_BITS) == bits for ns, bits in calls for n in ns)
+        assert len(calls) == (1 if c == 0 else 2)
+    for lo, hi in ((-3, -1), (0, 0), (1, 1), (5, 4), (2**64, -(2**64))):
+        assert _windowed(half, lo, hi) == _pointwise(half, lo, hi), (lo, hi)
+    assert members(half, 5, 4) == members(half, 2**64, -(2**64)) == []
+    # 66012 is a Tribonacci member past 2^16: an open point in the run past it
+    assert _windowed(trib, 2**16 - 100, 66100) == _pointwise(trib, 2**16 - 100, 66100) == [66012]
+
+
+@pytest.mark.parametrize(
+    "text, lo, hi, n",
+    [
+        ("2*floor(n/2)", 0, 5, 2),  # the integer 2
+        ("2*floor(n/2)", -5, 5, -5),  # the integer -6
+        ("let phi = root(x^2-x-1, 1, 2); n*phi", 0, 3, 1),  # an interval past 1
+        ("let phi = root(x^2-x-1, 1, 2); frac(n*phi)", 0, 3, 1),  # no integer at all
+    ],
+)
+def test_members_raises_where_the_pointwise_scan_did(text, lo, hi, n):
+    e = parse(text)
+    assert _windowed(e, lo, hi) == _pointwise(e, lo, hi) == (NonBooleanValue, n)
+
+
+def test_an_open_point_reads_no_floor_the_point_before_decided():
+    # floor(n/3) is decided at n = 2 and left open at n = 3, where
+    # n * enclosure(1/3) straddles 1, in one window: exact mode at n = 3
+    # computes it afresh, and every point agrees with the stack machine
+    # plus exact mode
+    from gplab.gpexpr.evaluate import _FLOOR, Program
+
+    from oracles import dyadic_reference
+
+    third = Mul(N, RationalConst(Fraction(1, 3)))
+    e = indicator_of_range(Sub(N, Mul(RationalConst(Fraction(3)), Floor(third))), 0, 1)  # [3 | n]
+    program = Program(e)
+    floor = next(i for i, op in enumerate(program.ops) if op[0] == _FLOOR)
+    root = len(program.ops) - 1
+    assert program.scan(range(2, 4), 96) == [(3, {floor: None, root: None})]
+    want = []
+    for n in range(-7, 10):
+        try:
+            value = dyadic_reference(program, n, 96)[0] >> 96
+        except NeedBits:
+            value = eval_exact(e, n)
+        if value == 1:
+            want.append(n)
+    assert members(e, -7, 9) == want == [-6, -3, 0, 3, 6, 9]
 
 
 def test_members_compiles_each_expression_once(monkeypatch):

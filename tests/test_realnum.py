@@ -115,6 +115,52 @@ def test_number_field_accepts_what_the_fraction_rule_accepts(minpoly, lo, width)
     assert accepted == number_field_accepts(minpoly, lo, hi)
 
 
+def _assert_base_bracket_is_bisected(field: NumberField) -> None:
+    """The base bracket's cell is the one bisection finds on its grid."""
+    g, a = field._base_bracket()
+    lo, hi = field.isolating_interval
+    ends = -((-lo.numerator << g) // lo.denominator), (hi.numerator << g) // hi.denominator
+    assert (g, a) == (g, field._bisect(*ends, g)), field
+
+
+def test_base_bracket_matches_bisection_on_every_registry_field():
+    from types import SimpleNamespace
+
+    from gplab.constructions.registry import CONSTRUCTIONS
+    from gplab.gpexpr import Const, walk
+
+    params = [
+        ("fibonacci", dict(a=1)),
+        ("fibonacci", dict(a=2)),
+        ("quadratic", dict(a=3, norm=1)),
+        ("quadratic", dict(a=3, norm=-1)),
+        ("quadratic", dict(a=5, norm=1)),
+        ("quadratic-filter", dict(a=4)),
+        ("cubic", dict(a=1, b=1)),
+        ("cubic", dict(a=2, b=1)),
+        ("cubic", dict(a=2, b=-1)),
+        ("verysparse", dict(sequence=(2, 128, 562949953421312), C=5, D=6)),
+    ]
+    fields = set()
+    for name, kwargs in params:
+        cert = CONSTRUCTIONS[name].build(SimpleNamespace(**kwargs))
+        fields |= {
+            node.value.field
+            for node in walk(cert.indicator)
+            if type(node) is Const and isinstance(node.value, FieldElement)
+        }
+    assert {f.degree for f in fields} == {2, 3}
+    for field in fields:
+        _assert_base_bracket_is_bisected(field)
+
+
+@settings(max_examples=300)
+@given(small_monic, small_ends, widths)
+def test_base_bracket_matches_bisection(minpoly, lo, width):
+    if number_field_accepts(minpoly, lo, lo + width):
+        _assert_base_bracket_is_bisected(NumberField(minpoly, lo, lo + width))
+
+
 @given(monic, st.integers(min_value=-300, max_value=300))
 def test_irreducibility_matches_divisor_search(minpoly, r):
     assert is_irreducible_low_degree(minpoly) == irreducible_by_divisors(minpoly)
