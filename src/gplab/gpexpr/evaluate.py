@@ -62,7 +62,7 @@ The same op list is run in two modes:
 * dyadic mode evaluates over fixed-point intervals ``[lo, hi] * 2^-bits``
   with plain integer arithmetic.  It is the fast path for range scans, and
   it runs one Python function generated from the op list
-  (:func:`kernel_source`), a loop over a window of n: the constants'
+  (:func:`kernel_source`), a generator over a window of n: the constants'
   enclosures, the range tests' bounds (passed in from the program's
   per-precision template, never written into the source) and the scratch
   values are read once per call, and the loop body is one flat statement
@@ -83,13 +83,16 @@ The same op list is run in two modes:
   64 + 2 bits(n) (room for a product of two n-sized factors, such as
   2n {n x}): ``members`` calls it once per run of points that share that
   precision, ``eval_indicator`` on its one point.  A point whose value is
-  exactly 0 or 1 is settled in the loop; any other goes to
-  ``eval_indicator``, and a point left open goes straight to exact mode
-  with the ops decided before the floor that stopped it.  The decided
-  ops' locals are reset at the top of each iteration, so no value of an
-  earlier point is ever passed on.  A second rung would not
-  help where it matters: on a closed threshold that a value meets exactly
-  (a cubic member on its plateau) every enclosure straddles the floor.
+  exactly 0 is passed over in the loop and one exactly 1 is yielded as n;
+  any other is yielded with what the loop found and settled by
+  ``eval_indicator`` before the loop goes on, so a scan raises at its
+  first bad point and keeps nothing but its members.  A point left open
+  goes straight to exact mode with the ops decided before the floor that
+  stopped it.  The decided ops' locals are reset at the top of each
+  iteration, so no value of an earlier point is ever passed on.  A second
+  rung would not help where it matters: on a closed threshold that a value
+  meets exactly (a cubic member on its plateau) every enclosure straddles
+  the floor.
   A range test compares h's interval with a and b by integer
   cross-multiplication: 1 inside [a, b), 0 disjoint from it, and
   ``NeedBits`` when it straddles a or b.  So a huge h costs nothing,
@@ -112,6 +115,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 from ..errors import NonBooleanValue, ParseError, PrecisionExhausted
 from ..realnum import (
@@ -341,9 +345,9 @@ def kernel_source(shape: tuple) -> str:
     each constant replaced by whether it is an exact nonzero value.  The
     constants' enclosures and the bounds are read from ``t``,
     :meth:`Program._template`'s tuple, once per call; the ops run in a loop
-    over the points ``ns``, and the function returns what
+    over the points ``ns``, and the function is a generator of what
     :meth:`Program.scan` describes.  A floor or range test left open raises
-    ``NeedBits`` inside the loop's ``try``, whose handler records the point
+    ``NeedBits`` inside the loop's ``try``, whose handler yields the point
     with the locals of the integer-valued ops, which are reset to None at
     the top of each iteration.
 
@@ -423,18 +427,17 @@ def kernel_source(shape: tuple) -> str:
     decided = [i for i, (code, _, _) in enumerate(shape) if code in _DECIDED]
     lines = ["def dyadic(ns, bits, t):", "    one = 1 << bits"]
     lines += ["    " + line for line in head]
-    lines += ["    out = []", "    for n in ns:"]
+    lines.append("    for n in ns:")
     if decided:  # none is read from an earlier point
         lines.append("        " + " = ".join(f"l{i}" for i in decided) + " = None")
     lines.append("        try:")
     lines += ["            " + line for line in body]
     lo, hi = f"l{root}", f"h{root}"
     lines.append(
-        f"            if {lo} or {hi}: out.append(n if {lo} == {hi} == one else (n, ({lo}, {hi})))"
+        f"            if {lo} or {hi}: yield n if {lo} == {hi} == one else (n, ({lo}, {hi}))"
     )
     kept = ", ".join(f"{i}: l{i}" for i in decided)
-    lines.append(f"        except NeedBits: out.append((n, {{{kept}}}))")
-    lines.append("    return out")
+    lines.append(f"        except NeedBits: yield n, {{{kept}}}")
     return "\n".join(lines) + "\n"
 
 
@@ -683,33 +686,21 @@ class Program:
         )
         return tpl
 
-    def scan(self, ns: range, bits: int) -> list:
-        """The dyadic function at every n of ``ns``, all at ``bits``, in
-        order: n where the value is exactly 1, ``(n, (lo, hi))`` where the
-        interval is not exactly 0 or 1, and ``(n, decided)`` where a floor
-        or a range test was left open, ``decided`` mapping each integer-valued
-        op (floor, nint, range and distance test, OR) to its local: its
-        value times ``2^bits`` where it was decided at n, else None.  A
-        point whose value is exactly 0 is left out."""
+    def scan(self, ns: Iterable[int], bits: int) -> Iterator:
+        """The dyadic function at every n of ``ns``, all at ``bits``: a
+        generator that takes the next n from ``ns`` only when asked for its
+        next value.  It yields, in order, n where the value is exactly 1,
+        ``(n, (lo, hi))`` where the interval is not exactly 0 or 1, and
+        ``(n, decided)`` where a floor or a range test was left open,
+        ``decided`` mapping each integer-valued op (floor, nint, range and
+        distance test, OR) to its local: its value times ``2^bits`` where it
+        was decided at n, else None.  A point whose value is exactly 0 is
+        left out."""
         kernel = self._kernel
         if kernel is None:
             kernel = self._kernel = _kernel(self.shape())
         tpl = self._templates.get(bits)
         return kernel(ns, bits, self._template(bits) if tpl is None else tpl)
-
-    def eval_dyadic(self, n: int, bits: int) -> tuple[int, int]:
-        """Interval ``[lo, hi] * 2^-bits`` holding the value at n.
-
-        Raises ``NeedBits`` when a floor it needs is undecided at ``bits``.
-        """
-        out = self.scan(range(n, n + 1), bits)
-        if not out:
-            return 0, 0
-        if type(out[0]) is int:
-            return 1 << bits, 1 << bits
-        if type(out[0][1]) is dict:
-            raise NeedBits
-        return out[0][1]
 
     # -- exact mode -------------------------------------------------------------
     def eval_exact(self, n: int, max_bits: int, decided: dict | None = None) -> Real:
@@ -801,22 +792,27 @@ def _shown(v: int | Fraction) -> str:
 
 
 def eval_indicator(
-    e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS, outcome: tuple | dict | None = None
+    e: Expr, n: int, max_bits: int = DEFAULT_MAX_BITS, *, _found: tuple | None = None
 ) -> int:
     """Value of an indicator expression; raises NonBooleanValue outside {0,1}.
 
-    ``outcome`` is what a window scan's dyadic function (:meth:`Program.scan`)
-    already found at n, an interval that is not exactly 0 or 1 or the
-    decided ops of a point left open, so that n is not run through it again.
+    ``_found`` is for :func:`members` alone: ``(bits, v)``, where v is what
+    its window scan (:meth:`Program.scan`) at ``bits`` yielded for n, an
+    interval that is not exactly 0 or 1 or the decided ops of a point left
+    open, so that n is not run through the dyadic function again.  Such a
+    point is settled here rather than in a helper, so that every exact
+    fallback of a scan is made under ``eval_indicator``, where perfbench's
+    fallback probe counts it.
     """
-    bits = _dyadic_bits(n, max_bits)
-    if outcome is None:
-        out = _compiled(e).scan(range(n, n + 1), bits)
-        if not out:
+    if _found is None:
+        bits = _dyadic_bits(n, max_bits)
+        v = next(_compiled(e).scan((n,), bits), None)
+        if v is None:
             return 0
-        if type(out[0]) is int:
+        if type(v) is int:
             return 1
-        outcome = out[0][1]
+        _found = bits, v[1]
+    bits, outcome = _found
     decided = None
     if type(outcome) is dict:  # a floor its enclosure straddles: exact mode decides
         decided = {i: v >> bits for i, v in outcome.items() if v is not None}
@@ -852,9 +848,11 @@ def members(
     """All n in [lo, hi] where the indicator evaluates to 1, in order.
 
     One call of the program's dyadic function per run of points that share a
-    precision; a point whose value is not exactly 0 or 1 there is settled by
-    :func:`eval_indicator` from what that call found, in order, so the
-    first point that is not 0 or 1 raises as it would alone.
+    precision.  A point whose value is not exactly 0 or 1 there is settled
+    by :func:`eval_indicator` from what the call yielded, before the call
+    goes on to the next point: the first point that is not 0 or 1 raises as
+    it would alone, no later point has been run, and nothing but the
+    members is kept.
     """
     program = _compiled(e)
     found = []
@@ -862,7 +860,7 @@ def members(
         for v in program.scan(range(start, stop), bits):
             if type(v) is int:
                 found.append(v)
-            elif eval_indicator(e, v[0], max_bits, v[1]) == 1:
+            elif eval_indicator(e, v[0], max_bits, _found=(bits, v[1])) == 1:
                 found.append(v[0])
     return found
 

@@ -97,55 +97,41 @@ class NumberField:
         """Whether ``x * 2^-g`` (a point of the isolating interval) lies below the root."""
         return (scaled_eval(self.minpoly, x, g) > 0) == (self._sign_lo > 0)
 
-    def _bisect(self, a: int, b: int, g: int) -> int:
-        """Shrink a certified bracket ``a < root * 2^g < b`` to width 1; returns its left end."""
-        while b - a > 1:
+    def _bisect(self, a: int, b: int, g: int, width: int = 1) -> tuple[int, int]:
+        """Shrink a certified bracket ``a < root * 2^g < b`` to width at most ``width``."""
+        while b - a > width:
             m = (a + b) >> 1
             if self._left_of_root(m, g):
                 a = m
             else:
                 b = m
-        return a
+        return a, b
 
-    def _newton_cell(self, a: int, b: int, g: int) -> int:
-        """What :meth:`_bisect` returns, by safeguarded integer Newton steps
-        (Press et al., *Numerical Recipes*, rtsafe): each iterate's sign
-        shrinks the bracket, and a bisection step replaces a Newton step
-        that would leave the bracket or not halve the step before it.  The
-        iterate is rounded toward the root's side, so near the root two
-        signs close the unit cell.  Bisection closes what g steps leave, so
-        the step count is bounded whatever the polynomial."""
-        x, step = (a + b) >> 1, b - a
-        for _ in range(g):
-            v = scaled_eval(self.minpoly, x, g)
-            left = (v > 0) == (self._sign_lo > 0)
-            if left:
-                a = x
-            else:
-                b = x
-            if b - a == 1:
-                break
-            slope = scaled_eval(self._dpoly, x, g)
-            nx = a  # no Newton step: bisect
-            if slope and 2 * abs(v) <= step * abs(slope):
-                nx = x - v // slope if left else x + -v // slope  # ceil / floor of x - v/slope
-            if a < nx < b:
-                step = abs(nx - x)
-            else:
-                nx = (a + b) >> 1
-                step = b - a
-            x = nx
-        return self._bisect(a, b, g)
+    def _newton_cell(self, lo: int, hi: int, t: int) -> int:
+        """The root's cell ``floor(root * 2^t)`` inside a certified bracket
+        ``lo < root * 2^t < hi``: one integer Newton step from the bracket's
+        midpoint, after which the root is within one cell of a good iterate;
+        integer bisection inside the bracket finds the cell when the step
+        misses."""
+        x = (lo + hi) >> 1
+        slope = scaled_eval(self._dpoly, x, t)
+        if slope:
+            x = min(max(x - scaled_eval(self.minpoly, x, t) // slope, lo + 1), hi - 1)
+        if self._left_of_root(x, t):
+            return x if not self._left_of_root(x + 1, t) else self._bisect(x + 1, hi, t)[0]
+        return x - 1 if self._left_of_root(x - 1, t) else self._bisect(lo, x - 1, t)[0]
 
     def _base_bracket(self) -> tuple[int, int]:
         """First unit bracket: grid points inside the isolating interval,
-        closed to the root's cell ``floor(root * 2^g)`` by Newton steps."""
+        bisected to the width a Newton rung of :meth:`root_enclosure` starts
+        from, then closed to the root's cell by that rung."""
         lo, hi = self.isolating_interval
         g = _BASE_GRID
         while True:
             a = -((-lo.numerator << g) // lo.denominator)  # ceil(lo * 2^g)
             b = (hi.numerator << g) // hi.denominator  # floor(hi * 2^g)
             if a < b and self._left_of_root(a, g) and not self._left_of_root(b, g):
+                a, b = self._bisect(a, b, g, 1 << ((g - _NEWTON_SLACK) >> 1))
                 return g, self._newton_cell(a, b, g)
             g += _BASE_GRID
 
@@ -154,27 +140,15 @@ class NumberField:
 
         The finest certified unit bracket ``(a, a + 1) * 2^-g`` is rounded
         outward to the ``2^-bits`` grid; it is refined first when ``g < bits``.
-        Each refinement is an integer Newton step on the ``2^-t`` grid,
-        ``t <= 2g - slack``, from the midpoint of the current bracket.  The
-        new bracket is a unit cell next to the Newton iterate across which
-        the integer-scaled minimal polynomial changes sign; when the step
-        misses, integer bisection inside the current bracket finds it.  So
+        Each refinement is a Newton rung (:meth:`_newton_cell`) on the
+        ``2^-t`` grid, ``t <= 2g - slack``, from the current bracket, so
         every bracket is certified and nested in the isolating interval.
         """
         cur, a = self._root_grid
         while cur < bits:
             t = min(bits, 2 * cur - _NEWTON_SLACK)
             k = t - cur
-            lo, hi = a << k, (a + 1) << k
-            x = (lo + hi) >> 1
-            slope = scaled_eval(self._dpoly, x, t)
-            if slope:
-                x = min(max(x - scaled_eval(self.minpoly, x, t) // slope, lo + 1), hi - 1)
-            # the root is within one cell of a good Newton iterate x
-            if self._left_of_root(x, t):
-                a = x if not self._left_of_root(x + 1, t) else self._bisect(x + 1, hi, t)
-            else:
-                a = x - 1 if self._left_of_root(x - 1, t) else self._bisect(lo, x - 1, t)
+            a = self._newton_cell(a << k, (a + 1) << k, t)
             cur = t
         self._root_grid = (cur, a)
         k = cur - bits

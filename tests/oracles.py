@@ -603,3 +603,20 @@ def dyadic_reference(program, n: int, bits: int) -> tuple[int, int]:
         val[i] = out
         stack.pop()
     return val[root]
+
+
+def dyadic_point(program, n: int, bits: int) -> tuple[int, int]:
+    """``program``'s generated dyadic function at the one point n, read as
+    :func:`dyadic_reference` answers: the interval ``[lo, hi] * 2^-bits``,
+    or ``NeedBits``."""
+    from gplab.realnum import NeedBits
+
+    one = 1 << bits
+    v = next(program.scan((n,), bits), None)
+    if v is None:
+        return 0, 0
+    if type(v) is int:
+        return one, one
+    if type(v[1]) is dict:
+        raise NeedBits
+    return v[1]

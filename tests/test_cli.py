@@ -187,6 +187,34 @@ def test_members_refuses_a_huge_root_power_at_once():
     assert "Traceback" not in out.stderr and "root()" in out.stderr
 
 
+def test_package_errors_survive_pickling():
+    import pickle
+
+    from gplab.errors import NonBooleanValue, NoValidL, ParseError, PrecisionExhausted
+
+    for err in (NonBooleanValue("v", n=3, value=(1, 2)), PrecisionExhausted("p", n=5, bits=9),
+                ParseError("bad", 2, 3), NoValidL("l", step=1, ratio_lo=0.5, ratio_hi=2.0)):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err) and str(back) == str(err)
+        assert vars(back) == vars(err)
+
+
+def test_members_error_in_a_worker_exits_2():
+    # a worker's NonBooleanValue reaches the parent, which exits 2 as with
+    # one job; the pool's result thread used to die unpickling it, and the
+    # parent waited forever (a subprocess, so a hang times out)
+    import gplab
+
+    src = os.path.dirname(os.path.dirname(gplab.__file__))
+    argv = [sys.executable, "-m", "gplab.cli", "members", "--expr", "2*floor(n/2)",
+            "--from", "0", "--to", "100", "--jobs", "2"]
+    out = subprocess.run(
+        argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: indicator value") and "Traceback" not in out.stderr
+
+
 def test_bestapprox_reads_only_the_convergents_to_q():
     # Q = 10^30 lists the 79 Pell denominators without a pass over every q;
     # a subprocess, so a hang times out

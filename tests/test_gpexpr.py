@@ -41,7 +41,7 @@ from gplab.gpexpr import (
 )
 from gplab.realnum import FieldElement, NeedBits, NumberField, RefinableReal, compare, to_float
 
-from oracles import eval_tree, floor_quadratic
+from oracles import dyadic_point, eval_tree, floor_quadratic
 
 
 @pytest.fixture(scope="module")
@@ -443,7 +443,7 @@ def _verdicts(e, n: int) -> set[int]:
 
     seen = {eval_indicator(e, n), eval_exact(e, n)}
     try:
-        lo, hi = Program(e).eval_dyadic(n, 96)
+        lo, hi = dyadic_point(Program(e), n, 96)
     except NeedBits:
         pass
     else:
@@ -587,7 +587,7 @@ def test_generated_dyadic_function_matches_the_stack_machine(e):
 
     program = Program(e)
     for n in _WINDOW:
-        assert outcome(program.eval_dyadic, n, 96) == outcome(dyadic_reference, program, n, 96), n
+        assert outcome(dyadic_point, program, n, 96) == outcome(dyadic_reference, program, n, 96), n
 
 
 # a stream for 1 whose every enclosure straddles 1: its floor is never decided
@@ -598,7 +598,7 @@ def test_distance_threshold_with_zero_scale_takes_no_floor():
     from gplab.gpexpr.evaluate import Program
 
     e = dist_lt_scaled(Mul(N, _STUCK_ONE), _affine(Fraction(-3), Fraction(1)))
-    assert Program(e).eval_dyadic(3, 96) == (1 << 96, 1 << 96)
+    assert dyadic_point(Program(e), 3, 96) == (1 << 96, 1 << 96)
     assert eval_indicator(e, 3, max_bits=256) == 1
     assert eval_exact(e, 3, max_bits=256) == 1
     with pytest.raises(PrecisionExhausted):
@@ -611,9 +611,9 @@ def test_or_skips_its_second_operand_in_dyadic_mode():
     stuck = indicator_of_range(Mul(N, _STUCK_ONE), 1, 2)  # undecided at n = 1
     e = ind_or(indicator_of_range(N, 0, 5), stuck)
     one = 1 << 96
-    assert Program(e).eval_dyadic(1, 96) == (one, one)
+    assert dyadic_point(Program(e), 1, 96) == (one, one)
     with pytest.raises(NeedBits):
-        Program(ind_or(indicator_of_range(N, 3, 5), stuck)).eval_dyadic(1, 96)
+        dyadic_point(Program(ind_or(indicator_of_range(N, 3, 5), stuck)), 1, 96)
 
 
 def test_sum_of_non_predicates_stays_literal():
@@ -808,23 +808,33 @@ def test_members_runs_one_dyadic_evaluation_per_point(pair, monkeypatch):
     want = [[q for q in range(lo, hi + 1) if cons.member(q)] for lo, hi in windows]
     program = evaluate._compiled(ind)
     kernel = evaluate._kernel(program.shape())
-    runs, opened, exact = [], [], []
+    log = []
 
     def counted_kernel(ns, bits, t):
-        runs.extend(ns)  # the generated function runs its body once per n
-        out = kernel(ns, bits, t)
-        opened.extend(v[0] for v in out if type(v) is tuple and type(v[1]) is dict)
-        return out
+        def each():  # the generated function runs its body once per n it takes
+            for n in ns:
+                log.append(("run", n))
+                yield n
+
+        for v in kernel(each(), bits, t):
+            if type(v) is tuple and type(v[1]) is dict:
+                log.append(("open", v[0]))
+            yield v
 
     def counted_exact(e, n, *args):
-        exact.append(n)
+        log.append(("exact", n))
         return eval_exact(e, n, *args)
 
     monkeypatch.setattr(program, "_kernel", counted_kernel)
     monkeypatch.setattr(evaluate, "eval_exact", counted_exact)
     assert [members(ind, lo, hi) for lo, hi in windows] == want
+    runs = [n for kind, n in log if kind == "run"]
     assert runs == [q for lo, hi in windows for q in range(lo, hi + 1)]
-    assert exact == opened
+    # every open point goes to exact mode before the next point runs, and
+    # no other point does
+    opened = [n for kind, n in log if kind == "open"]
+    assert [x for x in log if x[0] != "run"] == [(k, n) for n in opened for k in ("open", "exact")]
+    assert all(log[i + 1] == ("exact", n) for i, (kind, n) in enumerate(log) if kind == "open")
     assert opened or pair != (1, 1)  # each Tribonacci member is an open point
 
 
@@ -937,6 +947,30 @@ def test_members_raises_where_the_pointwise_scan_did(text, lo, hi, n):
     assert _windowed(e, lo, hi) == _pointwise(e, lo, hi) == (NonBooleanValue, n)
 
 
+def test_members_stops_at_the_first_bad_point_of_a_wide_window(monkeypatch):
+    # 10^9 points past 2^16, the first of them the integer 70000: the scan
+    # raises there, and the generated function has been given no other point
+    from gplab.gpexpr import evaluate
+
+    e = parse("2*floor(n/2)")
+    program = evaluate._compiled(e)
+    kernel = evaluate._kernel(program.shape())
+    taken = []
+
+    def counted(ns, bits, t):
+        def each():
+            for n in ns:
+                taken.append(n)
+                yield n
+
+        return kernel(each(), bits, t)
+
+    monkeypatch.setattr(program, "_kernel", counted)
+    with pytest.raises(NonBooleanValue) as info:
+        members(e, 70000, 10**9)
+    assert info.value.n == 70000 and taken == [70000]
+
+
 def test_an_open_point_reads_no_floor_the_point_before_decided():
     # floor(n/3) is decided at n = 2 and left open at n = 3, where
     # n * enclosure(1/3) straddles 1, in one window: exact mode at n = 3
@@ -951,7 +985,7 @@ def test_an_open_point_reads_no_floor_the_point_before_decided():
     program = Program(e)
     floor = next(i for i, op in enumerate(program.ops) if op[0] == _FLOOR)
     root = len(program.ops) - 1
-    assert program.scan(range(2, 4), 96) == [(3, {floor: None, root: None})]
+    assert list(program.scan(range(2, 4), 96)) == [(3, {floor: None, root: None})]
     want = []
     for n in range(-7, 10):
         try:
