@@ -55,10 +55,14 @@ def _write_atomic(path: str | None, text: str) -> None:
 
 def _expr_text(spec: str) -> str:
     """The expression text: the file ``spec`` names, or ``spec`` itself."""
-    if os.path.exists(spec):
-        with open(spec) as fh:
+    if not os.path.exists(spec):
+        return spec
+    try:
+        with open(spec, encoding="utf-8") as fh:
             return fh.read()
-    return spec
+    except (OSError, UnicodeDecodeError) as exc:
+        why = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise PreconditionError(f"cannot read --expr file {spec}: {why}") from None
 
 
 def _format_rows(rows: list[dict], fmt: str, columns: list[str]) -> str:

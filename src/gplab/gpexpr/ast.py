@@ -311,11 +311,11 @@ def to_text(e: Expr) -> str:
         if isinstance(node, Var):
             return "n", _PREC_ATOM
         if isinstance(node, Add):
-            return f"{_at_least(kids[0], _PREC_ADD)} + {_at_least(kids[1], _PREC_ADD)}", _PREC_ADD
+            return f"{_at_least(kids[0], _PREC_ADD)} + {_at_least(kids[1], _PREC_MUL)}", _PREC_ADD
         if isinstance(node, Sub):
             return f"{_at_least(kids[0], _PREC_ADD)} - {_at_least(kids[1], _PREC_MUL)}", _PREC_ADD
         if isinstance(node, Mul):
-            return f"{_at_least(kids[0], _PREC_MUL)} * {_at_least(kids[1], _PREC_MUL)}", _PREC_MUL
+            return f"{_at_least(kids[0], _PREC_MUL)} * {_at_least(kids[1], _PREC_POW)}", _PREC_MUL
         if isinstance(node, Pow):
             return f"{_at_least(kids[0], _PREC_ATOM)}^{node.exponent}", _PREC_POW
         kw = _UNARY.get(type(node))

@@ -11,7 +11,7 @@ never on the recursive ``==``, so an equal but distinct tree compiles on
 its own.
 
 The ops are constants, ``n``, ``+``, ``-``, ``*``, integer powers,
-``floor``, ``frac``, ``nint``, ``dist``, and three ops for the predicates
+``floor``, ``frac``, ``nint``, ``dist``, and two ops for the predicates
 the indicator builders write (:mod:`gplab.gpexpr.indicators`):
 
 * ``_RANGE(h; a, b)`` is ``[a <= h < b]``.  The zero test
@@ -29,9 +29,9 @@ the indicator builders write (:mod:`gplab.gpexpr.indicators`):
   two such range tests, for any sign of s.  s is evaluated first; where
   it is exactly 0 the value is 1 and no floor of x is taken.  The second
   test runs only where the first gives 0.
-* ``_OR(p, q)`` is ``p + q - p q`` for 0/1-valued p and q: range and
-  distance tests, ORs, products of such and ``1 -`` such.  In dyadic
-  mode q is evaluated only where p is 0.
+
+Any other ``p + q - p q``, such as ``ind_or``'s OR of two predicates,
+compiles to its literal ops, as any other sum does.
 
 Every node compiles bottom up to its literal op; the shapes are read at
 emit time from the ops already compiled for a new ``floor`` or ``-``
@@ -54,10 +54,10 @@ The same op list is run in two modes:
   in order.  Floors on exact values are decided exactly; floors on
   streams refine up to the precision budget.  A range test compares h
   with a and b exactly.  For a point the dyadic pass left open it is
-  given the integer-valued ops (floors, nints, range and distance tests,
-  ORs) that pass decided at that same point, and reads each as the
-  integer it decided instead of working it out again, the pattern of
-  Shewchuk's adaptive predicates (DCG 18, 1997).
+  given the integer-valued ops (floors, nints, range and distance tests)
+  that pass decided at that same point, and reads each as the integer it
+  decided instead of working it out again, the pattern of Shewchuk's
+  adaptive predicates (DCG 18, 1997).
 
 * dyadic mode evaluates over fixed-point intervals ``[lo, hi] * 2^-bits``
   with plain integer arithmetic.  It is the fast path for range scans, and
@@ -70,10 +70,10 @@ The same op list is run in two modes:
   demand-driven walk from the root computes them, and a lazy operand runs
   only under a need flag set from
   its left operand: a product whose left factor is exactly zero never
-  evaluates its right factor, a distance test whose scale is exactly zero
-  never evaluates its argument, and an OR whose first operand is 1 never
-  evaluates its second.  So the ops computed at a point are exactly those
-  it demands, and the same points raise ``NeedBits`` as under the walk.
+  evaluates its right factor, and a distance test whose scale is exactly
+  zero never evaluates its argument.  So the ops computed at a point are
+  exactly those it demands, and the same points raise ``NeedBits`` as
+  under the walk.
   The function is made on the program's first dyadic evaluation and kept
   in it; the compiled code is cached per process by the op structure
   (opcodes, operand indices, exponents, and whether each constant is an
@@ -159,13 +159,12 @@ from .ast import (
 # that _CONST's a indexes Program.consts, _POW's b is the exponent, _RANGE's
 # b is the bounds (an, ad, bn, bd) of [an/ad <= h < bn/bd], and _DIST_LT's a
 # is the scale s and b the argument x
-_CONST, _VAR, _ADD, _SUB, _MUL, _POW, _FLOOR, _FRAC, _NINT, _DIST, _RANGE, _DIST_LT, _OR = range(13)
+_CONST, _VAR, _ADD, _SUB, _MUL, _POW, _FLOOR, _FRAC, _NINT, _DIST, _RANGE, _DIST_LT = range(12)
 
 _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL}
 _UNARY = {Floor: _FLOOR, Frac: _FRAC, Nint: _NINT, Dist: _DIST}
-_TWO_OPERANDS = frozenset({_ADD, _SUB, _MUL, _DIST_LT, _OR})
-_PREDICATES = frozenset({_RANGE, _DIST_LT, _OR})
-_DECIDED = frozenset({_FLOOR, _NINT, _RANGE, _DIST_LT, _OR})  # integer-valued: kept for exact mode
+_TWO_OPERANDS = frozenset({_ADD, _SUB, _MUL, _DIST_LT})
+_DECIDED = frozenset({_FLOOR, _NINT, _RANGE, _DIST_LT})  # integer-valued: kept for exact mode
 _FUSABLE = (_FLOOR, _SUB)
 _UNIT = (0, 1, 1, 1)  # the bounds of [0 <= h < 1]
 _EXACT = (Fraction, FieldElement)
@@ -220,8 +219,6 @@ def _exact(code: int, x: Real, y, max_bits: int) -> Real:
         return dist_of(x, max_bits)
     if code == _RANGE:
         return Fraction(_in_range(x, Fraction(y[0], y[1]), Fraction(y[2], y[3]), max_bits))
-    if code == _OR:
-        return x if x == 1 else y
     # _DIST_LT, x the scale and y the argument
     if is_exact_zero(x):
         return _ONE
@@ -319,11 +316,7 @@ _STATEMENTS = {
 _UNDER = {
     _MUL: "l{i}, h{i} = (" + _PROD + ") if {g} else (0, 0)",
     _DIST_LT: _STATEMENTS[_DIST_LT] + " if {g} else one",
-    _OR: "l{i}, h{i} = (l{b}, h{b}) if {g} else (l{a}, h{a})",
 }
-# where a lazy b is needed: _MUL's and _DIST_LT's where a is not exactly 0,
-# _OR's where a is not 1
-_NEEDS_B = {_MUL: "(l{a} or h{a})", _DIST_LT: "(l{a} or h{a})", _OR: "l{a} != one"}
 _SCRATCH = {_FRAC: ("r", "one - 1"), _NINT: ("half", "one >> 1")}
 
 
@@ -354,10 +347,10 @@ def kernel_source(shape: tuple) -> str:
     The ops are visited in the order a demand-driven walk from the root
     computes them, left operand first, and each is one flat statement.  A
     lazy operand (``_MUL``'s right factor and ``_DIST_LT``'s argument, unless
-    the left operand is a nonzero constant, and ``_OR``'s second operand)
-    is computed under a flag that is set after the left operand, from its
-    value and the op's own flag.  The one implication used is that a flag
-    implies the flag it is nested in.  An op that a later visit needs under
+    the left operand is a nonzero constant) is computed under a flag that is
+    set after the left operand, from whether it is not exactly 0 and the
+    op's own flag.  The one implication used is that a flag implies the
+    flag it is nested in.  An op that a later visit needs under
     a flag that implies none it was computed under is emitted again,
     guarded to the cases those did not cover.  So the ops the walk demands
     are computed, once each, and no other: the same points raise
@@ -407,8 +400,8 @@ def kernel_source(shape: tuple) -> str:
             continue
         flag = None
         if stage == 1 and code in _TWO_OPERANDS:
-            if code in _NEEDS_B and (code == _OR or a not in nonzero):
-                test = _NEEDS_B[code].format(a=a)
+            if code in _UNDER and a not in nonzero:  # b is needed where a is not exactly 0
+                test = f"(l{a} or h{a})"
                 if not covered(b, g):
                     flag = f"g{len(parent)}"
                     parent[flag] = g
@@ -560,38 +553,6 @@ class Program:
             return m
         return None
 
-    def _is_pred(self, i: int) -> bool:
-        """Whether op i is 0/1-valued: a predicate, a rational 0 or 1, or a
-        product or ``1 -`` of such."""
-        todo, seen = [i], set()
-        while todo:
-            i = todo.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            code, a, b = self.ops[i]
-            if code == _MUL:
-                todo += (a, b)
-            elif code == _SUB and self._rational(a) == 1:
-                todo.append(b)
-            elif code not in _PREDICATES and self._rational(i) not in (0, 1):
-                return False
-        return True
-
-    def _factors(self, i: int) -> tuple:
-        """The factors of a product op, in order, however it associates: the
-        printer writes ``p * (u * v)`` as ``p * u * v``, which parses as
-        ``(p * u) * v``."""
-        out, todo = [], [i]
-        while todo:
-            i = todo.pop()
-            code, a, b = self.ops[i]
-            if code == _MUL:
-                todo += (b, a)
-            else:
-                out.append(i)
-        return tuple(out)
-
     def _fused(self, code: int, a: int, b: int) -> tuple | None:
         """The predicate key of the new op ``(code, a, b)``, a _FLOOR or a
         _SUB, or None where its operands' ops have no predicate's shape.  Two
@@ -615,21 +576,19 @@ class Program:
                 return (_RANGE, y, _UNIT)
             hi = lo + 1 / c
             return (_RANGE, ops[d][1], (lo.numerator, lo.denominator, hi.numerator, hi.denominator))
-        add, p, q = ops[a]  # p + q - product
-        if add != _ADD or ops[b][0] != _MUL:
+        # dist_lt_scaled: p + q - p q with p = [0 <= s f < 1] and
+        # q = [0 <= s (1 - f) < 1], f = frac(x)
+        add, p, q = ops[a]
+        if add != _ADD or ops[b] != (_MUL, p, q):
             return None
-        # dist_lt_scaled: [0 <= s f < 1] or [0 <= s (1 - f) < 1], f = frac(x)
-        unit_ranges = ops[p][0] == ops[q][0] == _RANGE and ops[p][2] == ops[q][2] == _UNIT
-        if unit_ranges and ops[b] == (_MUL, p, q):
-            (m1, s, f), (m2, s2, g) = ops[ops[p][1]], ops[ops[q][1]]  # s f, s2 g
-            one_less = m2 == _MUL and ops[g][0] == _SUB and self._rational(ops[g][1]) == 1
-            if m1 == _MUL and s == s2 and one_less:
-                x = self._frac_arg(f)
-                if x is not None and x == self._frac_arg(ops[g][2]):
-                    return (_DIST_LT, s, x)
-        if self._is_pred(p) and self._is_pred(q):
-            if self._factors(b) == self._factors(p) + self._factors(q):
-                return (_OR, p, q)
+        if not (ops[p][0] == ops[q][0] == _RANGE and ops[p][2] == ops[q][2] == _UNIT):
+            return None
+        (m1, s, f), (m2, s2, g) = ops[ops[p][1]], ops[ops[q][1]]  # s f, s2 g
+        one_less = m2 == _MUL and ops[g][0] == _SUB and self._rational(ops[g][1]) == 1
+        if m1 == _MUL and s == s2 and one_less:
+            x = self._frac_arg(f)
+            if x is not None and x == self._frac_arg(ops[g][2]):
+                return (_DIST_LT, s, x)
         return None
 
     def _drop_unused(self, root: int) -> None:
@@ -693,7 +652,7 @@ class Program:
         ``(n, (lo, hi))`` where the interval is not exactly 0 or 1, and
         ``(n, decided)`` where a floor or a range test was left open,
         ``decided`` mapping each integer-valued op (floor, nint, range and
-        distance test, OR) to its local: its value times ``2^bits`` where it
+        distance test) to its local: its value times ``2^bits`` where it
         was decided at n, else None.  A point whose value is exactly 0 is
         left out."""
         kernel = self._kernel

@@ -17,7 +17,7 @@ predicates are built from two primitives:
 Strict threshold predicates on the distance-to-nearest-integer rewrite to
 the union of two fractional-part ranges (sum minus product), which keeps
 exported certificates inside the closure.  The evaluator compiles each
-range test, each distance threshold and each such union to one op (see
+range test and each distance threshold to one op (see
 :mod:`gplab.gpexpr.evaluate`); the trees keep the forms written here.
 """
 

@@ -13,6 +13,9 @@ evaluated node by node with the package's real-number operations, the
 reference for the compiled program's fused predicates; and
 ``dyadic_reference``, the stack machine that ran a program's dyadic mode
 before it was generated code, the reference for that code.
+
+``REGISTRY_CASES`` is the one table of registry constructions and
+parameters that the tests run every registry indicator on.
 """
 
 from __future__ import annotations
@@ -20,6 +23,30 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import ceil, floor, gcd, isqrt
+
+# every registry construction, with the parameters each reads
+REGISTRY_CASES = [
+    ("fibonacci", {"a": 1}),
+    ("fibonacci", {"a": 2}),
+    ("quadratic", {"a": 3, "norm": 1}),
+    ("quadratic", {"a": 3, "norm": -1}),
+    ("quadratic", {"a": 4, "norm": 1}),
+    ("quadratic", {"a": 5, "norm": 1}),
+    ("quadratic-filter", {"a": 4}),
+    ("cubic", {"a": 1, "b": 1}),
+    ("cubic", {"a": 2, "b": 1}),
+    ("cubic", {"a": 2, "b": -1}),
+    ("verysparse", {"sequence": (2, 128, 562949953421312), "C": 5, "D": 6}),
+]
+
+
+def case_id(name: str, params: dict) -> str:
+    """A test id from a construction and its parameters alone, such as
+    ``cubic-a=2,b=-1``."""
+    return name + "-" + ",".join(f"{k}={v}".replace(" ", "") for k, v in params.items())
+
+
+REGISTRY_IDS = [case_id(*case) for case in REGISTRY_CASES]
 
 
 def floor_quadratic(p: Fraction, q: Fraction, d: int) -> int:
@@ -431,7 +458,7 @@ def eval_tree(e, n: int, max_bits: int = 4096):
 
     Each node is evaluated once per distinct object (memoised by ``id``),
     with the realnum operations and without ``Program``: no fused range
-    test, distance threshold or OR, no folded constant and no hash-consing.
+    test or distance threshold, no folded constant and no hash-consing.
     It is the reference for the compiled program's predicate ops.  The walk
     is an explicit stack, so deep trees are fine.
     """
@@ -480,9 +507,8 @@ def dyadic_reference(program, n: int, bits: int) -> tuple[int, int]:
 
     Ops are computed on demand from an explicit stack, with a per-point
     memo, left operand first; a product whose left factor is exactly 0
-    never evaluates its right factor, an OR whose first operand is 1 never
-    evaluates its second, and a distance threshold whose scale is exactly 0
-    takes no floor of its argument.
+    never evaluates its right factor, and a distance threshold whose scale
+    is exactly 0 takes no floor of its argument.
     """
     from gplab.gpexpr.evaluate import (
         _ADD,
@@ -493,7 +519,6 @@ def dyadic_reference(program, n: int, bits: int) -> tuple[int, int]:
         _FRAC,
         _MUL,
         _NINT,
-        _OR,
         _POW,
         _RANGE,
         _SUB,
@@ -576,15 +601,6 @@ def dyadic_reference(program, n: int, bits: int) -> tuple[int, int]:
                     out = (one, one)
                 else:
                     out = (0, 0)
-        elif code == _OR:
-            if x[0] == one:
-                out = x
-            else:
-                y = val[b]
-                if y is None:
-                    stack.append(b)
-                    continue
-                out = y
         elif code == _NINT:
             half = 1 << (bits - 1)
             v = floor_iv((x[0] + half, x[1] + half), bits) << bits

@@ -25,7 +25,7 @@ from gplab.errors import PreconditionError, ZeroSolution
 from gplab.gpexpr import eval_exact, eval_indicator, members
 from gplab.realnum import NumberField, to_float
 
-from oracles import dist_quadratic_lt, eval_tree, fibonacci_upto
+from oracles import REGISTRY_CASES, REGISTRY_IDS, dist_quadratic_lt, eval_tree, fibonacci_upto
 
 # nint(phi^i) for i >= 0, phi the golden ratio: 1, 2, then the Lucas numbers
 PHI_POWERS = (1, 2, 3, 4, 7, 11, 18, 29, 47, 76, 123, 199, 322, 521, 843)
@@ -111,28 +111,12 @@ def test_fibonacci_indicator_matches_fast_scan():
         assert cert.member(n) == _in_fibonacci_set(n)
 
 
-_DEFAULTS = dict(a=1, b=1, norm=-1, C=5, D=6, sequence=(2, 128, 562949953421312))
-
-
-_REGISTRY_CASES = [
-    ("fibonacci", {"a": 1}),
-    ("fibonacci", {"a": 2}),
-    ("quadratic", {"a": 3, "norm": 1}),
-    ("quadratic", {"a": 3, "norm": -1}),
-    ("quadratic", {"a": 4, "norm": 1}),
-    ("quadratic-filter", {"a": 4}),
-    ("cubic", {"a": 1, "b": 1}),
-    ("cubic", {"a": 2, "b": 1}),
-    ("verysparse", {}),
-]
-
-
-@pytest.mark.parametrize("name, params", _REGISTRY_CASES)
+@pytest.mark.parametrize("name, params", REGISTRY_CASES, ids=REGISTRY_IDS)
 def test_scan_matches_compiled_indicator(name, params):
     # the scan's candidate generator drops no member of the indicator; at
     # n <= 0 the cubic and very-sparse indicators hold at points outside
     # the target
-    cert = construction(name).build(SimpleNamespace(**{**_DEFAULTS, **params}))
+    cert = construction(name).build(SimpleNamespace(**params))
     assert cert.members(-50, 4000) == members(cert.indicator, -50, 4000)
 
 
@@ -160,37 +144,37 @@ def _theta_floor_products(e) -> list:
     ]
 
 
-@pytest.mark.parametrize("name, params", _REGISTRY_CASES)
+@pytest.mark.parametrize("name, params", REGISTRY_CASES, ids=REGISTRY_IDS)
 def test_every_registry_zero_test_compiles_to_one_op(name, params):
     # as built and as gp cert prints it: a builder change that loses the
     # compiled zero test would leave theta * floor(...) in the program
-    cert = construction(name).build(SimpleNamespace(**{**_DEFAULTS, **params}))
+    cert = construction(name).build(SimpleNamespace(**params))
     reparsed = Certificate.from_file_text(cert.to_file_text())
     assert _theta_floor_products(cert.indicator) == []
     assert _theta_floor_products(reparsed.indicator) == []
     assert reparsed.members(-50, 600) == cert.members(-50, 600)
 
 
-@pytest.mark.parametrize("name, params", _REGISTRY_CASES)
+@pytest.mark.parametrize("name, params", REGISTRY_CASES, ids=REGISTRY_IDS)
 def test_every_registry_indicator_compiles_alike_built_and_reparsed(name, params):
     # printed constants such as (-1/2) + (-3/2) * beta + beta^2 fold back into
-    # the one constant the builder wrote, and a product the printer
-    # re-associates still closes its OR
+    # the one constant the builder wrote, and the printer keeps every sum's
+    # and product's association
     from gplab.gpexpr.evaluate import Program
 
-    cert = construction(name).build(SimpleNamespace(**{**_DEFAULTS, **params}))
+    cert = construction(name).build(SimpleNamespace(**params))
     reparsed = Certificate.from_file_text(cert.to_file_text())
     built, again = Program(cert.indicator).ops, Program(reparsed.indicator).ops
     assert len(again) == len(built)
     assert sorted(op[0] for op in again) == sorted(op[0] for op in built)
 
 
-@pytest.mark.parametrize("name, params", _REGISTRY_CASES)
+@pytest.mark.parametrize("name, params", REGISTRY_CASES, ids=REGISTRY_IDS)
 def test_every_registry_indicator_decides_like_its_literal_tree(name, params):
-    # the compiled program fuses range tests, distance thresholds and ORs;
+    # the compiled program fuses range tests and distance thresholds;
     # the reference walks every node of the tree as written.  Near 0, and
     # at the members of [10^5, 10^6] and their neighbours
-    args = SimpleNamespace(**{**_DEFAULTS, **params})
+    args = SimpleNamespace(**params)
     spec = construction(name)
     cert = spec.build(args)
     reparsed = Certificate.from_file_text(cert.to_file_text())
@@ -208,12 +192,12 @@ def test_readme_zero_test_compiles_to_one_op():
     assert len(Program(parse(_README_EXPRESSION)).ops) == 9
 
 
-@pytest.mark.parametrize("name, params", _REGISTRY_CASES)
+@pytest.mark.parametrize("name, params", REGISTRY_CASES, ids=REGISTRY_IDS)
 def test_exact_mode_of_every_registry_indicator_is_a_rational_bit(name, params):
     # exact mode combines rationals and one field's elements with their own
     # operators; every indicator still ends in a Fraction 0 or 1, the
     # verdict of the dyadic ladder
-    cert = construction(name).build(SimpleNamespace(**{**_DEFAULTS, **params}))
+    cert = construction(name).build(SimpleNamespace(**params))
     for n in range(-5, 201):
         value = eval_exact(cert.indicator, n)
         assert type(value) is Fraction and value in (0, 1), n
@@ -356,7 +340,7 @@ def test_transfer_scan_at_every_sign(u_name):
 def test_certificate_file_roundtrip():
     # a certificate scanned as gp cert scans it, with exceptional data
     spec = construction("quadratic")
-    params = SimpleNamespace(**{**_DEFAULTS, "a": 3, "norm": 1})
+    params = SimpleNamespace(a=3, norm=1)
     cert = spec.build(params)
     verify_certificate(cert, spec.oracle(params, SCAN_TO), spec.scan_from, SCAN_TO)
     assert cert.exceptional == (1, 3) and cert.exceptional_bound == 4

@@ -41,7 +41,7 @@ from gplab.gpexpr import (
 from gplab.gpexpr.evaluate import DEFAULT_MAX_BITS, Program, _dyadic_bits, kernel_source
 from gplab.realnum import NeedBits, NumberField, RefinableReal
 
-from oracles import dyadic_point, dyadic_reference
+from oracles import REGISTRY_CASES, REGISTRY_IDS, case_id, dyadic_point, dyadic_reference
 
 
 def _outcome(f, *args):
@@ -60,18 +60,6 @@ def _assert_matches(program: Program, points, bits=None) -> None:
 
 # -- every registry indicator, built and printed-then-parsed -----------------------
 
-_REGISTRY = [
-    ("fibonacci", dict(a=1)),
-    ("fibonacci", dict(a=2)),
-    ("quadratic", dict(a=3, norm=1)),
-    ("quadratic", dict(a=3, norm=-1)),
-    ("quadratic-filter", dict(a=4)),
-    ("cubic", dict(a=1, b=1)),
-    ("cubic", dict(a=2, b=-1)),
-    ("verysparse", dict(sequence=(2, 128, 562949953421312), C=5, D=6)),
-]
-
-
 def _windows(name: str, params) -> list[range]:
     """13-point windows around the first member past each 10^k, k = 3 ... 16."""
     found = CONSTRUCTIONS[name].oracle(params, 10**17)
@@ -79,12 +67,12 @@ def _windows(name: str, params) -> list[range]:
     return [range(c - 6, c + 7) for c in sorted(centres)]
 
 
-@pytest.mark.parametrize("name, kwargs", _REGISTRY, ids=lambda v: str(v))
-def test_registry_indicators_match_the_stack_machine(name, kwargs):
-    params = SimpleNamespace(**kwargs)
-    cert = CONSTRUCTIONS[name].build(params)
+@pytest.mark.parametrize("name, params", REGISTRY_CASES, ids=REGISTRY_IDS)
+def test_registry_indicators_match_the_stack_machine(name, params):
+    args = SimpleNamespace(**params)
+    cert = CONSTRUCTIONS[name].build(args)
     reparsed = Certificate.from_file_text(cert.to_file_text()).indicator
-    windows = _windows(name, params)
+    windows = _windows(name, args)
     assert windows
     for e in (cert.indicator, reparsed):
         program = Program(e)
@@ -101,15 +89,14 @@ _QUAD_MINUS = "1b8c8f09dac9edabae66e24eff1c1f550209652252b08bf4e5b52ed351bf3645"
 _QUAD_MINUS_REPARSED = "adc2687e26d44307d5f8f852aecea26d3a58a5c7b674831e62b1087c1c7fde0e"
 _FILTER = "32f0b6701a64731e55961895e1d63690f69a63ec5df07bfab95777bd31da3561"
 _CUBIC = "cb851ca592975d06e59ca5e5f7271ab45c709b4a4eef3666946262dbd01448b1"
-_CUBIC_REPARSED = "1cc68b27f2e626cfd5856f53d89a9ba85347518ff13749ec80e5048bd757371f"
 KERNEL_SHA256 = [
-    # (construction, params, built, re-parsed)
+    # (construction, parameters, built, re-parsed)
     ("fibonacci", dict(a=1), _FIB, _FIB),
     ("fibonacci", dict(a=2), _FIB, _FIB),
     ("fibonacci", dict(a=7), _FIB, _FIB),
     ("quadratic", dict(a=3, norm=1),
-     "d992aa7e8bc3f8a0dfc8590a2194447cc0fda3a51e4d51bc51ce5559b45cd9d4",
-     "d992aa7e8bc3f8a0dfc8590a2194447cc0fda3a51e4d51bc51ce5559b45cd9d4"),
+     "1374f62008b180bc40c34f1623f4cb23ddf06b0a5ecfbf3b6bf55638ba4c8ad7",
+     "1374f62008b180bc40c34f1623f4cb23ddf06b0a5ecfbf3b6bf55638ba4c8ad7"),
     ("quadratic", dict(a=3, norm=-1), _QUAD_MINUS, _QUAD_MINUS_REPARSED),
     ("quadratic", dict(a=5, norm=1),
      "94e7a25e9651f83fc24b20f39dd133ce96edc4eb8106aeba2c3ce3e582a3bb0f",
@@ -117,9 +104,9 @@ KERNEL_SHA256 = [
     ("quadratic", dict(a=2, norm=-1), _QUAD_MINUS, _QUAD_MINUS_REPARSED),
     ("quadratic-filter", dict(a=4), _FILTER, _FILTER),
     ("quadratic-filter", dict(a=6), _FILTER, _FILTER),
-    ("cubic", dict(a=1, b=1), _CUBIC, _CUBIC_REPARSED),
-    ("cubic", dict(a=2, b=1), _CUBIC, _CUBIC_REPARSED),
-    ("cubic", dict(a=2, b=-1), _CUBIC, _CUBIC_REPARSED),
+    ("cubic", dict(a=1, b=1), _CUBIC, _CUBIC),
+    ("cubic", dict(a=2, b=1), _CUBIC, _CUBIC),
+    ("cubic", dict(a=2, b=-1), _CUBIC, _CUBIC),
     ("verysparse", dict(sequence=(2, 128, 562949953421312), C=5, D=6),
      "fafcb0bae6b4ad946c2d75383a914ede154f7a28e5ae1423fa0296f6675891f2",
      "fafcb0bae6b4ad946c2d75383a914ede154f7a28e5ae1423fa0296f6675891f2"),
@@ -132,9 +119,13 @@ def _kernel_sha256(e) -> str:
     return hashlib.sha256(kernel_source(Program(e).shape()).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name, kwargs, built, reparsed", KERNEL_SHA256, ids=lambda v: str(v))
-def test_registry_kernels_are_pinned(name, kwargs, built, reparsed):
-    cert = CONSTRUCTIONS[name].build(SimpleNamespace(**kwargs))
+@pytest.mark.parametrize(
+    "name, params, built, reparsed",
+    KERNEL_SHA256,
+    ids=[case_id(name, params) for name, params, _, _ in KERNEL_SHA256],
+)
+def test_registry_kernels_are_pinned(name, params, built, reparsed):
+    cert = CONSTRUCTIONS[name].build(SimpleNamespace(**params))
     assert _kernel_sha256(cert.indicator) == built
     assert _kernel_sha256(Certificate.from_file_text(cert.to_file_text()).indicator) == reparsed
 
@@ -182,7 +173,7 @@ _BUILDERS = (
     lambda x, y: Mul(indicator_of_range(x, 0, 2), y),
     lambda x, y: ind_or(indicator_of_range(x, -1, 1), indicator_of_range(y, 0, 2)),
     lambda x, y: dist_lt_scaled(y, indicator_of_range(x, 1, 3)),
-    # a second use of an operand that a product or an OR computed lazily
+    # a second use of an operand that a product computed lazily
     lambda x, y: Mul(dist_lt_scaled(x, y), x),
     lambda x, y: ind_or(ind_and(indicator_of_range(x, 0, 2), indicator_of_range(y, 0, 2)),
                         indicator_of_range(y, 1, 3)),
@@ -256,8 +247,8 @@ def _or_chain(depth: int):
 
 
 def test_lazy_nesting_past_the_indentation_limit():
-    # right-nested ORs 400 deep: each test is computed only where every test
-    # before it gave 0, one flag per level, and no statement is nested
+    # right-nested ORs 400 deep, each its literal sum and product: no
+    # statement is nested
     e = _or_chain(400)
     assert members(e, -2, 402) == list(range(400))
     _assert_matches(Program(e), (-1, 0, 7, 399, 400), 96)
@@ -281,8 +272,8 @@ def test_generated_source_is_linear_in_the_ops():
     for _ in range(1200):
         floors = Add(Floor(floors), RationalConst(Fraction(1, 3)))
     exprs = [ranges, floors, _or_chain(1200)]
-    for name, kwargs in _REGISTRY:
-        cert = CONSTRUCTIONS[name].build(SimpleNamespace(**kwargs))
+    for name, params in REGISTRY_CASES:
+        cert = CONSTRUCTIONS[name].build(SimpleNamespace(**params))
         exprs += [cert.indicator, Certificate.from_file_text(cert.to_file_text()).indicator]
     for e in exprs:
         program = Program(e)

@@ -102,6 +102,17 @@ def test_roundtrip_idempotent_on_lets(phi):
     assert parse(to_text(again)) == again
 
 
+def test_print_then_parse_keeps_right_nested_association():
+    # a right operand of equal precedence is printed in parentheses:
+    # p * u * v, p + q + r and p + q - r would re-parse left-nested
+    p = Floor(Mul(RationalConst(Fraction(1, 3)), N))
+    q, r = RationalConst(Fraction(-2, 5)), Floor(Add(N, RationalConst(Fraction(1, 2))))
+    for e in (Mul(p, Mul(q, r)), Add(p, Add(q, r)), Add(p, Sub(q, r)), Mul(N, Mul(p, Mul(r, q)))):
+        text = to_text(e)
+        assert parse(text) == e, text
+        assert to_text(parse(text)) == text
+
+
 def test_print_expands_non_generator_constants(phi):
     w = phi * Fraction(2, 3) + Fraction(1, 7)
     e = Nint(Mul(Const("phi", w), N))
@@ -337,11 +348,11 @@ def test_program_shares_repeated_subterms():
     )
     from gplab.gpexpr.evaluate import Program
 
-    # each range test is one op, each distance threshold one op, each OR of
-    # predicates one op; the subtrees they absorb are never compiled
+    # each range test is one op and each distance threshold one op; the
+    # subtrees they absorb are never compiled
     assert len(Program(fibonacci_like_set(1).indicator).ops) == 6
     assert len(Program(cubic_pisot_set(1, 1).certificate.indicator).ops) == 34
-    assert len(Program(quadratic_pisot_unit_set(3, 1).indicator).ops) == 42
+    assert len(Program(quadratic_pisot_unit_set(3, 1).indicator).ops) == 44
     assert len(Program(norm_plus_filtered_set(4).indicator).ops) == 15
     readme = (
         "let phi = root(x^2-x-1, 1, 2); floor(1 - frac(theta*floor(2*n*(n*phi - floor(n*phi)))))"
@@ -453,15 +464,12 @@ def _verdicts(e, n: int) -> set[int]:
 
 
 def test_builder_predicates_compile_to_one_op_each():
-    from gplab.gpexpr.evaluate import _DIST_LT, _OR, _RANGE, Program
+    from gplab.gpexpr.evaluate import _DIST_LT, _RANGE, Program
 
     x, s = _affine(Fraction(1, 3), Fraction(1)), _affine(Fraction(0), Fraction(2))
     assert _codes(dist_lt_scaled(x, s)).count(_DIST_LT) == 1
     r = indicator_of_range(N, Fraction(-1, 2), Fraction(3, 4))
     assert Program(r).ops == [(1, 0, 0), (_RANGE, 0, (-1, 2, 3, 4))]
-    p, q = indicator_of_range(N, 0, 5), indicator_of_range(N, 7, 9)
-    for e in (ind_or(p, q), ind_or(ind_not(p), ind_and(p, q)), ind_or(ind_or(p, q), q)):
-        assert _codes(e)[-1] == _OR
     # the tree keeps its literal form
     assert "theta" in to_text(dist_lt_scaled(x, s))
 
@@ -547,7 +555,7 @@ _WINDOW = range(-12, 13)
 _HALVES = st.fractions(-3, 3, max_denominator=2)
 _WIDTHS = st.fractions(Fraction(1, 2), 3, max_denominator=2)
 _TERMS = st.one_of(st.builds(_affine, _HALVES, _HALVES), st.builds(_phi_affine, _HALVES, _HALVES))
-_PREDICATES = st.recursive(
+_INDICATORS = st.recursive(
     st.one_of(
         st.builds(
             _range_through, _HALVES, _HALVES, st.sampled_from(_WINDOW), _WIDTHS, st.booleans()
@@ -562,16 +570,16 @@ _PREDICATES = st.recursive(
 )
 
 
-@given(_PREDICATES)
+@given(_INDICATORS)
 @settings(max_examples=60, deadline=None)
 def test_compiled_predicates_decide_like_the_literal_tree(e):
-    # each fused op (range test, distance threshold, OR) against every node
+    # each fused op (range test, distance threshold) against every node
     # of the tree as written, through both evaluation modes
     for n in _WINDOW:
         assert eval_indicator(e, n) == eval_exact(e, n) == eval_tree(e, n), n
 
 
-@given(_PREDICATES)
+@given(_INDICATORS)
 @settings(max_examples=60, deadline=None)
 def test_generated_dyadic_function_matches_the_stack_machine(e):
     # the same interval, or NeedBits on both sides, at every point
@@ -605,31 +613,16 @@ def test_distance_threshold_with_zero_scale_takes_no_floor():
         eval_exact(e, 2, max_bits=256)
 
 
-def test_or_skips_its_second_operand_in_dyadic_mode():
-    from gplab.gpexpr.evaluate import Program
-
-    stuck = indicator_of_range(Mul(N, _STUCK_ONE), 1, 2)  # undecided at n = 1
-    e = ind_or(indicator_of_range(N, 0, 5), stuck)
-    one = 1 << 96
-    assert dyadic_point(Program(e), 1, 96) == (one, one)
-    with pytest.raises(NeedBits):
-        dyadic_point(Program(ind_or(indicator_of_range(N, 3, 5), stuck)), 1, 96)
-
-
 def test_sum_of_non_predicates_stays_literal():
-    from gplab.gpexpr.evaluate import _OR
-
     e = Sub(Add(N, N), Mul(N, N))
-    assert _OR not in _codes(e)
     assert eval_exact(e, 3) == -3
-    # p + q - p p is q, and 2 - p is not 0/1-valued: neither is an OR
+    # p + q - p p is q, and 2 - p is not 0/1-valued
     p, q = indicator_of_range(N, 0, 5), indicator_of_range(N, 3, 9)
     two_less_p = Sub(RationalConst(Fraction(2)), p)
     for e, values in (
         (Sub(Add(p, q), Mul(p, p)), [0, 0, 1, 1, 1]),  # q
         (Sub(Add(p, two_less_p), Mul(p, two_less_p)), [2, 1, 1, 2, 2]),  # 2 - p
     ):
-        assert _OR not in _codes(e)
         assert [eval_exact(e, n) for n in (-1, 1, 4, 6, 8)] == values
 
 
