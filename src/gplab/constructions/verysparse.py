@@ -139,10 +139,10 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
         meta={
             "construction": f"very_sparse C={params.C} D={params.D}",
             "coprime_from": params.coprime_from,
-            "alpha_lo": str(alpha_lo),
-            "alpha_hi": str(alpha_hi),
-            "alpha_snapshot": f"{alpha.numerator}/{alpha.denominator}",
-            "valid_to": str(params.n_seq[-1]),
+            "alpha_lo": alpha_lo,
+            "alpha_hi": alpha_hi,
+            "alpha_snapshot": alpha,
+            "valid_to": params.n_seq[-1],
         },
     )
 
@@ -153,17 +153,17 @@ def _very_sparse_scan(cf: ContinuedFraction, C: int, lo: int, hi: int) -> Iterat
 
     Every point n <= 1 is proposed.  A member n >= 2 has
     |alpha - nint(n alpha)/n| <= n^{-C}/2 < 1/(2n^2), so it is g q_k
-    (``cf.legendre_candidates``) with g d_k <= (g q_k)^{1-C}/2, that is
-    2 g^C q_k^{C-1} d_k <= 1 (d_k = |q_k alpha - p_k|, exact).  At alpha's
-    last convergent d_k = 0, and ||n alpha|| = 0 is outside the window.
+    (``cf.legendre_candidates``) with g d_k <= (g q_k)^{1-C}/2, d_k = |q_k alpha - p_k|,
+    that is 2 g^C q_k^{C-1} |q_k a - p_k b| <= b in integers for alpha = a/b.
+    At alpha's last convergent d_k = 0, and ||n alpha|| = 0 is outside the window.
     """
-    alpha = cf.source
+    a, b = cf.source.numerator, cf.source.denominator
     yield from range(lo, min(1, hi) + 1)
     yield from legendre_candidates(
         cf,
         lo,
         hi,
-        lambda g, p, q, _: 2 * g**C * q ** (C - 1) * abs(q * alpha - p) <= 1,
+        lambda g, p, q, _: 2 * g**C * q ** (C - 1) * abs(q * a - p * b) <= b,
     )
 
 

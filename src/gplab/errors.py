@@ -6,17 +6,9 @@ decided within the precision budget, which usually means the quantity sits
 on (or indistinguishably close to) an exact boundary.
 """
 
-import copyreg
-
 
 class GPLabError(Exception):
     """Base class for all package errors."""
-
-    def __reduce__(self):
-        # rebuilt from its args and attributes without calling __init__, so an
-        # error with keyword-only fields survives pickling: one raised in a
-        # ``gp members --jobs`` worker reaches the parent process
-        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class PrecisionExhausted(GPLabError):

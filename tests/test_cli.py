@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from gplab.cli import main
+from gplab.cli import build_parser, main
 from oracles import fibonacci_upto, first_finite_sums
 
 
@@ -154,6 +154,15 @@ def test_flags_a_command_ignores_are_rejected(capsys):
     assert run(["cert", "--construction", "fibonacci", "--format", "json"]) == 2
     assert run(["cert", "--construction", "fibonacci", "--maxprec", "64"]) == 2
     assert run(["suite", "quick", "--format", "json"]) == 2
+    # gp runs in one process: --jobs takes 1 on every command, and no other value
+    assert run(["members", "--expr", "n", "--from", "1", "--to", "2", "--jobs", "2"]) == 2
+    assert run(["verify", "--to", "10", "--jobs", "0"]) == 2
+    parser = build_parser()
+    for argv in (["members", "--expr", "n", "--from", "1", "--to", "2"],
+                 ["eval", "--expr", "n", "--from", "1", "--to", "2"], ["verify", "--to", "2"],
+                 ["cert"], ["cf", "--expr", "1/3"], ["bestapprox", "--expr", "1/3"], ["heis"],
+                 ["ipsearch", "--r", "2"], ["density", "--N", "2"], ["suite", "quick"]):
+        assert parser.parse_args(argv + ["--jobs", "1"]).jobs == 1
     capsys.readouterr()
     # 1-D reads --expr only, 2-D --cubic-a and --cubic-b only
     for argv in (["bestapprox", "--expr", "1/3", "--cubic-a", "1"],
@@ -201,34 +210,6 @@ def test_members_refuses_a_huge_root_power_at_once():
     assert "Traceback" not in out.stderr and "root()" in out.stderr
 
 
-def test_package_errors_survive_pickling():
-    import pickle
-
-    from gplab.errors import NonBooleanValue, NoValidL, ParseError, PrecisionExhausted
-
-    for err in (NonBooleanValue("v", n=3, value=(1, 2)), PrecisionExhausted("p", n=5, bits=9),
-                ParseError("bad", 2, 3), NoValidL("l", step=1, ratio_lo=0.5, ratio_hi=2.0)):
-        back = pickle.loads(pickle.dumps(err))
-        assert type(back) is type(err) and str(back) == str(err)
-        assert vars(back) == vars(err)
-
-
-def test_members_error_in_a_worker_exits_2():
-    # a worker's NonBooleanValue reaches the parent, which exits 2 as with
-    # one job; the pool's result thread used to die unpickling it, and the
-    # parent waited forever (a subprocess, so a hang times out)
-    import gplab
-
-    src = os.path.dirname(os.path.dirname(gplab.__file__))
-    argv = [sys.executable, "-m", "gplab.cli", "members", "--expr", "2*floor(n/2)",
-            "--from", "0", "--to", "100", "--jobs", "2"]
-    out = subprocess.run(
-        argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30
-    )
-    assert out.returncode == 2, out.stderr
-    assert out.stderr.startswith("error: indicator value") and "Traceback" not in out.stderr
-
-
 def test_bestapprox_reads_only_the_convergents_to_q():
     # Q = 10^30 lists the 79 Pell denominators without a pass over every q;
     # a subprocess, so a hang times out
@@ -251,34 +232,6 @@ def test_bestapprox_reads_only_the_convergents_to_q():
 def test_huge_integer_literal_is_a_parse_error(capsys):
     assert run(["members", "--expr", "1" * 5000 + "*n", "--from", "1", "--to", "2"]) == 2
     assert "integer literal of 5000 digits" in capsys.readouterr().err
-
-
-def test_members_starts_no_more_workers_than_cores(monkeypatch, tmp_path):
-    import multiprocessing
-
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    out = tmp_path / "m.csv"
-    # 200 points are enough for 50 workers, but the machine has 2 cores
-    assert run(["members", "--expr", "floor(n/7) - floor((n-1)/7)", "--from", "1", "--to", "201",
-                "--jobs", "50", "--out", str(out)]) == 0
-    assert sizes == [2]
-    assert out.read_text().split() == ["n"] + [str(n) for n in range(7, 202, 7)]
 
 
 def test_members_root_with_a_large_constant_term():
@@ -368,17 +321,6 @@ def test_eval_prints_stream_intervals_around_the_value(tmp_path):
         assert lo <= min(ends) and max(ends) <= hi
 
 
-def test_members_jobs_stability(tmp_path):
-    expr = "let phi = root(x^2-x-1, 1, 2); floor(1 - frac(theta*floor(2*n*(n*phi - floor(n*phi)))))"
-    outs = []
-    for jobs in ("1", "3"):
-        out = tmp_path / f"j{jobs}.csv"
-        assert run(["members", "--expr", expr, "--from", "2", "--to", "400",
-                    "--jobs", jobs, "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_verify_command(tmp_path):
     out = tmp_path / "verify.txt"
     assert run(["verify", "--construction", "fibonacci", "--a", "1", "--to", "10000",
@@ -411,6 +353,21 @@ def test_verysparse_verify_to_its_last_term(tmp_path, monkeypatch):
     alpha = very_sparse_alpha((2, 128, 562949953421312), 5, 6).alpha
     assert 0 < len(seen) <= sum(1 for _ in convergent_walk(cf_of_rational(alpha)))
     assert seen == [1, 2, 128, 562949953421312]
+
+
+def test_verysparse_past_the_print_limit_scans_but_does_not_print(capsys):
+    # with C = 28 alpha's bounds have about 25,200 bits, past the 4300 digits
+    # Python prints: a scan reads no text, and gp cert exits 2 on one line
+    argv = ["--construction", "verysparse", "--C", "28", "--D", "29",
+            "--sequence", f"2,{2**30},{2**900}"]
+    assert run(["verify", *argv, "--to", "1000000"]) == 0
+    assert "members_found: 2\n" in capsys.readouterr().out
+    assert run(["density", *argv, "--N", "1000"]) == 0
+    assert run(["ipsearch", *argv, "--r", "2", "--bound", "100"]) == 0
+    capsys.readouterr()
+    assert run(["cert", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha_hi of 25202 bits") and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize(

@@ -46,7 +46,8 @@ def test_alpha_lies_in_every_chain_interval(params, cert):
     alpha = params.alpha
     assert type(alpha) is Fraction
     assert all(lo < alpha < hi for lo, hi in params.intervals)
-    assert cert.meta["alpha_snapshot"] == f"{alpha.numerator}/{alpha.denominator}"
+    assert cert.meta["alpha_snapshot"] == alpha
+    assert f"\nalpha_snapshot: {alpha.numerator}/{alpha.denominator}\n" in cert.to_file_text()
 
 
 def test_growth_violation_rejected():
@@ -160,6 +161,22 @@ def test_legendre_candidates_hold_every_member(seq):
     # the scan against the compiled indicator at every point
     cert = very_sparse_set(very_sparse_alpha(seq, 5, 6))
     assert cert.members(-50, 6000) == members(cert.indicator, -50, 6000)
+
+
+@pytest.mark.parametrize("seq, C, D", [((2, 128, N2), 5, 6), ((2, 2**30, 2**900), 28, 29)])
+def test_integer_stopping_test_equals_the_fraction_form(seq, C, D):
+    # for alpha = a/b, 2 g^C q^(C-1) |q a - p b| <= b is the bound
+    # 2 g^C q^(C-1) |q alpha - p| <= 1 multiplied through by b
+    from gplab.cf import cf_of_rational, legendre_candidates
+    from gplab.constructions.verysparse import _very_sparse_scan
+
+    alpha = very_sparse_alpha(seq, C, D).alpha
+    cf = cf_of_rational(alpha)
+    hi = 2 * seq[-1]
+    got = list(_very_sparse_scan(cf, C, 2, hi))
+    bound = lambda g, p, q, _: 2 * g**C * q ** (C - 1) * abs(q * alpha - p) <= 1
+    assert got == list(legendre_candidates(cf, 2, hi, bound))
+    assert set(seq) <= set(got)
 
 
 def test_members_expands_alpha_once(monkeypatch):
