@@ -210,6 +210,15 @@ def test_members_refuses_a_huge_root_power_at_once():
     assert "Traceback" not in out.stderr and "root()" in out.stderr
 
 
+def test_members_non_boolean_value_exits_2(tmp_path, capsys):
+    # 2*floor(n/2) is 2 at n = 2: one error line naming the value, no traceback
+    assert run(["members", "--expr", "2*floor(n/2)", "--from", "0", "--to", "100",
+                "--out", str(tmp_path / "m.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: indicator value 2 at n=2\n", err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_bestapprox_reads_only_the_convergents_to_q():
     # Q = 10^30 lists the 79 Pell denominators without a pass over every q;
     # a subprocess, so a hang times out
@@ -319,6 +328,25 @@ def test_eval_prints_stream_intervals_around_the_value(tmp_path):
         assert 0 <= hi - lo <= Fraction(1, 2**96)
         ends = (n * s, n * (s + Fraction(1, 2**511)))
         assert lo <= min(ends) and max(ends) <= hi
+
+
+def test_members_split_ranges_concatenate(tmp_path):
+    # a range scanned whole writes the members of its two halves in order,
+    # wherever the split falls, near 0 and near 10^12 (F_59 = 956722026041)
+    expr = "let phi = root(x^2-x-1, 1, 2); floor(1 - frac(theta*floor(2*n*(n*phi - floor(n*phi)))))"
+
+    def scan(lo, hi):
+        out = tmp_path / f"{lo}_{hi}.csv"
+        assert run(["members", "--expr", expr, "--from", str(lo), "--to", str(hi),
+                    "--out", str(out)]) == 0
+        return out.read_text().splitlines()[1:]
+
+    for lo, hi in ((-60, 3000), (956722026041 - 700, 956722026041 + 800)):
+        whole = scan(lo, hi)
+        for mid in (lo + 7, (lo + hi) // 2, hi - 1):
+            assert scan(lo, mid) + scan(mid + 1, hi) == whole
+    assert scan(-60, 3000) == ["0", "2", "5", "13", "34", "89", "233", "610", "1597"]
+    assert scan(956722026041 - 700, 956722026041 + 800) == ["956722026041"]
 
 
 def test_verify_command(tmp_path):
