@@ -41,6 +41,7 @@ from ..gpexpr import (
     indicator_of_range,
     indicator_of_zero_set,
 )
+from ..gpexpr.evaluate import _shown
 from ..cf import ContinuedFraction, cf_of_rational, coprime_in_interval, legendre_candidates
 from .certificate import Certificate
 
@@ -132,9 +133,12 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
     )
     alpha_lo, alpha_hi = params.intervals[-1]
     cf = cf_of_rational(alpha)
+    # the leading terms as a tuple prints them, a huge one by its size
+    head = params.n_seq[:3]
+    terms = ", ".join(_shown(n) for n in head) + ("," if len(head) == 1 else "")
     return Certificate(
         indicator=indicator,
-        target_description=f"terms of the supplied sequence {params.n_seq[:3]}...",
+        target_description=f"terms of the supplied sequence ({terms})...",
         candidates=lambda lo, hi: _very_sparse_scan(cf, C, lo, hi),
         meta={
             "construction": f"very_sparse C={params.C} D={params.D}",

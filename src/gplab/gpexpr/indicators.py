@@ -1,8 +1,9 @@
-"""Indicator constructions and canonical forms.
+"""Indicator constructions.
 
 The closure operations are addition, multiplication and floor; ``frac``,
-``nint`` and even powers of ``dist`` rewrite into that closure.  Membership
-predicates are built from two primitives:
+``nint`` and ``dist`` lie in that closure and are primitives of the
+language, which both evaluators read directly.  Membership predicates are
+built from two primitives:
 
 * zero test: ``[h = 0]`` is ``floor(1 - frac(theta * h))`` for a constant
   ``theta`` chosen so ``theta*h(n)`` is irrational whenever ``h(n) != 0``.
@@ -27,55 +28,11 @@ from fractions import Fraction
 
 from ..errors import PreconditionError
 from ..realnum import THETA
-from .ast import (
-    Add,
-    Const,
-    Dist,
-    Expr,
-    Floor,
-    Frac,
-    Mul,
-    Nint,
-    Pow,
-    RationalConst,
-    Sub,
-    map_tree,
-    walk,
-    with_children,
-)
-
-
-def canonicalize(e: Expr) -> Expr:
-    """Rewrite frac/nint (and even powers of dist) into floor-only form.
-
-    A bare ``dist`` node is left in place: it is in the closure, as
-    ||x|| = {x} + floor(2{x})(1 - 2{x}), but it is also a primitive of the
-    language, which both evaluators read directly.
-    """
-
-    def rewrite(node: Expr, kids: tuple) -> Expr:
-        if isinstance(node, Frac):
-            return frac_expr(kids[0])
-        if isinstance(node, Nint):
-            return nint_expr(kids[0])
-        if isinstance(node, Pow) and isinstance(kids[0], Dist) and node.exponent % 2 == 0:
-            inner = kids[0].arg
-            return Pow(Sub(inner, nint_expr(inner)), node.exponent)
-        return with_children(node, kids)
-
-    return map_tree(e, rewrite)
-
-
-def is_floor_only(e: Expr) -> bool:
-    return not any(isinstance(node, (Frac, Nint, Dist)) for node in walk(e))
+from .ast import Add, Const, Expr, Floor, Mul, RationalConst, Sub
 
 
 def frac_expr(e: Expr) -> Expr:
     return Sub(e, Floor(e))
-
-
-def nint_expr(e: Expr) -> Expr:
-    return Floor(Add(e, RationalConst(Fraction(1, 2))))
 
 
 def indicator_of_zero_set(h: Expr) -> Expr:

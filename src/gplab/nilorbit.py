@@ -255,6 +255,8 @@ def equidist_stats(
 
     Returns the per-box table and the maximum discrepancy |count/N - vol|.
     """
+    if N < 0:
+        raise PreconditionError("N must be nonnegative")
     if divisions < 1:
         raise PreconditionError("need at least one division per axis")
     k = divisions

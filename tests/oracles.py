@@ -12,7 +12,10 @@ compiled cubic indicator; and ``eval_tree``, an expression's literal tree
 evaluated node by node with the package's real-number operations, the
 reference for the compiled program's fused predicates; and
 ``dyadic_reference``, the stack machine that ran a program's dyadic mode
-before it was generated code, the reference for that code.
+before it was generated code, the reference for that code; and
+``small_fp_squared``, the small-fp indicator with its distance term entering
+through the squared offset x - nint(x), the reference for the builder that
+tests ||x|| directly.
 
 ``REGISTRY_CASES`` is the one table of registry constructions and
 parameters that the tests run every registry indicator on.
@@ -636,3 +639,23 @@ def dyadic_point(program, n: int, bits: int) -> tuple[int, int]:
     if type(v[1]) is dict:
         raise NeedBits
     return v[1]
+
+
+# ---------------------------------------------------------------------------
+# the small-fp indicator in its squared-offset form
+# ---------------------------------------------------------------------------
+
+
+def small_fp_squared(q, p, b):
+    """Indicator of {n : 0 < ||x(n)|| < p(n)^b} for q = dist(x) and b < 0,
+    written through the offset x - nint(x) and its square, so that it holds
+    no dist node: 0 < offset and (offset^2)^den * p^(2 num) < 1 for
+    b = -num/den."""
+    from gplab.gpexpr import Add, Floor, Mul, Pow, RationalConst, Sub
+    from gplab.gpexpr import ind_and, ind_not, indicator_of_range, indicator_of_zero_set
+
+    b = Fraction(b)
+    num, den = -b.numerator, b.denominator
+    offset = Sub(q.arg, Floor(Add(q.arg, RationalConst(Fraction(1, 2)))))
+    y = Mul(Pow(Pow(offset, 2), den), Pow(p, 2 * num))
+    return ind_and(ind_not(indicator_of_zero_set(offset)), indicator_of_range(y, 0, 1))

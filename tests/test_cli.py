@@ -82,6 +82,7 @@ def test_exit_code_bad_construction_params():
         ["heis", "--mode", "growth", "--grid", "9", "--from", "5", "--to", "7"],
         ["heis", "--mode", "orbit", "--ladder", "5,6", "--grid", "3"],
         ["heis", "--mode", "equidist", "--ladder", "7", "--from", "9"],
+        ["heis", "--mode", "equidist", "--to", "-5", "--grid", "1"],  # no orbit of negative length
         ["verify", "--construction", "fibonacci", "--from", "10", "--to", "5"],  # nothing scanned
         ["cf", "--expr", "let s = root(x^2-2,1,2); s + n"],  # refused, not read at n = 0
         ["bestapprox", "--expr", "let s = root(x^2-2,1,2); s + n"],

@@ -376,11 +376,12 @@ def test_small_fp_family_examples():
 
     from gplab.constructions import small_fp_family
     from gplab.errors import PreconditionError as PE
-    from gplab.gpexpr import Const, Dist, Mul, N, RationalConst, eval_indicator, is_floor_only
+    from gplab.gpexpr import Const, Dist, Mul, N, RationalConst, eval_indicator
 
     sq2 = NumberField((-2, 0, 1), 1, 2, "s").generator()
     ind = small_fp_family(Dist(Mul(N, Const("s", sq2))), N, F(-1, 2))
-    assert is_floor_only(ind)
+    # ||n sqrt2||^2 * n < 1 fails at every n < 0, and 0 < ||n sqrt2|| at n = 0
+    assert members(ind, -50, 0) == []
     assert eval_indicator(ind, 169) == 1
     assert eval_indicator(ind, 170) == 0
     # a strict lower bound: q identically zero admits nothing
@@ -400,10 +401,22 @@ def test_sqrt2_certificate_starts_at_one():
         d = (sq2 * n).dist_to_int()
         return not d.is_zero() and (d * d * n - 1).sign() < 0
 
-    # the indicator is even in n; the target and the scan start at n = 1
+    # the indicator is 0 at every n <= 0, so an unproposed scan starts at n = 1
+    assert cert.candidates is None
     assert cert.members(-6, 0) == []
     assert not cert.member(-3)
     assert cert.members(-6, 300) == [n for n in range(1, 301) if in_target(n)]
+
+
+def test_sqrt2_indicator_matches_the_squared_offset_form():
+    from gplab.constructions import sqrt2_small_dist_certificate
+    from gplab.gpexpr import Const, Dist, Mul, N
+
+    from oracles import small_fp_squared
+
+    sq2 = NumberField((-2, 0, 1), 1, 2, "s").generator()
+    squared = small_fp_squared(Dist(Mul(N, Const("s", sq2))), N, Fraction(-1, 2))
+    assert sqrt2_small_dist_certificate().members(1, 20000) == members(squared, 1, 20000)
 
 
 def test_half_over_n_scan_across_chunk_boundaries():

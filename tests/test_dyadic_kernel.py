@@ -112,7 +112,7 @@ KERNEL_SHA256 = [
      "fafcb0bae6b4ad946c2d75383a914ede154f7a28e5ae1423fa0296f6675891f2"),
 ]
 _README_SHA256 = "8b7971e12e960833c2c24aaf9f07a7ef986f244735be49c82f30f45d17a0edb6"
-_SQRT2_SHA256 = "c98642dc6605528418a5d17cc1f59a364d60c295e14038a403c7fbfa1297684b"
+_SQRT2_SHA256 = "8a8687b61fb879409665c753b9b9cda8e7f9091967994a66112007e4d4827d91"
 
 
 def _kernel_sha256(e) -> str:

@@ -11,7 +11,6 @@ from gplab.gpexpr import (
     N,
     Add,
     Const,
-    Dist,
     Floor,
     Frac,
     Mul,
@@ -19,7 +18,6 @@ from gplab.gpexpr import (
     Pow,
     RationalConst,
     Sub,
-    canonicalize,
     depends_on_var,
     discrete_difference,
     dist_lt_const,
@@ -31,7 +29,6 @@ from gplab.gpexpr import (
     ind_or,
     indicator_of_range,
     indicator_of_zero_set,
-    is_floor_only,
     map_tree,
     members,
     parse,
@@ -223,25 +220,6 @@ def test_eval_matches_quadratic_oracle(phi):
     e = parse("let phi = root(x^2-x-1, 1, 2); floor(n*phi)")
     for n in range(-30, 60):
         assert eval_exact(e, n) == floor_quadratic(Fraction(n, 2), Fraction(n, 2), 5)
-
-
-def test_canonicalize_preserves_value(phi):
-    exprs = [
-        Frac(Mul(Const("phi", phi), N)),
-        Nint(Add(N, Mul(RationalConst(Fraction(1, 3)), N))),
-        Pow(Dist(Mul(Const("phi", phi), N)), 2),
-        Sub(Frac(N * Fraction(5, 7)), Nint(N * Fraction(2, 9))),
-    ]
-    for e in exprs:
-        c = canonicalize(e)
-        assert is_floor_only(c) or isinstance(e, Frac) is False
-        for n in (-7, 0, 1, 12, 55):
-            assert compare(eval_exact(e, n), eval_exact(c, n)) == 0
-
-
-def test_canonical_dist_squared_is_floor_only(phi):
-    e = Pow(Dist(Mul(Const("phi", phi), N)), 4)
-    assert is_floor_only(canonicalize(e))
 
 
 # -- indicators ---------------------------------------------------------------
@@ -699,9 +677,6 @@ def test_walk_and_depends_on_var_handle_deep_trees():
     assert map_tree(e, lambda node, kids: 1 + sum(kids)) == len(nodes)
     assert map_tree(e, lambda node, kids: 1 + max(kids, default=0)) == 2 * 1200 + 2
     assert to_text(e) == "floor(" * 1200 + "n * (1/2)" + ") + (1/3)" * 1200
-    assert canonicalize(e) is e  # floor-only already: nothing is rebuilt
-    frac_e = canonicalize(Frac(e))
-    assert isinstance(frac_e, Sub) and frac_e.left is e and frac_e.right.arg is e
     doubled = substitute_var(e, Mul(RationalConst(Fraction(2)), N))
     assert to_text(doubled) == "floor(" * 1200 + "2 * n * (1/2)" + ") + (1/3)" * 1200
     assert eval_exact(doubled, 7) == Fraction(22, 3)  # floor(7) + 1/3 at every level

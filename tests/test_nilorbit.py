@@ -178,14 +178,15 @@ def test_orbit_spec_validation(sq2, sq3):
         orbit_point(default_orbit_spec(), -1)
 
 
-@pytest.mark.parametrize("c, size", [(Fraction(1, 3), 13), (Fraction(9, 20), 0)])
-def test_heisenberg_indicator_decides_in_dyadic_mode(monkeypatch, sq2, sq3, c, size):
-    # small_fp_family's indicator of ||n sqrt2 floor(n sqrt3)|| < n^-c at
-    # n ~ 1e6: at c = 9/20 its range test scales d^40 n^18 ~ 2^280, which the
-    # compiled zero test decides from the interval, so few points reach exact
-    # mode; members agree with the orbit simulator at every point
-    from gplab.constructions import small_fp_family
-    from gplab.gpexpr import Const, Dist, Floor, Mul, N, members
+def _heisenberg_q(sq2, sq3):
+    # ||n sqrt2 floor(n sqrt3)||, the distance term of the Heisenberg set
+    from gplab.gpexpr import Const, Dist, Floor, Mul, N
+
+    return Dist(Mul(Mul(N, Const("sqrt2", sq2)), Floor(Mul(N, Const("sqrt3", sq3)))))
+
+
+def _spy_exact(monkeypatch):
+    # the points a compiled program sends to exact mode, in order
     from gplab.gpexpr.evaluate import Program
 
     exact = Program.eval_exact
@@ -195,12 +196,63 @@ def test_heisenberg_indicator_decides_in_dyadic_mode(monkeypatch, sq2, sq3, c, s
         calls.append(n)
         return exact(self, n, *args)
 
-    q = Dist(Mul(Mul(N, Const("sqrt2", sq2)), Floor(Mul(N, Const("sqrt3", sq3)))))
-    window = range(10**6, 10**6 + 500)
     monkeypatch.setattr(Program, "eval_exact", spy)
-    found = members(small_fp_family(q, N, -c), window[0], window[-1])
+    return calls
+
+
+@pytest.mark.parametrize("c, size", [(Fraction(1, 3), 13), (Fraction(9, 20), 0)])
+def test_heisenberg_indicator_decides_in_dyadic_mode(monkeypatch, sq2, sq3, c, size):
+    # small_fp_family's indicator of ||n sqrt2 floor(n sqrt3)|| < n^-c at
+    # n ~ 1e6: at c = 9/20 its range test is d^20 n^9 < 1, which the dyadic
+    # pass decides at every point, so no point reaches exact mode; members
+    # agree with the orbit simulator at every point
+    from gplab.constructions import small_fp_family
+    from gplab.gpexpr import N, members
+
+    window = range(10**6, 10**6 + 500)
+    calls = _spy_exact(monkeypatch)
+    found = members(small_fp_family(_heisenberg_q(sq2, sq3), N, -c), window[0], window[-1])
     monkeypatch.undo()
     spec = OrbitSpec(sq2, sq3, c)
     assert found == [n for n in window if small_value_indicator(spec, n)]
     assert len(found) == size
     assert len(calls) <= len(window) // 10
+    assert calls == []
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 20), Fraction(1, 3), Fraction(9, 20)])
+def test_heisenberg_indicator_matches_small_value_indicator(sq2, sq3, c):
+    from gplab.constructions import small_fp_family
+    from gplab.gpexpr import N, members
+
+    spec = OrbitSpec(sq2, sq3, c)
+    found = members(small_fp_family(_heisenberg_q(sq2, sq3), N, -c), 1, 2000)
+    assert found == [n for n in range(1, 2001) if small_value_indicator(spec, n)]
+
+
+@pytest.mark.parametrize(
+    "c, lo, hi, max_exact",
+    [
+        (Fraction(1, 20), 1, 3000, 0),
+        (Fraction(1, 3), 1, 3000, 0),
+        (Fraction(1, 3), 10**6, 10**6 + 499, 0),
+        (Fraction(9, 20), 1, 3000, 102),
+        (Fraction(9, 20), 10**6, 10**6 + 499, 0),
+    ],
+)
+def test_heisenberg_indicator_matches_the_squared_offset_form(
+    monkeypatch, sq2, sq3, c, lo, hi, max_exact
+):
+    # ||x|| tested directly keeps the exponents of the squared offset
+    # x - nint(x) halved, and with them the bits its range test loses
+    from gplab.constructions import small_fp_family
+    from gplab.gpexpr import N, members
+
+    from oracles import small_fp_squared
+
+    q = _heisenberg_q(sq2, sq3)
+    calls = _spy_exact(monkeypatch)
+    found = members(small_fp_family(q, N, -c), lo, hi)
+    monkeypatch.undo()
+    assert len(calls) <= max_exact
+    assert found == members(small_fp_squared(q, N, -c), lo, hi)

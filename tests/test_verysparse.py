@@ -85,6 +85,18 @@ def test_formal_indicator_decides_the_deepest_term(cert):
     assert cert.member(N2)
 
 
+def test_a_term_past_the_print_limit_builds():
+    # a term of more than 4300 digits is described by its size; the built
+    # certificate decides it, and its printed form refuses the huge alpha
+    big = very_sparse_set(very_sparse_alpha([2**15000], 5, 6))
+    assert big.target_description == "terms of the supplied sequence (a 15001-bit integer,)..."
+    assert big.member(2**15000)
+    with pytest.raises(PreconditionError):
+        big.to_file_text()
+    small = very_sparse_set(very_sparse_alpha([2, 128], 5, 6))
+    assert small.target_description == "terms of the supplied sequence (2, 128)..."
+
+
 def test_densify_single_ratio_1000():
     plan = densify_sequence([2, 2**1000])
     assert plan.depth_per_step == (3,)
