@@ -7,25 +7,26 @@ an oracle, never assumed.  Builders return a certificate with no scan
 behind it; ``verify_certificate`` (which ``gp cert`` runs from the
 registry's scan start to 4000) writes the data its scan finds.
 
-The indicator decides membership, and ``members`` is the one place that
-asks it.  A builder may attach ``candidates(lo, hi)``, a generator that
-only proposes points (continued-fraction denominators, the lattice points
-of a recurrence basis, a pull-back of another certificate's ``points``).
+The indicator decides membership, and ``members_in``, one window scan of
+it over increasing points, is the one place that asks it.  A builder may
+attach ``candidates(lo, hi)``, a generator that only proposes points
+(continued-fraction denominators, the lattice points of a recurrence
+basis, a pull-back of another certificate's ``points``).
 ``points`` keeps the proposals in [lo, hi], each once in increasing order,
-or every point without a generator, and ``members`` confirms exactly those
-through ``confirm``.  A certificate built on another reads its ``points``,
-never its ``members``, so a scan confirms each point once, with its own
-indicator, and the precision budget reaches every ``confirm``.
+or every point without a generator, and ``members`` decides exactly those
+in one ``members_in`` scan.  A certificate built on another reads its
+``points``, never its ``members``, so a scan decides each point once, with
+its own indicator, and the precision budget reaches every scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..errors import ParseError, PreconditionError
-from ..gpexpr import Expr, eval_indicator, parse, to_text
+from ..gpexpr import Expr, members_in, parse, to_text
 from ..realnum import DEFAULT_MAX_BITS
 
 
@@ -38,15 +39,15 @@ class Certificate:
     candidates: Callable[[int, int], Iterable[int]] | None = None  # (lo, hi)
     meta: dict = field(default_factory=dict)
 
-    def confirm(self, n: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:
-        """The indicator's verdict at n: how ``members`` confirms each point."""
-        return eval_indicator(self.indicator, n, max_bits) == 1
+    def members_in(self, points: Sequence[int], max_bits: int = DEFAULT_MAX_BITS) -> Iterator[int]:
+        """The indicator's members among ``points``, increasing integers."""
+        return members_in(self.indicator, points, max_bits)
 
     def member(self, n: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:
         return n in self.members(n, n, max_bits)
 
     def points(self, lo: int, hi: int) -> Sequence[int]:
-        """The points ``members`` confirms: every proposal in [lo, hi], once
+        """The points ``members`` decides: every proposal in [lo, hi], once
         and in increasing order, or every point without a generator."""
         if self.candidates is None:
             return range(lo, hi + 1)
@@ -54,8 +55,8 @@ class Certificate:
 
     def members(self, lo: int, hi: int, max_bits: int = DEFAULT_MAX_BITS) -> list[int]:
         """The points of [lo, hi] where the indicator holds, in increasing order:
-        each of ``points(lo, hi)``, confirmed."""
-        return [n for n in self.points(lo, hi) if self.confirm(n, max_bits)]
+        ``points(lo, hi)``, decided in one ``members_in`` scan."""
+        return list(self.members_in(self.points(lo, hi), max_bits))
 
     # -- serialization ------------------------------------------------------
     def to_file_text(self) -> str:

@@ -26,10 +26,10 @@ come from integer Sturm counts and integer Horner signs.
 The certificate's indicator is the one encoding of this test: ``h_sq``
 and ``g_value`` evaluate ``h_sq_expr`` and ``g_expr`` (each compiled on
 its first call), ``member`` is the indicator's exact verdict, and
-``Certificate.members`` confirms the lattice points ``_cubic_candidates``
-proposes, as in every other scan.  A build confirms nothing: the
-``plateau_shared_by_extra_orbit`` flag is read off ``gp cert``'s scan
-(``flag_extra_orbit``).
+``Certificate.members`` decides the lattice points ``_cubic_candidates``
+proposes in one ``members_in`` window scan, as in every other scan.  A
+build decides no point: the ``plateau_shared_by_extra_orbit`` flag is read
+off ``gp cert``'s scan (``flag_extra_orbit``).
 """
 
 from __future__ import annotations
@@ -325,7 +325,7 @@ def _cubic_candidates(cons: CubicConstruction, lo: int, hi: int) -> Iterator[int
     (Math. Comp. 44, 1985).  The q < max(start, R_2), every n <= 0
     included, are proposed as is.
 
-    Members reach exact mode when ``Certificate.members`` confirms them:
+    Members reach exact mode when ``Certificate.members`` decides them:
     they sit exactly on the plateau, where no dyadic precision decides the
     indicator's last floor.
     """

@@ -15,10 +15,11 @@ Three layers:
 Each certificate's candidate generator proposes points: multiples of
 continued-fraction denominators, or another certificate's ``points``
 (pulled back, unfiltered, both a = 3 halves), never its ``members``.  So
-only the outer ``Certificate.members`` confirms, once per point, with the
-compiled indicator, and a scan's output is exactly the indicator's member
-set.  The builders do not scan against their targets: the registry pairs
-each one with its oracle, and ``gp cert`` computes the exceptional set.
+only the outer ``Certificate.members`` decides, each point once, in one
+``members_in`` window scan of the compiled indicator, and a scan's output
+is exactly the indicator's member set.  The builders do not scan against
+their targets: the registry pairs each one with its oracle, and ``gp
+cert`` computes the exceptional set.
 """
 
 from __future__ import annotations

@@ -221,9 +221,10 @@ def _select_depth(n_lo: int, n_hi: int, step: int) -> int:
 
 
 def _exact_log(n_hi: int, n_lo: int) -> int | None:
-    """M with n_lo^M = n_hi exactly, if it exists."""
-    est = max(1, n_hi.bit_length() // max(1, n_lo.bit_length() - 1))
-    for m in range(max(1, est - 2), est + 3):
+    """M with n_lo^M = n_hi exactly, if it exists (n_lo >= 2): the float
+    ratio of the logs, checked exactly next to it."""
+    est = round(math.log(n_hi) / math.log(n_lo))
+    for m in range(max(1, est - 1), est + 2):
         if n_lo**m == n_hi:
             return m
     return None

@@ -5,8 +5,7 @@ rational constants, named real constants (field elements or interval
 streams), addition, subtraction, multiplication, nonnegative integer
 powers, and the integer-part family ``floor``/``frac``/``nint``/``dist``.
 
-Nodes are immutable and compare structurally; operator overloading is
-provided so construction code reads like the formulas it implements.
+Nodes are immutable and compare structurally.
 """
 
 from __future__ import annotations
@@ -21,39 +20,6 @@ from ..realnum import FieldElement, RefinableReal
 class Expr:
     # the compiled program, set by the evaluator on the first evaluation
     __slots__ = ("_program",)
-
-    def __add__(self, other):
-        return Add(self, wrap(other))
-
-    def __radd__(self, other):
-        return Add(wrap(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, wrap(other))
-
-    def __rsub__(self, other):
-        return Sub(wrap(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, wrap(other))
-
-    def __rmul__(self, other):
-        return Mul(wrap(other), self)
-
-    def __pow__(self, k: int):
-        return Pow(self, int(k))
-
-
-def wrap(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RationalConst(Fraction(value))
-    if isinstance(value, FieldElement):
-        return Const(value.field.name, value)
-    if isinstance(value, RefinableReal):
-        return Const(value.name or "const", value)
-    raise PreconditionError(f"cannot use {value!r} in an expression")
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,10 +5,10 @@ hash-consed bottom up: structurally equal subterms (which the indicator
 builders repeat heavily) become one op, and compiling and evaluating are
 loops, never recursion, so deeply nested expressions are fine.  An
 expression compiles on its first evaluation (``eval_exact``,
-``eval_indicator`` or ``members``) and keeps its program for as long as it
-lives: the memo is a slot on the expression object, keyed on its identity,
-never on the recursive ``==``, so an equal but distinct tree compiles on
-its own.
+``eval_indicator`` or ``members_in``) and keeps its program for as long as
+it lives: the memo is a slot on the expression object, keyed on its
+identity, never on the recursive ``==``, so an equal but distinct tree
+compiles on its own.
 
 The ops are constants, ``n``, ``+``, ``-``, ``*``, integer powers,
 ``floor``, ``frac``, ``nint``, ``dist``, and two ops for the predicates
@@ -81,9 +81,9 @@ The same op list is run in two modes:
   indicators of repeated builds, compile it once.  Each point is run
   through it once, at the least of 96, 192, 384, ... bits that holds
   64 + 2 bits(n) (room for a product of two n-sized factors, such as
-  2n {n x}): ``members`` calls it once per run of points that share that
-  precision, ``eval_indicator`` on its one point.  A point whose value is
-  exactly 0 is passed over in the loop and one exactly 1 is yielded as n;
+  2n {n x}): ``members_in`` calls it once per run of points that share
+  that precision, ``eval_indicator`` on its one point.  A point whose value
+  is exactly 0 is passed over in the loop and one exactly 1 is yielded as n;
   any other is yielded with what the loop found and settled by
   ``eval_indicator`` before the loop goes on, so a scan raises at its
   first bad point and keeps nothing but its members.  A point left open
@@ -113,9 +113,10 @@ evaluate to exact 0/1 once every floor is decided.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import NonBooleanValue, ParseError, PrecisionExhausted
 from ..realnum import (
@@ -755,7 +756,7 @@ def eval_indicator(
 ) -> int:
     """Value of an indicator expression; raises NonBooleanValue outside {0,1}.
 
-    ``_found`` is for :func:`members` alone: ``(bits, v)``, where v is what
+    ``_found`` is for :func:`members_in` alone: ``(bits, v)``, where v is what
     its window scan (:meth:`Program.scan`) at ``bits`` yielded for n, an
     interval that is not exactly 0 or 1 or the decided ops of a point left
     open, so that n is not run through the dyadic function again.  Such a
@@ -798,30 +799,40 @@ def eval_indicator(
     raise NonBooleanValue(f"indicator did not reduce to an integer at n={n}", n=n, value=value)
 
 
-def members(
-    e: Expr,
-    lo: int,
-    hi: int,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> list[int]:
-    """All n in [lo, hi] where the indicator evaluates to 1, in order.
+def _below(points: Sequence[int], x: int) -> int:
+    """How many of the increasing ``points`` are below x: ``bisect_left``,
+    worked out for a range, whose length may be too large for ``len``."""
+    if isinstance(points, range):
+        return max(0, -((points.start - x) // points.step))
+    return bisect_left(points, x)
+
+
+def members_in(e: Expr, points: Sequence[int], max_bits: int = DEFAULT_MAX_BITS) -> Iterator[int]:
+    """The points of ``points``, an increasing sequence of integers (a
+    ``range`` or a sorted list), where the indicator evaluates to 1, in order.
 
     One call of the program's dyadic function per run of points that share a
-    precision.  A point whose value is not exactly 0 or 1 there is settled
-    by :func:`eval_indicator` from what the call yielded, before the call
-    goes on to the next point: the first point that is not 0 or 1 raises as
-    it would alone, no later point has been run, and nothing but the
-    members is kept.
+    precision, each run's slice cut at its ends by bisection.  A point whose
+    value is not exactly 0 or 1 there is settled by :func:`eval_indicator`
+    from what the call yielded, before the call goes on to the next point:
+    the first point that is not 0 or 1 raises as it would alone, every
+    member before it has been yielded, and no later point has been run.
     """
+    if not points:
+        return
     program = _compiled(e)
-    found = []
-    for start, stop, bits in _runs(lo, hi, max_bits):
-        for v in program.scan(range(start, stop), bits):
+    for start, stop, bits in _runs(points[0], points[-1], max_bits):
+        run = points[_below(points, start) : _below(points, stop)]
+        for v in program.scan(run, bits):
             if type(v) is int:
-                found.append(v)
+                yield v
             elif eval_indicator(e, v[0], max_bits, _found=(bits, v[1])) == 1:
-                found.append(v[0])
-    return found
+                yield v[0]
+
+
+def members(e: Expr, lo: int, hi: int, max_bits: int = DEFAULT_MAX_BITS) -> list[int]:
+    """All n in [lo, hi] where the indicator evaluates to 1, in order."""
+    return list(members_in(e, range(lo, hi + 1), max_bits))
 
 
 def discrete_difference(q: Expr, shifts: list[int], max_bits: int = DEFAULT_MAX_BITS) -> Real:

@@ -4,6 +4,7 @@ These are desk-scale, one-sided probes: a witness is a tuple of generators
 whose full set of subset sums (plus an optional shift) lies inside the
 target set, re-verified by the indicator at doubled precision; a negative
 report means the search space below the bound was exhausted, nothing more.
+Each set of points is decided in one ``Certificate.members_in`` scan.
 """
 
 from __future__ import annotations
@@ -68,9 +69,17 @@ class SearchReport:
         return "\n".join(rows) + "\n"
 
 
+def _all_in(cert: Certificate, points, max_bits: int) -> bool:
+    """Whether each of the increasing ``points`` is in the set: one scan,
+    which stops at the first member past a point that is not."""
+    found = cert.members_in(points, max_bits)
+    return all(next(found, None) == n for n in points)
+
+
 def _reverify(cert: Certificate, values, max_bits: int) -> bool:
-    """Independent confirmation of witness sums: the indicator at doubled precision."""
-    return all(cert.confirm(v, 2 * max_bits) for v in values)
+    """Independent confirmation of witness sums: the indicator at doubled
+    precision, in one scan of the distinct sums."""
+    return _all_in(cert, sorted(set(values)), 2 * max_bits)
 
 
 def _search(
@@ -93,7 +102,7 @@ def _search(
         raise PreconditionError("need r >= 1 and bound >= 1")
     t0 = time.perf_counter()
     top = bound + (max(shifts) if shifts else 0)
-    members = sorted(cert.members(1, top, max_bits))
+    members = cert.members(1, top, max_bits)
     member = set(members)
     nodes = 0
 
@@ -196,10 +205,9 @@ def ap_witness_in_small_dist_set(r: int, max_bits: int = DEFAULT_MAX_BITS) -> Se
         nodes += 1
         if m >= r**3:
             d = (sq2 * m).dist_to_int()
-            if (d * m - 1).sign() < 0 and all(
-                cert.confirm(k * m, max_bits) for k in range(1, r + 1)
-            ):
-                witness = tuple(k * m for k in range(1, r + 1))
+            progression = range(m, r * m + 1, m)
+            if (d * m - 1).sign() < 0 and _all_in(cert, progression, max_bits):
+                witness = tuple(progression)
                 if not _reverify(cert, witness, max_bits):
                     raise AssertionError("progression failed re-verification")
                 return SearchReport(
@@ -227,16 +235,21 @@ def density_estimate(cert: Certificate, N: int, max_bits: int = DEFAULT_MAX_BITS
     """|E ∩ [1, N]| and its ratio to N; undecided points are reported.
 
     Only positive n count: the indicators of value sets also hold at some
-    n <= 0 (the cubic ones at 0), which are not in the target set.
+    n <= 0 (the cubic ones at 0), which are not in the target set.  One
+    scan decides the points, and resumes past any undecided one.
     """
     if N < 1:
         raise PreconditionError("N must be at least 1")
     count, undecided = 0, []
-    for n in cert.points(1, N):
+    points = cert.points(1, N)
+    while points:
         try:
-            count += cert.confirm(n, max_bits)
-        except PrecisionExhausted:
-            undecided.append(n)
+            for _ in cert.members_in(points, max_bits):
+                count += 1
+            break
+        except PrecisionExhausted as exc:
+            undecided.append(exc.n)
+            points = points[bisect_right(points, exc.n) :]
     return DensityEstimate(
         N=N,
         count=count,

@@ -13,7 +13,6 @@ are counted by ``growth_count``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,10 +116,6 @@ def default_orbit_spec(c=Fraction(1, 20), _orbit_length: int | None = None) -> O
     A second argument (the orbit length perfbench's workloads still pass) is
     ignored: each count or sample takes its own range.
     """
-    for d in (2, 3, 6):
-        r = math.isqrt(d)
-        if r * r == d:
-            raise PreconditionError("preset radicands must be nonsquare")
     alpha = NumberField((-2, 0, 1), 1, 2, "sqrt2").generator()
     beta = NumberField((-3, 0, 1), 1, 2, "sqrt3").generator()
     return OrbitSpec(alpha, beta, Fraction(c))

@@ -8,6 +8,7 @@ battery with timing and one pass/fail line per check.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -68,6 +69,12 @@ class CheckResult:
     seconds: float
 
 
+def _require(cond: bool, message: str = "check failed") -> None:
+    """A check's condition, enforced as ``assert`` is not under ``python -O``."""
+    if not cond:
+        raise AssertionError(message)
+
+
 # ---------------------------------------------------------------------------
 # acceptance criteria
 # ---------------------------------------------------------------------------
@@ -81,9 +88,9 @@ def _verify(name: str, lo: int, to: int, **params) -> VerificationReport:
 
 def check_fibonacci_certificate(to: int = 10**6) -> str:
     report = _verify("fibonacci", 2, to, a=1)
-    assert report.symmetric_difference == (), (
+    _require(report.symmetric_difference == (), (
         f"unexpected mismatches: {report.symmetric_difference}"
-    )
+    ))
     return (
         f"certificate = Fibonacci numbers exactly on [2, {to}]; "
         f"symmetric difference empty"
@@ -100,15 +107,15 @@ def check_fibonacci_constant() -> str:
     inv_sqrt5 = (phi * 2 - 1).inverse()
     err = d - inv_sqrt5
     tol = Fraction(1, 10**6)
-    assert (err - tol).sign() < 0 and (err + tol).sign() > 0, "constant mismatch"
+    _require((err - tol).sign() < 0 and (err + tol).sign() > 0, "constant mismatch")
     return f"n={n}: |n*dist - 1/sqrt5| = {abs(to_float(err)):.3e} < 1e-6 (exact)"
 
 
 def check_quadratic_norm_plus(to: int = 10**6) -> str:
     report = _verify("quadratic-filter", 1, to, a=4)
-    assert report.exceptional_bound <= 2, f"exceptional bound {report.exceptional_bound}"
+    _require(report.exceptional_bound <= 2, f"exceptional bound {report.exceptional_bound}")
     # q_1 = 1 is the lone exception
-    assert report.symmetric_difference == (1,), f"exceptional {report.symmetric_difference}"
+    _require(report.symmetric_difference == (1,), f"exceptional {report.symmetric_difference}")
     return (
         f"filtered set on [1, {to}] = odd-index denominators; "
         f"exceptional: {report.symmetric_difference}"
@@ -135,9 +142,9 @@ def check_half_over_n_to_1e17(to: int = 10**17) -> str:
     for name, label, params in cases:
         lo = CONSTRUCTIONS[name].scan_from
         report = _verify(name, lo, to, **params)
-        assert report.exceptional_bound <= SCAN_TO, (
+        _require(report.exceptional_bound <= SCAN_TO, (
             f"{name} {label}: mismatches {report.symmetric_difference} on [{lo}, {to}]"
-        )
+        ))
         parts.append(
             f"{name} {label}: {len(report.members_found)} on [{lo}, {to}], "
             f"exceptional {list(report.symmetric_difference)}"
@@ -149,22 +156,22 @@ def check_cubic(to: int = 10**6, h_to: int = 10**4, i_max: int = 20) -> str:
     cons = cubic_pisot_set(1, 1)
     cert = cons.certificate
     report = verify_certificate(cert, recurrence_terms(cons.recurrence, to), 1, to)
-    assert report.symmetric_difference == (), (
+    _require(report.symmetric_difference == (), (
         f"unexpected mismatches: {report.symmetric_difference}"
-    )
+    ))
     # closed form vs brute force wherever the distance is below Im(alpha)/2
     im_sq = cons.norm.im_u_sq
     checked = 0
     for q in range(1, h_to + 1):
         n0 = cons.n0_sq(q)
         if (n0 * 4 - im_sq).sign() < 0:
-            assert (cons.h_sq(q) - n0).is_zero(), f"h^2 != N0^2 at q={q}"
+            _require((cons.h_sq(q) - n0).is_zero(), f"h^2 != N0^2 at q={q}")
             checked += 1
     # record law with the measured alignment, exact (implies 1e-6 relative)
     terms = recurrence_terms(cons.recurrence, 10**7)
     k = cons.plateau_pow
     for i in range(2, i_max + 1):
-        assert cons.record_law(i, terms[i]), f"record law at i={i}"
+        _require(cons.record_law(i, terms[i]), f"record law at i={i}")
     return (
         f"set = recurrence values exactly on [1, {to}]; h == N0 at {checked} points "
         f"of [1, {h_to}]; records m(R_i) = m1 * beta^(({k} - 2i)/4) exact for 2 <= i <= {i_max}"
@@ -187,14 +194,14 @@ def check_cubic_to_1e17(to: int = 10**17) -> str:
         terms = recurrence_terms(cons.recurrence, to)
         orbit = {terms[i - 2] + terms[i] for i in range(2, len(terms))} if cons.b == -1 else ()
         extra = set(found) ^ set(terms)
-        assert extra == {v for v in orbit if v <= to}, (
+        _require(extra == {v for v in orbit if v <= to}, (
             f"cubic ({cons.a}, {cons.b}): off the recurrence {sorted(extra)[:8]}"
-        )
+        ))
         parts.append(f"({cons.a}, {cons.b}): {len(found)} members, {len(extra)} off it")
     terms = recurrence_terms(tribonacci.recurrence, to)
     k = tribonacci.plateau_pow
     for i in range(2, len(terms)):
-        assert tribonacci.record_law(i, terms[i]), f"record law at i={i}"
+        _require(tribonacci.record_law(i, terms[i]), f"record law at i={i}")
     return (
         f"members on [1, {to}] against the recurrence: " + "; ".join(parts)
         + " (the orbit R_(i-2) + R_i); "
@@ -206,8 +213,8 @@ def check_very_sparse() -> str:
     params = very_sparse_alpha([2, 128, 128**7], 5, 6)
     cert = very_sparse_set(params)
     mem = cert.members(2, 10**5)
-    assert mem == [2, 128], f"members {mem}"
-    assert cert.member(128**7), "spot membership of the deepest term failed"
+    _require(mem == [2, 128], f"members {mem}")
+    _require(cert.member(128**7), "spot membership of the deepest term failed")
     return "members on [2, 1e5] = {2, 128}; spot check at 128^7 passed"
 
 
@@ -223,7 +230,7 @@ def check_very_sparse_support() -> str:
     q = params.alpha.denominator
     e = -(-q.bit_length() // (params.C - 1))  # (2^e)^(C-1) > Q
     mem = very_sparse_set(params).members(1, 1 << e)
-    assert tuple(mem) == seq, f"members on [1, 2^{e}]: {mem}"
+    _require(tuple(mem) == seq, f"members on [1, 2^{e}]: {mem}")
     return (
         f"members on [1, 2^{e}] = {{2, 128, 128^7}}, and n^{params.C - 1} <= Q/2 "
         f"for every member, Q = alpha's {q.bit_length()}-bit denominator"
@@ -234,10 +241,10 @@ def _growth_rows(c: Fraction, ladder: tuple[int, ...]) -> tuple[list, str]:
     """Growth rows at exponent c, checked: positive ratios, spread < 4, no skips."""
     rows = growth_count(default_orbit_spec(c), ladder)
     ratios = [r.ratio for r in rows]
-    assert all(r > 0 for r in ratios), f"c={c}: ratio not positive"
+    _require(all(r > 0 for r in ratios), f"c={c}: ratio not positive")
     spread = max(ratios) / min(ratios)
-    assert spread < 4, f"c={c}: ratio spread {spread:.2f} >= 4"
-    assert all(r.skipped == 0 for r in rows), f"c={c}: precision skips occurred"
+    _require(spread < 4, f"c={c}: ratio spread {spread:.2f} >= 4")
+    _require(all(r.skipped == 0 for r in rows), f"c={c}: precision skips occurred")
     counts = ", ".join(f"S({r.N})={r.count}" for r in rows)
     return rows, f"{counts}; ratio spread {spread:.2f} < 4"
 
@@ -248,7 +255,7 @@ def check_heisenberg_growth() -> str:
     for n in range(1, 1001):
         m = floor_frac(rmul(Fraction(n), spec.beta))[0]
         z = frac_of(rmul(Fraction(n * m), spec.alpha))
-        assert compare(orbit_point(spec, n).z, z) == 0, f"z-identity failed at n={n}"
+        _require(compare(orbit_point(spec, n).z, z) == 0, f"z-identity failed at n={n}")
     return f"{detail}; z-identity exact for n <= 1000"
 
 
@@ -259,7 +266,7 @@ def check_heisenberg_growth_1e5() -> str:
         rows, _ = _growth_rows(c, (10**3, 10**4, 10**5))
         ratios = [r.ratio for r in rows]
         spread = max(ratios) / min(ratios)
-        assert spread < 1.5, f"c={c}: ratio spread {spread:.3f} >= 1.5"
+        _require(spread < 1.5, f"c={c}: ratio spread {spread:.3f} >= 1.5")
         counts = ", ".join(f"S({r.N})={r.count}" for r in rows)
         parts.append(f"c={c}: {counts}; ratio spread {spread:.3f} < 1.5")
     return "; ".join(parts)
@@ -270,7 +277,7 @@ def check_best_approx_2d_tribonacci(Q: int = 10**5) -> str:
     cons = cubic_pisot_set(1, 1)
     records = [b.q for b in best_approx_2d(cons.theta, cons.norm, Q)]
     terms = sorted(set(recurrence_terms(cons.recurrence, Q)))
-    assert records == terms, f"records {records} vs Tribonacci terms {terms}"
+    _require(records == terms, f"records {records} vs Tribonacci terms {terms}")
     return f"{len(records)} records on [1, {Q}] = Tribonacci terms 1, 2, 4, ..., {records[-1]}"
 
 
@@ -280,23 +287,23 @@ def check_heisenberg_growth_non_vacuous() -> str:
     for c in (Fraction(9, 20), Fraction(1, 3)):
         rows, detail = _growth_rows(c, (10**3, 10**4))
         for r in rows:
-            assert r.count < r.N - 1, f"c={c}: S({r.N}) = N - 1, settled by the threshold alone"
+            _require(r.count < r.N - 1, f"c={c}: S({r.N}) = N - 1, settled by the threshold alone")
         parts.append(f"c={c}: {detail}")
     return "; ".join(parts)
 
 
 def check_ip_witness() -> str:
     rep = ap_witness_in_small_dist_set(5)
-    assert rep.witness == (169, 338, 507, 676, 845), f"witness {rep.witness}"
+    _require(rep.witness == (169, 338, 507, 676, 845), f"witness {rep.witness}")
     return f"m=169: progression {rep.witness} verified exactly"
 
 
 def check_finite_sums_probe(exponent: int = 4) -> str:
     fib, bound = fibonacci_like_set(1), 10**exponent
     rep = find_ipr_in_set(fib, 4, bound)
-    assert rep.exhaustive and rep.witness is None, f"unexpected witness {rep.witness}"
+    _require(rep.exhaustive and rep.witness is None, f"unexpected witness {rep.witness}")
     rep_t = translated_ip_probe(fib, 3, bound, range(0, 11))
-    assert rep_t.exhaustive and rep_t.witness is None, f"unexpected witness {rep_t.witness}"
+    _require(rep_t.exhaustive and rep_t.witness is None, f"unexpected witness {rep_t.witness}")
     return (
         f"no FS(n1..n4) <= 1e{exponent} ({rep.nodes_explored} nodes); no translated FS(n1..n3) "
         f"with shifts 0..10 ({rep_t.nodes_explored} nodes); one-sided probes"
@@ -318,14 +325,14 @@ def check_floor_family_identities(samples: int = 10**4) -> str:
         else:
             x = sq2 * rng.randrange(-10**4, 10**4) + Fraction(rng.randrange(-100, 100), 7)
         m, f = floor_frac(x)
-        assert sign_of(f) >= 0 and sign_of(rsub(f, Fraction(1))) < 0
-        assert compare(radd(f, Fraction(m)), x) == 0
-        assert nint_of(x) == floor_frac(radd(x, Fraction(1, 2)))[0]
+        _require(sign_of(f) >= 0 and sign_of(rsub(f, Fraction(1))) < 0)
+        _require(compare(radd(f, Fraction(m)), x) == 0)
+        _require(nint_of(x) == floor_frac(radd(x, Fraction(1, 2)))[0])
         d = dist_of(x)
         f2 = frac_of(x)
         alt = rsub(Fraction(1), f2)
         expected = f2 if compare(f2, alt) <= 0 else alt
-        assert compare(d, expected) == 0
+        _require(compare(d, expected) == 0)
     return f"floor/frac/nint/dist identities hold on {samples} sampled values"
 
 
@@ -341,7 +348,7 @@ def check_discrete_difference(cases: int = 100) -> str:
             expr = radd_expr(expr, c, j + 1)
         shifts = [rng.randrange(1, 50) for _ in range(d)]
         val = discrete_difference(expr, shifts)
-        assert isinstance(val, Fraction) and val == 0, f"nonzero difference {val}"
+        _require(isinstance(val, Fraction) and val == 0, f"nonzero difference {val}")
     return f"{cases} random polynomials of degree < d vanish under d shifts"
 
 
@@ -392,8 +399,8 @@ def check_parser_roundtrip(cases: int = 120) -> str:
         e = gen(rng.randrange(1, 4))
         text = to_text(e)
         reparsed = parse(text)
-        assert to_text(reparsed) == text, f"round trip failed for {text!r}"
-        assert parse(to_text(reparsed)) == reparsed
+        _require(to_text(reparsed) == text, f"round trip failed for {text!r}")
+        _require(parse(to_text(reparsed)) == reparsed)
     return f"print-parse round trip stable on {cases} generated expressions"
 
 
@@ -413,17 +420,17 @@ def check_heisenberg_axioms(cases: int = 60) -> str:
         lhs = heis_mul(heis_mul(g, h), k)
         rhs = heis_mul(g, heis_mul(h, k))
         for a, b in zip(lhs, rhs):
-            assert compare(a, b) == 0
+            _require(compare(a, b) == 0)
         for a in heis_mul(g, heis_inv(g)):
-            assert compare(a, Fraction(0)) == 0
+            _require(compare(a, Fraction(0)) == 0)
         frac, integral = heis_reduce(g)
         for a in integral:
-            assert isinstance(a, Fraction) and a.denominator == 1
+            _require(isinstance(a, Fraction) and a.denominator == 1)
         for a in frac:
-            assert sign_of(a) >= 0 and compare(a, Fraction(1)) < 0
+            _require(sign_of(a) >= 0 and compare(a, Fraction(1)) < 0)
         back = heis_mul(frac, integral)
         for a, b in zip(back, g):
-            assert compare(a, b) == 0
+            _require(compare(a, b) == 0)
     return f"group axioms, inverses and reduction verified on {cases} random triples"
 
 
@@ -441,14 +448,12 @@ def check_legendre_completeness(n_max: int = 1000) -> str:
     count = 0
     for x in (fld.generator() for fld in _quadratic_fields()):
         conv = {pq for pq in convergents(cf_expand(x), 40)}
-        import math as _math
-
         for n in range(1, n_max + 1):
             m = (x * n).nint()
-            if _math.gcd(m, n) != 1:
+            if math.gcd(m, n) != 1:
                 continue
             if legendre_check(x, m, n):
-                assert (m, n) in conv, f"({m},{n}) passes but is not a convergent"
+                _require((m, n) in conv, f"({m},{n}) passes but is not a convergent")
                 count += 1
     return f"all {count} passing pairs with n <= {n_max} are convergents (3 constants)"
 
@@ -461,7 +466,7 @@ def check_best_approx_2d_monotone(Q: int = 100) -> str:
     beta = fld.generator()
     ba = best_approx_2d((beta.inverse(), (beta * beta).inverse()), norm, Q)
     for prev, cur in zip(ba, ba[1:]):
-        assert (cur.value_sq - prev.value_sq).sign() < 0, "records not strictly decreasing"
+        _require((cur.value_sq - prev.value_sq).sign() < 0, "records not strictly decreasing")
     qs = [b.q for b in ba]
     return f"record values strictly decrease along q = {qs}"
 
@@ -478,9 +483,9 @@ def check_best_approx_1d_matches_convergents(Q: int = 10**4) -> str:
                 records.append(q)
                 best = d
         conv = sorted({q for _, q in convergents(cf_expand(x), 60) if q <= Q})
-        assert records == conv, f"{fld.name}: {records[:8]} vs {conv[:8]}"
+        _require(records == conv, f"{fld.name}: {records[:8]} vs {conv[:8]}")
         ba = [b.q for b in best_approx_1d(x, Q)]
-        assert ba == records, f"{fld.name}: {ba[:8]} vs {records[:8]}"
+        _require(ba == records, f"{fld.name}: {ba[:8]} vs {records[:8]}")
     return f"records of every q <= {Q} = convergent denominators = best_approx_1d (3 constants)"
 
 
@@ -492,8 +497,8 @@ def check_error_term_sandwich() -> str:
             err = (x - Fraction(p1, q1)).abs()
             lo = Fraction(1, 2 * q1 * q2)
             hi = Fraction(1, q1 * q2)
-            assert (err - lo).sign() >= 0, f"{fld.name}: error below sandwich at q={q1}"
-            assert (err - hi).sign() <= 0, f"{fld.name}: error above sandwich at q={q1}"
+            _require((err - lo).sign() >= 0, f"{fld.name}: error below sandwich at q={q1}")
+            _require((err - hi).sign() <= 0, f"{fld.name}: error above sandwich at q={q1}")
     return "1/(2 q_j q_{j+1}) <= |x - p_j/q_j| <= 1/(q_j q_{j+1}) for j <= 30 (3 constants)"
 
 

@@ -365,14 +365,14 @@ def test_verysparse_verify_to_its_last_term(tmp_path, monkeypatch):
     from gplab.cf import cf_of_rational, convergent_walk
     from gplab.constructions import Certificate, very_sparse_alpha
 
-    confirm = Certificate.confirm
+    members_in = Certificate.members_in
     seen = []
 
-    def counted(self, n, *args):
-        seen.append(n)
-        return confirm(self, n, *args)
+    def counted(self, points, *args):
+        seen.extend(points)
+        return members_in(self, points, *args)
 
-    monkeypatch.setattr(Certificate, "confirm", counted)
+    monkeypatch.setattr(Certificate, "members_in", counted)
     out = tmp_path / "verify.txt"
     assert run(["verify", "--construction", "verysparse", "--to", "562949953421312",
                 "--out", str(out)]) == 0
@@ -470,13 +470,15 @@ def test_maxprec_reaches_every_confirmation(tmp_path, monkeypatch, command, para
     from gplab.constructions import Certificate
 
     seen = []
-    confirm = Certificate.confirm
+    members_in = Certificate.members_in
 
-    def spy(self, n, max_bits=None):
+    def spy(self, points, max_bits=None):
         seen.append(max_bits)
-        return confirm(self, n) if max_bits is None else confirm(self, n, max_bits)
+        if max_bits is None:
+            return members_in(self, points)
+        return members_in(self, points, max_bits)
 
-    monkeypatch.setattr(Certificate, "confirm", spy)
+    monkeypatch.setattr(Certificate, "members_in", spy)
     argv = command[:1] + params + command[1:] + ["--maxprec", "512"]
     assert run(argv + ["--out", str(tmp_path / "out.txt")]) == 0
     assert seen and set(seen) == {512}
@@ -488,13 +490,15 @@ def test_maxprec_reaches_the_ap_search_confirmations(tmp_path, monkeypatch):
     from gplab.constructions import Certificate
 
     seen = []
-    confirm = Certificate.confirm
+    members_in = Certificate.members_in
 
-    def spy(self, n, max_bits=None):
+    def spy(self, points, max_bits=None):
         seen.append(max_bits)
-        return confirm(self, n) if max_bits is None else confirm(self, n, max_bits)
+        if max_bits is None:
+            return members_in(self, points)
+        return members_in(self, points, max_bits)
 
-    monkeypatch.setattr(Certificate, "confirm", spy)
+    monkeypatch.setattr(Certificate, "members_in", spy)
     argv = ["ipsearch", "--mode", "ap", "--r", "3", "--maxprec", "512"]
     assert run(argv + ["--out", str(tmp_path / "out.txt")]) == 0
     assert seen and all(bits is not None and bits <= 2 * 512 for bits in seen), seen

@@ -455,13 +455,13 @@ def test_half_over_n_scan_across_chunk_boundaries():
 
 def _count_confirmations(monkeypatch):
     calls = [0]
-    confirm = Certificate.confirm
+    members_in = Certificate.members_in
 
-    def counted(self, n, *args):
-        calls[0] += 1
-        return confirm(self, n, *args)
+    def counted(self, points, *args):
+        calls[0] += len(points)
+        return members_in(self, points, *args)
 
-    monkeypatch.setattr(Certificate, "confirm", counted)
+    monkeypatch.setattr(Certificate, "members_in", counted)
     return calls
 
 
@@ -499,7 +499,6 @@ def test_half_over_n_prefilter_work(monkeypatch):
 def test_derived_scan_confirms_each_point_once(monkeypatch, build, expected):
     # a certificate built on others reads their proposals, not their members:
     # its scan compiles one program, its own, and evaluates it once per point
-    from gplab.constructions import certificate
     from gplab.gpexpr import evaluate
 
     cert = build()
@@ -510,12 +509,12 @@ def test_derived_scan_confirms_each_point_once(monkeypatch, build, expected):
             compiles[0] += 1
             super().__init__(e)
 
-    def counted(e, n, max_bits):
-        evaluated.append(n)
-        return eval_indicator(e, n, max_bits)
+        def scan(self, ns, bits):
+            ns = list(ns)
+            evaluated.extend(ns)
+            return super().scan(ns, bits)
 
     monkeypatch.setattr(evaluate, "Program", Counted)
-    monkeypatch.setattr(certificate, "eval_indicator", counted)
     top = 10**17
     assert cert.members(0, top) == expected(top)
     assert compiles[0] == 1
@@ -556,7 +555,8 @@ def test_half_over_n_scan_matches_indicator(name):
     for c in sorted(centres):
         lo, hi = c - 20, c + 20
         got = cert.members(lo, hi)
-        assert got == [n for n in range(lo, hi + 1) if cert.confirm(n)], (name, c)
+        want = [n for n in range(lo, hi + 1) if eval_indicator(cert.indicator, n)]
+        assert got == want, (name, c)
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from gplab.gpexpr import (
     indicator_of_zero_set,
     map_tree,
     members,
+    members_in,
     parse,
     substitute_var,
     to_text,
@@ -894,6 +895,24 @@ def test_members_windows_split_at_the_precision_boundaries(phi, monkeypatch):
         assert [n for ns, _ in calls for n in ns] == list(range(c - 30, c + 31))
         assert all(_dyadic_bits(n, DEFAULT_MAX_BITS) == bits for ns, bits in calls for n in ns)
         assert len(calls) == (1 if c == 0 else 2)
+    # sparse increasing lists, as a certificate proposes them: each run's
+    # slice is one call, and together they are every point at its own precision
+    sparse = []
+    for c in (-(2**64), -(2**16), 0, 2**16, 2**64):
+        points = [c + d for d in range(-30, 31, 7)]
+        sparse += points
+        want = [n for n in points if eval_indicator(half, n) == 1]
+        calls.clear()
+        assert list(members_in(half, points)) == want, c
+        assert min(want) < c < max(want), c
+        assert [n for ns, _ in calls for n in ns] == points
+        assert all(_dyadic_bits(n, DEFAULT_MAX_BITS) == bits for ns, bits in calls for n in ns)
+        assert len(calls) == (1 if c == 0 else 2)
+    want = [n for n in sparse if eval_indicator(half, n) == 1]
+    calls.clear()
+    assert list(members_in(half, sparse)) == want
+    assert [bits for _, bits in calls] == [384, 192, 96, 192, 384]
+    assert list(members_in(half, [])) == [] and calls[5:] == []
     for lo, hi in ((-3, -1), (0, 0), (1, 1), (5, 4), (2**64, -(2**64))):
         assert _windowed(half, lo, hi) == _pointwise(half, lo, hi), (lo, hi)
     assert members(half, 5, 4) == members(half, 2**64, -(2**64)) == []
@@ -936,6 +955,11 @@ def test_members_stops_at_the_first_bad_point_of_a_wide_window(monkeypatch):
     monkeypatch.setattr(program, "_kernel", counted)
     with pytest.raises(NonBooleanValue) as info:
         members(e, 70000, 10**9)
+    assert info.value.n == 70000 and taken == [70000]
+    # a window of more points than ``len`` can count is cut all the same
+    taken.clear()
+    with pytest.raises(NonBooleanValue) as info:
+        members(e, 70000, 10**30)
     assert info.value.n == 70000 and taken == [70000]
 
 

@@ -9,8 +9,16 @@ import pytest
 
 from gplab.constructions import Certificate, fibonacci_like_set
 from gplab.errors import PrecisionExhausted, PreconditionError
-from gplab.gpexpr import RationalConst
-from gplab.realnum import DEFAULT_MAX_BITS
+from gplab.gpexpr import (
+    N,
+    Const,
+    Frac,
+    Mul,
+    RationalConst,
+    ind_or,
+    indicator_of_range,
+)
+from gplab.realnum import DEFAULT_MAX_BITS, RefinableReal
 from gplab.ipsearch import (
     ap_witness_in_small_dist_set,
     density_estimate,
@@ -22,10 +30,10 @@ from oracles import first_finite_sums
 
 
 def _set_cert(pred, desc="test set"):
-    # no indicator: ``confirm`` answers from the predicate, and ``members``
-    # confirms every point, as for any certificate without a generator
+    # no indicator: ``members_in`` answers from the predicate, and ``members``
+    # decides every point, as for any certificate without a generator
     cert = Certificate(indicator=None, target_description=desc)
-    cert.confirm = lambda n, max_bits=DEFAULT_MAX_BITS: pred(n)
+    cert.members_in = lambda points, max_bits=DEFAULT_MAX_BITS: (n for n in points if pred(n))
     return cert
 
 
@@ -180,14 +188,28 @@ def test_density_examples():
 
 
 def test_density_reports_an_undecided_point():
-    # one point the indicator cannot decide at the budget: the estimate
-    # falls back to deciding point by point, counts the others and lists it
+    # one point the indicator cannot decide at the budget: the scan has
+    # yielded the members before it, resumes past it, counts the members
+    # after it and lists it
     def pred(n):
         if n == 37:
-            raise PrecisionExhausted("undecided at the budget")
+            raise PrecisionExhausted("undecided at the budget", n=n)
         return n % 3 == 0
 
     est = density_estimate(_set_cert(pred), 100)
+    assert est.partial and est.undecided == (37,)
+    assert est.count == 33 and est.density == 0.33
+    # the same through a compiled indicator: n * one is read from a stream
+    # for 1 whose every enclosure straddles 1, so [37 <= n * one < 75/2]
+    # is undecided at 37 alone, and the multiples of 3 lie on both sides
+    stuck = Const("one", RefinableReal(lambda bits: ((1 << bits) - 1, (1 << bits) + 1), "one"))
+    at_37 = indicator_of_range(Mul(N, stuck), Fraction(37), Fraction(75, 2))
+    thirds = indicator_of_range(Frac(Mul(N, RationalConst(Fraction(1, 3)))), 0, Fraction(1, 3))
+    cert = Certificate(indicator=ind_or(at_37, thirds), target_description="thirds")
+    with pytest.raises(PrecisionExhausted):
+        cert.member(37)
+    assert cert.members(30, 36) == [30, 33, 36] and cert.members(38, 45) == [39, 42, 45]
+    est = density_estimate(cert, 100)
     assert est.partial and est.undecided == (37,)
     assert est.count == 33 and est.density == 0.33
 

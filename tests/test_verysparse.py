@@ -106,6 +106,15 @@ def test_densify_single_ratio_1000():
     assert plan.ratio_window_from == 0
 
 
+@pytest.mark.parametrize("base", [2, 3, 5])
+def test_densify_finds_the_exact_power_of_any_base(base):
+    # bits(3^64) // (bits(3) - 1) is 102, not 64: the exponent comes from
+    # the ratio of the logs, so the middle term base^8 is taken exactly
+    plan = densify_sequence([base, base**64])
+    assert plan.depth_per_step == (2,)
+    assert plan.interpolated == (base, base**8, base**64)
+
+
 def test_densify_identity_when_ratios_in_window():
     plan = densify_sequence([3, 3**9, 3**81])
     assert plan.depth_per_step == (1, 1)
