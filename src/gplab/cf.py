@@ -9,17 +9,18 @@ algorithm on integers.  ``convergent_walk`` is the one walk over the
 convergents of either kind, and ``legendre_candidates`` the one candidate
 walk of the small-distance sets over it.  The 1-D best approximations are
 the convergent denominators (Lagrange's theorem), each compared exactly
-with the last record.  The planar record scan decides exactly too, and a
-certified fixed-point screen skips the q that cannot beat the current
-record.  The planar norm is ``|u*x1 + v*x2|`` for a complex constant
-``u`` and real ``v``, evaluated through its exact squared value in the
-ground field.  ``nearest_lattice_sq`` is the one computation of the planar
-distance N0(q theta): a window derived on integer enclosures, with exact
-field comparisons only among the points those enclosures cannot order.
+with the last record.  The planar norm is ``|u*x1 + v*x2|`` for a complex
+constant ``u`` and real ``v``, evaluated through its exact squared value in
+the ground field.  ``nearest_lattice_sq`` is the one computation of the
+planar distance N0(q theta): a window derived on integer enclosures, with
+exact field comparisons only among the points those enclosures cannot
+order.  ``lattice_box_points`` is the one enumerator of the q near a
+lattice point, for the planar records and the cubic scan.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,21 +31,17 @@ from .errors import NondegenerateNormRequired, NotFound, PreconditionError
 from .realnum import (
     DEFAULT_MAX_BITS,
     FieldElement,
-    NeedBits,
     NumberField,
     Real,
     as_stream,
     compare,
-    dist_iv,
     dist_of,
     dyadic_enclosure,
     fixed_enclosure,
     floor_frac,
-    floor_iv,
     is_exact_zero,
     mul_iv,
     nint_of,
-    prefilter_bits,
     rinv,
     rmul,
     rpow,
@@ -274,6 +271,13 @@ class RauzyNorm:
             got = self._enclosures[bits] = (b, re, v, im)
         return got
 
+    @functools.cached_property
+    def dual(self) -> tuple[FieldElement, FieldElement, FieldElement]:
+        """Re(u)/v, 1/Im(u)^2 and 1/v^2, formed once: with them w^T M^-1 w =
+        (w1 - (Re(u)/v) w2)^2 / Im(u)^2 + w2^2 / v^2, M the Gram matrix of N^2."""
+        inv_v = self.v.inverse()
+        return self.re_u * inv_v, self.im_u_sq.inverse(), inv_v * inv_v
+
     def norm_sq(self, x1: FieldElement, x2: FieldElement) -> FieldElement:
         re = self.re_u * x1 + self.v * x2
         return re * re + self.im_u_sq * x1 * x1
@@ -334,57 +338,110 @@ def nearest_lattice_sq(
     return best, best_p
 
 
+def _inverse_rows(m: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
+    """Rows of m^-1 for an integer 3x3 matrix m of determinant +-1 (the adjugate)."""
+    (a, b, c), (d, e, f), (g, h, k) = m
+    adj = (
+        (e * k - f * h, c * h - b * k, b * f - c * e),
+        (f * g - d * k, a * k - c * g, c * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
+    )
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    if abs(det) != 1:
+        raise PreconditionError(f"shift basis has determinant {det}, not +-1")
+    return [tuple(det * x for x in row) for row in adj]
+
+
+def lattice_box_points(
+    theta: tuple[FieldElement, FieldElement], norm: RauzyNorm, lo: int, hi: int, bits: int,
+    radius: Callable[[int], int],
+) -> Iterator[int]:
+    """The q in [lo, hi] that may lie within the caller's radius of a
+    lattice point, increasing and each once: every q < max(R_2, 2), then
+    the first coordinates of the box points of each slab [R_i, R_(i+1)].
+
+    theta = (1/beta, 1/beta^2), beta generating x^3 - a x^2 - b x - 1, and
+    R_i = a R_(i-1) + b R_(i-2) + R_(i-3) from R_-2 = R_-1 = 0, R_0 = 1 must
+    not decrease from i = 2 (it then grows: the minimal polynomial has no
+    root 1).  A slab part [q_a, q_b] is enumerated once the caller has taken
+    every point before it, reading r_hi = ``radius(q_a)`` then: r_hi 2^-bits
+    must bound N(q theta - p)^2 at every (q, p) the caller needs from it.
+
+    Completeness: with x = (q, p1, p2) and y = q theta - (p1, p2),
+    N(y)^2 = y^T M y for the norm's Gram matrix M.  A_i = C^i A_0, with the
+    columns (R_j, R_(j-1), R_(j-2)), j = i..i+2 (C the companion matrix, A_0
+    unipotent; |det A_i| = 1 is checked), gives x = A_i c with c in Z^3,
+    and row w_j of A_i^-1 gives c_j = q w_j . (1, theta) - w'_j . y, w'_j
+    its last two entries, with |w'_j . y|^2 <= r w'_j^T M^-1 w'_j by
+    Cauchy-Schwarz.  A_i only changes coordinates: completeness rests on
+    these bounds, taken on integer enclosures rounded outward, not on which
+    q the R_i are.  At 64 + 2 hi.bit_length() bits q w_j . (1, theta) stays
+    well within one unit, as |w_j| grows like q^(1/2); a box that grew
+    would be cut by Fincke-Pohst enumeration (Math. Comp. 44, 1985).
+    """
+    fld = theta[0].field if isinstance(theta[0], FieldElement) else None
+    if not (fld and fld.degree == 3 and fld.minpoly[0] == -1 and theta[0] * fld.generator() == 1
+            and theta[1] == theta[0] * theta[0]):
+        raise PreconditionError("theta is not (1/beta, 1/beta^2) for a cubic unit beta")
+    a, b = -fld.minpoly[2], -fld.minpoly[1]
+    R = [0, 0, 1, a, a * a + b]  # R[j + 2] = R_j
+    while R[-3] <= hi:
+        R.append(a * R[-1] + b * R[-2] + R[-3])
+        if R[-1] < R[-2]:
+            raise PreconditionError(f"x^3 - {a}x^2 - {b}x - 1: recurrence terms decrease")
+    last = min(hi, max(R[4], 2) - 1)  # q = 1 is taken before a radius is read
+    yield from range(lo, last + 1)
+    ib, ib2, re_v, inv_im, inv_v_sq = (fixed_enclosure(c, bits) for c in theta + norm.dual)
+
+    def up(x: int) -> int:
+        return -((-x) >> bits)
+
+    for i in range(2, len(R) - 4):
+        qa, qb = max(R[i + 2], lo), min(R[i + 3], hi)
+        first = max(qa, last + 1)
+        if first > qb:
+            continue
+        # A_i has the columns v_j = (R_j, R_(j-1), R_(j-2)), j = i, i+1, i+2
+        a_rows = (R[i + 2 : i + 5], R[i + 1 : i + 4], R[i : i + 3])
+        r_hi = radius(qa)
+        ranges = []
+        for e0, e1, e2 in _inverse_rows(a_rows):
+            s1, s2 = scale_iv(e1, ib), scale_iv(e2, ib2)
+            s = ((e0 << bits) + s1[0] + s2[0], (e0 << bits) + s1[1] + s2[1])
+            d = scale_iv(e2, re_v)
+            d = max(abs((e1 << bits) - d[0]), abs((e1 << bits) - d[1]))
+            quad = up(up(d * d) * inv_im[1]) + e2 * e2 * inv_v_sq[1]
+            rho = math.isqrt(up(r_hi * quad) << bits) + 1
+            c_lo = -((rho - min(qa * s[0], qb * s[0])) >> bits)
+            ranges.append(range(c_lo, ((max(qa * s[1], qb * s[1]) + rho) >> bits) + 1))
+        qs = {sum(r * c for r, c in zip(a_rows[0], cs)) for cs in itertools.product(*ranges)}
+        yield from sorted(q for q in qs if first <= q <= qb)
+        last = qb
+
+
 def best_approx_2d(
     theta: tuple[FieldElement, FieldElement],
     norm: RauzyNorm,
     Q: int,
 ) -> list[BestApprox]:
-    """Best approximations of a planar point under the given norm, q <= Q.
-
-    N0(q)^2 comes from ``nearest_lattice_sq``; records strictly decrease
-    along the output.  A q is skipped without that search when a
-    fixed-point lower bound of N0(q)^2 is at least the current record's
-    upper bound r:
-
-    * every lattice point has N(x)^2 >= Im(u)^2 x1^2 >= Im(u)^2 ||q theta1||^2;
-    * when Im(u)^2 / 4 >= r, only p1 = nint(q theta1) can beat r, and with
-      w = (Re(u)/v) x1 + q theta2, N(x)^2 = v^2 (w - p2)^2 + Im(u)^2 x1^2
-      >= v^2 ||w||^2 + Im(u)^2 x1^2.
+    """Best approximations of theta = (1/beta, 1/beta^2), beta a cubic unit,
+    under ``norm``, q <= Q.  The record after q_k is the least q > q_k with
+    N0(q theta)^2 below q_k's, so every record is a point of
+    ``lattice_box_points`` with the current record's upper bound as radius
+    (the proof is there), decided once, exactly, by ``nearest_lattice_sq``.
     """
     if Q < 1:
         raise PreconditionError("Q must be at least 1")
-    th1, th2 = theta
-    bits = prefilter_bits(Q.bit_length(), DEFAULT_MAX_BITS)
-    half = 1 << (bits - 1)
-    t1_iv = fixed_enclosure(th1, bits)
-    t2_iv = fixed_enclosure(th2, bits)
-    g_iv = fixed_enclosure(norm.re_u * norm.v.inverse(), bits)
-    im_lo = max(0, fixed_enclosure(norm.im_u_sq, bits)[0])
-    v_sq_lo = max(0, fixed_enclosure(norm.v * norm.v, bits)[0])
+    bits = 64 + 2 * Q.bit_length()
     out: list[BestApprox] = []
-    best_sq: FieldElement | None = None
-    bound = 0  # the record's upper bound, at scale 2^(3 bits)
-    for q in range(1, Q + 1):
-        if best_sq is not None:
-            try:
-                x1 = scale_iv(q, t1_iv)
-                d1 = dist_iv(x1, bits)[0]
-                lower = im_lo * d1 * d1
-                if lower < bound and im_lo << (2 * bits - 2) >= bound:
-                    p1 = floor_iv((x1[0] + half, x1[1] + half), bits) << bits
-                    w = mul_iv(g_iv, (x1[0] - p1, x1[1] - p1), bits)
-                    w = (w[0] + q * t2_iv[0], w[1] + q * t2_iv[1])
-                    dw = dist_iv(w, bits)[0]
-                    lower += v_sq_lo * dw * dw
-                if lower >= bound:
-                    continue
-            except NeedBits:
-                pass
+
+    def radius(q_a: int) -> int:
+        return fixed_enclosure(out[-1].value_sq, bits)[1]
+
+    for q in lattice_box_points(theta, norm, 1, Q, bits, radius):
         n0_sq, p = nearest_lattice_sq(norm, theta, q)
-        if best_sq is None or n0_sq.compare(best_sq) < 0:
+        if not out or n0_sq.compare(out[-1].value_sq) < 0:
             out.append(BestApprox(q, p, n0_sq, rr_sqrt(as_stream(n0_sq))))
-            best_sq = n0_sq
-            bound = fixed_enclosure(n0_sq, bits)[1] << (2 * bits)
     return out
 
 

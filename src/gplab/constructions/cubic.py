@@ -34,13 +34,13 @@ off ``gp cert``'s scan (``flag_extra_orbit``).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from ..cf import RauzyNorm, nearest_lattice_sq
+from ..cf import RauzyNorm, lattice_box_points, nearest_lattice_sq
 from ..errors import PreconditionError
 from ..gpexpr import (
     Add,
@@ -54,13 +54,7 @@ from ..gpexpr import (
     eval_exact,
     indicator_of_range,
 )
-from ..realnum import (
-    FieldElement,
-    NumberField,
-    dyadic_enclosure,
-    fixed_enclosure,
-    scale_iv,
-)
+from ..realnum import FieldElement, NumberField, dyadic_enclosure, fixed_enclosure
 from ..realnum.polys import count_real_roots, poly_sign
 from .certificate import Certificate, VerificationReport
 from .recurrence import LinearRecurrence, recurrence_terms
@@ -116,24 +110,19 @@ class CubicConstruction:
         m1_4 = self.m1_sq * self.m1_sq
         return (n0 * n0 * self.beta ** (2 * i - self.plateau_pow) - m1_4).is_zero()
 
-    def _fixed_consts(self, bits: int) -> tuple:
-        """Enclosures at ``bits`` of 1/beta, 1/beta^2, beta Re(u), m1^-2,
-        beta^k, K, L, Im(u)^-2 and beta^2 (K and L bound g; see
-        ``_cubic_candidates``), computed when a scan starts."""
+    @functools.cached_property
+    def m1_inv_sq(self) -> FieldElement:
+        """m1^-2, the constant factor of g."""
+        return self.m1_sq.inverse()
+
+    @functools.cached_property
+    def g_bound(self) -> tuple[FieldElement, ...]:
+        """m1^-2, beta^k, K and L, the constants of the g bound (see
+        ``_cubic_candidates``), formed at the first scan."""
         inv_b, inv_b2 = self.theta
         c1 = (self.beta * self.b + 1) * inv_b2
-        exact = (
-            inv_b,
-            inv_b2,
-            self.beta * self.norm.re_u,
-            self.m1_sq.inverse(),
-            self.beta**self.plateau_pow,
-            1 + c1 * inv_b + inv_b * inv_b2,
-            ((c1 if c1.sign() >= 0 else -c1) + inv_b) / 2,
-            self.norm.im_u_sq.inverse(),
-            self.beta * self.beta,
-        )
-        return tuple(fixed_enclosure(c, bits) for c in exact)
+        k_g = 1 + c1 * inv_b + inv_b * inv_b2
+        return self.m1_inv_sq, self.beta**self.plateau_pow, k_g, (c1.abs() + inv_b) / 2
 
     def member(self, q: int) -> bool:
         """The indicator's exact verdict at q >= 1: (h^2 g)^2 <= beta^k."""
@@ -194,7 +183,7 @@ def _build_exprs(cons: CubicConstruction) -> tuple[Expr, Expr]:
     p1 = Nint(Mul(c(inv_b), N))
     p2g = Nint(Mul(c(inv_b2), N))
     g = Mul(
-        c(cons.m1_sq.inverse()),
+        c(cons.m1_inv_sq),
         Add(Add(N, Mul(c((cons.beta * cons.b + 1) * inv_b2), p1)), Mul(c(inv_b), p2g)),
     )
     t = Sub(Mul(c(inv_b), N), p1)
@@ -280,85 +269,27 @@ def flag_extra_orbit(cert: Certificate, report: VerificationReport) -> None:
         cert.meta["plateau_shared_by_extra_orbit"] = True
 
 
-def _inverse_rows(m: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
-    """Rows of m^-1 for an integer 3x3 matrix m of determinant +-1 (the adjugate)."""
-    (a, b, c), (d, e, f), (g, h, k) = m
-    adj = (
-        (e * k - f * h, c * h - b * k, b * f - c * e),
-        (f * g - d * k, a * k - c * g, c * d - a * f),
-        (d * h - e * g, b * g - a * h, a * e - b * d),
-    )
-    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
-    if abs(det) != 1:
-        raise PreconditionError(f"shift basis has determinant {det}, not +-1")
-    return [tuple(det * x for x in row) for row in adj]
-
-
 def _cubic_candidates(cons: CubicConstruction, lo: int, hi: int) -> Iterator[int]:
-    """Candidates for the members on [lo, hi]: lattice points of slabs.
+    """Candidates for the members on [lo, hi]: ``cf.lattice_box_points``,
+    where the completeness proof is, with the radius r(q_a) of the g bound.
 
-    Members are the q with |h(q)^2 g(q)| <= beta^(k/2).  As nint(x) lies
-    within 1/2 of x, g(q) >= m1^-2 (q K - L) with K = 1 + c1/beta + 1/beta^3
+    A member has |h(q)^2 g(q)| <= beta^(k/2), and as nint(x) lies within
+    1/2 of x, g(q) >= m1^-2 (q K - L) with K = 1 + c1/beta + 1/beta^3
     = 1 + (b beta + 2)/beta^3 > 0 and L = (|c1| + 1/beta)/2.  So a member
-    q >= start, the least q with q K > L, has h(q)^2 <= r(q) :=
-    beta^(k/2) m1^2 / (q K - L), which falls with q.  With (p1, p2) the
-    roundings in ``h_sq_expr``, x = (q, p1, p2) is in Z^3, and
-    y = q theta - (p1, p2) has y^T M y = N(y)^2 = h(q)^2, M being the
-    Gram matrix of the norm.
-
-    Scale i >= 2 covers the slab [R_i, R_(i+1)] (the R_i do not decrease
-    from i = 2 for any admitted (a, b)).  Its shift vectors
-    v_j = (R_j, R_(j-1), R_(j-2)), j = i..i+2, with R_-2 = R_-1 = 0, are
-    the columns of A_i = C^i A_0, C the companion matrix (determinant 1)
-    and A_0 unipotent, so x = A_i c for an integer c (|det A_i| = 1 is
-    checked exactly).  Row w_j of A_i^-1 gives
-    c_j = q w_j . (1, theta) - w'_j . y, w'_j its last two entries, and
-    Cauchy-Schwarz gives |w'_j . y|^2 <= r(q_a) w'_j^T M^-1 w'_j, with
-    w^T M^-1 w = (w_1 - (Re(u)/v) w_2)^2 / Im(u)^2 + w_2^2 / v^2, on a
-    slab part [q_a, q_b] with q_a >= start.  So every member there is
-    (A_i c)_0 for an integer c in the box these intervals span.  Each bound
-    is taken on integer enclosures at 64 + 2 hi.bit_length() bits, rounded
-    outward: |w_j| grows like q^(1/2), so q w_j . (1, theta) stays well
-    within one unit.  The box holds at most 18 points per scale for (1,1),
-    6 for (2,1) and 12 for (2,-1), so a scan to B proposes O(log B) points;
-    a box that ever grows would be cut by Fincke-Pohst enumeration
-    (Math. Comp. 44, 1985).  The q < max(start, R_2), every n <= 0
-    included, are proposed as is.
-
-    Members reach exact mode when ``Certificate.members`` decides them:
-    they sit exactly on the plateau, where no dyadic precision decides the
-    indicator's last floor.
+    q >= start, the least q with q K > L, has N(q theta - p)^2 = h(q)^2 <=
+    r(q) := beta^(k/2) m1^2 / (q K - L), p the roundings in ``h_sq_expr``.
+    A box holds at most 18 points for (1,1), 6 for (2,1) and 12 for
+    (2,-1), so a scan to B proposes O(log B) points; the q < start, n <= 0
+    too, are proposed as is.  Members reach exact mode: they sit on the
+    plateau.
     """
     bits = 64 + 2 * hi.bit_length()
-    # beta Re(u) = Re(u)/v and beta^2 = 1/v^2, as v = 1/beta
-    ib, ib2, re_v, m1inv2, beta_k, k_g, l_g, inv_im, beta_sq = cons._fixed_consts(bits)
-
-    def up(x: int) -> int:
-        return -((-x) >> bits)
-
-    R = [0, 0, 1, cons.a, cons.a * cons.a + cons.b]  # R[j + 2] = R_j
-    while R[-3] <= hi:
-        R.append(cons.a * R[-1] + cons.b * R[-2] + R[-3])
+    m1inv2, beta_k, k_g, l_g = (fixed_enclosure(c, bits) for c in cons.g_bound)
     start = l_g[1] // k_g[0] + 1  # least q with q K > L on the enclosures
-    first = max(start, R[4])
-    yield from range(lo, min(hi, first - 1) + 1)
+    yield from range(lo, min(hi, start - 1) + 1)
     r_num = (math.isqrt(beta_k[1] << bits) + 1) << (2 * bits)  # beta^(k/2) at 2^(3 bits)
-    for i in range(2, len(R) - 4):
-        qa, qb = max(R[i + 2], lo, first), min(R[i + 3], hi)
-        if qa > qb:
-            continue
-        # A_i has the columns v_j = (R_j, R_(j-1), R_(j-2)), j = i, i+1, i+2
-        a_rows = (R[i + 2 : i + 5], R[i + 1 : i + 4], R[i : i + 3])
-        r_hi = -(-r_num // (m1inv2[0] * (qa * k_g[0] - l_g[1])))
-        ranges = []
-        for e0, e1, e2 in _inverse_rows(a_rows):
-            s1, s2 = scale_iv(e1, ib), scale_iv(e2, ib2)
-            s = ((e0 << bits) + s1[0] + s2[0], (e0 << bits) + s1[1] + s2[1])
-            d = scale_iv(e2, re_v)
-            d = max(abs((e1 << bits) - d[0]), abs((e1 << bits) - d[1]))
-            quad = up(up(d * d) * inv_im[1]) + e2 * e2 * beta_sq[1]
-            rho = math.isqrt(up(r_hi * quad) << bits) + 1
-            c_lo = -((rho - min(qa * s[0], qb * s[0])) >> bits)
-            ranges.append(range(c_lo, ((max(qa * s[1], qb * s[1]) + rho) >> bits) + 1))
-        qs = (sum(r * c for r, c in zip(a_rows[0], cs)) for cs in itertools.product(*ranges))
-        yield from (q for q in qs if qa <= q <= qb)
+
+    def radius(qa: int) -> int:
+        return -(-r_num // (m1inv2[0] * (qa * k_g[0] - l_g[1])))
+
+    yield from lattice_box_points(cons.theta, cons.norm, max(lo, start), hi, bits, radius)

@@ -6,7 +6,7 @@ operations, and the interval kernels below take floors and distances to the
 nearest integer of them.  A floor that an enclosure straddles raises
 :class:`NeedBits`, so every answer these kernels give is certified; callers
 either retry at more bits (the dyadic evaluator of compiled programs) or
-fall back to exact arithmetic (the record and growth scans).
+fall back to exact arithmetic (the growth scans).
 """
 
 from __future__ import annotations

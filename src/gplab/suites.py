@@ -281,6 +281,20 @@ def check_best_approx_2d_tribonacci(Q: int = 10**5) -> str:
     return f"{len(records)} records on [1, {Q}] = Tribonacci terms 1, 2, 4, ..., {records[-1]}"
 
 
+def check_best_approx_2d_cubic_1e30(Q: int = 10**30) -> str:
+    """Rauzy-norm records of theta on [1, 1e30] (Lagarias, Trans. AMS 272
+    (1982)): the recurrence terms, and the orbit of ``check_cubic_to_1e17``."""
+    parts = []
+    for cons in (cubic_pisot_set(1, 1), cubic_pisot_set(2, 1), cubic_pisot_set(2, -1)):
+        records = [r.q for r in best_approx_2d(cons.theta, cons.norm, Q)]
+        terms = recurrence_terms(cons.recurrence, Q)
+        orbit = {terms[i - 2] + terms[i] for i in range(2, len(terms))} if cons.b == -1 else ()
+        extra = {v for v in orbit if v <= Q}
+        _require(records == sorted(extra | set(terms)), f"({cons.a}, {cons.b}): {records[:12]}")
+        parts.append(f"({cons.a}, {cons.b}): {len(records)} records, {len(extra)} off it")
+    return f"records on [1, {Q}] against the recurrence: " + "; ".join(parts) + " (R_(i-2) + R_i)"
+
+
 def check_heisenberg_growth_non_vacuous() -> str:
     """Growth where n^(-c) < 1/2 for most n, so orbit points are evaluated."""
     parts = []
@@ -459,12 +473,8 @@ def check_legendre_completeness(n_max: int = 1000) -> str:
 
 
 def check_best_approx_2d_monotone(Q: int = 100) -> str:
-    fld = NumberField((-1, -1, -1, 1), 1, 2, "b")
-    from .cf import RauzyNorm
-
-    norm = RauzyNorm.for_cubic_field(fld, 1)
-    beta = fld.generator()
-    ba = best_approx_2d((beta.inverse(), (beta * beta).inverse()), norm, Q)
+    cons = cubic_pisot_set(1, 1)
+    ba = best_approx_2d(cons.theta, cons.norm, Q)
     for prev, cur in zip(ba, ba[1:]):
         _require((cur.value_sq - prev.value_sq).sign() < 0, "records not strictly decreasing")
     qs = [b.q for b in ba]
@@ -530,6 +540,7 @@ PAPER_CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("heisenberg-growth-non-vacuous", check_heisenberg_growth_non_vacuous),
     ("heisenberg-growth-1e5", check_heisenberg_growth_1e5),
     ("best-approx-2d-tribonacci-1e5", check_best_approx_2d_tribonacci),
+    ("best-approx-2d-cubic-1e30", check_best_approx_2d_cubic_1e30),
     ("ip-r-witness", check_ip_witness),
     ("finite-sums-probe", check_finite_sums_probe),
     ("finite-sums-probe-1e7", lambda: check_finite_sums_probe(7)),

@@ -68,6 +68,10 @@ def test_best_approx_2d_tribonacci_to_1e5():
     _run("best-approx-2d-tribonacci-1e5", "Rauzy-norm records = Tribonacci terms to 1e5", 20)
 
 
+def test_best_approx_2d_cubic_to_1e30():
+    _run("best-approx-2d-cubic-1e30", "Rauzy-norm records = recurrence terms to 1e30", 2)
+
+
 def test_criterion_7_ip_r_witness():
     _run("ip-r-witness", "criterion 7: IP_r witness", 60)
 

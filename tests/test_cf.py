@@ -153,6 +153,23 @@ def test_best_approx_2d_tribonacci():
     assert len(single) == 1 and single[0].q == 1
 
 
+def test_best_approx_2d_needs_theta_of_a_cubic_unit():
+    fld = NumberField((-1, -1, -1, 1), 1, 2, "b")
+    norm = RauzyNorm.for_cubic_field(fld, 1)
+    beta = fld.generator()
+    theta = (beta.inverse(), (beta * beta).inverse())
+    phi = NumberField((-1, -1, 1), 1, 2, "phi").generator()
+    cbrt2 = NumberField((-2, 0, 0, 1), 1, 2, "c").generator()  # not a unit
+    for bad in (
+        (phi.inverse(), (phi * phi).inverse()),
+        (theta[1], theta[0]),
+        (cbrt2.inverse(), (cbrt2 * cbrt2).inverse()),
+        (beta, beta * beta),
+    ):
+        with pytest.raises(PreconditionError):
+            best_approx_2d(bad, norm, 100)
+
+
 def test_degenerate_norm_rejected():
     fld = NumberField((-1, -1, 1), 1, 2)
     one = fld.one()

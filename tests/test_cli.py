@@ -239,6 +239,32 @@ def test_bestapprox_reads_only_the_convergents_to_q():
     assert qs == pell[:-1] and len(qs) == 79
 
 
+# sha256 of gp bestapprox --cubic-a A --cubic-b B --Q 100000, computed with
+# the scan that decided every q <= Q behind a fixed-point screen
+BESTAPPROX_2D_SHA256 = {
+    (1, 1): "de65db850aa1d07de9ef9db77ce115d09b8cebb17dcabce90aecf7e77104d88d",
+    (2, 1): "6255b61819e06daaf1fe1fdddbb66d7b63781137e8526b3cbed35a6c8802a31e",
+    (2, -1): "1281b04c699e6e3fd1a1112f87eda8b248d2e76d60aa9b4cba136f6a89826f3d",
+}
+
+
+@pytest.mark.parametrize("ab", sorted(BESTAPPROX_2D_SHA256))
+def test_bestapprox_2d_artifacts_to_1e5(tmp_path, ab):
+    out = tmp_path / "ba.csv"
+    argv = ["bestapprox", "--cubic-a", str(ab[0]), f"--cubic-b={ab[1]}", "--Q", "100000"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BESTAPPROX_2D_SHA256[ab]
+
+
+def test_bestapprox_2d_to_1e30(tmp_path):
+    # 114 Tribonacci records on [1, 10^30], from the lattice boxes alone
+    out = tmp_path / "ba.csv"
+    assert run(["bestapprox", "--cubic-a", "1", "--cubic-b", "1", "--Q", str(10**30),
+                "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "q,p1,p2,value_lo,value_hi" and len(lines) == 1 + 114
+
+
 def test_huge_integer_literal_is_a_parse_error(capsys):
     assert run(["members", "--expr", "1" * 5000 + "*n", "--from", "1", "--to", "2"]) == 2
     assert "integer literal of 5000 digits" in capsys.readouterr().err

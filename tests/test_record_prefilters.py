@@ -1,13 +1,17 @@
 """Record and growth scans against exhaustive exact scans.
 
-The fixed-point prefilters in ``best_approx_2d``, ``growth_count`` and
-``equidist_stats`` must give the outputs of deciding every point exactly.
-Small ``max_bits`` budgets make the enclosures coarse, so every error term
-of the screens is exercised: an enclosure that is too narrow would skip a
-record or settle a growth point wrongly.  ``best_approx_1d`` has no
-screen: it reads the convergent denominators off the complete-quotient
-walk, and must give the records of the exhaustive scan at every budget
-too, for rationals, quadratic and cubic elements and streams.
+The fixed-point prefilters in ``growth_count`` and ``equidist_stats`` must
+give the outputs of deciding every point exactly.  Small ``max_bits``
+budgets make the enclosures coarse, so every error term of the screens is
+exercised: an enclosure that is too narrow would settle a growth point
+wrongly.  ``best_approx_2d`` decides only the q its lattice boxes propose;
+its records must equal the exhaustive scan's for the Rauzy norms and for
+adversarial ones, and stay equal when the enclosures the boxes read are
+loosened by up to one unit, which keeps every box finite.
+``best_approx_1d`` has no screen: it reads the convergent denominators off
+the complete-quotient walk, and must give the records of the exhaustive
+scan at every budget too, for rationals, quadratic and cubic elements and
+streams.
 """
 
 from fractions import Fraction
@@ -143,36 +147,25 @@ def test_best_approx_1d_on_a_stream():
     assert [(b.q, b.p[0]) for b in best_approx_1d(THETA, 3000, 64)] == want64
 
 
-def _cap_planar_screen(monkeypatch, bits):
-    """Cap the precision of the ``cf`` screens at ``bits``.
-
-    ``best_approx_2d`` takes no budget (its decisions are exact field
-    arithmetic), so a coarse screen is reached through its precision rule.
-    """
-
-    def capped(range_bits, max_bits):
-        return prefilter_bits(range_bits, min(max_bits, bits))
-
-    monkeypatch.setattr(gplab.cf, "prefilter_bits", capped)
+# (1, 0) and (0, 1) have R_2 = 1, so their boxes start right after q = 1
+TWO_D = [(1, 1), (2, 1), (2, -1), (1, 0), (0, 1)]
 
 
 @pytest.fixture(scope="module")
 def two_d_oracles():
     out = {}
-    for ab in ((1, 1), (2, 1), (2, -1)):
+    for ab in TWO_D:
         cons = cubic_pisot_set(*ab)
         out[ab] = (cons, best_approx_2d_exhaustive(cons.theta, cons.norm, 500))
     return out
 
 
-@pytest.mark.parametrize("ab", [(1, 1), (2, 1), (2, -1)])
-def test_best_approx_2d_matches_exhaustive(monkeypatch, two_d_oracles, ab):
+@pytest.mark.parametrize("ab", TWO_D)
+def test_best_approx_2d_matches_exhaustive(two_d_oracles, ab):
     cons, want = two_d_oracles[ab]
-    for bits in (4096,) + COARSE_BITS:
-        _cap_planar_screen(monkeypatch, bits)
-        got = best_approx_2d(cons.theta, cons.norm, 500)
-        assert [(b.q, b.p) for b in got] == [(q, p) for q, p, _ in want], bits
-        assert all(b.value_sq == w for b, (_, _, w) in zip(got, want))
+    got = best_approx_2d(cons.theta, cons.norm, 500)
+    assert [(b.q, b.p) for b in got] == [(q, p) for q, p, _ in want]
+    assert all(b.value_sq == w for b, (_, _, w) in zip(got, want))
 
 
 @pytest.fixture(scope="module")
@@ -233,61 +226,56 @@ def _loosen(monkeypatch, module, widen, spread):
 
 
 def test_record_screens_only_assume_valid_record_bounds(monkeypatch, two_d_oracles):
-    # loose record bounds: a screen reading their lower ends skips records
+    # the record radius one unit loose: a box reading its lower end would
+    # drop records
     cons, want2 = two_d_oracles[(1, 1)]
-    _loosen(monkeypatch, gplab.cf, lambda v: v not in cons.theta, 1)
-    for max_bits in (40, 64, 4096):
-        _cap_planar_screen(monkeypatch, max_bits)
-        got = best_approx_2d(cons.theta, cons.norm, 500)
-        assert [(b.q, b.p) for b in got] == [(q, p) for q, p, _ in want2]
+    records = {w for _, _, w in want2}
+    _loosen(monkeypatch, gplab.cf, lambda v: v in records, 1)
+    got = best_approx_2d(cons.theta, cons.norm, 500)
+    assert [(b.q, b.p) for b in got] == [(q, p) for q, p, _ in want2]
 
 
 @pytest.mark.parametrize(
     "name,spread",
-    [("im_u_sq", 2), ("re_u/v", 1), ("v^2", 2), ("theta1", 0.9), ("theta2", 0.8)],
+    [("1/im_u_sq", 1), ("re_u/v", 1), ("1/v^2", 1), ("theta1", 0.9), ("theta2", 0.8)],
 )
 def test_planar_screen_only_assumes_valid_enclosures(monkeypatch, two_d_oracles, name, spread):
+    # the constants of the boxes, loosened by at most one unit
     cons, want = two_d_oracles[(1, 1)]
-    norm = cons.norm
-    value = {
-        "im_u_sq": norm.im_u_sq,
-        "re_u/v": norm.re_u * norm.v.inverse(),
-        "v^2": norm.v * norm.v,
-        "theta1": cons.theta[0],
-        "theta2": cons.theta[1],
-    }[name]
-    if name.startswith("theta"):
-        _loosen(monkeypatch, gplab.cf, lambda v: v is value, spread)
-    else:  # a fresh element equal to the value; theta2 = v^2 stays tight
-        th1, th2 = cons.theta
-        _loosen(monkeypatch, gplab.cf, lambda v: v == value and v is not th1 and v is not th2, spread)
-    got = best_approx_2d(cons.theta, norm, 500)
+    names = ("re_u/v", "1/im_u_sq", "1/v^2", "theta1", "theta2")
+    value = dict(zip(names, cons.norm.dual + cons.theta))[name]
+    _loosen(monkeypatch, gplab.cf, lambda v: v is value, spread)
+    got = best_approx_2d(cons.theta, cons.norm, 500)
     assert [(b.q, b.p) for b in got] == [(q, p) for q, p, _ in want]
 
 
-def test_planar_screen_with_a_small_imaginary_part(monkeypatch):
-    # Im(u)^2 = 1/1200: records whose p1 is not nint(q theta1) occur while
-    # the record is above Im(u)^2 / 4, so the second stage must not run then
+def test_planar_screen_with_a_small_imaginary_part():
+    # Im(u)^2 = 1/1200: records whose p1 is not nint(q theta1) occur, and
+    # 1/Im(u)^2 = 1200 widens the boxes
     cons = cubic_pisot_set(1, 1)
     norm = RauzyNorm(cons.norm.re_u, cons.field.from_rational(Fraction(1, 1200)), cons.norm.v)
     want = best_approx_2d_exhaustive(cons.theta, norm, 300)
     assert any(p[0] != (cons.theta[0] * q).nint() for q, p, _ in want)
-    for bits in (4096, 32):
-        _cap_planar_screen(monkeypatch, bits)
-        got = best_approx_2d(cons.theta, norm, 300)
-        assert [(b.q, b.p) for b in got] == [(q, p) for q, p, _ in want]
+    got = best_approx_2d(cons.theta, norm, 300)
+    assert [(b.q, b.p) for b in got] == [(q, p) for q, p, _ in want]
 
 
-def test_planar_screen_with_a_large_real_part(monkeypatch):
-    # Re(u)/v near 9.4 (0.23 for the Rauzy norm) magnifies the width of
-    # q theta1 in the second stage, which skips about 20 of the q <= 200
+def test_planar_screen_with_a_large_real_part():
+    # Re(u)/v near 9.4 (0.23 for the Rauzy norm) tilts the boxes
     cons = cubic_pisot_set(1, 1)
     norm = RauzyNorm(cons.norm.re_u + 5, cons.norm.im_u_sq, cons.norm.v)
     want = best_approx_2d_exhaustive(cons.theta, norm, 200)
-    for bits in (4096, 12, 14, 18):
-        _cap_planar_screen(monkeypatch, bits)
-        got = best_approx_2d(cons.theta, norm, 200)
-        assert [(b.q, b.p) for b in got] == [(q, p) for q, p, _ in want], bits
+    got = best_approx_2d(cons.theta, norm, 200)
+    assert [(b.q, b.p) for b in got] == [(q, p) for q, p, _ in want]
+
+
+def test_planar_records_with_a_negative_v():
+    # -v flips the sign of Re(u)/v; the records start at (1, (0, 0))
+    cons = cubic_pisot_set(1, 1)
+    norm = RauzyNorm(cons.norm.re_u, cons.norm.im_u_sq, -cons.norm.v)
+    want = best_approx_2d_exhaustive(cons.theta, norm, 300)
+    got = best_approx_2d(cons.theta, norm, 300)
+    assert [(b.q, b.p) for b in got] == [(q, p) for q, p, _ in want]
 
 
 def test_growth_screen_only_assumes_a_valid_beta(monkeypatch, growth_oracles):
