@@ -119,8 +119,23 @@ def walk(e: Expr):
         stack.extend(reversed(children(node)))
 
 
+def walk_distinct(e: Expr):
+    """Every distinct node (by identity) once, in the order of its first
+    occurrence in :func:`walk`'s preorder: a shared subtree is entered
+    once, and its later occurrences hold only nodes already seen."""
+    seen: set[int] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        stack.extend(reversed(children(node)))
+
+
 def depends_on_var(e: Expr) -> bool:
-    return any(isinstance(node, Var) for node in walk(e))
+    return any(isinstance(node, Var) for node in walk_distinct(e))
 
 
 def with_children(e: Expr, kids: tuple) -> Expr:
@@ -203,7 +218,7 @@ def _collect_lets(e: Expr) -> tuple[dict[str, object], dict[object, str]]:
         lets[name] = v if isinstance(v, Fraction) else v.field
         assigned[key] = name
 
-    for node in walk(e):
+    for node in walk_distinct(e):
         if isinstance(node, Const):
             name_for(node)
     return lets, assigned

@@ -37,8 +37,8 @@ Every node compiles bottom up to its literal op; the shapes are read at
 emit time from the ops already compiled for a new ``floor`` or ``-``
 node's operands.  The copies of an operand (the two ``M`` of a zero test,
 the scale and argument in each half of a distance test) are copies
-exactly when they are one hash-consed op, so a certificate printed and
-re-parsed, whose copies are distinct objects, compiles like the built one.
+exactly when they are one hash-consed op, so a tree whose copies are
+distinct objects compiles like one that shares them.
 The ops a shape absorbs are compiled first and dropped once the program
 is complete, unless another op uses them; the tree itself, and so every
 printed certificate, is unchanged.  Each fused op decides every point its
@@ -47,23 +47,38 @@ all rationals or elements of one number field fold into one constant
 (never through ``theta`` or another stream), within
 :data:`MAX_CONST_BITS`.
 
-The same op list is run in two modes:
+The same op list is run in two modes, each by one Python function
+generated from it:
 
 * exact mode (``eval_exact``) produces an exact :data:`~gplab.realnum.value.Real`
   (rational / field element / interval stream), running every op once,
-  in order.  Floors on exact values are decided exactly; floors on
-  streams refine up to the precision budget.  A range test compares h
-  with a and b exactly.  For a point the dyadic pass left open it is
-  given the integer-valued ops (floors, nints, range and distance tests)
-  that pass decided at that same point, and reads each as the integer it
-  decided instead of working it out again, the pattern of Shewchuk's
-  adaptive predicates (DCG 18, 1997).
+  in order.  Its function (:func:`exact_source`) is made on the program's
+  first exact evaluation from the op structure and the kind of each op's
+  value, known from its constants: an integer, a rational, an element of
+  one of the program's degree-2 or degree-3 fields, or any Real (an op on
+  a stream, or on two fields' elements).  Rationals and field elements
+  are integer locals, a field element its coordinates over one
+  denominator (Cohen, GTM 138, 4.2), and their sums, differences,
+  products and squares are inline integer statements, each result put in
+  lowest terms by one gcd as the field's own operators do, with the
+  field's reduction table passed in.  So every value equals the one the
+  value types' operators give.  Floors on exact values are decided
+  exactly, by the field's own ``floor``; floors on streams refine up to
+  the precision budget.  A range test compares h with a and b exactly.
+  Ops of the last kind call the :mod:`gplab.realnum.value` functions.
+  For a point the dyadic pass left open it is given the integer-valued
+  ops (floors, nints, range and distance tests) that pass decided at that
+  same point, and reads each one of a field element or a stream as the
+  integer it decided instead of working it out again, the pattern of
+  Shewchuk's adaptive predicates (DCG 18, 1997); those of rationals cost
+  less to compute than to look up.  The compiled code is cached per
+  process by the structure and the kinds, and the constants, range bounds
+  and fields are read once per program.
 
 * dyadic mode evaluates over fixed-point intervals ``[lo, hi] * 2^-bits``
   with plain integer arithmetic.  It is the fast path for range scans, and
-  it runs one Python function generated from the op list
-  (:func:`kernel_source`), a generator over a window of n: the constants'
-  enclosures, the range tests' bounds (passed in from the program's
+  its function (:func:`kernel_source`) is a generator over a window of n:
+  the constants' enclosures, the range tests' bounds (passed in from the program's
   per-precision template, never written into the source) and the scratch
   values are read once per call, and the loop body is one flat statement
   per op, each op's interval in two locals.  Ops run in the order a
@@ -116,6 +131,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd  # noqa: F401  (called by the generated exact functions)
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import NonBooleanValue, ParseError, PrecisionExhausted
@@ -193,41 +209,40 @@ def check_const_bits(bits: int) -> None:
         )
 
 
-# -- exact mode, one op -----------------------------------------------------------
+# -- folding: an op on exact constants -------------------------------------------
 
-def _in_range(v: Real, lo: Fraction, hi: Fraction, max_bits: int) -> bool:
-    return compare(v, lo, max_bits) >= 0 and compare(v, hi, max_bits) < 0
+def _in_range(v: Real, lo: Fraction, hi: Fraction, max_bits: int) -> int:
+    """[lo <= v < hi], decided exactly (streams within ``max_bits``)."""
+    return int(compare(v, lo, max_bits) >= 0 and compare(v, hi, max_bits) < 0)
 
 
-def _exact(code: int, x: Real, y, max_bits: int) -> Real:
-    """One op in exact mode, on its first operand's value x and its second
-    operand's value y (the exponent of a _POW, the bounds of a _RANGE)."""
-    if code == _ADD:
-        return radd(x, y)
-    if code == _SUB:
-        return rsub(x, y)
-    if code == _MUL:
-        return rmul(x, y)
-    if code == _POW:
-        return rpow(x, y)
-    if code == _FLOOR:
-        return Fraction(floor_frac(x, max_bits)[0])
-    if code == _FRAC:
-        return frac_of(x, max_bits)
-    if code == _NINT:
-        return Fraction(nint_of(x, max_bits))
-    if code == _DIST:
-        return dist_of(x, max_bits)
-    if code == _RANGE:
-        return Fraction(_in_range(x, Fraction(y[0], y[1]), Fraction(y[2], y[3]), max_bits))
-    # _DIST_LT, x the scale and y the argument
-    if is_exact_zero(x):
-        return _ONE
-    f = frac_of(y, max_bits)
-    return Fraction(
-        _in_range(rmul(x, f), _NIL, _ONE, max_bits)
-        or _in_range(rmul(x, rsub(_ONE, f)), _NIL, _ONE, max_bits)
+def _dist_lt_exact(s: Real, x: Real, max_bits: int) -> int:
+    """A distance test on exact values: 1 where the scale s is exactly 0,
+    else [0 <= s {x} < 1] or [0 <= s (1 - {x}) < 1]."""
+    if is_exact_zero(s):
+        return 1
+    f = frac_of(x, max_bits)
+    return _in_range(rmul(s, f), _NIL, _ONE, max_bits) or _in_range(
+        rmul(s, rsub(_ONE, f)), _NIL, _ONE, max_bits
     )
+
+
+# the value of an op on its constant operands' values x and y (the exponent
+# of a _POW, the bounds of a _RANGE), for folding
+_FOLDS = {
+    _ADD: radd,
+    _SUB: rsub,
+    _MUL: rmul,
+    _POW: rpow,
+    _FLOOR: lambda x, _: Fraction(floor_frac(x)[0]),
+    _FRAC: lambda x, _: frac_of(x),
+    _NINT: lambda x, _: Fraction(nint_of(x)),
+    _DIST: lambda x, _: dist_of(x),
+    _RANGE: lambda x, b: Fraction(
+        _in_range(x, Fraction(b[0], b[1]), Fraction(b[2], b[3]), DEFAULT_MAX_BITS)
+    ),
+    _DIST_LT: lambda s, x: Fraction(_dist_lt_exact(s, x, DEFAULT_MAX_BITS)),
+}
 
 
 def _folded(code: int, x: Real, y) -> Real | None:
@@ -242,7 +257,7 @@ def _folded(code: int, x: Real, y) -> Real | None:
         check_const_bits(const_bits(x) + const_bits(y))
     elif code == _POW:
         check_const_bits(const_bits(x) * y)
-    v = _exact(code, x, y, DEFAULT_MAX_BITS)
+    v = _FOLDS[code](x, y)
     return v if type(v) in _EXACT else None
 
 
@@ -451,6 +466,245 @@ def _kernel(shape: tuple):
     return namespace["dyadic"]
 
 
+# -- exact mode: one generated function per op structure and value kinds ---------
+
+# The kind of an op's value in exact mode: an integer, a rational, any Real
+# (a stream, or a value made from two fields' elements) or, from _F on, an
+# element of the program's field of slot kind - _F.
+_Z, _Q, _G, _F = range(4)
+_READ = frozenset({_FLOOR, _NINT, _RANGE})  # integer-valued ops read from a dyadic pass
+# the realnum.value calls of the ops of kind _G, and of field elements
+_CALLS = {
+    _ADD: "radd({x}, {y})",
+    _SUB: "rsub({x}, {y})",
+    _MUL: "rmul({x}, {y})",
+    _POW: "rpow({x}, {y})",
+    _FLOOR: "floor_frac({x}, max_bits)[0]",
+    _NINT: "nint_of({x}, max_bits)",
+    _FRAC: "frac_of({x}, max_bits)",
+    _DIST: "dist_of({x}, max_bits)",
+}
+_NO_DECIDED: dict = {}
+
+
+def _joint(ka: int, kb: int) -> int:
+    """The kind of a sum, difference or product of values of kinds ka and kb."""
+    if _G in (ka, kb) or (ka >= _F and kb >= _F and ka != kb):
+        return _G
+    return max(ka, kb)
+
+
+def _times(x: str, y: str) -> str:
+    if x == "0" or y == "0":
+        return "0"
+    return x if y == "1" else y if x == "1" else f"{x} * {y}"
+
+
+def _sum(terms: list[str]) -> str:
+    """The terms, each an expression or one with a leading minus, as one sum."""
+    terms = [t for t in terms if t != "0" and t != "-0"]
+    if not terms:
+        return "0"
+    return terms[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in terms[1:])
+
+
+def _lowest(names: list[str], den: str, rational: bool) -> list[str]:
+    """Lines that put ``names / den`` in lowest terms with one gcd, as
+    ``field._reduced`` does; a field element's gcd is skipped where den is 1."""
+    g = f"gcd({den}, {', '.join(names)})"
+    cut = f"{', '.join(names)}, {den} = " + ", ".join(f"{v} // g" for v in names + [den])
+    if rational:
+        return [f"g = {g}", f"if g != 1: {cut}"]
+    return [f"if {den} != 1:", f"    g = {g}", f"    if g != 1: {cut}"]
+
+
+def _product(x: list[str], y: list[str], slot: int) -> tuple[list[str], list[str]]:
+    """Coordinates of a product of two elements of the field in ``slot``:
+    the schoolbook product, then the reduction table ``r{slot}_{k}_{j}``
+    (beta^(degree + k) in coordinates).  Lines that set ``u{k}`` for the
+    high coefficients, and the coordinates' expressions."""
+    deg = len(x)
+    square = x is y
+    coef = []
+    for k in range(2 * deg - 1):
+        terms = []
+        for i in range(max(0, k - deg + 1), min(k, deg - 1) + 1):
+            j = k - i
+            if square and i > j:
+                continue
+            t = _times(x[i], y[j])
+            terms.append(f"2 * {t}" if square and i < j else t)
+        coef.append(_sum(terms))
+    lines = [f"u{k} = {coef[k]}" for k in range(deg, 2 * deg - 1)]
+    out = [
+        _sum([coef[j]] + [f"u{k} * r{slot}_{k - deg}_{j}" for k in range(deg, 2 * deg - 1)])
+        for j in range(deg)
+    ]
+    return lines, out
+
+
+def exact_source(shape: tuple, kinds: tuple, degrees: tuple) -> str:
+    """The source of ``make(t)``, which returns ``exact(n, max_bits, dec)``,
+    the exact function of the ops ``shape`` (:meth:`Program.shape`) whose
+    values have the kinds ``kinds``, ``degrees`` being the degree of each
+    field slot.  ``t`` is :meth:`Program._exact_inputs`'s tuple: each
+    constant's integers, the bounds of each range test, and each field with
+    its reduction table, read once per program, never written into the
+    source.
+
+    Every op runs once, in order.  A rational is a numerator and a
+    denominator, and a field element its integer coordinates over one
+    denominator, each result in lowest terms by one ``gcd``, so every value
+    equals the one the value types' own operators give.  An integer has no
+    denominator.  Sums, differences, products and squares of such values
+    are inline statements, and so are floors, roundings, fractional parts,
+    distances and range tests of rationals.  The same ops of a field
+    element, its other powers, and distance tests call the
+    :mod:`gplab.realnum.value` functions on the boxed value; a floor, a
+    rounding or a range test of a field element or a stream, and any
+    distance test, is first read from ``dec``, the integers a dyadic pass
+    decided at n.  Every op of kind ``_G`` calls those functions too.  The
+    function returns the root's value as a ``Fraction``, a
+    ``FieldElement`` or the Real a generic op gave.
+    """
+    inputs: list[str] = []
+    body: list[str] = []
+    val: list = []  # per op: (coordinate expressions, denominator expression)
+
+    def box(i: int) -> str:
+        k = kinds[i]
+        if k == _G:
+            return f"v{i}"
+        (x, *rest), d = val[i]
+        if k < _G:
+            return f"Fraction({x})" if d == "1" else f"Fraction({x}, {d})"
+        return f"FieldElement(f{k - _F}, ({', '.join([x, *rest])}), {d})"
+
+    def as_field(i: int, deg: int) -> list[str]:
+        x, d = val[i]
+        return (x + ["0"] * (deg - len(x))), d
+
+    for i, (code, a, b) in enumerate(shape):
+        k = kinds[i]
+        deg = degrees[k - _F] if k >= _F else 1
+        names = [f"n{i}"] if deg == 1 else [f"n{i}_{j}" for j in range(deg)]
+        den = "1" if k == _Z else f"d{i}"
+        lhs = ", ".join(names)
+        lines: list[str] = []
+        if code == _CONST:
+            inputs += [f"v{i}"] if k == _G else names + ([den] if k != _Z else [])
+        elif code == _VAR:
+            names, den = ["n"], "1"
+        elif code == _RANGE:
+            ka = kinds[a]
+            if ka < _G:
+                inputs += [f"an{i}", f"ad{i}", f"bn{i}", f"bd{i}"]
+                (x,), d = val[a]
+                lines = [
+                    f"{lhs} = 1 if {_times(x, f'ad{i}')} >= {_times(f'an{i}', d)}"
+                    f" and {_times(x, f'bd{i}')} < {_times(f'bn{i}', d)} else 0"
+                ]
+            else:
+                inputs += [f"lo{i}", f"hi{i}"]
+                lines = [f"{lhs} = _in_range({box(a)}, lo{i}, hi{i}, max_bits)"]
+        elif code == _DIST_LT:
+            lines = [f"{lhs} = _dist_lt_exact({box(a)}, {box(b)}, max_bits)"]
+        elif code == _POW and b < 2 and k != _G:  # x^0 is 1, x^1 is x
+            names, den = (["1"], "1") if b == 0 else val[a]
+        elif code in (_FLOOR, _NINT, _FRAC, _DIST) and kinds[a] == _Z:
+            # an integer is its own floor and rounding, 0 its fraction and distance
+            names = val[a][0] if code in _READ else ["0"]
+        elif code in (_FLOOR, _NINT, _FRAC, _DIST) and kinds[a] == _Q:
+            (x,), d = val[a]
+            lines = {
+                _FLOOR: [f"{lhs} = {x} // {d}"],
+                _NINT: [f"{lhs} = (2 * {x} + {d}) // (2 * {d})"],
+                _FRAC: [f"{lhs}, {den} = {x} % {d}, {d}"],
+                _DIST: [f"{lhs} = {x} % {d}", f"if 2 * {lhs} > {d}: {lhs} = {d} - {lhs}", f"{den} = {d}"],
+            }[code]
+        elif code == _FLOOR and kinds[a] >= _F:
+            lines = [f"{lhs} = {box(a)}.floor()"]
+        elif k == _G or code not in _TWO_OPERANDS and (code != _POW or k >= _F and b > 2):
+            # the realnum.value call: on streams, two fields' elements, or
+            # one field's element, but for a sum, difference, product or square
+            y = b if code == _POW else box(b) if code in _TWO_OPERANDS else ""
+            call = _CALLS[code].format(x=box(a), y=y)
+            if k == _G:
+                lines = [f"v{i} = {call}"]
+            elif k == _Z:
+                lines = [f"{lhs} = {call}"]
+            else:
+                lines = [f"w = {call}", f"({lhs}), {den} = w.num, w.den"]
+        elif k < _G:  # ops on integers and rationals
+            (x,), dx = val[a]
+            (y,), dy = val[a if code == _POW else b]
+            if code == _POW:
+                lines = [f"{lhs} = {x} ** {b}"] + ([f"{den} = {dx} ** {b}"] if k == _Q else [])
+            elif code == _MUL:
+                lines = [f"{lhs} = {_times(x, y)}"]
+                if k == _Q:
+                    lines += [f"{den} = {_times(dx, dy)}"] + _lowest([lhs], den, True)
+            else:
+                sign = "-" if code == _SUB else ""
+                lines = [f"{lhs} = {_sum([_times(x, dy), sign + _times(y, dx)])}"]
+                if k == _Q:
+                    lines.append(f"{den} = {_times(dx, dy)}")
+                    if dx != "1" and dy != "1":
+                        lines += _lowest([lhs], den, True)
+        else:  # ops on one field's elements, a rational operand embedded
+            slot = k - _F
+            x, dx = as_field(a, deg)
+            y, dy = as_field(a if code == _POW else b, deg)
+            if code == _POW or (code == _MUL and kinds[a] >= _F and kinds[b] >= _F):
+                lines, out = _product(x, x if code == _POW else y, slot)
+                lines.append(f"{lhs}, {den} = {', '.join(out)}, {_times(dx, dy)}")
+                lines += _lowest(names, den, False)
+            elif code == _MUL:  # by a rational
+                (r, *_), s = (y, dy) if kinds[b] < _G else (x, dx)
+                f, d = (x, dx) if kinds[b] < _G else (y, dy)
+                lines = [f"{lhs}, {den} = {', '.join(_times(c, r) for c in f)}, {_times(d, s)}"]
+                lines += _lowest(names, den, False)
+            else:
+                sign = "-" if code == _SUB else ""
+                same = [_sum([u, sign + v]) for u, v in zip(x, y)]
+                cross = [_sum([_times(u, dy), sign + _times(v, dx)]) for u, v in zip(x, y)]
+                if kinds[a] >= _F and kinds[b] >= _F:  # over one denominator where they agree
+                    lines = [
+                        f"if {dx} == {dy}: {lhs}, {den} = {', '.join(same)}, {dx}",
+                        f"else: {lhs}, {den} = {', '.join(cross)}, {dx} * {dy}",
+                    ]
+                else:
+                    lines = [f"{lhs}, {den} = {', '.join(cross)}, {_times(dx, dy)}"]
+                if dx != "1" and dy != "1":  # a sum with an integer is in lowest terms
+                    lines += _lowest(names, den, False)
+        if code in _READ and kinds[a] >= _G or code == _DIST_LT:  # read where a dyadic pass decided it
+            lines = [f"{lhs} = dec.get({i})", f"if {lhs} is None:"] + ["    " + ln for ln in lines]
+        body += lines
+        val.append((names, den))
+    for slot, deg in enumerate(degrees):
+        inputs.append(f"f{slot}")
+        inputs += [f"r{slot}_{k}_{j}" for k in range(deg - 1) for j in range(deg)]
+    root = len(shape) - 1
+    out = ["def make(t):"]
+    if inputs:
+        out.append(f"    {', '.join(inputs)}, = t")
+    out.append("    def exact(n, max_bits, dec):")
+    out += ["        " + line for line in body]
+    out += [f"        return {box(root)}", "    return exact"]
+    return "\n".join(out) + "\n"
+
+
+@lru_cache(maxsize=256)
+def _exact_kernel(shape: tuple, kinds: tuple, degrees: tuple):
+    """The ``make`` function of an op structure and its value kinds,
+    compiled once per process for every program of that structure (the 256
+    most recent).  Its globals are this module's, so it calls the
+    :mod:`gplab.realnum` functions bound here."""
+    namespace: dict = {}
+    exec(compile(exact_source(shape, kinds, degrees), "<exact kernel>", "exec"), globals(), namespace)
+    return namespace["make"]
+
+
 class Program:
     """An expression compiled to a hash-consed, topologically ordered op list.
 
@@ -465,16 +719,19 @@ class Program:
     program also keeps, per precision, the inputs of its dyadic function
     (its constants' enclosures and its range tests' bounds), and that
     function itself, made from :meth:`shape` on the first dyadic
-    evaluation.
+    evaluation; and its exact function, made from :meth:`exact_shape` and
+    its constants on the first exact evaluation.  Both are generated code:
+    no op list is interpreted.
     """
 
-    __slots__ = ("ops", "consts", "_templates", "_kernel")
+    __slots__ = ("ops", "consts", "_templates", "_kernel", "_exact")
 
     def __init__(self, e: Expr):
         self.ops: list[tuple] = []
         self.consts: list[Real] = []
         self._templates: dict[int, tuple] = {}
         self._kernel = None  # the dyadic function, made on the first dyadic evaluation
+        self._exact = None  # the exact function, made on the first exact evaluation
         keys: dict[tuple, int] = {}  # one per op, plus each fused or folded key
         index: dict[int, int] = {}  # id(node) -> op; nodes live as long as e
         stack = [e]
@@ -559,7 +816,8 @@ class Program:
         _SUB, or None where its operands' ops have no predicate's shape.  Two
         copies of an operand (the two M of a zero test, s and x in both
         halves of a distance test) are equal exactly when they are one op,
-        so a re-parsed certificate fuses like the built one."""
+        so a tree whose copies are distinct objects fuses like one that
+        shares them."""
         ops = self.ops
         if code == _FLOOR:  # floor(1 - frac(M)), M = theta * floor(Y): [floor(Y) = 0]
             sub, one, fr = ops[a]
@@ -663,25 +921,59 @@ class Program:
         return kernel(ns, bits, self._template(bits) if tpl is None else tpl)
 
     # -- exact mode -------------------------------------------------------------
-    def eval_exact(self, n: int, max_bits: int, decided: dict | None = None) -> Real:
-        """The value at n, every op computed in order, except that an op in
-        ``decided`` (a dyadic pass's verdicts at this same n) is read as
-        the integer it maps to."""
-        ops, consts = self.ops, self.consts
-        if decided:  # each decided op becomes a constant of its integer
-            ops, consts = list(ops), consts + [Fraction(v) for v in decided.values()]
-            for k, i in enumerate(decided, len(self.consts)):
-                ops[i] = (_CONST, k, 0)
-        val: list[Real] = []
-        for code, a, b in ops:
+    def _exact_inputs(self) -> tuple[tuple, tuple]:
+        """The arguments of :func:`exact_source`, the structure, each op's
+        value kind and each field slot's degree, and the ``make`` function's
+        inputs: in op order each constant's integers (its stream, for one of
+        kind ``_G``) and each range test's bounds (as integers where h is
+        rational, else as two ``Fraction``), then each field of the program,
+        in order of first use, with its reduction table."""
+        consts = self.consts
+        kinds: list[int] = []
+        fields: dict = {}  # field -> slot; equal fields are one slot, as for the value types
+        t: list = []
+        for code, a, b in self.ops:
             if code == _CONST:
-                out = consts[a]
-            elif code == _VAR:
-                out = Fraction(n)
-            else:
-                out = _exact(code, val[a], val[b] if code in _TWO_OPERANDS else b, max_bits)
-            val.append(out)
-        return val[-1]
+                v = consts[a]
+                if type(v) is Fraction:
+                    k = _Z if v.denominator == 1 else _Q
+                    t += [v.numerator] if k == _Z else [v.numerator, v.denominator]
+                elif type(v) is FieldElement:
+                    k = _F + fields.setdefault(v.field, len(fields))
+                    t += [*v.num, v.den]
+                else:
+                    k = _G
+                    t.append(v)
+            elif code == _VAR or code in _DECIDED:
+                k = _Z
+                if code == _RANGE:
+                    t += list(b) if kinds[a] < _G else [Fraction(b[0], b[1]), Fraction(b[2], b[3])]
+            elif code in _TWO_OPERANDS:
+                k = _joint(kinds[a], kinds[b])
+            elif code == _POW and b == 0:
+                k = _Z if kinds[a] < _G else _G  # x^0 is Fraction(1), or field.one() but at 0
+            else:  # a power, fractional part or distance: of its operand's kind
+                k = kinds[a]
+            kinds.append(k)
+        for field in fields:
+            t += [field, *(c for row in field._red for c in row)]
+        return (self.shape(), tuple(kinds), tuple(f.degree for f in fields)), tuple(t)
+
+    def exact_shape(self) -> tuple:
+        """The arguments of :func:`exact_source` for this program."""
+        return self._exact_inputs()[0]
+
+    def eval_exact(self, n: int, max_bits: int, decided: dict | None = None) -> Real:
+        """The value at n, every op computed once, in order, by the
+        program's exact function, made on the first exact evaluation.  A
+        distance test, or a floor, nint or range test of a field element or
+        a stream, that ``decided`` (a dyadic pass's verdicts at this same n)
+        maps is read as the integer it maps to."""
+        fn = self._exact
+        if fn is None:
+            key, t = self._exact_inputs()
+            fn = self._exact = _exact_kernel(*key)(t)
+        return fn(n, max_bits, decided or _NO_DECIDED)
 
 
 # ---------------------------------------------------------------------------

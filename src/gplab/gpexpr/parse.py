@@ -28,6 +28,12 @@ degree above 3 is refused before it is expanded; the expansion must be
 monic of degree 2 or 3.  The two bounds of ``root()`` and a ``let``
 rational are expressions too, and must fold to a rational constant, so
 ``x^2 - 4/2`` and a bound ``(1/3)`` are read as written.
+
+The parser hash-conses: every node it makes is looked up by its type and
+its children's identities (a leaf by its value), so structurally equal
+subterms of the text are one object, as the builders share them.  A printed
+certificate, which writes each shared subterm out in full wherever it
+occurs, re-parses to a tree of as many distinct nodes as the structure has.
 """
 
 from __future__ import annotations
@@ -120,6 +126,23 @@ class _Parser:
         self.depth = 0
         self.bindings: dict[str, Const] = {}
         self.var = "n"  # the name read as the variable; "x" inside root()
+        self.nodes: dict[tuple, Expr] = {}  # hash-consing: one node per structure
+
+    def node(self, cls, *kids: Expr) -> Expr:
+        """The one node ``cls(*kids)``, keyed by its interned children's identities."""
+        return self.interned((cls, *map(id, kids)), cls, kids)
+
+    def interned(self, key: tuple, cls, args: tuple) -> Expr:
+        got = self.nodes.get(key)
+        if got is None:
+            got = self.nodes[key] = cls(*args)
+        return got
+
+    def rational(self, q: Fraction) -> Expr:
+        return self.interned((RationalConst, q.numerator, q.denominator), RationalConst, (q,))
+
+    def const(self, name: str, value) -> Expr:
+        return self.interned((Const, name, value), Const, (name, value))
 
     # -- token plumbing ----------------------------------------------------
     def peek(self) -> _Token:
@@ -161,7 +184,7 @@ class _Parser:
             self.expect("=")
             value = self.parse_constexpr(name_tok.text)
             self.expect(";")
-            self.bindings[name_tok.text] = Const(name_tok.text, value)
+            self.bindings[name_tok.text] = self.const(name_tok.text, value)
         e = self.parse_expr()
         t = self.peek()
         if t.kind != "eof":
@@ -230,14 +253,13 @@ class _Parser:
         while self.peek().text in ("+", "-"):
             op = self.next().text
             term = self.parse_term()
-            acc = Add(acc, term) if op == "+" else Sub(acc, term)
+            acc = self.node(Add if op == "+" else Sub, acc, term)
         return acc
 
-    @staticmethod
-    def _negated(e: Expr) -> Expr:
+    def _negated(self, e: Expr) -> Expr:
         if isinstance(e, RationalConst):
-            return RationalConst(-e.value)
-        return Sub(RationalConst(Fraction(0)), e)
+            return self.rational(-e.value)
+        return self.node(Sub, self.rational(Fraction(0)), e)
 
     def parse_term(self) -> Expr:
         acc = self.parse_factor()
@@ -245,15 +267,15 @@ class _Parser:
             op_tok = self.next()
             rhs = self.parse_factor()
             if op_tok.text == "*":
-                acc = Mul(acc, rhs)
+                acc = self.node(Mul, acc, rhs)
             else:
                 try:
                     inv = self._fold_divisor(rhs, op_tok)
                     if isinstance(acc, RationalConst) and isinstance(inv, RationalConst):
                         check_const_bits(const_bits(acc.value) + const_bits(inv.value))
-                        acc = RationalConst(acc.value * inv.value)
+                        acc = self.rational(acc.value * inv.value)
                     else:
-                        acc = Mul(acc, inv)
+                        acc = self.node(Mul, acc, inv)
                 except ParseError as exc:
                     if exc.line is not None:
                         raise
@@ -268,10 +290,10 @@ class _Parser:
             raise DivisionByZero("division by a constant that is exactly zero")
         inv = rinv(value)
         if isinstance(inv, Fraction):
-            return RationalConst(inv)
+            return self.rational(inv)
         if isinstance(inv, FieldElement):
-            return Const(inv.field.name, inv)
-        return Const("inv", inv)
+            return self.const(inv.field.name, inv)
+        return self.const("inv", inv)
 
     def parse_factor(self) -> Expr:
         base = self.parse_base()
@@ -280,23 +302,23 @@ class _Parser:
             t = self.next()
             if t.kind != "int":
                 self.error("expected a nonnegative integer exponent", t)
-            return Pow(base, t.value)
+            return self.interned((Pow, id(base), t.value), Pow, (base, t.value))
         return base
 
     def parse_base(self) -> Expr:
         t = self.next()
         if t.kind == "int":
-            return RationalConst(Fraction(t.value))
+            return self.rational(Fraction(t.value))
         if t.text == self.var:
             return N
         if t.text in ("floor", "frac", "nint", "dist"):
             inner = self.nested(self.parse_expr, self.expect("("))
-            return {"floor": Floor, "frac": Frac, "nint": Nint, "dist": Dist}[t.text](inner)
+            return self.node({"floor": Floor, "frac": Frac, "nint": Nint, "dist": Dist}[t.text], inner)
         if t.text == "(":
             return self.nested(self.parse_expr, t)
         if t.kind == "ident":
             if t.text == "theta":
-                return Const("theta", THETA)
+                return self.const("theta", THETA)
             if t.text in self.bindings:
                 return self.bindings[t.text]
             self.error(f"unknown identifier {t.text!r}", t)

@@ -159,23 +159,46 @@ def _fixed_bits(spec: OrbitSpec, N: int, max_bits: int) -> int:
     return prefilter_bits((N * N * beta_abs).bit_length(), max_bits)
 
 
+def _ceil_root(x: int, k: int) -> int:
+    """The least integer r >= 0 with r^k >= x, for x >= 0 and k >= 1."""
+    if x <= 1:
+        return max(x, 0)
+    r = 1 << -(-x.bit_length() // k)  # r^k >= x
+    while True:  # Newton's step from above stays above the floor of the root
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r**k >= x else r + 1
+
+
+def _block_bound(n0: int, c: Fraction, bits: int) -> int:
+    """U = ceil(2^bits n0^(-c)), the least integer with U^den n0^num >=
+    2^(bits den): a distance of at least ``U * 2^-bits`` is at least
+    n^(-c) for every n >= n0."""
+    num, den = c.numerator, c.denominator
+    return _ceil_root(-(-(1 << (bits * den)) // n0**num), den)
+
+
 def _fixed_indicator(
-    n: int, c: Fraction, alpha: tuple[int, int], beta: tuple[int, int], bits: int
+    n: int, c: Fraction, alpha: tuple[int, int], beta: tuple[int, int], bits: int, bound: int
 ) -> int | None:
-    """f(n) from enclosures ``alpha, beta * 2^-bits``, or None if they cannot decide.
+    """f(n), for n past the region where n^(-c) >= 1/2, from enclosures
+    ``alpha, beta * 2^-bits``, or None if they cannot decide.
 
     m = floor(n*beta) must be decided; then d = ||n*m*alpha|| lies in
-    ``[d_lo, d_hi] * 2^-bits`` and ``d^den * n^num < 1`` is settled when
-    ``d_lo^den * n^num >= 2^(bits*den)`` (f = 0, the common case) or
-    ``d_hi^den * n^num < 2^(bits*den)`` (f = 1).
+    ``[d_lo, d_hi] * 2^-bits``.  f = 0 (the common case) when d_lo reaches
+    ``bound``, a :func:`_block_bound` of some n0 <= n.  Otherwise
+    ``d^den * n^num < 1`` is settled when ``d_lo^den * n^num >=
+    2^(bits*den)`` (f = 0) or ``d_hi^den * n^num < 2^(bits*den)`` (f = 1).
     """
-    if _threshold_at_least_half(n, c):
-        return 1
     try:
         m = floor_iv(scale_iv(n, beta), bits)
         d_lo, d_hi = dist_iv(scale_iv(n * m, alpha), bits)
     except NeedBits:
         return None
+    if d_lo >= bound:
+        return 0
     num, den = c.numerator, c.denominator
     t = n**num
     one = 1 << (bits * den)
@@ -201,14 +224,17 @@ def growth_count(
 ) -> list[GrowthRow]:
     """S(N) = #{0 <= n < N : f(n) = 1} along a geometric ladder of N.
 
-    Each n is decided on fixed-point enclosures of alpha and beta when they
-    settle it, and by ``small_value_indicator`` otherwise.  Precision
+    Every n with n^(-c) >= 1/2 is a member.  Past them the points run in
+    blocks [n0, 2 n0), and each n is decided on fixed-point enclosures of
+    alpha and beta when they settle it, first against the block's one bound
+    on n^(-c), and by ``small_value_indicator`` otherwise.  Precision
     failures of the exact decision are skipped and reported per row, never
     counted.
     """
     ladder = tuple(sorted(ladder))
     if ladder and ladder[0] < 1:
         raise PreconditionError("ladder values N must be positive")
+    c = spec.c
     bits = _fixed_bits(spec, ladder[-1] if ladder else 0, max_bits)
     alpha = fixed_enclosure(spec.alpha, bits)
     beta = fixed_enclosure(spec.beta, bits)
@@ -216,17 +242,25 @@ def growth_count(
     count = 0
     skipped = 0
     n = 1
+    near = True  # n^(-c) >= 1/2 so far; it fails for good at the first n it fails at
     for N in ladder:
+        while near and n < N:
+            near = _threshold_at_least_half(n, c)
+            count += near
+            n += near
         while n < N:
-            f = _fixed_indicator(n, spec.c, alpha, beta, bits)
-            if f is None:
-                try:
-                    f = small_value_indicator(spec, n, max_bits)
-                except PrecisionExhausted:
-                    f = 0
-                    skipped += 1
-            count += f
-            n += 1
+            stop = min(N, 2 * n)
+            bound = _block_bound(n, c, bits)
+            for k in range(n, stop):
+                f = _fixed_indicator(k, c, alpha, beta, bits, bound)
+                if f is None:
+                    try:
+                        f = small_value_indicator(spec, k, max_bits)
+                    except PrecisionExhausted:
+                        f = 0
+                        skipped += 1
+                count += f
+            n = stop
         exponent = 1 - float(spec.c)
         rows.append(GrowthRow(N=N, count=count, ratio=count / N**exponent, skipped=skipped))
     return rows

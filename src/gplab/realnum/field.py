@@ -448,7 +448,15 @@ class FieldElement:
         return self - self.floor()
 
     def nint(self) -> int:
-        return (self + Fraction(1, 2)).floor()
+        """floor(x + 1/2), which is (floor(2x) + 1) // 2; 2x is in lowest
+        terms as the halved denominator where it is even, else as the doubled
+        numerators."""
+        num, den = self.num, self.den
+        if den & 1:
+            twice = FieldElement(self.field, tuple(2 * c for c in num), den)
+        else:
+            twice = FieldElement(self.field, num, den >> 1)
+        return (twice.floor() + 1) >> 1
 
     def dist_to_int(self) -> "FieldElement":
         """Distance to the nearest integer, as an exact field element."""

@@ -28,11 +28,21 @@ DEFAULT_MAX_BITS = 4096
 
 
 class RefinableReal:
-    def __init__(self, approximant: Callable[[int], Interval], name: str = ""):
+    """A stream.  Its name, for messages, is a string or a function that
+    makes one, called the first time the name is read."""
+
+    def __init__(self, approximant: Callable[[int], Interval], name: str | Callable[[], str] = ""):
         self._approximant = approximant
-        self.name = name
+        self._name = name
         self._best: tuple[int, int, int] | None = None  # (bits, lo, hi): the finest answer
         self._cache: dict[int, Interval] = {}
+
+    @property
+    def name(self) -> str:
+        name = self._name
+        if not isinstance(name, str):
+            name = self._name = name()
+        return name
 
     def interval(self, bits: int) -> Interval:
         """Integers ``lo <= x * 2^bits <= hi`` with ``hi - lo <= 2``, nested across ``bits``."""
@@ -90,7 +100,7 @@ def rr_neg(x: RefinableReal) -> RefinableReal:
         lo, hi = x.interval(bits)
         return -hi, -lo
 
-    return RefinableReal(fn, f"-({x.name})" if x.name else "")
+    return RefinableReal(fn, lambda: f"-({x.name})" if x.name else "")
 
 
 def rr_add(x: RefinableReal, y: RefinableReal) -> RefinableReal:
@@ -171,7 +181,7 @@ def rr_sqrt(x: RefinableReal) -> RefinableReal:
             raise PreconditionError(f"sqrt of a negative value {x!r}")
         return _isqrt_iv(max(lo, 0), hi)
 
-    return RefinableReal(fn, f"sqrt({x.name})" if x.name else "")
+    return RefinableReal(fn, lambda: f"sqrt({x.name})" if x.name else "")
 
 
 def _theta_interval(bits: int) -> Interval:

@@ -37,11 +37,13 @@ Real = Union[Fraction, FieldElement, RefinableReal]
 
 
 def as_stream(x: Real) -> RefinableReal:
+    """x as a stream; a field element's stream is named by its repr, made
+    only if the name is read."""
     t = type(x)
     if t is Fraction:
         return constant(x)
     if t is FieldElement:
-        return RefinableReal(lambda bits: dyadic_enclosure(x, bits), repr(x))
+        return RefinableReal(lambda bits: dyadic_enclosure(x, bits), lambda: repr(x))
     return x
 
 
@@ -182,6 +184,12 @@ def floor_frac(x: Real, max_bits: int = DEFAULT_MAX_BITS) -> tuple[int, Real]:
 
 
 def nint_of(x: Real, max_bits: int = DEFAULT_MAX_BITS) -> int:
+    """floor(x + 1/2), exact for rationals and field elements."""
+    t = type(x)
+    if t is Fraction:
+        return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+    if t is FieldElement:
+        return x.nint()
     m, _ = floor_frac(radd(x, Fraction(1, 2)), max_bits)
     return m
 

@@ -503,6 +503,87 @@ def eval_tree(e, n: int, max_bits: int = 4096):
     return val[id(e)]
 
 
+def exact_reference(program, n: int, max_bits: int = 4096, decided: dict | None = None):
+    """``program``'s exact value at n by the loop that evaluated exact mode
+    before each program was given a generated function: the reference for
+    that function.
+
+    Every op runs once, in order, on the values of the realnum operations,
+    except that an op in ``decided`` is read as the integer it maps to.
+    """
+    from gplab.gpexpr.evaluate import (
+        _ADD,
+        _CONST,
+        _DIST,
+        _FLOOR,
+        _FRAC,
+        _MUL,
+        _NINT,
+        _POW,
+        _RANGE,
+        _SUB,
+        _TWO_OPERANDS,
+        _VAR,
+    )
+    from gplab.realnum import (
+        compare,
+        dist_of,
+        floor_frac,
+        frac_of,
+        is_exact_zero,
+        nint_of,
+        radd,
+        rmul,
+        rpow,
+        rsub,
+    )
+
+    def in_range(v, lo, hi) -> bool:
+        return compare(v, lo, max_bits) >= 0 and compare(v, hi, max_bits) < 0
+
+    def one_op(code, x, y):
+        if code == _ADD:
+            return radd(x, y)
+        if code == _SUB:
+            return rsub(x, y)
+        if code == _MUL:
+            return rmul(x, y)
+        if code == _POW:
+            return rpow(x, y)
+        if code == _FLOOR:
+            return Fraction(floor_frac(x, max_bits)[0])
+        if code == _FRAC:
+            return frac_of(x, max_bits)
+        if code == _NINT:
+            return Fraction(nint_of(x, max_bits))
+        if code == _DIST:
+            return dist_of(x, max_bits)
+        if code == _RANGE:
+            return Fraction(in_range(x, Fraction(y[0], y[1]), Fraction(y[2], y[3])))
+        # _DIST_LT, x the scale and y the argument
+        if is_exact_zero(x):
+            return Fraction(1)
+        f = frac_of(y, max_bits)
+        zero, one = Fraction(0), Fraction(1)
+        return Fraction(
+            in_range(rmul(x, f), zero, one) or in_range(rmul(x, rsub(one, f)), zero, one)
+        )
+
+    decided = decided or {}
+    val: list = []
+    for i, (code, a, b) in enumerate(program.ops):
+        if i in decided:
+            out = Fraction(decided[i])
+        elif code == _CONST:
+            out = program.consts[a]
+        elif code == _VAR:
+            out = Fraction(n)
+        else:
+            out = one_op(code, val[a], val[b] if code in _TWO_OPERANDS else b)
+        val.append(out)
+    return val[-1]
+
+
 def dyadic_reference(program, n: int, bits: int) -> tuple[int, int]:
     """``program``'s interval ``[lo, hi] * 2^-bits`` at n, or ``NeedBits``,
     by the stack machine that evaluated dyadic mode before each program was

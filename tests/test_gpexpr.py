@@ -701,6 +701,69 @@ def test_map_tree_folds_shared_subtrees_once():
     assert isinstance(node, Mul)
 
 
+def test_walk_distinct_is_walk_without_repeats():
+    # each distinct node once, in the order of its first occurrence in the
+    # full preorder, on a built certificate's tree of shared subterms
+    from types import SimpleNamespace
+
+    from gplab.constructions.registry import CONSTRUCTIONS
+    from gplab.gpexpr.ast import walk_distinct
+
+    d = N
+    for _ in range(1200):
+        d = Add(d, Floor(d))
+    assert len(list(walk_distinct(d))) == 2 * 1200 + 1 and depends_on_var(d)
+    e = CONSTRUCTIONS["quadratic"].build(SimpleNamespace(a=3, norm=1)).indicator
+    firsts = {}
+    for node in walk(e):
+        firsts.setdefault(id(node), node)
+    assert [id(x) for x in walk_distinct(e)] == list(firsts)
+    assert len(firsts) < sum(1 for _ in walk(e)) // 10
+
+
+def test_the_parser_hash_conses_structurally_equal_subterms():
+    from types import SimpleNamespace
+
+    from gplab.constructions import Certificate
+    from gplab.constructions.registry import CONSTRUCTIONS
+    from gplab.gpexpr.ast import walk_distinct
+
+    from oracles import REGISTRY_CASES
+
+    e = parse("let s = root(x^2-2, 1, 2); floor(n*s) * floor(n*s) + (n*s - 1/2)")
+    assert e.left.left is e.left.right and e.right.left is e.left.left.arg
+
+    def structure(node):
+        # a key that equal subterms share: the keys of their children
+        classes = {}
+
+        def key(node, kids):
+            fields = (node.exponent,) if isinstance(node, Pow) else ()
+            if isinstance(node, RationalConst):
+                fields = (node.value,)
+            elif isinstance(node, Const):
+                fields = (node.name, id(node.value) if isinstance(node.value, RefinableReal) else node.value)
+            return classes.setdefault((type(node), *kids, *fields), len(classes))
+
+        map_tree(node, key)
+        return len(classes)
+
+    sizes = {}
+    for name, params in REGISTRY_CASES:
+        cert = CONSTRUCTIONS[name].build(SimpleNamespace(**params))
+        text = cert.to_file_text()
+        parsed = Certificate.from_file_text(text)
+        distinct = sum(1 for _ in walk_distinct(parsed.indicator))
+        # one object per structure: as many distinct nodes as distinct subterms
+        assert distinct == structure(parsed.indicator), name
+        assert parsed.to_file_text() == text, name
+        sizes[name, tuple(params.items())] = distinct
+    # the printed quadratic a=3 norm +1 indicator is 25 kB: each shared
+    # subterm written out wherever it occurs, once 5,481 parsed nodes; the
+    # built tree has 232, and a field constant prints as a sum of terms
+    assert sizes["quadratic", (("a", 3), ("norm", 1))] == 221
+
+
 def test_product_skips_right_factor_when_left_is_zero():
     # floor(theta + 1 - theta) stays undecided at every precision, but it is
     # never needed where the left factor is exactly zero

@@ -21,7 +21,7 @@ from gplab.nilorbit import (
 )
 from gplab.realnum import NumberField, compare, interval_of, to_float
 
-from oracles import frac_quadratic, floor_quadratic
+from oracles import frac_quadratic, floor_quadratic, growth_count_exhaustive
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +139,29 @@ def test_growth_nontrivial_regime_matches_oracle():
             expected += 1
     assert count == expected
     assert rows[0].count > 0
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 20), Fraction(1, 3), Fraction(9, 20)])
+def test_growth_count_matches_the_exhaustive_count(c):
+    # past the region where n^-c >= 1/2, each block's one bound on n^-c
+    # settles most points; every row is the plain sum of the exact indicator
+    spec = default_orbit_spec(c)
+    ladder = (1, 5, 64, 700, 1500)
+    rows = growth_count(spec, ladder)
+    assert [r.count for r in rows] == [growth_count_exhaustive(spec, N) for N in ladder]
+    assert all(r.skipped == 0 for r in rows)
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 20), Fraction(1, 3), Fraction(9, 20), Fraction(7, 8)])
+def test_the_block_bound_is_the_least_integer_past_the_threshold(c):
+    # U^den n0^num >= 2^(bits den) > (U - 1)^den n0^num
+    from gplab.nilorbit import _block_bound
+
+    num, den = c.numerator, c.denominator
+    for n0 in (2, 3, 1000, 2**20 + 1, 10**6 + 7):
+        for bits in (8, 61, 128):
+            u = _block_bound(n0, c, bits)
+            assert u**den * n0**num >= 1 << (bits * den) > (u - 1) ** den * n0**num
 
 
 def test_growth_f0_is_zero():

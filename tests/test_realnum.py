@@ -269,6 +269,42 @@ def test_mixed_field_product_via_intervals():
     assert abs(float((lo + hi) / 2) - 6**0.5) < 1e-12
 
 
+def test_a_field_element_stream_is_named_only_when_read(monkeypatch):
+    from gplab.realnum import FieldElement, rr_sqrt
+
+    sq2 = NumberField((-2, 0, 1), 1, 2, "s").generator() + Fraction(1, 3)
+    shown = []
+    real_repr = FieldElement.__repr__
+
+    def counted(x):
+        shown.append(x)
+        return real_repr(x)
+
+    monkeypatch.setattr(FieldElement, "__repr__", counted)
+    root = rr_sqrt(as_stream(sq2))
+    assert root.interval(40) and shown == []
+    assert root.name == "sqrt(1/3 + 1*s)" and len(shown) == 1
+    assert root.name == "sqrt(1/3 + 1*s)" and len(shown) == 1  # made once
+    # an error message reads the name as before
+    wide = RefinableReal(lambda bits: (0, 9), lambda: "wide one")
+    with pytest.raises(PrecisionExhausted, match="approximant for wide one too wide at bits=4"):
+        wide.interval(4)
+
+
+def test_best_approximations_format_no_field_element(monkeypatch):
+    from gplab.cf import best_approx_2d
+    from gplab.constructions import cubic_pisot_set
+    from gplab.realnum import FieldElement
+
+    cons = cubic_pisot_set(1, 1)
+
+    def refused(x):
+        raise AssertionError("formatted a field element")
+
+    monkeypatch.setattr(FieldElement, "__repr__", refused)
+    assert [b.q for b in best_approx_2d(cons.theta, cons.norm, 120)] == [1, 2, 4, 7, 13, 24, 44, 81]
+
+
 def test_zero_absorbs_stream():
     assert rmul(THETA, Fraction(0)) == 0
     assert rmul(Fraction(0), THETA) == 0
