@@ -4,10 +4,15 @@
 x_(k+1) = 1/(x_k - a_k): exact on rationals and field elements, and
 decided within ``max_bits`` on streams.  ``cf_expand`` reads a quadratic
 irrational's expansion off it, the period ending where a complete quotient
-first recurs as an equal field element; ``cf_of_rational`` is Euclid's
-algorithm on integers.  ``convergent_walk`` is the one walk over the
+first recurs as an equal field element, and ``quadratic_quotients`` yields
+the same quotients one at a time, with no cap on the period;
+``cf_of_rational`` is Euclid's algorithm on integers.  ``convergent_walk`` is the one walk over the
 convergents of either kind, and ``legendre_candidates`` the one candidate
-walk of the small-distance sets over it.  The 1-D best approximations are
+walk of the small-distance sets over it: the Legendre walk of
+:mod:`gplab.gpexpr.support`, which proposes the points of every compiled
+distance test ||c v|| < 1/(k v), k >= 2, on a quadratic c (so of the
+Fibonacci, Pell, filtered and quadratic certificates), and the very-sparse
+scan.  The 1-D best approximations are
 the convergent denominators (Lagrange's theorem), each compared exactly
 with the last record.  The planar norm is ``|u*x1 + v*x2|`` for a complex
 constant ``u`` and real ``v``, evaluated through its exact squared value in
@@ -115,6 +120,23 @@ def cf_expand(x: FieldElement) -> ContinuedFraction:
         if len(terms) == CF_MAX_TERMS:
             raise PreconditionError(f"period not detected within {CF_MAX_TERMS} terms")
         terms.append(a)
+
+
+def quadratic_quotients(x: FieldElement) -> Iterator[int]:
+    """The partial quotients a_0, a_1, ... of a real quadratic irrational,
+    without end, each formed only when asked for: read off
+    ``complete_quotients`` until a complete quotient recurs as an equal
+    field element, then the period repeated with no more field arithmetic.
+    Unlike ``cf_expand`` it needs no cap on the period, as it forms only the
+    quotients it is asked for."""
+    terms: list[int] = []
+    seen: dict[FieldElement, int] = {}
+    for a, xk in complete_quotients(x):
+        start = seen.setdefault(xk, len(terms))
+        if start < len(terms):
+            yield from itertools.cycle(terms[start:])
+        terms.append(a)
+        yield a
 
 
 def cf_of_rational(x: Fraction) -> ContinuedFraction:

@@ -144,7 +144,12 @@ def cmd_cf(args) -> int:
     conv = convergents(cf, args.count)
     rows = [{"j": j, "p": p, "q": q} for j, (p, q) in enumerate(conv)]
     header = f"# continued fraction: {cf}\n"
-    _write_atomic(args.out, header + _format_rows(rows, args.format, ["j", "p", "q"]))
+    try:
+        table = _format_rows(rows, args.format, ["j", "p", "q"])
+    except ValueError:  # Python prints no integer of more than 4300 digits
+        size = max(abs(conv[-1][0]), conv[-1][1]).bit_length()
+        raise PreconditionError(f"convergents of up to {size} bits are too long to print") from None
+    _write_atomic(args.out, header + table)
     return EXIT_OK
 
 

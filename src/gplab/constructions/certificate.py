@@ -8,15 +8,19 @@ behind it; ``verify_certificate`` (which ``gp cert`` runs from the
 registry's scan start to 4000) writes the data its scan finds.
 
 The indicator decides membership, and ``members_in``, one window scan of
-it over increasing points, is the one place that asks it.  A builder may
-attach ``candidates(lo, hi)``, a generator that only proposes points
-(continued-fraction denominators, the lattice points of a recurrence
-basis, a pull-back of another certificate's ``points``).
-``points`` keeps the proposals in [lo, hi], each once in increasing order,
-or every point without a generator, and ``members`` decides exactly those
-in one ``members_in`` scan.  A certificate built on another reads its
-``points``, never its ``members``, so a scan decides each point once, with
-its own indicator, and the precision budget reaches every scan.
+it over increasing points, is the one place that asks it.  ``points``
+names the points of [lo, hi] a scan decides, each once in increasing
+order.  Without a generator they are the proposals of the indicator's
+support analysis (``gpexpr.proposals``): the Legendre candidates of a
+quadratic distance test, pulled back through a transfer and joined over an
+OR (see :mod:`gplab.gpexpr.support`), or every point of an indicator of
+any other shape, so a printed certificate is read as fast as the built
+one.  A builder whose indicator has no such shape may attach
+``candidates(lo, hi)``, a generator that only proposes points (the lattice
+points of a recurrence basis, the Legendre candidates of a very sparse
+alpha).  ``members`` decides exactly the ``points`` in one ``members_in``
+scan, with the certificate's own indicator, so the precision budget
+reaches every scan.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..errors import ParseError, PreconditionError
-from ..gpexpr import Expr, members_in, parse, to_text
+from ..gpexpr import Expr, members_in, parse, proposals, to_text
 from ..realnum import DEFAULT_MAX_BITS
 
 
@@ -48,9 +52,11 @@ class Certificate:
 
     def points(self, lo: int, hi: int) -> Sequence[int]:
         """The points ``members`` decides: every proposal in [lo, hi], once
-        and in increasing order, or every point without a generator."""
+        and in increasing order, the generator's or, without one, those of
+        the indicator's support analysis (``gpexpr.proposals``)."""
         if self.candidates is None:
-            return range(lo, hi + 1)
+            pieces = proposals(self.indicator, lo, hi)
+            return pieces[0] if len(pieces) == 1 else [n for piece in pieces for n in piece]
         return sorted({n for n in self.candidates(lo, hi) if lo <= n <= hi})
 
     def members(self, lo: int, hi: int, max_bits: int = DEFAULT_MAX_BITS) -> list[int]:

@@ -12,22 +12,25 @@ Three layers:
   ||u*m|| < |u|/2), which converts a certificate for one linear-recurrence
   value set into one for another with the same characteristic polynomial.
 
-Each certificate's candidate generator proposes points: multiples of
-continued-fraction denominators, or another certificate's ``points``
-(pulled back, unfiltered, both a = 3 halves), never its ``members``.  So
-only the outer ``Certificate.members`` decides, each point once, in one
-``members_in`` window scan of the compiled indicator, and a scan's output
-is exactly the indicator's member set.  The builders do not scan against
-their targets: the registry pairs each one with its oracle, and ``gp
-cert`` computes the exceptional set.
+No certificate here attaches a candidate generator: the support analysis
+of the compiled indicator (:mod:`gplab.gpexpr.support`) reads the
+proposals off the ops, the same for a built certificate and a printed
+one.  E' is a distance test ``_DIST_LT(2 n, x n)``, whose members are
+among the Legendre candidates g q_k of x; a filter is a product, which
+proposes its E' factor's points; a transfer is a product of
+``||u m|| < |u|/2`` with the source indicator read at nint(u m), which
+pulls the source's proposals r back to m = nint(r/u); and the a = 3 union
+proposes both halves' points.  ``Certificate.members`` decides each
+proposal once, in one ``members_in`` window scan of the compiled
+indicator, so a scan's output is exactly the indicator's member set.  The
+builders do not scan against their targets: the registry pairs each one
+with its oracle, and ``gp cert`` computes the exceptional set.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
-from ..cf import ContinuedFraction, cf_expand, legendre_candidates
 from ..errors import PreconditionError
 from ..gpexpr import (
     Const,
@@ -47,29 +50,11 @@ from .certificate import Certificate
 from .recurrence import LinearRecurrence, recurrence_terms, residue_coefficient
 
 
-def _half_over_n_scan(cf: ContinuedFraction, lo: int, hi: int) -> Iterator[int]:
-    """Candidates for {n : ||n x|| < 1/(2n)} on [lo, hi], x = ``cf.source``.
-
-    Every point n <= 0 is proposed.  A member n >= 1 has
-    |x - nint(n x)/n| < 1/(2n^2), so it is g q_k (``cf.legendre_candidates``) with
-    g d_k < 1/(2 g q_k), that is 2 g^2 < 1/(q_k d_k).  Since
-    d_k = 1/(q_k x_{k+1} + q_{k-1}) with x_{k+1} < a_{k+1} + 1 the complete
-    quotient and q_{k-1} <= q_k, 1/(q_k d_k) = x_{k+1} + q_{k-1}/q_k <
-    a_{k+1} + 2.  So every member is one of the O(log hi) points
-    {g q_k : 2 g^2 < a_{k+1} + 2, q_k <= hi}, k >= 0 (q_0 = 1, and
-    q_1 = 1 too when a_1 = 1).
-    """
-    yield from range(lo, min(0, hi) + 1)
-    yield from legendre_candidates(cf, lo, hi, lambda g, p, q, a_next: 2 * g * g < a_next + 2)
-
-
 def _half_over_n_certificate(x: FieldElement, description: str) -> Certificate:
-    cf = cf_expand(x)
     ind = dist_lt_scaled(Mul(N, Const(x.field.name, x)), Mul(RationalConst(Fraction(2)), N))
     return Certificate(
         indicator=ind,
         target_description=description,
-        candidates=lambda lo, hi: _half_over_n_scan(cf, lo, hi),
         meta={"kind": "half-over-n", "root": repr(x)},
     )
 
@@ -77,7 +62,7 @@ def _half_over_n_certificate(x: FieldElement, description: str) -> Certificate:
 def _require_finitely_many_doubles(limit_sq: int, what: str) -> None:
     """Refuse a root whose {n : ||n x|| < 1/(2n)} holds 2 q_k for infinitely many k.
 
-    By the bound in ``_half_over_n_scan``, 2 q_k is a member iff
+    By the bound of the Legendre walk (``gpexpr.support._Walk``), 2 q_k is a member iff
     x_{k+1} + q_{k-1}/q_k > 8.  Conjugating x = (p_k x_{k+1} + p_{k-1}) /
     (q_k x_{k+1} + q_{k-1}) shows that q_{k-1}/q_k tends to minus the
     conjugate of x_{k+1}, so along the period the sum tends to x_{k+1} minus
@@ -130,14 +115,11 @@ def scaled_set_transfer(
     When the source terms satisfy R_i = u*S_i + o(1) this is, up to a finite
     exceptional set, a certificate for the value set {S_i}.
 
-    The scan pulls source proposals back.  A member m has r = nint(u*m) a
-    source member and |u*m - r| < |u|/2, so m = nint(r/u), and r is a
-    source proposal (``cert_r.points``) as long as the source's generator
-    proposes every point where its indicator holds; a source without one
-    proposes every point.  As nint is monotone, m in [lo, hi] has r
-    between nint(u*lo) and nint(u*hi) (in that order when u > 0, swapped
-    when u < 0), so the source proposes there, at every sign of u and of
-    its points.
+    The support analysis pulls the source's proposals back: a member m has
+    r = nint(u*m) where the source indicator holds, and |u*m - r| < |u|/2,
+    so m = nint(r/u), at every sign of u and of r.  A source the analysis
+    does not read, such as a cubic certificate, whose proposals come from
+    its builder's generator, gives a transfer that scans every point.
     """
     if u.is_zero():
         raise PreconditionError("transfer constant must be nonzero")
@@ -148,17 +130,9 @@ def scaled_set_transfer(
     else:
         near_src = _dist_lt_field_const(un, u_abs * Fraction(1, 2))
     indicator = ind_and(substitute_var(cert_r.indicator, Nint(un)), near_src)
-
-    inv_u = u.inverse()
-
-    def pull_back(lo: int, hi: int) -> Iterator[int]:
-        ends = sorted(((u * lo).nint(), (u * hi).nint()))
-        return ((inv_u * r).nint() for r in cert_r.points(*ends))
-
     return Certificate(
         indicator=indicator,
         target_description=target_description or f"transfer of ({cert_r.target_description})",
-        candidates=pull_back,
         meta={"kind": "scaled-transfer", "u": repr(u)},
     )
 
@@ -207,8 +181,8 @@ def _norm_plus_odd_certificate(gamma: FieldElement, a: int) -> tuple[Certificate
     """Odd-index convergent denominators of gamma with gamma^2 = a*gamma - 1.
 
     Returns the filtered certificate and the exact constant v1 with
-    q_{2i+1} = v1 * gamma^i + o(1).  A member is an unfiltered member,
-    hence one of the unfiltered ``points``, which the scan proposes.
+    q_{2i+1} = v1 * gamma^i + o(1).  A member is an unfiltered member, so
+    the product proposes the unfiltered set's Legendre candidates.
     """
     if not (gamma * gamma - a * gamma + 1).is_zero():
         raise PreconditionError("gamma must satisfy gamma^2 = a*gamma - 1")
@@ -226,7 +200,6 @@ def _norm_plus_odd_certificate(gamma: FieldElement, a: int) -> tuple[Certificate
     cert = Certificate(
         indicator=ind_and(base.indicator, ind_not(substitute_var(base.indicator, Nint(wn)))),
         target_description=f"odd-index convergent denominators of gamma, gamma^2 = {a} gamma - 1",
-        candidates=base.points,
         meta={"kind": "odd-denominator-filter", "a": a, "w": repr(w)},
     )
     return cert, v1
@@ -250,8 +223,8 @@ def quadratic_pisot_unit_set(a: int, norm: int) -> Certificate:
     ``norm=-1``: beta^2 = a*beta + 1 (a >= 1), built from the basic
     small-distance set and one transfer.  ``norm=+1``: beta^2 = a*beta - 1
     (a >= 3), built from the odd-denominator filter (via beta^2 when a = 3)
-    and transfers.  Its oracle is ``nint_powers`` of beta.  For a = 3 a
-    member is a member of one half, so the scan proposes both halves' points.
+    and transfers.  Its oracle is ``nint_powers`` of beta.  For a = 3 the
+    indicator is the OR of two halves, which proposes both halves' points.
     """
     beta = quadratic_unit(a, norm)
     sign = "-" if norm == -1 else "+"
@@ -279,6 +252,5 @@ def quadratic_pisot_unit_set(a: int, norm: int) -> Certificate:
     return Certificate(
         indicator=ind_or(even.indicator, odd_powers.indicator),
         target_description=description,
-        candidates=lambda lo, hi: [*even.points(lo, hi), *odd_powers.points(lo, hi)],
         meta={"construction": "quadratic a=3 norm=+1"},
     )

@@ -33,6 +33,16 @@ the indicator builders write (:mod:`gplab.gpexpr.indicators`):
 Any other ``p + q - p q``, such as ``ind_or``'s OR of two predicates,
 compiles to its literal ops, as any other sum does.
 
+Which points are evaluated is decided elsewhere: :func:`members_in` decides
+the points it is given, and ``gpexpr.members`` gives it only those the
+support analysis of the program proposes (:mod:`gplab.gpexpr.support`):
+the Legendre candidates of a ``_DIST_LT(k v, c v)`` or ``_RANGE(k v F(c v);
+lo, hi)`` on a quadratic c (Legendre's theorem, Khinchin, *Continued
+Fractions*, Thm 19), joined over ``p + q - p q``, read from one factor of a
+product, and pulled back through ``nint(u v)``; every point for any other
+shape.  The analysis is made on the first proposal and kept in the
+program.
+
 Every node compiles bottom up to its literal op; the shapes are read at
 emit time from the ops already compiled for a new ``floor`` or ``-``
 node's operands.  The copies of an operand (the two ``M`` of a zero test,
@@ -116,10 +126,12 @@ generated from it:
 
 Constant enclosures are computed once per program and precision with
 :func:`~gplab.realnum.fixed_enclosure`; irrational field elements use the
-field's certified dyadic root bracket.  Sums, differences, products of
-nonnegative intervals, squares, floors, fractional parts, nearest integers
-and range tests are written out in the generated statements; the other
-interval kernels are the shared ones of :mod:`gplab.realnum.fixed`.
+field's certified dyadic root bracket.  Sums, differences, products with a
+nonnegative factor, squares, floors, fractional parts, nearest integers and
+range tests are written out in the generated statements, each product and
+square with the exact bounds of ``mul_iv``; the other interval kernels
+(among them products of two factors that both reach below 0) are the
+shared ones of :mod:`gplab.realnum.fixed`.
 
 Exact integer intermediate results stay exact in dyadic mode (their
 endpoints coincide and carry no rounding), so indicator expressions always
@@ -309,10 +321,19 @@ def _pow_iv(x: tuple[int, int], e: int, bits: int) -> tuple[int, int]:
     return out
 
 
-# op i's value is in the locals l{i}, h{i}, and a and b are its operands
+# op i's value is in the locals l{i}, h{i}, and a and b are its operands.  A
+# product takes mul_iv's exact bounds, inline where one factor is >= 0: with
+# y >= 0, x y is least at lx ly or lx hy and greatest at hx hy or hx ly, as x
+# is >= 0 or not; with x >= 0 and ly < 0, least at ly hx.
 _PROD = (
-    "(l{a} * l{b} >> bits, -(-h{a} * h{b} >> bits)) if l{a} >= 0 and l{b} >= 0"
-    " else mul_iv((l{a}, h{a}), (l{b}, h{b}), bits)"
+    "(l{a} * (l{b} if l{a} >= 0 else h{b}) >> bits, -(-h{a} * (h{b} if h{a} >= 0 else l{b}) >> bits))"
+    " if l{b} >= 0 else (l{b} * h{a} >> bits, -(-h{b} * (h{a} if h{b} >= 0 else l{a}) >> bits))"
+    " if l{a} >= 0 else mul_iv((l{a}, h{a}), (l{b}, h{b}), bits)"
+)
+# the same bounds for x x: least at lx lx, hx hx or lx hx, as x is >= 0, <= 0 or neither
+_SQUARE = (
+    "(l{a} * l{a} if l{a} >= 0 else h{a} * h{a} if h{a} <= 0 else l{a} * h{a}) >> bits,"
+    " -(-max(l{a} * l{a}, h{a} * h{a}) >> bits)"
 )
 _STATEMENTS = {
     _ADD: "l{i}, h{i} = l{a} + l{b}, h{a} + h{b}",
@@ -343,7 +364,7 @@ def _statement(code: int, i: int, a: int, b: int, g: str | None) -> str:
         if b == 0:
             return f"l{i} = h{i} = one"
         if b == 2:  # one squaring
-            return f"l{i}, h{i} = " + _PROD.format(a=a, b=a)
+            return f"l{i}, h{i} = " + _SQUARE.format(a=a)
         return f"l{i}, h{i} = _pow_iv((l{a}, h{a}), {b:#x}, bits)"
     return (_STATEMENTS if g is None else _UNDER)[code].format(i=i, a=a, b=b, g=g)
 
@@ -724,7 +745,7 @@ class Program:
     no op list is interpreted.
     """
 
-    __slots__ = ("ops", "consts", "_templates", "_kernel", "_exact")
+    __slots__ = ("ops", "consts", "_templates", "_kernel", "_exact", "_support")
 
     def __init__(self, e: Expr):
         self.ops: list[tuple] = []
@@ -732,6 +753,7 @@ class Program:
         self._templates: dict[int, tuple] = {}
         self._kernel = None  # the dyadic function, made on the first dyadic evaluation
         self._exact = None  # the exact function, made on the first exact evaluation
+        self._support = None  # its support analysis (gpexpr.support), made on the first proposal
         keys: dict[tuple, int] = {}  # one per op, plus each fused or folded key
         index: dict[int, int] = {}  # id(node) -> op; nodes live as long as e
         stack = [e]
@@ -1120,11 +1142,6 @@ def members_in(e: Expr, points: Sequence[int], max_bits: int = DEFAULT_MAX_BITS)
                 yield v
             elif eval_indicator(e, v[0], max_bits, _found=(bits, v[1])) == 1:
                 yield v[0]
-
-
-def members(e: Expr, lo: int, hi: int, max_bits: int = DEFAULT_MAX_BITS) -> list[int]:
-    """All n in [lo, hi] where the indicator evaluates to 1, in order."""
-    return list(members_in(e, range(lo, hi + 1), max_bits))
 
 
 def discrete_difference(q: Expr, shifts: list[int], max_bits: int = DEFAULT_MAX_BITS) -> Real:

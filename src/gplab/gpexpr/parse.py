@@ -39,6 +39,7 @@ occurs, re-parses to a tree of as many distinct nodes as the structure has.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
 
 from ..errors import DivisionByZero, ParseError, PreconditionError
@@ -63,8 +64,9 @@ from .ast import (
 )
 from .evaluate import check_const_bits, const_bits, eval_exact
 
+# one alternative per token kind, and any other non-space character as "bad"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),;=]))"
+    r"(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),;=])|(?P<bad>\S)"
 )
 
 _KEYWORDS = {"let", "root", "floor", "frac", "nint", "dist", "n", "x"}
@@ -87,35 +89,33 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, in one ``finditer`` pass, each at the line and
+    column of its first character, read off the precomputed line starts by
+    bisection; a bad character raises at its own position, and the end
+    token stands just past the text."""
+    starts = [0]
+    at = text.find("\n")
+    while at >= 0:
+        starts.append(at + 1)
+        at = text.find("\n", at + 1)
     tokens = []
-    pos = 0
     line, line_start = 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            nl = text.count("\n", 0, pos)
-            raise ParseError(f"unexpected character {stripped[0]!r}", nl + 1, pos - line_start + 1)
-        line += text.count("\n", pos, m.start())
-        if "\n" in text[pos : m.start()]:
-            line_start = text.rfind("\n", pos, m.start()) + 1
-        col = m.start() - line_start + 1
-        digits = m.group("int")
-        if digits is not None:
+    for m in _TOKEN_RE.finditer(text):
+        kind, pos, word = m.lastgroup, m.start(), m.group()
+        if line < len(starts) and pos >= starts[line]:
+            line = bisect_right(starts, pos)
+            line_start = starts[line - 1]
+        col = pos - line_start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", line, col)
+        value = None
+        if kind == "int":
             try:
-                value = int(digits)
+                value = int(word)
             except ValueError:  # past Python's int-string limit (4300 digits by default)
-                msg = f"integer literal of {len(digits)} digits is too long"
-                raise ParseError(msg, line, col) from None
-            tokens.append(_Token("int", digits, line, col, value))
-        elif m.group("ident") is not None:
-            tokens.append(_Token("ident", m.group("ident"), line, col))
-        else:
-            tokens.append(_Token("op", m.group("op"), line, col))
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+                raise ParseError(f"integer literal of {len(word)} digits is too long", line, col) from None
+        tokens.append(_Token(kind, word, line, col, value))
+    tokens.append(_Token("eof", "", len(starts), len(text) - starts[-1] + 1))
     return tokens
 
 

@@ -15,6 +15,7 @@ from gplab.cf import (
     coprime_in_interval,
     legendre_check,
     nearest_lattice_sq,
+    quadratic_quotients,
 )
 from gplab.errors import (
     NondegenerateNormRequired,
@@ -57,6 +58,29 @@ def test_cf_rejects_rational_and_cubic():
     cubic = NumberField((-1, -1, -1, 1), 1, 2)
     with pytest.raises(PreconditionError):
         cf_expand(cubic.generator())
+
+
+def test_quadratic_quotients_are_the_expansion(phi, sqrt2, two_plus_sqrt3):
+    # the lazy quotients equal cf_expand's, read far past the period, and
+    # one period longer than cf_expand's cap is not needed whole
+    from itertools import chain, cycle, islice
+
+    for x in (phi, sqrt2, two_plus_sqrt3, -sqrt2, (phi * 3 - 7) / 5):
+        cf = cf_expand(x)
+        want = list(islice(chain(cf.preperiod, cycle(cf.period)), 60))
+        assert list(islice(quadratic_quotients(x), 60)) == want
+    d = 1000000000039  # sqrt(d) has a period past 10,000 terms
+    long = NumberField((-d, 0, 1), 1000000, 1000001, "r").generator()
+    with pytest.raises(PreconditionError):
+        cf_expand(long)
+    # the integer recurrence for sqrt(d): m' = c a - m, c' = (d - m'^2)/c
+    want, m, c, a = [], 0, 1, 1000000
+    for _ in range(50):
+        want.append(a)
+        m = c * a - m
+        c = (d - m * m) // c
+        a = (1000000 + m) // c
+    assert list(islice(quadratic_quotients(long), 50)) == want
 
 
 def test_cf_negative_value(sqrt2):

@@ -566,6 +566,22 @@ def test_cf_command_output(tmp_path):
     assert lines[0].startswith("# continued fraction: [3; (1,2)*]")
 
 
+def test_cf_past_the_print_limit_exits_2(tmp_path, capsys):
+    # convergents longer than Python prints end in one typed line, not a
+    # traceback: at the lowest limit, 640 digits, sqrt2's q_2000 has 766
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = run(["cf", "--expr", "let s = root(x^2-2,1,2); s", "--count", "2000",
+                    "--out", str(tmp_path / "cf.csv")])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "too long to print" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "cf.csv").exists()
+
+
 def test_suite_quick(tmp_path, capsys):
     out = tmp_path / "suite.txt"
     assert run(["suite", "quick", "--out", str(out)]) == 0

@@ -22,7 +22,7 @@ from gplab.cf import cf_expand, convergent_walk
 from gplab.constructions.quadratic import odd_index_denominators, quadratic_unit
 from gplab.constructions.registry import SCAN_TO, construction
 from gplab.errors import PreconditionError, ZeroSolution
-from gplab.gpexpr import eval_exact, eval_indicator, members
+from gplab.gpexpr import eval_exact, eval_indicator, members, members_in
 from gplab.realnum import NumberField, to_float
 
 from oracles import REGISTRY_CASES, REGISTRY_IDS, dist_quadratic_lt, eval_tree, fibonacci_upto
@@ -113,11 +113,11 @@ def test_fibonacci_indicator_matches_fast_scan():
 
 @pytest.mark.parametrize("name, params", REGISTRY_CASES, ids=REGISTRY_IDS)
 def test_scan_matches_compiled_indicator(name, params):
-    # the scan's candidate generator drops no member of the indicator; at
-    # n <= 0 the cubic and very-sparse indicators hold at points outside
-    # the target
+    # the scan's proposals, a generator's or the support analysis's, drop
+    # no member of the indicator against a scan of every point; at n <= 0
+    # the cubic and very-sparse indicators hold at points outside the target
     cert = construction(name).build(SimpleNamespace(**params))
-    assert cert.members(-50, 4000) == members(cert.indicator, -50, 4000)
+    assert cert.members(-50, 4000) == list(members_in(cert.indicator, range(-50, 4001)))
 
 
 _README_EXPRESSION = (
@@ -332,7 +332,7 @@ def test_transfer_scan_at_every_sign(u_name):
     beta = cons.beta
     u = {"-1/beta": -beta.inverse(), "1/beta": beta.inverse(), "-beta": -beta}[u_name]
     out = scaled_set_transfer(cons.certificate, u, "transfer")
-    assert out.members(-40, 200) == members(out.indicator, -40, 200)
+    assert out.members(-40, 200) == list(members_in(out.indicator, range(-40, 201)))
 
 
 # -- certificate file format --------------------------------------------------
@@ -543,7 +543,7 @@ def test_half_over_n_scan_matches_indicator(name):
     cert = quadratic._half_over_n_certificate(x, "")
     cf = cf_expand(x)
     got = cert.members(-50, 30000)
-    assert got == members(cert.indicator, -50, 30000)
+    assert got == list(members_in(cert.indicator, range(-50, 30001)))
     if name == "root8":
         assert {2, 16, 130, 1056, 8578} <= set(got)  # the g = 2 candidates
     # +-20 windows around every convergent denominator q_k and 2 q_k to 1e17

@@ -84,23 +84,23 @@ def test_registry_indicators_match_the_stack_machine(name, params):
 # registry constructions, built and printed-then-parsed, the README expression
 # and the small-distance certificate; a generator change that alters any
 # generated source re-pins it with its reason
-_FIB = "5eca52bdc338550e7be4f8caa48553033ec6b818f4911e2a79fcb25878ded9b6"
-_QUAD_MINUS = "1b8c8f09dac9edabae66e24eff1c1f550209652252b08bf4e5b52ed351bf3645"
-_QUAD_MINUS_REPARSED = "adc2687e26d44307d5f8f852aecea26d3a58a5c7b674831e62b1087c1c7fde0e"
-_FILTER = "32f0b6701a64731e55961895e1d63690f69a63ec5df07bfab95777bd31da3561"
-_CUBIC = "cb851ca592975d06e59ca5e5f7271ab45c709b4a4eef3666946262dbd01448b1"
+_FIB = "335c451e6bc575151af1e5dc95826dc0de0754b2b62dbe38b5c017156ef259bd"
+_QUAD_MINUS = "fec4eeafa7b11e2e0316739da64f163c9c54c3ed940a2409eb79e9ed05f31e37"
+_QUAD_MINUS_REPARSED = "5790a5016d932686f13d7604164f44ac5faf3424ddb4423911b2cbb40892f488"
+_FILTER = "3db532fc35885b2607d3b711d3b5aad708e40b4e998043c0a6b90bb1b7a0a3f6"
+_CUBIC = "4a7e6fae254b3b276c9555422a16ddd50033387e9bab0cf9e1811f0fae231170"
 KERNEL_SHA256 = [
     # (construction, parameters, built, re-parsed)
     ("fibonacci", dict(a=1), _FIB, _FIB),
     ("fibonacci", dict(a=2), _FIB, _FIB),
     ("fibonacci", dict(a=7), _FIB, _FIB),
     ("quadratic", dict(a=3, norm=1),
-     "1374f62008b180bc40c34f1623f4cb23ddf06b0a5ecfbf3b6bf55638ba4c8ad7",
-     "1374f62008b180bc40c34f1623f4cb23ddf06b0a5ecfbf3b6bf55638ba4c8ad7"),
+     "11eb503c247cc844e3206a8d12105f6b2e3b767b82d4d8d3747d725d99f299c1",
+     "11eb503c247cc844e3206a8d12105f6b2e3b767b82d4d8d3747d725d99f299c1"),
     ("quadratic", dict(a=3, norm=-1), _QUAD_MINUS, _QUAD_MINUS_REPARSED),
     ("quadratic", dict(a=5, norm=1),
-     "94e7a25e9651f83fc24b20f39dd133ce96edc4eb8106aeba2c3ce3e582a3bb0f",
-     "bd6d5aa6a61dbbe32b7a2b8589882fdc314f0182be5094680d2fd4b7fd9a40cd"),
+     "01408e3183b4b0c2af289d6c76db67685014d62afaced06d38490d612401ae1b",
+     "5ca1cc2b0ad68dc757b1fc0660ce0da047f0da855037df49495184bcb9b75047"),
     ("quadratic", dict(a=2, norm=-1), _QUAD_MINUS, _QUAD_MINUS_REPARSED),
     ("quadratic-filter", dict(a=4), _FILTER, _FILTER),
     ("quadratic-filter", dict(a=6), _FILTER, _FILTER),
@@ -108,11 +108,11 @@ KERNEL_SHA256 = [
     ("cubic", dict(a=2, b=1), _CUBIC, _CUBIC),
     ("cubic", dict(a=2, b=-1), _CUBIC, _CUBIC),
     ("verysparse", dict(sequence=(2, 128, 562949953421312), C=5, D=6),
-     "fafcb0bae6b4ad946c2d75383a914ede154f7a28e5ae1423fa0296f6675891f2",
-     "fafcb0bae6b4ad946c2d75383a914ede154f7a28e5ae1423fa0296f6675891f2"),
+     "aa6735512cff542a7249196014c011e97e23f72c25aa49adbb41b68c77e730ee",
+     "aa6735512cff542a7249196014c011e97e23f72c25aa49adbb41b68c77e730ee"),
 ]
-_README_SHA256 = "8b7971e12e960833c2c24aaf9f07a7ef986f244735be49c82f30f45d17a0edb6"
-_SQRT2_SHA256 = "8a8687b61fb879409665c753b9b9cda8e7f9091967994a66112007e4d4827d91"
+_README_SHA256 = "11ac1e759633d59a992a903e26ef509d01b7713529cf93ee1c955e35031a4424"
+_SQRT2_SHA256 = "4080e733dd4bb4eb2089d62c767c47994cd8b97874f660fa8083bf9578b95180"
 
 
 def _kernel_sha256(e) -> str:

@@ -67,6 +67,17 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as exc:
         parse("floor(n")
     assert exc.value.line == 1 and exc.value.col >= 7
+    # across lines: each token at the line and column of its first character
+    cases = [
+        ("let phi = root(x^2-x-1, 1, 2);\n  floor(n*phi $)", 2, 15),  # a bad character
+        ("n +\n\n  (n", 3, 5),  # the end of input
+        ("n\n + 12\n  *\n   frob(n)", 4, 4),  # an unknown name
+        ("  \n\t n +\n  1 )", 3, 5),  # trailing input after blanks and a tab
+    ]
+    for text, line, col in cases:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col) == (line, col), text
 
     with pytest.raises(ParseError):
         parse("frob(n)")

@@ -31,8 +31,10 @@ from oracles import first_finite_sums
 
 def _set_cert(pred, desc="test set"):
     # no indicator: ``members_in`` answers from the predicate, and ``members``
-    # decides every point, as for any certificate without a generator
-    cert = Certificate(indicator=None, target_description=desc)
+    # decides every point, which the generator proposes
+    cert = Certificate(
+        indicator=None, target_description=desc, candidates=lambda lo, hi: range(lo, hi + 1)
+    )
     cert.members_in = lambda points, max_bits=DEFAULT_MAX_BITS: (n for n in points if pred(n))
     return cert
 

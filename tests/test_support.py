@@ -1,0 +1,210 @@
+"""The support analysis of compiled indicators (``gpexpr.support``).
+
+``gpexpr.members`` decides only the points ``gpexpr.proposals`` names, so
+every test here compares against the unproposed scan, ``members_in`` over
+every point of a range: a member the analysis failed to propose shows up as
+a difference.
+"""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gplab.constructions import (
+    Certificate,
+    LinearRecurrence,
+    fibonacci_like_set,
+    residue_coefficient,
+    scaled_set_transfer,
+)
+from gplab.constructions.registry import construction
+from gplab.gpexpr import (
+    N,
+    Const,
+    Dist,
+    Frac,
+    Mul,
+    Nint,
+    RationalConst,
+    dist_lt_scaled,
+    frac_expr,
+    ind_and,
+    indicator_of_range,
+    members,
+    members_in,
+    parse,
+    proposals,
+    substitute_var,
+)
+from gplab.gpexpr.evaluate import _compiled
+from gplab.gpexpr.support import _EVERY, _support
+from gplab.realnum import NumberField
+
+from oracles import REGISTRY_CASES, REGISTRY_IDS
+
+README = "let phi = root(x^2-x-1, 1, 2); floor(1 - frac(theta*floor(2*n*(n*phi - floor(n*phi)))))"
+LO, HI = -50, 10**4
+PHI = NumberField((-1, -1, 1), 1, 2, "phi").generator()
+
+# the registry cases whose indicators the analysis reads: all but the cubic
+# and very-sparse ones, which keep their builders' generators
+SPARSE = {"fibonacci", "quadratic", "quadratic-filter"}
+
+
+def _proposed(e, lo: int, hi: int) -> set[int]:
+    return {n for piece in proposals(e, lo, hi) for n in piece}
+
+
+def _unproposed(e, lo: int, hi: int) -> list[int]:
+    return list(members_in(e, range(lo, hi + 1)))
+
+
+def _cases():
+    for (name, params), case in zip(REGISTRY_CASES, REGISTRY_IDS):
+        cert = construction(name).build(SimpleNamespace(**params))
+        yield case, cert.indicator, name in SPARSE
+        # printed and parsed back: the analysis reads the text, not the builder
+        yield case + "-reparsed", Certificate.from_file_text(cert.to_file_text()).indicator, name in SPARSE
+    # a = 7: 2 g^2 < a_(k+1) + 2 lets g = 2 through, so doubles q_k are proposed
+    yield "fibonacci-a=7", fibonacci_like_set(7).indicator, True
+    yield "readme", parse(README), True
+    # a period past cf_expand's cap: the walk takes only the quotients it needs
+    long = README.replace("root(x^2-x-1, 1, 2)", "root(x^2-1000000000039, 1000000, 1000001)")
+    yield "readme-long-period", parse(long), True
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize("case, e, sparse", CASES, ids=[c for c, _, _ in CASES])
+def test_every_member_is_proposed(case, e, sparse):
+    found = _unproposed(e, LO, HI)
+    proposed = _proposed(e, LO, HI)
+    assert set(found) <= proposed
+    assert members(e, LO, HI) == found
+    # the analysis reads exactly the quadratic certificates and the README
+    assert (_support(e) is not _EVERY) == sparse
+    if sparse:
+        assert len(proposed) < 300 + abs(LO)
+
+
+@pytest.mark.parametrize(
+    "case, e", [(c, e) for c, e, sparse in CASES if sparse], ids=[c for c, _, s in CASES if s]
+)
+def test_windows_around_members_and_their_doubles(case, e):
+    # +-20 windows around each member and each 2 * member up to 1e17,
+    # against the unproposed scan of the same window
+    found = members(e, 1, 10**17)
+    assert len(found) > 5
+    if case.endswith("-reparsed"):  # proposes what the built indicator does
+        built = next(b for c, b, _ in CASES if c == case[: -len("-reparsed")])
+        assert _proposed(e, 1, 10**17) == _proposed(built, 1, 10**17)
+    for m in sorted({*found, *(2 * m for m in found)}):
+        assert members(e, m - 20, m + 20) == _unproposed(e, m - 20, m + 20), (case, m)
+
+
+def _quadratic(d: int, p: int, q: int, r: int):
+    """(p + q sqrt(d)) / r, an irrational quadratic constant."""
+    root = NumberField((-d, 0, 1), int(d**0.5), int(d**0.5) + 1, "s").generator()
+    return (root * q + p) / r
+
+
+_constants = st.builds(
+    _quadratic,
+    st.sampled_from([2, 3, 5, 7, 13, 19]),
+    st.integers(-3, 3),
+    st.sampled_from([-2, -1, 1, 3]),
+    st.sampled_from([1, 2, 3]),
+)
+_scales = st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(7)])
+
+
+@st.composite
+def _programs(draw):
+    """A distance test ||c n|| < 1/(k n), or a range test lo <= k n F(c n) < hi
+    with F a fractional part or a distance, with its factors in either order."""
+    c, k = draw(_constants), draw(_scales)
+    flip = draw(st.booleans())
+    cn = Mul(Const("s", c), N) if flip else Mul(N, Const("s", c))
+    kn = Mul(N, RationalConst(k)) if flip else Mul(RationalConst(k), N)
+    form = draw(st.sampled_from(["dist_lt", "frac", "Frac", "Dist"]))
+    if form == "dist_lt":
+        return dist_lt_scaled(cn, kn)
+    f = {"frac": frac_expr, "Frac": Frac, "Dist": Dist}[form](cn)
+    lo, hi = draw(st.sampled_from([(0, 1), (-1, Fraction(1, 2)), (Fraction(1, 4), 2)]))
+    return indicator_of_range(Mul(kn, f) if draw(st.booleans()) else Mul(f, kn), lo, hi)
+
+
+def _sqrt2_distance_test(k: int):
+    """||n sqrt2|| < 1/(k n)."""
+    return dist_lt_scaled(Mul(N, Const("s", _quadratic(2, 0, 1, 1))), Mul(RationalConst(Fraction(k)), N))
+
+
+# sqrt2 at k = 1: ||n sqrt2|| < 1/n holds at the mediants q_k + q_(k-1),
+# 3 and 17 among them, which are no convergent denominators
+@example(_sqrt2_distance_test(1))
+@example(_sqrt2_distance_test(2))
+@given(_programs())
+@settings(max_examples=25, deadline=None)
+def test_every_member_of_a_random_program_is_proposed(e):
+    found = _unproposed(e, LO, HI)
+    assert set(found) <= _proposed(e, LO, HI)
+    assert members(e, LO, HI) == found
+
+
+def test_k_below_two_proposes_every_point():
+    # ||n sqrt2|| < 1/n holds at 3 and 17, no Legendre candidate of sqrt2
+    e = _sqrt2_distance_test(1)
+    assert {3, 17} <= set(_unproposed(e, 1, 100))
+    assert _support(e) is _EVERY
+
+
+def _fibonacci_transfer(u, s_times_u: Fraction):
+    """nint(u m) in the Fibonacci set and ||u m|| < 1/s, s |u| = ``s_times_u``."""
+    fib = fibonacci_like_set(1).indicator
+    un = Mul(Const("phi", u), N)
+    s = u.abs().inverse() * s_times_u
+    return ind_and(substitute_var(fib, Nint(un)), dist_lt_scaled(un, Const("phi", s)))
+
+
+_INV_SQRT5 = residue_coefficient(LinearRecurrence((1, 1), (0, 1)), PHI.field)
+
+
+@pytest.mark.parametrize("u_name", ["1/sqrt5", "-1/sqrt5", "3 phi", "-3 phi", "1/2", "-3"])
+@pytest.mark.parametrize("s_times_u", [Fraction(1), Fraction(2), Fraction(3)])
+def test_pull_back_needs_s_times_u_at_least_two(u_name, s_times_u):
+    # below 2 a member m need not be nint(r/u): the pull-back does not apply;
+    # a rational u puts r/u on half-integers, where both neighbours are proposed
+    rational = PHI * 0
+    u = {
+        "1/sqrt5": _INV_SQRT5, "3 phi": PHI * 3, "1/2": rational + Fraction(1, 2), "3": rational + 3
+    }[u_name.lstrip("-")]
+    u = -u if u_name.startswith("-") else u
+    e = _fibonacci_transfer(u, s_times_u)
+    found = _unproposed(e, LO, HI)
+    assert set(found) <= _proposed(e, LO, HI)
+    assert members(e, LO, HI) == found
+    assert (_support(e) is _EVERY) == (s_times_u < 2)
+    if s_times_u < 2 and "sqrt5" in u_name:
+        # some member m is not nint(r/u) for its own r = nint(u m)
+        assert any((u.inverse() * (u * m).nint()).nint() != m for m in found)
+
+
+def test_transfer_certificate_reads_the_pull_back():
+    # the built transfer and the same indicator printed and parsed propose alike
+    out = scaled_set_transfer(fibonacci_like_set(1), _INV_SQRT5, "phi powers")
+    program = _compiled(out.indicator)
+    assert type(_support(out.indicator)).__name__ == "_PullBack"
+    assert program._support is _support(out.indicator)
+    assert out.members(1, 10**30) == members(out.indicator, 1, 10**30)
+    assert len(out.points(1, 10**30)) < 300
+    back = Certificate.from_file_text(out.to_file_text())
+    assert back.points(1, 10**30) == out.points(1, 10**30)
+    # a second build has its own program but the same ops and constants,
+    # so it reads the same analysis
+    again = scaled_set_transfer(fibonacci_like_set(1), _INV_SQRT5, "phi powers")
+    assert _compiled(again.indicator) is not program
+    assert _support(again.indicator) is _support(out.indicator)

@@ -12,7 +12,7 @@ from gplab.constructions import (
 )
 from gplab.constructions.verysparse import VerySparseParams
 from gplab.errors import NoValidL, PreconditionError
-from gplab.gpexpr import eval_indicator, members
+from gplab.gpexpr import eval_indicator, members_in
 
 from oracles import coprime
 
@@ -181,7 +181,7 @@ def test_scan_at_a_window_end_decides_exactly(end, side, member):
 def test_legendre_candidates_hold_every_member(seq):
     # the scan against the compiled indicator at every point
     cert = very_sparse_set(very_sparse_alpha(seq, 5, 6))
-    assert cert.members(-50, 6000) == members(cert.indicator, -50, 6000)
+    assert cert.members(-50, 6000) == list(members_in(cert.indicator, range(-50, 6001)))
 
 
 @pytest.mark.parametrize("seq, C, D", [((2, 128, N2), 5, 6), ((2, 2**30, 2**900), 28, 29)])
