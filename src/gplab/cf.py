@@ -19,8 +19,10 @@ constant ``u`` and real ``v``, evaluated through its exact squared value in
 the ground field.  ``nearest_lattice_sq`` is the one computation of the
 planar distance N0(q theta): a window derived on integer enclosures, with
 exact field comparisons only among the points those enclosures cannot
-order.  ``lattice_box_points`` is the one enumerator of the q near a
-lattice point, for the planar records and the cubic scan.
+order.  ``SlabBoxes`` is the one enumerator of the q near a lattice
+point, slab by slab: ``lattice_box_points`` walks it for the planar
+records, and the support analysis's lattice-box rule caches its slabs for
+the cubic scans.
 """
 
 from __future__ import annotations
@@ -374,58 +376,71 @@ def _inverse_rows(m: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
     return [tuple(det * x for x in row) for row in adj]
 
 
-def lattice_box_points(
-    theta: tuple[FieldElement, FieldElement], norm: RauzyNorm, lo: int, hi: int, bits: int,
-    radius: Callable[[int], int],
-) -> Iterator[int]:
-    """The q in [lo, hi] that may lie within the caller's radius of a
-    lattice point, increasing and each once: every q < max(R_2, 2), then
-    the first coordinates of the box points of each slab [R_i, R_(i+1)].
+class SlabBoxes:
+    """The slabs [R_i, R_(i+1)], i >= 2, of theta = (1/beta, 1/beta^2) and
+    the lattice box of each: the one enumerator of the q near a lattice
+    point, for the planar records (``lattice_box_points``) and the cubic
+    certificates' support analysis (:mod:`gplab.gpexpr.support`).
 
-    theta = (1/beta, 1/beta^2), beta generating x^3 - a x^2 - b x - 1, and
-    R_i = a R_(i-1) + b R_(i-2) + R_(i-3) from R_-2 = R_-1 = 0, R_0 = 1 must
-    not decrease from i = 2 (it then grows: the minimal polynomial has no
-    root 1).  A slab part [q_a, q_b] is enumerated once the caller has taken
-    every point before it, reading r_hi = ``radius(q_a)`` then: r_hi 2^-bits
-    must bound N(q theta - p)^2 at every (q, p) the caller needs from it.
+    beta generates x^3 - a x^2 - b x - 1, and R_i = a R_(i-1) + b R_(i-2) +
+    R_(i-3) from R_-2 = R_-1 = 0, R_0 = 1 must not decrease from i = 2 (it
+    then grows: the minimal polynomial has no root 1).  ``terms[j + 2]`` is
+    R_j, grown by :meth:`grow`; the enclosures of theta and of the norm's
+    dual are cached per precision.
 
-    Completeness: with x = (q, p1, p2) and y = q theta - (p1, p2),
-    N(y)^2 = y^T M y for the norm's Gram matrix M.  A_i = C^i A_0, with the
-    columns (R_j, R_(j-1), R_(j-2)), j = i..i+2 (C the companion matrix, A_0
-    unipotent; |det A_i| = 1 is checked), gives x = A_i c with c in Z^3,
-    and row w_j of A_i^-1 gives c_j = q w_j . (1, theta) - w'_j . y, w'_j
-    its last two entries, with |w'_j . y|^2 <= r w'_j^T M^-1 w'_j by
+    Completeness of :meth:`box`: with x = (q, p1, p2) and y = q theta -
+    (p1, p2), N(y)^2 = y^T M y for the norm's Gram matrix M.  A_i = C^i A_0,
+    with the columns (R_j, R_(j-1), R_(j-2)), j = i..i+2 (C the companion
+    matrix, A_0 unipotent; |det A_i| = 1 is checked), gives x = A_i c with c
+    in Z^3, and row w_j of A_i^-1 gives c_j = q w_j . (1, theta) - w'_j . y,
+    w'_j its last two entries, with |w'_j . y|^2 <= r w'_j^T M^-1 w'_j by
     Cauchy-Schwarz.  A_i only changes coordinates: completeness rests on
     these bounds, taken on integer enclosures rounded outward, not on which
-    q the R_i are.  At 64 + 2 hi.bit_length() bits q w_j . (1, theta) stays
-    well within one unit, as |w_j| grows like q^(1/2); a box that grew
-    would be cut by Fincke-Pohst enumeration (Math. Comp. 44, 1985).
+    q the R_i are.  At 64 + 2 q_b.bit_length() bits q w_j . (1, theta) stays
+    well within one unit, as |w_j| grows like q^(1/2); a box that grew would
+    be cut by Fincke-Pohst enumeration (Math. Comp. 44, 1985).
     """
-    fld = theta[0].field if isinstance(theta[0], FieldElement) else None
-    if not (fld and fld.degree == 3 and fld.minpoly[0] == -1 and theta[0] * fld.generator() == 1
-            and theta[1] == theta[0] * theta[0]):
-        raise PreconditionError("theta is not (1/beta, 1/beta^2) for a cubic unit beta")
-    a, b = -fld.minpoly[2], -fld.minpoly[1]
-    R = [0, 0, 1, a, a * a + b]  # R[j + 2] = R_j
-    while R[-3] <= hi:
-        R.append(a * R[-1] + b * R[-2] + R[-3])
-        if R[-1] < R[-2]:
-            raise PreconditionError(f"x^3 - {a}x^2 - {b}x - 1: recurrence terms decrease")
-    last = min(hi, max(R[4], 2) - 1)  # q = 1 is taken before a radius is read
-    yield from range(lo, last + 1)
-    ib, ib2, re_v, inv_im, inv_v_sq = (fixed_enclosure(c, bits) for c in theta + norm.dual)
 
-    def up(x: int) -> int:
-        return -((-x) >> bits)
+    def __init__(self, theta: tuple[FieldElement, FieldElement], norm: RauzyNorm):
+        fld = theta[0].field if isinstance(theta[0], FieldElement) else None
+        if not (fld and fld.degree == 3 and fld.minpoly[0] == -1
+                and theta[0] * fld.generator() == 1 and theta[1] == theta[0] * theta[0]):
+            raise PreconditionError("theta is not (1/beta, 1/beta^2) for a cubic unit beta")
+        a, b = -fld.minpoly[2], -fld.minpoly[1]
+        self.theta, self.norm, self._ab = theta, norm, (a, b)
+        self.terms = [0, 0, 1, a, a * a + b]  # terms[j + 2] = R_j
+        self._enclosures: dict[int, tuple] = {}
 
-    for i in range(2, len(R) - 4):
-        qa, qb = max(R[i + 2], lo), min(R[i + 3], hi)
-        first = max(qa, last + 1)
-        if first > qb:
-            continue
+    def grow(self, hi: int) -> list[int]:
+        """``terms``, grown until R_i > hi for its third-last term, so every
+        slab that meets [1, hi] has the terms of its basis A_i.  A term less
+        than the last is never kept, so ``terms`` does not decrease from
+        R_2 even past a ``PreconditionError``."""
+        R, (a, b) = self.terms, self._ab
+        while R[-3] <= hi:
+            r = a * R[-1] + b * R[-2] + R[-3]
+            if r < R[-1]:
+                raise PreconditionError(f"x^3 - {a}x^2 - {b}x - 1: recurrence terms decrease")
+            R.append(r)
+        return R
+
+    def box(self, i: int, qa: int, qb: int, bits: int, r_hi: int) -> list[int]:
+        """The q in [qa, qb], a part of slab i, that may lie within r_hi
+        2^-bits of a lattice point in N^2, increasing: the first coordinates
+        of the box points of A_i (the proof is in the class docstring)."""
+        R = self.terms
+        enclosed = self._enclosures.get(bits)
+        if enclosed is None:
+            enclosed = self._enclosures[bits] = tuple(
+                fixed_enclosure(c, bits) for c in self.theta + self.norm.dual
+            )
+        ib, ib2, re_v, inv_im, inv_v_sq = enclosed
+
+        def up(x: int) -> int:
+            return -((-x) >> bits)
+
         # A_i has the columns v_j = (R_j, R_(j-1), R_(j-2)), j = i, i+1, i+2
         a_rows = (R[i + 2 : i + 5], R[i + 1 : i + 4], R[i : i + 3])
-        r_hi = radius(qa)
         ranges = []
         for e0, e1, e2 in _inverse_rows(a_rows):
             s1, s2 = scale_iv(e1, ib), scale_iv(e2, ib2)
@@ -437,7 +452,33 @@ def lattice_box_points(
             c_lo = -((rho - min(qa * s[0], qb * s[0])) >> bits)
             ranges.append(range(c_lo, ((max(qa * s[1], qb * s[1]) + rho) >> bits) + 1))
         qs = {sum(r * c for r, c in zip(a_rows[0], cs)) for cs in itertools.product(*ranges)}
-        yield from sorted(q for q in qs if first <= q <= qb)
+        return sorted(q for q in qs if qa <= q <= qb)
+
+
+def lattice_box_points(
+    theta: tuple[FieldElement, FieldElement], norm: RauzyNorm, lo: int, hi: int, bits: int,
+    radius: Callable[[int], int],
+) -> Iterator[int]:
+    """The q in [lo, hi] that may lie within the caller's radius of a
+    lattice point, increasing and each once: every q < max(R_2, 2), then
+    the first coordinates of the box points of each slab [R_i, R_(i+1)]
+    (``SlabBoxes``, where the completeness proof is).
+
+    A slab part [q_a, q_b] is enumerated once the caller has taken every
+    point before it, reading r_hi = ``radius(q_a)`` then: r_hi 2^-bits must
+    bound N(q theta - p)^2 at every (q, p) the caller needs from it, and
+    bits should be at least 64 + 2 hi.bit_length().
+    """
+    slabs = SlabBoxes(theta, norm)
+    R = slabs.grow(hi)
+    last = min(hi, max(R[4], 2) - 1)  # q = 1 is taken before a radius is read
+    yield from range(lo, last + 1)
+    for i in range(2, len(R) - 4):
+        qa, qb = max(R[i + 2], lo), min(R[i + 3], hi)
+        first = max(qa, last + 1)
+        if first > qb:
+            continue
+        yield from (q for q in slabs.box(i, qa, qb, bits, radius(qa)) if q >= first)
         last = qb
 
 

@@ -12,13 +12,13 @@ it over increasing points, is the one place that asks it.  ``points``
 names the points of [lo, hi] a scan decides, each once in increasing
 order.  Without a generator they are the proposals of the indicator's
 support analysis (``gpexpr.proposals``): the Legendre candidates of a
-quadratic distance test, pulled back through a transfer and joined over an
-OR (see :mod:`gplab.gpexpr.support`), or every point of an indicator of
+quadratic distance test and the lattice-box points of a cubic
+certificate's plateau test, pulled back through a transfer and joined over
+an OR (see :mod:`gplab.gpexpr.support`), or every point of an indicator of
 any other shape, so a printed certificate is read as fast as the built
 one.  A builder whose indicator has no such shape may attach
-``candidates(lo, hi)``, a generator that only proposes points (the lattice
-points of a recurrence basis, the Legendre candidates of a very sparse
-alpha).  ``members`` decides exactly the ``points`` in one ``members_in``
+``candidates(lo, hi)``, a generator that only proposes points (the
+Legendre candidates of a very sparse alpha).  ``members`` decides exactly the ``points`` in one ``members_in``
 scan, with the certificate's own indicator, so the precision budget
 reaches every scan.
 """

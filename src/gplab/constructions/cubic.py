@@ -26,21 +26,25 @@ come from integer Sturm counts and integer Horner signs.
 The certificate's indicator is the one encoding of this test: ``h_sq``
 and ``g_value`` evaluate ``h_sq_expr`` and ``g_expr`` (each compiled on
 its first call), ``member`` is the indicator's exact verdict, and
-``Certificate.members`` decides the lattice points ``_cubic_candidates``
-proposes in one ``members_in`` window scan, as in every other scan.  A
-build decides no point: the ``plateau_shared_by_extra_orbit`` flag is read
-off ``gp cert``'s scan (``flag_extra_orbit``).
+``Certificate.members`` decides, in one ``members_in`` window scan as in
+every other scan, the points the indicator's support analysis proposes.
+Its lattice-box rule (:mod:`gplab.gpexpr.support`) reads the norm of h^2
+and the linear bound of g off the compiled program: a member q has h(q)^2
+below the plateau over g's least value, so it is a box point of
+``cf.SlabBoxes``.  So a printed and parsed certificate proposes the same
+O(log B) points as the built one, and so does a transfer of it.  A build
+decides no point: the ``plateau_shared_by_extra_orbit`` flag is read off
+``gp cert``'s scan (``flag_extra_orbit``).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
-from ..cf import RauzyNorm, lattice_box_points, nearest_lattice_sq
+from ..cf import RauzyNorm, nearest_lattice_sq
 from ..errors import PreconditionError
 from ..gpexpr import (
     Add,
@@ -54,7 +58,7 @@ from ..gpexpr import (
     eval_exact,
     indicator_of_range,
 )
-from ..realnum import FieldElement, NumberField, dyadic_enclosure, fixed_enclosure
+from ..realnum import FieldElement, NumberField, dyadic_enclosure
 from ..realnum.polys import count_real_roots, poly_sign
 from .certificate import Certificate, VerificationReport
 from .recurrence import LinearRecurrence, recurrence_terms
@@ -114,15 +118,6 @@ class CubicConstruction:
     def m1_inv_sq(self) -> FieldElement:
         """m1^-2, the constant factor of g."""
         return self.m1_sq.inverse()
-
-    @functools.cached_property
-    def g_bound(self) -> tuple[FieldElement, ...]:
-        """m1^-2, beta^k, K and L, the constants of the g bound (see
-        ``_cubic_candidates``), formed at the first scan."""
-        inv_b, inv_b2 = self.theta
-        c1 = (self.beta * self.b + 1) * inv_b2
-        k_g = 1 + c1 * inv_b + inv_b * inv_b2
-        return self.m1_inv_sq, self.beta**self.plateau_pow, k_g, (c1.abs() + inv_b) / 2
 
     def member(self, q: int) -> bool:
         """The indicator's exact verdict at q >= 1: (h^2 g)^2 <= beta^k."""
@@ -242,7 +237,6 @@ def cubic_pisot_set(a: int, b: int) -> CubicConstruction:
         target_description=(
             f"value set of x(i+3) = {a} x(i+2) + {b} x(i+1) + x(i) from 1, {a}, {a*a+b}"
         ),
-        candidates=lambda lo, hi: _cubic_candidates(cons, lo, hi),
         meta={
             "construction": f"cubic a={a} b={b}",
             "plateau_pow": k,
@@ -267,29 +261,3 @@ def flag_extra_orbit(cert: Certificate, report: VerificationReport) -> None:
     hi = report.range_hi
     if any(hi // 2 < x <= hi for x in report.symmetric_difference):
         cert.meta["plateau_shared_by_extra_orbit"] = True
-
-
-def _cubic_candidates(cons: CubicConstruction, lo: int, hi: int) -> Iterator[int]:
-    """Candidates for the members on [lo, hi]: ``cf.lattice_box_points``,
-    where the completeness proof is, with the radius r(q_a) of the g bound.
-
-    A member has |h(q)^2 g(q)| <= beta^(k/2), and as nint(x) lies within
-    1/2 of x, g(q) >= m1^-2 (q K - L) with K = 1 + c1/beta + 1/beta^3
-    = 1 + (b beta + 2)/beta^3 > 0 and L = (|c1| + 1/beta)/2.  So a member
-    q >= start, the least q with q K > L, has N(q theta - p)^2 = h(q)^2 <=
-    r(q) := beta^(k/2) m1^2 / (q K - L), p the roundings in ``h_sq_expr``.
-    A box holds at most 18 points for (1,1), 6 for (2,1) and 12 for
-    (2,-1), so a scan to B proposes O(log B) points; the q < start, n <= 0
-    too, are proposed as is.  Members reach exact mode: they sit on the
-    plateau.
-    """
-    bits = 64 + 2 * hi.bit_length()
-    m1inv2, beta_k, k_g, l_g = (fixed_enclosure(c, bits) for c in cons.g_bound)
-    start = l_g[1] // k_g[0] + 1  # least q with q K > L on the enclosures
-    yield from range(lo, min(hi, start - 1) + 1)
-    r_num = (math.isqrt(beta_k[1] << bits) + 1) << (2 * bits)  # beta^(k/2) at 2^(3 bits)
-
-    def radius(qa: int) -> int:
-        return -(-r_num // (m1inv2[0] * (qa * k_g[0] - l_g[1])))
-
-    yield from lattice_box_points(cons.theta, cons.norm, max(lo, start), hi, bits, radius)

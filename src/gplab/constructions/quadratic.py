@@ -117,9 +117,7 @@ def scaled_set_transfer(
 
     The support analysis pulls the source's proposals back: a member m has
     r = nint(u*m) where the source indicator holds, and |u*m - r| < |u|/2,
-    so m = nint(r/u), at every sign of u and of r.  A source the analysis
-    does not read, such as a cubic certificate, whose proposals come from
-    its builder's generator, gives a transfer that scans every point.
+    so m = nint(r/u), at every sign of u and of r.
     """
     if u.is_zero():
         raise PreconditionError("transfer constant must be nonzero")

@@ -1,7 +1,7 @@
 """Where an indicator can be nonzero: a support analysis of its compiled program.
 
-The paper's indicators are sparse: the Fibonacci and quadratic-unit sets
-hold O(log N) points of [1, N].  :func:`members` therefore decides only the
+The paper's indicators are sparse: the Fibonacci, quadratic-unit and
+cubic (Tribonacci-like) sets hold O(log N) points of [1, N].  :func:`members` therefore decides only the
 points :func:`proposals` names, each through the one window scan
 :func:`~gplab.gpexpr.evaluate.members_in`.  The proposals hold every point
 where the indicator is nonzero, so the members are those of a scan of every
@@ -18,6 +18,15 @@ proposal sets in a variable v: ``n`` itself or, inside a pull-back, an op
   ``M - floor(M)``) or ``dist``, hi > 0 and k >= 2 hi, where c is an
   irrational quadratic constant.  A member v >= 1 has ||v c|| < 1/(2v), so
   it is one of the points :class:`_Walk` proposes; every v <= 0 is proposed.
+* Lattice box.  ``_RANGE(C - (H G)^2; lo, hi)`` with exact lo >= 0 and
+  C > 0, where H = (rho x1 + w x2)^2 + sigma x1^2 (either operand order)
+  with x_j = theta_j v minus a ``nint`` or ``floor`` op, theta =
+  (1/beta, 1/beta^2) for a cubic unit beta, sigma > 0 and w != 0, and
+  G = m (v + sum_j c_j nint(u_j v)) with m > 0 and 1 + sum_j c_j u_j > 0.
+  H is a squared planar norm of v theta minus a lattice point and |G|
+  grows linearly, so a member v far enough from 0 has |v| among the box
+  points of its slab that :class:`_Box` proposes (the proof is there);
+  every v nearer 0 is proposed.
 * Product: the support of one factor, the first that has one.
 * ``p + q - p q`` (``ind_or``): the union of the two supports.
 * Pull-back: a product of ``_DIST_LT(s, u v)`` with a factor p, where s
@@ -30,19 +39,30 @@ proposal sets in a variable v: ``n`` itself or, inside a pull-back, an op
 Each rule's claim is pointwise: where the op is nonzero, v is one of its
 proposals.  So each holds whatever else the op reads (a pull-back's p may
 read v other than through ``nint(u v)``), and the analysis only ever
-proposes more points than are nonzero, never fewer.  A rule nested deeper
+proposes more points than are nonzero, never fewer.  What a rule caches
+(a walk's candidates, a pull-back's enclosures, a lattice box's slabs) is
+kept with the analysis, which :func:`_analysis` shares among programs of
+equal ops and constants.  A rule nested deeper
 than :data:`MAX_DEPTH` proposes every point, so the analysis recurses
 only as deep as that.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from ..cf import ContinuedFraction, legendre_candidates, quadratic_quotients
+from ..cf import (
+    ContinuedFraction,
+    RauzyNorm,
+    SlabBoxes,
+    legendre_candidates,
+    quadratic_quotients,
+)
+from ..errors import PreconditionError
 from ..realnum import DEFAULT_MAX_BITS, FieldElement, compare, fixed_enclosure, rmul
 from .ast import Expr
 from .evaluate import (
@@ -55,6 +75,7 @@ from .evaluate import (
     _FRAC,
     _MUL,
     _NINT,
+    _POW,
     _RANGE,
     _SUB,
     _VAR,
@@ -130,6 +151,83 @@ class _Walk:
         points = self.points
         wholes = [(lo, min(0, hi))] if lo <= 0 else []
         return wholes, points[bisect_left(points, lo) : bisect_right(points, hi)]
+
+
+class _Box:
+    """The lattice-box rule: the v whose |v| is a box point of its slab, and
+    every v with |v| < start.
+
+    The rule reads ``_RANGE(C - (H G)^2; lo, hi)`` with exact lo >= 0 and
+    C > 0, where H = (rho x1 + w x2)^2 + sigma x1^2 with x_j = theta_j v
+    minus an integer op (``nint`` or ``floor``), theta = (1/beta, 1/beta^2)
+    for a cubic unit beta, sigma > 0 and w != 0, and
+    G = m (v + sum_j c_j nint(u_j v)) with m > 0 and K = 1 + sum_j c_j u_j
+    > 0.  H is N(v theta - p)^2 for the integers p the x_j subtract, N the
+    planar norm |u x1 + w x2| with Re(u) = rho and Im(u)^2 = sigma
+    (``cf.RauzyNorm``).
+
+    Claim: with L = sum_j |c_j|/2, a member v with |v| >= start, the least
+    v with K v > L, has N(|v| theta - p')^2 <= sqrt(C) / (m (K |v| - L))
+    for an integer p', so |v| is a box point of its slab (``cf.SlabBoxes``).
+    Proof: a member has (H G)^2 <= C - lo <= C.  As nint(u_j v) = u_j v +
+    e_j with |e_j| <= 1/2, G = m (K v + sum_j c_j e_j), so |G| >= m (K |v| -
+    L) > 0, and H = |H G| / |G| <= sqrt(C) / (m (K |v| - L)); H is
+    N(|v| theta - p')^2 with p' = p sign(v), as N(-x) = N(x).  On a slab
+    [q_a, R_(i+1)], q_a = max(R_i, start), that bound is largest at q_a, so
+    the radius is taken there.  K, L and sqrt(C)/m are enclosed at 2^-64,
+    where K > 0 and m > 0 are shown and start is the least v with K v > L.
+    Every v with |v| < start is proposed whole, as is every v below the
+    first slab ``SlabBoxes`` enumerates (R_2) and every v past a recurrence
+    term that decreases.  ``RauzyNorm`` refuses sigma <= 0 and w = 0, and
+    ``SlabBoxes`` any theta but a cubic unit's.
+
+    Each slab's box is computed once, when a window first meets it, at the
+    precision of its top (64 + 2 R_(i+1).bit_length() bits, rounded up to a
+    multiple of 64), so a window's proposals do not depend on the windows
+    asked before it; a window reads the boxes it meets by bisection.
+    """
+
+    __slots__ = ("slabs", "start", "_scale", "_k", "_l", "_boxes")
+
+    def __init__(self, slabs: SlabBoxes, scale: int, k: int, l: int):
+        self.slabs, self._scale, self._k, self._l = slabs, scale, k, l
+        self.start = max(l // k + 1, slabs.terms[4], 2)  # terms[4] = R_2
+        self._boxes: dict[int, list[int]] = {}
+
+    def propose(self, lo: int, hi: int) -> _Proposal:
+        s = self.start
+        wholes = [(max(lo, 1 - s), min(hi, s - 1))] if lo < s and hi > -s else []
+        neg_wholes, neg = self._side(max(-hi, s), -lo)
+        pos_wholes, pos = self._side(max(lo, s), hi)
+        wholes += [(-b, -a) for a, b in neg_wholes] + pos_wholes
+        return wholes, [-q for q in reversed(neg)] + pos
+
+    def _side(self, a: int, b: int) -> _Proposal:
+        """The box points in [a, b], a >= start."""
+        if a > b:
+            return [], []
+        try:
+            R = self.slabs.grow(b)
+        except PreconditionError:  # the terms decrease: no slab past them
+            return [(a, b)], []
+        points: list[int] = []
+        i = bisect_left(R, a, 5) - 3  # the first slab i with R_(i+1) >= a
+        while R[i + 2] <= b:
+            box = self._box(i)
+            at = max(a, points[-1] + 1) if points else a
+            points += box[bisect_left(box, at) : bisect_right(box, b)]
+            i += 1
+        return [], points
+
+    def _box(self, i: int) -> list[int]:
+        box = self._boxes.get(i)
+        if box is None:
+            R = self.slabs.terms
+            qa, qb = max(R[i + 2], self.start), R[i + 3]
+            bits = -(-(64 + 2 * qb.bit_length()) // 64) * 64
+            r_hi = -(-(self._scale << bits) // (qa * self._k - self._l))
+            box = self._boxes[i] = self.slabs.box(i, qa, qb, bits, r_hi)
+        return box
 
 
 class _Union:
@@ -229,6 +327,9 @@ class _Analysis:
             kc = self._frac_product(a, v)
             if kc is not None and hi > 0 and kc[0] >= 2 * hi:
                 return self._walk(kc[1])
+            box = self._lattice_box(a, Fraction(b[0], b[1]), v)
+            if box is not None:
+                return box
         elif code == _MUL:
             s = self._pull_back(a, b, v, depth) or self._pull_back(b, a, v, depth)
             if s is not None:
@@ -251,10 +352,7 @@ class _Analysis:
 
     def _times_v(self, i: int, v: int):
         """t where op i is t v or v t for an exact constant t, else None."""
-        code, a, b = self.ops[i]
-        if code != _MUL or v not in (a, b):
-            return None
-        return self._const(b if a == v else a)
+        return next((t for t, x in self._scaled(i) if x == v), None)
 
     def _quadratic(self, i: int, v: int) -> FieldElement | None:
         """c where op i is c v for an irrational quadratic constant c."""
@@ -302,6 +400,94 @@ class _Analysis:
         inner = self.support(p, w, depth + 1)
         return None if inner is _EVERY else _PullBack(inner, u)
 
+    def _operands(self, i: int, code: int) -> tuple:
+        """Op i's operand pairs in both orders where it has ``code``."""
+        c, a, b = self.ops[i]
+        return ((a, b), (b, a)) if c == code else ()
+
+    def _scaled(self, i: int) -> list:
+        """(t, x) for each factor order of op i = t x, t an exact constant."""
+        return [(t, x) for y, x in self._operands(i, _MUL) if (t := self._const(y)) is not None]
+
+    def _square(self, i: int) -> int | None:
+        """x where op i is x^2."""
+        code, x, e = self.ops[i]
+        return x if code == _POW and e == 2 else None
+
+    def _offset(self, i: int, v: int):
+        """t where op i is t v minus a ``nint`` or ``floor`` op."""
+        code, a, b = self.ops[i]
+        return self._times_v(a, v) if code == _SUB and self.ops[b][0] in (_NINT, _FLOOR) else None
+
+    def _norm_sq(self, i: int, v: int) -> tuple | None:
+        """((theta_1, theta_2), (rho, sigma, w)) where op i is
+        (rho x1 + w x2)^2 + sigma x1^2, x_j = theta_j v minus an integer op."""
+        for p, q in self._operands(i, _ADD):
+            r = self._square(p)
+            for sigma, x in self._scaled(q):
+                x1 = self._square(x)
+                if r is None or x1 is None:
+                    continue
+                for t1, t2 in self._operands(r, _ADD):
+                    for rho, y1 in self._scaled(t1):
+                        for w, x2 in self._scaled(t2):
+                            theta = (self._offset(x1, v), self._offset(x2, v))
+                            if y1 == x1 and None not in theta:
+                                return theta, (rho, sigma, w)
+        return None
+
+    def _linear(self, i: int, v: int) -> tuple | None:
+        """(m, [(c_j, u_j)]) where op i is m (v + sum_j c_j nint(u_j v))."""
+        for m, s in self._scaled(i):
+            terms, vs, stack = [], 0, [s]
+            while stack:
+                j = stack.pop()
+                if self.ops[j][0] == _ADD:
+                    stack += self.ops[j][1:]
+                elif j == v:
+                    vs += 1
+                else:  # c nint(u v)
+                    cu = [(c, self._times_v(self.ops[x][1], v)) for c, x in self._scaled(j)
+                          if self.ops[x][0] == _NINT]
+                    if not cu or cu[0][1] is None:
+                        break
+                    terms.append(cu[0])
+            else:
+                if vs == 1:
+                    return m, terms
+        return None
+
+    def _lattice_box(self, i: int, lo: Fraction, v: int) -> _Box | None:
+        """The lattice-box rule (``_Box``) for _RANGE(op i; lo, _), or None."""
+        code, c_op, sq = self.ops[i]
+        hg = self._square(sq) if code == _SUB and lo >= 0 else None
+        for h, g in self._operands(hg, _MUL) if hg is not None else ():
+            norm_sq, lin = self._norm_sq(h, v), self._linear(g, v)
+            if norm_sq is None or lin is None or type(norm_sq[0][0]) is not FieldElement:
+                continue
+            (theta, norm), (m, terms) = norm_sq, lin
+            fld = theta[0].field
+            consts = [  # each in theta's field
+                fld.from_rational(x) if type(x) is Fraction else x if x.field == fld else None
+                for x in (self._const(c_op), *theta, *norm, m, *(x for t in terms for x in t))
+            ]
+            if None in consts or consts[0].sign() <= 0:
+                continue
+            c, th1, th2, rho, sigma, w, m, *cu = consts
+            try:  # RauzyNorm refuses sigma <= 0 and w = 0, SlabBoxes any other theta
+                slabs = SlabBoxes((th1, th2), RauzyNorm(rho, sigma, w))
+            except PreconditionError:
+                continue
+            cs, us = cu[::2], cu[1::2]
+            k = fixed_enclosure(sum((x * y for x, y in zip(cs, us)), fld.one()), 64)[0]
+            l = -(-sum(max(map(abs, fixed_enclosure(x, 64))) for x in cs) // 2)
+            m = fixed_enclosure(m, 64)[0]
+            if k > 0 and m > 0:
+                # sqrt(C)/m at 2^64, rounded up
+                scale = -(-((math.isqrt(fixed_enclosure(c, 128)[1]) + 1) << 64) // m)
+                return _Box(slabs, scale, k, l)
+        return None
+
     def _walk(self, c: FieldElement) -> _Walk:
         walk = self.walks.get(c)
         if walk is None:
@@ -313,7 +499,8 @@ class _Analysis:
 def _analysis(ops: tuple, consts: tuple):
     """The proposals of a program's root, analysed once per process for
     every program of these ops and constants (the 256 most recent), so the
-    certificates of repeated builds share their walks and enclosures."""
+    certificates of repeated builds share their walks, enclosures and
+    lattice boxes."""
     var = next((i for i, (code, _, _) in enumerate(ops) if code == _VAR), None)
     return _EVERY if var is None else _Analysis(ops, consts).support(len(ops) - 1, var)
 

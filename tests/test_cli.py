@@ -58,6 +58,23 @@ def test_members_certificate_file(tmp_path):
     assert got == [2, 3, 5, 8, 13, 21, 34, 55, 89]
 
 
+def test_members_of_a_printed_cubic_certificate(tmp_path):
+    # the printed indicator proposes the built certificate's lattice-box
+    # points, so it reaches 10^30 as the built one does
+    from gplab.constructions.cubic import cubic_pisot_set
+
+    cert_path = tmp_path / "cubic.gp"
+    assert run(["cert", "--construction", "cubic", "--a", "1", "--b", "1", "--out", str(cert_path)]) == 0
+    expr_path = tmp_path / "cubic-expr.gp"
+    expr_path.write_text(cert_path.read_text().split("\n\n", 1)[1])
+    out = tmp_path / "members.csv"
+    argv = ["members", "--expr", str(expr_path), "--from", "1", "--to", str(10**30), "--out", str(out)]
+    assert run(argv) == 0
+    got = [int(x) for x in out.read_text().splitlines()[1:]]
+    assert got == cubic_pisot_set(1, 1).certificate.members(1, 10**30)
+    assert len(got) > 100
+
+
 def test_exit_code_parse_error(capsys):
     assert run(["members", "--expr", "floor(n", "--from", "1", "--to", "2"]) == 2
     err = capsys.readouterr().err

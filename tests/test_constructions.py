@@ -332,7 +332,9 @@ def test_transfer_scan_at_every_sign(u_name):
     beta = cons.beta
     u = {"-1/beta": -beta.inverse(), "1/beta": beta.inverse(), "-beta": -beta}[u_name]
     out = scaled_set_transfer(cons.certificate, u, "transfer")
-    assert out.members(-40, 200) == list(members_in(out.indicator, range(-40, 201)))
+    assert out.members(-40, 2000) == list(members_in(out.indicator, range(-40, 2001)))
+    # the support analysis pulls the cubic's lattice-box points back
+    assert len(out.points(1, 10**6)) < 1000
 
 
 # -- certificate file format --------------------------------------------------

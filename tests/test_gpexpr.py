@@ -833,9 +833,10 @@ def test_tribonacci_windows_near_1e12_reach_exact_fallback(monkeypatch):
 
 @pytest.mark.parametrize("pair", [(1, 1), (2, 1)])
 def test_members_runs_one_dyadic_evaluation_per_point(pair, monkeypatch):
-    # the generated function runs once at each point, and a point it leaves
-    # open (a Tribonacci member on the plateau, where no dyadic precision
-    # decides the last floor) goes straight to exact mode, with no second run
+    # the generated function runs once at each point of a window scan, and a
+    # point it leaves open (a Tribonacci member on the plateau, where no
+    # dyadic precision decides the last floor) goes straight to exact mode,
+    # with no second run; the scan is unproposed, so every point runs
     from gplab.constructions import cubic_pisot_set
     from gplab.gpexpr import evaluate
 
@@ -870,7 +871,7 @@ def test_members_runs_one_dyadic_evaluation_per_point(pair, monkeypatch):
 
     monkeypatch.setattr(program, "_kernel", counted_kernel)
     monkeypatch.setattr(evaluate, "eval_exact", counted_exact)
-    assert [members(ind, lo, hi) for lo, hi in windows] == want
+    assert [list(members_in(ind, range(lo, hi + 1))) for lo, hi in windows] == want
     runs = [n for kind, n in log if kind == "run"]
     assert runs == [q for lo, hi in windows for q in range(lo, hi + 1)]
     # every open point goes to exact mode before the next point runs, and

@@ -21,14 +21,18 @@ from gplab.constructions import (
     scaled_set_transfer,
 )
 from gplab.constructions.registry import construction
+from gplab.constructions.cubic import cubic_pisot_set
 from gplab.gpexpr import (
     N,
+    Add,
     Const,
     Dist,
     Frac,
     Mul,
     Nint,
+    Pow,
     RationalConst,
+    Sub,
     dist_lt_scaled,
     frac_expr,
     ind_and,
@@ -40,7 +44,7 @@ from gplab.gpexpr import (
     substitute_var,
 )
 from gplab.gpexpr.evaluate import _compiled
-from gplab.gpexpr.support import _EVERY, _support
+from gplab.gpexpr.support import _EVERY, _analysis, _support
 from gplab.realnum import NumberField
 
 from oracles import REGISTRY_CASES, REGISTRY_IDS
@@ -49,9 +53,9 @@ README = "let phi = root(x^2-x-1, 1, 2); floor(1 - frac(theta*floor(2*n*(n*phi -
 LO, HI = -50, 10**4
 PHI = NumberField((-1, -1, 1), 1, 2, "phi").generator()
 
-# the registry cases whose indicators the analysis reads: all but the cubic
-# and very-sparse ones, which keep their builders' generators
-SPARSE = {"fibonacci", "quadratic", "quadratic-filter"}
+# the registry cases whose indicators the analysis reads: all but the
+# very-sparse one, which keeps its builder's generator
+SPARSE = {"fibonacci", "quadratic", "quadratic-filter", "cubic"}
 
 
 def _proposed(e, lo: int, hi: int) -> set[int]:
@@ -85,7 +89,7 @@ def test_every_member_is_proposed(case, e, sparse):
     proposed = _proposed(e, LO, HI)
     assert set(found) <= proposed
     assert members(e, LO, HI) == found
-    # the analysis reads exactly the quadratic certificates and the README
+    # the analysis reads exactly the quadratic and cubic certificates and the README
     assert (_support(e) is not _EVERY) == sparse
     if sparse:
         assert len(proposed) < 300 + abs(LO)
@@ -208,3 +212,123 @@ def test_transfer_certificate_reads_the_pull_back():
     again = scaled_set_transfer(fibonacci_like_set(1), _INV_SQRT5, "phi powers")
     assert _compiled(again.indicator) is not program
     assert _support(again.indicator) is _support(out.indicator)
+
+
+# -- the lattice-box rule -------------------------------------------------------
+
+def _cubic_shape(c, theta, norm, m, terms, lo=0, hi=5):
+    """lo <= C - (H G)^2 < hi with H = (rho x1 + w x2)^2 + sigma x1^2,
+    x_j = theta_j n - nint(theta_j n), (rho, sigma, w) = ``norm``, and
+    G = m (n + sum_j c_j nint(u_j n)), (c_j, u_j) in ``terms``: the cubic
+    certificate's shape."""
+    fld = theta[0].field
+
+    def k(x):
+        return Const(fld.name, x if hasattr(x, "field") else fld.from_rational(Fraction(x)))
+
+    rho, sigma, w = norm
+    x1, x2 = (Sub(Mul(k(t), N), Nint(Mul(k(t), N))) for t in theta)
+    h = Add(Pow(Add(Mul(k(rho), x1), Mul(k(w), x2)), 2), Mul(k(sigma), Pow(x1, 2)))
+    g = N
+    for cj, uj in terms:
+        g = Add(g, Mul(k(cj), Nint(Mul(k(uj), N))))
+    return indicator_of_range(Sub(k(c), Pow(Mul(h, Mul(k(m), g)), 2)), lo, hi)
+
+
+TRIBONACCI = cubic_pisot_set(1, 1)
+_BETA, _THETA, _NORM = TRIBONACCI.beta, TRIBONACCI.theta, TRIBONACCI.norm
+
+
+def _tribonacci_shape(**changes):
+    """The shape with the cubic (1, 1) certificate's constants, but for
+    ``changes``; x2 takes nint(theta_2 n) where the certificate rounds
+    another value of it."""
+    parts = {
+        "c": _BETA**TRIBONACCI.plateau_pow,
+        "theta": _THETA,
+        "norm": (_NORM.re_u, _NORM.im_u_sq, _NORM.v),
+        "m": TRIBONACCI.m1_inv_sq,
+        "terms": [((_BETA + 1) * _THETA[1], _THETA[0]), (_THETA[0], _THETA[1])],
+    }
+    return _cubic_shape(**{**parts, **changes})
+
+
+# c_j = 60 and -60 beta: K = 1 and L = 30 (1 + beta) = 85.18; with the
+# u_j swapped, c_j = 60 and -60/beta: K = 1 and L = 30 (1 + 1/beta) = 46.31
+_LARGE_C = [(60, _THETA[0]), (-60 * _BETA, _THETA[1])]
+_SWAPPED = [(60, _THETA[1]), (-60 * _THETA[0], _THETA[0])]
+# (the shape's changes, start: the least n with K n > L, at least R_2 = 2)
+BOX_SHAPES = {
+    "plateau": ({}, 2),
+    # hi past C: every n with (H G)^2 <= C is a member, 90 of them on [-50, 10^4]
+    "thick": ({"c": _BETA**2 * 100, "hi": 10**6}, 2),
+    "large-c": ({"terms": _LARGE_C, "hi": 10**6}, 86),
+    "large-c-swapped": ({"terms": _SWAPPED, "hi": 10**6}, 47),
+    "large-c-thick": ({"c": _BETA**2 * 100, "terms": _LARGE_C, "hi": 10**6}, 86),
+}
+
+
+@pytest.mark.parametrize("shape", BOX_SHAPES)
+def test_lattice_box_rule_proposes_every_member(shape):
+    changes, start = BOX_SHAPES[shape]
+    e = _tribonacci_shape(**changes)
+    # L sums |c_j|/2 over every term: below start the bound on G fails
+    assert _support(e).start == start
+    found = _unproposed(e, LO, HI)
+    assert len(found) > 20
+    assert set(found) <= _proposed(e, LO, HI)
+    assert members(e, LO, HI) == found
+
+
+# what the rule must refuse: lo < 0 lets (H G)^2 pass C, theta_2 != theta_1^2
+# is no cubic unit's theta, and sigma <= 0 or w = 0 is no norm
+REFUSED = {
+    "lo<0": {"lo": -(10**4), "hi": 10**6},
+    "theta2": {"theta": (_THETA[0], _THETA[0] * _THETA[0] + Fraction(1, 7))},
+    "sigma<0": {"norm": (_NORM.re_u, -_NORM.im_u_sq, _NORM.v)},
+    "sigma=0": {"norm": (_NORM.re_u, 0, _NORM.v)},
+    "w=0": {"norm": (_NORM.re_u, _NORM.im_u_sq, 0)},
+}
+
+
+@pytest.mark.parametrize("shape", REFUSED)
+def test_lattice_box_rule_refuses_what_it_cannot_prove(shape):
+    e = _tribonacci_shape(**REFUSED[shape])
+    assert _support(e) is _EVERY
+    assert members(e, LO, 2000) == _unproposed(e, LO, 2000)
+
+
+def test_lattice_box_rule_proposes_every_point_past_decreasing_terms():
+    # x^3 - 3x - 1 has three real roots: from R_2 = 3 its terms go on
+    # 1, 9, 6, so no slab is past R_2 and every point there is proposed
+    beta = NumberField((-1, -3, 0, 1), 1, 2, "b").generator()
+    theta = (beta.inverse(), beta.inverse() ** 2)
+    e = _cubic_shape(1, theta, (1, 1, 1), 1, [], hi=10**6)
+    assert type(_support(e)).__name__ == "_Box"
+    assert _proposed(e, 1, 2000) == set(range(1, 2001))
+    assert members(e, LO, 2000) == _unproposed(e, LO, 2000)
+
+
+def _fresh(e):
+    """An analysis of e's program of its own, shared with no other program."""
+    program = _compiled(e)
+    return _analysis.__wrapped__(tuple(program.ops), tuple(program.consts))
+
+
+def test_window_proposals_do_not_depend_on_the_order_asked():
+    # each slab's box is made once, whole, whichever window meets it first
+    e = TRIBONACCI.certificate.indicator
+    windows = [(1, 10**17), (10**9, 10**9 + 10**6), (-(10**12), -(10**12) + 50), (5, 80),
+               (10**16, 2 * 10**16), (-(10**17), 10**4), (1705, 1705), (10**30, 10**30 + 10**9)]
+    forward, backward = _fresh(e), _fresh(e)
+    asked = {w: forward.propose(*w) for w in windows}
+    for w in reversed(windows):
+        assert backward.propose(*w) == asked[w], w
+    assert all(_fresh(e).propose(*w) == asked[w] for w in windows)
+
+
+def test_cubic_builds_share_one_analysis():
+    e1 = cubic_pisot_set(1, 1).certificate.indicator
+    e2 = cubic_pisot_set(1, 1).certificate.indicator
+    assert _compiled(e1) is not _compiled(e2)
+    assert _support(e1) is _support(e2)
