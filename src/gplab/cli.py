@@ -16,7 +16,7 @@ import tempfile
 from fractions import Fraction
 
 from .cf import best_approx_1d, best_approx_2d, cf_expand, convergents
-from .constructions import cubic_pisot_set, verify_certificate
+from .constructions import Certificate, cubic_pisot_set, verify_certificate
 from .constructions.registry import CONSTRUCTIONS, SCAN_TO, construction
 from .errors import ParseError, PrecisionExhausted, PreconditionError, GPLabError
 from .gpexpr import depends_on_var, eval_exact, members, parse
@@ -53,16 +53,22 @@ def _write_atomic(path: str | None, text: str) -> None:
             os.unlink(tmp)
 
 
-def _expr_text(spec: str) -> str:
-    """The expression text: the file ``spec`` names, or ``spec`` itself."""
-    if not os.path.exists(spec):
-        return spec
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        why = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
-        raise PreconditionError(f"cannot read --expr file {spec}: {why}") from None
+def _expr(spec: str):
+    """The parsed ``--expr``: the text of the file ``spec`` names, or
+    ``spec`` itself.  A file written by ``gp cert`` (its first line is a
+    ``key: value`` header, which no expression holds) gives its
+    certificate's indicator."""
+    text = spec
+    if os.path.exists(spec):
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            why = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+            raise PreconditionError(f"cannot read --expr file {spec}: {why}") from None
+    if ":" in text.partition("\n")[0]:
+        return Certificate.from_file_text(text).indicator
+    return parse(text)
 
 
 def _format_rows(rows: list[dict], fmt: str, columns: list[str]) -> str:
@@ -91,14 +97,14 @@ def _interval_strings(value, bits: int = 96) -> tuple[str, str]:
 
 
 def cmd_members(args) -> int:
-    found = members(parse(_expr_text(args.expr)), args.range_from, args.range_to, args.maxprec)
+    found = members(_expr(args.expr), args.range_from, args.range_to, args.maxprec)
     rows = [{"n": n} for n in found]
     _write_atomic(args.out, _format_rows(rows, args.format, ["n"]))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    expr = parse(_expr_text(args.expr))
+    expr = _expr(args.expr)
     rows = []
     for n in range(args.range_from, args.range_to + 1):
         v = eval_exact(expr, n, args.maxprec)
@@ -130,7 +136,7 @@ def cmd_cert(args) -> int:
 
 def _constant(args):
     """The value of ``--expr``, which must not depend on n."""
-    expr = parse(_expr_text(args.expr))
+    expr = _expr(args.expr)
     if depends_on_var(expr):
         raise PreconditionError(f"{args.command} needs a constant expression, not one in n")
     return eval_exact(expr, 0, args.maxprec)

@@ -93,9 +93,18 @@ class Certificate:
                 raise ParseError(f"malformed header line {line!r}", i + 1, 1)
             key, _, value = line.partition(":")
             header[key.strip()] = value.strip()
-        program = "\n".join(lines[i + 1 :])
-        indicator = parse(program)
-        exc = tuple(int(tok) for tok in header.get("exceptional", "").split())
+        try:
+            indicator = parse("\n".join(lines[i + 1 :]))
+        except ParseError as exc:
+            if exc.line is None:
+                raise
+            # the program starts on the file's line i + 2
+            raise ParseError(exc.message, exc.line + i + 1, exc.col) from None
+        try:
+            exc = tuple(int(tok) for tok in header.get("exceptional", "").split())
+            bound = int(header.get("exceptional_bound", "0"))
+        except ValueError:
+            raise ParseError("exceptional and exceptional_bound must be integers") from None
         meta = {
             k: v
             for k, v in header.items()
@@ -104,7 +113,7 @@ class Certificate:
         return cls(
             indicator=indicator,
             target_description=header.get("target", ""),
-            exceptional_bound=int(header.get("exceptional_bound", "0")),
+            exceptional_bound=bound,
             exceptional=exc,
             meta=meta,
         )

@@ -138,15 +138,6 @@ def depends_on_var(e: Expr) -> bool:
     return any(isinstance(node, Var) for node in walk_distinct(e))
 
 
-def with_children(e: Expr, kids: tuple) -> Expr:
-    """``e`` with its children replaced by ``kids`` (``e`` itself if none changed)."""
-    if all(k is c for k, c in zip(kids, children(e))):
-        return e
-    if isinstance(e, Pow):
-        return Pow(kids[0], e.exponent)
-    return type(e)(*kids)
-
-
 def map_tree(e: Expr, fn):
     """Fold the tree bottom up: ``fn(node, results of its children)``, children first.
 
@@ -171,10 +162,45 @@ def map_tree(e: Expr, fn):
 
 
 def substitute_var(e: Expr, replacement: Expr) -> Expr:
-    """Replace every occurrence of the variable by ``replacement``."""
-    return map_tree(
-        e, lambda node, kids: replacement if isinstance(node, Var) else with_children(node, kids)
-    )
+    """Replace every occurrence of the variable by ``replacement``.
+
+    One walk on an explicit stack, memoised on node identity like
+    :func:`map_tree`: a node stays on the stack until its children are
+    rewritten, a shared subtree is rewritten once and stays shared, and a
+    subtree without the variable is kept as it is.
+    """
+    done: dict[int, Expr] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        cls = type(node)
+        if cls is Add or cls is Sub or cls is Mul:
+            left, right = done.get(id(node.left)), done.get(id(node.right))
+            if left is None or right is None:
+                stack += [k for k in (node.right, node.left) if id(k) not in done]
+                continue
+            if left is not node.left or right is not node.right:
+                node_out = cls(left, right)
+            else:
+                node_out = node
+        elif cls in _UNARY or cls is Pow:
+            arg = node.base if cls is Pow else node.arg
+            new = done.get(id(arg))
+            if new is None:
+                stack.append(arg)
+                continue
+            if new is arg:
+                node_out = node
+            else:
+                node_out = Pow(new, node.exponent) if cls is Pow else cls(new)
+        else:
+            node_out = replacement if cls is Var else node
+        done[id(node)] = node_out
+        stack.pop()
+    return done[id(e)]
 
 
 # ---------------------------------------------------------------------------

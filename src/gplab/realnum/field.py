@@ -15,8 +15,15 @@ bracket ``(a, a + 1) * 2^-g`` on a dyadic grid inside that interval,
 certified by opposite signs of the integer-scaled minimal polynomial at its
 two ends, and refined on demand by integer Newton steps (Moore, *Interval Analysis*,
 1966) with integer bisection as the fallback.  Signs, floors and enclosures
-of elements come from integer interval Horner evaluations on
-that grid (:func:`dyadic_enclosure`), never from floats.
+of elements come from :func:`dyadic_enclosure`, never from floats: one
+straight-line pass over the coordinates, unrolled for degree 2 and 3, that
+bounds the slope and evaluates the element exactly in integers at the
+bracket's lower end, then widens by slope times bracket width (the
+mean-value form).  Its grid and widening are those of the general
+interval Horner evaluation through the polynomial helpers, so it returns
+the same integers.  ``sign`` and ``floor`` call it once per rung of a
+precision ladder that doubles from 64 bits; subtraction, like addition,
+works on the coordinates directly.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from .polys import (
     count_real_roots,
     is_irreducible_low_degree,
     poly_derivative,
-    poly_eval,
     poly_sign,
     scaled_eval,
 )
@@ -304,14 +310,25 @@ class FieldElement:
 
     def __sub__(self, other):
         if isinstance(other, FieldElement):
-            return self + (-other) if self._same_field(other) else NotImplemented
+            if not self._same_field(other):
+                return NotImplemented
+            d1, d2 = self.den, other.den
+            if d1 == d2:
+                return _reduced(self.field, tuple(a - b for a, b in zip(self.num, other.num)), d1)
+            num = tuple(a * d2 - b * d1 for a, b in zip(self.num, other.num))
+            return _reduced(self.field, num, d1 * d2)
         if isinstance(other, (int, Fraction)):
             return self._add_rational(-other.numerator, other.denominator)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return -self + other
+            p, q = other.numerator, other.denominator
+            n, d = self.num, self.den
+            if q == 1:
+                return FieldElement(self.field, (p * d - n[0],) + tuple(-x for x in n[1:]), d)
+            num = (p * d - n[0] * q,) + tuple(-x * q for x in n[1:])
+            return _reduced(self.field, num, d * q)
         return NotImplemented
 
     def __mul__(self, other):
@@ -482,30 +499,38 @@ class FieldElement:
 def dyadic_enclosure(x: FieldElement, bits: int) -> tuple[int, int]:
     """Integers ``lo <= x * 2^bits <= hi`` with ``hi - lo <= 2``.
 
-    The designated root's bracket ``[blo, bhi] * 2^-g`` is taken on the
-    dyadic grid with ``g = bits`` + the bits of a bound on ``x``'s slope +
-    guard bits.  ``x`` is evaluated exactly in integers at ``blo * 2^-g``
-    and widened by the slope bound times the bracket width (the mean-value
-    form).  If the result is wider than ``2^-bits`` (the postcondition) the
-    grid is refined and the evaluation repeated.
+    One straight-line pass over the coordinates ``p_i`` of ``den * x``,
+    unrolled for degree 2 and 3: the slope bound ``s = sum(i |p_i|
+    r^(i-1))`` on ``|beta| <= r``; the designated root's bracket ``[blo,
+    bhi] * 2^-g`` on the grid ``g = bits + k``, with ``k`` the bits of
+    ``3s`` over those of ``den`` plus guard bits; ``den * x`` evaluated
+    exactly in integers at ``blo * 2^-g`` by Horner's rule; and a widening
+    by ``s`` times the bracket width (the mean-value form).  The widened
+    interval is at most ``1 + 4s < 2^(k + bitlength(den) - 1) <= den * 2^k``
+    wide, so this one grid always meets the postcondition.  A rational
+    ``x`` is rounded outward directly.
     """
-    nums, den = x.num, x.den
-    if x.is_rational():
-        q = nums[0]
-        return (q << bits) // den, -((-q << bits) // den)
-    field = x.field
-    # |d(den * x)/d beta| <= sum(i |p_i| r^(i-1)) for beta within r of 0
-    r = field._root_bound
-    slope = poly_eval(poly_derivative([abs(p) for p in nums]), r)
-    g = bits + max(0, (3 * slope).bit_length() - den.bit_length() + 1) + _GUARD_BITS
-    while True:
-        blo, bhi = field.root_enclosure(g)
-        acc = scaled_eval(nums, blo, g)
-        # acc = den * x(blo * 2^-g) * 2^(g * degree), so den * x * 2^g lies in [lo, hi]
-        shift = g * (len(nums) - 2)
-        spread = slope * (bhi - blo)
-        lo = (acc >> shift) - spread
-        hi = -((-acc) >> shift) + spread
-        if (hi - lo) << bits <= den << g:
-            return (lo << bits) // (den << g), -((-hi << bits) // (den << g))
-        g += _GUARD_BITS
+    field, den = x.field, x.den
+    cubic = field.degree == 3
+    if cubic:
+        p0, p1, p2 = x.num
+        slope = abs(p1) + 2 * abs(p2) * field._root_bound
+    else:
+        p0, p1 = x.num
+        slope = abs(p1)
+    if not slope:
+        return (p0 << bits) // den, -((-p0 << bits) // den)
+    k = max(0, (3 * slope).bit_length() - den.bit_length() + 1) + _GUARD_BITS
+    g = bits + k
+    blo, bhi = field.root_enclosure(g)
+    spread = slope * (bhi - blo)
+    if cubic:
+        # acc = den * x(blo * 2^-g) * 2^(2g), so den * x * 2^g lies in [lo, hi]
+        acc = (p2 * blo + (p1 << g)) * blo + (p0 << (2 * g))
+        lo = (acc >> g) - spread
+        hi = -(-acc >> g) + spread
+    else:
+        acc = p1 * blo + (p0 << g)
+        lo = acc - spread
+        hi = acc + spread
+    return (lo >> k) // den, -((-hi >> k) // den)

@@ -15,7 +15,9 @@ reference for the compiled program's fused predicates; and
 before it was generated code, the reference for that code; and
 ``small_fp_squared``, the small-fp indicator with its distance term entering
 through the squared offset x - nint(x), the reference for the builder that
-tests ||x|| directly.
+tests ||x|| directly; and ``dyadic_enclosure_reference``, a field
+element's enclosure through the integer polynomial helpers, the reference
+for the unrolled kernel.
 
 ``REGISTRY_CASES`` is the one table of registry constructions and
 parameters that the tests run every registry indicator on.
@@ -740,3 +742,38 @@ def small_fp_squared(q, p, b):
     offset = Sub(q.arg, Floor(Add(q.arg, RationalConst(Fraction(1, 2)))))
     y = Mul(Pow(Pow(offset, 2), den), Pow(p, 2 * num))
     return ind_and(ind_not(indicator_of_zero_set(offset)), indicator_of_range(y, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the field element enclosure through the polynomial helpers
+# ---------------------------------------------------------------------------
+
+
+def dyadic_enclosure_reference(x, bits: int) -> tuple[int, int]:
+    """Integers ``lo <= x * 2^bits <= hi`` for a field element x, computed
+    as ``realnum.dyadic_enclosure`` did before it became one unrolled pass:
+    the slope bound from ``poly_derivative`` and ``poly_eval``, the value
+    from ``scaled_eval``, the same grid, guard steps and widening.  The
+    reference for that kernel, which must return the same integers."""
+    from gplab.realnum.polys import poly_derivative, scaled_eval
+    from gplab.realnum.polys import poly_eval as int_poly_eval
+
+    nums, den = x.num, x.den
+    if x.is_rational():
+        q = nums[0]
+        return (q << bits) // den, -((-q << bits) // den)
+    field = x.field
+    r = field._root_bound
+    slope = int_poly_eval(poly_derivative([abs(p) for p in nums]), r)
+    guard = 4
+    g = bits + max(0, (3 * slope).bit_length() - den.bit_length() + 1) + guard
+    while True:
+        blo, bhi = field.root_enclosure(g)
+        acc = scaled_eval(nums, blo, g)
+        shift = g * (len(nums) - 2)
+        spread = slope * (bhi - blo)
+        lo = (acc >> shift) - spread
+        hi = -((-acc) >> shift) + spread
+        if (hi - lo) << bits <= den << g:
+            return (lo << bits) // (den << g), -((-hi << bits) // (den << g))
+        g += guard

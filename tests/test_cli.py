@@ -75,6 +75,52 @@ def test_members_of_a_printed_cubic_certificate(tmp_path):
     assert len(got) > 100
 
 
+@pytest.mark.parametrize(
+    "cert_args,hi",
+    [(["fibonacci", "--a", "1"], 10**4), (["cubic", "--a", "1", "--b", "1"], 10**30)],
+)
+def test_members_of_a_certificate_file_as_written(tmp_path, cert_args, hi):
+    # a file written by gp cert is read through its header: the members are
+    # those of the program with the header stripped
+    cert_path = tmp_path / "cert.gp"
+    assert run(["cert", "--construction", *cert_args, "--out", str(cert_path)]) == 0
+    expr_path = tmp_path / "expr.gp"
+    expr_path.write_text(cert_path.read_text().split("\n\n", 1)[1])
+    got = {}
+    for path in (cert_path, expr_path):
+        out = tmp_path / f"{path.stem}.csv"
+        argv = ["members", "--expr", str(path), "--from", "1", "--to", str(hi), "--out", str(out)]
+        assert run(argv) == 0
+        got[path] = out.read_text()
+    assert got[cert_path] == got[expr_path] and len(got[cert_path].splitlines()) > 10
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "target: x\nexceptional_bound: many\n",
+        "target: x\nexceptional: 1 two\n",
+        "target: x\nno colon on this line\n",
+        "target: x\n",  # a header and no program
+    ],
+)
+def test_exit_code_malformed_certificate_header(tmp_path, header, capsys):
+    path = tmp_path / "bad.gp"
+    program = "" if header.count("\n") == 1 else "floor(n) - n + 1\n"
+    path.write_text(header + "\n" + program)
+    assert run(["members", "--expr", str(path), "--from", "1", "--to", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err
+    assert len(err.splitlines()) == 1, err
+
+
+def test_certificate_file_parse_error_names_the_file_line(tmp_path, capsys):
+    path = tmp_path / "bad.gp"
+    path.write_text("target: x\nexceptional_bound: 0\n\nfloor(n\n")
+    assert run(["members", "--expr", str(path), "--from", "1", "--to", "5"]) == 2
+    assert "(line 4, column 8)" in capsys.readouterr().err
+
+
 def test_exit_code_parse_error(capsys):
     assert run(["members", "--expr", "floor(n", "--from", "1", "--to", "2"]) == 2
     err = capsys.readouterr().err

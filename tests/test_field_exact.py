@@ -1,10 +1,13 @@
 """Integer-coordinate field arithmetic against references.
 
 The ring operations are checked against Fraction-coordinate arithmetic,
-and signs, floors and the dyadic root brackets against mpmath at 250
-digits (more for the deep root grids).
+signs, floors and the dyadic root brackets against mpmath at 250
+digits (more for the deep root grids), and the unrolled enclosure kernel
+against the polynomial-helper form it replaced and the order queries built
+on it against exact quadratic-surd comparisons.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,9 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gplab.constructions import cubic_pisot_set
+from gplab.constructions.cubic import _cubic_field
 from gplab.realnum import NumberField, dyadic_enclosure
 
-from oracles import FractionFieldRef, poly_eval, tribonacci_R
+from oracles import (
+    FractionFieldRef,
+    dyadic_enclosure_reference,
+    floor_quadratic,
+    poly_eval,
+    quad_lt,
+    tribonacci_R,
+)
 
 PHI = ((-1, -1, 1), 1, 2)
 TRIB = ((-1, -1, -1, 1), 1, 2)
@@ -50,6 +61,9 @@ def test_integer_coordinates_match_fraction_reference(deg, data):
         (x - y, ref.sub(a, b)),
         (x * y, ref.mul(a, b)),
         (x * Fraction(3, 4), ref.mul(a, (Fraction(3, 4),) + (Fraction(0),) * (deg - 1))),
+        (5 - x, ref.sub((Fraction(5),) + (Fraction(0),) * (deg - 1), a)),
+        (Fraction(3, 4) - x, ref.sub((Fraction(3, 4),) + (Fraction(0),) * (deg - 1), a)),
+        (x - Fraction(3, 4), ref.sub(a, (Fraction(3, 4),) + (Fraction(0),) * (deg - 1))),
     ]:
         assert got.coords == want
         assert_canonical(got)
@@ -173,3 +187,81 @@ def test_dyadic_root_brackets_mpmath_root(spec, start, newton):
         assert poly_eval(fr, rlo) * poly_eval(fr, rhi) < 0
         ilo, ihi = field.isolating_interval
         assert ilo < rlo < rhi < ihi
+
+
+# the generator as (s + sqrt(d)) / t, for the exact surd oracles
+QUADRATIC_KERNEL_FIELDS = {
+    "sqrt2": (NumberField((-2, 0, 1), 1, 2, "s"), (0, 2, 1)),
+    "phi": (NumberField(*PHI, "phi"), (1, 5, 2)),
+    "sqrt3": (NumberField((-3, 0, 1), 1, 2, "s"), (0, 3, 1)),
+    "x2-3x+1": (NumberField((1, -3, 1), 2, 3, "b"), (3, 5, 2)),
+}
+KERNEL_FIELDS = {name: field for name, (field, _) in QUADRATIC_KERNEL_FIELDS.items()}
+KERNEL_FIELDS.update({f"cubic({a},{b})": _cubic_field(a, b) for a, b in [(1, 1), (2, 1), (2, -1)]})
+KERNEL_BITS = (0, 1, 3, 64, 65, 97, 192, 1000)
+
+
+@st.composite
+def kernel_elements(draw, field):
+    """Field elements with coordinates up to 2^300 over denominators up to
+    2^80, rational ones, and powers of the generator plus a small rational
+    (within a tiny distance of an integer, where the ladder climbs)."""
+    den = draw(st.integers(1, 2**80))
+    kind = draw(st.sampled_from(["any", "rational", "near-integer"]))
+    if kind == "near-integer":
+        k = draw(st.integers(0, 120))
+        x = field.generator() ** k * draw(st.sampled_from([1, -1]))
+        return x + Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, den])))
+    nums = [draw(st.integers(-(2**300), 2**300)) for _ in range(field.degree)]
+    if kind == "rational":
+        nums[1:] = [0] * (field.degree - 1)
+    return field.element(*(Fraction(n, den) for n in nums))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dyadic_enclosure_matches_reference(name, data):
+    field = KERNEL_FIELDS[name]
+    x = data.draw(kernel_elements(field))
+    for bits in KERNEL_BITS:
+        assert dyadic_enclosure(x, bits) == dyadic_enclosure_reference(x, bits)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_dyadic_enclosure_matches_reference_on_small_elements(name):
+    # every element with coordinates in [-3, 3] over small denominators, at
+    # every precision up to 40 bits: the roundings at the ends of the
+    # interval show here, where the scaled interval is only a few cells wide
+    field = KERNEL_FIELDS[name]
+    for den in (1, 2, 3, 7):
+        for nums in itertools.product(range(-3, 4), repeat=field.degree):
+            x = field.element(*(Fraction(n, den) for n in nums))
+            for bits in range(41):
+                assert dyadic_enclosure(x, bits) == dyadic_enclosure_reference(x, bits)
+
+
+def _surd(x, form):
+    """x = p + q * sqrt(d) for the generator (s + sqrt(d)) / t."""
+    s, d, t = form
+    n0, n1 = x.coords
+    return n0 + n1 * s / t, n1 / t, d
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATIC_KERNEL_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_order_queries_match_surd_oracle(name, data):
+    field, form = QUADRATIC_KERNEL_FIELDS[name]
+    x, y = data.draw(kernel_elements(field)), data.draw(kernel_elements(field))
+    r = Fraction(data.draw(st.integers(-(2**300), 2**300)), data.draw(st.integers(1, 2**80)))
+    p, q, d = _surd(x, form)
+    py, qy, _ = _surd(y, form)
+    assert x.sign() == (0 if p == q == 0 else -1 if quad_lt(p, q, d, 0) else 1)
+    assert x.floor() == floor_quadratic(p, q, d)
+    assert x.nint() == floor_quadratic(p + Fraction(1, 2), q, d)
+    want = 0 if (p, q) == (py, qy) else -1 if quad_lt(p - py, q - qy, d, 0) else 1
+    assert x.compare(y) == want and y.compare(x) == -want
+    want_r = 0 if (p, q) == (r, 0) else -1 if quad_lt(p, q, d, r) else 1
+    assert x.compare(r) == want_r and (x < r) == (want_r < 0)
+    assert (r - x) == -(x - r) and (x - y) + y == x

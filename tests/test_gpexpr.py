@@ -712,6 +712,39 @@ def test_map_tree_folds_shared_subtrees_once():
     assert isinstance(node, Mul)
 
 
+def test_substitute_var_keeps_sharing_and_text():
+    # the registry's quadratic a=3 norm +1 build substitutes into printed
+    # certificates; a bottom-up rebuild by map_tree is the reference
+    from gplab.constructions import quadratic
+    from gplab.gpexpr.ast import Var, children, walk_distinct
+
+    calls = []
+    real = quadratic.substitute_var
+    quadratic.substitute_var = lambda e, r: calls.append((e, r)) or real(e, r)
+    try:
+        quadratic.quadratic_pisot_unit_set(3, 1)
+    finally:
+        quadratic.substitute_var = real
+    assert len(calls) == 3
+
+    def rebuild(node, kids, replacement):
+        if isinstance(node, Var):
+            return replacement
+        if all(k is c for k, c in zip(kids, children(node))):
+            return node
+        return Pow(kids[0], node.exponent) if isinstance(node, Pow) else type(node)(*kids)
+
+    for e, r in calls:
+        got = substitute_var(e, r)
+        want = map_tree(e, lambda node, kids: rebuild(node, kids, r))
+        assert to_text(got) == to_text(want)
+        assert len(list(walk_distinct(got))) == len(list(walk_distinct(want)))
+    # a subtree without the variable is kept as it is
+    c = Floor(Mul(RationalConst(Fraction(1, 3)), RationalConst(Fraction(2))))
+    s = substitute_var(Add(c, N), Mul(N, N))
+    assert s.left is c and s.right == Mul(N, N)
+
+
 def test_walk_distinct_is_walk_without_repeats():
     # each distinct node once, in the order of its first occurrence in the
     # full preorder, on a built certificate's tree of shared subterms
