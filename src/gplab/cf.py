@@ -5,14 +5,15 @@ x_(k+1) = 1/(x_k - a_k): exact on rationals and field elements, and
 decided within ``max_bits`` on streams.  ``cf_expand`` reads a quadratic
 irrational's expansion off it, the period ending where a complete quotient
 first recurs as an equal field element, and ``quadratic_quotients`` yields
-the same quotients one at a time, with no cap on the period;
-``cf_of_rational`` is Euclid's algorithm on integers.  ``convergent_walk`` is the one walk over the
-convergents of either kind, and ``legendre_candidates`` the one candidate
-walk of the small-distance sets over it: the Legendre walk of
-:mod:`gplab.gpexpr.support`, which proposes the points of every compiled
-distance test ||c v|| < 1/(k v), k >= 2, on a quadratic c (so of the
-Fibonacci, Pell, filtered and quadratic certificates), and the very-sparse
-scan.  The 1-D best approximations are
+the same quotients one at a time, with no cap on the period, as
+``rational_quotients`` does a rational's by Euclid's algorithm on integers.
+``convergent_walk`` is the one walk over the convergents of either kind,
+and ``legendre_candidates`` the one candidate walk of the small-distance
+sets over it: the Legendre walks of :mod:`gplab.gpexpr.support`, which
+propose the points of every compiled distance test ||c v|| < 1/(k v),
+k >= 2, on a quadratic c (the Fibonacci, Pell, filtered and quadratic
+certificates), and of range and zero tests of k v^m F(c v) on a rational
+c (the very-sparse certificate).  The 1-D best approximations are
 the convergent denominators (Lagrange's theorem), each compared exactly
 with the last record.  The planar norm is ``|u*x1 + v*x2|`` for a complex
 constant ``u`` and real ``v``, evaluated through its exact squared value in
@@ -141,21 +142,25 @@ def quadratic_quotients(x: FieldElement) -> Iterator[int]:
         yield a
 
 
-def cf_of_rational(x: Fraction) -> ContinuedFraction:
-    """The finite continued fraction of a rational, by Euclid's algorithm.
+def rational_quotients(x: Fraction) -> Iterator[int]:
+    """The partial quotients of a rational, by Euclid's algorithm on
+    integers, each formed only when asked for.
 
     ``complete_quotients`` gives the same quotients, but each of its
     ``Fraction`` steps reduces by a gcd: on a 2000-bit rational it takes
     about ten times as long, and a very sparse alpha has a denominator near
     n_last^C.
     """
-    terms = []
     num, den = x.numerator, x.denominator
     while den:
         a, r = divmod(num, den)
-        terms.append(a)
+        yield a
         num, den = den, r
-    return ContinuedFraction(tuple(terms), (), x)
+
+
+def cf_of_rational(x: Fraction) -> ContinuedFraction:
+    """The finite continued fraction of a rational (``rational_quotients``)."""
+    return ContinuedFraction(tuple(rational_quotients(x)), (), x)
 
 
 def convergent_walk(cf: ContinuedFraction) -> Iterator[tuple[int, int, int | None]]:

@@ -9,25 +9,24 @@ registry's scan start to 4000) writes the data its scan finds.
 
 The indicator decides membership, and ``members_in``, one window scan of
 it over increasing points, is the one place that asks it.  ``points``
-names the points of [lo, hi] a scan decides, each once in increasing
-order.  Without a generator they are the proposals of the indicator's
-support analysis (``gpexpr.proposals``): the Legendre candidates of a
-quadratic distance test and the lattice-box points of a cubic
-certificate's plateau test, pulled back through a transfer and joined over
-an OR (see :mod:`gplab.gpexpr.support`), or every point of an indicator of
-any other shape, so a printed certificate is read as fast as the built
-one.  A builder whose indicator has no such shape may attach
-``candidates(lo, hi)``, a generator that only proposes points (the
-Legendre candidates of a very sparse alpha).  ``members`` decides exactly the ``points`` in one ``members_in``
-scan, with the certificate's own indicator, so the precision budget
-reaches every scan.
+names the points of [lo, hi] a scan decides: the proposals of the
+indicator's support analysis (``gpexpr.proposals``), as increasing pieces,
+a ``range`` for each run proposed whole.  They are the Legendre candidates
+of a quadratic distance test and of a very sparse alpha's range and zero
+tests, and the lattice-box points of a cubic certificate's plateau test,
+pulled back through a transfer and joined over an OR (see
+:mod:`gplab.gpexpr.support`), or every point of an indicator of any other
+shape.  They are read off the indicator alone, so a printed certificate
+proposes what the built one does.  ``members`` decides each piece in one
+``members_in`` scan, with the certificate's own indicator, so the
+precision budget reaches every scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import ParseError, PreconditionError
 from ..gpexpr import Expr, members_in, parse, proposals, to_text
@@ -40,7 +39,6 @@ class Certificate:
     target_description: str
     exceptional_bound: int = 0
     exceptional: tuple[int, ...] = ()
-    candidates: Callable[[int, int], Iterable[int]] | None = None  # (lo, hi)
     meta: dict = field(default_factory=dict)
 
     def members_in(self, points: Sequence[int], max_bits: int = DEFAULT_MAX_BITS) -> Iterator[int]:
@@ -50,19 +48,16 @@ class Certificate:
     def member(self, n: int, max_bits: int = DEFAULT_MAX_BITS) -> bool:
         return n in self.members(n, n, max_bits)
 
-    def points(self, lo: int, hi: int) -> Sequence[int]:
-        """The points ``members`` decides: every proposal in [lo, hi], once
-        and in increasing order, the generator's or, without one, those of
-        the indicator's support analysis (``gpexpr.proposals``)."""
-        if self.candidates is None:
-            pieces = proposals(self.indicator, lo, hi)
-            return pieces[0] if len(pieces) == 1 else [n for piece in pieces for n in piece]
-        return sorted({n for n in self.candidates(lo, hi) if lo <= n <= hi})
+    def points(self, lo: int, hi: int) -> list[Sequence[int]]:
+        """The points ``members`` decides: the proposals in [lo, hi] of the
+        indicator's support analysis (``gpexpr.proposals``), increasing
+        pieces in increasing order."""
+        return proposals(self.indicator, lo, hi)
 
     def members(self, lo: int, hi: int, max_bits: int = DEFAULT_MAX_BITS) -> list[int]:
         """The points of [lo, hi] where the indicator holds, in increasing order:
-        ``points(lo, hi)``, decided in one ``members_in`` scan."""
-        return list(self.members_in(self.points(lo, hi), max_bits))
+        ``points(lo, hi)``, each piece decided in one ``members_in`` scan."""
+        return [n for piece in self.points(lo, hi) for n in self.members_in(piece, max_bits)]
 
     # -- serialization ------------------------------------------------------
     def to_file_text(self) -> str:

@@ -4,9 +4,9 @@ and the start of its scan.
 ``params`` has the attributes a construction reads (the ``gp`` parser's
 namespace): ``a``, ``b``, ``norm``, ``C``, ``D``, ``sequence`` (integers).
 Builders compute no exceptional data; each returns its certificate, whose
-``members`` decides its points in one ``Certificate.members_in`` scan, the
-only scan that decides: a certificate built on another reads that one's
-``points``.
+``members`` decides its indicator's proposals in ``Certificate.members_in``
+scans, the only scans that decide: a certificate built on another
+substitutes that one's indicator into its own (a pull-back).
 ``gp cert`` computes a certificate's exceptional set with one
 ``verify_certificate`` call on [``scan_from``, ``SCAN_TO``] against the
 oracle, and hands that scan's report to ``annotate`` where one is set

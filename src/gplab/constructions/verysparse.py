@@ -11,8 +11,10 @@ possible.  For every alpha in all of them the set
 differs from {n_i} by a finite set.  The certificate takes alpha to be the
 midpoint of the deepest interval, an exact rational, so its compiled
 indicator decides every point exactly and the printed certificate is the
-scanned one.  The scan proposes only multiples of the convergent
-denominators of alpha (Legendre's theorem).
+scanned one.  The support analysis of that indicator
+(:mod:`gplab.gpexpr.support`) proposes, for the built and the printed
+certificate alike, every n <= 1 and the multiples of the convergent
+denominators of alpha that Legendre's theorem leaves.
 
 ``densify_sequence`` implements the interpolation that upgrades any
 sequence with growth exponent at least ``DENSIFY_C_MIN`` into one
@@ -26,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from ..errors import NoCoprimeCandidate, NotFound, NoValidL, PrecisionExhausted, PreconditionError
 from ..gpexpr import (
@@ -42,7 +43,8 @@ from ..gpexpr import (
     indicator_of_zero_set,
 )
 from ..gpexpr.evaluate import _shown
-from ..cf import ContinuedFraction, cf_of_rational, coprime_in_interval, legendre_candidates
+from ..cf import coprime_in_interval
+from ..realnum import ceil_root
 from .certificate import Certificate
 
 #: Smallest growth exponent for which the plain interpolation always finds
@@ -132,14 +134,12 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
         indicator_of_zero_set(Sub(y, RationalConst(Fraction(2)))),
     )
     alpha_lo, alpha_hi = params.intervals[-1]
-    cf = cf_of_rational(alpha)
     # the leading terms as a tuple prints them, a huge one by its size
     head = params.n_seq[:3]
     terms = ", ".join(_shown(n) for n in head) + ("," if len(head) == 1 else "")
     return Certificate(
         indicator=indicator,
         target_description=f"terms of the supplied sequence ({terms})...",
-        candidates=lambda lo, hi: _very_sparse_scan(cf, C, lo, hi),
         meta={
             "construction": f"very_sparse C={params.C} D={params.D}",
             "coprime_from": params.coprime_from,
@@ -148,26 +148,6 @@ def very_sparse_set(params: VerySparseParams) -> Certificate:
             "alpha_snapshot": alpha,
             "valid_to": params.n_seq[-1],
         },
-    )
-
-
-def _very_sparse_scan(cf: ContinuedFraction, C: int, lo: int, hi: int) -> Iterator[int]:
-    """Candidates for E' on [lo, hi], from the continued fraction ``cf`` of
-    alpha, expanded once per certificate.
-
-    Every point n <= 1 is proposed.  A member n >= 2 has
-    |alpha - nint(n alpha)/n| <= n^{-C}/2 < 1/(2n^2), so it is g q_k
-    (``cf.legendre_candidates``) with g d_k <= (g q_k)^{1-C}/2, d_k = |q_k alpha - p_k|,
-    that is 2 g^C q_k^{C-1} |q_k a - p_k b| <= b in integers for alpha = a/b.
-    At alpha's last convergent d_k = 0, and ||n alpha|| = 0 is outside the window.
-    """
-    a, b = cf.source.numerator, cf.source.denominator
-    yield from range(lo, min(1, hi) + 1)
-    yield from legendre_candidates(
-        cf,
-        lo,
-        hi,
-        lambda g, p, q, _: 2 * g**C * q ** (C - 1) * abs(q * a - p * b) <= b,
     )
 
 
@@ -231,14 +211,9 @@ def _exact_log(n_hi: int, n_lo: int) -> int | None:
 
 
 def _exact_root(m: int, r: int) -> int | None:
-    """t with t^r = m exactly, if it exists."""
-    if r == 1:
-        return m
-    t = round(m ** (1.0 / r))
-    for cand in (t - 1, t, t + 1):
-        if cand >= 1 and cand**r == m:
-            return cand
-    return None
+    """t with t^r = m exactly, if it exists (m >= 1)."""
+    t = ceil_root(m, r)
+    return t if t**r == m else None
 
 
 def _interp_term(n_lo: int, n_hi: int, k: int, l: int) -> int:

@@ -36,12 +36,13 @@ compiles to its literal ops, as any other sum does.
 Which points are evaluated is decided elsewhere: :func:`members_in` decides
 the points it is given, and ``gpexpr.members`` gives it only those the
 support analysis of the program proposes (:mod:`gplab.gpexpr.support`):
-the Legendre candidates of a ``_DIST_LT(k v, c v)`` or ``_RANGE(k v F(c v);
-lo, hi)`` on a quadratic c (Legendre's theorem, Khinchin, *Continued
-Fractions*, Thm 19), the lattice-box points of a cubic plateau test
-``_RANGE(C - (H G)^2; lo, hi)``, joined over ``p + q - p q``, read from one factor of a
-product, and pulled back through ``nint(u v)``; every point for any other
-shape.  The analysis is made on the first proposal and kept in the
+the Legendre candidates of a ``_DIST_LT(k v, c v)`` on a quadratic c, of
+a ``_RANGE(k v^m F(c v); lo, hi)`` on a quadratic or rational c and of a
+literal zero test of k v^m F(c v) - t on a rational c (Legendre's
+theorem, Khinchin, *Continued Fractions*, Thm 19), the lattice-box points
+of a cubic plateau test ``_RANGE(C - (H G)^2; lo, hi)``, joined over
+``p + q - p q``, read from one factor of a product, and pulled back
+through ``nint(u v)``; every point for any other shape.  The analysis is made on the first proposal and kept in the
 program.
 
 Every node compiles bottom up to its literal op; the shapes are read at

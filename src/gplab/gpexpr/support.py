@@ -1,7 +1,8 @@
 """Where an indicator can be nonzero: a support analysis of its compiled program.
 
-The paper's indicators are sparse: the Fibonacci, quadratic-unit and
-cubic (Tribonacci-like) sets hold O(log N) points of [1, N].  :func:`members` therefore decides only the
+The paper's indicators are sparse: the Fibonacci, quadratic-unit, cubic
+(Tribonacci-like) and very-sparse sets hold O(log N) points of [1, N].
+:func:`members` therefore decides only the
 points :func:`proposals` names, each through the one window scan
 :func:`~gplab.gpexpr.evaluate.members_in`.  The proposals hold every point
 where the indicator is nonzero, so the members are those of a scan of every
@@ -13,11 +14,17 @@ interpretation (Cousot and Cousot, POPL 1977) whose abstract values are
 proposal sets in a variable v: ``n`` itself or, inside a pull-back, an op
 ``nint(u n)``.  The rules, from the root down:
 
-* Legendre walk.  ``_DIST_LT(k v, c v)`` with a rational k >= 2, and
-  ``_RANGE(k v F(c v); lo, hi)`` with F the fractional part (``frac`` or
-  ``M - floor(M)``) or ``dist``, hi > 0 and k >= 2 hi, where c is an
-  irrational quadratic constant.  A member v >= 1 has ||v c|| < 1/(2v), so
-  it is one of the points :class:`_Walk` proposes; every v <= 0 is proposed.
+* Legendre walk.  ``_DIST_LT(k v, c v)`` with a rational k >= 2, where c
+  is an irrational quadratic constant, and ``_RANGE(k v^m F(c v); lo, hi)``
+  with F the fractional part (``frac`` or ``M - floor(M)``) or ``dist``,
+  m >= 1, k > 0 and hi > 0, where c is such a constant or a rational (then
+  with lo > 0).  A member v from a start on has ||v c|| < 1/(2v), so it is
+  one of the points :class:`_Walk` proposes; every v below the start is
+  proposed (:meth:`_Analysis._legendre`).
+* Zero test.  ``floor(1 - F(theta (y - t)))``, theta the built-in
+  ``THETA`` and t rational, is nonzero only where y = t when y is
+  rational, so with y = k v^m F(c v) on a rational c it is the Legendre
+  walk of t <= y <= t (:meth:`_Analysis._zero_test`).
 * Lattice box.  ``_RANGE(C - (H G)^2; lo, hi)`` with exact lo >= 0 and
   C > 0, where H = (rho x1 + w x2)^2 + sigma x1^2 (either operand order)
   with x_j = theta_j v minus a ``nint`` or ``floor`` op, theta =
@@ -61,9 +68,10 @@ from ..cf import (
     SlabBoxes,
     legendre_candidates,
     quadratic_quotients,
+    rational_quotients,
 )
 from ..errors import PreconditionError
-from ..realnum import DEFAULT_MAX_BITS, FieldElement, compare, fixed_enclosure, rmul
+from ..realnum import DEFAULT_MAX_BITS, THETA, FieldElement, ceil_root, compare, fixed_enclosure, rmul
 from .ast import Expr
 from .evaluate import (
     _ADD,
@@ -107,49 +115,73 @@ def _half_over_n(g: int, p: int, q: int, a_next: int) -> bool:
     return 2 * g * g < a_next + 2
 
 
-class _Walk:
-    """The candidates of {v >= 1 : ||v c|| < 1/(2v)}, and every v <= 0.
+class _Convergents:
+    """The partial quotients of c, taken only as far as a window needs.
 
-    A member v has |c - nint(v c)/v| < 1/(2 v^2), so it is g q_k
-    (``cf.legendre_candidates``) with g d_k < 1/(2 g q_k), that is
-    2 g^2 < 1/(q_k d_k), where d_k = |q_k c - p_k|.  Since
-    d_k = 1/(q_k c_(k+1) + q_(k-1)) with c_(k+1) < a_(k+1) + 1 the complete
-    quotient and q_(k-1) <= q_k, 1/(q_k d_k) = c_(k+1) + q_(k-1)/q_k <
-    a_(k+1) + 2.  So every member is one of the O(log hi) points
-    {g q_k : 2 g^2 < a_(k+1) + 2, q_k <= hi}.  They are kept as an
-    increasing list, made by ``legendre_candidates`` up to a cover past the
-    largest hi asked for, grown to at least its square whenever a window
-    reaches past it, and read by bisection.  The walk runs over the
-    quotients of c taken so far (``cf.quadratic_quotients``), as a finite
-    continued fraction whose last denominator is past the cover, so it
-    stops at a q_k past the cover, never at that last convergent, and c's
-    period is never needed whole.
+    ``upto(top)`` is the finite continued fraction of those taken so far,
+    grown until its last denominator is past ``top`` or, for a rational, to
+    c itself, so ``legendre_candidates`` on it stops at a q_k past ``top``
+    or at c, and an irrational's period is never needed whole.
     """
 
-    __slots__ = ("points", "_c", "_more", "_quotients", "_q", "_top")
+    __slots__ = ("_source", "_more", "_quotients", "_q")
 
-    def __init__(self, c: FieldElement):
-        self.points: list[int] = []
-        self._c = c
-        self._more = quadratic_quotients(c)
+    def __init__(self, c: Fraction | FieldElement):
+        self._source = c
+        self._more = rational_quotients(c) if type(c) is Fraction else quadratic_quotients(c)
         self._quotients: list[int] = []
         self._q = (1, 0)  # (q_(k-1), q_k) for the quotients taken, from q_(-1) = 0, q_0 = 1
-        self._top = 0  # points holds every candidate up to here
+
+    def upto(self, top: int) -> ContinuedFraction:
+        prev, q = self._q
+        while q <= top and (a := next(self._more, None)) is not None:
+            self._quotients.append(a)
+            prev, q = q, a * q + prev
+        self._q = prev, q
+        return ContinuedFraction(tuple(self._quotients), (), self._source)
+
+
+class _Walk:
+    """Every v < start, and from start on the points g q_k with
+    ``holds(g, p_k, q_k, a_(k+1))`` over c's convergents
+    (``cf.legendre_candidates``): a Legendre rule's proposals
+    (``_Analysis._legendre``).
+
+    For an irrational quadratic c, ``holds`` is 2 g^2 < a_(k+1) + 2, which
+    every v >= 1 with ||v c|| < 1/(2v) meets: such a v is g q_k with
+    g d_k < 1/(2 g q_k), d_k = |q_k c - p_k|, that is 2 g^2 < 1/(q_k d_k),
+    and since d_k = 1/(q_k c_(k+1) + q_(k-1)) with c_(k+1) < a_(k+1) + 1
+    the complete quotient and q_(k-1) <= q_k, 1/(q_k d_k) = c_(k+1) +
+    q_(k-1)/q_k < a_(k+1) + 2.  These O(log hi) points are kept as an
+    increasing list, made up to a cover past the largest hi asked for,
+    grown to at least its square whenever a window reaches past it, and
+    read by bisection.  A rational c's bound admits ever more g at a small
+    q_k, so there (not ``cached``) each window is walked on its own, with
+    g from ceil(lo/q_k): one bound check per convergent up to hi at most.
+    """
+
+    __slots__ = ("start", "_convergents", "_holds", "_top", "_points")
+
+    def __init__(self, convergents: _Convergents, holds, start: int, cached: bool):
+        self.start, self._convergents, self._holds = start, convergents, holds
+        self._top = 0 if cached else None  # _points holds every candidate up to here
+        self._points: list[int] = []
 
     def propose(self, lo: int, hi: int) -> _Proposal:
+        s = self.start
+        wholes = [(lo, min(hi, s - 1))] if lo < s else []
+        lo = max(lo, s)
+        if lo > hi:
+            return wholes, []
+        if self._top is None:
+            cf = self._convergents.upto(hi)
+            return wholes, sorted(set(legendre_candidates(cf, lo, hi, self._holds)))
         if hi > self._top:
             top = self._top = max(hi, self._top * self._top)
-            prev, q = self._q
-            while q <= top:
-                a = next(self._more)
-                self._quotients.append(a)
-                prev, q = q, a * q + prev
-            self._q = prev, q
-            prefix = ContinuedFraction(tuple(self._quotients), (), self._c)
             # q_0 = q_1 = 1 where a_1 = 1: a candidate can come twice
-            self.points = sorted(set(legendre_candidates(prefix, 1, top, _half_over_n)))
-        points = self.points
-        wholes = [(lo, min(0, hi))] if lo <= 0 else []
+            cf = self._convergents.upto(top)
+            self._points = sorted(set(legendre_candidates(cf, 1, top, self._holds)))
+        points = self._points
         return wholes, points[bisect_left(points, lo) : bisect_right(points, hi)]
 
 
@@ -305,7 +337,7 @@ class _Analysis:
     def __init__(self, ops: tuple, consts: tuple):
         self.ops, self.consts = ops, consts
         self.nints = {a: i for i, (code, a, _) in enumerate(self.ops) if code == _NINT}
-        self.walks: dict[FieldElement, _Walk] = {}
+        self.expansions: dict[Fraction | FieldElement, _Convergents] = {}
         self.memo: dict[tuple[int, int], object] = {}
 
     def support(self, i: int, v: int, depth: int = 0):
@@ -321,15 +353,17 @@ class _Analysis:
         if code == _DIST_LT:
             k, c = self._times_v(a, v), self._quadratic(b, v)
             if type(k) is Fraction and k >= 2 and c is not None:
-                return self._walk(c)
+                return self._walk(c, 1)
         elif code == _RANGE:
-            hi = Fraction(b[2], b[3])
-            kc = self._frac_product(a, v)
-            if kc is not None and hi > 0 and kc[0] >= 2 * hi:
-                return self._walk(kc[1])
-            box = self._lattice_box(a, Fraction(b[0], b[1]), v)
-            if box is not None:
-                return box
+            lo, hi = Fraction(b[0], b[1]), Fraction(b[2], b[3])
+            s = self._legendre(a, v, lo, hi, False) or self._lattice_box(a, lo, v)
+            if s is not None:
+                return s
+        elif code == _FLOOR:
+            yt = self._zero_test(i)
+            s = self._legendre(yt[0], v, yt[1], yt[1], True) if yt is not None else None
+            if s is not None:
+                return s
         elif code == _MUL:
             s = self._pull_back(a, b, v, depth) or self._pull_back(b, a, v, depth)
             if s is not None:
@@ -361,30 +395,93 @@ class _Analysis:
             return c
         return None
 
-    def _frac_product(self, i: int, v: int) -> tuple[Fraction, FieldElement] | None:
-        """(k, c) where op i is a product of rationals (k their product), one
-        v and one F(c v), F a fractional part or a distance."""
-        k, vs, found = Fraction(1), 0, None
+    def _frac_arg(self, i: int) -> int | None:
+        """M where op i is dist(M), frac(M) or M - floor(M)."""
+        code, a, b = self.ops[i]
+        return a if code in (_DIST, _FRAC) or code == _SUB and self.ops[b] == (_FLOOR, a, 0) else None
+
+    def _frac_product(self, i: int, v: int) -> tuple | None:
+        """(k, m, c) where op i is a product of rationals (k their product),
+        v to the power m >= 1 in all and one F(c v), F a fractional part or a
+        distance, c rational or an irrational quadratic."""
+        k, m, found = Fraction(1), 0, None
         stack = [i]
         while stack:
             j = stack.pop()
             code, a, b = self.ops[j]
-            x = self._const(j)
-            # M where op j is dist(M), frac(M) or M - floor(M)
-            m = a if code in (_DIST, _FRAC) or code == _SUB and self.ops[b] == (_FLOOR, a, 0) else None
+            x, f = self._const(j), self._frac_arg(j)
             if code == _MUL:
                 stack += [a, b]
             elif type(x) is Fraction:
                 k *= x
-            elif j == v:
-                vs += 1
-            elif m is not None and found is None:
-                found = self._quadratic(m, v)
+            elif j == v or code == _POW and a == v:
+                m += 1 if j == v else b
+            elif f is not None and found is None:
+                found = self._times_v(f, v)
+                if type(found) is not Fraction:
+                    found = self._quadratic(f, v)
                 if found is None:
                     return None
             else:
                 return None
-        return (k, found) if vs == 1 and found is not None else None
+        return (k, m, found) if m >= 1 and found is not None else None
+
+    def _legendre(self, i: int, v: int, lo: Fraction, hi: Fraction, closed: bool):
+        """The Legendre rule for lo <= y < hi, or lo <= y <= hi where
+        ``closed``, on op i = y = k v^m F(c v) (``_frac_product``), or None.
+
+        Claim: a member v >= start, the least v >= 1 with 2 hi <= k v^(m-1)
+        (2 hi < k v^(m-1) where closed), is one of the ``_Walk``'s points.
+        Proof: F(c v) >= ||v c|| and k > 0, so ||v c|| <= y/(k v^m), below
+        hi/(k v^m) <= 1/(2v), or where closed at most hi/(k v^m) < 1/(2v).
+        So by Legendre's theorem v = g q_k with ||v c|| = g d_k, and for an
+        irrational quadratic c the walk's bound holds.  For a rational
+        c = r/s, d_k = |q_k r - p_k s|/s, so k g^(m+1) q_k^m |q_k r - p_k s|
+        < hi s (<= where closed), decided in integers.  At c's last
+        convergent d_k = 0: the multiples of s have F(c v) = 0, which
+        lo > 0 excludes.  For m = 1 with k < 2 hi (k <= 2 hi where closed)
+        there is no start.
+        """
+        shape = self._frac_product(i, v)
+        if shape is None or hi <= 0 or shape[0] <= 0:
+            return None
+        (k, m, c), x = shape, 2 * hi / shape[0]
+        least = math.floor(x) + 1 if closed else math.ceil(x)  # of v^(m-1)
+        if m == 1 and least > 1:
+            return None
+        start = ceil_root(least, m - 1) if m > 1 else 1
+        if type(c) is not Fraction:
+            return None if closed else self._walk(c, start)
+        if lo <= 0:
+            return None
+        r, s = c.numerator, c.denominator
+        scale, bound = k.numerator * hi.denominator, hi.numerator * k.denominator * s
+
+        def holds(g: int, p: int, q: int, _) -> bool:
+            x = scale * g ** (m + 1) * q**m * abs(q * r - p * s)
+            return x <= bound if closed else x < bound
+
+        return self._walk(c, start, holds)
+
+    def _zero_test(self, i: int) -> tuple[int, Fraction] | None:
+        """(y, t) where op i is floor(1 - F(theta (y - t))), F a fractional
+        part or a distance, theta the built-in ``THETA`` and t rational.
+
+        Claim: where y is rational, the op is nonzero only where y = t.
+        Proof: F(x) is in [0, 1) and 0 exactly at the integers, so the op is
+        nonzero only where theta (y - t) is an integer, and as y - t is
+        rational and theta irrational, that is only where y = t.  So
+        ``_legendre`` reads the op as t <= y <= t, on a rational c only,
+        where every constant y reads is rational.
+        """
+        sub, one, f = self.ops[self.ops[i][1]]
+        x = self._frac_arg(f) if sub == _SUB and self._const(one) == 1 else None
+        for th, d in self._operands(x, _MUL) if x is not None else ():
+            code, a, t = self.ops[d]
+            t = self._const(t) if code == _SUB else None
+            if self.ops[th][0] == _CONST and self.consts[self.ops[th][1]] is THETA and type(t) is Fraction:
+                return a, t
+        return None
 
     def _pull_back(self, p: int, q: int, v: int, depth: int):
         """The pull-back of p's support through q = _DIST_LT(s, u v), or None."""
@@ -488,11 +585,12 @@ class _Analysis:
                 return _Box(slabs, scale, k, l)
         return None
 
-    def _walk(self, c: FieldElement) -> _Walk:
-        walk = self.walks.get(c)
-        if walk is None:
-            walk = self.walks[c] = _Walk(c)
-        return walk
+    def _walk(self, c: Fraction | FieldElement, start: int, holds=_half_over_n) -> _Walk:
+        """c's walk with ``holds`` on c's one expansion, cached where c is
+        irrational."""
+        if c not in self.expansions:
+            self.expansions[c] = _Convergents(c)
+        return _Walk(self.expansions[c], holds, start, type(c) is not Fraction)
 
 
 @lru_cache(maxsize=256)

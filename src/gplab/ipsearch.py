@@ -236,20 +236,21 @@ def density_estimate(cert: Certificate, N: int, max_bits: int = DEFAULT_MAX_BITS
 
     Only positive n count: the indicators of value sets also hold at some
     n <= 0 (the cubic ones at 0), which are not in the target set.  One
-    scan decides the points, and resumes past any undecided one.
+    scan decides each piece of the proposals, and resumes past any
+    undecided point.
     """
     if N < 1:
         raise PreconditionError("N must be at least 1")
     count, undecided = 0, []
-    points = cert.points(1, N)
-    while points:
-        try:
-            for _ in cert.members_in(points, max_bits):
-                count += 1
-            break
-        except PrecisionExhausted as exc:
-            undecided.append(exc.n)
-            points = points[bisect_right(points, exc.n) :]
+    for points in cert.points(1, N):
+        while points:
+            try:
+                for _ in cert.members_in(points, max_bits):
+                    count += 1
+                break
+            except PrecisionExhausted as exc:
+                undecided.append(exc.n)
+                points = points[bisect_right(points, exc.n) :]
     return DensityEstimate(
         N=N,
         count=count,

@@ -22,6 +22,7 @@ from .realnum import (
     NeedBits,
     NumberField,
     Real,
+    ceil_root,
     compare,
     dist_iv,
     fixed_enclosure,
@@ -159,25 +160,12 @@ def _fixed_bits(spec: OrbitSpec, N: int, max_bits: int) -> int:
     return prefilter_bits((N * N * beta_abs).bit_length(), max_bits)
 
 
-def _ceil_root(x: int, k: int) -> int:
-    """The least integer r >= 0 with r^k >= x, for x >= 0 and k >= 1."""
-    if x <= 1:
-        return max(x, 0)
-    r = 1 << -(-x.bit_length() // k)  # r^k >= x
-    while True:  # Newton's step from above stays above the floor of the root
-        s = ((k - 1) * r + x // r ** (k - 1)) // k
-        if s >= r:
-            break
-        r = s
-    return r if r**k >= x else r + 1
-
-
 def _block_bound(n0: int, c: Fraction, bits: int) -> int:
     """U = ceil(2^bits n0^(-c)), the least integer with U^den n0^num >=
     2^(bits den): a distance of at least ``U * 2^-bits`` is at least
     n^(-c) for every n >= n0."""
     num, den = c.numerator, c.denominator
-    return _ceil_root(-(-(1 << (bits * den)) // n0**num), den)
+    return ceil_root(-(-(1 << (bits * den)) // n0**num), den)
 
 
 def _fixed_indicator(

@@ -9,6 +9,7 @@ for any value)."""
 from .field import FieldElement, NumberField, dyadic_enclosure
 from .fixed import (
     NeedBits,
+    ceil_root,
     dist_iv,
     fixed_enclosure,
     floor_iv,
@@ -42,6 +43,7 @@ __all__ = [
     "FieldElement",
     "dyadic_enclosure",
     "NeedBits",
+    "ceil_root",
     "dist_iv",
     "fixed_enclosure",
     "floor_iv",

@@ -37,6 +37,19 @@ def prefilter_bits(range_bits: int, max_bits: int) -> int:
     return max(1, min(max_bits, PREFILTER_BITS + range_bits))
 
 
+def ceil_root(x: int, k: int) -> int:
+    """The least integer r >= 0 with r^k >= x, for x >= 0 and k >= 1."""
+    if x <= 1:
+        return max(x, 0)
+    r = 1 << -(-x.bit_length() // k)  # r^k >= x
+    while True:  # Newton's step from above stays above the floor of the root
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r**k >= x else r + 1
+
+
 def fixed_enclosure(value: Real, bits: int) -> tuple[int, int]:
     """Integers ``lo <= value * 2^bits <= hi`` with ``hi - lo <= 2``.
 

@@ -95,6 +95,16 @@ def test_members_of_a_certificate_file_as_written(tmp_path, cert_args, hi):
     assert got[cert_path] == got[expr_path] and len(got[cert_path].splitlines()) > 10
 
 
+def test_members_of_the_printed_very_sparse_certificate(tmp_path):
+    # the printed certificate proposes what the built one does, so gp members
+    # of the file as written reaches 10^18
+    cert_path, out = tmp_path / "cert.gp", tmp_path / "members.csv"
+    assert run(["cert", "--construction", "verysparse", "--out", str(cert_path)]) == 0
+    argv = ["members", "--expr", str(cert_path), "--from", "1", "--to", str(10**18), "--out", str(out)]
+    assert run(argv) == 0
+    assert out.read_text().split() == ["n", "2", "128", "562949953421312"]
+
+
 @pytest.mark.parametrize(
     "header",
     [

@@ -334,7 +334,7 @@ def test_transfer_scan_at_every_sign(u_name):
     out = scaled_set_transfer(cons.certificate, u, "transfer")
     assert out.members(-40, 2000) == list(members_in(out.indicator, range(-40, 2001)))
     # the support analysis pulls the cubic's lattice-box points back
-    assert len(out.points(1, 10**6)) < 1000
+    assert sum(map(len, out.points(1, 10**6))) < 1000
 
 
 # -- certificate file format --------------------------------------------------
@@ -393,6 +393,23 @@ def test_small_fp_family_examples():
         small_fp_family(N, N, F(1, 2))  # exponent must be negative
 
 
+def test_members_decides_a_run_proposed_whole_as_its_range():
+    # fibonacci a=1 proposes every n <= 0: the run stays one range, and
+    # members_in is handed that range itself, not a list of its points
+    cert = fibonacci_like_set(1)
+    assert cert.points(-(10**6), 100)[0] == range(-(10**6), 1)
+    seen = []
+    scan = cert.members_in
+
+    def spy(points, *args):
+        seen.append(points)
+        return scan(points, *args)
+
+    cert.members_in = spy
+    assert cert.members(-2000, 100) == members(cert.indicator, -2000, 100)
+    assert type(seen[0]) is range and seen[0] == range(-2000, 1)
+
+
 def test_sqrt2_certificate_starts_at_one():
     from gplab.constructions import sqrt2_small_dist_certificate
 
@@ -403,8 +420,8 @@ def test_sqrt2_certificate_starts_at_one():
         d = (sq2 * n).dist_to_int()
         return not d.is_zero() and (d * d * n - 1).sign() < 0
 
-    # the indicator is 0 at every n <= 0, so an unproposed scan starts at n = 1
-    assert cert.candidates is None
+    # the analysis proposes every point, and the indicator is 0 at every n <= 0
+    assert cert.points(-6, 300) == [range(-6, 301)]
     assert cert.members(-6, 0) == []
     assert not cert.member(-3)
     assert cert.members(-6, 300) == [n for n in range(1, 301) if in_target(n)]
@@ -520,7 +537,7 @@ def test_derived_scan_confirms_each_point_once(monkeypatch, build, expected):
     top = 10**17
     assert cert.members(0, top) == expected(top)
     assert compiles[0] == 1
-    assert evaluated == list(cert.points(0, top))
+    assert evaluated == [n for piece in cert.points(0, top) for n in piece]
 
 
 def _half_over_n_root(name: str):

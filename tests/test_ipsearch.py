@@ -30,11 +30,9 @@ from oracles import first_finite_sums
 
 
 def _set_cert(pred, desc="test set"):
-    # no indicator: ``members_in`` answers from the predicate, and ``members``
-    # decides every point, which the generator proposes
-    cert = Certificate(
-        indicator=None, target_description=desc, candidates=lambda lo, hi: range(lo, hi + 1)
-    )
+    # a constant indicator, of which the analysis proposes every point;
+    # ``members_in`` answers from the predicate
+    cert = Certificate(indicator=RationalConst(Fraction(1)), target_description=desc)
     cert.members_in = lambda points, max_bits=DEFAULT_MAX_BITS: (n for n in points if pred(n))
     return cert
 

@@ -37,6 +37,7 @@ from gplab.gpexpr import (
     frac_expr,
     ind_and,
     indicator_of_range,
+    indicator_of_zero_set,
     members,
     members_in,
     parse,
@@ -53,10 +54,6 @@ README = "let phi = root(x^2-x-1, 1, 2); floor(1 - frac(theta*floor(2*n*(n*phi -
 LO, HI = -50, 10**4
 PHI = NumberField((-1, -1, 1), 1, 2, "phi").generator()
 
-# the registry cases whose indicators the analysis reads: all but the
-# very-sparse one, which keeps its builder's generator
-SPARSE = {"fibonacci", "quadratic", "quadratic-filter", "cubic"}
-
 
 def _proposed(e, lo: int, hi: int) -> set[int]:
     return {n for piece in proposals(e, lo, hi) for n in piece}
@@ -69,42 +66,39 @@ def _unproposed(e, lo: int, hi: int) -> list[int]:
 def _cases():
     for (name, params), case in zip(REGISTRY_CASES, REGISTRY_IDS):
         cert = construction(name).build(SimpleNamespace(**params))
-        yield case, cert.indicator, name in SPARSE
+        yield case, cert.indicator
         # printed and parsed back: the analysis reads the text, not the builder
-        yield case + "-reparsed", Certificate.from_file_text(cert.to_file_text()).indicator, name in SPARSE
+        yield case + "-reparsed", Certificate.from_file_text(cert.to_file_text()).indicator
     # a = 7: 2 g^2 < a_(k+1) + 2 lets g = 2 through, so doubles q_k are proposed
-    yield "fibonacci-a=7", fibonacci_like_set(7).indicator, True
-    yield "readme", parse(README), True
+    yield "fibonacci-a=7", fibonacci_like_set(7).indicator
+    yield "readme", parse(README)
     # a period past cf_expand's cap: the walk takes only the quotients it needs
     long = README.replace("root(x^2-x-1, 1, 2)", "root(x^2-1000000000039, 1000000, 1000001)")
-    yield "readme-long-period", parse(long), True
+    yield "readme-long-period", parse(long)
 
 
 CASES = list(_cases())
 
 
-@pytest.mark.parametrize("case, e, sparse", CASES, ids=[c for c, _, _ in CASES])
-def test_every_member_is_proposed(case, e, sparse):
+@pytest.mark.parametrize("case, e", CASES, ids=[c for c, _ in CASES])
+def test_every_member_is_proposed(case, e):
     found = _unproposed(e, LO, HI)
     proposed = _proposed(e, LO, HI)
     assert set(found) <= proposed
     assert members(e, LO, HI) == found
-    # the analysis reads exactly the quadratic and cubic certificates and the README
-    assert (_support(e) is not _EVERY) == sparse
-    if sparse:
-        assert len(proposed) < 300 + abs(LO)
+    # the analysis reads every registry certificate and the README
+    assert _support(e) is not _EVERY
+    assert len(proposed) < 300 + abs(LO)
 
 
-@pytest.mark.parametrize(
-    "case, e", [(c, e) for c, e, sparse in CASES if sparse], ids=[c for c, _, s in CASES if s]
-)
+@pytest.mark.parametrize("case, e", CASES, ids=[c for c, _ in CASES])
 def test_windows_around_members_and_their_doubles(case, e):
     # +-20 windows around each member and each 2 * member up to 1e17,
     # against the unproposed scan of the same window
     found = members(e, 1, 10**17)
-    assert len(found) > 5
+    assert len(found) > (2 if case.startswith("verysparse") else 5)  # 2, 128 and 2^49
     if case.endswith("-reparsed"):  # proposes what the built indicator does
-        built = next(b for c, b, _ in CASES if c == case[: -len("-reparsed")])
+        built = next(b for c, b in CASES if c == case[: -len("-reparsed")])
         assert _proposed(e, 1, 10**17) == _proposed(built, 1, 10**17)
     for m in sorted({*found, *(2 * m for m in found)}):
         assert members(e, m - 20, m + 20) == _unproposed(e, m - 20, m + 20), (case, m)
@@ -166,6 +160,96 @@ def test_k_below_two_proposes_every_point():
     assert _support(e) is _EVERY
 
 
+# -- the Legendre rules on k v^m F(c v) with a rational c -----------------------
+
+def _power_value(c: Fraction, k: Fraction, m: int, f, split: bool):
+    """k n^m F(c n), n^m written as n n^(m-1) where ``split``."""
+    power = Mul(N, Pow(N, m - 1)) if split and m > 1 else Pow(N, m)
+    return Mul(Mul(RationalConst(k), power), f(Mul(N, Const("c", c))))
+
+
+@st.composite
+def _rational_programs(draw):
+    """A range test lo <= k n^m F(c n) < hi or a zero test of
+    k n^m F(c n) - lo, with c made so that a chosen n0 is a member."""
+    m, k = draw(st.integers(1, 5)), draw(_scales)
+    form = draw(st.sampled_from(["range", "zero"]))
+    lo, hi = draw(st.sampled_from([(Fraction(1, 4), 2), (1, 2), (Fraction(1, 2), 3), (0, 1), (-1, 1)]))
+    lo, hi = Fraction(lo), Fraction(hi)
+    n0 = draw(st.integers(2, 5000))
+    p = draw(st.integers(0, n0 - 1))
+    y0 = lo if form == "zero" else lo + (hi - lo) * Fraction(draw(st.integers(0, 9)), 10)
+    # ||c n0|| = y0 / (k n0^m) where that is below 1/2, or a random rational c
+    if y0 > 0 and y0 < k * n0**m / 2 and draw(st.booleans()):
+        c = (p + y0 / (k * n0**m)) / n0
+    else:
+        c = Fraction(p, n0)
+    f = draw(st.sampled_from([frac_expr, Frac, Dist]))
+    y = _power_value(c, k, m, f, draw(st.booleans()))
+    e = indicator_of_range(y, lo, hi) if form == "range" else indicator_of_zero_set(Sub(y, RationalConst(lo)))
+    # the rules apply where lo > 0 and there is a start: 2 hi <= k v^(m-1)
+    # for some v >= 1, or 2 hi < k v^(m-1) for the closed zero test
+    top = lo if form == "zero" else hi
+    reads = lo > 0 and (m > 1 or (k > 2 * top if form == "zero" else k >= 2 * top))
+    return e, reads
+
+
+# c = 2/5, m = 1, k = 5/3, t = 1: 3 has k 3 ||3 c|| = 1, and 3 = 3 q_0 fails the
+# bound k g^2 q_0 |q_0 r - p_0 s| <= t s; with k <= 2 t there is no start
+@example((indicator_of_zero_set(Sub(_power_value(Fraction(2, 5), Fraction(5, 3), 1, Dist, False),
+                                    RationalConst(Fraction(1)))), False))
+# lo = 0: n^2 frac(n/7) = 0 < 1 at every multiple of 7
+@example((indicator_of_range(_power_value(Fraction(1, 7), Fraction(1), 2, Frac, False), 0, 1), False))
+@given(_rational_programs())
+@settings(max_examples=25, deadline=None)
+def test_every_member_of_a_random_rational_program_is_proposed(program):
+    e, reads = program
+    found = _unproposed(e, LO, HI)
+    assert set(found) <= _proposed(e, LO, HI)
+    assert members(e, LO, HI) == found
+    # read exactly where proved: lo > 0 (lo <= 0 puts every multiple of c's
+    # denominator in the set, so every point is proposed) and a start exists
+    assert (_support(e) is not _EVERY) == reads
+
+
+def test_zero_test_of_an_irrational_value_proposes_every_point():
+    # theta (y - 2) may be an integer off y = 2 where y is irrational, so
+    # the zero test is read only on rational constants; a range test of
+    # the same value is read
+    y = _power_value(_quadratic(2, 0, 1, 1), Fraction(4), 4, Dist, False)
+    assert _support(indicator_of_zero_set(Sub(y, RationalConst(Fraction(2))))) is _EVERY
+    assert _support(indicator_of_range(y, 1, 2)) is not _EVERY
+
+
+def test_a_one_point_window_checks_one_bound_per_convergent(monkeypatch):
+    # alpha = 3/2^75003, so q_0 = 1 admits about 2^15000 values of g: a walk
+    # of every candidate from g = 1 would not end.  Each half of the OR checks
+    # at most one g per convergent up to the window.
+    from gplab.cf import cf_of_rational, convergent_walk
+    from gplab.constructions import very_sparse_alpha, very_sparse_set
+    from gplab.gpexpr import support
+
+    top = 2**15000
+    cert = very_sparse_set(very_sparse_alpha([top], 5, 6))
+    below = sum(1 for _, q, _ in convergent_walk(cf_of_rational(cert.meta["alpha_snapshot"])) if q <= top)
+    checks = []
+    walk = support.legendre_candidates
+
+    def counted(cf, lo, hi, holds):
+        checks.append(0)
+
+        def check(*args):
+            checks[-1] += 1
+            assert checks[-1] <= below
+            return holds(*args)
+
+        return walk(cf, lo, hi, check)
+
+    monkeypatch.setattr(support, "legendre_candidates", counted)
+    assert _fresh(cert.indicator).propose(top, top) == ([], [top])
+    assert checks == [below, below]
+
+
 def _fibonacci_transfer(u, s_times_u: Fraction):
     """nint(u m) in the Fibonacci set and ||u m|| < 1/s, s |u| = ``s_times_u``."""
     fib = fibonacci_like_set(1).indicator
@@ -204,7 +288,7 @@ def test_transfer_certificate_reads_the_pull_back():
     assert type(_support(out.indicator)).__name__ == "_PullBack"
     assert program._support is _support(out.indicator)
     assert out.members(1, 10**30) == members(out.indicator, 1, 10**30)
-    assert len(out.points(1, 10**30)) < 300
+    assert len(_proposed(out.indicator, 1, 10**30)) < 300
     back = Certificate.from_file_text(out.to_file_text())
     assert back.points(1, 10**30) == out.points(1, 10**30)
     # a second build has its own program but the same ops and constants,

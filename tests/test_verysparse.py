@@ -97,6 +97,25 @@ def test_a_term_past_the_print_limit_builds():
     assert small.target_description == "terms of the supplied sequence (2, 128)..."
 
 
+@pytest.mark.parametrize("r", [2, 3, 7, 64])
+def test_exact_root_of_powers_past_2_to_2000(r):
+    # one integer root, realnum.ceil_root: exact on powers of any size
+    import random
+
+    from gplab.constructions.verysparse import _exact_root
+    from gplab.realnum import ceil_root
+
+    rng = random.Random(r)
+    for _ in range(10):
+        bits = 2000 // r + 2
+        t = rng.getrandbits(bits) | 1 << (bits - 1)
+        m = t**r
+        assert m > 2**2000
+        assert ceil_root(m, r) == t and ceil_root(m - 1, r) == t and ceil_root(m + 1, r) == t + 1
+        assert _exact_root(m, r) == t
+        assert _exact_root(m + 1, r) is None and _exact_root(m - 1, r) is None
+
+
 def test_densify_single_ratio_1000():
     plan = densify_sequence([2, 2**1000])
     assert plan.depth_per_step == (3,)
@@ -186,34 +205,36 @@ def test_legendre_candidates_hold_every_member(seq):
 
 @pytest.mark.parametrize("seq, C, D", [((2, 128, N2), 5, 6), ((2, 2**30, 2**900), 28, 29)])
 def test_integer_stopping_test_equals_the_fraction_form(seq, C, D):
-    # for alpha = a/b, 2 g^C q^(C-1) |q a - p b| <= b is the bound
-    # 2 g^C q^(C-1) |q alpha - p| <= 1 multiplied through by b
+    # for alpha = a/b, the analysis's bound 4 g^C q^(C-1) |q a - p b| <= 2 b
+    # is 2 g^C q^(C-1) |q alpha - p| <= 1 multiplied through by 2 b
     from gplab.cf import cf_of_rational, legendre_candidates
-    from gplab.constructions.verysparse import _very_sparse_scan
 
-    alpha = very_sparse_alpha(seq, C, D).alpha
-    cf = cf_of_rational(alpha)
+    cert = very_sparse_set(very_sparse_alpha(seq, C, D))
+    cf = cf_of_rational(cert.meta["alpha_snapshot"])
     hi = 2 * seq[-1]
-    got = list(_very_sparse_scan(cf, C, 2, hi))
-    bound = lambda g, p, q, _: 2 * g**C * q ** (C - 1) * abs(q * alpha - p) <= 1
-    assert got == list(legendre_candidates(cf, 2, hi, bound))
+    got = [n for piece in cert.points(2, hi) for n in piece]
+    bound = lambda g, p, q, _: 2 * g**C * q ** (C - 1) * abs(q * cf.source - p) <= 1
+    assert got == sorted(set(legendre_candidates(cf, 2, hi, bound)))
     assert set(seq) <= set(got)
 
 
 def test_members_expands_alpha_once(monkeypatch):
-    from gplab.constructions import verysparse
+    # one expansion of alpha serves both halves of the OR and every window
+    from gplab.gpexpr import support
 
     calls = []
-    real = verysparse.cf_of_rational
+    real = support.rational_quotients
 
     def spy(x):
         calls.append(x)
         return real(x)
 
-    monkeypatch.setattr(verysparse, "cf_of_rational", spy)
+    monkeypatch.setattr(support, "rational_quotients", spy)
+    support._analysis.cache_clear()  # no analysis of an earlier build
     cert = very_sparse_set(very_sparse_alpha((2, 128), 5, 6))
     assert cert.members(1, 200) == cert.members(1, 200) == [2, 128]
-    assert len(calls) == 1
+    assert cert.members(10**6, 10**7) == []
+    assert calls == [cert.meta["alpha_snapshot"]]
 
 
 def test_densified_terms_equal_a_high_precision_floor():
