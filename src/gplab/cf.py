@@ -18,9 +18,11 @@ the convergent denominators (Lagrange's theorem), each compared exactly
 with the last record.  The planar norm is ``|u*x1 + v*x2|`` for a complex
 constant ``u`` and real ``v``, evaluated through its exact squared value in
 the ground field.  ``nearest_lattice_sq`` is the one computation of the
-planar distance N0(q theta): a window derived on integer enclosures, with
-exact field comparisons only among the points those enclosures cannot
-order.  ``SlabBoxes`` is the one enumerator of the q near a lattice
+planar distance N0(q theta): a window derived on integer enclosures, and
+only the points those enclosures cannot order evaluated exactly, each as
+one integer quadratic form in (q, p1, p2) whose coefficients
+(``RauzyNorm.gram``) are formed once per theta, and compared in the
+field.  ``SlabBoxes`` is the one enumerator of the q near a lattice
 point, slab by slab: ``lattice_box_points`` walks it for the planar
 records, and the support analysis's lattice-box rule caches its slabs for
 the cubic scans.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -57,6 +60,7 @@ from .realnum import (
     rsub,
     scale_iv,
 )
+from .realnum.field import _reduced
 
 #: ``cf_expand`` gives up on a period not found within this many terms
 CF_MAX_TERMS = 10_000
@@ -271,6 +275,7 @@ class RauzyNorm:
         self.im_u_sq = im_u_sq
         self.v = v
         self._enclosures: dict[int, tuple] = {}
+        self._grams: dict[tuple, tuple] = {}
 
     @classmethod
     def for_cubic_field(cls, field: NumberField, b: int) -> "RauzyNorm":
@@ -311,6 +316,68 @@ class RauzyNorm:
         re = self.re_u * x1 + self.v * x2
         return re * re + self.im_u_sq * x1 * x1
 
+    def gram(
+        self, theta: tuple[FieldElement, FieldElement]
+    ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The form G = M^T A M with N(q theta - p)^2 = z^T G z for z = (q,
+        p1, p2): M = [[theta1, -1, 0], [theta2, 0, -1]] and A = [[Re(u)^2 +
+        Im(u)^2, Re(u) v], [Re(u) v, v^2]], the Gram matrix of N^2.
+
+        Returned as ``(D, rows)``: ``rows[i]`` holds the i-th integer
+        coordinates of D times the coefficients of q^2, q p1, q p2, p1^2,
+        p1 p2 and p2^2 (the cross terms carry their factor 2), and D is the
+        lcm of those coefficients' denominators, so the rows and D have no
+        common factor.  Built once per theta from the integer coordinates
+        of the norm's constants and theta (the field's reduction table, one
+        gcd), and cached on the norm; no enclosure is made.
+        """
+        got = self._grams.get(theta)
+        if got is None:
+            mul, th1, th2 = self.field._mul_num, *theta
+            d = math.lcm(self.re_u.den, self.v.den, self.im_u_sq.den)
+            e = math.lcm(th1.den, th2.den)
+            r, w = _scaled(self.re_u, d), _scaled(self.v, d)
+            t1, t2 = _scaled(th1, e), _scaled(th2, e)
+            a11 = _plus(mul(r, r), _scaled(self.im_u_sq, d * d))  # d^2 A
+            a12, a22 = mul(r, w), mul(w, w)
+            b1 = _plus(mul(a11, t1), mul(a12, t2))  # d^2 e A theta
+            b2 = _plus(mul(a12, t1), mul(a22, t2))
+            ee = e * e
+            rows = [  # d^2 e^2 times the six coefficients, coordinate by coordinate
+                (x0, -2 * e * x1, -2 * e * x2, ee * y11, 2 * ee * y12, ee * y22)
+                for x0, x1, x2, y11, y12, y22 in zip(
+                    _plus(mul(b1, t1), mul(b2, t2)), b1, b2, a11, a12, a22
+                )
+            ]
+            den = d * d * ee
+            g = math.gcd(den, *itertools.chain.from_iterable(rows))
+            if g != 1:
+                den //= g
+                rows = [tuple([n // g for n in row]) for row in rows]
+            got = self._grams[theta] = (den, tuple(rows))
+        return got
+
+    def offset_sq(
+        self, theta: tuple[FieldElement, FieldElement], q: int, p: tuple[int, int]
+    ) -> FieldElement:
+        """N(q theta - p)^2 as z^T G z (``gram``): the six integer monomials
+        of z = (q, p1, p2) dotted with G's coordinate rows, and one reduction
+        to lowest terms; no field product once G is built."""
+        den, rows = self.gram(theta)
+        p1, p2 = p
+        m = (q * q, q * p1, q * p2, p1 * p1, p1 * p2, p2 * p2)
+        return _reduced(self.field, tuple([sum(map(operator.mul, m, row)) for row in rows]), den)
+
+
+def _scaled(x: FieldElement, k: int) -> tuple[int, ...]:
+    """The integer coordinates of k x, for a multiple k of x's denominator."""
+    m = k // x.den
+    return x.num if m == 1 else tuple([n * m for n in x.num])
+
+
+def _plus(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(operator.add, x, y))
+
 
 def nearest_lattice_sq(
     norm: RauzyNorm, theta: tuple[FieldElement, FieldElement], q: int
@@ -326,6 +393,17 @@ def nearest_lattice_sq(
     enclosed at every p of that window; only the p whose lower bound is at
     most the least upper bound are compared exactly in the field, and a tie
     goes to the least (p1, p2).
+
+    The exact value at such a p is z^T G z for z = (q, p1, p2), with G =
+    M^T A M, M = [[theta1, -1, 0], [theta2, 0, -1]] and A the Gram matrix
+    [[Re(u)^2 + Im(u)^2, Re(u) v], [Re(u) v, v^2]] of N^2: six integer
+    monomials dotted with G's integer coordinate rows over one denominator,
+    and one reduction (``RauzyNorm.offset_sq``), with no field product.  G
+    is formed once per theta and cached on the norm (``RauzyNorm.gram``),
+    so it lives as long as the norm does.  The window stays on enclosures:
+    z^T G z in fixed point would subtract terms of size q^2 to leave a
+    value of size about 1/q, so it would need about three times the bits
+    of q to place even the nearest point.
     """
     th1, th2 = theta
     bits, re, v, im = norm.enclosures(64 + q.bit_length())
@@ -357,11 +435,10 @@ def nearest_lattice_sq(
         for p2 in range(-((x2_hi - t2[0]) >> bits), ((t2[1] - x2_lo) >> bits) + 1):
             cands.append((enclose(w, i, p2), (p1, p2)))
     least = min(iv[1] for iv, _ in cands)
-    y1, y2 = th1 * q, th2 * q
     best = best_p = None
     for iv, p in cands:
         if iv[0] <= least:
-            val = norm.norm_sq(y1 - p[0], y2 - p[1])
+            val = norm.offset_sq(theta, q, p)
             if best is None or val.compare(best) < 0:
                 best, best_p = val, p
     return best, best_p

@@ -42,9 +42,9 @@ from ..gpexpr import (
     indicator_of_range,
     indicator_of_zero_set,
 )
-from ..gpexpr.evaluate import _shown
 from ..cf import coprime_in_interval
 from ..realnum import ceil_root
+from ..realnum.refine import _shown
 from .certificate import Certificate
 
 #: Smallest growth exponent for which the plain interpolation always finds

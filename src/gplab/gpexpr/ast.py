@@ -24,7 +24,16 @@ class Expr:
 
 @dataclass(frozen=True, slots=True)
 class RationalConst(Expr):
+    """A rational constant; an ``int`` is held as its ``Fraction``."""
+
     value: Fraction
+
+    def __post_init__(self):
+        v = self.value
+        if type(v) is not Fraction:
+            if not isinstance(v, int):
+                raise TypeError(f"RationalConst needs a Fraction or an int, not {type(v).__name__}")
+            object.__setattr__(self, "value", Fraction(v))
 
 
 @dataclass(frozen=True, slots=True)

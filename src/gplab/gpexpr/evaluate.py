@@ -171,6 +171,7 @@ from ..realnum import (
     rpow,
     rsub,
 )
+from ..realnum.refine import _shown
 from .ast import (
     Add,
     Const,
@@ -1055,16 +1056,6 @@ def eval_exact(
     computing them.
     """
     return _compiled(e).eval_exact(n, max_bits, decided)
-
-
-def _shown(v: int | Fraction) -> str:
-    """A rational for an error message; one past 256 bits by its size, since
-    Python will not print an integer of more than 4300 digits."""
-    v = Fraction(v)
-    num, den = v.numerator.bit_length(), v.denominator.bit_length()
-    if max(num, den) <= 256:
-        return str(v)
-    return f"a {num}-bit integer" if den == 1 else f"a {num}-bit / {den}-bit fraction"
 
 
 def eval_indicator(

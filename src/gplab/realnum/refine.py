@@ -83,10 +83,23 @@ class RefinableReal:
         return f"RefinableReal({tag} in [{lo / (1 << bits):.6g}, {hi / (1 << bits):.6g}])"
 
 
+def _shown(v: int | Fraction) -> str:
+    """A rational for a message; one past 256 bits by its size, since
+    Python will not print an integer of more than 4300 digits."""
+    v = Fraction(v)
+    num, den = v.numerator.bit_length(), v.denominator.bit_length()
+    if max(num, den) <= 256:
+        return str(v)
+    return f"a {num}-bit integer" if den == 1 else f"a {num}-bit / {den}-bit fraction"
+
+
 def constant(q: Fraction, name: str = "") -> RefinableReal:
+    """The stream of a rational, named by ``_shown(q)`` only if the name is read."""
     q = Fraction(q)
     p, d = q.numerator, q.denominator
-    return RefinableReal(lambda bits: ((p << bits) // d, -((-p << bits) // d)), name or str(q))
+    return RefinableReal(
+        lambda bits: ((p << bits) // d, -((-p << bits) // d)), name or (lambda: _shown(q))
+    )
 
 
 def _mag_bits(x: RefinableReal) -> int:

@@ -498,6 +498,15 @@ def test_verysparse_past_the_print_limit_scans_but_does_not_print(capsys):
     assert err.startswith("error: alpha_hi of 25202 bits") and len(err.splitlines()) == 1, err
 
 
+def test_verysparse_past_the_print_limit_decides_points_below_one(capsys):
+    # n <= 0 is decided exactly, which names the stream of the zero test's
+    # rational y - 2, past 4300 digits: the name is made only if read
+    argv = ["verify", "--construction", "verysparse", "--C", "28", "--D", "29",
+            "--sequence", f"2,{2**30},{2**900}", "--from", "-50", "--to", "10"]
+    assert run(argv) == 0
+    assert "members_found: 2\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv, scans",
     [

@@ -1,8 +1,12 @@
 """Tests for the cubic Pisot construction."""
 
 import hashlib
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gplab.cf import RauzyNorm, nearest_lattice_sq
 from gplab.constructions import cubic_pisot_set, recurrence_terms
@@ -304,6 +308,79 @@ def test_nearest_lattice_sq_only_assumes_valid_enclosures(cubic_pairs, pair, mon
         got, p = nearest_lattice_sq(norm, cons.theta, q)
         want, want_p = nearest_lattice_sq_exhaustive(cons.norm, cons.theta, q)
         assert p == want_p and (got - want).is_zero(), q
+
+
+def _form_cases(pairs):
+    """(norm, theta) for the three cubic pairs, the Tribonacci norm with v
+    negated (``test_negative_v_matches_brute_force``), and that norm on a
+    theta whose coordinates have denominators 3 and 10."""
+    trib = pairs[(1, 1)]
+    neg = RauzyNorm(trib.norm.re_u, trib.norm.im_u_sq, -trib.norm.v)
+    cases = {pair: (cons.norm, cons.theta) for pair, cons in pairs.items()}
+    cases["neg-v"] = (neg, trib.theta)
+    cases["theta/3,7theta/10"] = (
+        neg, (trib.theta[0] * Fraction(1, 3), trib.theta[1] * Fraction(7, 10))
+    )
+    return cases
+
+
+FORM_CASES = [(1, 1), (2, 1), (2, -1), "neg-v", "theta/3,7theta/10"]
+
+
+@pytest.mark.parametrize("case", FORM_CASES, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(-(10**30), 10**30), dp=st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+def test_offset_form_equals_the_field_norm(cubic_pairs, case, q, dp):
+    # z^T G z at z = (q, p1, p2), p within 3 of nint(q theta), is the field's
+    # N(q theta - p)^2 exactly
+    norm, theta = _form_cases(cubic_pairs)[case]
+    y1, y2 = theta[0] * q, theta[1] * q
+    p = (y1.nint() + dp[0], y2.nint() + dp[1])
+    want = norm.norm_sq(y1 - p[0], y2 - p[1])
+    got = norm.offset_sq(theta, q, p)
+    assert got == want and (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("case", FORM_CASES, ids=str)
+def test_gram_is_the_form_over_its_least_denominator(cubic_pairs, case):
+    # the six coefficients of z^T G z from field products, brought to one
+    # denominator: the lcm of theirs, with no common factor left
+    norm, theta = _form_cases(cubic_pairs)[case]
+    th1, th2 = theta
+    a11 = norm.re_u * norm.re_u + norm.im_u_sq
+    a12, a22 = norm.re_u * norm.v, norm.v * norm.v
+    b1, b2 = a11 * th1 + a12 * th2, a12 * th1 + a22 * th2
+    coeffs = [b1 * th1 + b2 * th2, -2 * b1, -2 * b2, a11, 2 * a12, a22]
+    den = math.lcm(*(c.den for c in coeffs))
+    rows = tuple(zip(*(tuple(n * (den // c.den) for n in c.num) for c in coeffs)))
+    assert norm.gram(theta) == (den, rows)
+    assert norm.gram(theta) is norm.gram(theta)
+
+
+def test_warm_nearest_lattice_sq_makes_no_field_product(cubic_pairs, monkeypatch):
+    # once the norm holds its enclosures and G, a call compares and reduces
+    # but multiplies no field elements
+    from gplab.realnum import FieldElement
+
+    cons = cubic_pairs[(1, 1)]
+    norm = RauzyNorm(cons.norm.re_u, cons.norm.im_u_sq, cons.norm.v)
+    q = 10**18 + 3
+    nearest_lattice_sq(norm, cons.theta, q)
+    real = FieldElement.__mul__
+    calls = []
+
+    def counted(x, y):
+        calls.append(y)
+        return real(x, y)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    for d in range(1, 40):
+        got, p = nearest_lattice_sq(norm, cons.theta, q + d)
+        assert calls == []
+        monkeypatch.setattr(FieldElement, "__mul__", real)
+        want, want_p = nearest_lattice_sq_exhaustive(cons.norm, cons.theta, q + d)
+        assert p == want_p and got == want
+        monkeypatch.setattr(FieldElement, "__mul__", counted)
 
 
 # sha256 of ",".join(map(str, members)) from the float-prefilter scan this

@@ -453,6 +453,22 @@ def _verdicts(e, n: int) -> set[int]:
     return seen
 
 
+def test_rational_const_holds_a_fraction():
+    from gplab.gpexpr.evaluate import _CONST, Program
+
+    assert RationalConst(1).value == Fraction(1) and type(RationalConst(1).value) is Fraction
+    assert RationalConst(1) == RationalConst(Fraction(1))
+    assert members(RationalConst(1), 1, 3) == [1, 2, 3]
+    assert members(Mul(RationalConst(1), N), 1, 1) == [1]
+    # an int and its Fraction are one constant: n*1 - n*(1/1) is one
+    # product of the one constant, subtracted from itself
+    ops = Program(Sub(Mul(N, RationalConst(1)), Mul(N, RationalConst(Fraction(1))))).ops
+    assert sum(op[0] == _CONST for op in ops) == 1
+    for bad in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            RationalConst(bad)
+
+
 def test_builder_predicates_compile_to_one_op_each():
     from gplab.gpexpr.evaluate import _DIST_LT, _RANGE, Program
 

@@ -291,6 +291,19 @@ def test_a_field_element_stream_is_named_only_when_read(monkeypatch):
         wide.interval(4)
 
 
+def test_a_rational_stream_is_named_only_when_read():
+    # past 4300 digits str() raises, so a name made eagerly would raise at
+    # construction; a name read by a message gives the size instead
+    from gplab.realnum import rr_sqrt
+
+    big = Fraction(2**15000 + 1, 3)
+    c = as_stream(big)
+    assert rmul(c, c).interval(8)
+    assert c.name == "a 15001-bit / 2-bit fraction"
+    assert as_stream(Fraction(-5, 3)).name == "-5/3"
+    assert rr_sqrt(as_stream(Fraction(2**9000))).name == "sqrt(a 9001-bit integer)"
+
+
 def test_best_approximations_format_no_field_element(monkeypatch):
     from gplab.cf import best_approx_2d
     from gplab.constructions import cubic_pisot_set
